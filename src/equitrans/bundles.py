@@ -26,7 +26,6 @@ import numpy as np
 from . import linalg, reps
 from .errors import InvalidInputError, ObstructionError, ResampleFailureError
 
-TOL = 1e-10
 RETRY_BUDGET = 64
 
 
@@ -219,7 +218,7 @@ class GBundleModel:
         except KeyError:
             raise InvalidInputError(f"no edge between {u} and {v}") from None
 
-    def validate(self, tol: float = TOL) -> None:
+    def validate(self, tol: float = linalg.TOL) -> None:
         ident = linalg.eye(self.fiber_dim, self.exact)
         for (u, v) in self.base.edges():
             t_uv = self.transitions[(u, v)]
@@ -313,7 +312,8 @@ class IsotypicSplitting:
         return self.projectors[label]
 
 
-def decompose_bundle(bundle: GBundleModel, tol: float = TOL) -> IsotypicSplitting:
+def decompose_bundle(bundle: GBundleModel,
+                     tol: float = linalg.TOL) -> IsotypicSplitting:
     """Split a bundle into its fixed part and isotypic components.
 
     Verifies that every transition commutes with every projector; a failure
@@ -360,10 +360,7 @@ def equivariant_average_bundle_map(bundle: GBundleModel, raw_map: dict,
 def invariant_metric(rep: reps.RealRepresentation) -> np.ndarray:
     """Group-averaged fiber metric; equals the identity for orthogonal reps."""
     n = rep.group.order
-    acc = None
-    for g in range(n):
-        term = rep.matrices[g].T @ rep.matrices[g]
-        acc = term if acc is None else acc + term
+    acc = (rep.matrices.transpose(0, 2, 1) @ rep.matrices).sum(axis=0)
     if rep.exact:
         return acc * Fraction(1, n)
     return acc / n
@@ -376,12 +373,12 @@ class ComplementResult:
     projector_complement: dict
 
 
-def _span_rank(columns: np.ndarray, tol: float = TOL) -> int:
+def _span_rank(columns: np.ndarray, tol: float = linalg.TOL) -> int:
     return linalg.rank(columns, tol)
 
 
 def invariant_complement(bundle: GBundleModel, subbundle: dict,
-                         tol: float = TOL) -> ComplementResult:
+                         tol: float = linalg.TOL) -> ComplementResult:
     """Invariant complement of a constant-rank invariant subbundle.
 
     ``subbundle`` maps each vertex to a matrix whose columns span the fiber
@@ -555,7 +552,7 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     # orthogonal to all boundary values, then seeded random draws
     candidates = [values[full]]
     span = np.stack([bdry[v] for v in simplex], axis=1)
-    kernel = linalg.nullspace(span.T, TOL)
+    kernel = linalg.nullspace(span.T, linalg.TOL)
     if kernel.shape[1] > 0:
         candidates.append(kernel[:, 0] / np.linalg.norm(kernel[:, 0]) * scale)
     for _ in range(RETRY_BUDGET):
@@ -582,9 +579,7 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
 def orbit_matrix(rep: reps.RealRepresentation, column: np.ndarray) -> np.ndarray:
     """All group translates of a fiber vector, stacked as columns; their span
     is the invariant subspace generated by the vector."""
-    mats = linalg.as_float(rep.matrices) if rep.exact else rep.matrices
-    col = linalg.as_float(column)
-    return np.stack([mats[g] @ col for g in range(rep.group.order)], axis=1)
+    return (linalg.as_float(rep.matrices) @ linalg.as_float(column)).T
 
 
 def _orbit_rank(rep, columns: list, tol: float = 1e-8) -> int:
@@ -617,10 +612,7 @@ def component_subbundle(bundle: GBundleModel, label: str):
     basis = linalg.orthonormal_columns(p)
     if basis.shape[1] == 0:
         raise InvalidInputError(f"component {label!r} has rank zero")
-    sub_mats = np.array(
-        [basis.T @ linalg.as_float(bundle.rep.matrices[g]) @ basis
-         for g in range(bundle.rep.group.order)]
-    )
+    sub_mats = basis.T @ linalg.as_float(bundle.rep.matrices) @ basis
     sub_rep = reps.RealRepresentation(bundle.rep.group, sub_mats)
     sub_trans = {
         e: basis.T @ linalg.as_float(t) @ basis for e, t in bundle.transitions.items()

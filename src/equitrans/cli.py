@@ -697,19 +697,15 @@ def cmd_metric(scenario, settings, sub):
     else:
         raise InvalidInputError(f"unknown metric action type {kind!r}")
     res = groupoids.quotient_metric(points, group, action)
-    sym = float(np.max(np.abs(res.orbit_matrix - res.orbit_matrix.T)))
-    n = len(points)
-    tri = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                tri = max(tri, res.orbit_matrix[i, k] - res.orbit_matrix[i, j]
-                          - res.orbit_matrix[j, k])
-    ok = sym <= 1e-8 and tri <= 1e-8
+    orb = res.orbit_matrix
+    sym = float(np.max(np.abs(orb - orb.T)))
+    # orb[i, k] - orb[i, j] - orb[j, k] over every (i, j, k)
+    tri = max(0.0, float(np.max(orb[:, None, :] - orb[:, :, None] - orb[None, :, :])))
+    ok = sym <= groupoids.TOL and tri <= groupoids.TOL
     return [
         make_record("quotient-metric", "orbit-space-metric", ok,
                     {"orbit_matrix": res.orbit_matrix,
-                     "symmetry_defect": sym, "triangle_defect": max(0.0, tri)})
+                     "symmetry_defect": sym, "triangle_defect": tri})
     ]
 
 

@@ -208,18 +208,6 @@ class NovikovElement:
         return NovikovElement(self.lattice, raw.terms, ext)
 
 
-def novikov_add(a: NovikovElement, b: NovikovElement) -> NovikovElement:
-    return a + b
-
-
-def novikov_mul(a: NovikovElement, b: NovikovElement) -> NovikovElement:
-    return a * b
-
-
-def novikov_invert_truncated(a: NovikovElement, cutoff) -> NovikovElement:
-    return a.invert_truncated(cutoff)
-
-
 # ---------------------------------------------------------------------------
 # generators and count tables
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ sizes multiply: |stab^Q_x| = |stab^eff_x| * |G_x|.
 Quotient metrics: averaging a metric over the group makes it invariant,
 and the orbit distance min_g d_G(x, g.y) is a metric on the orbit space;
 for the circle the minimum is a quadrature minimum plus one golden-section
-refinement pass on the best bracket.
+refinement pass on the best bracket.  Points travel as columns of a (d, m)
+stack: ``action(g, P)`` moves every column of P (for the circle, g may be
+an array of fractional sample indices, one per column) and ``metric(P, Q)``
+returns the distances between matching columns, so each group average is
+one pass over the group elements on all point pairs at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 import numpy as np
 
@@ -504,130 +507,111 @@ def regularity_check(gpd: FiniteGroupoid, local_data: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _euclidean(p, q) -> float:
-    return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
+def _euclidean(p, q):
+    return np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float),
+                          axis=0)
 
 
-def _validate_metric(points, metric) -> None:
-    n = len(points)
-    for i in range(n):
-        if abs(metric(points[i], points[i])) > 1e-12:
-            raise InvalidInputError(f"metric is nonzero on the diagonal at {i}")
-        for j in range(n):
-            dij = metric(points[i], points[j])
-            if dij < 0:
-                raise InvalidInputError(f"metric is negative at ({i},{j})")
-            if abs(dij - metric(points[j], points[i])) > 1e-12:
-                raise InvalidInputError(f"metric is asymmetric at ({i},{j})")
-            if i != j and dij <= 1e-12:
-                raise InvalidInputError(f"metric does not separate points ({i},{j})")
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if metric(points[i], points[k]) > metric(points[i], points[j]) + metric(
-            points[j], points[k]
-        ) + 1e-12:
-            raise InvalidInputError(f"triangle inequality fails at ({i},{j},{k})")
+def _validate_metric(dist: np.ndarray) -> None:
+    """Metric axioms on the n x n matrix of distances between sample points."""
+    off = ~np.eye(len(dist), dtype=bool)
+    for bad, what in (
+        (np.abs(np.diag(dist)) > 1e-12, "metric is nonzero on the diagonal at"),
+        (dist < 0, "metric is negative at"),
+        (np.abs(dist - dist.T) > 1e-12, "metric is asymmetric at"),
+        (off & (dist <= 1e-12), "metric does not separate points"),
+        (dist[:, None, :] > dist[:, :, None] + dist[None, :, :] + 1e-12,
+         "triangle inequality fails at"),
+    ):
+        if bad.any():
+            at = ",".join(str(x) for x in np.argwhere(bad)[0])
+            raise InvalidInputError(f"{what} ({at})")
 
 
 @dataclass
 class QuotientMetricResult:
     points: list
-    invariant: object  # d_G(p, q) callable on coordinates
-    orbit_distance: object  # d_{X/G}(|p|, |q|) callable on coordinates
+    invariant: object  # d_G between matching columns (or two single points)
     invariant_matrix: np.ndarray
     orbit_matrix: np.ndarray
 
 
 def _golden_refine(f, lo, hi, iters: int = 48):
+    """Golden-section minimum of f on [lo, hi], elementwise over arrays:
+    each iteration evaluates f once on the new point of every bracket."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, keep), np.where(left, fx, f_keep)
+        d, fd = np.where(left, keep, x), np.where(left, f_keep, fx)
+    return np.minimum(fc, fd)
 
 
 def quotient_metric(points, group: reps.GroupModel, action, metric=None
                     ) -> QuotientMetricResult:
     """Group-averaged invariant metric and the induced orbit-space metric.
 
-    ``action(g, p)`` moves coordinates by the element of index g (a sample
-    angle index for the circle); ``metric`` defaults to Euclidean.  The
-    input metric must satisfy the metric axioms on the sample points.
-    Finite groups use exact sums and exact minima; the circle uses
-    quadrature averages and a quadrature minimum refined by one
-    golden-section pass on the best bracket.
+    ``action(g, P)`` moves every column of a (d, m) stack of coordinates by
+    the element of index g (a sample angle index for the circle; there it
+    may also be an array of fractional indices, one per column).
+    ``metric(P, Q)`` returns the distances between matching columns and
+    defaults to Euclidean; it must satisfy the metric axioms on the sample
+    points.  All n^2 pairs are evaluated at once as pair columns, so the
+    action is called once per g for d_G and once per (k, g) for the orbit
+    minimum.  Finite groups use exact sums and exact minima; the circle
+    uses quadrature averages and a quadrature minimum refined by one
+    golden-section pass on each pair's best bracket.
     """
     metric = metric or _euclidean
     points = [np.asarray(p, dtype=float) for p in points]
-    _validate_metric(points, metric)
+    n = len(points)
+    i, j = np.divmod(np.arange(n * n), n)
+    pts = np.stack(points, axis=1)
+    p, q = pts[:, i], pts[:, j]  # column i * n + j holds the pair (i, j)
+    _validate_metric(np.broadcast_to(metric(p, q), (n * n,)).reshape(n, n))
     order = group.order
-    is_circle = isinstance(group, reps.CircleGroupModel)
 
-    def d_g(p, q) -> float:
+    def d_g(u, v):
+        """avg_g d(g.u, g.v) over matching columns of two stacks (or two
+        single points), with one action call per group element."""
+        both = np.column_stack([u, v])
+        m = both.shape[1] // 2
         total = 0.0
         for g in range(order):
-            total += metric(action(g, p), action(g, q))
-        return total / order
+            moved = action(g, both)
+            total = total + metric(moved[:, :m], moved[:, m:])
+        return (total / order).reshape(np.shape(u)[1:])
 
-    if is_circle:
-        two_pi = 2.0 * np.pi
-
-        def orbit(p, q) -> float:
-            vals = [d_g(p, action(k, q)) for k in range(order)]
-            k0 = int(np.argmin(vals))
-            best_angle = two_pi * k0 / order
-
-            def f(theta):
-                return d_g(p, _rotate_continuous(action, q, theta, order))
-
-            lo = best_angle - two_pi / order
-            hi = best_angle + two_pi / order
-            return min(min(vals), _golden_refine(f, lo, hi))
-
-    else:
-
-        def orbit(p, q) -> float:
-            return min(d_g(p, action(g, q)) for g in range(order))
-
-    n = len(points)
-    inv_mat = np.zeros((n, n))
-    orb_mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            inv_mat[i, j] = d_g(points[i], points[j])
-            orb_mat[i, j] = orbit(points[i], points[j])
-    return QuotientMetricResult(points, d_g, orbit, inv_mat, orb_mat)
-
-
-def _rotate_continuous(action, q, theta, order):
-    """Evaluate a circle action at a continuous angle.
-
-    Sampled circle actions are given by index; callables that accept floats
-    directly (angle-based actions) are used as-is via a fractional index.
-    """
-    frac_index = theta / (2.0 * np.pi) * order
-    try:
-        return action(frac_index, q)
-    except (TypeError, IndexError):
-        return action(int(round(frac_index)) % order, q)
+    inv = d_g(p, q)
+    best = np.full(n * n, np.inf)
+    best_k = np.zeros(n * n)
+    for k in range(order):
+        vals = d_g(p, action(k, q))
+        best_k = np.where(vals < best, k, best_k)
+        best = np.minimum(vals, best)
+    if isinstance(group, reps.CircleGroupModel):
+        refined = _golden_refine(lambda t: d_g(p, action(t, q)),
+                                 best_k - 1.0, best_k + 1.0)
+        best = np.minimum(best, refined)
+    return QuotientMetricResult(points, d_g, inv.reshape(n, n), best.reshape(n, n))
 
 
 def circle_rotation_action(circle: reps.CircleGroupModel):
-    """Standard rotation action of the sampled circle on R^2 coordinates;
-    accepts fractional sample indices for golden-section refinement."""
+    """Standard rotation action of the sampled circle on R^2 coordinates,
+    single points or (2, m) column stacks; the sample index may be
+    fractional, and an array of indices rotates each column by its own."""
     n = circle.order
 
     def act(k, p):
-        theta = 2.0 * np.pi * float(k) / n
+        theta = 2.0 * np.pi * np.asarray(k, dtype=float) / n
         c, s = np.cos(theta), np.sin(theta)
         p = np.asarray(p, dtype=float)
         return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])

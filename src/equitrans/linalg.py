@@ -33,10 +33,6 @@ def frac_array(rows) -> np.ndarray:
     return flat.reshape(arr.shape)
 
 
-def int_array(rows) -> np.ndarray:
-    return np.array(rows, dtype=object)
-
-
 def as_float(a) -> np.ndarray:
     a = np.asarray(a)
     if is_exact(a):
@@ -213,33 +209,6 @@ def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     return orth(af)
 
 
-def principal_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosines of principal angles between column spans (float)."""
-    uo = orthonormal_columns(u)
-    vo = orthonormal_columns(v)
-    if uo.shape[1] == 0 or vo.shape[1] == 0:
-        return np.zeros(0)
-    sv = np.linalg.svd(uo.T @ vo, compute_uv=False)
-    return np.clip(sv, 0.0, 1.0)
-
-
-def realify_complex(a: np.ndarray) -> np.ndarray:
-    """Exact complex matrix given as (..., 2) Fraction pairs -> real block matrix.
-
-    (a + bi) maps to [[a, -b], [b, a]] blockwise, so real rank = 2 * complex rank.
-    """
-    m, n = a.shape[0], a.shape[1]
-    out = zeros((2 * m, 2 * n), exact=True)
-    for i in range(m):
-        for j in range(n):
-            re, im = a[i, j]
-            out[2 * i, 2 * j] = re
-            out[2 * i, 2 * j + 1] = -im
-            out[2 * i + 1, 2 * j] = im
-            out[2 * i + 1, 2 * j + 1] = re
-    return out
-
-
 def cayley_orthogonal(dim: int, rng: np.random.Generator, denom: int = 3) -> np.ndarray:
     """Exact rational orthogonal matrix via the Cayley transform of a
     random antisymmetric matrix with small entries."""
@@ -270,11 +239,13 @@ def random_signed_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def block_diag(blocks: list[np.ndarray], exact: bool) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = zeros((n, n), exact)
+    """Block-diagonal matrix of square blocks; blocks with a leading axis
+    (stacks of one block per group element) give a stack."""
+    n = sum(b.shape[-1] for b in blocks)
+    out = zeros(blocks[0].shape[:-2] + (n, n), exact)
     pos = 0
     for b in blocks:
-        k = b.shape[0]
-        out[pos : pos + k, pos : pos + k] = b
+        k = b.shape[-1]
+        out[..., pos : pos + k, pos : pos + k] = b
         pos += k
     return out

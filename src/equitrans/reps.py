@@ -25,8 +25,6 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInputError
 
-TOL = 1e-10
-
 
 def _cos2pi_exact(num: int, den: int) -> Fraction | None:
     """cos(2*pi*num/den) as a Fraction, or None when irrational."""
@@ -444,10 +442,7 @@ class RealRepresentation:
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
 
-    def inverse_matrix(self, g: int) -> np.ndarray:
-        return self.matrices[self.group.inverse(g)]
-
-    def validate(self, tol: float = TOL, full: bool = True) -> None:
+    def validate(self, tol: float = linalg.TOL, full: bool = True) -> None:
         """Identity, orthogonality, and (optionally) the full group law."""
         d = self.dim
         ident = linalg.eye(d, self.exact)
@@ -469,7 +464,7 @@ class RealRepresentation:
 
 def character(rep: RealRepresentation) -> np.ndarray:
     """Trace of the action of each sampled/listed element."""
-    return np.array([np.trace(rep.matrices[g]) for g in range(rep.group.order)])
+    return np.trace(rep.matrices, axis1=1, axis2=2)
 
 
 def character_inner(group: GroupModel, chi1, chi2):
@@ -480,17 +475,23 @@ def character_inner(group: GroupModel, chi1, chi2):
     return total / group.order
 
 
+def _inverses(group: GroupModel) -> np.ndarray:
+    """Index of g^-1 for every element g."""
+    if isinstance(group, CircleGroupModel):
+        return group.inverse(np.arange(group.order))
+    return np.argmax(group.table == group.identity, axis=1)
+
+
+def _mean(acc: np.ndarray, n: int) -> np.ndarray:
+    """acc / n, exact for Fraction object arrays."""
+    return acc * Fraction(1, n) if linalg.is_exact(acc) else acc / n
+
+
 def _average(rep: RealRepresentation, weights=None) -> np.ndarray:
     """(1/|G|) sum_g w(g) rho(g), exact in rational mode."""
     mats = rep.matrices
-    n = rep.group.order
-    if weights is None:
-        acc = mats.sum(axis=0)
-    else:
-        acc = sum(weights[g] * mats[g] for g in range(n))
-    if rep.exact:
-        return acc * Fraction(1, n)
-    return np.asarray(acc, dtype=float) / n
+    acc = mats.sum(axis=0) if weights is None else np.tensordot(weights, mats, axes=1)
+    return _mean(acc, rep.group.order)
 
 
 def fixed_projector(rep: RealRepresentation) -> np.ndarray:
@@ -550,14 +551,8 @@ def conjugation_average(rep_w: RealRepresentation, rep_v: RealRepresentation,
     """avg_g rho_W(g) raw rho_V(g)^-1 - the equivariant part of a linear map."""
     if not same_group(rep_w.group, rep_v.group):
         raise InvalidInputError("representations live over different group models")
-    n = rep_w.group.order
-    acc = None
-    for g in range(n):
-        term = rep_w.matrices[g] @ raw @ rep_v.inverse_matrix(g)
-        acc = term if acc is None else acc + term
-    if linalg.is_exact(acc):
-        return acc * Fraction(1, n)
-    return acc / n
+    vinv = rep_v.matrices[_inverses(rep_v.group)]
+    return _mean((rep_w.matrices @ raw @ vinv).sum(axis=0), rep_w.group.order)
 
 
 def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np.ndarray]:
@@ -570,32 +565,18 @@ def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np
         raise InvalidInputError("representations live over different group models")
     dv, dw = rep_v.dim, rep_w.dim
     exact = rep_v.exact and rep_w.exact
-    n = rep_v.group.order
-    inv_idx = [rep_v.group.inverse(g) for g in range(n)]
-    candidates = []
-    if exact:
-        # rho_W(g) E_ab rho_V(g)^-1 is the outer product of column a of
-        # rho_W(g) with row b of rho_V(g)^-1
-        vinv = rep_v.matrices[inv_idx]
-        for a in range(dw):
-            for b in range(dv):
-                acc = linalg.zeros((dw, dv), exact=True)
-                for g in range(n):
-                    acc = acc + np.outer(rep_w.matrices[g][:, a], vinv[g][b, :])
-                candidates.append(acc * Fraction(1, n))
-    else:
-        wm = np.asarray(rep_w.matrices, dtype=float)
-        vm = np.asarray(rep_v.matrices, dtype=float)[inv_idx].transpose(0, 2, 1)
-        tensor = np.einsum("gia,gjb->iajb", wm, vm) / n
-        for a in range(dw):
-            for b in range(dv):
-                candidates.append(tensor[:, a, :, b])
-    flat = np.stack([c.reshape(-1) for c in candidates], axis=1)
-    keep = linalg.independent_columns(flat)
+    wm, vinv = rep_w.matrices, rep_v.matrices[_inverses(rep_v.group)]
+    if not exact:
+        wm, vinv = linalg.as_float(wm), linalg.as_float(vinv)
+    # rho_W(g) E_ab rho_V(g)^-1 is the outer product of column a of
+    # rho_W(g) with row b of rho_V(g)^-1; candidate (a, b) is its average
+    candidates = _mean(np.einsum("gia,gbj->abij", wm, vinv), rep_v.group.order)
+    candidates = candidates.reshape(dw * dv, dw, dv)
+    keep = linalg.independent_columns(candidates.reshape(dw * dv, -1).T)
     basis = [candidates[k] for k in keep]
     for m in basis:
         res = equivariance_residual(rep_v, rep_w, m)
-        if (exact and res != 0) or (not exact and res > TOL):
+        if (exact and res != 0) or (not exact and res > linalg.TOL):
             raise InvalidInputError("averaged map failed the equivariance check")
     return basis
 
@@ -603,11 +584,7 @@ def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np
 def equivariance_residual(rep_v: RealRepresentation, rep_w: RealRepresentation,
                           m: np.ndarray):
     """max_g || rho_W(g) m - m rho_V(g) ||, exact or float."""
-    worst = Fraction(0) if (rep_v.exact and rep_w.exact and linalg.is_exact(m)) else 0.0
-    for g in range(rep_v.group.order):
-        diff = rep_w.matrices[g] @ m - m @ rep_v.matrices[g]
-        worst = max(worst, linalg.max_abs(diff))
-    return worst
+    return linalg.max_abs(rep_w.matrices @ m - m @ rep_v.matrices)
 
 
 def endo_type(rep: RealRepresentation):
@@ -767,23 +744,14 @@ def one_dim_rep(group: FiniteGroupModel, values, exact: bool = True) -> RealRepr
 def direct_sum(*reps: RealRepresentation) -> RealRepresentation:
     group = reps[0].group
     exact = all(r.exact for r in reps)
-    order = group.order
-    total = sum(r.dim for r in reps)
-    mats = np.array(
-        [linalg.block_diag([r.matrices[g] for r in reps], exact) for g in range(order)],
-        dtype=object if exact else float,
-    )
-    return RealRepresentation(group, mats)
+    return RealRepresentation(group, linalg.block_diag([r.matrices for r in reps], exact))
 
 
 def conjugate_rep(rep: RealRepresentation, q: np.ndarray) -> RealRepresentation:
     """Conjugate by an orthogonal matrix q: rho'(g) = q rho(g) q^T."""
-    exact = rep.exact and linalg.is_exact(q)
-    qt = q.T
-    mats = np.array(
-        [q @ rep.matrices[g] @ qt for g in range(rep.group.order)],
-        dtype=object if exact else float,
-    )
+    mats = q @ rep.matrices @ q.T
+    if not (rep.exact and linalg.is_exact(q)):
+        mats = mats.astype(float)
     return RealRepresentation(rep.group, mats)
 
 
@@ -796,17 +764,11 @@ def circle_weight_rep(circle: CircleGroupModel, weights, fixed_dim: int = 0) -> 
                 f"weight {w} exceeds quadrature capacity {circle.max_weight}"
             )
     th = circle.angles()
-    dim = 2 * len(weights) + fixed_dim
-    mats = np.zeros((circle.order, dim, dim))
-    for k in range(circle.order):
-        blocks = []
-        for w in weights:
-            c, s = np.cos(w * th[k]), np.sin(w * th[k])
-            blocks.append(np.array([[c, -s], [s, c]]))
-        if fixed_dim:
-            blocks.append(np.eye(fixed_dim))
-        mats[k] = linalg.block_diag(blocks, exact=False)
-    return RealRepresentation(circle, mats)
+    blocks = [np.stack([np.cos(w * th), -np.sin(w * th),
+                        np.sin(w * th), np.cos(w * th)], axis=-1).reshape(-1, 2, 2)
+              for w in weights]
+    blocks.append(np.zeros((circle.order, fixed_dim, fixed_dim)) + np.eye(fixed_dim))
+    return RealRepresentation(circle, linalg.block_diag(blocks, exact=False))
 
 
 def _block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
@@ -838,12 +800,9 @@ def _block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
         sgn = [_perm_parity(p) for p in perms]
         blocks["sign"] = one_dim_rep(group, sgn)
         if n == 4:
-            nat = blocks["natural"]
-            mats = np.array(
-                [nat.matrices[g] * Fraction(sgn[g]) for g in range(group.order)],
-                dtype=object,
-            )
-            blocks["natural_sign"] = RealRepresentation(group, mats)
+            nat = blocks["natural"].matrices
+            odd = np.array(sgn)[:, None, None] < 0
+            blocks["natural_sign"] = RealRepresentation(group, np.where(odd, -nat, nat))
             pairs = list(itertools.combinations(range(n), 2))
             pidx = {p: i for i, p in enumerate(pairs)}
             act2 = np.array(

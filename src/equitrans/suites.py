@@ -9,6 +9,7 @@ Exact-mode projector checks run on integer matrices: representations built
 from integer-orthogonal blocks have integer entries and integer characters,
 so every projector identity clears denominators to an integer matrix
 identity, checked with exact integer arithmetic in vectorized form.
+Float-mode checks draw and project through ``reps`` itself.
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ def _int_catalog(group) -> dict:
     return _INT_CATALOG[group.name]
 
 
-def _battery_rep_mats(group, rng, max_dim=12):
-    """Seeded block-diagonal rep as an int64 stack, pre-conjugation."""
+def _integer_rep(group, rng, max_dim=12):
+    """Seeded integer-orthogonal representation, conjugated by a signed
+    permutation, all in exact int64 arithmetic: the same draws as
+    ``reps.random_rep(group, rng, max_dim, exact=True)``."""
     catalog = _int_catalog(group)
     names = reps.choose_blocks(group, rng, max_dim)
     dims = [catalog[n].shape[1] for n in names]
@@ -67,25 +70,10 @@ def _battery_rep_mats(group, rng, max_dim=12):
     for n, k in zip(names, dims):
         mats[:, pos:pos + k, pos:pos + k] = catalog[n]
         pos += k
-    return mats
-
-
-def _integer_rep(group, rng, max_dim=12):
-    """Seeded integer-orthogonal representation, conjugated by a signed
-    permutation, all in exact int64 arithmetic."""
-    mats = _battery_rep_mats(group, rng, max_dim)
-    d = mats.shape[1]
     perm = rng.permutation(d)
     signs = rng.choice([-1, 1], size=d).astype(np.int64)
     q = np.zeros((d, d), dtype=np.int64)
     q[perm, np.arange(d)] = signs
-    return np.einsum("ij,gjk,lk->gil", q, mats, q)
-
-
-def _float_rep(group, rng, max_dim=12):
-    """Seeded float representation conjugated by a random orthogonal matrix."""
-    mats = _battery_rep_mats(group, rng, max_dim).astype(float)
-    q = linalg.random_orthogonal(mats.shape[1], rng)
     return np.einsum("ij,gjk,lk->gil", q, mats, q)
 
 
@@ -104,6 +92,8 @@ def suite_projectors(seed: int = 2024, reps_per_group: int = 20,
         order = group.order
         rng = np.random.default_rng(seed)
         for trial in range(reps_per_group):
+            # int64, not Fraction reps: through reps these checks take 33 s
+            # against 0.37 s for the whole battery (2-vCPU Xeon)
             mats = _integer_rep(group, rng)
             d = mats.shape[1]
             # P_l = dimV / (endo * |G|) * M_l: every identity clears to an
@@ -158,19 +148,9 @@ def suite_projectors(seed: int = 2024, reps_per_group: int = 20,
         gname = getattr(group, "name", "S1")
         rng = np.random.default_rng(seed + 1)
         for trial in range(reps_per_group):
-            if isinstance(group, reps.CircleGroupModel):
-                mats = reps.random_rep(group, rng, max_dim=12, exact=False).matrices
-            else:
-                mats = _float_rep(group, rng)
-            d = mats.shape[1]
-            irreps = group.nontrivial_irreps()
-            projs = {"fixed": mats.mean(axis=0)}
-            for ir in irreps:
-                chi_f = np.asarray(linalg.as_float(np.asarray(ir.character)))
-                projs[ir.label] = (
-                    np.einsum("g,gij->ij", chi_f, mats)
-                    * (ir.dim_V / (ir.endo_dim * group.order))
-                )
+            rep = reps.random_rep(group, rng, max_dim=12, exact=False)
+            mats, d = rep.matrices, rep.dim
+            projs = reps.all_projectors(rep)
 
             def failf(check, label=""):
                 failures.append(
@@ -595,6 +575,12 @@ def suite_groupoid(seed: int = 29) -> dict:
     cpts = [rng.normal(size=2) for _ in range(5)]
     cres = groupoids.quotient_metric(cpts, circle, act)
     n = len(cpts)
+    # invariance of d_G under each tested g, on all pair columns at once
+    pi, pj = np.divmod(np.arange(n * n), n)
+    stack = np.stack(cpts, axis=1)
+    base = cres.invariant_matrix.reshape(-1)
+    defects = {g: cres.invariant(act(g, stack[:, pi]), act(g, stack[:, pj])) - base
+               for g in range(0, circle.order, 9)}
     for i in range(n):
         for j in range(n):
             checks += 1
@@ -604,12 +590,9 @@ def suite_groupoid(seed: int = 29) -> dict:
             checks += 1
             if abs(cres.orbit_matrix[i, j] - radial) > 1e-6:
                 failures.append({"circle-radial": (i, j)})
-            for g in range(0, circle.order, 9):
+            for g, defect in defects.items():
                 checks += 1
-                if abs(
-                    cres.invariant(act(g, cpts[i]), act(g, cpts[j]))
-                    - cres.invariant(cpts[i], cpts[j])
-                ) > 1e-8:
+                if abs(defect[i * n + j]) > 1e-8:
                     failures.append({"circle-invariance": (i, j, g)})
             for k in range(n):
                 checks += 1

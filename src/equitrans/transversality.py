@@ -27,7 +27,6 @@ from . import bundles, linalg, reps
 from .errors import InvalidInputError, ObstructionError, ResampleFailureError
 
 SV_THRESHOLD = 1e-8
-RETRY_BUDGET = 64
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +79,14 @@ def split_linearization(full: np.ndarray,
         raise InvalidInputError("domain and codomain live over different groups")
     group = domain_rep.group
     exact = domain_rep.exact and codomain_rep.exact and linalg.is_exact(full)
-    worst = None
-    for g in range(group.order):
-        comm = codomain_rep.matrices[g] @ full - full @ domain_rep.matrices[g]
-        r = linalg.max_abs(comm)
-        if worst is None or r > worst[0]:
-            worst = (r, g)
-    bad = (worst[0] != 0) if exact else (float(worst[0]) > tol)
+    comm = codomain_rep.matrices @ full - full @ domain_rep.matrices
+    per_g = np.abs(comm).reshape(group.order, -1).max(axis=1, initial=0)
+    g = int(np.argmax(per_g))
+    bad = (per_g[g] != 0) if exact else (float(per_g[g]) > tol)
     if bad:
         raise InvalidInputError(
             "linearization is not equivariant: max commutator norm "
-            f"{float(worst[0]):.3e} at element {worst[1]}"
+            f"{float(per_g[g]):.3e} at element {g}"
         )
     dom_projs = reps.all_projectors(domain_rep)
     cod_projs = reps.all_projectors(codomain_rep)
@@ -559,7 +555,7 @@ def _surject_block(block: np.ndarray, rng: np.random.Generator,
         return np.zeros_like(block), sv
     best = None
     scale = max(1.0, linalg.max_abs(block))
-    for k in range(RETRY_BUDGET):
+    for k in range(bundles.RETRY_BUDGET):
         cand = rng.normal(size=block.shape) * scale * (0.25 + 0.75 * rng.random())
         sv = linalg.min_singular_value(block + cand)
         if sv > sv_threshold:
@@ -582,7 +578,7 @@ def _surject_equivariant_block(block: np.ndarray, hom_basis: list,
         return np.zeros_like(block), sv
     best = None
     scale = max(1.0, linalg.max_abs(block))
-    for k in range(RETRY_BUDGET):
+    for k in range(bundles.RETRY_BUDGET):
         coeffs = rng.normal(size=len(hom_basis)) * scale * (0.25 + 0.75 * rng.random())
         cand = sum(c * b for c, b in zip(coeffs, hom_basis))
         sv = linalg.min_singular_value(block + cand)

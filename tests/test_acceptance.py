@@ -12,11 +12,13 @@ from equitrans import suites
 
 BUDGETS = {
     1: 2.0,  # projector algebra
+    2: 1.0,  # endomorphism-type table
     3: 1.0,  # determinantal codimension
+    4: 1.0,  # condition consistency
     5: 10.0,  # spectral-flow battery
     7: 5.0,  # perturbation pipeline
     8: 3.0,  # floer algebra
-    9: 3.0,  # groupoid quotient
+    9: 1.5,  # groupoid quotient
 }
 
 

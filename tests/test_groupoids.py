@@ -414,6 +414,39 @@ def test_quotient_metric_invariance_and_axioms():
         )
 
 
+def test_quotient_metric_s3_permutations_match_brute_force():
+    # S_3 permuting the coordinates of R^3 is non-abelian and isometric, so
+    # d_G is the Euclidean distance and the orbit distance is the least
+    # distance from p to a coordinate permutation of q
+    group = reps.symmetric_group(3)
+    table = np.array(sorted(itertools.permutations(range(3))))
+    rng = np.random.default_rng(17)
+    pts = [rng.normal(size=3) for _ in range(6)]
+    res = quotient_metric(pts, group, lambda g, p: p[table[g]])
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert res.invariant_matrix[i, j] == pytest.approx(
+                np.linalg.norm(p - q), abs=1e-12
+            )
+            brute = min(np.linalg.norm(p - q[list(perm)]) for perm in table)
+            assert res.orbit_matrix[i, j] == pytest.approx(brute, abs=1e-12)
+
+
+def test_circle_rotation_action_rotates_each_column_by_its_index():
+    circle = reps.CircleGroupModel(16)
+    act = circle_rotation_action(circle)
+    rng = np.random.default_rng(4)
+    cols = rng.normal(size=(2, 5))
+    index = np.array([0.0, 0.5, 3.25, 7.9, 15.99])
+    moved = act(index, cols)
+    assert moved.shape == (2, 5)
+    for k, t in enumerate(index):
+        theta = 2.0 * np.pi * t / 16
+        rot = np.array([[np.cos(theta), -np.sin(theta)],
+                        [np.sin(theta), np.cos(theta)]])
+        np.testing.assert_allclose(moved[:, k], rot @ cols[:, k], atol=1e-12)
+
+
 def test_quotient_metric_rejects_non_metric():
     group = reps.cyclic_group(1)
     pts = [np.array([0.0]), np.array([1.0])]

@@ -200,6 +200,22 @@ def test_hom_basis_circle_weight_dimension_two():
         assert reps.equivariance_residual(rep, rep, m) <= 1e-10
 
 
+@pytest.mark.parametrize("group_name, block", [
+    ("Q_8", "left"), ("S_3", "natural"), ("S_4", "pairs"),
+])
+def test_hom_basis_exact_and_float_agree(group_name, block):
+    # one contraction serves both modes: the float basis is the exact one
+    # converted, element by element
+    rep = reps._block_catalog(reps.preset_group(group_name))[block]
+    as_float = reps.RealRepresentation(rep.group, linalg.as_float(rep.matrices))
+    exact_basis = reps.hom_G_basis(rep, rep)
+    float_basis = reps.hom_G_basis(as_float, as_float)
+    assert len(exact_basis) == len(float_basis)
+    for e, f in zip(exact_basis, float_basis):
+        assert linalg.is_exact(e)
+        np.testing.assert_allclose(linalg.as_float(e), f, rtol=0, atol=1e-12)
+
+
 def test_hom_basis_s3_standard_dimension_one():
     # oracle: averaging over all 6 elements of a spanning set of raw maps
     g = reps.symmetric_group(3)
