@@ -16,6 +16,7 @@ are certified on a deterministic barycentric sample grid with at least
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,6 +101,23 @@ class SimplicialBase:
         for v in self.vertices:
             groups.setdefault(find(v), set()).add(v)
         return sorted(groups.values(), key=lambda c: str(min(c, key=str)))
+
+    def bfs_edges(self, roots):
+        """Breadth-first (parent, child) edges from the given roots, visiting
+        neighbours in ``str`` order of their labels."""
+        adjacency: dict = {}
+        for (u, v) in self.edges():
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+        seen = set(roots)
+        queue = collections.deque(roots)
+        while queue:
+            u = queue.popleft()
+            for w in sorted(adjacency.get(u, []), key=str):
+                if w not in seen:
+                    seen.add(w)
+                    yield u, w
+                    queue.append(w)
 
     def validate(self) -> None:
         for s in self.simplices:
@@ -244,20 +262,8 @@ class GBundleModel:
         for comp in self.base.components():
             root = min(comp, key=str)
             out[root] = linalg.eye(self.fiber_dim, self.exact)
-            frontier = [root]
-            seen = {root}
-            adjacency: dict = {}
-            for (u, v) in self.base.edges():
-                adjacency.setdefault(u, []).append(v)
-                adjacency.setdefault(v, []).append(u)
-            while frontier:
-                u = frontier.pop(0)
-                for w in sorted(adjacency.get(u, []), key=str):
-                    if w in seen or w not in comp:
-                        continue
-                    seen.add(w)
-                    out[w] = out[u] @ self.transport(w, u)
-                    frontier.append(w)
+            for u, w in self.base.bfs_edges([root]):
+                out[w] = out[u] @ self.transport(w, u)
         return out
 
 
@@ -697,28 +703,11 @@ def _extend_frame_single(bundle: GBundleModel, simplex, frame: dict,
     rep = bundle.rep
     d = bundle.fiber_dim
     n_cols = next(iter(frame.values())).shape[1]
-    adjacency: dict = {}
-    for (u, v) in bundle.base.edges():
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    order = list(simplex)
-    seen = set(simplex)
-    parent = {v: None for v in simplex}
-    queue = list(simplex)
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(adjacency.get(u, []), key=str):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
     frames = {v: linalg.as_float(frame[v]) for v in simplex}
+    for u, w in bundle.base.bfs_edges(simplex):
+        frames[w] = linalg.as_float(bundle.transport(u, w) @ frames[u])
+    order = list(frames)
     rng = np.random.default_rng(seed)
-    for w in order:
-        if w in frames:
-            continue
-        frames[w] = linalg.as_float(bundle.transport(parent[w], w) @ frames[parent[w]])
     for w in bundle.base.vertices:
         if w not in frames:  # disconnected component: fresh seeded values
             cand = rng.normal(size=(d, n_cols))
@@ -868,22 +857,10 @@ def _extend_column(bundle: GBundleModel, start, vec: np.ndarray, existing: dict,
     """Transport a fiber vector to every vertex, keeping its orbit span
     independent of the existing frames; reseeds where transport degenerates."""
     d = bundle.fiber_dim
-    adjacency: dict = {}
-    for (u, v) in bundle.base.edges():
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
     col = {start: np.asarray(vec, dtype=float)}
-    queue = [start]
-    seen = {start}
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(adjacency.get(u, []), key=str):
-            if w in seen:
-                continue
-            seen.add(w)
-            cand = np.asarray(linalg.as_float(bundle.transport(u, w) @ col[u]), dtype=float)
-            col[w] = _ensure_independent(bundle, w, cand, existing, rng, tol)
-            queue.append(w)
+    for u, w in bundle.base.bfs_edges([start]):
+        cand = np.asarray(linalg.as_float(bundle.transport(u, w) @ col[u]), dtype=float)
+        col[w] = _ensure_independent(bundle, w, cand, existing, rng, tol)
     for v in bundle.base.vertices:
         if v not in col:
             cand = rng.normal(size=d)

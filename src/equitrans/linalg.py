@@ -2,8 +2,10 @@
 
 Two arithmetic modes coexist:
 
-* exact mode: numpy object arrays whose entries are ``fractions.Fraction``
-  (or python ints).  Rank, kernels and equality tests are exact.
+* exact mode: numpy object arrays of rationals: a python ``int`` where the
+  value is integral, a ``fractions.Fraction`` only where a division makes
+  one (never a float; divide by a ``Fraction``, since int / int is a
+  float).  Rank, kernels and equality tests are exact.
 * float mode: ordinary float64 arrays, SVD-based ranks, tolerance 1e-10
   unless stated otherwise.
 
@@ -24,12 +26,13 @@ def is_exact(a: np.ndarray) -> bool:
 
 
 def frac_array(rows) -> np.ndarray:
-    """Build an object array of Fractions from nested lists / arrays."""
+    """Exact object array from nested lists / arrays: each entry becomes an
+    ``int`` when integral, else a ``Fraction``."""
     arr = np.array(rows, dtype=object)
     flat = arr.reshape(-1)
     for i, v in enumerate(flat):
-        if not isinstance(v, Fraction):
-            flat[i] = Fraction(v)
+        f = Fraction(v)
+        flat[i] = int(f.numerator) if f.denominator == 1 else f
     return flat.reshape(arr.shape)
 
 
@@ -42,16 +45,13 @@ def as_float(a) -> np.ndarray:
 
 def eye(n: int, exact: bool) -> np.ndarray:
     if exact:
-        m = np.full((n, n), Fraction(0), dtype=object)
-        for i in range(n):
-            m[i, i] = Fraction(1)
-        return m
+        return np.eye(n, dtype=int).astype(object)
     return np.eye(n)
 
 
 def zeros(shape, exact: bool) -> np.ndarray:
     if exact:
-        return np.full(shape, Fraction(0), dtype=object)
+        return np.zeros(shape, dtype=int).astype(object)
     return np.zeros(shape)
 
 
@@ -80,8 +80,9 @@ def is_zero(a: np.ndarray, tol: float = TOL) -> bool:
 def rref(a: np.ndarray):
     """Reduced row echelon form over the rationals.
 
-    Returns (R, pivot_columns).  Input must be an object array; it is
-    copied and entries coerced to Fraction.
+    Returns (R, pivot_columns).  The input is copied through
+    ``frac_array``; pivot rows are divided by ``Fraction(pivot)``, so
+    integer input stays rational.
     """
     m = frac_array(a)
     rows, cols = m.shape
@@ -98,7 +99,7 @@ def rref(a: np.ndarray):
         if pivot_row != r:
             m[[r, pivot_row]] = m[[pivot_row, r]]
         piv = m[r, c]
-        m[r] = m[r] / piv
+        m[r] = m[r] / Fraction(piv)
         for i in range(rows):
             if i != r and m[i, c] != 0:
                 m[i] = m[i] - m[i, c] * m[r]
@@ -126,7 +127,7 @@ def nullspace(a: np.ndarray, tol: float = TOL) -> np.ndarray:
         free = [c for c in range(cols) if c not in pivots]
         basis = zeros((cols, len(free)), exact=True)
         for k, fc in enumerate(free):
-            basis[fc, k] = Fraction(1)
+            basis[fc, k] = 1
             for r, pc in enumerate(pivots):
                 basis[pc, k] = -red[r, fc]
         return basis
@@ -232,10 +233,9 @@ def random_signed_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Integer orthogonal matrix: permutation with random signs."""
     perm = rng.permutation(dim)
     signs = rng.choice([-1, 1], size=dim)
-    m = np.zeros((dim, dim), dtype=object)
-    for j, (p, s) in enumerate(zip(perm, signs)):
-        m[p, j] = int(s)
-    return m + Fraction(0)  # coerce entries to a uniform object dtype
+    m = zeros((dim, dim), exact=True)
+    m[perm, np.arange(dim)] = signs
+    return m
 
 
 def block_diag(blocks: list[np.ndarray], exact: bool) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Compact-group models, real representations, characters, and isotypic projectors.
 
 Finite groups are exact: multiplication tables with integer indices, matrix
-entries rational (``Fraction``).  The circle group is modeled by uniform
+entries rational (``int`` where integral, ``Fraction`` where a division
+makes one; see ``linalg``).  The circle group is modeled by uniform
 quadrature at N sample angles, exact on trigonometric polynomials of degree
 below N; with N >= 4*max_weight + 1 every averaging operation used here is
 exact up to float roundoff.
@@ -192,8 +193,7 @@ def same_group(a: GroupModel, b: GroupModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fr(vals) -> np.ndarray:
-    return np.array([Fraction(v) for v in vals], dtype=object)
+_fr = linalg.frac_array
 
 
 def cyclic_group(n: int) -> FiniteGroupModel:
@@ -208,7 +208,7 @@ def cyclic_group(n: int) -> FiniteGroupModel:
     for k in range(1, (n - 1) // 2 + 1):
         vals = [_cos2pi_exact(k * j, n) for j in range(n)]
         if all(v is not None for v in vals):
-            chi = np.array([2 * v for v in vals], dtype=object)
+            chi = _fr([2 * v for v in vals])
         else:
             chi = 2.0 * np.cos(2.0 * np.pi * k * np.arange(n) / n)
         irreps.append(IrrepDescriptor(f"plane_{k}", 2, chi, "C"))
@@ -262,7 +262,7 @@ def dihedral_group(n: int) -> FiniteGroupModel:
     for k in range(1, plane_max + 1):
         vals = [_cos2pi_exact(k * a, n) for a in range(n)]
         if all(v is not None for v in vals):
-            chi = np.array([2 * v for v in vals] + [Fraction(0)] * n, dtype=object)
+            chi = _fr([2 * v for v in vals] + [0] * n)
         else:
             chi = np.concatenate(
                 [2.0 * np.cos(2.0 * np.pi * k * np.arange(n) / n), np.zeros(n)]
@@ -426,7 +426,8 @@ def preset_group(name: str) -> FiniteGroupModel:
 @dataclass(frozen=True)
 class RealRepresentation:
     """An orthogonal real representation: one d x d matrix per group element
-    (per sample angle for the circle).  Exact mode stores Fraction entries."""
+    (per sample angle for the circle).  Exact mode stores rational entries,
+    ints for the integral ones (integer-orthogonal blocks are all ints)."""
 
     group: GroupModel
     matrices: np.ndarray  # shape (order, d, d)
@@ -483,20 +484,13 @@ def _inverses(group: GroupModel) -> np.ndarray:
 
 
 def _mean(acc: np.ndarray, n: int) -> np.ndarray:
-    """acc / n, exact for Fraction object arrays."""
+    """acc / n, exact for object arrays."""
     return acc * Fraction(1, n) if linalg.is_exact(acc) else acc / n
-
-
-def _average(rep: RealRepresentation, weights=None) -> np.ndarray:
-    """(1/|G|) sum_g w(g) rho(g), exact in rational mode."""
-    mats = rep.matrices
-    acc = mats.sum(axis=0) if weights is None else np.tensordot(weights, mats, axes=1)
-    return _mean(acc, rep.group.order)
 
 
 def fixed_projector(rep: RealRepresentation) -> np.ndarray:
     """Projector onto the fixed subspace: average of the action."""
-    return _average(rep)
+    return _mean(rep.matrices.sum(axis=0), rep.group.order)
 
 
 def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
@@ -516,12 +510,12 @@ def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.nd
             raise InvalidInputError(
                 f"irrep {irrep.label!r} has no exact character; use float mode"
             )
-        weights = np.array([Fraction(c) for c in chi], dtype=object)
-        scale = Fraction(irrep.dim_V, irrep.endo_dim)
+        weights = linalg.frac_array(chi)
+        scale = Fraction(irrep.dim_V, irrep.endo_dim * rep.group.order)
     else:
-        weights = np.asarray(linalg.as_float(np.asarray(chi)), dtype=float)
-        scale = irrep.dim_V / irrep.endo_dim
-    return _average(rep, weights) * scale
+        weights = linalg.as_float(np.asarray(chi))
+        scale = irrep.dim_V / (irrep.endo_dim * rep.group.order)
+    return np.tensordot(weights, rep.matrices, axes=1) * scale
 
 
 def isotypic_rank(rep: RealRepresentation, irrep: IrrepDescriptor) -> int:
@@ -640,8 +634,7 @@ def _assert_irreducible(rep: RealRepresentation) -> None:
         # singular commutant element whose kernel is invariant
         for a in range(rep.dim):
             unit = linalg.zeros((rep.dim, rep.dim), rep.exact)
-            one = Fraction(1) if rep.exact else 1.0
-            unit[a, a] = one
+            unit[a, a] = 1
             t = conjugation_average(rep, rep, unit)
             if linalg.is_zero(t):
                 continue
@@ -663,13 +656,7 @@ def _assert_irreducible(rep: RealRepresentation) -> None:
 
 def rep_from_matrices(group: GroupModel, matrices, exact: bool | None = None,
                       validate: bool = True) -> RealRepresentation:
-    arr = np.array(matrices, dtype=object) if exact else np.asarray(matrices, dtype=float)
-    if exact:
-        flat = arr.reshape(-1)
-        for i, v in enumerate(flat):
-            if not isinstance(v, Fraction):
-                flat[i] = Fraction(v)
-        arr = flat.reshape(arr.shape)
+    arr = linalg.frac_array(matrices) if exact else np.asarray(matrices, dtype=float)
     rep = RealRepresentation(group, arr)
     if validate:
         rep.validate(full=False)
@@ -681,14 +668,9 @@ def permutation_rep(group: FiniteGroupModel, action: np.ndarray,
     """Permutation representation from an action table (order x points)."""
     action = np.asarray(action)
     npts = action.shape[1]
-    mats = []
-    for g in range(group.order):
-        m = np.zeros((npts, npts), dtype=object if exact else float)
-        for x in range(npts):
-            m[action[g, x], x] = Fraction(1) if exact else 1.0
-        mats.append(m)
-    arr = np.array(mats, dtype=object) if exact else np.asarray(mats, dtype=float)
-    return RealRepresentation(group, arr)
+    mats = np.zeros((group.order, npts, npts), dtype=int)
+    mats[np.arange(group.order)[:, None], action, np.arange(npts)] = 1
+    return RealRepresentation(group, mats.astype(object if exact else float))
 
 
 def regular_rep(group: FiniteGroupModel, exact: bool = True) -> RealRepresentation:
@@ -737,7 +719,7 @@ def rep_from_generators(group: FiniteGroupModel, generators, matrices,
 
 
 def one_dim_rep(group: FiniteGroupModel, values, exact: bool = True) -> RealRepresentation:
-    mats = [[[Fraction(values[g]) if exact else float(values[g])]] for g in range(group.order)]
+    mats = [[[values[g]]] for g in range(group.order)]
     return rep_from_matrices(group, mats, exact=exact, validate=False)
 
 
@@ -817,7 +799,7 @@ def _block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
         mats = []
         for q in elems:
             cols = [_quat_mul(q, _QUAT_VEC[u]) for u in ("1", "i", "j", "k")]
-            mats.append([[Fraction(cols[c][r]) for c in range(4)] for r in range(4)])
+            mats.append([[cols[c][r] for c in range(4)] for r in range(4)])
         blocks["left"] = rep_from_matrices(group, mats, exact=True, validate=False)
         for axis in ("i", "j", "k"):
             ir = {x.label: x for x in group.irreps}[f"sign_{axis}"]
@@ -855,7 +837,7 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
         q = linalg.random_orthogonal(rep.dim, rng)
         return conjugate_rep(rep, q)
     catalog = _block_catalog(group)
-    chosen = [catalog[n] for n in choose_blocks(group, rng, max_dim)]
+    chosen = [catalog[n] for n in _choose(catalog, rng, max_dim)]
     rep = direct_sum(*chosen) if len(chosen) > 1 else chosen[0]
     if exact:
         q = linalg.random_signed_permutation(rep.dim, rng)
@@ -868,7 +850,10 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
 def choose_blocks(group: FiniteGroupModel, rng: np.random.Generator,
                   max_dim: int = 12) -> list[str]:
     """Seeded random multiset of building-block names with total dim <= max."""
-    catalog = _block_catalog(group)
+    return _choose(_block_catalog(group), rng, max_dim)
+
+
+def _choose(catalog: dict, rng: np.random.Generator, max_dim: int) -> list[str]:
     names = sorted(catalog)
     chosen: list[str] = []
     total = 0

@@ -5,15 +5,17 @@ Each battery returns a record {"criterion", "name", "anchor", "checks",
 "failures", "pass", "elapsed"}; a failure entry is a short dict naming the
 offending case.  Batteries are deterministic given the seed.
 
-Exact-mode projector checks run on integer matrices: representations built
-from integer-orthogonal blocks have integer entries and integer characters,
-so every projector identity clears denominators to an integer matrix
-identity, checked with exact integer arithmetic in vectorized form.
-Float-mode checks draw and project through ``reps`` itself.
+Criterion 1 draws and projects through ``reps`` in both modes.  Exact
+projectors have rational entries (ints, and Fractions where the average
+divides); multiplied by D = |G| * lcm(endo dims) they are integer matrices,
+and every projector identity is checked on them in int64 with exact
+equality.  Float mode checks the same identities with D = 1 and a
+tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -39,147 +41,80 @@ def _record(criterion, name, anchor, failures, checks, t0):
     }
 
 
-_INT_CATALOG: dict = {}
+def _cleared(a: np.ndarray, denom: int):
+    """denom * a for an exact array, as int64, from integer arithmetic on
+    numerators and denominators; None when an entry is not an int or a
+    Fraction, or stays fractional."""
+    flat = a.reshape(-1)
+    if not all(type(x) in (int, Fraction) for x in flat):
+        return None
+    num = np.array([x.numerator for x in flat], dtype=np.int64)
+    den = np.array([x.denominator for x in flat], dtype=np.int64)
+    if np.any(denom % den):
+        return None
+    return (num * (denom // den)).reshape(a.shape)
 
 
-def _int_catalog(group) -> dict:
-    """Building blocks as int64 stacks (order, d, d), cached per group."""
-    if group.name not in _INT_CATALOG:
-        cat = {}
-        for label, rep in reps._block_catalog(group).items():
-            mats = linalg.as_float(rep.matrices)
-            if not np.all(mats == np.round(mats)):
-                raise EquitransError(
-                    "integer block catalog produced non-integer entries"
-                )
-            cat[label] = mats.astype(np.int64)
-        _INT_CATALOG[group.name] = cat
-    return _INT_CATALOG[group.name]
-
-
-def _integer_rep(group, rng, max_dim=12):
-    """Seeded integer-orthogonal representation, conjugated by a signed
-    permutation, all in exact int64 arithmetic: the same draws as
-    ``reps.random_rep(group, rng, max_dim, exact=True)``."""
-    catalog = _int_catalog(group)
-    names = reps.choose_blocks(group, rng, max_dim)
-    dims = [catalog[n].shape[1] for n in names]
-    d = sum(dims)
-    mats = np.zeros((group.order, d, d), dtype=np.int64)
-    pos = 0
-    for n, k in zip(names, dims):
-        mats[:, pos:pos + k, pos:pos + k] = catalog[n]
-        pos += k
-    perm = rng.permutation(d)
-    signs = rng.choice([-1, 1], size=d).astype(np.int64)
-    q = np.zeros((d, d), dtype=np.int64)
-    q[perm, np.arange(d)] = signs
-    return np.einsum("ij,gjk,lk->gil", q, mats, q)
+def _projector_failures(mats, projs: dict, denom, same):
+    """Check the projector identities on Q_l = denom * P_l: Q^2 = denom Q,
+    rho(g) Q = Q rho(g), Q_a Q_b = 0 for a != b, and sum_l Q_l = denom I,
+    comparing arrays with ``same``.  Returns (checks, failed (check, component)
+    pairs)."""
+    labels = sorted(projs)
+    zero = np.zeros_like(mats[0])
+    results = []
+    for label in labels:
+        q = projs[label]
+        results.append((same(q @ q, denom * q), "idempotent", label))
+        results.append((same(mats @ q, q @ mats), "commutes-with-action", label))
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            results.append((same(projs[a] @ projs[b], zero),
+                            "pairwise-orthogonal", f"{a}|{b}"))
+    total = sum(projs[label] for label in labels)
+    results.append((same(total, denom * np.eye(len(zero), dtype=np.int64)),
+                    "resolution-of-identity", ""))
+    return len(results), [(check, label) for ok, check, label in results if not ok]
 
 
 def suite_projectors(seed: int = 2024, reps_per_group: int = 20,
                      tol: float = 1e-10) -> dict:
-    """Criterion 1: projector algebra, exact (integer) and float modes."""
+    """Criterion 1: projector algebra, exact and float modes."""
     t0 = time.perf_counter()
     failures = []
     checks = 0
-    for name in PROJECTOR_GROUPS:
-        group = reps.preset_group(name)
-        irreps = group.nontrivial_irreps()
-        chi = {ir.label: np.array([int(c) for c in ir.character]) for ir in irreps}
-        dims = {ir.label: ir.dim_V for ir in irreps}
-        endos = {ir.label: ir.endo_dim for ir in irreps}
-        order = group.order
-        rng = np.random.default_rng(seed)
-        for trial in range(reps_per_group):
-            # int64, not Fraction reps: through reps these checks take 33 s
-            # against 0.37 s for the whole battery (2-vCPU Xeon)
-            mats = _integer_rep(group, rng)
-            d = mats.shape[1]
-            # P_l = dimV / (endo * |G|) * M_l: every identity clears to an
-            # exact integer matrix identity
-            m_by = {
-                label: np.einsum("g,gij->ij", chi[label], mats) for label in chi
-            }
-            m_fixed = mats.sum(axis=0)
-            ident = np.eye(d, dtype=np.int64)
-
-            def fail(check, label=""):
-                failures.append(
-                    {"mode": "exact", "group": name, "trial": trial,
-                     "check": check, "component": label}
-                )
-
-            for label, m in m_by.items():
-                checks += 1
-                if not np.array_equal(dims[label] * (m @ m),
-                                      endos[label] * order * m):
-                    fail("idempotent", label)
-                checks += 1
-                if not np.array_equal(np.einsum("gij,jk->gik", mats, m),
-                                      np.einsum("ij,gjk->gik", m, mats)):
-                    fail("commutes-with-action", label)
-            checks += 1
-            if not np.array_equal(np.einsum("gij,jk->gik", mats, m_fixed),
-                                  np.einsum("ij,gjk->gik", m_fixed, mats)):
-                fail("commutes-with-action", "fixed")
-            checks += 1
-            if not np.array_equal(m_fixed @ m_fixed, order * m_fixed):
-                fail("idempotent", "fixed")
-            labels = sorted(m_by)
-            for i, a in enumerate(labels):
-                for b in labels[i + 1:]:
-                    checks += 1
-                    if not np.array_equal(m_by[a] @ m_by[b], 0 * ident):
-                        fail("pairwise-orthogonal", f"{a}|{b}")
-                checks += 1
-                if not np.array_equal(m_by[a] @ m_fixed, 0 * ident):
-                    fail("pairwise-orthogonal", f"{a}|fixed")
-            lcm = int(np.lcm.reduce([endos[l] for l in labels])) if labels else 1
-            total = lcm * m_fixed
-            for label in labels:
-                total = total + (dims[label] * lcm // endos[label]) * m_by[label]
-            checks += 1
-            if not np.array_equal(total, order * lcm * ident):
-                fail("resolution-of-identity")
-    # float mode: the same finite groups plus the quadrature circle
+    finite = [reps.preset_group(n) for n in PROJECTOR_GROUPS]
     circle = reps.CircleGroupModel(CIRCLE_ORDER)
-    for group in [reps.preset_group(n) for n in PROJECTOR_GROUPS] + [circle]:
-        gname = getattr(group, "name", "S1")
-        rng = np.random.default_rng(seed + 1)
-        for trial in range(reps_per_group):
-            rep = reps.random_rep(group, rng, max_dim=12, exact=False)
-            mats, d = rep.matrices, rep.dim
-            projs = reps.all_projectors(rep)
 
-            def failf(check, label=""):
-                failures.append(
-                    {"mode": "float", "group": gname, "trial": trial,
-                     "check": check, "component": label}
-                )
+    def float_same(a, b):
+        return linalg.max_abs(a - b) <= tol
 
-            total = np.zeros((d, d))
-            labels = sorted(projs)
-            for label in labels:
-                p = projs[label]
-                checks += 1
-                if linalg.max_abs(p @ p - p) > tol:
-                    failf("idempotent", label)
-                checks += 1
-                comm = np.einsum("gij,jk->gik", mats, p) - np.einsum(
-                    "ij,gjk->gik", p, mats
-                )
-                if float(np.max(np.abs(comm))) > tol:
-                    failf("commutes-with-action", label)
-                total += p
-            for i, a in enumerate(labels):
-                for b in labels[i + 1:]:
-                    checks += 1
-                    if linalg.max_abs(projs[a] @ projs[b]) > tol:
-                        failf("pairwise-orthogonal", f"{a}|{b}")
-            checks += 1
-            if linalg.max_abs(total - np.eye(d)) > tol:
-                failf("resolution-of-identity")
+    for mode, groups, mode_seed in (("exact", finite, seed),
+                                    ("float", finite + [circle], seed + 1)):
+        for group in groups:
+            rng = np.random.default_rng(mode_seed)
+            endos = [ir.endo_dim for ir in group.nontrivial_irreps()]
+            for trial in range(reps_per_group):
+                rep = reps.random_rep(group, rng, max_dim=12, exact=mode == "exact")
+                projs = reps.all_projectors(rep)
+                where = {"mode": mode, "group": getattr(group, "name", "S1"),
+                         "trial": trial}
+                if mode == "exact":
+                    # |G| lcm(endo dims) clears every projector denominator
+                    denom = group.order * math.lcm(*endos)
+                    mats = _cleared(rep.matrices, 1)
+                    projs = {label: _cleared(p, denom) for label, p in projs.items()}
+                    fractional = [label for label, q in projs.items() if q is None]
+                    if mats is None or fractional:
+                        failures.append(dict(where, check="integral-after-clearing",
+                                             component="|".join(fractional) or "action"))
+                        continue
+                    n, failed = _projector_failures(mats, projs, denom, np.array_equal)
+                else:
+                    n, failed = _projector_failures(rep.matrices, projs, 1, float_same)
+                checks += n
+                failures += [dict(where, check=check, component=label)
+                             for check, label in failed]
     return _record(1, "projector-algebra", "isotypic-character-projectors",
                    failures, checks, t0)
 

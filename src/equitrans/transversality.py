@@ -499,7 +499,21 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0,
                 )
             continue
         child = np.random.default_rng(rng_root.spawn(1)[0])
-        fixed_corr[v], sv_fix = _surject_block(d_fix, child, sv_threshold)
+        rows, cols = d_fix.shape
+        if rows == 0:
+            fixed_corr[v], sv_fix = np.zeros_like(d_fix), np.inf
+        elif cols < rows:
+            raise ObstructionError(
+                "fixed block cannot be surjective: negative index",
+                {"shape": d_fix.shape},
+            )
+        else:
+            # the fixed part carries the trivial action: every matrix unit
+            # is equivariant
+            units = np.eye(rows * cols).reshape(-1, rows, cols)
+            fixed_corr[v], sv_fix = _surject_equivariant_block(
+                d_fix, units, child, sv_threshold
+            )
         report.record(v, "fixed", sv_fix, sv_fix > sv_threshold)
         for label, blk in split.lambda_blocks.items():
             expected = (model.fiber_reps[label].dim, model.normal_reps[label].dim)
@@ -511,7 +525,7 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0,
             if blk.shape[0] == 0:
                 lambda_corr[v][label] = np.zeros_like(blk)
                 continue
-            basis = [linalg.as_float(b) for b in hom_bases[label]]
+            basis = linalg.as_float(np.array(hom_bases[label]))
             corr, sv = _surject_equivariant_block(blk, basis, child, sv_threshold)
             lambda_corr[v][label] = corr
             report.record(v, label, sv, sv > sv_threshold)
@@ -539,48 +553,23 @@ def _gamma_residual(model: FixedLocusModel, gamma: EquivariantPerturbation) -> f
     return worst
 
 
-def _surject_block(block: np.ndarray, rng: np.random.Generator,
-                   sv_threshold: float):
-    """Least-norm correction among seeded samples making a block surjective."""
-    rows, cols = block.shape
-    if rows == 0:
-        return np.zeros_like(block), np.inf
-    if cols < rows:
-        raise ObstructionError(
-            "fixed block cannot be surjective: negative index",
-            {"shape": block.shape},
-        )
-    sv = linalg.min_singular_value(block)
-    if sv > sv_threshold:
-        return np.zeros_like(block), sv
-    best = None
-    scale = max(1.0, linalg.max_abs(block))
-    for k in range(bundles.RETRY_BUDGET):
-        cand = rng.normal(size=block.shape) * scale * (0.25 + 0.75 * rng.random())
-        sv = linalg.min_singular_value(block + cand)
-        if sv > sv_threshold:
-            norm = float(np.linalg.norm(cand))
-            if best is None or norm < best[0]:
-                best = (norm, cand, sv)
-    if best is None:
-        return np.zeros_like(block), linalg.min_singular_value(block)
-    return best[1], best[2]
-
-
-def _surject_equivariant_block(block: np.ndarray, hom_basis: list,
+def _surject_equivariant_block(block: np.ndarray, hom_basis: np.ndarray,
                                rng: np.random.Generator, sv_threshold: float):
-    """Sample coefficients on the equivariant hom basis until the corrected
-    block is surjective; smallest-norm success within the budget wins."""
+    """Sample coefficients on the equivariant hom basis, a (k, rows, cols)
+    float stack, until the corrected block is surjective; smallest-norm
+    success within the budget wins."""
     sv = linalg.min_singular_value(block)
     if sv > sv_threshold:
         return np.zeros_like(block), sv
-    if not hom_basis:
+    if len(hom_basis) == 0:
         return np.zeros_like(block), sv
     best = None
     scale = max(1.0, linalg.max_abs(block))
     for k in range(bundles.RETRY_BUDGET):
         coeffs = rng.normal(size=len(hom_basis)) * scale * (0.25 + 0.75 * rng.random())
-        cand = sum(c * b for c, b in zip(coeffs, hom_basis))
+        # a sequential sum from +0.0 (np.sum adds long axes pairwise, so its
+        # rounding would depend on the basis size); + 0.0 clears a -0.0
+        cand = np.add.accumulate(coeffs[:, None, None] * hom_basis)[-1] + 0.0
         sv = linalg.min_singular_value(block + cand)
         if sv > sv_threshold:
             norm = float(np.linalg.norm(coeffs))

@@ -11,7 +11,7 @@ metric residuals).
 from equitrans import suites
 
 BUDGETS = {
-    1: 2.0,  # projector algebra
+    1: 1.0,  # projector algebra
     2: 1.0,  # endomorphism-type table
     3: 1.0,  # determinantal codimension
     4: 1.0,  # condition consistency

@@ -1,0 +1,88 @@
+"""Exact mode stays rational: every entry of an exact result is a python
+``int`` or a ``Fraction``, never a float, also on integer input where an
+int / int true division would silently produce one."""
+
+from fractions import Fraction
+
+import numpy as np
+
+from equitrans import linalg, reps
+
+
+def rational(a) -> bool:
+    return all(type(x) in (int, Fraction) for x in np.asarray(a).reshape(-1))
+
+
+def exact(rows):
+    return np.array(rows, dtype=object)
+
+
+def test_frac_array_keeps_integers_as_ints():
+    a = linalg.frac_array([0.5, 2.0, Fraction(4, 2), np.int64(3), -1])
+    assert [type(x) for x in a] == [Fraction, int, int, int, int]
+    assert list(a) == [Fraction(1, 2), 2, 2, 3, -1]
+    assert all(type(x) is int for x in linalg.eye(3, exact=True).reshape(-1))
+    assert all(type(x) is int for x in linalg.zeros((2, 3), exact=True).reshape(-1))
+
+
+def test_rref_on_int_input():
+    red, pivots = linalg.rref(exact([[2, 4, 2], [1, 3, 2]]))
+    assert pivots == [0, 1]
+    assert rational(red)
+    assert linalg.mat_eq(red, exact([[1, 0, -1], [0, 1, 1]]))
+    red, pivots = linalg.rref(exact([[3, 1]]))
+    assert rational(red) and pivots == [0]
+    assert red[0, 1] == Fraction(1, 3)
+
+
+def test_nullspace_solve_and_inverse_on_int_input():
+    kern = linalg.nullspace(exact([[3, 1]]))
+    assert rational(kern)
+    assert linalg.mat_eq(kern, exact([[Fraction(-1, 3)], [1]]))
+    x = linalg.solve_exact(exact([[2, 0], [0, 3]]), exact([1, 1]))
+    assert rational(x)
+    assert list(x) == [Fraction(1, 2), Fraction(1, 3)]
+    inv = linalg.inv(exact([[2, 0], [0, 4]]))
+    assert rational(inv)
+    assert linalg.mat_eq(inv, exact([[Fraction(1, 2), 0], [0, Fraction(1, 4)]]))
+    inv = linalg.inv(exact([[2, 1], [1, 1]]))
+    assert rational(inv)
+    assert linalg.mat_eq(inv, exact([[1, -1], [-1, 2]]))
+
+
+def test_random_rep_and_projectors_are_rational():
+    for name in ("S_3", "Q_8", "D_4"):
+        group = reps.preset_group(name)
+        rep = reps.random_rep(group, np.random.default_rng(5), 12, exact=True)
+        assert all(type(x) is int for x in rep.matrices.reshape(-1))
+        rep.validate(full=True)
+        projs = reps.all_projectors(rep)
+        total = linalg.zeros((rep.dim, rep.dim), exact=True)
+        for p in projs.values():
+            assert rational(p)
+            assert linalg.mat_eq(p @ p, p)
+            total = total + p
+        assert linalg.mat_eq(total, linalg.eye(rep.dim, exact=True))
+
+
+def test_s3_natural_projectors_hom_basis_and_average():
+    # known answers on the permutation action of S_3 on three points:
+    # fixed part J/3, standard part I - J/3; averaging E_00 gives I/3 and
+    # averaging E_01 gives (J - I)/6
+    nat = reps._block_catalog(reps.symmetric_group(3))["natural"]
+    ident = linalg.eye(3, exact=True)
+    third = exact([[Fraction(1, 3)] * 3] * 3)
+    projs = reps.all_projectors(nat)
+    assert rational(projs["fixed"]) and rational(projs["standard"])
+    assert linalg.mat_eq(projs["fixed"], third)
+    assert linalg.mat_eq(projs["standard"], ident - third)
+    unit = linalg.zeros((3, 3), exact=True)
+    unit[0, 0] = 1
+    avg = reps.conjugation_average(nat, nat, unit)
+    assert rational(avg)
+    assert linalg.mat_eq(avg, ident * Fraction(1, 3))
+    basis = reps.hom_G_basis(nat, nat)
+    assert len(basis) == 2
+    assert all(rational(m) for m in basis)
+    assert linalg.mat_eq(basis[0], ident * Fraction(1, 3))
+    assert linalg.mat_eq(basis[1], (third * 3 - ident) * Fraction(1, 6))

@@ -1,5 +1,6 @@
-"""Meta-tests of the acceptance batteries: the integer fast path must agree
-with the Fraction projector path, and batteries must be deterministic."""
+"""Meta-tests of the acceptance batteries: the exact draws and projectors
+criterion 1 certifies (int entries where integral) must agree with an
+all-Fraction rebuild, and batteries must be deterministic."""
 
 from fractions import Fraction
 
@@ -15,30 +16,30 @@ def test_integer_battery_matches_fraction_projectors(name):
     group = reps.preset_group(name)
     rng_a = np.random.default_rng(99)
     rng_b = np.random.default_rng(99)
-    mats_int = suites._integer_rep(group, rng_a)
-    # rebuild the same seeded rep through the Fraction path: same block
+    rep = reps.random_rep(group, rng_a, 12, exact=True)
+    # rebuild the same seeded rep with every entry a Fraction: same block
     # choices, same signed permutation
     names = reps.choose_blocks(group, rng_b, 12)
     catalog = reps._block_catalog(group)
-    chosen = [catalog[n] for n in names]
-    rep = chosen[0] if len(chosen) == 1 else reps.direct_sum(*chosen)
-    d = rep.dim
+    blocks = linalg.block_diag([catalog[n].matrices for n in names], exact=True)
+    d = blocks.shape[-1]
     perm = rng_b.permutation(d)
     signs = rng_b.choice([-1, 1], size=d)
-    q = np.zeros((d, d), dtype=object)
+    q = np.full((d, d), Fraction(0), dtype=object)
     for j, (p, s) in enumerate(zip(perm, signs)):
         q[p, j] = Fraction(int(s))
-    q = q + Fraction(0)
-    rep = reps.conjugate_rep(rep, q)
-    assert np.array_equal(mats_int, linalg.as_float(rep.matrices).astype(np.int64))
-    # the cleared-denominator identities certify the same projectors the
-    # Fraction path produces
+    mats = q @ blocks @ q.T
+    assert all(type(x) is Fraction for x in mats.reshape(-1))
+    assert linalg.mat_eq(rep.matrices, mats)
+    # the int-entry projectors criterion 1 certifies equal the all-Fraction
+    # character sums
+    projs = reps.all_projectors(rep)
+    order = group.order
+    assert linalg.mat_eq(projs["fixed"], sum(mats) * Fraction(1, order))
     for ir in group.nontrivial_irreps():
-        chi = np.array([int(c) for c in ir.character])
-        m = np.einsum("g,gij->ij", chi, mats_int)
-        p_exact = reps.isotypic_projector(rep, ir)
-        scale = Fraction(ir.dim_V, ir.endo_dim * group.order)
-        assert linalg.mat_eq(linalg.frac_array(m.tolist()) * scale, p_exact)
+        ref = sum(Fraction(c) * m for c, m in zip(ir.character, mats))
+        scale = Fraction(ir.dim_V, ir.endo_dim * order)
+        assert linalg.mat_eq(projs[ir.label], ref * scale)
 
 
 def test_battery_records_are_deterministic():
