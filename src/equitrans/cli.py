@@ -81,6 +81,18 @@ def _parse_vector(vals, exact: bool) -> np.ndarray:
     return np.array(parsed, dtype=object) if exact else np.asarray(parsed, dtype=float)
 
 
+def _int_table(rows, what: str) -> np.ndarray:
+    """A JSON list of equal-length lists of integers as a 2-D int array;
+    the models check the index ranges."""
+    table = np.array(rows, dtype=object)
+    if table.ndim == 2 and all(type(v) is int for v in table.flat):
+        try:
+            return table.astype(int)
+        except OverflowError:
+            pass
+    raise InvalidInputError(f"{what} must be a rectangular table of integers")
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -103,7 +115,7 @@ def load_group(spec, settings: Settings):
         order = spec["circle"].get("quadrature_order", settings.quadrature_order)
         return reps.CircleGroupModel(int(order))
     if "table" in spec:
-        table = np.asarray(spec["table"], dtype=int)
+        table = _int_table(spec["table"], "group table")
         irreps = []
         for rec in spec.get("irreps", []):
             chi = _parse_vector(rec["character"], exact=True)
@@ -177,9 +189,9 @@ def load_bundle(base, rep, spec, settings: Settings) -> bundles.GBundleModel:
     transitions = {}
     for key, mat in (spec or {}).get("transitions", {}).items():
         u, v = key.split(",")
-        u = int(u) if u.strip().lstrip("-").isdigit() else u.strip()
-        v = int(v) if v.strip().lstrip("-").isdigit() else v.strip()
-        transitions[(u, v)] = _parse_matrix(mat, settings.exact)
+        transitions[(_vertex(u.strip()), _vertex(v.strip()))] = _parse_matrix(
+            mat, settings.exact
+        )
     bundle = bundles.GBundleModel(base, rep, transitions)
     bundle.validate(settings.tolerance)
     return bundle
@@ -262,7 +274,7 @@ def load_groupoid(scenario) -> groupoids.FiniteGroupoid:
         sub = spec["translation"]
         group = load_group(sub.get("group"), Settings())
         return groupoids.make_translation_groupoid(
-            group, np.asarray(sub["action"], dtype=int)
+            group, _int_table(sub["action"], "translation action")
         )
     raise InvalidInputError("groupoid section needs 'discrete' or 'translation'")
 
@@ -623,8 +635,8 @@ def cmd_groupoid(scenario, settings, sub):
         group = load_group(action_spec.get("group"), settings)
         action = groupoids.GlobalActionData(
             group,
-            np.asarray(action_spec["objects"], dtype=int),
-            np.asarray(action_spec["morphisms"], dtype=int),
+            _int_table(action_spec["objects"], "object action"),
+            _int_table(action_spec["morphisms"], "morphism action"),
         )
         slices = [int(s) for s in scenario.get("slices", [])]
         kernels = {
@@ -692,7 +704,13 @@ def cmd_metric(scenario, settings, sub):
         action = groupoids.circle_rotation_action(group)
     elif kind == "permutation":
         group = load_group(action_spec.get("group"), settings)
-        table = np.asarray(action_spec["table"], dtype=int)
+        table = _int_table(action_spec["table"], "permutation table")
+        if (len(table) != group.order or np.any(table < 0)
+                or np.any(table >= len(points[0]))):
+            raise InvalidInputError(
+                "permutation table needs one row of coordinate indices per "
+                "group element"
+            )
         action = lambda g, p: p[table[g]]  # noqa: E731
     else:
         raise InvalidInputError(f"unknown metric action type {kind!r}")

@@ -386,19 +386,28 @@ class DSquaredReport:
 
 
 def check_d_squared(delta: Differential) -> DSquaredReport:
-    """delta o delta = 0 as Lambda-matrices, exact below the cutoff."""
+    """delta o delta = 0 as Lambda-matrices, exact below the cutoff.
+
+    Sums only the stored nonzero entries: entry (x, z) of delta o delta is
+    the sum over middle generators y of entry(x, y) * entry(y, z).  The
+    first failure is reported in (z, x) generator order.
+    """
     gens = delta.gens.names
+    zero = NovikovElement.zero(delta.lattice, delta.cutoff)
+    into = {}  # y -> [(x, entry(x, y))], nonzero entries only, x in gens order
+    for x in gens:
+        for y in gens:
+            a = delta.entries.get((x, y))
+            if a is not None and not a.is_zero():
+                into.setdefault(y, []).append((x, a))
     for z in gens:
+        acc = {}
+        for y, b in into.get(z, []):
+            for x, a in into.get(y, []):
+                acc[x] = acc.get(x, zero) + a * b
         for x in gens:
-            acc = NovikovElement.zero(delta.lattice, delta.cutoff)
-            for y in gens:
-                a = delta.entry(x, y)
-                b = delta.entry(y, z)
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            if not acc.is_zero():
-                return DSquaredReport(False, (x, z), acc)
+            if x in acc and not acc[x].is_zero():
+                return DSquaredReport(False, (x, z), acc[x])
     return DSquaredReport(True)
 
 

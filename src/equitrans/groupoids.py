@@ -1,9 +1,12 @@
 """Finite groupoids, translation groupoids, quotients, and quotient metrics.
 
-A finite groupoid is an explicit category with all morphisms invertible:
-index arrays for source/target, a composition table on composable pairs,
-units and inverses.  Construction helpers validate the axioms exhaustively
-(every composable pair and triple).
+A finite groupoid is an explicit category with all morphisms invertible,
+stored as int index arrays: source and target per morphism, the unit per
+object, the inverse per morphism, and an (m, m) composition table holding
+the index of a o b where src[a] == tgt[b] and the sentinel -1 elsewhere.
+Validation checks every axiom on every composable pair and triple as one
+array comparison per law (associativity one first factor at a time, so
+memory stays O(m^2)); an error names the first offending index in C order.
 
 The quotient of a groupoid by a finite group acting by functors has objects
 the chosen slice representatives and morphisms the tuples (x, y, g, [psi]),
@@ -32,6 +35,14 @@ from .errors import InvalidInputError
 TOL = 1e-8
 
 
+def _require(ok: np.ndarray, message: str) -> None:
+    """Raise InvalidInputError unless ``ok`` holds everywhere; ``message`` is
+    formatted with the first failing index in C order."""
+    bad = np.argwhere(~ok)
+    if len(bad):
+        raise InvalidInputError(message.format(*bad[0]))
+
+
 # ---------------------------------------------------------------------------
 # finite groupoids
 # ---------------------------------------------------------------------------
@@ -39,146 +50,107 @@ TOL = 1e-8
 
 @dataclass
 class FiniteGroupoid:
-    """Objects 0..n-1; morphisms 0..m-1 with source/target index arrays,
-    a composition table on composable pairs, units and inverses."""
+    """Objects 0..n-1 and morphisms 0..m-1 as int index arrays.
+
+    ``src[a]`` and ``tgt[a]`` are the endpoints of morphism a, ``units[x]``
+    is the unit of object x and ``inverses[a]`` the inverse of a;
+    ``compose_table[a, b]`` is a o b where src[a] == tgt[b] and -1 elsewhere.
+    """
 
     n_objects: int
-    src: tuple
-    tgt: tuple
-    compose_table: dict  # (a, b) -> a o b, defined when src[a] == tgt[b]
-    units: tuple  # per object
-    inverses: tuple  # per morphism
+    src: np.ndarray
+    tgt: np.ndarray
+    compose_table: np.ndarray
+    units: np.ndarray
+    inverses: np.ndarray
 
     @property
     def n_morphisms(self) -> int:
         return len(self.src)
 
     def compose(self, a: int, b: int) -> int:
-        try:
-            return self.compose_table[(a, b)]
-        except KeyError:
-            raise InvalidInputError(
-                f"morphisms {a} and {b} are not composable"
-            ) from None
-
-    def stab(self, x: int) -> list:
-        return [m for m in range(self.n_morphisms)
-                if self.src[m] == x and self.tgt[m] == x]
+        c = int(self.compose_table[a, b])
+        if c < 0:
+            raise InvalidInputError(f"morphisms {a} and {b} are not composable")
+        return c
 
     def morphisms_between(self, x: int, y: int) -> list:
-        return [m for m in range(self.n_morphisms)
-                if self.src[m] == x and self.tgt[m] == y]
+        return np.flatnonzero((self.src == x) & (self.tgt == y)).tolist()
+
+    def stab(self, x: int) -> list:
+        return self.morphisms_between(x, x)
 
     def isomorphic_objects(self, x: int) -> set:
-        return {self.tgt[m] for m in range(self.n_morphisms) if self.src[m] == x}
+        return set(self.tgt[self.src == x].tolist())
 
     def validate(self) -> None:
         """Category axioms on every composable pair and triple."""
         n, m = self.n_objects, self.n_morphisms
-        if len(self.units) != n or len(self.inverses) != m:
+        src, tgt, t = self.src, self.tgt, self.compose_table
+        units, inv = self.units, self.inverses
+        if len(units) != n or len(inv) != m:
             raise InvalidInputError("units or inverses have the wrong length")
-        for x in range(n):
-            u = self.units[x]
-            if self.src[u] != x or self.tgt[u] != x:
-                raise InvalidInputError(f"unit of object {x} is not an endomorphism")
-        for (a, b), c in self.compose_table.items():
-            if self.src[a] != self.tgt[b]:
-                raise InvalidInputError(f"table contains non-composable pair ({a},{b})")
-            if self.src[c] != self.src[b] or self.tgt[c] != self.tgt[a]:
-                raise InvalidInputError(f"composite of ({a},{b}) has wrong endpoints")
-        for a in range(m):
-            for b in range(m):
-                if self.src[a] == self.tgt[b] and (a, b) not in self.compose_table:
-                    raise InvalidInputError(f"composable pair ({a},{b}) missing")
-        for a in range(m):
-            if self.compose(a, self.units[self.src[a]]) != a:
-                raise InvalidInputError(f"right unit law fails at morphism {a}")
-            if self.compose(self.units[self.tgt[a]], a) != a:
-                raise InvalidInputError(f"left unit law fails at morphism {a}")
-            inv = self.inverses[a]
-            if self.compose(a, inv) != self.units[self.tgt[a]]:
-                raise InvalidInputError(f"inverse law fails at morphism {a}")
-            if self.compose(inv, a) != self.units[self.src[a]]:
-                raise InvalidInputError(f"inverse law fails at morphism {a}")
-        for a in range(m):
-            for b in range(m):
-                if self.src[a] != self.tgt[b]:
-                    continue
-                ab = self.compose(a, b)
-                for c in range(m):
-                    if self.src[b] != self.tgt[c]:
-                        continue
-                    if self.compose(ab, c) != self.compose(a, self.compose(b, c)):
-                        raise InvalidInputError(
-                            f"associativity fails at ({a},{b},{c})"
-                        )
+        if t.shape != (m, m):
+            raise InvalidInputError("composition table is not m x m")
+        x, a = np.arange(n), np.arange(m)
+        _require((src[units] == x) & (tgt[units] == x),
+                 "unit of object {} is not an endomorphism")
+        composable, defined = src[:, None] == tgt, t >= 0
+        _require(composable | ~defined, "table contains non-composable pair ({},{})")
+        _require(defined | ~composable, "composable pair ({},{}) missing")
+        _require(~defined | ((src[t] == src) & (tgt[t] == tgt[:, None])),
+                 "composite of ({},{}) has wrong endpoints")
+        _require(t[a, units[src]] == a, "right unit law fails at morphism {}")
+        _require(t[units[tgt], a] == a, "left unit law fails at morphism {}")
+        _require((t[a, inv] == units[tgt]) & (t[inv, a] == units[src]),
+                 "inverse law fails at morphism {}")
+        for i in range(m):
+            b = np.flatnonzero(defined[i])
+            bc = t[b]  # b o c over all c, -1 where not composable
+            bad = np.argwhere((t[t[i, b]] != t[i, bc]) & (bc >= 0))
+            if len(bad):
+                raise InvalidInputError(
+                    f"associativity fails at ({i},{b[bad[0, 0]]},{bad[0, 1]})"
+                )
 
 
 def discrete_groupoid(n_objects: int) -> FiniteGroupoid:
     """Units only."""
-    return FiniteGroupoid(
-        n_objects,
-        tuple(range(n_objects)),
-        tuple(range(n_objects)),
-        {(x, x): x for x in range(n_objects)},
-        tuple(range(n_objects)),
-        tuple(range(n_objects)),
-    )
+    ids = np.arange(n_objects)
+    table = np.where(ids[:, None] == ids, ids, -1)
+    return FiniteGroupoid(n_objects, ids, ids, table, ids, ids)
 
 
 def make_translation_groupoid(group: reps.FiniteGroupModel,
                               action: np.ndarray) -> FiniteGroupoid:
     """Translation groupoid of a group action on a finite set.
 
-    Objects are the set's points; morphisms are pairs (g, x) with source x
-    and target g.x; (h, y) o (g, x) = (hg, x) when y = g.x.
+    Objects are the set's points; morphism g * npts + x is the pair (g, x)
+    with source x and target g.x, and (h, g.x) o (g, x) = (hg, x).
     """
     action = np.asarray(action)
     order, npts = action.shape
     if order != group.order:
         raise InvalidInputError("action table must have one row per group element")
+    _require((action >= 0) & (action < npts), "action entry ({},{}) is not a point")
     e = group.identity
-    for x in range(npts):
-        if action[e, x] != x:
-            raise InvalidInputError("identity does not act as the identity")
-    for g in range(order):
-        for h in range(order):
-            gh = group.compose(g, h)
-            for x in range(npts):
-                if action[g, action[h, x]] != action[gh, x]:
-                    raise InvalidInputError(
-                        f"action is not a homomorphism at ({g},{h},{x})"
-                    )
-
-    def mid(g, x):
-        return g * npts + x
-
-    src = []
-    tgt = []
-    for g in range(order):
-        for x in range(npts):
-            src.append(x)
-            tgt.append(int(action[g, x]))
-    table = {}
-    for h in range(order):
-        for g in range(order):
-            for x in range(npts):
-                y = int(action[g, x])
-                table[(mid(h, y), mid(g, x))] = mid(group.compose(h, g), x)
-    units = tuple(mid(e, x) for x in range(npts))
-    invs = tuple(
-        mid(group.inverse(g), int(action[g, x]))
-        for g in range(order)
-        for x in range(npts)
-    )
-    return FiniteGroupoid(npts, tuple(src), tuple(tgt), table, units, invs)
+    if np.any(action[e] != np.arange(npts)):
+        raise InvalidInputError("identity does not act as the identity")
+    h = np.arange(order)[:, None]
+    _require(action[h[..., None], action] == action[group.compose(h, h.T)],
+             "action is not a homomorphism at ({},{},{})")
+    g, x = np.divmod(np.arange(order * npts), npts)
+    tgt = action[g, x]
+    table = np.full((order * npts, order * npts), -1)
+    table[h * npts + tgt, g * npts + x] = group.compose(h, g) * npts + x
+    return FiniteGroupoid(npts, x, tgt, table, e * npts + np.arange(npts),
+                          group.inverse(g) * npts + tgt)
 
 
 def orbit_set(gpd: FiniteGroupoid, x: int, subset) -> list:
     """Morphisms starting at x whose target lies in the subset."""
-    subset = set(subset)
-    return [m for m in range(gpd.n_morphisms)
-            if gpd.src[m] == x and gpd.tgt[m] in subset]
+    inside = np.isin(gpd.tgt, list(subset))
+    return np.flatnonzero((gpd.src == x) & inside).tolist()
 
 
 def properness_check(gpd: FiniteGroupoid, uniformizers: dict) -> dict:
@@ -227,34 +199,31 @@ def effective_part(gpd: FiniteGroupoid, x: int, probe_action: dict) -> Effective
     stab = gpd.stab(x)
     if set(probe_action) != set(stab):
         raise InvalidInputError("probe action must cover exactly the stabilizer")
-    size = None
+    size = len(next(iter(probe_action.values()), ()))
     for m, perm in probe_action.items():
-        perm = tuple(perm)
-        if size is None:
-            size = len(perm)
         if sorted(perm) != list(range(size)):
             raise InvalidInputError(
                 f"probe set is not invariant under stabilizer morphism {m}"
             )
-    for a in stab:
-        for b in stab:
-            ab = gpd.compose(a, b)
-            pa, pb = probe_action[a], probe_action[b]
-            composed = tuple(pa[pb[i]] for i in range(size))
-            if composed != tuple(probe_action[ab]):
-                raise InvalidInputError(
-                    f"probe action is not functorial at pair ({a},{b})"
-                )
-    kernel = [m for m in stab
-              if tuple(probe_action[m]) == tuple(range(size))]
+    perms = np.array([probe_action[m] for m in stab], dtype=int)
+    perms = perms.reshape(len(stab), size)
+    row = np.zeros(gpd.n_morphisms, dtype=int)
+    row[stab] = np.arange(len(stab))
+    # [a, b, i] = perm_a[perm_b[i]] against perm_(a o b)[i]
+    composed = perms[np.arange(len(stab))[:, None, None], perms]
+    ab = gpd.compose_table[np.ix_(stab, stab)]
+    bad = np.argwhere((composed != perms[row[ab]]).any(axis=2))
+    if len(bad):
+        a, b = stab[bad[0, 0]], stab[bad[0, 1]]
+        raise InvalidInputError(f"probe action is not functorial at pair ({a},{b})")
+    kernel = [m for m, p in zip(stab, perms) if np.all(p == np.arange(size))]
+    products = np.sort(gpd.compose_table[np.ix_(stab, kernel)], axis=1).tolist()
     cosets = []
     seen = set()
-    for m in stab:
-        if m in seen:
-            continue
-        coset = sorted(gpd.compose(m, k) for k in kernel)
-        seen.update(coset)
-        cosets.append(coset)
+    for m, coset in zip(stab, products):
+        if m not in seen:
+            seen.update(coset)
+            cosets.append(coset)
     return EffectivePart(stab, kernel, cosets)
 
 
@@ -288,56 +257,49 @@ def translation_probe_action(gpd: FiniteGroupoid, group: reps.FiniteGroupModel,
 
 @dataclass
 class GlobalActionData:
-    """A finite group acting on a groupoid by strict functors."""
+    """A finite group acting on a groupoid by strict functors, as index
+    tables: ``obj_action[g, x]`` is g.x and ``mor_action[g, a]`` is g.a."""
 
     group: reps.FiniteGroupModel
     obj_action: np.ndarray  # (order, n_objects)
     mor_action: np.ndarray  # (order, n_morphisms)
 
     def validate(self, gpd: FiniteGroupoid) -> None:
-        g_order = self.group.order
+        n, m = gpd.n_objects, gpd.n_morphisms
         oa = np.asarray(self.obj_action)
         ma = np.asarray(self.mor_action)
-        if oa.shape != (g_order, gpd.n_objects) or ma.shape != (g_order, gpd.n_morphisms):
+        if oa.shape != (self.group.order, n) or ma.shape != (self.group.order, m):
             raise InvalidInputError("action tables have wrong shapes")
+        _require((oa >= 0) & (oa < n), "object action entry ({},{}) is out of range")
+        _require((ma >= 0) & (ma < m), "morphism action entry ({},{}) is out of range")
         e = self.group.identity
-        if list(oa[e]) != list(range(gpd.n_objects)) or list(ma[e]) != list(
-            range(gpd.n_morphisms)
-        ):
+        if np.any(oa[e] != np.arange(n)) or np.any(ma[e] != np.arange(m)):
             raise InvalidInputError("identity must act as the identity functor")
-        for g in range(g_order):
-            for h in range(g_order):
-                gh = self.group.compose(g, h)
-                if any(oa[g, oa[h]] != oa[gh]) or any(ma[g, ma[h]] != ma[gh]):
-                    raise InvalidInputError(f"action is not a homomorphism at ({g},{h})")
-        for g in range(g_order):
-            for m in range(gpd.n_morphisms):
-                gm = int(ma[g, m])
-                if gpd.src[gm] != int(oa[g, gpd.src[m]]) or gpd.tgt[gm] != int(
-                    oa[g, gpd.tgt[m]]
-                ):
-                    raise InvalidInputError(
-                        f"functoriality fails on source/target at ({g},{m})"
-                    )
-            for (a, b), c in gpd.compose_table.items():
-                if ma[g, c] != gpd.compose(int(ma[g, a]), int(ma[g, b])):
-                    raise InvalidInputError(
-                        f"functoriality fails on composition at element {g}"
-                    )
+        g = np.arange(self.group.order)[:, None]
+        gh = self.group.compose(g, g.T)
+        _require(np.all(oa[g[..., None], oa] == oa[gh], axis=2)
+                 & np.all(ma[g[..., None], ma] == ma[gh], axis=2),
+                 "action is not a homomorphism at ({},{})")
+        _require((gpd.src[ma] == oa[:, gpd.src]) & (gpd.tgt[ma] == oa[:, gpd.tgt]),
+                 "functoriality fails on source/target at ({},{})")
+        t = gpd.compose_table
+        a, b = np.nonzero(t >= 0)
+        _require(ma[:, t[a, b]] == t[ma[:, a], ma[:, b]],
+                 "functoriality fails on composition at element {}")
 
     def isotropy(self, gpd: FiniteGroupoid, x: int) -> list:
         """G_x = group elements fixing the isomorphism class of x."""
-        cls = gpd.isomorphic_objects(x)
-        return [g for g in range(self.group.order)
-                if int(self.obj_action[g, x]) in cls]
+        gx = np.asarray(self.obj_action)[:, x]
+        return np.flatnonzero(np.isin(gx, gpd.tgt[gpd.src == x])).tolist()
 
 
 @dataclass
 class QuotientGroupoidModel:
     """The quotient groupoid plus its bookkeeping.
 
-    ``morphism_data[m]`` is (x, y, g, class_representative) for the m-th
-    quotient morphism; ``stab_law`` records per object the cardinality
+    ``morphism_data[m]`` is (x, y, g, witness class) for the m-th quotient
+    morphism, with x and y slice positions and the class as a sorted tuple
+    of original morphisms; ``stab_law`` records per object the cardinality
     identity |stab^Q| = |stab^eff| * |G_x|.
     """
 
@@ -361,101 +323,87 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
     groupoid axioms exhaustively and the isotropy cardinality law.
     """
     action.validate(gpd)
-    slices = list(slices)
-    kernels = ineffective_kernels or {}
+    n, m, order = gpd.n_objects, gpd.n_morphisms, action.group.order
+    src, tgt, t = gpd.src, gpd.tgt, gpd.compose_table
     oa = np.asarray(action.obj_action)
     ma = np.asarray(action.mor_action)
-    reachable = set()
-    for s in slices:
-        for g in range(action.group.order):
-            reachable.update(gpd.isomorphic_objects(int(oa[g, s])))
-    missing = set(range(gpd.n_objects)) - reachable
-    if missing:
-        raise InvalidInputError(f"slices miss the orbits of objects {sorted(missing)}")
+    slices = [int(s) for s in slices]
+    outside = [s for s in slices if not 0 <= s < n]
+    if outside:
+        raise InvalidInputError(f"slices {outside} are not objects")
+    sl = np.array(slices, dtype=int)
+    missing = np.setdiff1d(np.arange(n), tgt[np.isin(src, oa[:, sl])])
+    if missing.size:
+        raise InvalidInputError(f"slices miss the orbits of objects {missing.tolist()}")
+    kernels = ineffective_kernels or {}
 
     def kernel_at(obj: int) -> list:
         ker = list(kernels.get(obj, []))
         for k in ker:
-            if gpd.src[k] != obj or gpd.tgt[k] != obj:
+            if not 0 <= k < m or src[k] != obj or tgt[k] != obj:
                 raise InvalidInputError(
                     f"declared kernel element {k} is not in stab_{obj}"
                 )
-        unit = gpd.units[obj]
-        if unit not in ker:
-            ker = [unit] + ker
-        return ker
+        return sorted(set(ker) | {int(gpd.units[obj])})
 
-    def witness_class(psi: int) -> tuple:
-        """Class of a witness modulo precomposition with the kernel."""
-        obj = gpd.src[psi]
-        members = sorted({gpd.compose(psi, k) for k in kernel_at(obj)})
-        return tuple(members)
+    kers = [kernel_at(obj) for obj in range(n)]
+    kmat = np.full((n, max(map(len, kers), default=1)), -1)
+    for obj, ker in enumerate(kers):
+        kmat[obj, :len(ker)] = ker
+    # members psi o k of each witness class, sorted and padded with the least
+    # member, so equal rows are equal classes
+    ks = kmat[src]
+    members = np.sort(np.where(ks >= 0, t[np.arange(m)[:, None], ks], m), axis=1)
+    members = np.where(members < m, members, members[:, :1])
+    classes, cid = np.unique(members, axis=0, return_inverse=True)
 
-    obj_index = {s: i for i, s in enumerate(slices)}
-    mor_data = []
-    mor_index = {}
+    # candidate morphisms (x, y, g, psi) in the order x, g, y, psi
+    cand = [np.empty((0, 4), dtype=int)]
     for xi, x in enumerate(slices):
-        for g in range(action.group.order):
-            gx = int(oa[g, x])
-            for yi, y in enumerate(slices):
-                for psi in gpd.morphisms_between(gx, y):
-                    cls = witness_class(psi)
-                    key = (xi, yi, g, cls)
-                    if key not in mor_index:
-                        mor_index[key] = len(mor_data)
-                        mor_data.append(key)
-    src = tuple(k[0] for k in mor_data)
-    tgt = tuple(k[1] for k in mor_data)
+        g, yi, psi = np.nonzero((src == oa[:, x, None, None]) & (tgt == sl[:, None]))
+        cand.append(np.stack([np.full_like(g, xi), yi, g, psi], axis=1))
+    xi, yi, g, psi = np.concatenate(cand).T
+    n_slices, n_classes = len(slices), len(classes)
 
-    def act_on_witness(g: int, psi: int) -> int:
-        return int(ma[g, psi])
+    def code(x, y, g, c):
+        return ((x * n_slices + y) * order + g) * n_classes + c
 
-    def compose_keys(ka, kb):
-        # ka: (y -> z, group g), kb: (x -> y, group h): composite over gh
-        yi, zi, g, cls_a = ka
-        xi2, yi2, h, cls_b = kb
-        if yi2 != yi:
-            raise InvalidInputError("quotient morphisms not composable")
-        psi_a = cls_a[0]
-        results = set()
-        for pa in cls_a:
-            for pb in cls_b:
-                moved = act_on_witness(g, pb)  # g.(h.x -> y): gh.x -> g.y
-                comp = gpd.compose(pa, moved)
-                results.add(witness_class(comp))
-        if len(results) != 1:
-            raise InvalidInputError(
-                "ineffective kernels are not coherent under composition"
-            )
-        return (xi2, zi, action.group.compose(g, h), results.pop())
+    keys, first = np.unique(code(xi, yi, g, cid[psi]), return_index=True)
+    number = np.argsort(np.argsort(first))  # quotient index of each key
+    keep = np.sort(first)
+    qx, qy, qg, qpsi = xi[keep], yi[keep], g[keep], psi[keep]
 
-    table = {}
-    for a, ka in enumerate(mor_data):
-        for b, kb in enumerate(mor_data):
-            if src[a] != tgt[b]:
-                continue
-            key = compose_keys(ka, kb)
-            if key not in mor_index:
-                raise InvalidInputError("composition left the morphism set")
-            table[(a, b)] = mor_index[key]
-    units = []
-    e = action.group.identity
-    for xi, x in enumerate(slices):
-        key = (xi, xi, e, witness_class(gpd.units[x]))
-        units.append(mor_index[key])
-    invs = []
-    for a, (xi, yi, g, cls) in enumerate(mor_data):
-        g_inv = action.group.inverse(g)
-        psi = cls[0]
-        psi_inv = gpd.inverses[psi]  # y -> g.x
-        moved = act_on_witness(g_inv, psi_inv)  # g^-1.y -> x
-        key = (yi, xi, g_inv, witness_class(moved))
-        invs.append(mor_index[key])
-    q = FiniteGroupoid(len(slices), src, tgt, table, tuple(units), tuple(invs))
+    def find(x, y, g, c):
+        """Quotient morphisms with the given keys (arrays)."""
+        want = code(x, y, g, c)
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if np.any(keys[at] != want):
+            raise InvalidInputError("composition left the morphism set")
+        return number[at]
+
+    # a o b for a = (y, z, g, [pa]) and b = (x, y, h, [pb]) is
+    # (x, z, gh, [pa o g.pb]), the same class for every choice of members
+    pa, pb = np.nonzero(qx[:, None] == qy)
+    left = members[qpsi[pa]]
+    right = ma[qg[pa, None], members[qpsi[pb]]]
+    comp = cid[t[left[:, :, None], right[:, None, :]]]
+    if np.any(comp != comp[:, :1, :1]):
+        raise InvalidInputError(
+            "ineffective kernels are not coherent under composition"
+        )
+    table = np.full((len(keep), len(keep)), -1)
+    table[pa, pb] = find(qx[pb], qy[pa], action.group.compose(qg[pa], qg[pb]),
+                         comp[:, 0, 0])
+    s = np.arange(n_slices)
+    units = find(s, s, action.group.identity, cid[gpd.units[sl]])
+    g_inv = action.group.inverse(qg)
+    moved = ma[g_inv, gpd.inverses[members[qpsi, 0]]]  # g^-1.y -> x
+    q = FiniteGroupoid(n_slices, qx, qy, table, units,
+                       find(qy, qx, g_inv, cid[moved]))
     q.validate()
     stab_law = {}
     for xi, x in enumerate(slices):
-        n_eff = len(gpd.stab(x)) // len(kernel_at(x))
+        n_eff = len(gpd.stab(x)) // len(kers[x])
         g_x = len(action.isotropy(gpd, x))
         stab_q = len(q.stab(xi))
         stab_law[x] = {
@@ -464,7 +412,12 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
             "G_x": g_x,
             "ok": stab_q == n_eff * g_x,
         }
-    return QuotientGroupoidModel(q, tuple(slices), tuple(mor_data), stab_law)
+    morphism_data = tuple(
+        (x, y, g, tuple(sorted(set(c))))
+        for x, y, g, c in zip(qx.tolist(), qy.tolist(), qg.tolist(),
+                              members[qpsi].tolist())
+    )
+    return QuotientGroupoidModel(q, tuple(slices), morphism_data, stab_law)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Compact-group models, real representations, characters, and isotypic projectors.
 
-Finite groups are exact: multiplication tables with integer indices, matrix
-entries rational (``int`` where integral, ``Fraction`` where a division
-makes one; see ``linalg``).  The circle group is modeled by uniform
+Finite groups are exact: the multiplication table is an (n, n) int index
+array, and group-law checks are array comparisons on it; matrix entries are
+rational (``int`` where integral, ``Fraction`` where a division makes one;
+see ``linalg``).  The circle group is modeled by uniform
 quadrature at N sample angles, exact on trigonometric polynomials of degree
 below N; with N >= 4*max_weight + 1 every averaging operation used here is
 exact up to float roundoff.
@@ -66,8 +67,10 @@ class IrrepDescriptor:
 class FiniteGroupModel:
     """A finite group as an explicit multiplication table.
 
-    ``table[i, j]`` is the index of the product g_i * g_j.  Irreps may be
-    attached (preset groups ship with their full real character table).
+    ``table[i, j]`` is the index of the product g_i * g_j, an (n, n) int
+    array; ``compose`` and ``inverse`` accept index arrays as well as single
+    indices.  Irreps may be attached (preset groups ship with their full
+    real character table).
     """
 
     name: str
@@ -81,22 +84,23 @@ class FiniteGroupModel:
 
     @property
     def identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e, j] == j for j in range(self.order)) and all(
-                self.table[j, e] == j for j in range(self.order)
-            ):
-                return e
-        raise InvalidInputError("multiplication table has no identity")
+        g = np.arange(self.order)
+        two_sided = (np.all(self.table == g, axis=1)
+                     & np.all(self.table == g[:, None], axis=0))
+        if not two_sided.any():
+            raise InvalidInputError("multiplication table has no identity")
+        return int(np.argmax(two_sided))
 
-    def inverse(self, g: int) -> int:
-        e = self.identity
-        for h in range(self.order):
-            if self.table[g, h] == e and self.table[h, g] == e:
-                return h
-        raise InvalidInputError(f"element {g} has no two-sided inverse")
+    def inverse(self, g):
+        t, e = self.table, self.identity
+        two_sided = (t == e) & (t.T == e)
+        missing = np.flatnonzero(~two_sided.any(axis=1))
+        if missing.size:
+            raise InvalidInputError(f"element {missing[0]} has no two-sided inverse")
+        return np.argmax(two_sided, axis=1)[g]
 
-    def compose(self, g: int, h: int) -> int:
-        return int(self.table[g, h])
+    def compose(self, g, h):
+        return self.table[g, h]
 
     def validate(self) -> None:
         """Check associativity on all triples and two-sided identity/inverse."""
@@ -105,16 +109,14 @@ class FiniteGroupModel:
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise InvalidInputError("multiplication table is not an index table")
         for a in range(n):
-            for b in range(n):
-                tab = t[a, b]
-                for c in range(n):
-                    if t[tab, c] != t[a, t[b, c]]:
-                        raise InvalidInputError(
-                            f"multiplication not associative at ({a},{b},{c})"
-                        )
-        _ = self.identity
-        for g in range(n):
-            self.inverse(g)
+            # [b, c]: (ab)c against a(bc)
+            bad = np.argwhere(t[t[a]] != t[a, t])
+            if len(bad):
+                b, c = bad[0]
+                raise InvalidInputError(
+                    f"multiplication not associative at ({a},{b},{c})"
+                )
+        self.inverse(np.arange(n))
 
     def nontrivial_irreps(self) -> tuple[IrrepDescriptor, ...]:
         return tuple(ir for ir in self.irreps if ir.label != "trivial")
@@ -478,9 +480,7 @@ def character_inner(group: GroupModel, chi1, chi2):
 
 def _inverses(group: GroupModel) -> np.ndarray:
     """Index of g^-1 for every element g."""
-    if isinstance(group, CircleGroupModel):
-        return group.inverse(np.arange(group.order))
-    return np.argmax(group.table == group.identity, axis=1)
+    return group.inverse(np.arange(group.order))
 
 
 def _mean(acc: np.ndarray, n: int) -> np.ndarray:
@@ -674,10 +674,7 @@ def permutation_rep(group: FiniteGroupModel, action: np.ndarray,
 
 
 def regular_rep(group: FiniteGroupModel, exact: bool = True) -> RealRepresentation:
-    action = np.array(
-        [[group.compose(g, x) for x in range(group.order)] for g in range(group.order)]
-    )
-    return permutation_rep(group, action, exact)
+    return permutation_rep(group, group.table, exact)
 
 
 def rep_from_generators(group: FiniteGroupModel, generators, matrices,

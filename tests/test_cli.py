@@ -130,6 +130,87 @@ def test_byte_identical_json_reports(tmp_path, capsys):
     assert report["records"][1]["certificate"]["index"] == 0
 
 
+GROUPOID_QUOTIENT = {
+    "groupoid": {"discrete": 2},
+    "group_action": {
+        "group": {"preset": "Z_2"},
+        "objects": [[0, 1], [1, 0]],
+        "morphisms": [[0, 1], [1, 0]],
+    },
+    "slices": [0],
+}
+GROUPOID_CHECK = {
+    "groupoid": {
+        "translation": {
+            "group": {"preset": "Z_2"},
+            "action": [[0, 1, 2], [1, 0, 2]],
+        }
+    },
+    "uniformizers": {"2": [2], "0": [0, 2]},
+}
+FLOER_DEFECT = {
+    "lattice": {"rank": 1, "omega": ["1"], "c1": [0]},
+    "generators": {
+        "names": ["a", "b", "c"],
+        "index": {"a": 0, "b": 1, "c": 2},
+        "half_dim": 1,
+        "values": {"a": 0, "b": 1, "c": 2},
+    },
+    "counts": [
+        {"x": "a", "y": "b", "A": [0], "count": 1},
+        {"x": "b", "y": "c", "A": [1], "count": 2},
+    ],
+}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["groupoid", "quotient"], GROUPOID_QUOTIENT),
+    (["groupoid", "check"], GROUPOID_CHECK),
+    (["floer", "d2"], FLOER_DEFECT),
+])
+def test_byte_identical_groupoid_and_floer_reports(tmp_path, capsys, argv, payload):
+    path = write(tmp_path, "scenario.json", payload)
+    first, second = (run(capsys, argv + [path, "--seed", "3"]) for _ in range(2))
+    assert first == second
+    assert first[0] in (0, 1) and json.loads(first[1])["records"]
+
+
+def _replaced(payload, value, *keys):
+    """A copy of payload with the entry at the key path set to value."""
+    out = json.loads(json.dumps(payload))
+    inner = out
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return out
+
+
+OBJECTS = ("group_action", "objects")
+MORPHISMS = ("group_action", "morphisms")
+ACTION = ("groupoid", "translation", "action")
+GROUP = ("groupoid", "translation", "group")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("quotient", _replaced(GROUPOID_QUOTIENT, [[0, 1], [7, 0]], *OBJECTS)),
+    ("quotient", _replaced(GROUPOID_QUOTIENT, [[0, 1], [-1, 0]], *OBJECTS)),
+    ("quotient", _replaced(GROUPOID_QUOTIENT, [[0, 1], [1, 2]], *MORPHISMS)),
+    ("quotient", _replaced(GROUPOID_QUOTIENT, [[0, 1], [1]], *OBJECTS)),
+    ("quotient", _replaced(GROUPOID_QUOTIENT, [5], "slices")),
+    ("check", _replaced(GROUPOID_CHECK, [[0, 1, 2], [1, 0, 5]], *ACTION)),
+    ("check", _replaced(GROUPOID_CHECK, [[0, 1, 2], [1, 0, -1]], *ACTION)),
+    ("check", _replaced(GROUPOID_CHECK, [[0, 1, 2], [1, 0, 1.5]], *ACTION)),
+    ("check", _replaced(GROUPOID_CHECK, {"table": [[0, 1], [1, 2]]}, *GROUP)),
+    ("check", _replaced(GROUPOID_CHECK, {"table": [[0, 1], [1]]}, *GROUP)),
+])
+def test_malformed_groupoid_tables_exit_2(tmp_path, capsys, command, payload):
+    path = write(tmp_path, "bad.json", payload)
+    code, out, err = run(capsys, ["groupoid", command, path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
+
+
 def test_flow_oracle_command(tmp_path, capsys):
     path = write(
         tmp_path, "oracle.json",
@@ -303,6 +384,20 @@ def test_metric_quotient_permutation_action(tmp_path, capsys):
     mat = json.loads(out)["records"][0]["certificate"]["orbit_matrix"]
     assert mat[0][1] == pytest.approx(0.0)  # same orbit
     assert mat[1][2] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 2]], [[0, 1], [-1, 0]], [[0, 1]]])
+def test_metric_quotient_bad_permutation_table_exit_2(tmp_path, capsys, table):
+    payload = {
+        "metric_points": [[0.0, 1.0], [1.0, 0.0]],
+        "metric_action": {"type": "permutation", "group": {"preset": "Z_2"},
+                          "table": table},
+    }
+    path = write(tmp_path, "perm.json", payload)
+    code, out, err = run(capsys, ["metric", "quotient", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
 
 
 def test_metric_quotient_negation(tmp_path, capsys):

@@ -234,6 +234,34 @@ def test_perturbed_entry_fails_at_the_pair():
     assert gens.ind(x) == 0 and gens.ind(z) == 2
 
 
+def test_d_squared_first_failure_matches_dense_loop():
+    # c1 fails for both a1 and a2, c2 only for a2 (a1 cancels through
+    # b1 - b2), so the first failure in (z, x) order is (a1, c1)
+    names = ("a1", "a2", "b1", "b2", "c1", "c2")
+    index = {"a1": 0, "a2": 0, "b1": 1, "b2": 1, "c1": 2, "c2": 2}
+    gens = GeneratorSet(names, index, 1, dict(index))
+    counts = ModuliCountTable(LAT1, {
+        ("a1", "b1", (0,)): 1, ("a1", "b2", (0,)): 1,
+        ("a2", "b1", (0,)): 1, ("a2", "b1", (1,)): 2,
+        ("b1", "c1", (1,)): 3, ("b2", "c1", (0,)): 1,
+        ("b1", "c2", (0,)): 1, ("b2", "c2", (0,)): -1,
+    })
+    delta = build_differential(gens, counts, cutoff=10)
+    failures = []
+    for z in names:
+        for x in names:
+            acc = NovikovElement.zero(LAT1, delta.cutoff)
+            for y in names:
+                acc = acc + delta.entry(x, y) * delta.entry(y, z)
+            if not acc.is_zero():
+                failures.append(((x, z), acc))
+    assert [p for p, _ in failures] == [("a1", "c1"), ("a2", "c1"), ("a2", "c2")]
+    report = check_d_squared(delta)
+    assert not report.ok
+    assert report.first_failure == failures[0][0]
+    assert report.defect == failures[0][1]
+
+
 # ---------------------------------------------------------------------------
 # coherence validation
 # ---------------------------------------------------------------------------

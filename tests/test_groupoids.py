@@ -79,6 +79,102 @@ def test_orbit_set_examples():
 
 
 # ---------------------------------------------------------------------------
+# axiom checks: one corrupted entry per law
+# ---------------------------------------------------------------------------
+
+
+def _corrupt_groupoid(gpd, field, index, value):
+    """Validate a copy of gpd with one entry of one index array replaced."""
+    arrays = {f: getattr(gpd, f).copy()
+              for f in ("src", "tgt", "compose_table", "units", "inverses")}
+    arrays[field][index] = value
+    gq.FiniteGroupoid(gpd.n_objects, **arrays).validate()
+
+
+def _z_n_on_a_point(n):
+    """Z_n as a one-object groupoid: morphism g is the group element g."""
+    return make_translation_groupoid(reps.cyclic_group(n),
+                                     np.zeros((n, 1), dtype=int))
+
+
+def _z2_swap():
+    """Z_2 swapping two points: morphisms (e,0), (e,1), (s,0): 0 -> 1 and
+    (s,1): 1 -> 0."""
+    group, act = cyclic_action(2, 2)
+    return make_translation_groupoid(group, act)
+
+
+def _non_functorial_action():
+    # swapping 1 and 2 in Z_4 is an involutive bijection, not a homomorphism
+    gpd = _z_n_on_a_point(4)
+    oa, ma = np.zeros((2, 1), dtype=int), np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
+    GlobalActionData(reps.cyclic_group(2), oa, ma).validate(gpd)
+
+
+def _action_not_on_endpoints():
+    # objects swapped, morphisms (the units) left in place
+    oa, ma = np.array([[0, 1], [1, 0]]), np.array([[0, 1], [0, 1]])
+    GlobalActionData(reps.cyclic_group(2), oa, ma).validate(discrete_groupoid(2))
+
+
+def _non_associative_group():
+    table = reps.cyclic_group(3).table.copy()
+    table[1, 1] = 0  # units and inverses still hold
+    reps.FiniteGroupModel("broken", table).validate()
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda: _corrupt_groupoid(_z_n_on_a_point(2), "units", 0, 1),
+     r"right unit law fails at morphism 0"),
+    (lambda: _corrupt_groupoid(_z_n_on_a_point(3), "inverses", 1, 1),
+     r"inverse law fails at morphism 1"),
+    (lambda: _corrupt_groupoid(_z_n_on_a_point(3), "compose_table", (1, 1), 0),
+     r"associativity fails at \(1,1,2\)"),
+    (lambda: _corrupt_groupoid(_z2_swap(), "compose_table", (0, 0), -1),
+     r"composable pair \(0,0\) missing"),
+    (lambda: _corrupt_groupoid(_z2_swap(), "compose_table", (0, 1), 0),
+     r"non-composable pair \(0,1\)"),
+    (lambda: _corrupt_groupoid(_z2_swap(), "compose_table", (2, 0), 3),
+     r"composite of \(2,0\) has wrong endpoints"),
+    (lambda: _corrupt_groupoid(_z2_swap(), "units", 1, 2),
+     r"unit of object 1 is not an endomorphism"),
+    (lambda: make_translation_groupoid(reps.cyclic_group(2),
+                                       np.array([[0, 1, 2], [1, 2, 0]])),
+     r"action is not a homomorphism at \(1,1,0\)"),
+    (_non_functorial_action, r"functoriality fails on composition at element 1"),
+    (_action_not_on_endpoints, r"functoriality fails on source/target at \(1,0\)"),
+    (_non_associative_group, r"multiplication not associative at \(1,1,2\)"),
+    (lambda: _z2_swap().compose(0, 1), r"morphisms 0 and 1 are not composable"),
+])
+def test_broken_table_rejected(corrupt, match):
+    with pytest.raises(InvalidInputError, match=match):
+        corrupt()
+
+
+def test_associativity_error_names_first_triple_in_c_order():
+    # replacing a o b (neither a unit, b not the inverse of a) by another
+    # morphism with the same endpoints breaks associativity only; the error
+    # names the first failing triple of a dense loop
+    gpd = make_translation_groupoid(*cyclic_action(4, 2))
+    t0 = gpd.compose_table
+    pairs = [(a, b) for a, b in np.argwhere(t0 >= 0)
+             if a not in gpd.units and b not in gpd.units and gpd.inverses[a] != b]
+    for a, b in pairs[::3]:
+        t = t0.copy()
+        t[a, b] = next(c for c in gpd.morphisms_between(gpd.src[b], gpd.tgt[a])
+                       if c != t0[a, b])
+        first = next(
+            (i, j, k) for i, j, k in itertools.product(range(len(t)), repeat=3)
+            if t[i, j] >= 0 and t[j, k] >= 0 and t[t[i, j], k] != t[i, t[j, k]]
+        )
+        broken = gq.FiniteGroupoid(gpd.n_objects, gpd.src, gpd.tgt, t,
+                                   gpd.units, gpd.inverses)
+        with pytest.raises(InvalidInputError) as err:
+            broken.validate()
+        assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
+
+
+# ---------------------------------------------------------------------------
 # properness
 # ---------------------------------------------------------------------------
 
@@ -288,14 +384,13 @@ def test_quotient_library_cardinality_law():
 
 def _disjoint_double(gpd):
     n, m = gpd.n_objects, gpd.n_morphisms
-    src = tuple(list(gpd.src) + [s + n for s in gpd.src])
-    tgt = tuple(list(gpd.tgt) + [t + n for t in gpd.tgt])
-    table = {}
-    for (a, b), c in gpd.compose_table.items():
-        table[(a, b)] = c
-        table[(a + m, b + m)] = c + m
-    units = tuple(list(gpd.units) + [u + m for u in gpd.units])
-    invs = tuple(list(gpd.inverses) + [i + m for i in gpd.inverses])
+    src = np.concatenate([gpd.src, gpd.src + n])
+    tgt = np.concatenate([gpd.tgt, gpd.tgt + n])
+    table = np.full((2 * m, 2 * m), -1)
+    table[:m, :m] = gpd.compose_table
+    table[m:, m:] = np.where(gpd.compose_table >= 0, gpd.compose_table + m, -1)
+    units = np.concatenate([gpd.units, gpd.units + m])
+    invs = np.concatenate([gpd.inverses, gpd.inverses + m])
     return gq.FiniteGroupoid(2 * n, src, tgt, table, units, invs)
 
 
