@@ -188,6 +188,8 @@ def load_base(spec) -> bundles.SimplicialBase:
 def load_bundle(base, rep, spec, settings: Settings) -> bundles.GBundleModel:
     transitions = {}
     for key, mat in (spec or {}).get("transitions", {}).items():
+        if key.count(",") != 1:
+            raise InvalidInputError(f"transition key {key!r} is not 'u,v'")
         u, v = key.split(",")
         transitions[(_vertex(u.strip()), _vertex(v.strip()))] = _parse_matrix(
             mat, settings.exact
@@ -670,7 +672,7 @@ def cmd_groupoid(scenario, settings, sub):
                 local[_vertex(k)] = {
                     "points": [int(p) for p in v["points"]],
                     "sub": [int(p) for p in v["sub"]],
-                    "action": {int(m): tuple(perm)
+                    "action": {int(m): tuple(int(p) for p in perm)
                                for m, perm in v["action"].items()},
                 }
             rep = groupoids.regularity_check(gpd, local)
@@ -694,6 +696,8 @@ def cmd_metric(scenario, settings, sub):
     if pts is None:
         raise InvalidInputError("scenario has no 'metric_points' section")
     points = [np.asarray([float(x) for x in p]) for p in pts]
+    if len({len(p) for p in points}) > 1:
+        raise InvalidInputError("metric_points must all have one dimension")
     action_spec = scenario.get("metric_action", {"type": "negation"})
     kind = action_spec.get("type")
     if kind == "negation":

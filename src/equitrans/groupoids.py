@@ -431,7 +431,7 @@ def regularity_check(gpd: FiniteGroupoid, local_data: dict) -> dict:
     fix the whole uniformizer.
 
     ``local_data[x]`` = {"points": [...], "sub": [...], "action":
-    {morphism -> permutation tuple of points}}.
+    {morphism -> permutation of range(len(points))}}.
     """
     report = {}
     for x, data in local_data.items():
@@ -444,6 +444,9 @@ def regularity_check(gpd: FiniteGroupoid, local_data: dict) -> dict:
         pos = {p: i for i, p in enumerate(points)}
         for m, perm in data["action"].items():
             perm = tuple(perm)
+            if sorted(perm) != list(range(len(points))):
+                raise InvalidInputError(f"action of morphism {m} at {x} is not a "
+                                        f"permutation of its {len(points)} points")
             fixes_sub = all(perm[pos[p]] == pos[p] for p in sub)
             fixes_all = perm == tuple(range(len(points)))
             ok = (not fixes_sub) or fixes_all

@@ -5,7 +5,10 @@ is the invariant subspace for eigenvalues with negative real part (counted
 with algebraic multiplicity; the matrices need not be symmetric).  An
 independent shooting oracle computes kernels as intersections of propagated
 boundary-decay subspaces; the index equals the kernel of the adjoint path
-minus the kernel of the path itself.
+minus the kernel of the path itself.  It runs RK4 on a fixed grid: B is
+sampled once per half step, the one-step maps of a block of steps form a
+matrix stack whose products over chunks of steps move the frames, one QR per
+chunk, and the path and its adjoint -B^T share one sweep from each end.
 
 The autonomous Floer linearization in a circle weight lambda >= 1 acts on
 pairs (a, b) of C^n-valued functions as
@@ -29,6 +32,8 @@ from .errors import InvalidInputError, NonHyperbolicError
 HYPERBOLICITY_MARGIN = 1e-6
 TAIL_TOLERANCE = 1e-6
 ANGLE_THRESHOLD = 1e-6
+_BLOCK = 128  # RK4 steps sampled and multiplied at a time
+_CHUNK = 16  # RK4 steps per QR renormalization (a power of two)
 
 
 # ---------------------------------------------------------------------------
@@ -233,33 +238,72 @@ def _spectral_frame(b: np.ndarray, half: str) -> np.ndarray:
     return z[:, :sdim]
 
 
-def _propagate_frame(path: MatrixPath, frame: np.ndarray, s0: float,
-                     s1: float, step: float) -> np.ndarray:
-    """RK4 propagation of a frame under u' = B(s) u with QR renormalization.
+def _chunk_maps(b: np.ndarray, h: float) -> np.ndarray:
+    """Products of _CHUNK consecutive RK4 one-step maps of u' = B(s) u, later
+    steps on the left, from an (f, 2k + 1, d, d) stack of B sampled every
+    half step.  Step j maps u to (I + h/6 (B0 + 2 K2 + 2 K3 + K4)) u with
+    K2 = Bm + h/2 Bm B0, K3 = Bm + h/2 Bm K2 and K4 = B1 + h B1 K3; the k
+    maps, padded with identities, are multiplied by a pairwise tree."""
+    b0, bm, b1 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
+    k2 = bm + (h / 2) * (bm @ b0)
+    k3 = bm + (h / 2) * (bm @ k2)
+    k4 = b1 + h * (b1 @ k3)
+    f, k, d = b0.shape[:3]
+    maps = np.eye(d) + (h / 6) * (b0 + 2 * k2 + 2 * k3 + k4)
+    pad = np.broadcast_to(np.eye(d), (f, -k % _CHUNK, d, d))
+    p = np.concatenate([maps, pad], axis=1).reshape(f, -1, _CHUNK, d, d)
+    while p.shape[2] > 1:
+        p = p[:, :, 1::2] @ p[:, :, ::2]
+    return p[:, :, 0]
 
-    The propagated subspace converges onto the dominant directions, so
-    per-step orthonormalization keeps the computation stable; a non-finite
-    frame triggers one rescaling retry before failing.
+
+def _propagate_frames(path: MatrixPath, frames: list, s0: float, s1: float,
+                      step: float) -> list:
+    """RK4 from s0 to s1 of ``frames[0]`` under u' = B(s) u and of
+    ``frames[1]``, if given, under the adjoint equation u' = -B(s)^T u.
+
+    One sweep serves both: B is sampled once per half step of the grid
+    s_{j+1} = s_j + h, _BLOCK steps at a time, and the adjoint uses -B^T of
+    the same samples.  Each product of _CHUNK step maps moves the frames and
+    is followed by a QR: it spans the same subspace as a QR per step.
     """
-    if frame.shape[1] == 0:
-        return frame
+    frames = list(frames)
+    live = [i for i, f in enumerate(frames) if f.shape[1]]
+    if not live:
+        return frames
     n_steps = max(1, int(np.ceil(abs(s1 - s0) / step)))
-    h = (s1 - s0) / n_steps
-    u = frame.copy()
-    s = s0
-    for k in range(n_steps):
-        k1 = path.at(s) @ u
-        k2 = path.at(s + h / 2) @ (u + (h / 2) * k1)
-        k3 = path.at(s + h / 2) @ (u + (h / 2) * k2)
-        k4 = path.at(s + h) @ (u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s += h
-        if not np.all(np.isfinite(u)):
-            raise InvalidInputError(
-                "frame propagation overflowed despite renormalization"
-            )
-        u, _ = np.linalg.qr(u)
-    return u
+    h, s, b = (s1 - s0) / n_steps, s0, [path.at(s0)]
+    for done in range(0, n_steps, _BLOCK):
+        ends = np.cumsum([s] + [h] * min(_BLOCK, n_steps - done))
+        grid, s = np.column_stack([ends[:-1] + h / 2, ends[1:]]).ravel(), ends[-1]
+        b = np.stack([b[-1]] + [path.at(x) for x in grid.tolist()])
+        views = [b if i == 0 else -b.swapaxes(1, 2) for i in live]
+        for chunk in _chunk_maps(np.stack(views), h).swapaxes(0, 1):
+            for m, i in zip(chunk, live):
+                u = m @ frames[i]
+                if not np.all(np.isfinite(u)):
+                    raise InvalidInputError(
+                        "frame propagation overflowed despite renormalization"
+                    )
+                frames[i] = np.linalg.qr(u)[0]
+    return frames
+
+
+def _kernel_dims(path: MatrixPath, step: float | None, threshold: float,
+                 adjoint: bool) -> list:
+    """Kernel dimensions of the path and, if ``adjoint``, of s -> -B(s)^T."""
+    path.validate()
+    t = path.horizon
+    if step is None:
+        scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
+        step = min(1e-3 * t, 0.05 / scale)
+    limits = ((path.b_minus, path.b_plus), (-path.b_minus.T, -path.b_plus.T))
+    grow = [_spectral_frame(b, "rhp") for b, _ in limits[:1 + adjoint]]
+    decay = [_spectral_frame(b, "lhp") for _, b in limits[:1 + adjoint]]
+    u = _propagate_frames(path, grow, -t, 0.0, step)
+    v = _propagate_frames(path, decay, t, 0.0, step)
+    return [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False) <= threshold))
+            for x, y in zip(u, v)]
 
 
 def kernel_dim_oracle(path: MatrixPath, step: float | None = None,
@@ -272,22 +316,11 @@ def kernel_dim_oracle(path: MatrixPath, step: float | None = None,
     +horizon.  The kernel is their intersection at s = 0, measured by
     principal angles.
     """
-    path.validate()
-    t = path.horizon
-    if step is None:
-        scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
-        step = min(1e-3 * t, 0.05 / scale)
-    grow = _spectral_frame(path.b_minus, "rhp")
-    decay = _spectral_frame(path.b_plus, "lhp")
-    u = _propagate_frame(path, grow, -t, 0.0, step)
-    v = _propagate_frame(path, decay, t, 0.0, step)
-    if u.shape[1] == 0 or v.shape[1] == 0:
-        return 0
-    cos = np.linalg.svd(u.T @ v, compute_uv=False)
-    return int(np.sum(1.0 - cos <= threshold))
+    return _kernel_dims(path, step, threshold, adjoint=False)[0]
 
 
 def index_by_shooting(path: MatrixPath, step: float | None = None) -> int:
     """Independent oracle: kernel of the adjoint path minus kernel of the
     path equals the eigenvalue-count index."""
-    return kernel_dim_oracle(path.adjoint(), step) - kernel_dim_oracle(path, step)
+    kernel, cokernel = _kernel_dims(path, step, ANGLE_THRESHOLD, adjoint=True)
+    return cokernel - kernel

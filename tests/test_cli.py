@@ -167,6 +167,12 @@ FLOER_DEFECT = {
     (["groupoid", "quotient"], GROUPOID_QUOTIENT),
     (["groupoid", "check"], GROUPOID_CHECK),
     (["floer", "d2"], FLOER_DEFECT),
+    (["flow", "oracle"], {"flow": {"paths": [{"preset": "tanh-scalar"}]}}),
+    (["flow", "oracle"], {"flow": {"paths": [
+        {"preset": "lambda", "n": 1, "weight": 2, "a_scale": 0.3}]}}),
+    (["flow", "index"], {"flow": {"paths": [
+        {"preset": "tanh-scalar"},
+        {"preset": "lambda", "n": 2, "weight": 1, "a_scale": 0.3}]}}),
 ])
 def test_byte_identical_groupoid_and_floer_reports(tmp_path, capsys, argv, payload):
     path = write(tmp_path, "scenario.json", payload)
@@ -206,6 +212,30 @@ GROUP = ("groupoid", "translation", "group")
 def test_malformed_groupoid_tables_exit_2(tmp_path, capsys, command, payload):
     path = write(tmp_path, "bad.json", payload)
     code, out, err = run(capsys, ["groupoid", command, path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["groupoid", "check"],
+     _replaced(GROUPOID_CHECK, {"0": {"points": [0, 1], "sub": [1],
+                                      "action": {"0": [0]}}}, "regularity")),
+    (["groupoid", "check"],
+     _replaced(GROUPOID_CHECK, {"0": {"points": [0, 1], "sub": [1],
+                                      "action": {"0": [1, 1]}}}, "regularity")),
+    (["bundle", "decompose"],
+     {"settings": {"mode": "float"}, "group": {"preset": "Z_2"},
+      "representation": {"matrices": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]},
+      "base": {"interval": 1},
+      "bundle": {"transitions": {"0": [[1, 0], [0, 1]]}}}),
+    (["metric", "quotient"],
+     {"metric_points": [[0.0, 1.0], [1.0]], "metric_action": {"type": "negation"}}),
+])
+def test_malformed_regularity_transition_and_points_exit_2(tmp_path, capsys,
+                                                          command, payload):
+    path = write(tmp_path, "bad.json", payload)
+    code, out, err = run(capsys, command + [path])
     assert code == 2
     assert out == ""
     assert json.loads(err)["kind"] == "invalid-input"

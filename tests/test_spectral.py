@@ -208,3 +208,96 @@ def test_oracle_matches_index_on_seeded_paths():
         assert index_by_shooting(path) == fredholm_index(path)
         checked += 1
     assert checked >= 10
+
+
+def _reference_propagation(path, frame, s0, s1, step):
+    """Per-step RK4 with a QR after every step: the scheme the batched
+    propagator reorganizes (B at s + h is reused as B at the next s, the
+    same float since s advances by s += h)."""
+    n_steps = max(1, int(np.ceil(abs(s1 - s0) / step)))
+    h = (s1 - s0) / n_steps
+    u, s, b0 = frame.copy(), s0, path.at(s0)
+    for _ in range(n_steps):
+        bm, b1 = path.at(s + h / 2), path.at(s + h)
+        k1 = b0 @ u
+        k2 = bm @ (u + (h / 2) * k1)
+        k3 = bm @ (u + (h / 2) * k2)
+        k4 = b1 @ (u + h * k3)
+        u = np.linalg.qr(u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))[0]
+        s, b0 = s + h, b1
+    return u
+
+
+def _seeded_tanh_path(rng, size):
+    # independent rotations at the two ends, so that B(s) at different s do
+    # not commute and the propagated subspaces turn
+    limits = []
+    for _ in range(2):
+        q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+        limits.append(q @ np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0], size=size)) @ q.T)
+    b_minus, b_plus = limits
+    return tanh_path((b_minus + b_plus) / 2, (b_plus - b_minus) / 2)
+
+
+def _seeded_lambda_path(rng, weight):
+    a_minus, a_plus = 0.5 * rng.normal(size=(2, 2, 2))
+    return build_lambda_path(LambdaOperatorSpec(
+        1, weight, lambda s: a_minus + (np.tanh(s) + 1) / 2 * (a_plus - a_minus)))
+
+
+def test_batched_propagation_spans_per_step_subspaces():
+    # frames at s = 0 from the batched sweep against per-step RK4 + QR, for
+    # the path and its adjoint, forward from -T and backward from +T.  The
+    # largest principal-angle sine is bounded, which is far stronger than
+    # every cosine >= 1 - 1e-9: a wrong K3 moves it to about 4e-7.
+    rng = np.random.default_rng(1618)
+    paths = [_seeded_tanh_path(rng, size) for size in (1, 2, 3)]
+    paths += [_seeded_lambda_path(rng, weight) for weight in (1, 2)]
+    for path in paths:
+        t = path.horizon
+        scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
+        step = min(1e-3 * t, 0.05 / scale)
+        adjoint = path.adjoint()
+        for s0, half, limit in ((-t, "rhp", "b_minus"), (t, "lhp", "b_plus")):
+            frames = [spectral._spectral_frame(getattr(p, limit), half)
+                      for p in (path, adjoint)]
+            batched = spectral._propagate_frames(path, frames, s0, 0.0, step)
+            for p, frame, u in zip((path, adjoint), frames, batched):
+                assert u.shape == frame.shape
+                if frame.shape[1]:
+                    ref = _reference_propagation(p, frame, s0, 0.0, step)
+                    sine = np.linalg.norm(u - ref @ (ref.T @ u), 2)
+                    assert sine <= 1e-9, (p.name, s0, sine)
+
+
+def test_oracle_matches_index_on_non_normal_near_margin_paths():
+    # limits S diag(+-eps) S^-1 with independent, non-orthogonal S at the two
+    # ends: slow, non-normal decay close to the hyperbolicity margin
+    rng = np.random.default_rng(4242)
+    for k in range(48):
+        size = 2 + k % 2
+        eps = (0.2, 0.1, 0.05, 0.02)[k % 4]
+        limits = []
+        for _ in range(2):
+            s = np.eye(size) + rng.normal(size=(size, size))
+            while np.linalg.cond(s) > 50:
+                s = np.eye(size) + rng.normal(size=(size, size))
+            signs = rng.choice([-eps, eps], size=size)
+            limits.append(s @ np.diag(signs) @ np.linalg.inv(s))
+        b_minus, b_plus = limits
+        path = tanh_path((b_minus + b_plus) / 2, (b_plus - b_minus) / 2)
+        assert index_by_shooting(path) == fredholm_index(path), (k, eps)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_oracle_reports_interior_blow_up():
+    # finite, stationary limits; B leaves the floating range on (1.5, 2.5),
+    # which the adjoint's decaying frame crosses on its way back from +9
+    path = spectral.MatrixPath(
+        lambda s: [[np.tanh(s) + (1e200 if abs(s - 2.0) < 0.5 else 0.0)]],
+        9.0, [[-1.0]], [[1.0]],
+    )
+    path.validate()
+    for shoot in (lambda p: kernel_dim_oracle(p.adjoint()), index_by_shooting):
+        with pytest.raises(InvalidInputError, match="frame propagation overflowed"):
+            shoot(path)
