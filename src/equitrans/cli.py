@@ -515,14 +515,11 @@ def _load_paths(scenario, settings):
         horizon = float(rec.get("horizon", 9.0))
         if preset == "constant":
             out.append(spectral.constant_path(
-                np.asarray(_parse_matrix(rec["matrix"], exact=False)), horizon
-            ))
+                _parse_matrix(rec["matrix"], exact=False), horizon))
         elif preset == "tanh":
-            out.append(spectral.tanh_path(
-                np.asarray(_parse_matrix(rec["b0"], exact=False)),
-                np.asarray(_parse_matrix(rec["b1"], exact=False)),
-                horizon,
-            ))
+            out.append(spectral.tanh_path(_parse_matrix(rec["b0"], exact=False),
+                                          _parse_matrix(rec["b1"], exact=False),
+                                          horizon))
         elif preset == "tanh-scalar":
             out.append(spectral.scalar_tanh_path(horizon))
         elif preset == "lambda":

@@ -16,9 +16,9 @@ BUDGETS = {
     3: 1.0,  # determinantal codimension
     4: 1.0,  # condition consistency
     5: 1.0,  # spectral-flow battery
-    6: 2.0,  # shooting oracle
-    7: 5.0,  # perturbation pipeline
-    8: 3.0,  # floer algebra
+    6: 1.0,  # shooting oracle
+    7: 1.0,  # perturbation pipeline
+    8: 1.0,  # floer algebra
     9: 1.5,  # groupoid quotient
 }
 

@@ -241,6 +241,24 @@ def test_malformed_regularity_transition_and_points_exit_2(tmp_path, capsys,
     assert json.loads(err)["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("command, flow_path", [
+    ("index", {"preset": "constant", "matrix": [[1, 2, 3], [4, 5, 6]]}),
+    ("oracle", {"preset": "constant", "matrix": [[1, 2, 3], [4, 5, 6]]}),
+    ("oracle", {"preset": "tanh", "b0": [[1, 0]], "b1": [[1, 0]]}),
+    ("index", {"preset": "tanh", "b0": [[1]], "b1": [[1, 0], [0, 1]]}),
+    ("oracle", {"preset": "tanh", "b0": [[1, 0], [0, 1]], "b1": [[1, 0, 0], [0, 1, 0]]}),
+    ("index", {"preset": "lambda", "n": 0, "weight": 1}),
+    ("oracle", {"preset": "lambda", "n": 0, "weight": 1}),
+    ("index", {"preset": "lambda", "n": -1, "weight": 1}),
+])
+def test_malformed_flow_paths_exit_2(tmp_path, capsys, command, flow_path):
+    path = write(tmp_path, "bad.json", {"flow": {"paths": [flow_path]}})
+    code, out, err = run(capsys, ["flow", command, path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
+
+
 def test_flow_oracle_command(tmp_path, capsys):
     path = write(
         tmp_path, "oracle.json",

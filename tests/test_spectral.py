@@ -3,6 +3,8 @@ shooting oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitrans import spectral
 from equitrans.errors import InvalidInputError, NonHyperbolicError
@@ -58,7 +60,7 @@ def test_fredholm_index_reverse_tanh_is_minus_one():
 
 def test_path_validation_rejects_drifting_tail():
     # the declared limit disagrees with the evaluator at +horizon
-    path = spectral.MatrixPath(lambda s: [[np.tanh(s)]], 4.0, [[-1.0]], [[2.0]])
+    path = spectral.MatrixPath(lambda s: np.tanh(s), 4.0, [[-1.0]], [[2.0]])
     with pytest.raises(InvalidInputError):
         path.validate()
 
@@ -96,6 +98,54 @@ def test_homotopy_invariance_under_small_perturbation():
             base.b_plus + delta,
         )
         assert fredholm_index(pert) == idx
+
+
+def test_sample_stack_matches_pointwise_at():
+    # path.sample(s)[i] == path.at(s[i]) for every path builder, on both
+    # sides of the concatenation seam at s = 0 and beyond the horizons
+    s = np.array([-40.0, -9.0, -1.5, -1e-3, 0.0, 1e-3, 0.7, 9.0, 40.0])
+    p1 = tanh_path([[0.5, 1.0], [0.0, -0.5]], [[1.0, 0.0], [0.3, -1.0]])
+    p2 = tanh_path(p1.b_plus + [[0.0, 0.5], [0.0, 0.0]], [[0.0, 0.5], [0.0, 0.0]])
+    a_real = np.array([[0.3, -0.2], [0.1, 0.4]])
+    a_complex = np.array([[0.3 + 0.2j, 0.1j], [-0.2, 0.1 - 0.3j]])
+    paths = [
+        constant_path(np.diag([-2.0, 3.0])),
+        p1,
+        scalar_tanh_path(),
+        concatenate(p1, p2),
+        p1.adjoint(),
+        build_lambda_path(LambdaOperatorSpec(1, 2, lambda s: np.tanh(s) * a_real)),
+        build_lambda_path(LambdaOperatorSpec(2, 1, lambda s: np.tanh(s) * a_complex)),
+    ]
+    for path in paths:
+        stack = path.sample(s)
+        assert stack.shape == (len(s), path.dim, path.dim), path.name
+        for x, b in zip(s, stack):
+            np.testing.assert_array_equal(b, path.at(x), err_msg=f"{path.name} {x}")
+    # the glued path is p1 shifted left of the seam and p2 shifted right of it
+    for x, b in zip(s, paths[3].sample(s)):
+        piece = p1.at(x + 2 * p1.horizon) if x <= 0 else p2.at(x - 2 * p2.horizon)
+        np.testing.assert_array_equal(b, piece, err_msg=f"seam {x}")
+
+
+def _rotated_limit(rng, eig):
+    q = np.linalg.qr(rng.normal(size=(len(eig), len(eig))))[0]
+    return q @ np.diag(eig) @ q.T
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(size=st.integers(1, 2), data=st.data())
+def test_index_additive_under_concatenation_by_shooting(size, data):
+    # random tanh paths L0 -> L1 -> L2 with independent rotations at each
+    # limit; the glued path is shot across the seam mask
+    eig = st.lists(st.sampled_from([-2.0, -1.0, 1.0, 2.0]), min_size=size,
+                   max_size=size)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    l0, l1, l2 = (_rotated_limit(rng, data.draw(eig)) for _ in range(3))
+    p1 = tanh_path((l0 + l1) / 2, (l1 - l0) / 2)
+    p2 = tanh_path((l1 + l2) / 2, (l2 - l1) / 2)
+    glued = concatenate(p1, p2)
+    assert index_by_shooting(glued) == fredholm_index(p1) + fredholm_index(p2)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +214,21 @@ def test_lambda_path_accepts_complex_a():
     assert fredholm_index(path) == 0
 
 
+def test_lambda_path_blocks_from_complex_a():
+    # B = [[-A, wJ], [-wJ, -A]], J = [[0, -I], [I, 0]], with the complex A
+    # realified in (Re, Im) coordinates, for a stack of s at once
+    a = np.array([[0.3 + 0.2j, 0.1j], [-0.2, 0.1 - 0.3j]])
+    path = build_lambda_path(LambdaOperatorSpec(2, 3, lambda s: np.tanh(s) * a))
+    omega, z, i2 = 6 * np.pi, np.zeros((2, 2)), np.eye(2)
+    j = np.block([[z, -i2], [i2, z]])
+    s = np.array([-2.0, 0.0, 0.5])
+    for x, b in zip(s, path.sample(s)):
+        ax = np.tanh(x) * a
+        real = np.block([[ax.real, -ax.imag], [ax.imag, ax.real]])
+        expected = np.block([[-real, omega * j], [-omega * j, -real]])
+        np.testing.assert_allclose(b, expected, rtol=0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # shooting oracle
 # ---------------------------------------------------------------------------
@@ -228,13 +293,16 @@ def _reference_propagation(path, frame, s0, s1, step):
     return u
 
 
-def _seeded_tanh_path(rng, size):
+def _seeded_tanh_path(rng, size, signs=None):
     # independent rotations at the two ends, so that B(s) at different s do
-    # not commute and the propagated subspaces turn
+    # not commute and the propagated subspaces turn; ``signs`` fixes the
+    # eigenvalues of B- and B+
     limits = []
-    for _ in range(2):
+    for k in range(2):
         q = np.linalg.qr(rng.normal(size=(size, size)))[0]
-        limits.append(q @ np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0], size=size)) @ q.T)
+        eig = (rng.choice([-2.0, -1.0, 1.0, 2.0], size=size) if signs is None
+               else signs[k])
+        limits.append(q @ np.diag(eig) @ q.T)
     b_minus, b_plus = limits
     return tanh_path((b_minus + b_plus) / 2, (b_plus - b_minus) / 2)
 
@@ -246,28 +314,32 @@ def _seeded_lambda_path(rng, weight):
 
 
 def test_batched_propagation_spans_per_step_subspaces():
-    # frames at s = 0 from the batched sweep against per-step RK4 + QR, for
-    # the path and its adjoint, forward from -T and backward from +T.  The
+    # frames at s = 0 from the joint sweep against per-step RK4 + QR, for the
+    # path and its adjoint, forward from -T and backward from +T.  The
     # largest principal-angle sine is bounded, which is far stronger than
     # every cosine >= 1 - 1e-9: a wrong K3 moves it to about 4e-7.
     rng = np.random.default_rng(1618)
     paths = [_seeded_tanh_path(rng, size) for size in (1, 2, 3)]
     paths += [_seeded_lambda_path(rng, weight) for weight in (1, 2)]
-    for path in paths:
+    # frames of widths 1, 3, 2 and 0 share one zero-padded stack
+    uneven = _seeded_tanh_path(rng, 3, ([1.0, -1.0, -2.0], [-1.0, -2.0, -2.0]))
+    for path in paths + [uneven]:
         t = path.horizon
         scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
         step = min(1e-3 * t, 0.05 / scale)
-        adjoint = path.adjoint()
-        for s0, half, limit in ((-t, "rhp", "b_minus"), (t, "lhp", "b_plus")):
-            frames = [spectral._spectral_frame(getattr(p, limit), half)
-                      for p in (path, adjoint)]
-            batched = spectral._propagate_frames(path, frames, s0, 0.0, step)
-            for p, frame, u in zip((path, adjoint), frames, batched):
-                assert u.shape == frame.shape
-                if frame.shape[1]:
-                    ref = _reference_propagation(p, frame, s0, 0.0, step)
-                    sine = np.linalg.norm(u - ref @ (ref.T @ u), 2)
-                    assert sine <= 1e-9, (p.name, s0, sine)
+        starts = [(p, s0, spectral._spectral_frame(getattr(p, limit), half))
+                  for p in (path, path.adjoint())
+                  for s0, half, limit in ((-t, "rhp", "b_minus"), (t, "lhp", "b_plus"))]
+        swept = spectral._propagated_frames(path, step, adjoint=True)
+        assert len(swept) == 4
+        if path is uneven:
+            assert [u.shape[1] for u in swept] == [1, 3, 2, 0]
+        for (p, s0, frame), u in zip(starts, swept):
+            assert u.shape == frame.shape
+            if frame.shape[1]:
+                ref = _reference_propagation(p, frame, s0, 0.0, step)
+                sine = np.linalg.norm(u - ref @ (ref.T @ u), 2)
+                assert sine <= 1e-9, (p.name, s0, sine)
 
 
 def test_oracle_matches_index_on_non_normal_near_margin_paths():
@@ -290,11 +362,12 @@ def test_oracle_matches_index_on_non_normal_near_margin_paths():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_oracle_reports_interior_blow_up():
     # finite, stationary limits; B leaves the floating range on (1.5, 2.5),
     # which the adjoint's decaying frame crosses on its way back from +9
     path = spectral.MatrixPath(
-        lambda s: [[np.tanh(s) + (1e200 if abs(s - 2.0) < 0.5 else 0.0)]],
+        lambda s: np.tanh(s) + np.where(np.abs(s - 2.0) < 0.5, 1e200, 0.0),
         9.0, [[-1.0]], [[1.0]],
     )
     path.validate()
