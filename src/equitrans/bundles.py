@@ -302,49 +302,36 @@ def evaluate_section(bundle: GBundleModel, section: SectionModel, simplex,
 
 @dataclass
 class IsotypicSplitting:
-    """Fiberwise isotypic projector family and component ranks.
+    """Fiberwise isotypic projector family and the rank of each component.
 
     Transitions commute with the action, hence with each character
     projector, so a single fiber-level projector per label describes the
-    whole family; ranks are constant on connected components.
+    whole family, and each rank holds on every connected component.
     """
 
-    bundle: GBundleModel
     projectors: dict
     ranks: dict
-    component_ranks: dict
-
-    def projector(self, label: str, vertex=None) -> np.ndarray:
-        return self.projectors[label]
 
 
 def decompose_bundle(bundle: GBundleModel,
                      tol: float = linalg.TOL) -> IsotypicSplitting:
     """Split a bundle into its fixed part and isotypic components.
 
-    Verifies that every transition commutes with every projector; a failure
-    names the offending edge.
+    ``reps.projector_check`` verifies the projector identities and that
+    every transition commutes with every projector.  A transition that does
+    not is named by its edge; a failed identity means an invalid character
+    table.  The first failure raises InvalidInputError, as does a non-integral rank.
     """
-    rep = bundle.rep
-    projs = reps.all_projectors(rep)
-    for (u, v) in bundle.base.edges():
-        t = bundle.transitions[(u, v)]
-        for label, p in projs.items():
-            if not linalg.mat_eq(t @ p, p @ t, tol):
-                raise InvalidInputError(
-                    f"transition on edge ({u},{v}) does not preserve the "
-                    f"{label!r} component"
-                )
-    ranks = {}
-    for label, p in projs.items():
-        tr = np.trace(p)
-        r = int(tr) if bundle.exact else int(round(float(tr)))
-        ranks[label] = r
-    comp_ranks = {}
-    for idx, comp in enumerate(bundle.base.components()):
-        for label, r in ranks.items():
-            comp_ranks[(idx, label)] = r
-    return IsotypicSplitting(bundle, projs, ranks, comp_ranks)
+    edges = {f"({u},{v})": bundle.transitions[(u, v)] for (u, v) in bundle.base.edges()}
+    ranks, _, failed = reps.projector_check(bundle.rep, tol, commuting=edges)
+    if failed:
+        identity, label = failed[0]
+        if identity in edges:
+            raise InvalidInputError(f"transition on edge {identity} does not "
+                                    f"preserve the {label!r} component")
+        raise InvalidInputError(f"character projectors fail the {identity} identity "
+                                f"at {label!r}; invalid character table")
+    return IsotypicSplitting(reps.all_projectors(bundle.rep), ranks)
 
 
 def equivariant_average_bundle_map(bundle: GBundleModel, raw_map: dict,
@@ -379,10 +366,6 @@ class ComplementResult:
     projector_complement: dict
 
 
-def _span_rank(columns: np.ndarray, tol: float = linalg.TOL) -> int:
-    return linalg.rank(columns, tol)
-
-
 def invariant_complement(bundle: GBundleModel, subbundle: dict,
                          tol: float = linalg.TOL) -> ComplementResult:
     """Invariant complement of a constant-rank invariant subbundle.
@@ -398,7 +381,7 @@ def invariant_complement(bundle: GBundleModel, subbundle: dict,
     for v in bundle.base.vertices:
         if v not in subbundle:
             raise InvalidInputError(f"subbundle frame missing at vertex {v}")
-        ranks[v] = _span_rank(subbundle[v], tol)
+        ranks[v] = linalg.rank(subbundle[v], tol)
     distinct = sorted(set(ranks.values()))
     if len(distinct) > 1:
         jumps = [v for v in bundle.base.vertices if ranks[v] != distinct[0]]
@@ -409,7 +392,7 @@ def invariant_complement(bundle: GBundleModel, subbundle: dict,
         f = subbundle[v]
         for g in range(rep.group.order):
             moved = rep.matrices[g] @ f
-            if _span_rank(np.concatenate([f, moved], axis=1), tol) != ranks[v]:
+            if linalg.rank(np.concatenate([f, moved], axis=1), tol) != ranks[v]:
                 raise InvalidInputError(
                     f"subbundle at vertex {v} is not invariant under element {g}"
                 )
@@ -422,7 +405,7 @@ def invariant_complement(bundle: GBundleModel, subbundle: dict,
     for (u, v) in bundle.base.edges():
         t = bundle.transitions[(u, v)]
         moved = t @ subbundle[u]
-        if _span_rank(np.concatenate([subbundle[v], moved], axis=1), tol) != ranks[v]:
+        if linalg.rank(np.concatenate([subbundle[v], moved], axis=1), tol) != ranks[v]:
             raise InvalidInputError(
                 f"subbundle is not preserved by the transition on edge ({u},{v})"
             )

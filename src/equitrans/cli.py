@@ -37,7 +37,7 @@ class Settings:
         data = data or {}
         self.seed = int(data.get("seed", 0))
         self.tolerance = float(data.get("tolerance", 1e-10))
-        self.cutoff = _parse_scalar(data.get("cutoff", "10"), exact=True)
+        self.cutoff = _parse_scalar(data.get("cutoff", "10"), True, "cutoff")
         self.quadrature_order = int(data.get("quadrature_order", 64))
         self.mode = data.get("mode", "exact")
         if args is not None:
@@ -46,7 +46,7 @@ class Settings:
             if args.tolerance is not None:
                 self.tolerance = args.tolerance
             if args.cutoff is not None:
-                self.cutoff = _parse_scalar(args.cutoff, exact=True)
+                self.cutoff = _parse_scalar(args.cutoff, True, "--cutoff")
             if args.quadrature_order is not None:
                 self.quadrature_order = args.quadrature_order
             if args.mode is not None:
@@ -59,26 +59,45 @@ class Settings:
         return self.mode == "exact"
 
 
-def _parse_scalar(x, exact: bool):
+def _parse_scalar(x, exact: bool, what: str):
     if isinstance(x, str):
-        return Fraction(x) if exact else float(Fraction(x))
-    if exact:
-        if isinstance(x, float) and not x.is_integer():
-            raise InvalidInputError(
-                f"exact mode requires integers or 'p/q' strings, got {x}"
-            )
-        return Fraction(x)
-    return float(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInputError(f"{what}: {x!r} is not a number") from None
+    elif not isinstance(x, (int, float)):
+        raise InvalidInputError(f"{what}: {x!r} is not a number")
+    elif exact and isinstance(x, float) and not x.is_integer():
+        raise InvalidInputError(
+            f"exact mode requires integers or 'p/q' strings, got {x}"
+        )
+    return Fraction(x) if exact else float(x)
 
 
-def _parse_matrix(rows, exact: bool) -> np.ndarray:
-    parsed = [[_parse_scalar(v, exact) for v in row] for row in rows]
-    return linalg.frac_array(parsed) if exact else np.asarray(parsed, dtype=float)
+def _parse_matrix(rows, exact: bool, what: str) -> np.ndarray:
+    """A JSON list of equal-length lists of numbers; ``what`` names the
+    scenario section in the error.  Plain numbers skip ``_parse_scalar``."""
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
+        raise InvalidInputError(f"{what} must be a rectangular matrix")
+    plain = (int,) if exact else (int, float)
+    if not all(type(v) in plain for row in rows for v in row):
+        rows = [[_parse_scalar(v, exact, what) for v in row] for row in rows]
+    return linalg.frac_array(rows) if exact else np.asarray(rows, dtype=float)
 
 
-def _parse_vector(vals, exact: bool) -> np.ndarray:
-    parsed = [_parse_scalar(v, exact) for v in vals]
+def _parse_vector(vals, exact: bool, what: str) -> np.ndarray:
+    if not isinstance(vals, list):
+        raise InvalidInputError(f"{what} must be a list of numbers")
+    parsed = [_parse_scalar(v, exact, what) for v in vals]
     return np.array(parsed, dtype=object) if exact else np.asarray(parsed, dtype=float)
+
+
+def _field(rec, key: str, what: str):
+    """rec[key] for a scenario record; a missing key is invalid input."""
+    if not isinstance(rec, dict) or key not in rec:
+        raise InvalidInputError(f"{what} needs a {key!r} entry")
+    return rec[key]
 
 
 def _int_table(rows, what: str) -> np.ndarray:
@@ -118,11 +137,10 @@ def load_group(spec, settings: Settings):
         table = _int_table(spec["table"], "group table")
         irreps = []
         for rec in spec.get("irreps", []):
-            chi = _parse_vector(rec["character"], exact=True)
-            irreps.append(
-                reps.IrrepDescriptor(rec["label"], int(rec["dim"]), chi,
-                                     rec["endo_type"])
-            )
+            label, dim, chi, endo = (_field(rec, key, "irrep record") for key in
+                                     ("label", "dim", "character", "endo_type"))
+            chi = _parse_vector(chi, exact=True, what=f"character of irrep {label!r}")
+            irreps.append(reps.IrrepDescriptor(label, int(dim), chi, endo))
         g = reps.FiniteGroupModel(spec.get("name", "custom"), table, tuple(irreps))
         g.validate()
         return g
@@ -153,11 +171,13 @@ def load_representation(group, spec, settings: Settings):
             rep = reps.RealRepresentation(group, linalg.as_float(rep.matrices))
         return rep
     if "matrices" in spec:
-        mats = [_parse_matrix(m, settings.exact) for m in spec["matrices"]]
+        mats = [_parse_matrix(m, settings.exact, "representation matrices")
+                for m in spec["matrices"]]
         return reps.rep_from_matrices(group, mats, exact=settings.exact)
     if "generator_matrices" in spec:
         sub = spec["generator_matrices"]
-        mats = [_parse_matrix(m, settings.exact) for m in sub["matrices"]]
+        mats = [_parse_matrix(m, settings.exact, "generator_matrices")
+                for m in sub["matrices"]]
         return reps.rep_from_generators(group, sub["generators"], mats,
                                         exact=settings.exact)
     if "random" in spec:
@@ -192,7 +212,7 @@ def load_bundle(base, rep, spec, settings: Settings) -> bundles.GBundleModel:
             raise InvalidInputError(f"transition key {key!r} is not 'u,v'")
         u, v = key.split(",")
         transitions[(_vertex(u.strip()), _vertex(v.strip()))] = _parse_matrix(
-            mat, settings.exact
+            mat, settings.exact, f"bundle transition {key!r}"
         )
     bundle = bundles.GBundleModel(base, rep, transitions)
     bundle.validate(settings.tolerance)
@@ -202,7 +222,7 @@ def load_bundle(base, rep, spec, settings: Settings) -> bundles.GBundleModel:
 def load_lattice(spec) -> floer.HomologyLattice:
     if spec is None:
         raise InvalidInputError("scenario has no 'lattice' section")
-    omega = [_parse_scalar(w, exact=True) for w in spec["omega"]]
+    omega = [_parse_scalar(w, exact=True, what="lattice omega") for w in spec["omega"]]
     return floer.HomologyLattice(int(spec["rank"]), tuple(omega),
                                  tuple(int(c) for c in spec["c1"]))
 
@@ -214,7 +234,8 @@ def load_generators(spec) -> floer.GeneratorSet:
         tuple(spec["names"]),
         {k: int(v) for k, v in spec["index"].items()},
         int(spec["half_dim"]),
-        {k: _parse_scalar(v, exact=True) for k, v in spec["values"].items()},
+        {k: _parse_scalar(v, exact=True, what="generator values")
+         for k, v in spec["values"].items()},
     )
 
 
@@ -239,19 +260,18 @@ def load_fixed_locus(scenario, settings: Settings) -> tv.FixedLocusModel:
         normal[label] = reps.circle_weight_rep(circle, [weight] * int(rec["n_units"]))
         fiber[label] = reps.circle_weight_rep(circle, [weight] * int(rec["m_units"]))
     section = {
-        _vertex(k): np.asarray([float(x) for x in v])
+        _vertex(k): _parse_vector(v, exact=False, what="fixed_locus section")
         for k, v in spec["section"].items()
     }
     fixed_blocks = {
-        _vertex(k): np.asarray(_parse_matrix(m, exact=False))
+        _vertex(k): _parse_matrix(m, exact=False, what="fixed_locus fixed_blocks")
         for k, m in spec["fixed_blocks"].items()
     }
-    lam = {}
-    for k, per in spec["lambda_blocks"].items():
-        lam[_vertex(k)] = {
-            label: np.asarray(_parse_matrix(m, exact=False))
-            for label, m in per.items()
-        }
+    lam = {
+        _vertex(k): {label: _parse_matrix(m, False, "fixed_locus lambda_blocks")
+                     for label, m in per.items()}
+        for k, per in spec["lambda_blocks"].items()
+    }
     support = set(_vertex(v) for v in spec["support"]) if "support" in spec else None
     return tv.FixedLocusModel(
         base=base, group=circle, normal_reps=normal, fiber_reps=fiber,
@@ -356,36 +376,19 @@ def emit(records, settings, args) -> int:
 def cmd_reps(scenario, settings, sub):
     group = load_group(scenario.get("group"), settings)
     rep = load_representation(group, scenario.get("representation"), settings)
-    records = []
     if sub == "decompose":
-        projs = reps.all_projectors(rep)
-        ident = linalg.eye(rep.dim, rep.exact)
-        total = linalg.zeros((rep.dim, rep.dim), rep.exact)
-        for label in sorted(projs):
-            p = projs[label]
-            total = total + p
-            tr = np.trace(p)
-            rank = int(tr) if rep.exact else int(round(float(tr)))
-            if rank == 0:
-                continue
-            ok = linalg.mat_eq(p @ p, p, settings.tolerance)
-            records.append(
-                make_record(f"component-{label}", "isotypic-character-projectors",
-                            ok, {"rank": rank})
-            )
-        ok = linalg.mat_eq(total, ident, settings.tolerance)
-        records.append(
-            make_record("resolution-of-identity", "isotypic-character-projectors",
-                        ok, {"dim": rep.dim})
-        )
-        return records
+        ranks, _, failed = reps.projector_check(rep, settings.tolerance)
+        anchor = "isotypic-character-projectors"
+        records = [make_record(f"component-{label}", anchor,
+                               ("idempotent", label) not in failed, {"rank": rank})
+                   for label, rank in sorted(ranks.items()) if rank]
+        ok = ("resolution-of-identity", "") not in failed
+        return records + [make_record("resolution-of-identity", anchor, ok,
+                                      {"dim": rep.dim})]
     if sub == "endotype":
         label, dim, _ = reps.endo_type(rep)
-        records.append(
-            make_record("endomorphism-type", "division-ring-classification",
-                        True, {"type": label, "endo_dim": dim})
-        )
-        return records
+        return [make_record("endomorphism-type", "division-ring-classification",
+                            True, {"type": label, "endo_dim": dim})]
     raise InvalidInputError(f"unknown reps subcommand {sub!r}")
 
 
@@ -396,13 +399,9 @@ def cmd_bundle(scenario, settings, sub):
     bundle = load_bundle(base, rep, scenario.get("bundle"), settings)
     records = []
     if sub == "decompose":
-        splitting = bundles.decompose_bundle(bundle, settings.tolerance)
-        for label in sorted(splitting.ranks):
-            records.append(
-                make_record(f"component-{label}", "bundle-isotypic-splitting",
-                            True, {"rank": splitting.ranks[label]})
-            )
-        return records
+        ranks = bundles.decompose_bundle(bundle, settings.tolerance).ranks
+        return [make_record(f"component-{label}", "bundle-isotypic-splitting",
+                            True, {"rank": ranks[label]}) for label in sorted(ranks)]
     if sub == "extend":
         spec = scenario.get("extend")
         if spec is None:
@@ -413,7 +412,8 @@ def cmd_bundle(scenario, settings, sub):
         if section_name not in sections:
             raise InvalidInputError(f"section {section_name!r} not in scenario")
         boundary = {
-            _vertex(k): _parse_vector(v, exact=False)
+            _vertex(k): _parse_vector(v, exact=False,
+                                      what=f"section {section_name!r}")
             for k, v in sections[section_name].items()
         }
         try:
@@ -435,7 +435,7 @@ def cmd_bundle(scenario, settings, sub):
         if spec is None:
             raise InvalidInputError("scenario has no 'stabilize' section")
         lin = {
-            _vertex(k): np.asarray(_parse_matrix(m, exact=False))
+            _vertex(k): _parse_matrix(m, exact=False, what="stabilize linearizations")
             for k, m in spec["linearizations"].items()
         }
         try:
@@ -513,18 +513,19 @@ def _load_paths(scenario, settings):
     for rec in spec["paths"]:
         preset = rec.get("preset")
         horizon = float(rec.get("horizon", 9.0))
+        what = f"flow path {preset!r}"
+
+        def matrix(key):
+            return _parse_matrix(_field(rec, key, what), False, f"{what} {key}")
         if preset == "constant":
-            out.append(spectral.constant_path(
-                _parse_matrix(rec["matrix"], exact=False), horizon))
+            out.append(spectral.constant_path(matrix("matrix"), horizon))
         elif preset == "tanh":
-            out.append(spectral.tanh_path(_parse_matrix(rec["b0"], exact=False),
-                                          _parse_matrix(rec["b1"], exact=False),
-                                          horizon))
+            out.append(spectral.tanh_path(matrix("b0"), matrix("b1"), horizon))
         elif preset == "tanh-scalar":
             out.append(spectral.scalar_tanh_path(horizon))
         elif preset == "lambda":
-            n = int(rec["n"])
-            weight = int(rec["weight"])
+            n = int(_field(rec, "n", what))
+            weight = int(_field(rec, "weight", what))
             scale = float(rec.get("a_scale", 0.0))
             spec_l = spectral.LambdaOperatorSpec(
                 n, weight,
@@ -692,7 +693,7 @@ def cmd_metric(scenario, settings, sub):
     pts = scenario.get("metric_points")
     if pts is None:
         raise InvalidInputError("scenario has no 'metric_points' section")
-    points = [np.asarray([float(x) for x in p]) for p in pts]
+    points = [_parse_vector(p, exact=False, what="metric_points") for p in pts]
     if len({len(p) for p in points}) > 1:
         raise InvalidInputError("metric_points must all have one dimension")
     action_spec = scenario.get("metric_action", {"type": "negation"})

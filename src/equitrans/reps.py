@@ -19,6 +19,7 @@ projects onto the corresponding isotypic component.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,20 +282,21 @@ def _perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
+def _cycle_type(p) -> tuple[int, ...]:
+    """Cycle lengths of a permutation, longest first."""
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = p[j], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def _perm_parity(p) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** (len(p) - len(_cycle_type(p)))
 
 
 def symmetric_group(n: int) -> FiniteGroupModel:
@@ -309,8 +311,7 @@ def symmetric_group(n: int) -> FiniteGroupModel:
     fix = [sum(1 for i in range(n) if p[i] == i) for p in perms]
     sgn = [_perm_parity(p) for p in perms]
     irreps = [IrrepDescriptor("trivial", 1, _fr([1] * order), "R")]
-    if n >= 2:
-        irreps.append(IrrepDescriptor("sign", 1, _fr(sgn), "R"))
+    irreps.append(IrrepDescriptor("sign", 1, _fr(sgn), "R"))
     if n >= 3:
         irreps.append(
             IrrepDescriptor("standard", n - 1, _fr([f - 1 for f in fix]), "R")
@@ -323,20 +324,7 @@ def symmetric_group(n: int) -> FiniteGroupModel:
         )
         # the 2-dim irrep factors through S_4 / V_4 ~ S_3
         cycle_type_chi = {(1, 1, 1, 1): 2, (2, 1, 1): 0, (2, 2): 2, (3, 1): -1, (4,): 0}
-        chi2 = []
-        for p in perms:
-            seen = [False] * n
-            lengths = []
-            for i in range(n):
-                if seen[i]:
-                    continue
-                j, ln = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    ln += 1
-                lengths.append(ln)
-            chi2.append(cycle_type_chi[tuple(sorted(lengths, reverse=True))])
+        chi2 = [cycle_type_chi[_cycle_type(p)] for p in perms]
         irreps.append(IrrepDescriptor("two_dim", 2, _fr(chi2), "R"))
     names = tuple(str(p) for p in perms)
     return FiniteGroupModel(f"S_{n}", table, tuple(irreps), names)
@@ -442,9 +430,6 @@ class RealRepresentation:
     def exact(self) -> bool:
         return linalg.is_exact(self.matrices)
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
     def validate(self, tol: float = linalg.TOL, full: bool = True) -> None:
         """Identity, orthogonality, and (optionally) the full group law."""
         d = self.dim
@@ -493,23 +478,26 @@ def fixed_projector(rep: RealRepresentation) -> np.ndarray:
     return _mean(rep.matrices.sum(axis=0), rep.group.order)
 
 
-def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
-    """Character projector onto the isotypic component of ``irrep``.
-
-    Raises InvalidInputError when the irrep's character is not indexed by the
-    same group model (wrong length), or when exact projectors are requested
-    from a float character.
-    """
+def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
+    """The irrep's character, checked to have one value per group element of
+    ``rep`` and, in exact mode, rational values."""
     chi = irrep.character
     if len(chi) != rep.group.order:
         raise InvalidInputError(
             "irrep does not belong to the representation's group model"
         )
+    if rep.exact and not isinstance(chi[0], (Fraction, int)):
+        raise InvalidInputError(
+            f"irrep {irrep.label!r} has no exact character; use float mode"
+        )
+    return chi
+
+
+def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
+    """Character projector onto the isotypic component of ``irrep``; raises
+    InvalidInputError on a character that ``_character`` rejects."""
+    chi = _character(rep, irrep)
     if rep.exact:
-        if not isinstance(chi[0], (Fraction, int)):
-            raise InvalidInputError(
-                f"irrep {irrep.label!r} has no exact character; use float mode"
-            )
         weights = linalg.frac_array(chi)
         scale = Fraction(irrep.dim_V, irrep.endo_dim * rep.group.order)
     else:
@@ -518,18 +506,24 @@ def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.nd
     return np.tensordot(weights, rep.matrices, axes=1) * scale
 
 
-def isotypic_rank(rep: RealRepresentation, irrep: IrrepDescriptor) -> int:
-    """Rank of the isotypic component (trace of its projector)."""
-    tr = np.trace(isotypic_projector(rep, irrep))
-    if rep.exact:
-        f = Fraction(tr)
-        if f.denominator != 1:
+def _trace_rank(trace, denom: int = 1) -> int:
+    """Rank of a projector P from the trace of denom * P: an exact trace must
+    be a multiple of denom, a float one within 1e-6 of an integer."""
+    if isinstance(trace, (int, np.integer)):
+        rank, rest = divmod(int(trace), denom)
+        if rest:
             raise InvalidInputError("projector trace is not an integer; invalid data")
-        return int(f)
-    r = float(tr)
+        return rank
+    r = float(trace)
     if abs(r - round(r)) > 1e-6:
         raise InvalidInputError("projector trace is not close to an integer")
     return int(round(r))
+
+
+def isotypic_rank(rep: RealRepresentation, irrep: IrrepDescriptor) -> int:
+    """Rank of the isotypic component (trace of its projector)."""
+    tr = np.trace(isotypic_projector(rep, irrep))
+    return _trace_rank(*Fraction(tr).as_integer_ratio()) if rep.exact else _trace_rank(tr)
 
 
 def all_projectors(rep: RealRepresentation) -> dict[str, np.ndarray]:
@@ -538,6 +532,91 @@ def all_projectors(rep: RealRepresentation) -> dict[str, np.ndarray]:
     for ir in rep.group.nontrivial_irreps():
         out[ir.label] = isotypic_projector(rep, ir)
     return out
+
+
+def _numerators(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(N, m) with a == N / m for an exact array: m is the lcm of the
+    entries' denominators and N holds python ints.  Builds no Fraction."""
+    flat = a.reshape(-1)
+    m = math.lcm(*(x.denominator for x in flat))
+    nums = [x.numerator * (m // x.denominator) for x in flat]
+    return np.array(nums, dtype=object).reshape(a.shape), m
+
+
+def _integer_projectors(rep: RealRepresentation, commuting: dict):
+    """(M, {label: Q}, D, {name: C}): integer numerators with rho = M / m,
+    Q = D * P and C a multiple of each named matrix.  P = (a / b) sum_g X(g)
+    M_g with X = c * chi integral, a = dim V, b = endo_dim |G| c m (a = 1,
+    b = |G| m for the fixed part), and D = lcm of the b.  The arrays are
+    int64 when a bound on every entry the check computes is below 2**63."""
+    order = rep.group.order
+    mats, m = _numerators(rep.matrices)
+    weights = {"fixed": (np.ones(order, dtype=object), 1, order * m)}
+    for ir in rep.group.nontrivial_irreps():
+        x, c = _numerators(np.asarray(_character(rep, ir)))
+        weights[ir.label] = (x, ir.dim_V, ir.endo_dim * order * c * m)
+    denom = math.lcm(*(b for _, _, b in weights.values()))
+    scales = {label: a * denom // b for label, (_, a, b) in weights.items()}
+    named = {name: _numerators(c)[0] for name, c in commuting.items()}
+    # |Q|, |M|, |C| and D bound every factor; a product sums at most
+    # dim terms, a sum of projectors has one term per label
+    m_max = max(map(abs, mats.flat), default=0)
+    q_max = max(scales[label] * sum(map(abs, x)) * m_max
+                for label, (x, _, _) in weights.items())
+    factor = max([q_max, m_max, denom] + [abs(v) for c in named.values() for v in c.flat])
+    dtype = np.int64 if factor**2 * max(rep.dim, len(weights)) < 2**63 else object
+    mats = mats.astype(dtype)
+    projs = {label: scales[label] * np.tensordot(x.astype(dtype), mats, axes=1)
+             for label, (x, _, _) in weights.items()}
+    return mats, projs, denom, {name: c.astype(dtype) for name, c in named.items()}
+
+
+def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
+                    commuting: dict | None = None) -> tuple[dict, int, list]:
+    """Check the character projectors of ``rep``: (ranks, number of checks,
+    failed (identity, label) pairs).
+
+    For Q_l = D P_l, over the fixed part and each nontrivial irrep l in
+    sorted order, the identities are, in this order: Q^2 = D Q
+    ("idempotent"), rho(g) Q = Q rho(g) ("commutes-with-action"),
+    Q_a Q_b = 0 ("pairwise-orthogonal", label "a|b"), sum_l Q_l = D I
+    ("resolution-of-identity", label "") and C Q = Q C for each matrix C in
+    ``commuting``, under its name.  Exact mode compares integer numerators
+    (``_integer_projectors``; no Fraction is built), float mode the
+    ``all_projectors`` with D = 1 within ``tol``.  A non-integral rank
+    (trace of P) raises InvalidInputError.
+    """
+    if rep.exact:
+        mats, projs, denom, named = _integer_projectors(rep, commuting or {})
+    else:
+        mats, projs, denom, named = rep.matrices, all_projectors(rep), 1, commuting or {}
+
+    def same(a, b, axes=(-2, -1)):
+        """Verdict per leading index: a == b exactly, or within tol."""
+        if rep.exact:
+            return np.all(a == b, axis=axes)
+        diff = a - b
+        return np.abs(diff, out=diff).max(axis=axes, initial=0.0) <= tol
+
+    labels = sorted(projs)
+    q = np.stack([projs[label] for label in labels])
+    ranks = {label: _trace_rank(tr, denom)
+             for label, tr in zip(labels, np.trace(q, axis1=1, axis2=2))}
+    a, b = np.triu_indices(len(labels), 1)
+    verdicts = [
+        ("idempotent", labels, same(q @ q, denom * q)),
+        # one label at a time: an (L, |G|, d, d) stack costs more in fresh
+        # memory than in arithmetic
+        ("commutes-with-action", labels, [same(mats @ p, p @ mats, (0, 1, 2))
+                                          for p in q]),
+        ("pairwise-orthogonal", [f"{labels[i]}|{labels[j]}" for i, j in zip(a, b)],
+         same(q[a] @ q[b], 0)),
+        ("resolution-of-identity", [""],
+         [same(q.sum(axis=0), denom * np.eye(rep.dim, dtype=q.dtype))]),
+    ] + [(name, labels, same(c @ q, q @ c)) for name, c in named.items()]
+    results = [(check, label, ok) for check, names, oks in verdicts
+               for label, ok in zip(names, oks)]
+    return ranks, len(results), [(check, label) for check, label, ok in results if not ok]
 
 
 def conjugation_average(rep_w: RealRepresentation, rep_v: RealRepresentation,
@@ -688,10 +767,8 @@ def rep_from_generators(group: FiniteGroupModel, generators, matrices,
     generators = [int(g) for g in generators]
     if len(generators) != len(matrices):
         raise InvalidInputError("one matrix per generator is required")
-    mats = [np.array(m, dtype=object) if exact else np.asarray(m, dtype=float)
+    mats = [linalg.frac_array(m) if exact else np.asarray(m, dtype=float)
             for m in matrices]
-    if exact:
-        mats = [linalg.frac_array(m) for m in mats]
     d = mats[0].shape[0]
     e = group.identity
     assigned = {e: linalg.eye(d, exact)}
@@ -758,9 +835,7 @@ def _block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
     }
     if name.startswith("Z_"):
         n = group.order
-        blocks["shift"] = permutation_rep(
-            group, np.array([[(g + x) % n for x in range(n)] for g in range(n)])
-        )
+        blocks["shift"] = permutation_rep(group, group.table)
         if n % 2 == 0:
             blocks["sign"] = one_dim_rep(group, [(-1) ** g for g in range(n)])
         if n == 4:
@@ -803,13 +878,8 @@ def _block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
             blocks[f"sign_{axis}"] = one_dim_rep(group, [int(c) for c in ir.character])
     elif name.startswith("D_"):
         n = group.order // 2
-        act = np.zeros((group.order, n), dtype=int)
-        for x in range(group.order):
-            a, b = x % n, x // n
-            for v in range(n):
-                img = (a + v) % n if b == 0 else (a - v) % n
-                act[x, v] = img
-        blocks["vertices"] = permutation_rep(group, act)
+        # x moves vertex v (the coset of r^v) to that of x r^v
+        blocks["vertices"] = permutation_rep(group, group.table[:, :n] % n)
         for ir in group.irreps:
             if ir.dim_V == 1 and ir.label != "trivial":
                 blocks[ir.label] = one_dim_rep(group, [int(c) for c in ir.character])

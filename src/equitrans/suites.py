@@ -5,17 +5,14 @@ Each battery returns a record {"criterion", "name", "anchor", "checks",
 "failures", "pass", "elapsed"}; a failure entry is a short dict naming the
 offending case.  Batteries are deterministic given the seed.
 
-Criterion 1 draws and projects through ``reps`` in both modes.  Exact
-projectors have rational entries (ints, and Fractions where the average
-divides); multiplied by D = |G| * lcm(endo dims) they are integer matrices,
-and every projector identity is checked on them in int64 with exact
-equality.  Float mode checks the same identities with D = 1 and a
-tolerance.
+Criterion 1 draws random representations through ``reps`` in both modes
+and checks each with ``reps.projector_check``: the projector identities on
+integer numerators with exact equality in exact mode, on the float
+projectors within a tolerance in float mode.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 
@@ -41,42 +38,6 @@ def _record(criterion, name, anchor, failures, checks, t0):
     }
 
 
-def _cleared(a: np.ndarray, denom: int):
-    """denom * a for an exact array, as int64, from integer arithmetic on
-    numerators and denominators; None when an entry is not an int or a
-    Fraction, or stays fractional."""
-    flat = a.reshape(-1)
-    if not all(type(x) in (int, Fraction) for x in flat):
-        return None
-    num = np.array([x.numerator for x in flat], dtype=np.int64)
-    den = np.array([x.denominator for x in flat], dtype=np.int64)
-    if np.any(denom % den):
-        return None
-    return (num * (denom // den)).reshape(a.shape)
-
-
-def _projector_failures(mats, projs: dict, denom, same):
-    """Check the projector identities on Q_l = denom * P_l: Q^2 = denom Q,
-    rho(g) Q = Q rho(g), Q_a Q_b = 0 for a != b, and sum_l Q_l = denom I,
-    comparing arrays with ``same``.  Returns (checks, failed (check, component)
-    pairs)."""
-    labels = sorted(projs)
-    zero = np.zeros_like(mats[0])
-    results = []
-    for label in labels:
-        q = projs[label]
-        results.append((same(q @ q, denom * q), "idempotent", label))
-        results.append((same(mats @ q, q @ mats), "commutes-with-action", label))
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            results.append((same(projs[a] @ projs[b], zero),
-                            "pairwise-orthogonal", f"{a}|{b}"))
-    total = sum(projs[label] for label in labels)
-    results.append((same(total, denom * np.eye(len(zero), dtype=np.int64)),
-                    "resolution-of-identity", ""))
-    return len(results), [(check, label) for ok, check, label in results if not ok]
-
-
 def suite_projectors(seed: int = 2024, reps_per_group: int = 20,
                      tol: float = 1e-10) -> dict:
     """Criterion 1: projector algebra, exact and float modes."""
@@ -85,36 +46,17 @@ def suite_projectors(seed: int = 2024, reps_per_group: int = 20,
     checks = 0
     finite = [reps.preset_group(n) for n in PROJECTOR_GROUPS]
     circle = reps.CircleGroupModel(CIRCLE_ORDER)
-
-    def float_same(a, b):
-        return linalg.max_abs(a - b) <= tol
-
     for mode, groups, mode_seed in (("exact", finite, seed),
                                     ("float", finite + [circle], seed + 1)):
         for group in groups:
             rng = np.random.default_rng(mode_seed)
-            endos = [ir.endo_dim for ir in group.nontrivial_irreps()]
             for trial in range(reps_per_group):
                 rep = reps.random_rep(group, rng, max_dim=12, exact=mode == "exact")
-                projs = reps.all_projectors(rep)
-                where = {"mode": mode, "group": getattr(group, "name", "S1"),
-                         "trial": trial}
-                if mode == "exact":
-                    # |G| lcm(endo dims) clears every projector denominator
-                    denom = group.order * math.lcm(*endos)
-                    mats = _cleared(rep.matrices, 1)
-                    projs = {label: _cleared(p, denom) for label, p in projs.items()}
-                    fractional = [label for label, q in projs.items() if q is None]
-                    if mats is None or fractional:
-                        failures.append(dict(where, check="integral-after-clearing",
-                                             component="|".join(fractional) or "action"))
-                        continue
-                    n, failed = _projector_failures(mats, projs, denom, np.array_equal)
-                else:
-                    n, failed = _projector_failures(rep.matrices, projs, 1, float_same)
+                _, n, failed = reps.projector_check(rep, tol)
                 checks += n
-                failures += [dict(where, check=check, component=label)
-                             for check, label in failed]
+                failures += [{"mode": mode, "group": getattr(group, "name", "S1"),
+                              "trial": trial, "check": identity, "component": label}
+                             for identity, label in failed]
     return _record(1, "projector-algebra", "isotypic-character-projectors",
                    failures, checks, t0)
 

@@ -90,11 +90,9 @@ def test_decompose_z2_interval_ranks():
     splitting = decompose_bundle(bundle)
     assert splitting.ranks["fixed"] == 1
     assert splitting.ranks["sign"] == 1
-    # the components reassemble the bundle: projectors sum to the identity
-    # in every vertex frame
-    for v in bundle.base.vertices:
-        total = sum(splitting.projector(label, v) for label in splitting.ranks)
-        assert linalg.mat_eq(total, linalg.eye(2, True))
+    # the components reassemble the fiber: projectors sum to the identity
+    total = sum(splitting.projectors[label] for label in splitting.ranks)
+    assert linalg.mat_eq(total, linalg.eye(2, True))
 
 
 def test_decompose_circle_weight_blocks_cross_checked():

@@ -3,6 +3,7 @@ report shape, exit-code triage, and byte-level determinism."""
 
 import json
 
+import numpy as np
 import pytest
 
 from equitrans import cli
@@ -521,3 +522,182 @@ def test_endotype_command(tmp_path, capsys):
     assert code == 0
     cert = json.loads(out)["records"][0]["certificate"]
     assert cert == {"type": "C", "endo_dim": 2}
+
+
+Z2_MATRICES = [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
+CUSTOM_Z2 = {"table": [[0, 1], [1, 0]],
+             "irreps": [{"label": "odd", "dim": 1, "character": ["1", "-1"],
+                         "endo_type": "R"}]}
+REPS_MATRICES = {"group": {"preset": "Z_2"},
+                 "representation": {"matrices": Z2_MATRICES}}
+FIXED_LOCUS = {
+    "fixed_locus": {
+        "base": {"interval": 1},
+        "quadrature_order": 32,
+        "components": {"weight_1": {"n_units": 2, "m_units": 1}},
+        "section": {"0": [0, 0], "1": [0, 0]},
+        "fixed_blocks": {"0": [[0, 0], [0, 0]], "1": [[0, 0], [0, 0]]},
+        "lambda_blocks": {"0": {"weight_1": [[0, 0, 0, 0], [0, 0, 0, 0]]},
+                          "1": {"weight_1": [[0, 0, 0, 0], [0, 0, 0, 0]]}},
+    }
+}
+# (command, scenario, key path of a matrix or vector, section named in the error)
+MATRIX_SITES = [
+    (["reps", "decompose"], REPS_MATRICES, ("representation", "matrices", 1),
+     "representation matrices"),
+    (["reps", "decompose"],
+     {"group": {"preset": "Z_2"},
+      "representation": {"generator_matrices": {"generators": [1],
+                                                "matrices": [Z2_MATRICES[1]]}}},
+     ("representation", "generator_matrices", "matrices", 0), "generator_matrices"),
+    (["bundle", "decompose"],
+     dict(REPS_MATRICES, base={"interval": 1},
+          bundle={"transitions": {"0,1": [[1, 0], [0, 1]]}}),
+     ("bundle", "transitions", "0,1"), "bundle transition '0,1'"),
+    (["bundle", "stabilize"],
+     {"group": {"circle": {"quadrature_order": 32}},
+      "representation": {"weights": [1]}, "base": {"maximal_simplices": [[0]]},
+      "stabilize": {"linearizations": {"0": [[0, 0], [0, 0]]}}},
+     ("stabilize", "linearizations", "0"), "stabilize linearizations"),
+    (["flow", "index"],
+     {"flow": {"paths": [{"preset": "constant", "matrix": [[1, 0], [0, -1]]}]}},
+     ("flow", "paths", 0, "matrix"), "flow path 'constant' matrix"),
+    (["flow", "index"],
+     {"flow": {"paths": [{"preset": "tanh", "b0": [[0, 0], [0, 0]],
+                          "b1": [[1, 0], [0, -1]]}]}},
+     ("flow", "paths", 0, "b0"), "flow path 'tanh' b0"),
+    (["flow", "index"],
+     {"flow": {"paths": [{"preset": "tanh", "b0": [[0, 0], [0, 0]],
+                          "b1": [[1, 0], [0, -1]]}]}},
+     ("flow", "paths", 0, "b1"), "flow path 'tanh' b1"),
+    (["transversality", "check"], FIXED_LOCUS, ("fixed_locus", "fixed_blocks", "0"),
+     "fixed_locus fixed_blocks"),
+    (["transversality", "check"], FIXED_LOCUS,
+     ("fixed_locus", "lambda_blocks", "0", "weight_1"), "fixed_locus lambda_blocks"),
+]
+VECTOR_SITES = [
+    (["bundle", "extend"],
+     {"group": {"preset": "Z_2"}, "representation": {"matrices": Z2_MATRICES[:1] * 2},
+      "base": {"interval": 1}, "sections": {"s": {"0": [1, 0], "1": [-1, 0]}},
+      "extend": {"simplex": [0, 1], "section": "s"}},
+     ("sections", "s", "1"), "section 's'"),
+    (["transversality", "check"], FIXED_LOCUS, ("fixed_locus", "section", "0"),
+     "fixed_locus section"),
+    (["metric", "quotient"], {"metric_points": [[0.0, 1.0], [1.0, 2.0]]},
+     ("metric_points", 1), "metric_points"),
+    (["reps", "decompose"],
+     {"group": CUSTOM_Z2, "representation": {"matrices": Z2_MATRICES}},
+     ("group", "irreps", 0, "character"), "character of irrep 'odd'"),
+]
+
+
+def _entry(payload, keys):
+    for key in keys:
+        payload = payload[key]
+    return payload
+
+
+def _corrupted(entry, kind, matrix):
+    """The entry with its last value made non-numeric, or its last row cut
+    short (matrices) / nested (vectors)."""
+    entry = json.loads(json.dumps(entry))
+    row = entry[-1] if matrix else entry
+    if kind == "non-numeric":
+        row[-1] = "y"
+    elif matrix:
+        row.pop()
+    else:
+        row[-1] = [row[-1]]
+    return entry
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kind", ["ragged", "non-numeric"])
+@pytest.mark.parametrize("command, payload, keys, what, matrix",
+                         [site + (True,) for site in MATRIX_SITES]
+                         + [site + (False,) for site in VECTOR_SITES])
+def test_malformed_matrix_or_vector_exit_2_names_section(tmp_path, capsys, mode, kind,
+                                                         command, payload, keys,
+                                                         what, matrix):
+    assert run(capsys, command + [write(tmp_path, "ok.json", payload),
+                                  "--mode", mode])[0] in (0, 1)
+    bad = _replaced(payload, _corrupted(_entry(payload, keys), kind, matrix), *keys)
+    code, out, err = run(capsys, command + [write(tmp_path, "bad.json", bad),
+                                            "--mode", mode])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert what in msg["error"]
+
+
+def _without(payload, *keys):
+    out = json.loads(json.dumps(payload))
+    del _entry(out, keys[:-1])[keys[-1]]
+    return out
+
+
+@pytest.mark.parametrize("command, payload, keys", [
+    (["reps", "decompose"],
+     {"group": CUSTOM_Z2, "representation": {"matrices": Z2_MATRICES}},
+     ("group", "irreps", 0, key))
+    for key in ("label", "dim", "character", "endo_type")
+] + [
+    (["flow", "index"], {"flow": {"paths": [path]}}, ("flow", "paths", 0, key))
+    for path, key in (({"preset": "constant", "matrix": [[1]]}, "matrix"),
+                      ({"preset": "tanh", "b0": [[0]], "b1": [[1]]}, "b0"),
+                      ({"preset": "tanh", "b0": [[0]], "b1": [[1]]}, "b1"),
+                      ({"preset": "lambda", "n": 1, "weight": 1}, "n"),
+                      ({"preset": "lambda", "n": 1, "weight": 1}, "weight"))
+])
+def test_missing_scenario_key_exit_2_names_key(tmp_path, capsys, command, payload, keys):
+    assert run(capsys, command + [write(tmp_path, "ok.json", payload)])[0] == 0
+    code, out, err = run(capsys, command + [write(tmp_path, "bad.json",
+                                                  _without(payload, *keys))])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert repr(keys[-1]) in msg["error"]
+
+
+def _bad_character_table(dim, mode):
+    """Z_2 acting on R^dim by diag(1, ..., 1, +-1) with the 'odd' character
+    given as (1, 1/2): P_odd = (I + rho(g)/2)/2 is not a projector."""
+    mats = [np.eye(dim, dtype=int).tolist(), np.diag([1] * (dim - 1) + [-1]).tolist()]
+    return {"settings": {"mode": mode},
+            "group": dict(CUSTOM_Z2, irreps=[dict(CUSTOM_Z2["irreps"][0],
+                                                  character=["1", "1/2"])]),
+            "representation": {"matrices": mats}, "base": {"interval": 1}}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command", [["reps", "decompose"], ["bundle", "decompose"]])
+def test_non_integral_projector_trace_exit_2(tmp_path, capsys, mode, command):
+    # P_odd = diag(3/4, 3/4, 1/4) has trace 7/4
+    path = write(tmp_path, "bad.json", _bad_character_table(3, mode))
+    code, out, err = run(capsys, command + [path])
+    assert code == 2
+    assert out == ""
+    assert "trace" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_non_idempotent_integral_trace_projector(tmp_path, capsys, mode):
+    # P_odd = diag(3/4, 1/4): integral trace, not idempotent
+    path = write(tmp_path, "bad.json", _bad_character_table(2, mode))
+    code, out, _ = run(capsys, ["reps", "decompose", path])
+    assert code == 1
+    anchor = "isotypic-character-projectors"
+    assert json.loads(out)["records"] == [
+        {"check": "component-fixed", "anchor": anchor, "pass": True,
+         "certificate": {"rank": 1}},
+        {"check": "component-odd", "anchor": anchor, "pass": False,
+         "certificate": {"rank": 1}},
+        {"check": "resolution-of-identity", "anchor": anchor, "pass": False,
+         "certificate": {"dim": 2}},
+    ]
+    code, out, err = run(capsys, ["bundle", "decompose", path])
+    assert code == 2
+    assert out == ""
+    assert "invalid character table" in json.loads(err)["error"]

@@ -1,0 +1,148 @@
+"""Tests of ``reps.projector_check``, the one check of the character
+projector identities.
+
+Its exact ranks and verdicts are compared with an all-Fraction computation
+written here from the character formula, on representations whose
+numerators fit int64 and on ones that need python ints.  Corrupting one
+group matrix, one character or one commuting matrix must make exactly the
+identity it breaks fail, in both modes.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from equitrans import linalg, reps
+from equitrans.errors import InvalidInputError
+
+
+def fraction_reference(rep, commuting=None):
+    """(ranks, failed) from all-Fraction projectors and exact comparisons, in
+    the order ``projector_check`` documents."""
+    group = rep.group
+    mats = np.array([[[Fraction(x) for x in row] for row in m] for m in rep.matrices],
+                    dtype=object)
+    projs = {"fixed": sum(mats) * Fraction(1, group.order)}
+    for ir in group.nontrivial_irreps():
+        scale = Fraction(ir.dim_V, ir.endo_dim * group.order)
+        projs[ir.label] = sum(Fraction(c) * m for c, m in zip(ir.character, mats)) * scale
+    labels = sorted(projs)
+    traces = {label: Fraction(np.trace(projs[label])) for label in labels}
+    assert all(t.denominator == 1 for t in traces.values())
+    ranks = {label: int(t) for label, t in traces.items()}
+    failed = [("idempotent", label) for label in labels
+              if not linalg.mat_eq(projs[label] @ projs[label], projs[label])]
+    failed += [("commutes-with-action", label) for label in labels
+               if not all(linalg.mat_eq(m @ projs[label], projs[label] @ m) for m in mats)]
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            if not linalg.is_zero(projs[a] @ projs[b]):
+                failed.append(("pairwise-orthogonal", f"{a}|{b}"))
+    if not linalg.mat_eq(sum(projs.values()), linalg.eye(rep.dim, True)):
+        failed.append(("resolution-of-identity", ""))
+    for name, c in (commuting or {}).items():
+        for label in labels:
+            if not linalg.mat_eq(c @ projs[label], projs[label] @ c):
+                failed.append((name, label))
+    return ranks, failed
+
+
+def with_irreps(group, **characters):
+    """The group with the named irreps' characters replaced."""
+    irreps = tuple(
+        dataclasses.replace(ir, character=linalg.frac_array(characters[ir.label]))
+        if ir.label in characters else ir
+        for ir in group.irreps
+    )
+    return dataclasses.replace(group, irreps=irreps)
+
+
+def as_mode(rep, exact):
+    return rep if exact else reps.RealRepresentation(rep.group,
+                                                     linalg.as_float(rep.matrices))
+
+
+@pytest.mark.parametrize("name, block, denom, python_ints", [
+    ("S_3", "natural", 3, False),
+    ("S_3", "natural", 10**6, True),
+    ("S_4", "pairs", 10**4, True),
+    ("D_4", "vertices", 10**5, True),
+])
+def test_exact_check_matches_fraction_reference(name, block, denom, python_ints):
+    group = reps.preset_group(name)
+    base = reps._block_catalog(group)[block]
+    q = linalg.cayley_orthogonal(base.dim, np.random.default_rng(5), denom=denom)
+    reps_under_test = [reps.conjugate_rep(base, q)]
+    # a wrong character table on the same matrices (a 1-dim irrep given the
+    # trivial character) keeps integral traces but fails identities
+    irrep = group.nontrivial_irreps()[0]
+    wrong = with_irreps(group, **{irrep.label: [1] * group.order})
+    reps_under_test.append(reps.RealRepresentation(wrong, reps_under_test[0].matrices))
+    swap = linalg.eye(base.dim, True)[::-1]
+    for rep in reps_under_test:
+        _, projs, denom_q, _ = reps._integer_projectors(rep, {})
+        assert (projs["fixed"].dtype == object) == python_ints
+        if python_ints:
+            assert denom_q >= 2**63
+        ranks, failed = fraction_reference(rep, {"swap": swap})
+        labels = len(ranks)
+        checks = 2 * labels + labels * (labels - 1) // 2 + 1 + labels
+        assert reps.projector_check(rep, commuting={"swap": swap}) == (ranks, checks, failed)
+    assert reps.projector_check(reps_under_test[0])[2] == []
+    assert ("pairwise-orthogonal", f"fixed|{irrep.label}") in failed
+
+
+def trivial_plus_sign(group_name, signs):
+    group = reps.preset_group(group_name)
+    mats = [[[1, 0], [0, s]] for s in signs]
+    return reps.RealRepresentation(group, linalg.frac_array(mats))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_corrupted_group_matrix_fails_commutation_only(exact):
+    # rho(1) = -I - 2P + 4P' with P = diag(1, 0) and P' the projector onto
+    # (3/5, 4/5): the averaged projectors become P' and I - P', still an
+    # orthogonal resolution of the identity, but rho(3) = diag(1, -1) no
+    # longer commutes with them
+    rep = trivial_plus_sign("Z_4", [1, -1, 1, -1])
+    mats = rep.matrices.copy()
+    mats[1] = linalg.frac_array([["-39/25", "48/25"], ["48/25", "39/25"]])
+    ranks, checks, failed = reps.projector_check(
+        as_mode(reps.RealRepresentation(rep.group, mats), exact))
+    assert failed == [("commutes-with-action", "fixed"), ("commutes-with-action", "sign")]
+    assert ranks == {"fixed": 1, "plane_1": 0, "sign": 1}
+    assert checks == 10
+    assert reps.projector_check(as_mode(rep, exact))[2] == []
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_corrupted_character_fails_resolution_only(exact):
+    rep = trivial_plus_sign("Z_2", [1, -1])
+    bad = reps.RealRepresentation(with_irreps(rep.group, sign=[0, 0]), rep.matrices)
+    ranks, _, failed = reps.projector_check(as_mode(bad, exact))
+    assert failed == [("resolution-of-identity", "")]
+    assert ranks == {"fixed": 1, "sign": 0}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_corrupted_commuting_matrix_fails_its_own_identity(exact):
+    rep = as_mode(trivial_plus_sign("Z_2", [1, -1]), exact)
+    commuting = {"scale": linalg.frac_array([[2, 0], [0, "1/3"]]),
+                 "swap": linalg.frac_array([[0, 1], [1, 0]])}
+    if not exact:
+        commuting = {k: linalg.as_float(c) for k, c in commuting.items()}
+    _, checks, failed = reps.projector_check(rep, commuting=commuting)
+    assert failed == [("swap", "fixed"), ("swap", "sign")]
+    assert checks == 2 * 2 + 1 + 1 + 2 * 2
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_integral_trace_is_invalid(exact):
+    # P_odd = diag(3/4, 3/4, 1/4) has trace 7/4
+    rep = trivial_plus_sign("Z_2", [1, -1])
+    mats = linalg.frac_array([np.eye(3, dtype=int), np.diag([1, 1, -1])])
+    group = with_irreps(rep.group, sign=[1, "1/2"])
+    with pytest.raises(InvalidInputError, match="trace"):
+        reps.projector_check(as_mode(reps.RealRepresentation(group, mats), exact))

@@ -1,0 +1,46 @@
+"""The JSON scenario examples in README.md, run through the command line, do
+what the README says they do."""
+
+import json
+import re
+from pathlib import Path
+
+from equitrans import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_scenarios():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    return [json.loads(block) for block in blocks]
+
+
+def run(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_readme_has_two_scenarios():
+    assert len(readme_scenarios()) == 2
+
+
+def test_readme_reps_decompose_example(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(readme_scenarios()[0]))
+    code, out, _ = run(capsys, ["reps", "decompose", str(path)])
+    assert code == 0
+    records = {r["check"]: r for r in json.loads(out)["records"]}
+    assert records["component-fixed"]["certificate"] == {"rank": 1}
+    assert records["component-standard"]["certificate"] == {"rank": 2}
+    assert records["resolution-of-identity"]["pass"]
+    assert set(records) == {"component-fixed", "component-standard",
+                            "resolution-of-identity"}
+
+
+def test_readme_perturbation_example(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(readme_scenarios()[1]))
+    code, out, _ = run(capsys, ["transversality", "perturb", str(path), "--seed", "3"])
+    assert code == 0
+    assert json.loads(out)["pass"]
