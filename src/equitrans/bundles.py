@@ -20,6 +20,7 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -309,8 +310,12 @@ class IsotypicSplitting:
     whole family, and each rank holds on every connected component.
     """
 
-    projectors: dict
+    rep: reps.RealRepresentation
     ranks: dict
+
+    @cached_property
+    def projectors(self) -> dict:
+        return reps.all_projectors(self.rep)
 
 
 def decompose_bundle(bundle: GBundleModel,
@@ -331,7 +336,7 @@ def decompose_bundle(bundle: GBundleModel,
                                     f"preserve the {label!r} component")
         raise InvalidInputError(f"character projectors fail the {identity} identity "
                                 f"at {label!r}; invalid character table")
-    return IsotypicSplitting(reps.all_projectors(bundle.rep), ranks)
+    return IsotypicSplitting(bundle.rep, ranks)
 
 
 def equivariant_average_bundle_map(bundle: GBundleModel, raw_map: dict,

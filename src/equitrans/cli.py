@@ -60,30 +60,24 @@ class Settings:
 
 
 def _parse_scalar(x, exact: bool, what: str):
-    if isinstance(x, str):
-        try:
-            x = Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInputError(f"{what}: {x!r} is not a number") from None
-    elif not isinstance(x, (int, float)):
-        raise InvalidInputError(f"{what}: {x!r} is not a number")
-    elif exact and isinstance(x, float) and not x.is_integer():
+    if exact and isinstance(x, float) and not x.is_integer():
         raise InvalidInputError(
             f"exact mode requires integers or 'p/q' strings, got {x}"
         )
-    return Fraction(x) if exact else float(x)
+    try:
+        return Fraction(x) if exact else float(Fraction(x) if isinstance(x, str) else x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidInputError(f"{what}: {x!r} is not a number") from None
 
 
 def _parse_matrix(rows, exact: bool, what: str) -> np.ndarray:
     """A JSON list of equal-length lists of numbers; ``what`` names the
-    scenario section in the error.  Plain numbers skip ``_parse_scalar``."""
+    scenario section in the error."""
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
         raise InvalidInputError(f"{what} must be a rectangular matrix")
-    plain = (int,) if exact else (int, float)
-    if not all(type(v) in plain for row in rows for v in row):
-        rows = [[_parse_scalar(v, exact, what) for v in row] for row in rows]
-    return linalg.frac_array(rows) if exact else np.asarray(rows, dtype=float)
+    parsed = [[_parse_scalar(v, exact, what) for v in row] for row in rows]
+    return linalg.frac_array(parsed) if exact else np.asarray(parsed, dtype=float)
 
 
 def _parse_vector(vals, exact: bool, what: str) -> np.ndarray:
@@ -377,6 +371,7 @@ def cmd_reps(scenario, settings, sub):
     group = load_group(scenario.get("group"), settings)
     rep = load_representation(group, scenario.get("representation"), settings)
     if sub == "decompose":
+        # only idempotence and the resolution of the identity are reported
         ranks, _, failed = reps.projector_check(rep, settings.tolerance)
         anchor = "isotypic-character-projectors"
         records = [make_record(f"component-{label}", anchor,

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -172,7 +173,7 @@ class CircleGroupModel:
         chi = 2.0 * np.cos(weight * self.angles())
         return IrrepDescriptor(f"weight_{weight}", 2, chi, "C")
 
-    @property
+    @cached_property
     def irreps(self) -> tuple[IrrepDescriptor, ...]:
         return tuple(self.weight_irrep(w) for w in range(1, self.max_weight + 1))
 

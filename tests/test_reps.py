@@ -5,6 +5,7 @@ matrices, brute-force group sums, orthogonal projection formulas) and frozen
 here, then compared against the library's character-projector path.
 """
 
+import ast
 from fractions import Fraction
 
 import numpy as np
@@ -308,3 +309,39 @@ def test_endo_type_invariant_under_orthogonal_change_of_basis():
     qe = linalg.cayley_orthogonal(4, rng)
     conj2 = reps.conjugate_rep(left, qe)
     assert reps.endo_type(conj2)[:2] == ("H", 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_preset_permutation_blocks_follow_their_definitions(n):
+    # D_n element a + n*b = r^a s^b moves vertex v to a + v (b = 0) or
+    # a - v (b = 1) mod n; Z_n element g moves point x to g + x mod n
+    def action(rep):
+        return np.argmax(linalg.as_float(rep.matrices), axis=1)
+
+    dihedral = reps._block_catalog(reps.preset_group(f"D_{n}"))["vertices"]
+    np.testing.assert_array_equal(
+        action(dihedral),
+        [[(x % n + (v if x < n else -v)) % n for v in range(n)] for x in range(2 * n)])
+    shift = reps._block_catalog(reps.preset_group(f"Z_{n}"))["shift"]
+    np.testing.assert_array_equal(action(shift),
+                                  [[(g + x) % n for x in range(n)] for g in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetric_group_sign_and_two_dim_characters(n):
+    # sign is (-1)^inversions; on S_4, two_dim is 2, 0, 2, -1, 0 on the
+    # classes of the identity, transpositions, double transpositions,
+    # 3-cycles and 4-cycles, told apart by (fixed points, order)
+    two_dim = {(4, 1): 2, (2, 2): 0, (0, 2): 2, (1, 3): -1, (0, 4): 0}
+    group = reps.symmetric_group(n)
+    chi = {ir.label: ir.character for ir in group.irreps}
+    for x, name in enumerate(group.element_names):
+        p = ast.literal_eval(name)
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        assert chi["sign"][x] == (-1) ** inversions
+        if n == 4:
+            power, order = p, 1
+            while power != tuple(range(n)):
+                power, order = tuple(p[i] for i in power), order + 1
+            fixed = sum(p[i] == i for i in range(n))
+            assert chi["two_dim"][x] == two_dim[(fixed, order)]
