@@ -35,10 +35,12 @@ from .errors import EquitransError, InvalidInputError, ObstructionError
 class Settings:
     def __init__(self, data=None, args=None):
         data = data or {}
-        self.seed = int(data.get("seed", 0))
-        self.tolerance = float(data.get("tolerance", 1e-10))
+        self.seed = _int(data.get("seed", 0), "settings 'seed'")
+        self.tolerance = _parse_scalar(data.get("tolerance", 1e-10), False,
+                                       "settings 'tolerance'")
         self.cutoff = _parse_scalar(data.get("cutoff", "10"), True, "cutoff")
-        self.quadrature_order = int(data.get("quadrature_order", 64))
+        self.quadrature_order = _int(data.get("quadrature_order", 64),
+                                     "settings 'quadrature_order'")
         self.mode = data.get("mode", "exact")
         if args is not None:
             if args.seed is not None:
@@ -94,6 +96,14 @@ def _field(rec, key: str, what: str):
     return rec[key]
 
 
+def _int(x, what: str) -> int:
+    """int(x) for a scenario field; a value int() rejects is invalid input."""
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{what}: {x!r} is not an integer") from None
+
+
 def _int_table(rows, what: str) -> np.ndarray:
     """A JSON list of equal-length lists of integers as a 2-D int array;
     the models check the index ranges."""
@@ -126,7 +136,7 @@ def load_group(spec, settings: Settings):
         return reps.preset_group(spec["preset"])
     if "circle" in spec:
         order = spec["circle"].get("quadrature_order", settings.quadrature_order)
-        return reps.CircleGroupModel(int(order))
+        return reps.CircleGroupModel(_int(order, "circle 'quadrature_order'"))
     if "table" in spec:
         table = _int_table(spec["table"], "group table")
         irreps = []
@@ -134,7 +144,8 @@ def load_group(spec, settings: Settings):
             label, dim, chi, endo = (_field(rec, key, "irrep record") for key in
                                      ("label", "dim", "character", "endo_type"))
             chi = _parse_vector(chi, exact=True, what=f"character of irrep {label!r}")
-            irreps.append(reps.IrrepDescriptor(label, int(dim), chi, endo))
+            irreps.append(reps.IrrepDescriptor(
+                label, _int(dim, f"irrep {label!r} 'dim'"), chi, endo))
         g = reps.FiniteGroupModel(spec.get("name", "custom"), table, tuple(irreps))
         g.validate()
         return g
@@ -148,8 +159,8 @@ def load_representation(group, spec, settings: Settings):
         if not isinstance(group, reps.CircleGroupModel):
             raise InvalidInputError("weight lists need a circle group")
         return reps.circle_weight_rep(
-            group, [int(w) for w in spec["weights"]],
-            int(spec.get("fixed_dim", 0))
+            group, [_int(w, "representation 'weights'") for w in spec["weights"]],
+            _int(spec.get("fixed_dim", 0), "representation 'fixed_dim'")
         )
     if "blocks" in spec:
         catalog = reps._block_catalog(group)
@@ -171,13 +182,14 @@ def load_representation(group, spec, settings: Settings):
     if "generator_matrices" in spec:
         sub = spec["generator_matrices"]
         mats = [_parse_matrix(m, settings.exact, "generator_matrices")
-                for m in sub["matrices"]]
-        return reps.rep_from_generators(group, sub["generators"], mats,
-                                        exact=settings.exact)
+                for m in _field(sub, "matrices", "generator_matrices")]
+        return reps.rep_from_generators(
+            group, _field(sub, "generators", "generator_matrices"), mats,
+            exact=settings.exact)
     if "random" in spec:
         rng = np.random.default_rng(settings.seed)
-        return reps.random_rep(group, rng, int(spec["random"].get("max_dim", 8)),
-                               exact=settings.exact)
+        max_dim = _int(spec["random"].get("max_dim", 8), "random 'max_dim'")
+        return reps.random_rep(group, rng, max_dim, exact=settings.exact)
     raise InvalidInputError(
         "representation section needs 'weights', 'blocks', 'matrices', "
         "'generator_matrices' or 'random'"
@@ -188,9 +200,9 @@ def load_base(spec) -> bundles.SimplicialBase:
     if spec is None:
         raise InvalidInputError("scenario has no 'base' section")
     if "interval" in spec:
-        return bundles.SimplicialBase.interval(int(spec["interval"]))
+        return bundles.SimplicialBase.interval(_int(spec["interval"], "base 'interval'"))
     if "circle" in spec:
-        return bundles.SimplicialBase.circle(int(spec["circle"]))
+        return bundles.SimplicialBase.circle(_int(spec["circle"], "base 'circle'"))
     if "maximal_simplices" in spec:
         return bundles.SimplicialBase.from_maximal(
             [tuple(s) for s in spec["maximal_simplices"]]
@@ -216,27 +228,32 @@ def load_bundle(base, rep, spec, settings: Settings) -> bundles.GBundleModel:
 def load_lattice(spec) -> floer.HomologyLattice:
     if spec is None:
         raise InvalidInputError("scenario has no 'lattice' section")
-    omega = [_parse_scalar(w, exact=True, what="lattice omega") for w in spec["omega"]]
-    return floer.HomologyLattice(int(spec["rank"]), tuple(omega),
-                                 tuple(int(c) for c in spec["c1"]))
+    omega = [_parse_scalar(w, exact=True, what="lattice omega")
+             for w in _field(spec, "omega", "lattice")]
+    return floer.HomologyLattice(
+        _int(_field(spec, "rank", "lattice"), "lattice 'rank'"), tuple(omega),
+        tuple(_int(c, "lattice 'c1'") for c in _field(spec, "c1", "lattice")))
 
 
 def load_generators(spec) -> floer.GeneratorSet:
     if spec is None:
         raise InvalidInputError("scenario has no 'generators' section")
     return floer.GeneratorSet(
-        tuple(spec["names"]),
-        {k: int(v) for k, v in spec["index"].items()},
-        int(spec["half_dim"]),
+        tuple(_field(spec, "names", "generators")),
+        {k: _int(v, "generator 'index'")
+         for k, v in _field(spec, "index", "generators").items()},
+        _int(_field(spec, "half_dim", "generators"), "generators 'half_dim'"),
         {k: _parse_scalar(v, exact=True, what="generator values")
-         for k, v in spec["values"].items()},
+         for k, v in _field(spec, "values", "generators").items()},
     )
 
 
 def load_counts(lattice, spec) -> floer.ModuliCountTable:
     counts = {}
     for rec in spec or []:
-        counts[(rec["x"], rec["y"], tuple(rec["A"]))] = int(rec["count"])
+        x, y, a, c = (_field(rec, key, "count record")
+                      for key in ("x", "y", "A", "count"))
+        counts[(x, y, tuple(a))] = _int(c, "count record 'count'")
     return floer.ModuliCountTable(lattice, counts)
 
 
@@ -246,25 +263,28 @@ def load_fixed_locus(scenario, settings: Settings) -> tv.FixedLocusModel:
         raise InvalidInputError("scenario has no 'fixed_locus' section")
     base = load_base(spec.get("base"))
     circle = reps.CircleGroupModel(
-        int(spec.get("quadrature_order", 32))
+        _int(spec.get("quadrature_order", 32), "fixed_locus 'quadrature_order'")
     )
     normal, fiber = {}, {}
-    for label, rec in spec["components"].items():
-        weight = int(rec.get("weight", label.split("_")[-1]))
-        normal[label] = reps.circle_weight_rep(circle, [weight] * int(rec["n_units"]))
-        fiber[label] = reps.circle_weight_rep(circle, [weight] * int(rec["m_units"]))
+    for label, rec in _field(spec, "components", "fixed_locus").items():
+        what = f"fixed_locus component {label!r}"
+        weight = _int(rec.get("weight", label.split("_")[-1]), f"{what} 'weight'")
+        units = {key: _int(_field(rec, key, what), f"{what} {key!r}")
+                 for key in ("n_units", "m_units")}
+        normal[label] = reps.circle_weight_rep(circle, [weight] * units["n_units"])
+        fiber[label] = reps.circle_weight_rep(circle, [weight] * units["m_units"])
     section = {
         _vertex(k): _parse_vector(v, exact=False, what="fixed_locus section")
-        for k, v in spec["section"].items()
+        for k, v in _field(spec, "section", "fixed_locus").items()
     }
     fixed_blocks = {
         _vertex(k): _parse_matrix(m, exact=False, what="fixed_locus fixed_blocks")
-        for k, m in spec["fixed_blocks"].items()
+        for k, m in _field(spec, "fixed_blocks", "fixed_locus").items()
     }
     lam = {
         _vertex(k): {label: _parse_matrix(m, False, "fixed_locus lambda_blocks")
                      for label, m in per.items()}
-        for k, per in spec["lambda_blocks"].items()
+        for k, per in _field(spec, "lambda_blocks", "fixed_locus").items()
     }
     support = set(_vertex(v) for v in spec["support"]) if "support" in spec else None
     return tv.FixedLocusModel(
@@ -285,12 +305,13 @@ def load_groupoid(scenario) -> groupoids.FiniteGroupoid:
     if spec is None:
         raise InvalidInputError("scenario has no 'groupoid' section")
     if "discrete" in spec:
-        return groupoids.discrete_groupoid(int(spec["discrete"]))
+        return groupoids.discrete_groupoid(_int(spec["discrete"], "groupoid 'discrete'"))
     if "translation" in spec:
         sub = spec["translation"]
         group = load_group(sub.get("group"), Settings())
         return groupoids.make_translation_groupoid(
-            group, _int_table(sub["action"], "translation action")
+            group, _int_table(_field(sub, "action", "groupoid translation"),
+                              "translation action")
         )
     raise InvalidInputError("groupoid section needs 'discrete' or 'translation'")
 
@@ -401,7 +422,7 @@ def cmd_bundle(scenario, settings, sub):
         spec = scenario.get("extend")
         if spec is None:
             raise InvalidInputError("scenario has no 'extend' section")
-        simplex = tuple(spec["simplex"])
+        simplex = tuple(_field(spec, "simplex", "extend section"))
         section_name = spec.get("section", "s")
         sections = scenario.get("sections", {})
         if section_name not in sections:
@@ -431,7 +452,7 @@ def cmd_bundle(scenario, settings, sub):
             raise InvalidInputError("scenario has no 'stabilize' section")
         lin = {
             _vertex(k): _parse_matrix(m, exact=False, what="stabilize linearizations")
-            for k, m in spec["linearizations"].items()
+            for k, m in _field(spec, "linearizations", "stabilize section").items()
         }
         try:
             res = bundles.stabilize_cokernel(bundle, bundle, lin,
@@ -507,8 +528,8 @@ def _load_paths(scenario, settings):
     out = []
     for rec in spec["paths"]:
         preset = rec.get("preset")
-        horizon = float(rec.get("horizon", 9.0))
         what = f"flow path {preset!r}"
+        horizon = _parse_scalar(rec.get("horizon", 9.0), False, f"{what} 'horizon'")
 
         def matrix(key):
             return _parse_matrix(_field(rec, key, what), False, f"{what} {key}")
@@ -519,9 +540,9 @@ def _load_paths(scenario, settings):
         elif preset == "tanh-scalar":
             out.append(spectral.scalar_tanh_path(horizon))
         elif preset == "lambda":
-            n = int(_field(rec, "n", what))
-            weight = int(_field(rec, "weight", what))
-            scale = float(rec.get("a_scale", 0.0))
+            n = _int(_field(rec, "n", what), f"{what} 'n'")
+            weight = _int(_field(rec, "weight", what), f"{what} 'weight'")
+            scale = _parse_scalar(rec.get("a_scale", 0.0), False, f"{what} 'a_scale'")
             spec_l = spectral.LambdaOperatorSpec(
                 n, weight,
                 lambda s, n=n, c=scale: c * np.tanh(s) * np.eye(2 * n),
@@ -583,7 +604,8 @@ def cmd_floer(scenario, settings, sub):
         return records
     if sub == "reduce":
         morse = {
-            (rec["x"], rec["y"]): int(rec["count"])
+            (_field(rec, "x", "morse count"), _field(rec, "y", "morse count")):
+                _int(_field(rec, "count", "morse count"), "morse count 'count'")
             for rec in scenario.get("morse_counts", [])
         }
         reduced = floer.autonomous_reduce(counts, gens, morse)
@@ -630,12 +652,13 @@ def cmd_groupoid(scenario, settings, sub):
         group = load_group(action_spec.get("group"), settings)
         action = groupoids.GlobalActionData(
             group,
-            _int_table(action_spec["objects"], "object action"),
-            _int_table(action_spec["morphisms"], "morphism action"),
+            _int_table(_field(action_spec, "objects", "group_action"), "object action"),
+            _int_table(_field(action_spec, "morphisms", "group_action"),
+                       "morphism action"),
         )
-        slices = [int(s) for s in scenario.get("slices", [])]
+        slices = [_int(s, "'slices'") for s in scenario.get("slices", [])]
         kernels = {
-            _vertex(k): [int(m) for m in v]
+            _vertex(k): [_int(m, "'ineffective_kernels'") for m in v]
             for k, v in scenario.get("ineffective_kernels", {}).items()
         } or None
         model = groupoids.quotient_groupoid(gpd, action, slices, kernels)
@@ -648,7 +671,7 @@ def cmd_groupoid(scenario, settings, sub):
         return records
     if sub == "check":
         uniform = {
-            _vertex(k): set(int(p) for p in v)
+            _vertex(k): set(_int(p, "'uniformizers'") for p in v)
             for k, v in scenario.get("uniformizers", {}).items()
         }
         if uniform:
@@ -662,11 +685,15 @@ def cmd_groupoid(scenario, settings, sub):
         if reg:
             local = {}
             for k, v in reg.items():
+                what = f"regularity of {k}"
+                points, subset, act = (_field(v, key, what)
+                                       for key in ("points", "sub", "action"))
                 local[_vertex(k)] = {
-                    "points": [int(p) for p in v["points"]],
-                    "sub": [int(p) for p in v["sub"]],
-                    "action": {int(m): tuple(int(p) for p in perm)
-                               for m, perm in v["action"].items()},
+                    "points": [_int(p, f"{what} 'points'") for p in points],
+                    "sub": [_int(p, f"{what} 'sub'") for p in subset],
+                    "action": {_int(m, f"{what} 'action'"):
+                               tuple(_int(p, f"{what} 'action'") for p in perm)
+                               for m, perm in act.items()},
                 }
             rep = groupoids.regularity_check(gpd, local)
             for key in sorted(rep, key=str):
@@ -682,12 +709,40 @@ def cmd_groupoid(scenario, settings, sub):
     raise InvalidInputError(f"unknown groupoid subcommand {sub!r}")
 
 
+def _check_permutation_action(group, table: np.ndarray, dim: int) -> None:
+    """The map p -> p[table[g]] must be an action of the group on R^dim:
+    every row a permutation of range(dim), and the rows composing as the
+    group does, either table[gk] = table[k][table[g]] (a left action) or
+    table[gk] = table[g][table[k]] (a right action, the convention of the
+    symmetric-group presets; the same orbits and the same group averages).
+    An error names the first bad row, or the first (g, k) where the second
+    law fails."""
+    if table.shape != (group.order, dim):
+        raise InvalidInputError(
+            f"permutation table needs one row of {dim} coordinate indices per "
+            "group element"
+        )
+    bad = np.flatnonzero(np.any(np.sort(table, axis=1) != np.arange(dim), axis=1))
+    if bad.size:
+        raise InvalidInputError(f"permutation table row {bad[0]} is not a permutation")
+    g = np.arange(group.order)
+    gk = table[group.compose(g[:, None], g)]
+    # [g, k, i]: table[k, table[g, i]] and table[g, table[k, i]]
+    left = np.all(gk == table[g[None, :, None], table[:, None, :]], axis=2)
+    right = np.all(gk == table[g[:, None, None], table[None, :, :]], axis=2)
+    if not (left.all() or right.all()):
+        raise InvalidInputError(
+            "permutation table is not an action of the group at ({},{})".format(
+                *np.argwhere(~right)[0])
+        )
+
+
 def cmd_metric(scenario, settings, sub):
     if sub != "quotient":
         raise InvalidInputError(f"unknown metric subcommand {sub!r}")
     pts = scenario.get("metric_points")
-    if pts is None:
-        raise InvalidInputError("scenario has no 'metric_points' section")
+    if not isinstance(pts, list) or not pts:
+        raise InvalidInputError("scenario needs a non-empty 'metric_points' list")
     points = [_parse_vector(p, exact=False, what="metric_points") for p in pts]
     if len({len(p) for p in points}) > 1:
         raise InvalidInputError("metric_points must all have one dimension")
@@ -695,20 +750,17 @@ def cmd_metric(scenario, settings, sub):
     kind = action_spec.get("type")
     if kind == "negation":
         group = reps.cyclic_group(2)
-        action = lambda g, p: p if g == 0 else -p  # noqa: E731
+        action = lambda g, p: np.where(g == 0, p, -p)  # noqa: E731
     elif kind == "circle-rotation":
         group = reps.CircleGroupModel(settings.quadrature_order)
         action = groupoids.circle_rotation_action(group)
     elif kind == "permutation":
         group = load_group(action_spec.get("group"), settings)
-        table = _int_table(action_spec["table"], "permutation table")
-        if (len(table) != group.order or np.any(table < 0)
-                or np.any(table >= len(points[0]))):
-            raise InvalidInputError(
-                "permutation table needs one row of coordinate indices per "
-                "group element"
-            )
-        action = lambda g, p: p[table[g]]  # noqa: E731
+        table = _int_table(_field(action_spec, "table", "permutation action"),
+                           "permutation table")
+        _check_permutation_action(group, table, len(points[0]))
+        action = lambda g, p: np.take_along_axis(  # noqa: E731
+            p, table[np.broadcast_to(g, p.shape[1:])].T, axis=0)
     else:
         raise InvalidInputError(f"unknown metric action type {kind!r}")
     res = groupoids.quotient_metric(points, group, action)

@@ -15,13 +15,15 @@ and [psi] is its class modulo declared ineffective isotropy.  Isotropy
 sizes multiply: |stab^Q_x| = |stab^eff_x| * |G_x|.
 
 Quotient metrics: averaging a metric over the group makes it invariant,
-and the orbit distance min_g d_G(x, g.y) is a metric on the orbit space;
+and the orbit distance min_k d_G(x, k.y) is a metric on the orbit space;
 for the circle the minimum is a quadrature minimum plus one golden-section
 refinement pass on the best bracket.  Points travel as columns of a (d, m)
-stack: ``action(g, P)`` moves every column of P (for the circle, g may be
-an array of fractional sample indices, one per column) and ``metric(P, Q)``
-returns the distances between matching columns, so each group average is
-one pass over the group elements on all point pairs at once.
+stack: ``action(g, P)`` takes a single element index g or one index per
+column of P and returns the moved (d, m) stack, and ``metric(P, Q)``
+returns the distances between matching columns.  So d_G is one action call
+and one metric call on the point pairs tiled once per group element, and
+the orbit minimum costs two action calls per k (and per golden-section
+evaluation) while memory stays O(|G| d n^2).
 """
 
 from __future__ import annotations
@@ -515,16 +517,22 @@ def quotient_metric(points, group: reps.GroupModel, action, metric=None
                     ) -> QuotientMetricResult:
     """Group-averaged invariant metric and the induced orbit-space metric.
 
-    ``action(g, P)`` moves every column of a (d, m) stack of coordinates by
-    the element of index g (a sample angle index for the circle; there it
-    may also be an array of fractional indices, one per column).
-    ``metric(P, Q)`` returns the distances between matching columns and
-    defaults to Euclidean; it must satisfy the metric axioms on the sample
-    points.  All n^2 pairs are evaluated at once as pair columns, so the
-    action is called once per g for d_G and once per (k, g) for the orbit
-    minimum.  Finite groups use exact sums and exact minima; the circle
-    uses quadrature averages and a quadrature minimum refined by one
-    golden-section pass on each pair's best bracket.
+    ``action(g, P)`` moves the columns of a (d, m) stack of coordinates and
+    returns a (d, m) stack; g is either one element index for every column
+    or an array of m indices, one per column (for the circle, sample angle
+    indices, which may be fractional).  ``metric(P, Q)`` returns the
+    distances between matching columns and defaults to Euclidean; it must
+    satisfy the metric axioms on the sample points.
+
+    All n^2 point pairs are evaluated at once as pair columns.  d_G tiles
+    them once per group element, so it is one action call and one metric
+    call; the orbit minimum adds one action call on the moved points per k,
+    so it takes 2|G| + 1 action calls (plus two per golden-section
+    evaluation for the circle: 229 in all at order 64).  Finite groups
+    use exact sums and exact minima; the circle uses quadrature averages
+    and a quadrature minimum refined by one golden-section pass on each
+    pair's best bracket.  An action that returns a stack of another shape
+    is invalid input.
     """
     metric = metric or _euclidean
     points = [np.asarray(p, dtype=float) for p in points]
@@ -535,26 +543,34 @@ def quotient_metric(points, group: reps.GroupModel, action, metric=None
     _validate_metric(np.broadcast_to(metric(p, q), (n * n,)).reshape(n, n))
     order = group.order
 
+    def act(g, stack):
+        moved = np.asarray(action(g, stack), dtype=float)
+        if moved.shape != stack.shape:
+            raise InvalidInputError(f"action returned a stack of shape {moved.shape} "
+                                    f"for one of shape {stack.shape}")
+        return moved
+
     def d_g(u, v):
         """avg_g d(g.u, g.v) over matching columns of two stacks (or two
-        single points), with one action call per group element."""
+        single points): [u | v] tiled once per group element, moved by one
+        action call, then one metric call and a sum over the group axis."""
         both = np.column_stack([u, v])
-        m = both.shape[1] // 2
-        total = 0.0
-        for g in range(order):
-            moved = action(g, both)
-            total = total + metric(moved[:, :m], moved[:, m:])
-        return (total / order).reshape(np.shape(u)[1:])
+        d, m = both.shape[0], both.shape[1] // 2
+        moved = act(np.repeat(np.arange(order), 2 * m), np.tile(both, order))
+        moved = moved.reshape(d, order, 2, m)
+        dist = metric(moved[:, :, 0].reshape(d, -1), moved[:, :, 1].reshape(d, -1))
+        dist = np.broadcast_to(dist, (order * m,)).reshape(order, m)
+        return (dist.sum(axis=0) / order).reshape(np.shape(u)[1:])
 
     inv = d_g(p, q)
     best = np.full(n * n, np.inf)
     best_k = np.zeros(n * n)
     for k in range(order):
-        vals = d_g(p, action(k, q))
+        vals = d_g(p, act(k, q))
         best_k = np.where(vals < best, k, best_k)
         best = np.minimum(vals, best)
     if isinstance(group, reps.CircleGroupModel):
-        refined = _golden_refine(lambda t: d_g(p, action(t, q)),
+        refined = _golden_refine(lambda t: d_g(p, act(t, q)),
                                  best_k - 1.0, best_k + 1.0)
         best = np.minimum(best, refined)
     return QuotientMetricResult(points, d_g, inv.reshape(n, n), best.reshape(n, n))

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -828,8 +830,24 @@ def circle_weight_rep(circle: CircleGroupModel, weights, fixed_dim: int = 0) -> 
     return RealRepresentation(circle, linalg.block_diag(blocks, exact=False))
 
 
-def _block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
-    """Integer-orthogonal building blocks available for a preset group."""
+def _block_catalog(group: FiniteGroupModel) -> Mapping[str, RealRepresentation]:
+    """Integer-orthogonal building blocks available for a preset group.
+
+    Built once per group instance and kept in its ``__dict__`` (as
+    ``functools.cached_property`` does, which a frozen dataclass allows);
+    the mapping and its matrices are read-only, so no caller can change
+    the cached blocks.
+    """
+    cache = group.__dict__
+    if "_block_catalog" not in cache:
+        blocks = _build_block_catalog(group)
+        for rep in blocks.values():
+            rep.matrices.flags.writeable = False
+        cache["_block_catalog"] = MappingProxyType(blocks)
+    return cache["_block_catalog"]
+
+
+def _build_block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
     name = group.name
     blocks: dict[str, RealRepresentation] = {
         "trivial": one_dim_rep(group, [1] * group.order)

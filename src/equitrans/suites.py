@@ -438,7 +438,7 @@ def suite_groupoid(seed: int = 29) -> dict:
     rng = np.random.default_rng(seed)
     pts = [np.array([x]) for x in rng.normal(size=10) * 2.5]
     res = groupoids.quotient_metric(
-        pts, z2, lambda g, p: p if g == 0 else -p
+        pts, z2, lambda g, p: np.where(g == 0, p, -p)
     )
     for i in range(10):
         for j in range(10):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end: scenario ingestion,
 report shape, exit-code triage, and byte-level determinism."""
 
+import itertools
 import json
 
 import numpy as np
@@ -232,6 +233,7 @@ def test_malformed_groupoid_tables_exit_2(tmp_path, capsys, command, payload):
       "bundle": {"transitions": {"0": [[1, 0], [0, 1]]}}}),
     (["metric", "quotient"],
      {"metric_points": [[0.0, 1.0], [1.0]], "metric_action": {"type": "negation"}}),
+    (["metric", "quotient"], {"metric_points": []}),
 ])
 def test_malformed_regularity_transition_and_points_exit_2(tmp_path, capsys,
                                                           command, payload):
@@ -449,6 +451,47 @@ def test_metric_quotient_bad_permutation_table_exit_2(tmp_path, capsys, table):
     assert json.loads(err)["kind"] == "invalid-input"
 
 
+S3_PERMUTATIONS = np.array(sorted(itertools.permutations(range(3))))
+
+
+@pytest.mark.parametrize("group, table, named", [
+    ("Z_2", [[0, 1], [0, 0]], "row 1"),  # a row that is not a permutation
+    ("Z_2", [[1, 0], [0, 1]], "(0,0)"),  # the identity swaps coordinates
+    ("S_3", S3_PERMUTATIONS[[0, 3, 2, 1, 4, 5]].tolist(), "(1,1)"),
+])
+def test_metric_quotient_table_that_is_not_an_action_exit_2(tmp_path, capsys, group,
+                                                            table, named):
+    dim = len(table[0])
+    payload = {"metric_points": np.eye(dim).tolist(),
+               "metric_action": {"type": "permutation", "group": {"preset": group},
+                                 "table": table}}
+    code, out, err = run(capsys, ["metric", "quotient",
+                                  write(tmp_path, "perm.json", payload)])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert named in msg["error"]
+
+
+@pytest.mark.parametrize("table", [S3_PERMUTATIONS, np.argsort(S3_PERMUTATIONS, axis=1)])
+def test_metric_quotient_accepts_left_and_right_permutation_actions(tmp_path, capsys,
+                                                                    table):
+    # the S_3 preset composes its sorted permutations as table[gk] =
+    # table[g][table[k]]; the inverse rows compose the other way round
+    pts = np.round(np.random.default_rng(2).normal(size=(4, 3)), 6)
+    payload = {"metric_points": pts.tolist(),
+               "metric_action": {"type": "permutation", "group": {"preset": "S_3"},
+                                 "table": table.tolist()}}
+    code, out, _ = run(capsys, ["metric", "quotient",
+                                write(tmp_path, "perm.json", payload)])
+    assert code == 0
+    moved = pts[:, S3_PERMUTATIONS]  # (point, permutation, coordinate)
+    brute = np.min(np.linalg.norm(pts[:, None, None] - moved[None], axis=3), axis=2)
+    mat = json.loads(out)["records"][0]["certificate"]["orbit_matrix"]
+    np.testing.assert_allclose(mat, brute, atol=1e-12)
+
+
 def test_metric_quotient_negation(tmp_path, capsys):
     payload = {
         "metric_points": [[0.5], [1.5], [-2.0]],
@@ -637,6 +680,17 @@ def _without(payload, *keys):
     return out
 
 
+METRIC_PERMUTATION = {"metric_points": [[0.0, 1.0], [1.0, 0.0], [2.0, 0.0]],
+                      "metric_action": {"type": "permutation",
+                                        "group": {"preset": "Z_2"},
+                                        "table": [[0, 1], [1, 0]]}}
+FLOER_RANKS = {"lattice": {"rank": 1, "omega": ["1"], "c1": [0]},
+               "generators": {"names": ["x", "z"], "index": {"x": 0, "z": 2},
+                              "half_dim": 1, "values": {"x": 0, "z": 2}}}
+BUNDLE_EXTEND = VECTOR_SITES[0][1]
+COMPONENT = ("fixed_locus", "components", "weight_1")
+
+
 @pytest.mark.parametrize("command, payload, keys", [
     (["reps", "decompose"],
      {"group": CUSTOM_Z2, "representation": {"matrices": Z2_MATRICES}},
@@ -649,6 +703,19 @@ def _without(payload, *keys):
                       ({"preset": "tanh", "b0": [[0]], "b1": [[1]]}, "b1"),
                       ({"preset": "lambda", "n": 1, "weight": 1}, "n"),
                       ({"preset": "lambda", "n": 1, "weight": 1}, "weight"))
+] + [
+    (["metric", "quotient"], METRIC_PERMUTATION, ("metric_action", "table")),
+    (["groupoid", "quotient"], GROUPOID_QUOTIENT, OBJECTS),
+    (["groupoid", "quotient"], GROUPOID_QUOTIENT, MORPHISMS),
+    (["bundle", "extend"], BUNDLE_EXTEND, ("extend", "simplex")),
+] + [
+    (["floer", "ranks"], FLOER_RANKS, ("lattice", key)) for key in ("omega", "rank", "c1")
+] + [
+    (["transversality", "check"], FIXED_LOCUS, ("fixed_locus", key))
+    for key in ("components", "section", "fixed_blocks", "lambda_blocks")
+] + [
+    (["transversality", "check"], FIXED_LOCUS, COMPONENT + (key,))
+    for key in ("n_units", "m_units")
 ])
 def test_missing_scenario_key_exit_2_names_key(tmp_path, capsys, command, payload, keys):
     assert run(capsys, command + [write(tmp_path, "ok.json", payload)])[0] == 0
@@ -659,6 +726,39 @@ def test_missing_scenario_key_exit_2_names_key(tmp_path, capsys, command, payloa
     msg = json.loads(err)
     assert msg["kind"] == "invalid-input"
     assert repr(keys[-1]) in msg["error"]
+
+
+@pytest.mark.parametrize("command, payload, keys, name", [
+    (["reps", "decompose"],
+     {"group": CUSTOM_Z2, "representation": {"matrices": Z2_MATRICES}},
+     ("group", "irreps", 0, "dim"), "dim"),
+    (["floer", "ranks"], FLOER_RANKS, ("lattice", "rank"), "rank"),
+    (["floer", "ranks"], FLOER_RANKS, ("generators", "half_dim"), "half_dim"),
+    (["transversality", "check"], FIXED_LOCUS, COMPONENT + ("n_units",), "n_units"),
+    (["groupoid", "quotient"], GROUPOID_QUOTIENT, ("slices", 0), "slices"),
+    (["groupoid", "check"], GROUPOID_CHECK, ("uniformizers", "2", 0), "uniformizers"),
+    (["groupoid", "quotient"], dict(GROUPOID_QUOTIENT, settings={"seed": 1}),
+     ("settings", "seed"), "seed"),
+    (["reps", "decompose"], dict(REPS_MATRICES, settings={"tolerance": 1e-10}),
+     ("settings", "tolerance"), "tolerance"),
+    (["flow", "index"], {"flow": {"paths": [{"preset": "tanh-scalar", "horizon": 9}]}},
+     ("flow", "paths", 0, "horizon"), "horizon"),
+    (["flow", "index"], {"flow": {"paths": [{"preset": "lambda", "n": 1, "weight": 1,
+                                             "a_scale": 0.1}]}},
+     ("flow", "paths", 0, "a_scale"), "a_scale"),
+    (["flow", "index"], {"flow": {"paths": [{"preset": "lambda", "n": 1, "weight": 1}]}},
+     ("flow", "paths", 0, "weight"), "weight"),
+])
+def test_non_numeric_scenario_field_exit_2_names_key(tmp_path, capsys, command, payload,
+                                                     keys, name):
+    assert run(capsys, command + [write(tmp_path, "ok.json", payload)])[0] in (0, 1)
+    code, out, err = run(capsys, command + [write(tmp_path, "bad.json",
+                                                  _replaced(payload, "x", *keys))])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert repr(name) in msg["error"]
 
 
 def _bad_character_table(dim, mode):

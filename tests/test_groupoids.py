@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from equitrans import groupoids as gq
 from equitrans import reps
@@ -454,7 +456,7 @@ def test_quotient_metric_z2_negation_formula():
     group = reps.cyclic_group(2)
 
     def act(g, p):
-        return p if g == 0 else -p
+        return np.where(g == 0, p, -p)
 
     rng = np.random.default_rng(8)
     pts = [np.array([x]) for x in rng.normal(size=12) * 3]
@@ -517,7 +519,8 @@ def test_quotient_metric_s3_permutations_match_brute_force():
     table = np.array(sorted(itertools.permutations(range(3))))
     rng = np.random.default_rng(17)
     pts = [rng.normal(size=3) for _ in range(6)]
-    res = quotient_metric(pts, group, lambda g, p: p[table[g]])
+    res = quotient_metric(pts, group, lambda g, p: np.take_along_axis(
+        p, table[np.broadcast_to(g, p.shape[1:])].T, axis=0))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
             assert res.invariant_matrix[i, j] == pytest.approx(
@@ -525,6 +528,104 @@ def test_quotient_metric_s3_permutations_match_brute_force():
             )
             brute = min(np.linalg.norm(p - q[list(perm)]) for perm in table)
             assert res.orbit_matrix[i, j] == pytest.approx(brute, abs=1e-12)
+
+
+def _finite_linear_action(kind, size):
+    """A finite group acting on R^d under the per-column contract, and the
+    matrix of each element for a per-element reference."""
+    if kind == "rotation":  # Z_size rotating R^2
+        group = reps.cyclic_group(size)
+        theta = 2.0 * np.pi * np.arange(size) / size
+        mats = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+                         for t in theta])
+
+        def act(g, p):
+            t = 2.0 * np.pi * np.asarray(g) / size
+            return np.array([np.cos(t) * p[0] - np.sin(t) * p[1],
+                             np.sin(t) * p[0] + np.cos(t) * p[1]])
+    elif kind == "permutation":  # S_size permuting the coordinates of R^size
+        group = reps.symmetric_group(size)
+        table = np.array(sorted(itertools.permutations(range(size))))
+        mats = np.eye(size)[table]  # row i of element g picks coordinate table[g, i]
+
+        def act(g, p):
+            return np.take_along_axis(p, table[np.broadcast_to(g, p.shape[1:])].T,
+                                      axis=0)
+    else:  # Z_2 negating R^size
+        group = reps.cyclic_group(2)
+        mats = np.array([np.eye(size), -np.eye(size)])
+
+        def act(g, p):
+            return np.where(g == 0, p, -p)
+    return group, act, mats
+
+
+def _brute_force(points, mats):
+    """Per-element reference: d_G(p, q) = avg_g |g.p - g.q| and the orbit
+    distance min_k d_G(p, k.q), one pair and one k at a time."""
+    def d_g(p, q):
+        return sum(np.linalg.norm(m @ p - m @ q) for m in mats) / len(mats)
+
+    n = len(points)
+    inv, orbit = np.zeros((n, n)), np.zeros((n, n))
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            inv[i, j] = d_g(p, q)
+            orbit[i, j] = min(d_g(p, m @ q) for m in mats)
+    return inv, orbit
+
+
+def _separated_points(data, dim):
+    coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    pts = data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                             min_size=2, max_size=4))
+    pts = [np.array(p) for p in pts]
+    assume(all(np.linalg.norm(p - q) > 1e-3
+               for p, q in itertools.combinations(pts, 2)))
+    return pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_metric_matches_per_element_reference(data):
+    kind = data.draw(st.sampled_from(["rotation", "permutation", "negation"]))
+    size = data.draw(st.integers(2, 6) if kind == "rotation"
+                     else st.integers(2, 4) if kind == "permutation"
+                     else st.integers(1, 3))
+    group, act, mats = _finite_linear_action(kind, size)
+    pts = _separated_points(data, mats.shape[1])
+    res = quotient_metric(pts, group, act)
+    inv, orbit = _brute_force(pts, mats)
+    np.testing.assert_allclose(res.invariant_matrix, inv, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.orbit_matrix, orbit, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(order=st.integers(4, 12), data=st.data())
+def test_circle_quotient_metric_matches_quadrature_reference(order, data):
+    # the invariant metric is the quadrature average; the refined orbit
+    # distance lies between the exact one, ||p| - |q||, and the quadrature
+    # minimum over the sample rotations
+    circle = reps.CircleGroupModel(order)
+    pts = _separated_points(data, 2)
+    res = quotient_metric(pts, circle, circle_rotation_action(circle))
+    theta = circle.angles()
+    mats = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in theta])
+    inv, quadrature_min = _brute_force(pts, mats)
+    radii = np.linalg.norm(pts, axis=1)
+    np.testing.assert_allclose(res.invariant_matrix, inv, rtol=0, atol=1e-12)
+    assert np.all(res.orbit_matrix <= quadrature_min + 1e-12)
+    assert np.all(res.orbit_matrix >= np.abs(radii[:, None] - radii) - 1e-12)
+
+
+@pytest.mark.parametrize("action", [
+    lambda g, p: p[np.array([[1, 0], [0, 1]])[g]],  # indexes rows by every column's g
+    lambda g, p: p[:1],
+])
+def test_quotient_metric_rejects_action_of_wrong_shape(action):
+    pts = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
+    with pytest.raises(InvalidInputError, match="shape"):
+        quotient_metric(pts, reps.cyclic_group(2), action)
 
 
 def test_circle_rotation_action_rotates_each_column_by_its_index():

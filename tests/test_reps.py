@@ -345,3 +345,18 @@ def test_symmetric_group_sign_and_two_dim_characters(n):
                 power, order = tuple(p[i] for i in power), order + 1
             fixed = sum(p[i] == i for i in range(n))
             assert chi["two_dim"][x] == two_dim[(fixed, order)]
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_block_catalog_is_built_once_per_group_and_read_only(name):
+    group = reps.preset_group(name)
+    catalog = reps._block_catalog(group)
+    assert reps._block_catalog(group) is catalog
+    fresh = reps._block_catalog(reps.preset_group(name))
+    assert fresh is not catalog and sorted(fresh) == sorted(catalog)
+    block = catalog["trivial"]
+    assert fresh["trivial"] is not block
+    with pytest.raises(ValueError):
+        block.matrices[0, 0, 0] = 2
+    with pytest.raises(TypeError):
+        catalog["extra"] = block
