@@ -20,8 +20,8 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import comb
+from functools import cache, cached_property
+from math import comb, prod
 
 import numpy as np
 
@@ -169,7 +169,9 @@ def barycentric_grid(dim: int, min_points: int | None = None):
     """Deterministic barycentric sample grid on a dim-simplex.
 
     Denominator m is the smallest with C(m+dim, dim) >= min_points
-    (default 10^dim).  Returns Fraction tuples summing to 1.
+    (default 10^dim).  Returns Fraction tuples summing to 1.  The
+    certificates below read the default grid as a cached, read-only
+    (points, dim+1) float array of the same weights (``_grid_weights``).
     """
     if min_points is None:
         min_points = 10**dim
@@ -186,6 +188,51 @@ def barycentric_grid(dim: int, min_points: int | None = None):
         parts.append(m + dim - 1 - prev)
         pts.append(tuple(Fraction(p, m) for p in parts))
     return pts
+
+
+@cache
+def _default_weights(dim: int) -> np.ndarray:
+    weights = np.array(barycentric_grid(dim), dtype=float)
+    weights.flags.writeable = False
+    return weights
+
+
+def _grid_weights(dim: int, grid=None) -> np.ndarray:
+    """(points, dim+1) float weights: a caller's grid of weight tuples, or
+    the default ``barycentric_grid(dim)``, converted once per dim."""
+    if grid is None:
+        return _default_weights(dim)
+    return np.array(grid, dtype=float).reshape(len(grid), dim + 1)
+
+
+def _interpolate(weights: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
+    """Affine interpolation at every grid point of every simplex.
+
+    ``vertex_values`` is (simplices, dim+1, ...) and ``weights`` is
+    (points, dim+1); returns (simplices, points, ...).  Terms are added
+    vertex by vertex, the order of ``sum(w * v for ...)``, so each point
+    equals its one-at-a-time interpolation bit for bit.
+    """
+    w = weights.reshape(weights.shape + (1,) * (vertex_values.ndim - 2))
+    acc = w[:, 0] * vertex_values[:, None, 0]
+    for j in range(1, weights.shape[1]):
+        acc += w[:, j] * vertex_values[:, None, j]
+    return acc
+
+
+def _min_norm_on_grid(vertex_values: np.ndarray, weights: np.ndarray) -> float:
+    """Minimum Euclidean norm of the interpolation over every grid point of
+    every simplex; inf on an empty grid.
+
+    Norms are ``sqrt(p @ p)`` as one stacked matmul, the dot product
+    ``np.linalg.norm`` takes of one vector (einsum or ``norm(axis=-1)`` may
+    differ in the last ulp), and like ``min`` over floats the minimum skips
+    NaN.
+    """
+    points = _interpolate(weights, vertex_values)
+    points = points.reshape(points.shape[:2] + (prod(points.shape[2:]),))
+    squares = (points[..., None, :] @ points[..., :, None])[..., 0, 0]
+    return float(np.fmin.reduce(np.sqrt(squares), axis=None, initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +473,28 @@ def sample_min_norm(simplex_values: dict, grid=None) -> float:
     """Minimum Euclidean norm of the affine interpolation over a simplex.
 
     ``simplex_values`` maps each simplex vertex to its fiber value in a
-    common gauge.  Uses the deterministic barycentric grid.
+    common gauge.  Uses the deterministic barycentric grid unless a grid of
+    weight tuples (in ``sorted(key=str)`` vertex order) is given; all grid
+    points are evaluated in one stacked pass, and each norm equals
+    ``np.linalg.norm`` of that point.
     """
     verts = sorted(simplex_values, key=str)
-    vals = [linalg.as_float(simplex_values[v]) for v in verts]
-    dim = len(verts) - 1
-    grid = grid if grid is not None else barycentric_grid(dim)
-    best = np.inf
-    for weights in grid:
-        w = [float(x) for x in weights]
-        point = sum(wi * vi for wi, vi in zip(w, vals))
-        best = min(best, float(np.linalg.norm(point)))
-    return best
+    vals = np.stack([linalg.as_float(simplex_values[v]) for v in verts])
+    return _min_norm_on_grid(vals[None], _grid_weights(len(verts) - 1, grid))
 
 
 def section_min_norm(base: SimplicialBase, values: dict, grid_points=None) -> float:
     """Minimum interpolated norm over every top simplex of a base whose
-    simplices all live in one gauge (e.g. a subdivided simplex)."""
-    best = np.inf
-    for s in base.top_simplices():
-        local = {v: values[v] for v in s}
-        best = min(best, sample_min_norm(local, grid_points))
-    return best
+    simplices all live in one gauge (e.g. a subdivided simplex).
+
+    The vertex values of all top simplices are stacked and evaluated on the
+    grid in one pass; the result equals the minimum of ``sample_min_norm``
+    over the top simplices.
+    """
+    tops = base.top_simplices()
+    vals = np.array([[linalg.as_float(values[v]) for v in sorted(s, key=str)]
+                     for s in tops], dtype=float)
+    return _min_norm_on_grid(vals, _grid_weights(base.top_dim, grid_points))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +548,10 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     boundary values (the first barycentric ring), only the full barycenter
     is chosen, preferring a direction orthogonal to all boundary values and
     falling back to a seeded sampler with a retry budget of 64.  Sampling
-    and the grid certificate run in float arithmetic.
+    and the grid certificate run in float arithmetic: the boundary faces,
+    and then each candidate's subdivision, are certified by stacked passes
+    over all grid points of their simplices, with norms equal to
+    ``np.linalg.norm`` of each point.
     """
     simplex = tuple(sorted(simplex))
     if simplex not in bundle.base.simplices:
@@ -521,6 +571,9 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     for v in simplex:
         if v not in boundary_section:
             raise InvalidInputError(f"boundary section missing at vertex {v}")
+        if np.shape(boundary_section[v]) != (d,):
+            raise InvalidInputError(
+                f"boundary section at vertex {v} is not a vector of length {d}")
         gauge = (linalg.eye(d, bundle.exact) if v == root
                  else bundle.transport(v, root))
         bdry[v] = linalg.as_float(gauge @ np.asarray(boundary_section[v]))
@@ -747,10 +800,8 @@ def _frame_ok_on_simplex(bundle, frames, s, expected, tol: float = 1e-8) -> bool
     for v in s:
         t = linalg.eye(bundle.fiber_dim, bundle.exact) if v == root else bundle.transport(v, root)
         local[v] = np.asarray(linalg.as_float(t @ frames[v]), dtype=float)
-    grid = barycentric_grid(len(s) - 1)
     verts = sorted(s, key=str)
-    for weights in grid:
-        w = [float(x) for x in weights]
+    for w in _grid_weights(len(s) - 1):
         interp = sum(wi * local[v] for wi, v in zip(w, verts))
         cols = [interp[:, j] for j in range(interp.shape[1])]
         if _orbit_rank(bundle.rep, cols, tol) < expected:

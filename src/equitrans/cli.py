@@ -34,7 +34,7 @@ from .errors import EquitransError, InvalidInputError, ObstructionError
 
 class Settings:
     def __init__(self, data=None, args=None):
-        data = data or {}
+        data = {} if data is None else _object(data, "'settings' section")
         self.seed = _int(data.get("seed", 0), "settings 'seed'")
         self.tolerance = _parse_scalar(data.get("tolerance", 1e-10), False,
                                        "settings 'tolerance'")
@@ -89,6 +89,27 @@ def _parse_vector(vals, exact: bool, what: str) -> np.ndarray:
     return np.array(parsed, dtype=object) if exact else np.asarray(parsed, dtype=float)
 
 
+def _object(value, what: str) -> dict:
+    """A scenario section or record that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{what} must be a JSON object")
+    return value
+
+
+def _section(spec, name: str) -> dict:
+    """A scenario section that must be present and a JSON object."""
+    if spec is None:
+        raise InvalidInputError(f"scenario has no {name!r} section")
+    return _object(spec, f"{name!r} section")
+
+
+def _list(value, what: str) -> list:
+    """A scenario entry that must be a JSON list."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} must be a JSON list")
+    return value
+
+
 def _field(rec, key: str, what: str):
     """rec[key] for a scenario record; a missing key is invalid input."""
     if not isinstance(rec, dict) or key not in rec:
@@ -119,7 +140,7 @@ def _int_table(rows, what: str) -> np.ndarray:
 def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            scenario = json.load(fh)
     except FileNotFoundError:
         raise InvalidInputError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -127,20 +148,21 @@ def load_scenario(path: str) -> dict:
             f"scenario parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    return _object(scenario, "scenario")
 
 
 def load_group(spec, settings: Settings):
-    if spec is None:
-        raise InvalidInputError("scenario has no 'group' section")
+    _section(spec, "group")
     if "preset" in spec:
         return reps.preset_group(spec["preset"])
     if "circle" in spec:
-        order = spec["circle"].get("quadrature_order", settings.quadrature_order)
+        order = _object(spec["circle"], "group 'circle'").get(
+            "quadrature_order", settings.quadrature_order)
         return reps.CircleGroupModel(_int(order, "circle 'quadrature_order'"))
     if "table" in spec:
         table = _int_table(spec["table"], "group table")
         irreps = []
-        for rec in spec.get("irreps", []):
+        for rec in _list(spec.get("irreps", []), "group 'irreps'"):
             label, dim, chi, endo = (_field(rec, key, "irrep record") for key in
                                      ("label", "dim", "character", "endo_type"))
             chi = _parse_vector(chi, exact=True, what=f"character of irrep {label!r}")
@@ -153,20 +175,20 @@ def load_group(spec, settings: Settings):
 
 
 def load_representation(group, spec, settings: Settings):
-    if spec is None:
-        raise InvalidInputError("scenario has no 'representation' section")
+    _section(spec, "representation")
     if "weights" in spec:
         if not isinstance(group, reps.CircleGroupModel):
             raise InvalidInputError("weight lists need a circle group")
         return reps.circle_weight_rep(
-            group, [_int(w, "representation 'weights'") for w in spec["weights"]],
+            group, [_int(w, "representation 'weights'")
+                    for w in _list(spec["weights"], "representation 'weights'")],
             _int(spec.get("fixed_dim", 0), "representation 'fixed_dim'")
         )
     if "blocks" in spec:
         catalog = reps._block_catalog(group)
         chosen = []
-        for name in spec["blocks"]:
-            if name not in catalog:
+        for name in _list(spec["blocks"], "representation 'blocks'"):
+            if not isinstance(name, str) or name not in catalog:
                 raise InvalidInputError(
                     f"unknown block {name!r}; available: {sorted(catalog)}"
                 )
@@ -177,18 +199,20 @@ def load_representation(group, spec, settings: Settings):
         return rep
     if "matrices" in spec:
         mats = [_parse_matrix(m, settings.exact, "representation matrices")
-                for m in spec["matrices"]]
+                for m in _list(spec["matrices"], "representation matrices")]
         return reps.rep_from_matrices(group, mats, exact=settings.exact)
     if "generator_matrices" in spec:
         sub = spec["generator_matrices"]
         mats = [_parse_matrix(m, settings.exact, "generator_matrices")
-                for m in _field(sub, "matrices", "generator_matrices")]
+                for m in _list(_field(sub, "matrices", "generator_matrices"),
+                               "generator_matrices 'matrices'")]
         return reps.rep_from_generators(
             group, _field(sub, "generators", "generator_matrices"), mats,
             exact=settings.exact)
     if "random" in spec:
         rng = np.random.default_rng(settings.seed)
-        max_dim = _int(spec["random"].get("max_dim", 8), "random 'max_dim'")
+        max_dim = _int(_object(spec["random"], "representation 'random'").get(
+            "max_dim", 8), "random 'max_dim'")
         return reps.random_rep(group, rng, max_dim, exact=settings.exact)
     raise InvalidInputError(
         "representation section needs 'weights', 'blocks', 'matrices', "
@@ -197,15 +221,15 @@ def load_representation(group, spec, settings: Settings):
 
 
 def load_base(spec) -> bundles.SimplicialBase:
-    if spec is None:
-        raise InvalidInputError("scenario has no 'base' section")
+    _section(spec, "base")
     if "interval" in spec:
         return bundles.SimplicialBase.interval(_int(spec["interval"], "base 'interval'"))
     if "circle" in spec:
         return bundles.SimplicialBase.circle(_int(spec["circle"], "base 'circle'"))
     if "maximal_simplices" in spec:
         return bundles.SimplicialBase.from_maximal(
-            [tuple(s) for s in spec["maximal_simplices"]]
+            [tuple(_list(s, "base 'maximal_simplices'"))
+             for s in _list(spec["maximal_simplices"], "base 'maximal_simplices'")]
         )
     raise InvalidInputError("base section needs 'interval', 'circle' or "
                             "'maximal_simplices'")
@@ -213,7 +237,8 @@ def load_base(spec) -> bundles.SimplicialBase:
 
 def load_bundle(base, rep, spec, settings: Settings) -> bundles.GBundleModel:
     transitions = {}
-    for key, mat in (spec or {}).get("transitions", {}).items():
+    spec = {} if spec is None else _object(spec, "'bundle' section")
+    for key, mat in _object(spec.get("transitions", {}), "bundle 'transitions'").items():
         if key.count(",") != 1:
             raise InvalidInputError(f"transition key {key!r} is not 'u,v'")
         u, v = key.split(",")
@@ -226,48 +251,49 @@ def load_bundle(base, rep, spec, settings: Settings) -> bundles.GBundleModel:
 
 
 def load_lattice(spec) -> floer.HomologyLattice:
-    if spec is None:
-        raise InvalidInputError("scenario has no 'lattice' section")
+    _section(spec, "lattice")
     omega = [_parse_scalar(w, exact=True, what="lattice omega")
-             for w in _field(spec, "omega", "lattice")]
+             for w in _list(_field(spec, "omega", "lattice"), "lattice 'omega'")]
     return floer.HomologyLattice(
         _int(_field(spec, "rank", "lattice"), "lattice 'rank'"), tuple(omega),
-        tuple(_int(c, "lattice 'c1'") for c in _field(spec, "c1", "lattice")))
+        tuple(_int(c, "lattice 'c1'")
+              for c in _list(_field(spec, "c1", "lattice"), "lattice 'c1'")))
 
 
 def load_generators(spec) -> floer.GeneratorSet:
-    if spec is None:
-        raise InvalidInputError("scenario has no 'generators' section")
+    _section(spec, "generators")
     return floer.GeneratorSet(
-        tuple(_field(spec, "names", "generators")),
-        {k: _int(v, "generator 'index'")
-         for k, v in _field(spec, "index", "generators").items()},
+        tuple(_list(_field(spec, "names", "generators"), "generators 'names'")),
+        {k: _int(v, "generator 'index'") for k, v in
+         _object(_field(spec, "index", "generators"), "generators 'index'").items()},
         _int(_field(spec, "half_dim", "generators"), "generators 'half_dim'"),
-        {k: _parse_scalar(v, exact=True, what="generator values")
-         for k, v in _field(spec, "values", "generators").items()},
+        {k: _parse_scalar(v, exact=True, what="generator values") for k, v in
+         _object(_field(spec, "values", "generators"), "generators 'values'").items()},
     )
 
 
 def load_counts(lattice, spec) -> floer.ModuliCountTable:
     counts = {}
-    for rec in spec or []:
+    for rec in [] if spec is None else _list(spec, "'counts' section"):
         x, y, a, c = (_field(rec, key, "count record")
                       for key in ("x", "y", "A", "count"))
-        counts[(x, y, tuple(a))] = _int(c, "count record 'count'")
+        counts[(x, y, tuple(_list(a, "count record 'A'")))] = _int(
+            c, "count record 'count'")
     return floer.ModuliCountTable(lattice, counts)
 
 
 def load_fixed_locus(scenario, settings: Settings) -> tv.FixedLocusModel:
-    spec = scenario.get("fixed_locus")
-    if spec is None:
-        raise InvalidInputError("scenario has no 'fixed_locus' section")
+    spec = _section(scenario.get("fixed_locus"), "fixed_locus")
     base = load_base(spec.get("base"))
     circle = reps.CircleGroupModel(
         _int(spec.get("quadrature_order", 32), "fixed_locus 'quadrature_order'")
     )
     normal, fiber = {}, {}
-    for label, rec in _field(spec, "components", "fixed_locus").items():
+    components = _object(_field(spec, "components", "fixed_locus"),
+                         "fixed_locus 'components'")
+    for label, rec in components.items():
         what = f"fixed_locus component {label!r}"
+        _object(rec, what)
         weight = _int(rec.get("weight", label.split("_")[-1]), f"{what} 'weight'")
         units = {key: _int(_field(rec, key, what), f"{what} {key!r}")
                  for key in ("n_units", "m_units")}
@@ -275,18 +301,22 @@ def load_fixed_locus(scenario, settings: Settings) -> tv.FixedLocusModel:
         fiber[label] = reps.circle_weight_rep(circle, [weight] * units["m_units"])
     section = {
         _vertex(k): _parse_vector(v, exact=False, what="fixed_locus section")
-        for k, v in _field(spec, "section", "fixed_locus").items()
+        for k, v in _object(_field(spec, "section", "fixed_locus"),
+                            "fixed_locus 'section'").items()
     }
     fixed_blocks = {
         _vertex(k): _parse_matrix(m, exact=False, what="fixed_locus fixed_blocks")
-        for k, m in _field(spec, "fixed_blocks", "fixed_locus").items()
+        for k, m in _object(_field(spec, "fixed_blocks", "fixed_locus"),
+                            "fixed_locus 'fixed_blocks'").items()
     }
     lam = {
         _vertex(k): {label: _parse_matrix(m, False, "fixed_locus lambda_blocks")
-                     for label, m in per.items()}
-        for k, per in _field(spec, "lambda_blocks", "fixed_locus").items()
+                     for label, m in _object(per, "fixed_locus 'lambda_blocks'").items()}
+        for k, per in _object(_field(spec, "lambda_blocks", "fixed_locus"),
+                              "fixed_locus 'lambda_blocks'").items()
     }
-    support = set(_vertex(v) for v in spec["support"]) if "support" in spec else None
+    support = (set(_vertex(v) for v in _list(spec["support"], "fixed_locus 'support'"))
+               if "support" in spec else None)
     return tv.FixedLocusModel(
         base=base, group=circle, normal_reps=normal, fiber_reps=fiber,
         section=section, fixed_blocks=fixed_blocks, lambda_blocks=lam,
@@ -301,13 +331,11 @@ def _vertex(k):
 
 
 def load_groupoid(scenario) -> groupoids.FiniteGroupoid:
-    spec = scenario.get("groupoid")
-    if spec is None:
-        raise InvalidInputError("scenario has no 'groupoid' section")
+    spec = _section(scenario.get("groupoid"), "groupoid")
     if "discrete" in spec:
         return groupoids.discrete_groupoid(_int(spec["discrete"], "groupoid 'discrete'"))
     if "translation" in spec:
-        sub = spec["translation"]
+        sub = _object(spec["translation"], "groupoid 'translation'")
         group = load_group(sub.get("group"), Settings())
         return groupoids.make_translation_groupoid(
             group, _int_table(_field(sub, "action", "groupoid translation"),
@@ -392,11 +420,20 @@ def cmd_reps(scenario, settings, sub):
     group = load_group(scenario.get("group"), settings)
     rep = load_representation(group, scenario.get("representation"), settings)
     if sub == "decompose":
-        # only idempotence and the resolution of the identity are reported
         ranks, _, failed = reps.projector_check(rep, settings.tolerance)
         anchor = "isotypic-character-projectors"
-        records = [make_record(f"component-{label}", anchor,
-                               ("idempotent", label) not in failed, {"rank": rank})
+        # a component passes when no failed identity names it: idempotent,
+        # commutes-with-action, or a pairwise-orthogonal pair 'a|b'
+        failed_labels = {label for check, label in failed
+                         if check != "resolution-of-identity"}
+
+        def component_ok(label):
+            names = {label} | {f"{a}|{b}" for other in ranks
+                               for a, b in ((label, other), (other, label))}
+            return failed_labels.isdisjoint(names)
+
+        records = [make_record(f"component-{label}", anchor, component_ok(label),
+                               {"rank": rank})
                    for label, rank in sorted(ranks.items()) if rank]
         ok = ("resolution-of-identity", "") not in failed
         return records + [make_record("resolution-of-identity", anchor, ok,
@@ -419,18 +456,18 @@ def cmd_bundle(scenario, settings, sub):
         return [make_record(f"component-{label}", "bundle-isotypic-splitting",
                             True, {"rank": ranks[label]}) for label in sorted(ranks)]
     if sub == "extend":
-        spec = scenario.get("extend")
-        if spec is None:
-            raise InvalidInputError("scenario has no 'extend' section")
-        simplex = tuple(_field(spec, "simplex", "extend section"))
+        spec = _section(scenario.get("extend"), "extend")
+        simplex = tuple(_list(_field(spec, "simplex", "extend section"),
+                              "extend 'simplex'"))
         section_name = spec.get("section", "s")
-        sections = scenario.get("sections", {})
-        if section_name not in sections:
+        sections = _object(scenario.get("sections", {}), "'sections' section")
+        if not isinstance(section_name, str) or section_name not in sections:
             raise InvalidInputError(f"section {section_name!r} not in scenario")
         boundary = {
             _vertex(k): _parse_vector(v, exact=False,
                                       what=f"section {section_name!r}")
-            for k, v in sections[section_name].items()
+            for k, v in _object(sections[section_name],
+                                f"section {section_name!r}").items()
         }
         try:
             res = bundles.extend_nonvanishing_section(
@@ -447,12 +484,11 @@ def cmd_bundle(scenario, settings, sub):
             )
         return records
     if sub == "stabilize":
-        spec = scenario.get("stabilize")
-        if spec is None:
-            raise InvalidInputError("scenario has no 'stabilize' section")
+        spec = _section(scenario.get("stabilize"), "stabilize")
         lin = {
             _vertex(k): _parse_matrix(m, exact=False, what="stabilize linearizations")
-            for k, m in _field(spec, "linearizations", "stabilize section").items()
+            for k, m in _object(_field(spec, "linearizations", "stabilize section"),
+                                "stabilize 'linearizations'").items()
         }
         try:
             res = bundles.stabilize_cokernel(bundle, bundle, lin,
@@ -523,11 +559,11 @@ def cmd_transversality(scenario, settings, sub):
 
 def _load_paths(scenario, settings):
     spec = scenario.get("flow")
-    if spec is None or not spec.get("paths"):
+    if spec is None or not _object(spec, "'flow' section").get("paths"):
         raise InvalidInputError("scenario has no 'flow' section with paths")
     out = []
-    for rec in spec["paths"]:
-        preset = rec.get("preset")
+    for rec in _list(spec["paths"], "flow 'paths'"):
+        preset = _object(rec, "flow path").get("preset")
         what = f"flow path {preset!r}"
         horizon = _parse_scalar(rec.get("horizon", 9.0), False, f"{what} 'horizon'")
 
@@ -606,7 +642,7 @@ def cmd_floer(scenario, settings, sub):
         morse = {
             (_field(rec, "x", "morse count"), _field(rec, "y", "morse count")):
                 _int(_field(rec, "count", "morse count"), "morse count 'count'")
-            for rec in scenario.get("morse_counts", [])
+            for rec in _list(scenario.get("morse_counts", []), "'morse_counts' section")
         }
         reduced = floer.autonomous_reduce(counts, gens, morse)
         delta = floer.build_differential(
@@ -646,9 +682,7 @@ def cmd_groupoid(scenario, settings, sub):
     gpd.validate()
     records = []
     if sub == "quotient":
-        action_spec = scenario.get("group_action")
-        if action_spec is None:
-            raise InvalidInputError("scenario has no 'group_action' section")
+        action_spec = _section(scenario.get("group_action"), "group_action")
         group = load_group(action_spec.get("group"), settings)
         action = groupoids.GlobalActionData(
             group,
@@ -656,10 +690,12 @@ def cmd_groupoid(scenario, settings, sub):
             _int_table(_field(action_spec, "morphisms", "group_action"),
                        "morphism action"),
         )
-        slices = [_int(s, "'slices'") for s in scenario.get("slices", [])]
+        slices = [_int(s, "'slices'") for s in _list(scenario.get("slices", []), "'slices'")]
         kernels = {
-            _vertex(k): [_int(m, "'ineffective_kernels'") for m in v]
-            for k, v in scenario.get("ineffective_kernels", {}).items()
+            _vertex(k): [_int(m, "'ineffective_kernels'")
+                         for m in _list(v, "'ineffective_kernels'")]
+            for k, v in _object(scenario.get("ineffective_kernels", {}),
+                                "'ineffective_kernels' section").items()
         } or None
         model = groupoids.quotient_groupoid(gpd, action, slices, kernels)
         for x in sorted(model.stab_law):
@@ -671,8 +707,9 @@ def cmd_groupoid(scenario, settings, sub):
         return records
     if sub == "check":
         uniform = {
-            _vertex(k): set(_int(p, "'uniformizers'") for p in v)
-            for k, v in scenario.get("uniformizers", {}).items()
+            _vertex(k): set(_int(p, "'uniformizers'") for p in _list(v, "'uniformizers'"))
+            for k, v in _object(scenario.get("uniformizers", {}),
+                                "'uniformizers' section").items()
         }
         if uniform:
             rep = groupoids.properness_check(gpd, uniform)
@@ -684,16 +721,18 @@ def cmd_groupoid(scenario, settings, sub):
         reg = scenario.get("regularity")
         if reg:
             local = {}
-            for k, v in reg.items():
+            for k, v in _object(reg, "'regularity' section").items():
                 what = f"regularity of {k}"
                 points, subset, act = (_field(v, key, what)
                                        for key in ("points", "sub", "action"))
                 local[_vertex(k)] = {
-                    "points": [_int(p, f"{what} 'points'") for p in points],
-                    "sub": [_int(p, f"{what} 'sub'") for p in subset],
+                    "points": [_int(p, f"{what} 'points'")
+                               for p in _list(points, f"{what} 'points'")],
+                    "sub": [_int(p, f"{what} 'sub'") for p in _list(subset, f"{what} 'sub'")],
                     "action": {_int(m, f"{what} 'action'"):
-                               tuple(_int(p, f"{what} 'action'") for p in perm)
-                               for m, perm in act.items()},
+                               tuple(_int(p, f"{what} 'action'")
+                                     for p in _list(perm, f"{what} 'action'"))
+                               for m, perm in _object(act, f"{what} 'action'").items()},
                 }
             rep = groupoids.regularity_check(gpd, local)
             for key in sorted(rep, key=str):
@@ -746,7 +785,8 @@ def cmd_metric(scenario, settings, sub):
     points = [_parse_vector(p, exact=False, what="metric_points") for p in pts]
     if len({len(p) for p in points}) > 1:
         raise InvalidInputError("metric_points must all have one dimension")
-    action_spec = scenario.get("metric_action", {"type": "negation"})
+    action_spec = _object(scenario.get("metric_action", {"type": "negation"}),
+                          "'metric_action' section")
     kind = action_spec.get("type")
     if kind == "negation":
         group = reps.cyclic_group(2)

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -401,13 +401,32 @@ _PRESETS = {
 }
 
 
+@cache
+def _preset(name: str) -> FiniteGroupModel:
+    group = _PRESETS[name]()
+    group.table.flags.writeable = False
+    for irrep in group.irreps:
+        irrep.character.flags.writeable = False
+    return group
+
+
 def preset_group(name: str) -> FiniteGroupModel:
+    """The group of a preset name, or Z_n / D_n for any other n.
+
+    Each name in ``_PRESETS`` is built once per process and shared, with
+    its block catalog (``_block_catalog``): its multiplication table and
+    character arrays are read-only.  Other Z_n / D_n names build a new
+    group on every call, so no input can grow the cache.
+    """
+    if not isinstance(name, str):
+        raise InvalidInputError(f"unknown group preset {name!r}")
     if name in _PRESETS:
-        return _PRESETS[name]()
-    if name.startswith("Z_"):
-        return cyclic_group(int(name[2:]))
-    if name.startswith("D_"):
-        return dihedral_group(int(name[2:]))
+        return _preset(name)
+    if name[2:].isdecimal():
+        if name.startswith("Z_"):
+            return cyclic_group(int(name[2:]))
+        if name.startswith("D_"):
+            return dihedral_group(int(name[2:]))
     raise InvalidInputError(f"unknown group preset {name!r}")
 
 

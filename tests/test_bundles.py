@@ -325,6 +325,63 @@ def test_extend_vanishing_boundary_rejected():
         )
 
 
+def test_extend_boundary_vector_of_wrong_length_rejected():
+    g = reps.cyclic_group(1)
+    rep = reps.rep_from_matrices(g, [np.eye(2).tolist()], exact=True)
+    bundle = GBundleModel(SimplicialBase.interval(1), rep)
+    with pytest.raises(InvalidInputError, match="length 2"):
+        extend_nonvanishing_section(
+            bundle, (0, 1), {0: np.array([1.0, 0.0]), 1: np.array([1.0])}
+        )
+
+
+# ---------------------------------------------------------------------------
+# grid certificates against per-point loops
+# ---------------------------------------------------------------------------
+
+
+def reference_min_norm(simplex_values, grid):
+    """One grid point at a time: interpolate with sum(), take the norm."""
+    verts = sorted(simplex_values, key=str)
+    vals = [linalg.as_float(simplex_values[v]) for v in verts]
+    best = np.inf
+    for weights in grid:
+        point = sum(float(w) * val for w, val in zip(weights, vals))
+        best = min(best, float(np.linalg.norm(point)))
+    return best
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_min_norm_certificates_match_per_point_loop(dim):
+    rng = np.random.default_rng(dim)
+    simplex = tuple(range(dim + 1))
+    coarse = barycentric_grid(dim, min_points=7)
+    for d, scale in ((1, 1e-3), (3, 1.0), (8, 1e3)):
+        vals = {v: rng.normal(size=d) * scale for v in simplex}
+        for grid in (None, coarse):
+            expected = reference_min_norm(vals, grid or barycentric_grid(dim))
+            assert bundles.sample_min_norm(vals, grid) == expected
+        # antipodal vertex values: the interpolation passes near zero
+        vals = {v: (-1.0) ** v * np.ones(d) for v in simplex}
+        assert bundles.sample_min_norm(vals) == reference_min_norm(
+            vals, barycentric_grid(dim))
+    sub = barycentric_subdivision(simplex)
+    values = {v: rng.normal(size=3) for v in sub.vertices}
+    for grid in (None, coarse):
+        expected = min(reference_min_norm({v: values[v] for v in top},
+                                          grid or barycentric_grid(dim))
+                       for top in sub.top_simplices())
+        assert bundles.section_min_norm(sub, values, grid) == expected
+
+
+def test_min_norm_on_a_caller_fraction_grid_matches_per_point_loop():
+    rng = np.random.default_rng(7)
+    grid = [(Fraction(k, 7), Fraction(7 - k, 7)) for k in range(8)]
+    vals = {"a": rng.normal(size=4), "b": rng.normal(size=4)}
+    assert bundles.sample_min_norm(vals, grid) == reference_min_norm(vals, grid)
+    assert bundles.sample_min_norm(vals, []) == np.inf
+
+
 # ---------------------------------------------------------------------------
 # frame extension
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from equitrans import cli
+from equitrans import cli, reps
 
 
 def run(capsys, argv):
@@ -784,13 +784,14 @@ def test_non_integral_projector_trace_exit_2(tmp_path, capsys, mode, command):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_non_idempotent_integral_trace_projector(tmp_path, capsys, mode):
-    # P_odd = diag(3/4, 1/4): integral trace, not idempotent
+    # P_odd = diag(3/4, 1/4): integral trace, not idempotent, and not
+    # orthogonal to P_fixed = diag(1, 0), so the pair fails both records
     path = write(tmp_path, "bad.json", _bad_character_table(2, mode))
     code, out, _ = run(capsys, ["reps", "decompose", path])
     assert code == 1
     anchor = "isotypic-character-projectors"
     assert json.loads(out)["records"] == [
-        {"check": "component-fixed", "anchor": anchor, "pass": True,
+        {"check": "component-fixed", "anchor": anchor, "pass": False,
          "certificate": {"rank": 1}},
         {"check": "component-odd", "anchor": anchor, "pass": False,
          "certificate": {"rank": 1}},
@@ -801,3 +802,69 @@ def test_non_idempotent_integral_trace_projector(tmp_path, capsys, mode):
     assert code == 2
     assert out == ""
     assert "invalid character table" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_projectors_failing_only_commutation_fail_their_records(tmp_path, capsys, mode):
+    # S_3 on R^3 by permutations, H = {e, t} for the transposition t = 1:
+    # chi_a = 3 * 1_H - 1 gives P_a = P_H - P_fixed and chi_b = 6 delta_e -
+    # 3 * 1_H gives P_b = I - P_H, orthogonal projectors of rank one that
+    # resolve the identity; they are not class functions, so P_a and P_b do
+    # not commute with the action
+    s3 = reps.symmetric_group(3)
+    chi_a = [2, 2, -1, -1, -1, -1]
+    chi_b = [3, -3, 0, 0, 0, 0]
+    irreps = [{"label": label, "dim": 1, "character": chi, "endo_type": "R"}
+              for label, chi in (("a", chi_a), ("b", chi_b))]
+    payload = {"settings": {"mode": mode},
+               "group": {"table": s3.table.tolist(), "irreps": irreps},
+               "representation": {
+                   "matrices": reps._block_catalog(s3)["natural"].matrices.tolist()}}
+    code, out, _ = run(capsys, ["reps", "decompose", write(tmp_path, "s3.json", payload)])
+    assert code == 1
+    anchor = "isotypic-character-projectors"
+    assert json.loads(out)["records"] == [
+        {"check": f"component-{label}", "anchor": anchor, "pass": ok,
+         "certificate": {"rank": 1}}
+        for label, ok in (("a", False), ("b", False), ("fixed", True))
+    ] + [{"check": "resolution-of-identity", "anchor": anchor, "pass": True,
+          "certificate": {"dim": 3}}]
+
+
+@pytest.mark.parametrize("command, payload, keys, named", [
+    (["metric", "quotient"], METRIC_PERMUTATION, ("metric_action",), "'metric_action'"),
+    (["reps", "decompose"], REPS_MATRICES, ("group",), "'group'"),
+    (["reps", "decompose"], REPS_MATRICES, ("representation",), "'representation'"),
+    (["reps", "decompose"], dict(REPS_MATRICES, settings={}), ("settings",), "'settings'"),
+    (["bundle", "extend"], BUNDLE_EXTEND, ("sections", "s"), "section 's'"),
+    (["bundle", "extend"], BUNDLE_EXTEND, ("base",), "'base'"),
+    (["transversality", "check"], FIXED_LOCUS, ("fixed_locus",), "'fixed_locus'"),
+    (["transversality", "check"], FIXED_LOCUS, COMPONENT, "'weight_1'"),
+    (["floer", "ranks"], FLOER_RANKS, ("generators", "index"), "'index'"),
+    (["groupoid", "quotient"], GROUPOID_QUOTIENT, ("group_action",), "'group_action'"),
+    (["groupoid", "check"], GROUPOID_CHECK, ("groupoid", "translation"), "'translation'"),
+    (["groupoid", "check"], GROUPOID_CHECK, ("uniformizers",), "'uniformizers'"),
+    (["flow", "index"], {"flow": {"paths": [{"preset": "tanh-scalar"}]}}, ("flow",),
+     "'flow'"),
+])
+def test_scenario_section_that_is_not_an_object_exit_2(tmp_path, capsys, command,
+                                                         payload, keys, named):
+    assert run(capsys, command + [write(tmp_path, "ok.json", payload)])[0] in (0, 1)
+    for value in (5, [1, 2], "x"):
+        code, out, err = run(capsys, command + [write(tmp_path, "bad.json",
+                                                      _replaced(payload, value, *keys))])
+        assert code == 2
+        assert out == ""
+        msg = json.loads(err)
+        assert msg["kind"] == "invalid-input"
+        assert named in msg["error"] and "JSON object" in msg["error"]
+
+
+@pytest.mark.parametrize("command", [["reps", "decompose"], ["groupoid", "check"],
+                                     ["floer", "d2"]])
+def test_scenario_that_is_not_an_object_exit_2(tmp_path, capsys, command):
+    code, out, err = run(capsys, command + [write(tmp_path, "list.json", [1, 2])])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "scenario must be a JSON object",
+                               "kind": "invalid-input"}

@@ -153,22 +153,88 @@ def test_broken_table_rejected(corrupt, match):
         corrupt()
 
 
-def test_associativity_error_names_first_triple_in_c_order():
+def _first_failing_triple(t):
+    """The dense triple loop, vectorized over (j, k) for each first factor
+    i: the first (i, j, k) in C order over all triples with i o j and j o k
+    defined and (i o j) o k != i o (j o k)."""
+    for i in range(len(t)):
+        bad = (t[i, :, None] >= 0) & (t >= 0) & (t[t[i]] != t[i, t])
+        if bad.any():
+            return (i, *np.argwhere(bad)[0].tolist())
+    return None
+
+
+def _renumbered(gpd, keep, n_objects, objects):
+    """The full subgroupoid on the morphisms ``keep`` (in that order) and
+    the objects ``objects`` (object objects[k] becomes k)."""
+    obj = np.full(gpd.n_objects, -1)
+    obj[objects] = np.arange(n_objects)
+    new = np.full(gpd.n_morphisms, -1)
+    new[keep] = np.arange(len(keep))
+    t = gpd.compose_table[np.ix_(keep, keep)]
+    return gq.FiniteGroupoid(n_objects, obj[gpd.src[keep]], obj[gpd.tgt[keep]],
+                             np.where(t >= 0, new[t], -1), new[gpd.units[objects]],
+                             new[gpd.inverses[keep]])
+
+
+def _mixed_in_degrees():
+    # S_3 on 3 + 1 + 6 points (natural, fixed, regular), cut down to the
+    # objects 0, 1, 3, 4: in-degrees 4, 4, 6 and 1
+    s3 = reps.symmetric_group(3)
+    perms = np.array(sorted(itertools.permutations(range(3))))
+    action = np.concatenate([perms, np.full((6, 1), 3), s3.table + 4], axis=1)
+    gpd = make_translation_groupoid(s3, action)
+    objects = [0, 1, 3, 4]
+    keep = np.flatnonzero(np.isin(gpd.src, objects) & np.isin(gpd.tgt, objects))
+    sub = _renumbered(gpd, keep, len(objects), objects)
+    sub.validate()
+    assert sorted(np.bincount(sub.tgt).tolist()) == [1, 4, 4, 6]
+    return sub
+
+
+def _s4_on_14_points():
+    # S_4 on 4 points, on the 6 pairs of them and on 4 points again (m = 336,
+    # every in-degree 24); the morphisms into or out of object 13 are
+    # numbered last, so a composite into 13 that is changed breaks only
+    # triples whose first factor comes after the first 2**16 triples
+    perms = np.array(sorted(itertools.permutations(range(4))))
+    pairs = list(itertools.combinations(range(4), 2))
+    on_pairs = np.array([[pairs.index(tuple(sorted(p[list(q)]))) for q in pairs]
+                         for p in perms])
+    action = np.concatenate([perms, on_pairs + 4, perms + 10], axis=1)
+    gpd = make_translation_groupoid(reps.symmetric_group(4), action)
+    keep = np.argsort((gpd.src == 13) | (gpd.tgt == 13), kind="stable")
+    return _renumbered(gpd, keep, gpd.n_objects, np.arange(gpd.n_objects))
+
+
+@pytest.mark.parametrize("make, into, step", [
+    (lambda: make_translation_groupoid(*cyclic_action(4, 2)), None, 3),
+    (_mixed_in_degrees, None, 2),
+    (_s4_on_14_points, 13, 300),
+])
+def test_associativity_error_names_first_triple_in_c_order(make, into, step):
     # replacing a o b (neither a unit, b not the inverse of a) by another
     # morphism with the same endpoints breaks associativity only; the error
     # names the first failing triple of a dense loop
-    gpd = make_translation_groupoid(*cyclic_action(4, 2))
+    gpd = make()
     t0 = gpd.compose_table
     pairs = [(a, b) for a, b in np.argwhere(t0 >= 0)
-             if a not in gpd.units and b not in gpd.units and gpd.inverses[a] != b]
-    for a, b in pairs[::3]:
+             if a not in gpd.units and b not in gpd.units and gpd.inverses[a] != b
+             and len(gpd.morphisms_between(gpd.src[b], gpd.tgt[a])) > 1
+             and into in (None, gpd.tgt[a])]
+    width = np.bincount(gpd.tgt).max()
+    for a, b in pairs[::step]:
         t = t0.copy()
         t[a, b] = next(c for c in gpd.morphisms_between(gpd.src[b], gpd.tgt[a])
                        if c != t0[a, b])
-        first = next(
-            (i, j, k) for i, j, k in itertools.product(range(len(t)), repeat=3)
-            if t[i, j] >= 0 and t[j, k] >= 0 and t[t[i, j], k] != t[i, t[j, k]]
-        )
+        first = _first_failing_triple(t)
+        if len(t) <= 32:
+            assert first == next(
+                (i, j, k) for i, j, k in itertools.product(range(len(t)), repeat=3)
+                if t[i, j] >= 0 and t[j, k] >= 0 and t[t[i, j], k] != t[i, t[j, k]]
+            )
+        if into is not None:
+            assert first[0] * width**2 > 2**16
         broken = gq.FiniteGroupoid(gpd.n_objects, gpd.src, gpd.tgt, t,
                                    gpd.units, gpd.inverses)
         with pytest.raises(InvalidInputError) as err:

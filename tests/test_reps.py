@@ -348,11 +348,25 @@ def test_symmetric_group_sign_and_two_dim_characters(n):
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_group_is_built_once_per_name_and_read_only(name):
+    group = reps.preset_group(name)
+    assert reps.preset_group(name) is group
+    with pytest.raises(ValueError):
+        group.table[0, 0] = group.table[0, 1]
+    for irrep in group.irreps:
+        with pytest.raises(ValueError):
+            irrep.character[0] = 0
+    # names outside the presets build a new group on every call
+    assert reps.preset_group("Z_5") is not reps.preset_group("Z_5")
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
 def test_block_catalog_is_built_once_per_group_and_read_only(name):
     group = reps.preset_group(name)
     catalog = reps._block_catalog(group)
     assert reps._block_catalog(group) is catalog
-    fresh = reps._block_catalog(reps.preset_group(name))
+    # a group built anew (not the shared preset) gets its own catalog
+    fresh = reps._block_catalog(reps._PRESETS[name]())
     assert fresh is not catalog and sorted(fresh) == sorted(catalog)
     block = catalog["trivial"]
     assert fresh["trivial"] is not block
