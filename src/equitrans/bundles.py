@@ -29,6 +29,7 @@ from . import linalg, reps
 from .errors import InvalidInputError, ObstructionError, ResampleFailureError
 
 RETRY_BUDGET = 64
+RANK_TOL = 1e-8  # rank cut for frames, orbit spans and cokernel coverage
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +419,7 @@ class ComplementResult:
     projector_complement: dict
 
 
-def invariant_complement(bundle: GBundleModel, subbundle: dict,
-                         tol: float = linalg.TOL) -> ComplementResult:
+def invariant_complement(bundle: GBundleModel, subbundle: dict) -> ComplementResult:
     """Invariant complement of a constant-rank invariant subbundle.
 
     ``subbundle`` maps each vertex to a matrix whose columns span the fiber
@@ -433,7 +433,7 @@ def invariant_complement(bundle: GBundleModel, subbundle: dict,
     for v in bundle.base.vertices:
         if v not in subbundle:
             raise InvalidInputError(f"subbundle frame missing at vertex {v}")
-        ranks[v] = linalg.rank(subbundle[v], tol)
+        ranks[v] = linalg.rank(subbundle[v])
     distinct = sorted(set(ranks.values()))
     if len(distinct) > 1:
         jumps = [v for v in bundle.base.vertices if ranks[v] != distinct[0]]
@@ -444,20 +444,20 @@ def invariant_complement(bundle: GBundleModel, subbundle: dict,
         f = subbundle[v]
         for g in range(rep.group.order):
             moved = rep.matrices[g] @ f
-            if linalg.rank(np.concatenate([f, moved], axis=1), tol) != ranks[v]:
+            if linalg.rank(np.concatenate([f, moved], axis=1)) != ranks[v]:
                 raise InvalidInputError(
                     f"subbundle at vertex {v} is not invariant under element {g}"
                 )
         gram = f.T @ metric @ f
         p = f @ linalg.inv(gram) @ f.T @ metric
-        comp = linalg.nullspace(f.T @ metric, tol)
+        comp = linalg.nullspace(f.T @ metric)
         frames[v] = comp
         proj_f[v] = p
         proj_c[v] = ident - p
     for (u, v) in bundle.base.edges():
         t = bundle.transitions[(u, v)]
         moved = t @ subbundle[u]
-        if linalg.rank(np.concatenate([subbundle[v], moved], axis=1), tol) != ranks[v]:
+        if linalg.rank(np.concatenate([subbundle[v], moved], axis=1)) != ranks[v]:
             raise InvalidInputError(
                 f"subbundle is not preserved by the transition on edge ({u},{v})"
             )
@@ -629,19 +629,19 @@ def orbit_matrix(rep: reps.RealRepresentation, column: np.ndarray) -> np.ndarray
     return (linalg.as_float(rep.matrices) @ linalg.as_float(column)).T
 
 
-def _orbit_rank(rep, columns: list, tol: float = 1e-8) -> int:
+def _orbit_rank(rep, columns: list) -> int:
     if not columns:
         return 0
     mats = [orbit_matrix(rep, c) for c in columns]
-    return linalg.rank(np.concatenate(mats, axis=1), tol)
+    return linalg.rank(np.concatenate(mats, axis=1), RANK_TOL)
 
 
 def frame_independent_on_grid(bundle: GBundleModel, frames: dict,
-                              expected_rank: int, tol: float = 1e-8) -> bool:
+                              expected_rank: int) -> bool:
     """Check the interpolated frame keeps full orbit rank on the sample grid
     of every top simplex (in the simplex gauge)."""
     return all(
-        _frame_ok_on_simplex(bundle, frames, s, expected_rank, tol)
+        _frame_ok_on_simplex(bundle, frames, s, expected_rank)
         for s in bundle.base.top_simplices()
     )
 
@@ -668,14 +668,14 @@ def component_subbundle(bundle: GBundleModel, label: str):
 
 
 def _column_component(bundle: GBundleModel, splitting: IsotypicSplitting,
-                      column: np.ndarray, tol: float = 1e-8) -> str:
+                      column: np.ndarray) -> str:
     """The isotypic component containing a fiber vector; mixed vectors are
     rejected (invariant frames are extended component by component)."""
     col = linalg.as_float(column)
     hits = []
     for label, p in splitting.projectors.items():
         piece = linalg.as_float(p) @ col
-        if np.linalg.norm(piece) > tol * max(1.0, np.linalg.norm(col)):
+        if np.linalg.norm(piece) > RANK_TOL * max(1.0, np.linalg.norm(col)):
             hits.append(label)
     if len(hits) != 1:
         raise InvalidInputError(
@@ -794,7 +794,7 @@ def _extend_frame_single(bundle: GBundleModel, simplex, frame: dict,
     return frames
 
 
-def _frame_ok_on_simplex(bundle, frames, s, expected, tol: float = 1e-8) -> bool:
+def _frame_ok_on_simplex(bundle, frames, s, expected) -> bool:
     root = s[0]
     local = {}
     for v in s:
@@ -804,7 +804,7 @@ def _frame_ok_on_simplex(bundle, frames, s, expected, tol: float = 1e-8) -> bool
     for w in _grid_weights(len(s) - 1):
         interp = sum(wi * local[v] for wi, v in zip(w, verts))
         cols = [interp[:, j] for j in range(interp.shape[1])]
-        if _orbit_rank(bundle.rep, cols, tol) < expected:
+        if _orbit_rank(bundle.rep, cols) < expected:
             return False
     return True
 
@@ -819,8 +819,7 @@ class StabilizationResult:
 
 
 def stabilize_cokernel(n_bundle: GBundleModel, e_bundle: GBundleModel,
-                       linearizations: dict, seed: int = 0,
-                       tol: float = 1e-8) -> StabilizationResult:
+                       linearizations: dict, seed: int = 0) -> StabilizationResult:
     """Build a trivial invariant subbundle of the target covering all
     cokernels of a per-vertex equivariant linearization family.
 
@@ -839,7 +838,7 @@ def stabilize_cokernel(n_bundle: GBundleModel, e_bundle: GBundleModel,
         if v not in linearizations:
             raise InvalidInputError(f"linearization missing at vertex {v}")
         dmat = np.asarray(linalg.as_float(linearizations[v]), dtype=float)
-        deficits[v] = d_e - linalg.rank(dmat, tol)
+        deficits[v] = d_e - linalg.rank(dmat, RANK_TOL)
     max_deficit = max(deficits.values())
     if max_deficit == 0:
         return StabilizationResult({v: np.zeros((d_e, 0)) for v in base.vertices}, 0)
@@ -856,17 +855,17 @@ def stabilize_cokernel(n_bundle: GBundleModel, e_bundle: GBundleModel,
         dmat = np.asarray(linalg.as_float(linearizations[v]), dtype=float)
         while True:
             span = np.concatenate([dmat, orbit_stack(rep_e, frames[v])], axis=1)
-            if linalg.rank(span, tol) >= d_e:
+            if linalg.rank(span, RANK_TOL) >= d_e:
                 break
             # deficit direction: an element of the cokernel at v
-            kernel = linalg.nullspace(span.T, tol)
+            kernel = linalg.nullspace(span.T, RANK_TOL)
             u = kernel[:, 0]
             # perturb into the complement of the bundle built so far
             if frames[v].shape[1] > 0:
                 w_span = orbit_stack(rep_e, frames[v])
                 u = u - w_span @ np.linalg.lstsq(w_span, u, rcond=None)[0]
             u = u / np.linalg.norm(u)
-            col = _extend_column(e_bundle, v, u, frames, rng, tol)
+            col = _extend_column(e_bundle, v, u, frames, rng)
             for x in base.vertices:
                 frames[x] = np.concatenate([frames[x], col[x].reshape(-1, 1)], axis=1)
             total_cols += 1
@@ -875,7 +874,7 @@ def stabilize_cokernel(n_bundle: GBundleModel, e_bundle: GBundleModel,
     for v in base.vertices:
         dmat = np.asarray(linalg.as_float(linearizations[v]), dtype=float)
         span = np.concatenate([dmat, orbit_stack(rep_e, frames[v])], axis=1)
-        if linalg.rank(span, tol) < d_e:
+        if linalg.rank(span, RANK_TOL) < d_e:
             raise ResampleFailureError(
                 f"stabilization failed to cover the cokernel at vertex {v}",
                 {"vertex": v},
@@ -892,30 +891,31 @@ def orbit_stack(rep, columns: np.ndarray) -> np.ndarray:
 
 
 def _extend_column(bundle: GBundleModel, start, vec: np.ndarray, existing: dict,
-                   rng: np.random.Generator, tol: float) -> dict:
+                   rng: np.random.Generator) -> dict:
     """Transport a fiber vector to every vertex, keeping its orbit span
     independent of the existing frames; reseeds where transport degenerates."""
     d = bundle.fiber_dim
     col = {start: np.asarray(vec, dtype=float)}
     for u, w in bundle.base.bfs_edges([start]):
         cand = np.asarray(linalg.as_float(bundle.transport(u, w) @ col[u]), dtype=float)
-        col[w] = _ensure_independent(bundle, w, cand, existing, rng, tol)
+        col[w] = _ensure_independent(bundle, w, cand, existing, rng)
     for v in bundle.base.vertices:
         if v not in col:
             cand = rng.normal(size=d)
-            col[v] = _ensure_independent(bundle, v, cand, existing, rng, tol)
+            col[v] = _ensure_independent(bundle, v, cand, existing, rng)
     return col
 
 
-def _ensure_independent(bundle, vertex, cand, existing, rng, tol):
+def _ensure_independent(bundle, vertex, cand, existing, rng):
     rep = bundle.rep
     prev = orbit_stack(rep, existing[vertex])
     norm = np.linalg.norm(cand) or 1.0
     trial = cand
     for attempt in range(RETRY_BUDGET):
         combined = np.concatenate([prev, orbit_matrix(rep, trial)], axis=1)
-        target = linalg.rank(prev, tol) + linalg.rank(orbit_matrix(rep, trial), tol)
-        if linalg.rank(combined, tol) == target and np.linalg.norm(trial) > tol:
+        target = (linalg.rank(prev, RANK_TOL)
+                  + linalg.rank(orbit_matrix(rep, trial), RANK_TOL))
+        if linalg.rank(combined, RANK_TOL) == target and np.linalg.norm(trial) > RANK_TOL:
             return trial
         fresh = rng.normal(size=bundle.fiber_dim)
         trial = fresh / np.linalg.norm(fresh) * norm

@@ -520,15 +520,15 @@ class QuotientMetricResult:
     orbit_matrix: np.ndarray
 
 
-def _golden_refine(f, lo, hi, iters: int = 48):
-    """Golden-section minimum of f on [lo, hi], elementwise over arrays:
-    each iteration evaluates f once on the new point of every bracket."""
+def _golden_refine(f, lo, hi):
+    """Golden-section minimum of f on [lo, hi], elementwise over arrays: 48
+    iterations, each evaluating f once on the new point of every bracket."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(48):
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)

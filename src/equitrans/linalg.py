@@ -169,23 +169,22 @@ def inv(a: np.ndarray) -> np.ndarray:
 def min_singular_value(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
-    sv = np.linalg.svd(as_float(a), compute_uv=False)
-    return float(sv[-1]) if len(sv) else 0.0
+    return float(np.linalg.svd(as_float(a), compute_uv=False)[-1])
 
 
-def column_space_basis(a: np.ndarray, tol: float = TOL) -> np.ndarray:
+def column_space_basis(a: np.ndarray) -> np.ndarray:
     """Columns spanning the column space of a (pivot columns when exact)."""
     if is_exact(a):
         _, pivots = rref(a)
         return a[:, pivots]
     from scipy.linalg import orth
 
-    if a.size == 0 or np.linalg.matrix_rank(as_float(a), tol=tol) == 0:
+    if a.size == 0 or np.linalg.matrix_rank(as_float(a), tol=TOL) == 0:
         return np.zeros((a.shape[0], 0))
-    return orth(as_float(a), rcond=tol)
+    return orth(as_float(a), rcond=TOL)
 
 
-def independent_columns(a: np.ndarray, tol: float = TOL) -> list[int]:
+def independent_columns(a: np.ndarray) -> list[int]:
     """Indices of a maximal independent subset of columns, left to right."""
     if is_exact(a):
         _, pivots = rref(a)
@@ -195,7 +194,7 @@ def independent_columns(a: np.ndarray, tol: float = TOL) -> list[int]:
     basis = np.zeros((a.shape[0], 0))
     for j in range(af.shape[1]):
         cand = np.concatenate([basis, af[:, j : j + 1]], axis=1)
-        if np.linalg.matrix_rank(cand, tol=tol) > basis.shape[1]:
+        if np.linalg.matrix_rank(cand, tol=TOL) > basis.shape[1]:
             basis = cand
             idx.append(j)
     return idx

@@ -164,14 +164,18 @@ class CircleGroupModel:
         n = self.quadrature_order
         return 2.0 * np.pi * np.arange(n) / n
 
-    def weight_irrep(self, weight: int) -> IrrepDescriptor:
+    def check_weight(self, weight: int) -> None:
+        """Circle weights run from 1 to max_weight."""
         if weight < 1:
-            raise InvalidInputError("circle weights are positive integers")
+            raise InvalidInputError(f"circle weight {weight} is not a positive integer")
         if weight > self.max_weight:
             raise InvalidInputError(
                 f"weight {weight} exceeds quadrature capacity "
                 f"(order {self.quadrature_order} supports weights <= {self.max_weight})"
             )
+
+    def weight_irrep(self, weight: int) -> IrrepDescriptor:
+        self.check_weight(weight)
         chi = 2.0 * np.cos(weight * self.angles())
         return IrrepDescriptor(f"weight_{weight}", 2, chi, "C")
 
@@ -452,21 +456,22 @@ class RealRepresentation:
     def exact(self) -> bool:
         return linalg.is_exact(self.matrices)
 
-    def validate(self, tol: float = linalg.TOL, full: bool = True) -> None:
-        """Identity, orthogonality, and (optionally) the full group law."""
+    def validate(self, full: bool = True) -> None:
+        """Identity, orthogonality, and (optionally) the full group law, to
+        linalg.TOL in float mode."""
         d = self.dim
         ident = linalg.eye(d, self.exact)
-        if not linalg.mat_eq(self.matrices[self.group.identity], ident, tol):
+        if not linalg.mat_eq(self.matrices[self.group.identity], ident):
             raise InvalidInputError("action at the identity is not the identity matrix")
         for g in range(self.group.order):
             m = self.matrices[g]
-            if not linalg.mat_eq(m.T @ m, ident, tol):
+            if not linalg.mat_eq(m.T @ m, ident):
                 raise InvalidInputError(f"action of element {g} is not orthogonal")
         if full:
             for g in range(self.group.order):
                 for h in range(self.group.order):
                     prod = self.matrices[g] @ self.matrices[h]
-                    if not linalg.mat_eq(prod, self.matrices[self.group.compose(g, h)], tol):
+                    if not linalg.mat_eq(prod, self.matrices[self.group.compose(g, h)]):
                         raise InvalidInputError(
                             f"group law fails at pair ({g}, {h})"
                         )
@@ -764,18 +769,17 @@ def rep_from_matrices(group: GroupModel, matrices, exact: bool | None = None,
     return rep
 
 
-def permutation_rep(group: FiniteGroupModel, action: np.ndarray,
-                    exact: bool = True) -> RealRepresentation:
-    """Permutation representation from an action table (order x points)."""
+def permutation_rep(group: FiniteGroupModel, action: np.ndarray) -> RealRepresentation:
+    """Exact permutation representation from an action table (order x points)."""
     action = np.asarray(action)
     npts = action.shape[1]
     mats = np.zeros((group.order, npts, npts), dtype=int)
     mats[np.arange(group.order)[:, None], action, np.arange(npts)] = 1
-    return RealRepresentation(group, mats.astype(object if exact else float))
+    return RealRepresentation(group, mats.astype(object))
 
 
-def regular_rep(group: FiniteGroupModel, exact: bool = True) -> RealRepresentation:
-    return permutation_rep(group, group.table, exact)
+def regular_rep(group: FiniteGroupModel) -> RealRepresentation:
+    return permutation_rep(group, group.table)
 
 
 def rep_from_generators(group: FiniteGroupModel, generators, matrices,
@@ -814,9 +818,9 @@ def rep_from_generators(group: FiniteGroupModel, generators, matrices,
     return rep
 
 
-def one_dim_rep(group: FiniteGroupModel, values, exact: bool = True) -> RealRepresentation:
+def one_dim_rep(group: FiniteGroupModel, values) -> RealRepresentation:
     mats = [[[values[g]]] for g in range(group.order)]
-    return rep_from_matrices(group, mats, exact=exact, validate=False)
+    return rep_from_matrices(group, mats, exact=True, validate=False)
 
 
 def direct_sum(*reps: RealRepresentation) -> RealRepresentation:
@@ -837,10 +841,7 @@ def circle_weight_rep(circle: CircleGroupModel, weights, fixed_dim: int = 0) -> 
     """Block-diagonal circle representation: one rotation plane per weight,
     plus an optional fixed block."""
     for w in weights:
-        if w > circle.max_weight:
-            raise InvalidInputError(
-                f"weight {w} exceeds quadrature capacity {circle.max_weight}"
-            )
+        circle.check_weight(w)
     th = circle.angles()
     blocks = [np.stack([np.cos(w * th), -np.sin(w * th),
                         np.sin(w * th), np.cos(w * th)], axis=-1).reshape(-1, 2, 2)

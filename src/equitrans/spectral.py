@@ -118,11 +118,12 @@ def scalar_tanh_path(horizon: float = 9.0) -> MatrixPath:
     return tanh_path([[0.0]], [[1.0]], horizon)
 
 
-def concatenate(p1: MatrixPath, p2: MatrixPath, tol: float = 1e-5) -> MatrixPath:
-    """Glue two paths whose inner limits match (B1+ = B2-) at the seam s = 0."""
+def concatenate(p1: MatrixPath, p2: MatrixPath) -> MatrixPath:
+    """Glue two paths whose inner limits match (B1+ = B2-, up to 1e-5) at the
+    seam s = 0."""
     if p1.dim != p2.dim:
         raise InvalidInputError("cannot concatenate paths of different sizes")
-    if np.max(np.abs(p1.b_plus - p2.b_minus)) > tol:
+    if np.max(np.abs(p1.b_plus - p2.b_minus)) > 1e-5:
         raise InvalidInputError("inner limits do not match")
     t1, t2 = p1.horizon, p2.horizon
     return MatrixPath(
@@ -135,14 +136,13 @@ def concatenate(p1: MatrixPath, p2: MatrixPath, tol: float = 1e-5) -> MatrixPath
 # ---------------------------------------------------------------------------
 
 
-def _assert_hyperbolic(b: np.ndarray, what: str = "matrix",
-                       margin: float = HYPERBOLICITY_MARGIN) -> np.ndarray:
+def _assert_hyperbolic(b: np.ndarray, what: str = "matrix") -> np.ndarray:
     eig = np.linalg.eigvals(b)
     worst = float(np.min(np.abs(eig.real))) if eig.size else 0.0
-    if worst <= margin:
+    if worst <= HYPERBOLICITY_MARGIN:
         raise NonHyperbolicError(
-            f"{what} has an eigenvalue within {margin:g} of the imaginary "
-            f"axis (closest real part {worst:.2e})"
+            f"{what} has an eigenvalue within {HYPERBOLICITY_MARGIN:g} of the "
+            f"imaginary axis (closest real part {worst:.2e})"
         )
     return eig
 
@@ -296,20 +296,20 @@ def _propagated_frames(path: MatrixPath, step: float, adjoint: bool) -> list:
     return [x[:, :w] for x, w in zip(u, widths)]
 
 
-def _kernel_dims(path: MatrixPath, step: float | None, threshold: float,
-                 adjoint: bool) -> list:
-    """Kernel dimensions of the path and, if ``adjoint``, of s -> -B(s)^T."""
+def _kernel_dims(path: MatrixPath, adjoint: bool) -> list:
+    """Kernel dimensions of the path and, if ``adjoint``, of s -> -B(s)^T.
+    The RK4 step is min(1e-3 T, 0.05 / max|B+-|), and a principal angle
+    counts as zero when its cosine is within ANGLE_THRESHOLD of 1."""
     path.validate()
-    if step is None:
-        scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
-        step = min(1e-3 * path.horizon, 0.05 / scale)
+    scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
+    step = min(1e-3 * path.horizon, 0.05 / scale)
     frames = _propagated_frames(path, step, adjoint)
-    return [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False) <= threshold))
+    return [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False)
+                       <= ANGLE_THRESHOLD))
             for x, y in zip(frames[::2], frames[1::2])]
 
 
-def kernel_dim_oracle(path: MatrixPath, step: float | None = None,
-                      threshold: float = ANGLE_THRESHOLD) -> int:
+def kernel_dim_oracle(path: MatrixPath) -> int:
     """Dimension of the space of bounded solutions of u' = B(s) u.
 
     Solutions bounded at -infinity come from the right-half-plane subspace
@@ -318,11 +318,11 @@ def kernel_dim_oracle(path: MatrixPath, step: float | None = None,
     +horizon.  The kernel is their intersection at s = 0, measured by
     principal angles.
     """
-    return _kernel_dims(path, step, threshold, adjoint=False)[0]
+    return _kernel_dims(path, adjoint=False)[0]
 
 
-def index_by_shooting(path: MatrixPath, step: float | None = None) -> int:
+def index_by_shooting(path: MatrixPath) -> int:
     """Independent oracle: kernel of the adjoint path minus kernel of the
     path equals the eigenvalue-count index."""
-    kernel, cokernel = _kernel_dims(path, step, ANGLE_THRESHOLD, adjoint=True)
+    kernel, cokernel = _kernel_dims(path, adjoint=True)
     return cokernel - kernel

@@ -66,14 +66,13 @@ class LinearizationSplit:
 
 def split_linearization(full: np.ndarray,
                         domain_rep: reps.RealRepresentation,
-                        codomain_rep: reps.RealRepresentation,
-                        tol: float = 1e-10) -> LinearizationSplit:
+                        codomain_rep: reps.RealRepresentation) -> LinearizationSplit:
     """Split a full equivariant matrix into its fixed and isotypic blocks.
 
     The matrix maps the domain representation to the codomain representation
     (rows = codomain).  Cross blocks between distinct isotypic components
-    must vanish by Schur's lemma; residuals above tolerance report the
-    offending group element and commutator norm.
+    must vanish by Schur's lemma; residuals above 1e-10 (float mode) report
+    the offending group element and commutator norm.
     """
     if not reps.same_group(domain_rep.group, codomain_rep.group):
         raise InvalidInputError("domain and codomain live over different groups")
@@ -82,7 +81,7 @@ def split_linearization(full: np.ndarray,
     comm = codomain_rep.matrices @ full - full @ domain_rep.matrices
     per_g = np.abs(comm).reshape(group.order, -1).max(axis=1, initial=0)
     g = int(np.argmax(per_g))
-    bad = (per_g[g] != 0) if exact else (float(per_g[g]) > tol)
+    bad = (per_g[g] != 0) if exact else (float(per_g[g]) > linalg.TOL)
     if bad:
         raise InvalidInputError(
             "linearization is not equivariant: max commutator norm "
@@ -90,12 +89,9 @@ def split_linearization(full: np.ndarray,
         )
     dom_projs = reps.all_projectors(domain_rep)
     cod_projs = reps.all_projectors(codomain_rep)
-    labels = sorted(set(dom_projs) | set(cod_projs))
-    dom_bases = {}
-    cod_bases = {}
-    for label in labels:
-        dom_bases[label] = _component_basis(dom_projs.get(label), domain_rep.dim, exact)
-        cod_bases[label] = _component_basis(cod_projs.get(label), codomain_rep.dim, exact)
+    labels = sorted(dom_projs)
+    dom_bases = {label: _component_basis(p, exact) for label, p in dom_projs.items()}
+    cod_bases = {label: _component_basis(p, exact) for label, p in cod_projs.items()}
     # certify that cross blocks between distinct components vanish
     for la in labels:
         for lb in labels:
@@ -105,14 +101,14 @@ def split_linearization(full: np.ndarray,
             if ca.shape[1] == 0 or db.shape[1] == 0:
                 continue
             cross = ca.T @ linalg.as_float(full) @ db if not exact else ca.T @ full @ db
-            if not linalg.is_zero(cross, tol):
+            if not linalg.is_zero(cross):
                 raise InvalidInputError(
                     f"cross block between components {la!r} and {lb!r} "
                     "does not vanish"
                 )
     dims = {ir.label: ir.dim_V for ir in group.irreps}
     endos = {ir.label: ir.endo_dim for ir in group.irreps}
-    fixed = _compress(full, cod_bases.get("fixed"), dom_bases.get("fixed"), exact)
+    fixed = _compress(full, cod_bases["fixed"], dom_bases["fixed"], exact)
     lam = {}
     dim_v = {}
     endo = {}
@@ -128,19 +124,15 @@ def split_linearization(full: np.ndarray,
     return LinearizationSplit(fixed, lam, dim_v, endo)
 
 
-def _component_basis(projector, dim, exact):
-    if projector is None:
-        return linalg.zeros((dim, 0), exact=False) if not exact else linalg.zeros((dim, 0), True)
+def _component_basis(projector, exact):
     if exact:
         return linalg.column_space_basis(projector)
     return linalg.orthonormal_columns(linalg.as_float(projector))
 
 
 def _compress(full, cod_basis, dom_basis, exact):
-    if cod_basis is None or dom_basis is None or cod_basis.shape[1] == 0 or dom_basis.shape[1] == 0:
-        rows = 0 if cod_basis is None else cod_basis.shape[1]
-        cols = 0 if dom_basis is None else dom_basis.shape[1]
-        return np.zeros((rows, cols))
+    if cod_basis.shape[1] == 0 or dom_basis.shape[1] == 0:
+        return np.zeros((cod_basis.shape[1], dom_basis.shape[1]))
     if exact:
         gram = linalg.inv(cod_basis.T @ cod_basis)
         return gram @ cod_basis.T @ full @ dom_basis
@@ -268,26 +260,27 @@ def s1_condition_split(split: LinearizationSplit) -> bool:
     return s1_condition(split.fixed_index, lam)
 
 
-def preimage_rank(block: np.ndarray, cover: np.ndarray, tol: float = 1e-8) -> int:
+def preimage_rank(block: np.ndarray, cover: np.ndarray) -> int:
     """Rank of the preimage of a covering subspace under a linear block.
 
     When the columns of ``cover`` together with the image of ``block`` span
     the whole target, dim block^{-1}(cover) - dim cover equals the Fredholm
-    index of the block (kernel-bundle rank relation).
+    index of the block (kernel-bundle rank relation).  Ranks are taken at
+    bundles.RANK_TOL.
     """
     block = linalg.as_float(block)
     cover = linalg.as_float(cover)
     rows = block.shape[0]
     span = np.concatenate([block, cover], axis=1) if cover.size else block
-    if linalg.rank(span, tol) < rows:
+    if linalg.rank(span, bundles.RANK_TOL) < rows:
         raise InvalidInputError("cover does not span the cokernel of the block")
     # solutions (x, c) of block x = cover c form the graph of the preimage
     graph = np.concatenate([block, -cover], axis=1) if cover.size else block
-    kernel = linalg.nullspace(graph, tol)
+    kernel = linalg.nullspace(graph, bundles.RANK_TOL)
     n_cols = block.shape[1]
     if kernel.shape[1] == 0:
         return 0
-    return linalg.rank(kernel[:n_cols, :], tol)
+    return linalg.rank(kernel[:n_cols, :], bundles.RANK_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def preimage_rank(block: np.ndarray, cover: np.ndarray, tol: float = 1e-8) -> in
 # ---------------------------------------------------------------------------
 
 
-def division_ring_rank(matrix, endo_type: str, tol: float = 1e-10) -> int:
+def division_ring_rank(matrix, endo_type: str) -> int:
     """Rank over R, C or H of a matrix given in End-unit entries.
 
     Entries: real numbers for R; complex numbers or (re, im) pairs for C;
@@ -306,7 +299,7 @@ def division_ring_rank(matrix, endo_type: str, tol: float = 1e-10) -> int:
         arr = np.asarray(matrix)
         if arr.ndim != 2:
             raise InvalidInputError("real entries must form a 2-d matrix")
-        return linalg.rank(arr, tol)
+        return linalg.rank(arr)
     if endo_type == "C":
         arr = np.asarray(matrix)
         if arr.ndim == 3 and arr.shape[2] == 2:
@@ -317,7 +310,7 @@ def division_ring_rank(matrix, endo_type: str, tol: float = 1e-10) -> int:
         arr = np.asarray(arr, dtype=complex)
         if arr.size == 0:
             return 0
-        return int(np.linalg.matrix_rank(arr, tol=tol))
+        return int(np.linalg.matrix_rank(arr, tol=linalg.TOL))
     if endo_type == "H":
         try:
             arr = linalg.as_float(np.asarray(matrix))
@@ -336,7 +329,7 @@ def division_ring_rank(matrix, endo_type: str, tol: float = 1e-10) -> int:
                 out[2 * i + 1, 2 * j + 1] = a - 1j * b
         if out.size == 0:
             return 0
-        rank_c = int(np.linalg.matrix_rank(out, tol=tol))
+        rank_c = int(np.linalg.matrix_rank(out, tol=linalg.TOL))
         if rank_c % 2:
             raise InvalidInputError("quaternionic embedding produced odd complex rank")
         return rank_c // 2
@@ -366,11 +359,11 @@ class FixedLocusModel:
     lambda_blocks: dict  # vertex -> {label -> equivariant matrix}
     support: set | None = None
 
-    def zero_set(self, tol: float = 1e-10):
+    def zero_set(self):
         out = []
         for v in self.base.vertices:
             val = np.asarray(linalg.as_float(self.section[v]), dtype=float)
-            if val.size == 0 or np.linalg.norm(val) <= tol:
+            if val.size == 0 or np.linalg.norm(val) <= linalg.TOL:
                 out.append(v)
         return out
 
@@ -428,10 +421,10 @@ class EquivariantPerturbation:
         )
 
 
-def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0,
-                                       sv_threshold: float = SV_THRESHOLD):
+def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
     """Build an equivariant perturbation making every linearization block
-    surjective at the zero-set vertices.
+    surjective (smallest singular value above SV_THRESHOLD) at the
+    zero-set vertices.
 
     Pipeline: first make the fixed part transverse (a vertex whose fixed
     block has negative index receives a seeded section shift and leaves the
@@ -511,10 +504,8 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0,
             # the fixed part carries the trivial action: every matrix unit
             # is equivariant
             units = np.eye(rows * cols).reshape(-1, rows, cols)
-            fixed_corr[v], sv_fix = _surject_equivariant_block(
-                d_fix, units, child, sv_threshold
-            )
-        report.record(v, "fixed", sv_fix, sv_fix > sv_threshold)
+            fixed_corr[v], sv_fix = _surject_equivariant_block(d_fix, units, child)
+        report.record(v, "fixed", sv_fix, sv_fix > SV_THRESHOLD)
         for label, blk in split.lambda_blocks.items():
             expected = (model.fiber_reps[label].dim, model.normal_reps[label].dim)
             if blk.shape != expected:
@@ -526,9 +517,9 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0,
                 lambda_corr[v][label] = np.zeros_like(blk)
                 continue
             basis = linalg.as_float(np.array(hom_bases[label]))
-            corr, sv = _surject_equivariant_block(blk, basis, child, sv_threshold)
+            corr, sv = _surject_equivariant_block(blk, basis, child)
             lambda_corr[v][label] = corr
-            report.record(v, label, sv, sv > sv_threshold)
+            report.record(v, label, sv, sv > SV_THRESHOLD)
     if not report.passed:
         raise ResampleFailureError(
             "sampling budget exhausted before surjectivity", {"report": report}
@@ -554,12 +545,12 @@ def _gamma_residual(model: FixedLocusModel, gamma: EquivariantPerturbation) -> f
 
 
 def _surject_equivariant_block(block: np.ndarray, hom_basis: np.ndarray,
-                               rng: np.random.Generator, sv_threshold: float):
+                               rng: np.random.Generator):
     """Sample coefficients on the equivariant hom basis, a (k, rows, cols)
     float stack, until the corrected block is surjective; smallest-norm
     success within the budget wins."""
     sv = linalg.min_singular_value(block)
-    if sv > sv_threshold:
+    if sv > SV_THRESHOLD:
         return np.zeros_like(block), sv
     if len(hom_basis) == 0:
         return np.zeros_like(block), sv
@@ -571,7 +562,7 @@ def _surject_equivariant_block(block: np.ndarray, hom_basis: np.ndarray,
         # rounding would depend on the basis size); + 0.0 clears a -0.0
         cand = np.add.accumulate(coeffs[:, None, None] * hom_basis)[-1] + 0.0
         sv = linalg.min_singular_value(block + cand)
-        if sv > sv_threshold:
+        if sv > SV_THRESHOLD:
             norm = float(np.linalg.norm(coeffs))
             if best is None or norm < best[0]:
                 best = (norm, cand, sv)

@@ -165,24 +165,6 @@ FLOER_DEFECT = {
 }
 
 
-@pytest.mark.parametrize("argv, payload", [
-    (["groupoid", "quotient"], GROUPOID_QUOTIENT),
-    (["groupoid", "check"], GROUPOID_CHECK),
-    (["floer", "d2"], FLOER_DEFECT),
-    (["flow", "oracle"], {"flow": {"paths": [{"preset": "tanh-scalar"}]}}),
-    (["flow", "oracle"], {"flow": {"paths": [
-        {"preset": "lambda", "n": 1, "weight": 2, "a_scale": 0.3}]}}),
-    (["flow", "index"], {"flow": {"paths": [
-        {"preset": "tanh-scalar"},
-        {"preset": "lambda", "n": 2, "weight": 1, "a_scale": 0.3}]}}),
-])
-def test_byte_identical_groupoid_and_floer_reports(tmp_path, capsys, argv, payload):
-    path = write(tmp_path, "scenario.json", payload)
-    first, second = (run(capsys, argv + [path, "--seed", "3"]) for _ in range(2))
-    assert first == second
-    assert first[0] in (0, 1) and json.loads(first[1])["records"]
-
-
 def _replaced(payload, value, *keys):
     """A copy of payload with the entry at the key path set to value."""
     out = json.loads(json.dumps(payload))
@@ -761,6 +743,58 @@ def test_non_numeric_scenario_field_exit_2_names_key(tmp_path, capsys, command, 
     assert repr(name) in msg["error"]
 
 
+FLOER_REDUCE = {
+    "lattice": {"rank": 1, "omega": ["3"], "c1": [1]},
+    "generators": {"names": ["m1", "m2", "M1", "M2"],
+                   "index": {"m1": 0, "m2": 0, "M1": 1, "M2": 1}, "half_dim": 1,
+                   "values": {"m1": 0, "m2": 0, "M1": 1, "M2": 1}},
+    "counts": [{"x": "m1", "y": "M1", "A": [0], "count": 1},
+               {"x": "M1", "y": "m1", "A": [1], "count": 5}],
+    "morse_counts": [{"x": "m1", "y": "M1", "count": 1},
+                     {"x": "m2", "y": "M2", "count": 1}],
+}
+RANDOM_S3 = {"group": {"preset": "S_3"}, "representation": {"random": {"max_dim": 8}}}
+CIRCLE_WEIGHTS = {"settings": {"mode": "float"},
+                  "group": {"circle": {"quadrature_order": 64}},
+                  "representation": {"weights": [1, 2]}, "base": {"interval": 2}}
+BUNDLE_STABILIZE = MATRIX_SITES[3][1]
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["reps", "decompose"], RANDOM_S3),
+    (["reps", "decompose"], dict(RANDOM_S3, settings={"mode": "float"})),
+    (["reps", "endotype"], {"group": {"preset": "Q_8"},
+                            "representation": {"blocks": ["left"]}}),
+    (["reps", "endotype"], dict(CIRCLE_WEIGHTS, representation={"weights": [3]})),
+    (["bundle", "decompose"], CIRCLE_WEIGHTS),
+    (["bundle", "extend"], BUNDLE_EXTEND),
+    (["bundle", "stabilize"], dict(BUNDLE_STABILIZE, settings={"mode": "float"})),
+    (["transversality", "check"], FIXED_LOCUS),
+    (["transversality", "perturb"], FIXED_LOCUS),
+    (["groupoid", "quotient"], GROUPOID_QUOTIENT),
+    (["groupoid", "check"], GROUPOID_CHECK),
+    (["floer", "d2"], FLOER_DEFECT),
+    (["floer", "reduce"], FLOER_REDUCE),
+    (["floer", "ranks"], FLOER_RANKS),
+    (["metric", "quotient"], {"metric_points": [[0.5, 1.0], [-1.5, 2.0], [2.0, 0.0]],
+                              "metric_action": {"type": "negation"}}),
+    (["metric", "quotient"], {"metric_points": [[0.5, 1.0], [-1.5, 2.0], [2.0, 0.0]],
+                              "metric_action": {"type": "circle-rotation"}}),
+    (["metric", "quotient"], METRIC_PERMUTATION),
+    (["flow", "oracle"], {"flow": {"paths": [{"preset": "tanh-scalar"}]}}),
+    (["flow", "oracle"], {"flow": {"paths": [
+        {"preset": "lambda", "n": 1, "weight": 2, "a_scale": 0.3}]}}),
+    (["flow", "index"], {"flow": {"paths": [
+        {"preset": "tanh-scalar"},
+        {"preset": "lambda", "n": 2, "weight": 1, "a_scale": 0.3}]}}),
+])
+def test_byte_identical_reports_for_every_subcommand(tmp_path, capsys, argv, payload):
+    path = write(tmp_path, "scenario.json", payload)
+    first, second = (run(capsys, argv + [path, "--seed", "3"]) for _ in range(2))
+    assert first == second
+    assert first[0] in (0, 1) and json.loads(first[1])["records"]
+
+
 def _bad_character_table(dim, mode):
     """Z_2 acting on R^dim by diag(1, ..., 1, +-1) with the 'odd' character
     given as (1, 1/2): P_odd = (I + rho(g)/2)/2 is not a projector."""
@@ -868,3 +902,70 @@ def test_scenario_that_is_not_an_object_exit_2(tmp_path, capsys, command):
     assert out == ""
     assert json.loads(err) == {"error": "scenario must be a JSON object",
                                "kind": "invalid-input"}
+
+
+def _with_count(payload, **fields):
+    count = dict({"x": "x", "y": "z", "A": [0], "count": 1}, **fields)
+    return dict(payload, counts=[count])
+
+
+FIXED_LOCUS_WEIGHT_0 = _replaced(
+    _replaced(FIXED_LOCUS, {"weight_0": {"n_units": 2, "m_units": 1}},
+              "fixed_locus", "components"),
+    {v: {"weight_0": [[0] * 4] * 2} for v in ("0", "1")}, "fixed_locus", "lambda_blocks")
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    # integer fields: a count's lattice point, a fractional count field
+    (["floer", "ranks"], _with_count(FLOER_RANKS, A=["x"]), "'A'"),
+    (["floer", "d2"], _with_count(FLOER_RANKS, A=["x"]), "'A'"),
+    (["floer", "ranks"], _with_count(FLOER_RANKS, A=[1.5]), "1.5"),
+    (["transversality", "check"], _replaced(FIXED_LOCUS, 1.5, *COMPONENT, "n_units"),
+     "'n_units'"),
+    (["groupoid", "check"], {"groupoid": {"discrete": 2.7}}, "'discrete'"),
+    # generator names are strings; count and Morse-count names are generators
+    (["floer", "ranks"], _replaced(FLOER_RANKS, [["x"], "z"], "generators", "names"),
+     "'names'"),
+    (["floer", "ranks"], _with_count(FLOER_RANKS, x="q"), "'q'"),
+    (["floer", "d2"], _with_count(FLOER_RANKS, y="q"), "'q'"),
+    (["floer", "reduce"], _replaced(FLOER_REDUCE, "q", "morse_counts", 1, "y"), "'q'"),
+    # fixed-locus models that do not match their base or components
+    (["transversality", "check"], _without(FIXED_LOCUS, "fixed_locus", "section", "1"),
+     "base vertex 1"),
+    (["transversality", "perturb"],
+     _without(FIXED_LOCUS, "fixed_locus", "fixed_blocks", "0"), "base vertex 0"),
+    (["transversality", "check"],
+     _without(FIXED_LOCUS, "fixed_locus", "lambda_blocks", "1"), "base vertex 1"),
+    (["transversality", "check"],
+     _replaced(FIXED_LOCUS, {"weight_9": [[0, 0], [0, 0]]},
+               "fixed_locus", "lambda_blocks", "0"), "'weight_9'"),
+    (["transversality", "check"],
+     _replaced(FIXED_LOCUS, {"foo": {"weight": 1, "n_units": 2, "m_units": 1}},
+               "fixed_locus", "components"), "'foo'"),
+    (["transversality", "perturb"], _replaced(FIXED_LOCUS, 2, *COMPONENT, "weight"),
+     "'weight_1'"),
+    # circle weights run from 1 to the quadrature capacity
+    (["reps", "decompose"], dict(CIRCLE_WEIGHTS, representation={"weights": [0]}),
+     "weight 0"),
+    (["reps", "endotype"], dict(CIRCLE_WEIGHTS, representation={"weights": [-1]}),
+     "weight -1"),
+    (["transversality", "check"], FIXED_LOCUS_WEIGHT_0, "weight 0"),
+    # vertex labels: integers or strings, one kind per base
+    (["bundle", "extend"], _replaced(BUNDLE_EXTEND, {"maximal_simplices": [[[0], 1]]},
+                                     "base"), "base 'maximal_simplices'"),
+    (["bundle", "extend"], _replaced(BUNDLE_EXTEND, [[0], 1], "extend", "simplex"),
+     "extend 'simplex'"),
+    (["bundle", "extend"], _replaced(BUNDLE_EXTEND, {"maximal_simplices": [[0, "a"]]},
+                                     "base"), "base 'maximal_simplices'"),
+    (["bundle", "decompose"],
+     _replaced(BUNDLE_EXTEND, {"maximal_simplices": [[0, 1], ["a", "b"]]}, "base"),
+     "base 'maximal_simplices'"),
+])
+def test_malformed_integer_name_weight_or_vertex_exit_2(tmp_path, capsys, command,
+                                                        payload, named):
+    code, out, err = run(capsys, command + [write(tmp_path, "bad.json", payload)])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert named in msg["error"]
