@@ -11,7 +11,8 @@ constructions at finite scale: one barycentric subdivision provides the
 "neighborhood of the boundary", generic choices come from a seeded sampler
 with a retry budget of 64, and all nonvanishing/independence postconditions
 are certified on a deterministic barycentric sample grid with at least
-10^d points per d-simplex.
+10^d points per d-simplex.  The frame certificate also covers the points
+between the grid points (see ``_certified``).
 """
 
 from __future__ import annotations
@@ -623,60 +624,122 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
 # ---------------------------------------------------------------------------
 
 
-def orbit_matrix(rep: reps.RealRepresentation, column: np.ndarray) -> np.ndarray:
-    """All group translates of a fiber vector, stacked as columns; their span
-    is the invariant subspace generated by the vector."""
-    return (linalg.as_float(rep.matrices) @ linalg.as_float(column)).T
+def orbit_stack(rep: reps.RealRepresentation, columns) -> np.ndarray:
+    """Every group translate of every column: a (..., d, k) stack of frames
+    becomes (..., d, k * |G|), the translates of column j in block j.  Their
+    span is the invariant subspace the columns generate."""
+    mats = linalg.as_float(rep.matrices)
+    cols = linalg.as_float(columns)
+    moved = mats.reshape(mats.shape[:1] + (1,) * (cols.ndim - 2) + mats.shape[1:]) @ cols
+    return np.moveaxis(moved, 0, -1).reshape(cols.shape[:-1] + (-1,))
 
 
-def _orbit_rank(rep, columns: list) -> int:
-    if not columns:
-        return 0
-    mats = [orbit_matrix(rep, c) for c in columns]
-    return linalg.rank(np.concatenate(mats, axis=1), RANK_TOL)
+def _certified(bundle: GBundleModel, frames: dict, simplex, rank: int) -> bool:
+    """Whether the frame, interpolated across ``simplex`` in the gauge of its
+    first vertex, keeps orbit rank >= ``rank`` on the whole simplex, not only
+    at the grid points.
+
+    The orbit matrix O(x) = sum_j x_j O_j is affine in the barycentric point
+    x (O_j is the orbit matrix at vertex j).  The default grid of an
+    n-simplex has denominator m (its smallest positive weight is 1/m), and
+    every x lies within l1 distance rho = (n+1)/(2m) of a grid point p:
+    round each m x_j down, which leaves fractional parts f_j summing to an
+    integer k <= n, and round the k largest up instead.  The k largest f_j
+    sum to s >= k^2/(n+1), so m ||x - p||_1 = 2(k - s) <= 2k(n+1-k)/(n+1)
+    <= (n+1)/2.  The weights x - p sum to zero, so
+    ||O(x) - O(p)||_2 <= rho L with L = max_j ||O_j - O_0||_2, and Weyl's
+    inequality gives sigma_r(O(x)) >= sigma_r(O(p)) - rho L.  Hence
+    sigma_r > rho L at every grid point certifies rank r on the simplex;
+    sigma_r must also exceed the rank cut RANK_TOL.  All grid points go
+    through one stacked SVD.
+    """
+    root = simplex[0]
+    local = np.stack([
+        linalg.as_float(bundle.transport(v, root) if v != root else np.eye(bundle.fiber_dim))
+        @ linalg.as_float(frames[v]) for v in simplex
+    ])
+    orbits = orbit_stack(bundle.rep, local)
+    weights = _grid_weights(len(simplex) - 1)
+    rho = len(simplex) / 2 * weights[weights > 0].min()
+    lip = np.linalg.norm(orbits - orbits[0], ord=2, axis=(1, 2)).max()
+    sigma = np.linalg.svd(_interpolate(weights, orbits[None])[0], compute_uv=False)
+    return sigma.shape[1] >= rank and bool(
+        np.all(sigma[:, rank - 1] > max(RANK_TOL, rho * lip)))
 
 
 def frame_independent_on_grid(bundle: GBundleModel, frames: dict,
                               expected_rank: int) -> bool:
-    """Check the interpolated frame keeps full orbit rank on the sample grid
-    of every top simplex (in the simplex gauge)."""
-    return all(
-        _frame_ok_on_simplex(bundle, frames, s, expected_rank)
-        for s in bundle.base.top_simplices()
-    )
+    """Whether the interpolated frame keeps orbit rank ``expected_rank`` on
+    the whole of every top simplex, between the grid points too."""
+    return all(_certified(bundle, frames, s, expected_rank)
+               for s in bundle.base.top_simplices())
 
 
-def component_subbundle(bundle: GBundleModel, label: str):
-    """Compress a bundle to one isotypic component.
+def _draw(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
+    cand = rng.normal(size=shape)
+    return cand / np.linalg.norm(cand, axis=0) * scale
 
-    Returns (sub_bundle, basis): ``basis`` has orthonormal columns spanning
-    the component in every vertex frame (projectors commute with all
-    transitions), and ``sub_bundle`` is the float bundle in those
-    coordinates.
+
+def _extend_frame(bundle: GBundleModel, seeds: dict, built: dict, rank: int,
+                  rng: np.random.Generator) -> dict:
+    """Extend seed columns, given at some vertices, to every vertex so that
+    with the columns already ``built`` they keep orbit rank ``rank``;
+    returns the new columns per vertex.
+
+    The seeds are carried along ``base.bfs_edges``; a vertex out of their
+    reach gets a seeded draw.  A vertex where the combined orbit rank drops
+    is reseeded on arrival, so transport continues from the new value.
+    Then every top simplex must pass ``_certified``; one that fails is
+    repaired by reseeding its newest non-seed vertex until every top
+    simplex through that vertex passes.  Each reseed has RETRY_BUDGET draws;
+    a failing seed vertex or simplex of seed vertices raises.
     """
-    splitting = decompose_bundle(bundle)
-    p = linalg.as_float(splitting.projectors[label])
-    basis = linalg.orthonormal_columns(p)
-    if basis.shape[1] == 0:
-        raise InvalidInputError(f"component {label!r} has rank zero")
-    sub_mats = basis.T @ linalg.as_float(bundle.rep.matrices) @ basis
-    sub_rep = reps.RealRepresentation(bundle.rep.group, sub_mats)
-    sub_trans = {
-        e: basis.T @ linalg.as_float(t) @ basis for e, t in bundle.transitions.items()
-    }
-    return GBundleModel(bundle.base, sub_rep, sub_trans), basis
+    base, d = bundle.base, bundle.fiber_dim
+    m = built[base.vertices[0]].shape[1]
+    k = next(iter(seeds.values())).shape[1]
+    frames: dict = {}
+
+    def arrivals():
+        yield from seeds.items()
+        for u, w in base.bfs_edges(seeds):
+            yield w, linalg.as_float(bundle.transport(u, w)) @ frames[u][:, m:]
+        for w in base.vertices:
+            if w not in frames:  # out of the seeds' reach
+                yield w, _draw(rng, (d, k), 1.0)
+
+    def repair(cell, cells):
+        free = [v for v in cell if v not in seeds]
+        if not free:
+            raise ResampleFailureError(f"the seed frame is degenerate on {cell}",
+                                       {"simplex": cell})
+        order = list(frames)
+        target = max(free, key=order.index)
+        touching = [c for c in cells if target in c]
+        scale = float(np.mean(np.linalg.norm(frames[target][:, m:], axis=0))) or 1.0
+        for _ in range(RETRY_BUDGET):
+            frames[target][:, m:] = _draw(rng, (d, k), scale)
+            if all(_certified(bundle, frames, c, rank) for c in touching):
+                return
+        raise ResampleFailureError(f"could not repair the frame on {cell}",
+                                   {"simplex": cell})
+
+    for w, cols in arrivals():
+        frames[w] = np.concatenate([built[w], linalg.as_float(cols)], axis=1)
+        if not _certified(bundle, frames, (w,), rank):
+            repair((w,), [(w,)])
+    tops = base.top_simplices()
+    for s in tops:
+        if not _certified(bundle, frames, s, rank):
+            repair(s, tops)
+    return {v: frames[v][:, m:] for v in base.vertices}
 
 
-def _column_component(bundle: GBundleModel, splitting: IsotypicSplitting,
-                      column: np.ndarray) -> str:
+def _column_component(splitting: IsotypicSplitting, column: np.ndarray) -> str:
     """The isotypic component containing a fiber vector; mixed vectors are
     rejected (invariant frames are extended component by component)."""
-    col = linalg.as_float(column)
-    hits = []
-    for label, p in splitting.projectors.items():
-        piece = linalg.as_float(p) @ col
-        if np.linalg.norm(piece) > RANK_TOL * max(1.0, np.linalg.norm(col)):
-            hits.append(label)
+    hits = [label for label, p in splitting.projectors.items()
+            if np.linalg.norm(linalg.as_float(p) @ column)
+            > RANK_TOL * max(1.0, np.linalg.norm(column))]
     if len(hits) != 1:
         raise InvalidInputError(
             f"frame column is not contained in a single isotypic component: {hits}"
@@ -689,11 +752,11 @@ def extend_trivial_subbundle(bundle: GBundleModel, simplex, frame: dict,
     """Extend an invariant frame given on one simplex to a global trivial
     invariant subbundle of the same rank.
 
-    Each frame column must lie in a single isotypic component; columns are
-    extended component by component, by transport along a breadth-first
-    tree in running orthogonal complements.  A simplex whose interpolated
-    frame drops rank is repaired by reseeding the newest vertex value
-    (seeded sampler, retry budget 64).
+    Each frame column must lie in a single isotypic component.  Per
+    component, the columns are written in orthonormal coordinates of the
+    component (every transition preserves it), extended by the engine of
+    ``stabilize_cokernel`` (transport, reseeds, and a grid certificate that
+    holds between the grid points, see ``_certified``) and lifted back.
     """
     simplex = tuple(sorted(simplex))
     if simplex not in bundle.base.simplices:
@@ -705,12 +768,10 @@ def extend_trivial_subbundle(bundle: GBundleModel, simplex, frame: dict,
     dims = {ir.label: ir.dim_V for ir in bundle.rep.group.irreps}
     dims["fixed"] = 1
     n = bundle.base.top_dim
-    n_cols = next(iter(frame.values())).shape[1]
-    root = simplex[0]
+    root = linalg.as_float(frame[simplex[0]])
     by_component: dict[str, list[int]] = {}
-    for j in range(n_cols):
-        label = _column_component(bundle, splitting, linalg.as_float(frame[root])[:, j])
-        by_component.setdefault(label, []).append(j)
+    for j in range(root.shape[1]):
+        by_component.setdefault(_column_component(splitting, root[:, j]), []).append(j)
     for label, cols in by_component.items():
         need = len(cols) * dims[label] + _extension_slack(n, dims[label])
         if splitting.ranks[label] < need:
@@ -718,95 +779,20 @@ def extend_trivial_subbundle(bundle: GBundleModel, simplex, frame: dict,
                 f"frame extension rank hypothesis fails in component {label!r}",
                 {"component": label, "required": need, "rank": splitting.ranks[label]},
             )
-    out = {v: np.zeros((bundle.fiber_dim, n_cols)) for v in bundle.base.vertices}
+    mats = linalg.as_float(bundle.rep.matrices)
+    out = {v: np.zeros((bundle.fiber_dim, root.shape[1])) for v in bundle.base.vertices}
     for comp_idx, (label, cols) in enumerate(sorted(by_component.items())):
-        sub_bundle, basis = component_subbundle(bundle, label)
-        sub_frame = {
-            v: basis.T @ linalg.as_float(frame[v])[:, cols] for v in simplex
-        }
-        sub_out = _extend_frame_single(
-            sub_bundle, simplex, sub_frame, dims[label], seed + comp_idx
-        )
+        basis = linalg.orthonormal_columns(linalg.as_float(splitting.projectors[label]))
+        sub_bundle = GBundleModel(
+            bundle.base, reps.RealRepresentation(bundle.rep.group, basis.T @ mats @ basis),
+            {e: basis.T @ linalg.as_float(t) @ basis for e, t in bundle.transitions.items()})
+        seeds = {v: basis.T @ linalg.as_float(frame[v])[:, cols] for v in simplex}
+        built = {v: np.zeros((basis.shape[1], 0)) for v in bundle.base.vertices}
+        new = _extend_frame(sub_bundle, seeds, built, len(cols) * dims[label],
+                            np.random.default_rng(seed + comp_idx))
         for v in bundle.base.vertices:
-            out[v][:, cols] = basis @ sub_out[v]
-    total = sum(len(cols) * dims[label] for label, cols in by_component.items())
-    for v in bundle.base.vertices:
-        if _orbit_rank(bundle.rep, [out[v][:, j] for j in range(n_cols)]) < total:
-            raise ResampleFailureError(
-                f"combined frame is degenerate at vertex {v}", {"vertex": v}
-            )
+            out[v][:, cols] = basis @ new[v]
     return out
-
-
-def _extend_frame_single(bundle: GBundleModel, simplex, frame: dict,
-                         dim_v: int, seed: int) -> dict:
-    """Frame extension within a single-isotypic-type bundle."""
-    rep = bundle.rep
-    d = bundle.fiber_dim
-    n_cols = next(iter(frame.values())).shape[1]
-    frames = {v: linalg.as_float(frame[v]) for v in simplex}
-    for u, w in bundle.base.bfs_edges(simplex):
-        frames[w] = linalg.as_float(bundle.transport(u, w) @ frames[u])
-    order = list(frames)
-    rng = np.random.default_rng(seed)
-    for w in bundle.base.vertices:
-        if w not in frames:  # disconnected component: fresh seeded values
-            cand = rng.normal(size=(d, n_cols))
-            frames[w] = cand / np.linalg.norm(cand, axis=0)
-    expected = n_cols * dim_v
-    for v in bundle.base.vertices:
-        if _orbit_rank(rep, [frames[v][:, j] for j in range(n_cols)]) < expected:
-            raise ResampleFailureError(
-                f"transported frame is degenerate at vertex {v}", {"vertex": v}
-            )
-    for s in bundle.base.top_simplices():
-        if _frame_ok_on_simplex(bundle, frames, s, expected):
-            continue
-        candidates = [v for v in s if v not in simplex]
-        if not candidates:
-            raise ResampleFailureError(
-                f"frame on the seed simplex itself is degenerate on {s}",
-                {"simplex": s},
-            )
-        target = max(candidates, key=order.index)
-        scale = float(np.mean(np.linalg.norm(frames[target], axis=0))) or 1.0
-        ok = False
-        for _ in range(RETRY_BUDGET):
-            cand = rng.normal(size=(d, n_cols))
-            cand = cand / np.linalg.norm(cand, axis=0) * scale
-            old = frames[target]
-            frames[target] = cand
-            if _orbit_rank(rep, [cand[:, j] for j in range(n_cols)]) >= expected and all(
-                _frame_ok_on_simplex(bundle, frames, s2, expected)
-                for s2 in bundle.base.top_simplices()
-                if target in s2
-            ):
-                ok = True
-                break
-            frames[target] = old
-        if not ok:
-            raise ResampleFailureError(
-                f"could not repair frame degeneracy on simplex {s}",
-                {"simplex": s},
-            )
-    if not frame_independent_on_grid(bundle, frames, expected):
-        raise ResampleFailureError("extended frame degenerates on the sample grid", {})
-    return frames
-
-
-def _frame_ok_on_simplex(bundle, frames, s, expected) -> bool:
-    root = s[0]
-    local = {}
-    for v in s:
-        t = linalg.eye(bundle.fiber_dim, bundle.exact) if v == root else bundle.transport(v, root)
-        local[v] = np.asarray(linalg.as_float(t @ frames[v]), dtype=float)
-    verts = sorted(s, key=str)
-    for w in _grid_weights(len(s) - 1):
-        interp = sum(wi * local[v] for wi, v in zip(w, verts))
-        cols = [interp[:, j] for j in range(interp.shape[1])]
-        if _orbit_rank(bundle.rep, cols) < expected:
-            return False
-    return True
 
 
 @dataclass
@@ -818,108 +804,47 @@ class StabilizationResult:
     rank: int
 
 
-def stabilize_cokernel(n_bundle: GBundleModel, e_bundle: GBundleModel,
-                       linearizations: dict, seed: int = 0) -> StabilizationResult:
-    """Build a trivial invariant subbundle of the target covering all
-    cokernels of a per-vertex equivariant linearization family.
+def stabilize_cokernel(bundle: GBundleModel, linearizations: dict,
+                       seed: int = 0) -> StabilizationResult:
+    """Build a trivial invariant subbundle of ``bundle`` whose orbit span
+    covers, with the image of the linearization, the fiber at every vertex.
 
-    Deficits are collected vertex by vertex; each deficit direction is
-    perturbed into the running orthogonal complement of the bundle built so
-    far and extended to a global frame column.
+    Vertices are visited in ``str`` order.  While the cokernel at a vertex
+    is not covered, a unit direction orthogonal to the image and to the
+    orbit span built so far seeds one more frame column, which the engine
+    shared with ``extend_trivial_subbundle`` carries to every vertex: the
+    frame keeps orbit rank dim V per column at every vertex and, by a grid
+    certificate that holds between the grid points (``_certified``), on the
+    whole of every top simplex.  The rank is dim V per column.
     """
-    base = n_bundle.base
-    if base is not e_bundle.base and base.vertices != e_bundle.base.vertices:
-        raise InvalidInputError("bundle pair must share a base")
-    rep_e = e_bundle.rep
-    d_e = e_bundle.fiber_dim
-    dim_v = _single_component_dim(e_bundle)
-    deficits = {}
+    base, rep, d = bundle.base, bundle.rep, bundle.fiber_dim
+    dim_v = _single_component_dim(bundle)
+    lins = {}
     for v in base.vertices:
         if v not in linearizations:
             raise InvalidInputError(f"linearization missing at vertex {v}")
-        dmat = np.asarray(linalg.as_float(linearizations[v]), dtype=float)
-        deficits[v] = d_e - linalg.rank(dmat, RANK_TOL)
-    max_deficit = max(deficits.values())
+        lins[v] = linalg.as_float(linearizations[v])
+        if lins[v].ndim != 2 or lins[v].shape[0] != d:
+            raise InvalidInputError(
+                f"linearization at vertex {v} must be a matrix with {d} rows")
+    max_deficit = max(d - linalg.rank(lin, RANK_TOL) for lin in lins.values())
+    frames = {v: np.zeros((d, 0)) for v in base.vertices}
     if max_deficit == 0:
-        return StabilizationResult({v: np.zeros((d_e, 0)) for v in base.vertices}, 0)
+        return StabilizationResult(frames, 0)
     slack = _extension_slack(base.top_dim, dim_v) if len(base.vertices) > 1 else 0
-    if d_e < max_deficit + slack:
+    if d < max_deficit + slack:
         raise ObstructionError(
             "ambient rank too small for cokernel stabilization",
-            {"rank": d_e, "needed": max_deficit, "slack": slack},
+            {"rank": d, "needed": max_deficit, "slack": slack},
         )
     rng = np.random.default_rng(seed)
-    frames = {v: np.zeros((d_e, 0)) for v in base.vertices}
-    total_cols = 0
     for v in sorted(base.vertices, key=str):
-        dmat = np.asarray(linalg.as_float(linearizations[v]), dtype=float)
         while True:
-            span = np.concatenate([dmat, orbit_stack(rep_e, frames[v])], axis=1)
-            if linalg.rank(span, RANK_TOL) >= d_e:
+            span = np.concatenate([lins[v], orbit_stack(rep, frames[v])], axis=1)
+            if linalg.rank(span, RANK_TOL) >= d:
                 break
-            # deficit direction: an element of the cokernel at v
-            kernel = linalg.nullspace(span.T, RANK_TOL)
-            u = kernel[:, 0]
-            # perturb into the complement of the bundle built so far
-            if frames[v].shape[1] > 0:
-                w_span = orbit_stack(rep_e, frames[v])
-                u = u - w_span @ np.linalg.lstsq(w_span, u, rcond=None)[0]
-            u = u / np.linalg.norm(u)
-            col = _extend_column(e_bundle, v, u, frames, rng)
-            for x in base.vertices:
-                frames[x] = np.concatenate([frames[x], col[x].reshape(-1, 1)], axis=1)
-            total_cols += 1
-    rank = total_cols * dim_v
-    # certify the covering condition everywhere
-    for v in base.vertices:
-        dmat = np.asarray(linalg.as_float(linearizations[v]), dtype=float)
-        span = np.concatenate([dmat, orbit_stack(rep_e, frames[v])], axis=1)
-        if linalg.rank(span, RANK_TOL) < d_e:
-            raise ResampleFailureError(
-                f"stabilization failed to cover the cokernel at vertex {v}",
-                {"vertex": v},
-            )
-    return StabilizationResult(frames, rank)
-
-
-def orbit_stack(rep, columns: np.ndarray) -> np.ndarray:
-    if columns.shape[1] == 0:
-        return np.zeros((columns.shape[0], 0))
-    return np.concatenate(
-        [orbit_matrix(rep, columns[:, j]) for j in range(columns.shape[1])], axis=1
-    )
-
-
-def _extend_column(bundle: GBundleModel, start, vec: np.ndarray, existing: dict,
-                   rng: np.random.Generator) -> dict:
-    """Transport a fiber vector to every vertex, keeping its orbit span
-    independent of the existing frames; reseeds where transport degenerates."""
-    d = bundle.fiber_dim
-    col = {start: np.asarray(vec, dtype=float)}
-    for u, w in bundle.base.bfs_edges([start]):
-        cand = np.asarray(linalg.as_float(bundle.transport(u, w) @ col[u]), dtype=float)
-        col[w] = _ensure_independent(bundle, w, cand, existing, rng)
-    for v in bundle.base.vertices:
-        if v not in col:
-            cand = rng.normal(size=d)
-            col[v] = _ensure_independent(bundle, v, cand, existing, rng)
-    return col
-
-
-def _ensure_independent(bundle, vertex, cand, existing, rng):
-    rep = bundle.rep
-    prev = orbit_stack(rep, existing[vertex])
-    norm = np.linalg.norm(cand) or 1.0
-    trial = cand
-    for attempt in range(RETRY_BUDGET):
-        combined = np.concatenate([prev, orbit_matrix(rep, trial)], axis=1)
-        target = (linalg.rank(prev, RANK_TOL)
-                  + linalg.rank(orbit_matrix(rep, trial), RANK_TOL))
-        if linalg.rank(combined, RANK_TOL) == target and np.linalg.norm(trial) > RANK_TOL:
-            return trial
-        fresh = rng.normal(size=bundle.fiber_dim)
-        trial = fresh / np.linalg.norm(fresh) * norm
-    raise ResampleFailureError(
-        f"could not keep the new column independent at vertex {vertex}",
-        {"vertex": vertex},
-    )
+            u = linalg.nullspace(span.T, RANK_TOL)[:, :1]
+            new = _extend_frame(bundle, {v: u}, frames,
+                                (frames[v].shape[1] + 1) * dim_v, rng)
+            frames = {x: np.concatenate([frames[x], new[x]], axis=1) for x in base.vertices}
+    return StabilizationResult(frames, frames[base.vertices[0]].shape[1] * dim_v)

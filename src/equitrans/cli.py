@@ -520,7 +520,7 @@ def cmd_bundle(scenario, settings, sub):
                             "stabilize 'linearizations'").items()
     }
     try:
-        res = bundles.stabilize_cokernel(bundle, bundle, lin, seed=settings.seed)
+        res = bundles.stabilize_cokernel(bundle, lin, seed=settings.seed)
         records.append(
             make_record("cokernel-stabilization", "trivial-cover-subbundle",
                         True, {"rank": res.rank})

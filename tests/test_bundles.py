@@ -19,7 +19,7 @@ from equitrans.bundles import (
     invariant_complement,
     stabilize_cokernel,
 )
-from equitrans.errors import InvalidInputError, ObstructionError
+from equitrans.errors import InvalidInputError, ObstructionError, ResampleFailureError
 
 
 def z2_trivial_sign_bundle(base=None):
@@ -227,7 +227,7 @@ def test_complement_random_invariant_plane_circle():
     rng = np.random.default_rng(5)
     v0 = rng.normal(size=4)
     rep = bundle.rep
-    orbit = bundles.orbit_matrix(rep, v0)
+    orbit = bundles.orbit_stack(rep, v0[:, None])
     basis = linalg.orthonormal_columns(orbit)
     assert basis.shape[1] == 2
     sub = {v: basis for v in bundle.base.vertices}
@@ -409,19 +409,69 @@ def test_extend_frame_around_circle_trivial_group():
     assert bundles.frame_independent_on_grid(bundle, out, 1)
 
 
-def test_extend_frame_around_moebius_twist():
-    # holonomy -1 around the circle: straight transport would close up
-    # anti-aligned, so the repair step must route through a new direction
+def edge_midpoint_orbit_ranks(bundle, frames):
+    """Orbit rank of the frame at the midpoint of every edge, interpolated
+    in the gauge of the edge's first vertex; no sample grid has these
+    points."""
+    return {
+        (u, v): linalg.rank(bundles.orbit_stack(
+            bundle.rep,
+            (frames[u] + linalg.as_float(bundle.transport(v, u)) @ frames[v]) / 2), 1e-8)
+        for u, v in bundle.base.edges()
+    }
+
+
+def moebius_bundle():
+    # holonomy -1 around the circle: straight transport closes up
+    # anti-aligned, e1 at vertex 2 and -e1 at vertex 3
     g = reps.cyclic_group(1)
     rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
-    base = SimplicialBase.circle(4)
     twist = linalg.frac_array(
         [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
     )
-    bundle = GBundleModel(base, rep, {(3, 0): twist})
+    bundle = GBundleModel(SimplicialBase.circle(4), rep, {(3, 0): twist})
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
+    return bundle, frame
+
+
+def test_extend_frame_around_moebius_twist():
+    # the transported frame vanishes at the midpoint of edge (2,3), between
+    # the grid points, so the repair step must route through a new direction
+    bundle, frame = moebius_bundle()
     out = extend_trivial_subbundle(bundle, (0, 1), frame, seed=4)
     assert bundles.frame_independent_on_grid(bundle, out, 1)
+    assert set(edge_midpoint_orbit_ranks(bundle, out).values()) == {1}
+
+
+def test_extend_frame_repair_budget_exhausted(monkeypatch):
+    bundle, frame = moebius_bundle()
+    monkeypatch.setattr(bundles, "RETRY_BUDGET", 0)
+    with pytest.raises(ResampleFailureError, match="could not repair"):
+        extend_trivial_subbundle(bundle, (0, 1), frame, seed=4)
+
+
+def test_extend_frame_seed_vanishing_between_grid_points():
+    # e1 and -e1 on the seed edge vanish at its midpoint, which the grid
+    # (steps of 1/9) misses
+    g = reps.cyclic_group(1)
+    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    bundle = GBundleModel(SimplicialBase.interval(2), rep)
+    frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[-1.0], [0.0], [0.0]])}
+    with pytest.raises(ResampleFailureError, match="seed frame is degenerate on"):
+        extend_trivial_subbundle(bundle, (0, 1), frame)
+
+
+@pytest.mark.parametrize("simplex, frame, error", [
+    ((0, 2), {0: [1.0, 0], 2: [1.0, 0]}, InvalidInputError),  # not a simplex
+    ((0, 1), {0: [1.0, 0]}, InvalidInputError),  # frame missing at vertex 1
+    ((0, 1), {0: [1.0, 1.0], 1: [1.0, 1.0]}, InvalidInputError),  # mixed column
+    ((0, 1), {0: [1.0, 0], 1: [1.0, 0]}, ObstructionError),  # fiber rank 1 < 3
+])
+def test_extend_frame_rejects(simplex, frame, error):
+    bundle = z2_trivial_sign_bundle()
+    frame = {v: np.array(col)[:, None] for v, col in frame.items()}
+    with pytest.raises(error):
+        extend_trivial_subbundle(bundle, simplex, frame)
 
 
 def test_extend_frame_z2_rank_1_1():
@@ -448,7 +498,7 @@ def test_extend_frame_z2_rank_1_1():
         # per-component invariance: each column stays inside its component
         assert np.allclose(p_triv @ out[v][:, 0], out[v][:, 0])
         assert np.allclose(p_sign @ out[v][:, 1], out[v][:, 1])
-        assert bundles._orbit_rank(bundle.rep, [out[v][:, 0], out[v][:, 1]]) == 2
+        assert linalg.rank(bundles.orbit_stack(bundle.rep, out[v]), 1e-8) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +509,7 @@ def test_extend_frame_z2_rank_1_1():
 def test_stabilize_surjective_gives_zero():
     bundle, _ = circle_weight_bundle([1])
     lin = {v: np.eye(2) for v in bundle.base.vertices}
-    res = stabilize_cokernel(bundle, bundle, lin)
+    res = stabilize_cokernel(bundle, lin)
     assert res.rank == 0
 
 
@@ -469,7 +519,7 @@ def test_stabilize_single_vertex_zero_map():
     base = SimplicialBase.from_maximal([(0,)])
     bundle = GBundleModel(base, rep)
     lin = {0: np.zeros((2, 2))}
-    res = stabilize_cokernel(bundle, bundle, lin)
+    res = stabilize_cokernel(bundle, lin)
     assert res.rank == 2
     orbit = bundles.orbit_stack(rep, res.frames[0])
     assert linalg.rank(orbit, 1e-8) == 2
@@ -486,13 +536,59 @@ def test_stabilize_two_vertices_different_lines_merges_rank4():
     d0[2:, 2:] = np.eye(4)  # cokernel = first plane at vertex 0
     d1 = np.zeros((6, 6))
     d1[:4, :4] = np.eye(4)  # cokernel = last plane at vertex 1
-    res = stabilize_cokernel(bundle, bundle, {0: d0, 1: d1}, seed=2)
+    res = stabilize_cokernel(bundle, {0: d0, 1: d1}, seed=2)
     assert res.rank == 4
     for v, dmat in ((0, d0), (1, d1)):
         span = np.concatenate(
             [dmat, bundles.orbit_stack(rep, res.frames[v])], axis=1
         )
         assert linalg.rank(span, 1e-8) == 6
+
+
+def stabilize_circle4_twist():
+    # weight-1 pair of planes with holonomy -1 around the square: the first
+    # column closes up anti-aligned across edge (2,3)
+    bundle, _ = circle_weight_bundle([1, 1], base=SimplicialBase.circle(4), n=32)
+    bundle = GBundleModel(bundle.base, bundle.rep, {(3, 0): -np.eye(4)})
+    lin = {0: np.diag([0.0, 0, 1, 1]), 1: np.eye(4), 2: np.diag([1.0, 1, 0, 0]),
+           3: np.eye(4)}
+    return bundle, lin
+
+
+def stabilize_triangle_rotation():
+    # the second column, transported from vertex 1, lands on the first one at
+    # vertex 2 (the transition (0,2) turns e1 into e2): a vertex reseed
+    g = reps.cyclic_group(1)
+    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    turn = linalg.frac_array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    bundle = GBundleModel(SimplicialBase.circle(3), rep, {(0, 2): turn})
+    lin = {0: np.diag([0.0, 1, 1]), 1: np.diag([1.0, 0, 1]), 2: np.eye(3)}
+    return bundle, lin
+
+
+def stabilize_two_components():
+    # the seed never reaches the second component: seeded draws there
+    base = SimplicialBase.from_maximal([(0, 1), (2, 3)])
+    bundle, _ = circle_weight_bundle([1, 1], base=base, n=32)
+    lin = {0: np.diag([0.0, 0, 1, 1]), 1: np.eye(4), 2: np.diag([1.0, 1, 0, 0]),
+           3: np.diag([0.0, 0, 1, 1])}
+    return bundle, lin
+
+
+@pytest.mark.parametrize("make, rank", [
+    (stabilize_circle4_twist, 2),
+    (stabilize_triangle_rotation, 2),
+    (stabilize_two_components, 2),
+])
+def test_stabilize_multi_vertex_frame_certified(make, rank):
+    bundle, lin = make()
+    res = stabilize_cokernel(bundle, lin, seed=3)
+    assert res.rank == rank
+    assert bundles.frame_independent_on_grid(bundle, res.frames, rank)
+    assert set(edge_midpoint_orbit_ranks(bundle, res.frames).values()) == {rank}
+    for v, dmat in lin.items():
+        cover = np.concatenate([dmat, bundles.orbit_stack(bundle.rep, res.frames[v])], axis=1)
+        assert linalg.rank(cover, 1e-8) == bundle.fiber_dim
 
 
 def test_stabilize_ambient_too_small():
@@ -502,4 +598,4 @@ def test_stabilize_ambient_too_small():
     bundle = GBundleModel(base, rep)
     lin = {v: np.zeros((2, 2)) for v in (0, 1)}
     with pytest.raises(ObstructionError):
-        stabilize_cokernel(bundle, bundle, lin)
+        stabilize_cokernel(bundle, lin)

@@ -960,6 +960,12 @@ FIXED_LOCUS_WEIGHT_0 = _replaced(
     (["bundle", "decompose"],
      _replaced(BUNDLE_EXTEND, {"maximal_simplices": [[0, 1], ["a", "b"]]}, "base"),
      "base 'maximal_simplices'"),
+    # stabilize linearizations that do not match the base or the fiber
+    (["bundle", "stabilize"], dict(BUNDLE_STABILIZE, base={"interval": 1}),
+     "linearization missing at vertex 1"),
+    (["bundle", "stabilize"],
+     _replaced(BUNDLE_STABILIZE, [[0, 0, 0]], "stabilize", "linearizations", "0"),
+     "linearization at vertex 0 must be a matrix with 2 rows"),
 ])
 def test_malformed_integer_name_weight_or_vertex_exit_2(tmp_path, capsys, command,
                                                         payload, named):
@@ -969,3 +975,36 @@ def test_malformed_integer_name_weight_or_vertex_exit_2(tmp_path, capsys, comman
     msg = json.loads(err)
     assert msg["kind"] == "invalid-input"
     assert named in msg["error"]
+
+
+# a transition 1e-6 away from orthogonal: valid at tolerance 1e-3 only
+NEARLY_ORTHOGONAL = {"settings": {"mode": "float"}, "group": {"preset": "Z_2"},
+                     "representation": {"matrices": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]},
+                     "base": {"interval": 1},
+                     "bundle": {"transitions": {"0,1": [[1, 1e-6], [0, 1]]}}}
+
+
+@pytest.mark.parametrize("command, payload, setting, flag, codes", [
+    (["bundle", "decompose"], NEARLY_ORTHOGONAL, ("tolerance", 1e-10),
+     ["--tolerance", "1e-3"], (2, 0)),
+    (["bundle", "decompose"], NEARLY_ORTHOGONAL, ("tolerance", 1e-3),
+     ["--tolerance", "1e-10"], (0, 2)),
+    # the defect of FLOER_DEFECT has energy 1: a cutoff below it truncates it
+    (["floer", "d2"], FLOER_DEFECT, ("cutoff", "10"), ["--cutoff", "1/2"], (1, 0)),
+    (["floer", "d2"], FLOER_DEFECT, ("cutoff", "1/2"), ["--cutoff", "10"], (0, 1)),
+])
+def test_tolerance_and_cutoff_flags_override_settings(tmp_path, capsys, command,
+                                                      payload, setting, flag, codes):
+    key, value = setting
+    settings = dict(payload.get("settings", {}), **{key: value})
+    path = write(tmp_path, "s.json", dict(payload, settings=settings))
+    assert [run(capsys, command + [path] + extra)[0] for extra in ([], flag)] == list(codes)
+
+
+def test_cutoff_flag_not_a_number_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, ["floer", "d2", write(tmp_path, "f.json", FLOER_DEFECT),
+                                  "--cutoff", "abc"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "--cutoff: 'abc' is not a number",
+                               "kind": "invalid-input"}

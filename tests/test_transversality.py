@@ -257,7 +257,7 @@ def test_preimage_rank_on_stabilization_output():
     d0[2:, 2:] = np.eye(4)
     d1 = np.zeros((6, 6))
     d1[:4, :4] = np.eye(4)
-    res = stabilize_cokernel(bundle, bundle, {0: d0, 1: d1}, seed=2)
+    res = stabilize_cokernel(bundle, {0: d0, 1: d1}, seed=2)
     for v, dmat in ((0, d0), (1, d1)):
         cover = orbit_stack(rep, res.frames[v])
         pre = tv.preimage_rank(dmat, cover)
