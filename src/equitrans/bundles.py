@@ -782,7 +782,7 @@ def extend_trivial_subbundle(bundle: GBundleModel, simplex, frame: dict,
     mats = linalg.as_float(bundle.rep.matrices)
     out = {v: np.zeros((bundle.fiber_dim, root.shape[1])) for v in bundle.base.vertices}
     for comp_idx, (label, cols) in enumerate(sorted(by_component.items())):
-        basis = linalg.orthonormal_columns(linalg.as_float(splitting.projectors[label]))
+        basis = linalg.projector_range(linalg.as_float(splitting.projectors[label]))
         sub_bundle = GBundleModel(
             bundle.base, reps.RealRepresentation(bundle.rep.group, basis.T @ mats @ basis),
             {e: basis.T @ linalg.as_float(t) @ basis for e, t in bundle.transitions.items()})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -46,13 +47,15 @@ class Settings:
             if args.seed is not None:
                 self.seed = args.seed
             if args.tolerance is not None:
-                self.tolerance = args.tolerance
+                self.tolerance = _parse_scalar(args.tolerance, False, "--tolerance")
             if args.cutoff is not None:
                 self.cutoff = _parse_scalar(args.cutoff, True, "--cutoff")
             if args.quadrature_order is not None:
                 self.quadrature_order = args.quadrature_order
             if args.mode is not None:
                 self.mode = args.mode
+        if self.tolerance < 0:
+            raise InvalidInputError(f"tolerance {self.tolerance} is negative")
         if self.mode not in ("exact", "float"):
             raise InvalidInputError(f"unknown arithmetic mode {self.mode!r}")
 
@@ -62,14 +65,16 @@ class Settings:
 
 
 def _parse_scalar(x, exact: bool, what: str):
+    """A finite number: a Fraction in exact mode, else a float."""
     if exact and isinstance(x, float) and not x.is_integer():
-        raise InvalidInputError(
-            f"exact mode requires integers or 'p/q' strings, got {x}"
-        )
+        raise InvalidInputError(f"exact mode requires integers or 'p/q' strings, got {x}")
     try:
-        return Fraction(x) if exact else float(Fraction(x) if isinstance(x, str) else x)
-    except (TypeError, ValueError, ZeroDivisionError):
+        value = Fraction(x) if exact else float(Fraction(x) if isinstance(x, str) else x)
+        if not exact and not math.isfinite(value):
+            raise ValueError
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InvalidInputError(f"{what}: {x!r} is not a number") from None
+    return value
 
 
 def _parse_matrix(rows, exact: bool, what: str) -> np.ndarray:

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 TOL = 1e-10
 
 
@@ -120,7 +122,8 @@ def rank(a: np.ndarray, tol: float = TOL) -> int:
 
 
 def nullspace(a: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Columns form a basis of ker(a)."""
+    """Columns form a basis of ker(a).  Float mode keeps the right singular
+    vectors past the singular values above tol * s_max (orthonormal)."""
     if is_exact(a):
         red, pivots = rref(a)
         rows, cols = red.shape
@@ -131,12 +134,8 @@ def nullspace(a: np.ndarray, tol: float = TOL) -> np.ndarray:
             for r, pc in enumerate(pivots):
                 basis[pc, k] = -red[r, fc]
         return basis
-    from scipy.linalg import null_space
-
-    af = as_float(a)
-    if af.size == 0:
-        return np.eye(a.shape[1])
-    return null_space(af, rcond=tol)
+    _, s, vh = np.linalg.svd(as_float(a))
+    return vh[np.sum(s > tol * s.max(initial=0.0)):].T
 
 
 def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,16 +171,30 @@ def min_singular_value(a: np.ndarray) -> float:
     return float(np.linalg.svd(as_float(a), compute_uv=False)[-1])
 
 
-def column_space_basis(a: np.ndarray) -> np.ndarray:
-    """Columns spanning the column space of a (pivot columns when exact)."""
-    if is_exact(a):
-        _, pivots = rref(a)
-        return a[:, pivots]
-    from scipy.linalg import orth
+def trace_rank(trace, denom: int = 1) -> int:
+    """Rank of a projector P from the trace of denom * P: an exact trace must
+    be a multiple of denom, a float one within 1e-6 of an integer."""
+    if isinstance(trace, (int, np.integer)):
+        rank, rest = divmod(int(trace), denom)
+        if rest:
+            raise InvalidInputError("projector trace is not an integer; invalid data")
+        return rank
+    r = float(trace)
+    if abs(r - round(r)) > 1e-6:
+        raise InvalidInputError("projector trace is not close to an integer")
+    return int(round(r))
 
-    if a.size == 0 or np.linalg.matrix_rank(as_float(a), tol=TOL) == 0:
-        return np.zeros((a.shape[0], 0))
-    return orth(as_float(a), rcond=TOL)
+
+def projector_range(p: np.ndarray) -> np.ndarray:
+    """Basis of the range of a projector p: its pivot columns when exact,
+    else its first r = trace_rank(tr p) left singular vectors.  A rank-r
+    projector has r singular values >= 1 and the rest 0, so the trace picks r
+    with no cutoff (one relative to s_max keeps roundoff when p = 0)."""
+    if is_exact(p):
+        _, pivots = rref(p)
+        return p[:, pivots]
+    r = trace_rank(np.trace(p))
+    return np.linalg.svd(p)[0][:, :r] if r else np.zeros((len(p), 0))
 
 
 def independent_columns(a: np.ndarray) -> list[int]:
@@ -198,15 +211,6 @@ def independent_columns(a: np.ndarray) -> list[int]:
             basis = cand
             idx.append(j)
     return idx
-
-
-def orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    from scipy.linalg import orth
-
-    af = as_float(a)
-    if af.size == 0:
-        return af.reshape(af.shape[0], 0)
-    return orth(af)
 
 
 def cayley_orthogonal(dim: int, rng: np.random.Generator, denom: int = 3) -> np.ndarray:

@@ -533,24 +533,10 @@ def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.nd
     return np.tensordot(weights, rep.matrices, axes=1) * scale
 
 
-def _trace_rank(trace, denom: int = 1) -> int:
-    """Rank of a projector P from the trace of denom * P: an exact trace must
-    be a multiple of denom, a float one within 1e-6 of an integer."""
-    if isinstance(trace, (int, np.integer)):
-        rank, rest = divmod(int(trace), denom)
-        if rest:
-            raise InvalidInputError("projector trace is not an integer; invalid data")
-        return rank
-    r = float(trace)
-    if abs(r - round(r)) > 1e-6:
-        raise InvalidInputError("projector trace is not close to an integer")
-    return int(round(r))
-
-
 def isotypic_rank(rep: RealRepresentation, irrep: IrrepDescriptor) -> int:
     """Rank of the isotypic component (trace of its projector)."""
     tr = np.trace(isotypic_projector(rep, irrep))
-    return _trace_rank(*Fraction(tr).as_integer_ratio()) if rep.exact else _trace_rank(tr)
+    return linalg.trace_rank(*(Fraction(tr).as_integer_ratio() if rep.exact else (tr,)))
 
 
 def all_projectors(rep: RealRepresentation) -> dict[str, np.ndarray]:
@@ -627,7 +613,7 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
 
     labels = sorted(projs)
     q = np.stack([projs[label] for label in labels])
-    ranks = {label: _trace_rank(tr, denom)
+    ranks = {label: linalg.trace_rank(tr, denom)
              for label, tr in zip(labels, np.trace(q, axis1=1, axis2=2))}
     a, b = np.triu_indices(len(labels), 1)
     verdicts = [
@@ -723,7 +709,7 @@ def _assert_irreducible(rep: RealRepresentation) -> None:
         if linalg.mat_eq(p, ident):
             hits.append(label)
         else:
-            sub = linalg.column_space_basis(p)
+            sub = linalg.projector_range(p)
             raise ReducibleRepresentationError(
                 f"representation is reducible: isotypic component {label!r} is proper",
                 sub,

@@ -25,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import linalg
 from .errors import InvalidInputError, NonHyperbolicError
 
 HYPERBOLICITY_MARGIN = 1e-6
 TAIL_TOLERANCE = 1e-6
 ANGLE_THRESHOLD = 1e-6
+SIGN_STEPS = 100  # scaled Newton steps allowed for the matrix sign function
 _BLOCK = 128  # RK4 steps sampled and multiplied at a time
 _CHUNK = 16  # RK4 steps per QR renormalization (a power of two)
 
@@ -232,11 +233,36 @@ def build_lambda_path(spec: LambdaOperatorSpec) -> MatrixPath:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_frame(b: np.ndarray, half: str) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace of b for eigenvalues in
-    the open left ('lhp') or right ('rhp') half plane; b is hyperbolic."""
-    t, z, sdim = scipy.linalg.schur(b, output="real", sort=half)
-    return z[:, :sdim]
+def _matrix_sign(b: np.ndarray) -> np.ndarray:
+    """sign(B) for each matrix of a (k, d, d) stack by the scaled Newton
+    iteration S <- (mu S + (mu S)^-1) / 2, mu = |det S|^(-1/d) (Higham,
+    Functions of Matrices, SIAM 2008, ch. 5).  It converges quadratically for
+    hyperbolic B; it stops once no entry moved by more than 1e-6 max|S|, which
+    leaves an error of order 1e-12.  A singular iterate, or no convergence in
+    SIGN_STEPS steps, raises NonHyperbolicError."""
+    s, d = np.asarray(b, dtype=float), b.shape[-1]
+    for _ in range(SIGN_STEPS):
+        try:
+            inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError:
+            break
+        mu = np.exp(-np.linalg.slogdet(s)[1] / d)[:, None, None]
+        s, prev = (mu * s + inv / mu) / 2, s
+        if np.all(np.abs(s - prev).max(axis=(1, 2)) <= 1e-6 * np.abs(s).max(axis=(1, 2))):
+            return s
+    raise NonHyperbolicError("matrix sign iteration did not converge: a matrix has "
+                             "an eigenvalue on the imaginary axis")
+
+
+def _start_frames(path: MatrixPath, adjoint: bool) -> list:
+    """Orthonormal bases of the rhp invariant subspace of B- and the lhp one
+    of B+, then, if ``adjoint``, of the same two for -B-^T and -B+^T: ranges
+    of the spectral projectors (I +- sign B) / 2, sign(-B^T) = -sign(B)^T."""
+    sign = _matrix_sign(np.stack([path.b_minus, path.b_plus]))
+    halves = [(1, sign[0]), (-1, sign[1])]
+    if adjoint:
+        halves += [(-1, sign[0].T), (1, sign[1].T)]
+    return [linalg.projector_range((np.eye(path.dim) + e * s) / 2) for e, s in halves]
 
 
 def _chunk_maps(b: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -271,10 +297,7 @@ def _propagated_frames(path: MatrixPath, step: float, adjoint: bool) -> list:
     depend only on the first r columns, so each frame keeps its span.
     """
     t, d = path.horizon, path.dim
-    limits = [(path.b_minus, "rhp"), (path.b_plus, "lhp")]
-    if adjoint:
-        limits += [(-b.T, half) for b, half in limits]
-    frames = [_spectral_frame(b, half) for b, half in limits]
+    frames = _start_frames(path, adjoint)
     widths = [f.shape[1] for f in frames]
     u = np.stack([np.pad(f, ((0, 0), (0, max(widths) - f.shape[1]))) for f in frames])
     n_steps = max(1, int(np.ceil(t / step)))

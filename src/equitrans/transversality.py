@@ -20,6 +20,7 @@ seeded budget and certifies surjectivity by smallest singular value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -87,47 +88,25 @@ def split_linearization(full: np.ndarray,
             "linearization is not equivariant: max commutator norm "
             f"{float(per_g[g]):.3e} at element {g}"
         )
-    dom_projs = reps.all_projectors(domain_rep)
-    cod_projs = reps.all_projectors(codomain_rep)
-    labels = sorted(dom_projs)
-    dom_bases = {label: _component_basis(p, exact) for label, p in dom_projs.items()}
-    cod_bases = {label: _component_basis(p, exact) for label, p in cod_projs.items()}
+    dom_bases, cod_bases = (
+        {label: linalg.projector_range(p if exact else linalg.as_float(p))
+         for label, p in reps.all_projectors(rep).items()}
+        for rep in (domain_rep, codomain_rep))
+    labels = sorted(dom_bases)
     # certify that cross blocks between distinct components vanish
-    for la in labels:
-        for lb in labels:
-            if la == lb:
-                continue
-            ca, db = cod_bases[la], dom_bases[lb]
-            if ca.shape[1] == 0 or db.shape[1] == 0:
-                continue
-            cross = ca.T @ linalg.as_float(full) @ db if not exact else ca.T @ full @ db
-            if not linalg.is_zero(cross):
-                raise InvalidInputError(
-                    f"cross block between components {la!r} and {lb!r} "
-                    "does not vanish"
-                )
-    dims = {ir.label: ir.dim_V for ir in group.irreps}
-    endos = {ir.label: ir.endo_dim for ir in group.irreps}
-    fixed = _compress(full, cod_bases["fixed"], dom_bases["fixed"], exact)
-    lam = {}
-    dim_v = {}
-    endo = {}
-    for label in labels:
-        if label == "fixed":
-            continue
-        blk = _compress(full, cod_bases[label], dom_bases[label], exact)
-        if blk.shape[0] == 0 and blk.shape[1] == 0:
-            continue
-        lam[label] = blk
-        dim_v[label] = dims[label]
-        endo[label] = endos[label]
-    return LinearizationSplit(fixed, lam, dim_v, endo)
-
-
-def _component_basis(projector, exact):
-    if exact:
-        return linalg.column_space_basis(projector)
-    return linalg.orthonormal_columns(linalg.as_float(projector))
+    for la, lb in itertools.permutations(labels, 2):
+        ca, db = cod_bases[la], dom_bases[lb]
+        cross = ca.T @ linalg.as_float(full) @ db if not exact else ca.T @ full @ db
+        if not linalg.is_zero(cross):
+            raise InvalidInputError(
+                f"cross block between components {la!r} and {lb!r} does not vanish")
+    blocks = {label: _compress(full, cod_bases[label], dom_bases[label], exact)
+              for label in labels}
+    fixed = blocks.pop("fixed")
+    lam = {label: b for label, b in blocks.items() if b.shape != (0, 0)}
+    irreps = {ir.label: ir for ir in group.irreps}
+    return LinearizationSplit(fixed, lam, {label: irreps[label].dim_V for label in lam},
+                              {label: irreps[label].endo_dim for label in lam})
 
 
 def _compress(full, cod_basis, dom_basis, exact):

@@ -3,6 +3,10 @@ report shape, exit-code triage, and byte-level determinism."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1008,3 +1012,53 @@ def test_cutoff_flag_not_a_number_exit_2(tmp_path, capsys):
     assert out == ""
     assert json.loads(err) == {"error": "--cutoff: 'abc' is not a number",
                                "kind": "invalid-input"}
+
+
+NAN, INF = float("nan"), float("inf")
+REPS_FLOAT = dict(REPS_MATRICES, settings={"mode": "float"})
+
+
+@pytest.mark.parametrize("command, payload, flags", [
+    (["flow", "index"],
+     {"flow": {"paths": [{"preset": "constant", "matrix": [[NAN, 0], [0, -1]]}]}}, []),
+    (["flow", "oracle"],
+     {"flow": {"paths": [{"preset": "tanh-scalar", "horizon": INF}]}}, []),
+    (["metric", "quotient"], {"metric_points": [[NAN, 1.0], [0.0, 1.0]]}, []),
+    (["metric", "quotient"], {"metric_points": [[-INF, 1.0], [0.0, 1.0]]}, []),
+    (["reps", "decompose"], REPS_FLOAT, ["--tolerance", "nan"]),
+    (["reps", "decompose"], REPS_FLOAT, ["--tolerance", "-1"]),
+    (["reps", "decompose"], REPS_FLOAT, ["--tolerance", "inf"]),
+    (["reps", "decompose"], dict(REPS_MATRICES, settings={"tolerance": -1e-3}), []),
+    (["reps", "decompose"], dict(REPS_MATRICES, settings={"tolerance": NAN}), []),
+])
+def test_non_finite_input_or_negative_tolerance_exit_2(tmp_path, capsys, command,
+                                                       payload, flags):
+    # JSON reads NaN and Infinity; they are malformed input, not a failed check
+    code, out, err = run(capsys, command + [write(tmp_path, "s.json", payload)] + flags)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command, payload, flags", [
+    (["reps", "decompose"], REPS_FLOAT, ["--tolerance", "1e-8"]),
+    (["reps", "decompose"], REPS_MATRICES, ["--tolerance", "0"]),
+    (["floer", "ranks"], FLOER_RANKS, ["--cutoff", "3/2"]),
+])
+def test_finite_tolerance_and_cutoff_flags_accepted(tmp_path, capsys, command,
+                                                    payload, flags):
+    code, out, _ = run(capsys, command + [write(tmp_path, "s.json", payload)] + flags)
+    assert code == 0
+    assert json.loads(out)["pass"]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only linear-algebra backend: a fresh interpreter that
+    # imports the command line has not loaded scipy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, equitrans.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -327,9 +327,8 @@ def test_batched_propagation_spans_per_step_subspaces():
         t = path.horizon
         scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
         step = min(1e-3 * t, 0.05 / scale)
-        starts = [(p, s0, spectral._spectral_frame(getattr(p, limit), half))
-                  for p in (path, path.adjoint())
-                  for s0, half, limit in ((-t, "rhp", "b_minus"), (t, "lhp", "b_plus"))]
+        starts = zip((path, path, path.adjoint(), path.adjoint()), (-t, t, -t, t),
+                     spectral._start_frames(path, adjoint=True))
         swept = spectral._propagated_frames(path, step, adjoint=True)
         assert len(swept) == 4
         if path is uneven:
@@ -374,3 +373,56 @@ def test_oracle_reports_interior_blow_up():
     for shoot in (lambda p: kernel_dim_oracle(p.adjoint()), index_by_shooting):
         with pytest.raises(InvalidInputError, match="frame propagation overflowed"):
             shoot(path)
+
+
+# ---------------------------------------------------------------------------
+# start frames from the matrix sign function
+# ---------------------------------------------------------------------------
+
+
+def _non_normal_hyperbolic(rng, size):
+    """X D X^-1 with a real block-diagonal D (some 2 x 2 rotation-scaling
+    blocks), |Re lambda| in [1e-4, 3] and cond(X) up to 1e5."""
+    re = rng.choice([-1.0, 1.0], size=size) * 10 ** rng.uniform(-4, 0.5, size=size)
+    d = np.diag(re)
+    for i in range(0, size - 1, 2):
+        if rng.random() < 0.5:
+            im = 10 ** rng.uniform(-1, 1.5)
+            d[i + 1, i + 1] = d[i, i]
+            d[i, i + 1], d[i + 1, i] = im, -im
+    u, v = (np.linalg.qr(rng.normal(size=(size, size)))[0] for _ in range(2))
+    x = u @ np.diag(np.geomspace(1.0, 10 ** -rng.uniform(0, 5), size)) @ v.T
+    return x @ d @ np.linalg.inv(x)
+
+
+def test_sign_frames_are_invariant_with_eigencount_widths():
+    rng = np.random.default_rng(2718)
+    for k in range(150):
+        size = 1 + k % 6
+        b_minus, b_plus = (_non_normal_hyperbolic(rng, size) for _ in range(2))
+        path = tanh_path((b_minus + b_plus) / 2, (b_plus - b_minus) / 2)
+        b_minus, b_plus = path.b_minus, path.b_plus
+        frames = spectral._start_frames(path, adjoint=True)
+        # rhp of B-, lhp of B+, rhp of -B-^T, lhp of -B+^T
+        u_minus, u_plus = unstable_dim(b_minus), unstable_dim(b_plus)
+        assert [f.shape[1] for f in frames] == [size - u_minus, u_plus,
+                                                u_minus, size - u_plus], k
+        for f, b in zip(frames, (b_minus, b_plus, -b_minus.T, -b_plus.T)):
+            assert np.max(np.abs(f.T @ f - np.eye(f.shape[1])), initial=0.0) <= 1e-12
+            moved = b @ f
+            assert np.linalg.norm(moved - f @ (f.T @ moved)) <= 1e-8 * np.linalg.norm(b), k
+
+
+def test_matrix_sign_of_rotation_is_non_hyperbolic():
+    # eigenvalues +-i: the first Newton step gives the zero matrix
+    with pytest.raises(NonHyperbolicError):
+        spectral._matrix_sign(np.array([[[0.0, 1.0], [-1.0, 0.0]]]))
+
+
+def test_matrix_sign_step_bound(monkeypatch):
+    # sign(B) commutes with B and squares to I: [[1, 40], [0, -1]]
+    b = np.array([[[2.0, 100.0], [0.0, -3.0]]])
+    assert np.allclose(spectral._matrix_sign(b), [[1.0, 40.0], [0.0, -1.0]])
+    monkeypatch.setattr(spectral, "SIGN_STEPS", 1)
+    with pytest.raises(NonHyperbolicError):
+        spectral._matrix_sign(b)

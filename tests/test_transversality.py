@@ -40,6 +40,21 @@ def test_split_random_equivariant_cross_blocks_exact_zero():
     assert split.lambda_blocks["standard"].shape == (2, 2)
 
 
+def test_split_float_natural_rep_has_no_sign_block():
+    # the absent sign component's projector is roundoff: its rank is its
+    # trace, 0, so no noise basis meets a non-vanishing cross block
+    g = reps.symmetric_group(3)
+    nat = linalg.as_float(reps._block_catalog(g)["natural"].matrices)
+    for seed in range(20):
+        q = linalg.random_orthogonal(3, np.random.default_rng(seed))
+        rep = reps.rep_from_matrices(g, q @ nat @ q.T)
+        split = tv.split_linearization(2 * np.eye(3), rep, rep)
+        assert split.fixed_block.shape == (1, 1)
+        assert split.lambda_blocks["standard"].shape == (2, 2)
+        assert set(split.lambda_blocks) == {"standard"}
+        assert np.allclose(split.lambda_blocks["standard"], 2 * np.eye(2))
+
+
 def test_split_rejects_nonequivariant_with_commutator_report():
     z2 = reps.cyclic_group(2)
     dom = reps.rep_from_matrices(z2, [np.eye(2).tolist(), np.diag([1, -1]).tolist()], exact=True)
