@@ -280,7 +280,9 @@ class GBundleModel:
 
     def transport(self, u, v) -> np.ndarray:
         """Matrix carrying fiber coordinates at u to coordinates at v
-        along the oriented edge (u, v)."""
+        along the oriented edge (u, v); the identity when u = v."""
+        if u == v:
+            return linalg.eye(self.fiber_dim, self.exact)
         try:
             return self.transitions[(u, v)]
         except KeyError:
@@ -305,17 +307,6 @@ class GBundleModel:
                     f"(residual {res})"
                 )
 
-    def gauges(self) -> dict:
-        """Spanning-tree trivialization: per vertex, the matrix carrying its
-        fiber coordinates to the frame of its component root."""
-        out = {}
-        for comp in self.base.components():
-            root = min(comp, key=str)
-            out[root] = linalg.eye(self.fiber_dim, self.exact)
-            for u, w in self.base.bfs_edges([root]):
-                out[w] = out[u] @ self.transport(w, u)
-        return out
-
 
 @dataclass
 class SectionModel:
@@ -331,23 +322,20 @@ class SectionModel:
 def evaluate_section(bundle: GBundleModel, section: SectionModel, simplex,
                      weights) -> np.ndarray:
     """Affine interpolation of a section at barycentric coordinates inside
-    a simplex, in the spanning-tree gauge of its component.
+    a simplex, in the gauge of its first vertex, as in section extension
+    and the frame certificate.
 
-    Vertex values are carried to the component root frame (transitions
-    apply at tree-crossing edges) and combined affinely; the returned
-    vector lives in the root frame.
+    Vertex values are carried to the first vertex's frame along the
+    simplex's own edges and combined affinely; the returned vector lives in
+    that frame.
     """
     simplex = tuple(sorted(simplex))
     if simplex not in bundle.base.simplices:
         raise InvalidInputError(f"{simplex} is not a simplex of the base")
     if len(weights) != len(simplex):
         raise InvalidInputError("one barycentric weight per simplex vertex")
-    gauges = bundle.gauges()
-    acc = None
-    for w, v in zip(weights, simplex):
-        term = w * (gauges[v] @ np.asarray(section.value(v)))
-        acc = term if acc is None else acc + term
-    return acc
+    return sum(w * (bundle.transport(v, simplex[0]) @ np.asarray(section.value(v)))
+               for w, v in zip(weights, simplex))
 
 
 @dataclass
@@ -575,9 +563,8 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
         if np.shape(boundary_section[v]) != (d,):
             raise InvalidInputError(
                 f"boundary section at vertex {v} is not a vector of length {d}")
-        gauge = (linalg.eye(d, bundle.exact) if v == root
-                 else bundle.transport(v, root))
-        bdry[v] = linalg.as_float(gauge @ np.asarray(boundary_section[v]))
+        bdry[v] = linalg.as_float(bundle.transport(v, root)
+                                  @ np.asarray(boundary_section[v]))
     # boundary faces of the simplex must be nonvanishing before extension
     if n >= 1:
         face_min = min(
@@ -655,8 +642,8 @@ def _certified(bundle: GBundleModel, frames: dict, simplex, rank: int) -> bool:
     """
     root = simplex[0]
     local = np.stack([
-        linalg.as_float(bundle.transport(v, root) if v != root else np.eye(bundle.fiber_dim))
-        @ linalg.as_float(frames[v]) for v in simplex
+        linalg.as_float(bundle.transport(v, root)) @ linalg.as_float(frames[v])
+        for v in simplex
     ])
     orbits = orbit_stack(bundle.rep, local)
     weights = _grid_weights(len(simplex) - 1)

@@ -65,11 +65,12 @@ class Settings:
 
 
 def _parse_scalar(x, exact: bool, what: str):
-    """A finite number: a Fraction in exact mode, else a float."""
+    """A finite number: a ``linalg.rational`` in exact mode, else a float."""
     if exact and isinstance(x, float) and not x.is_integer():
         raise InvalidInputError(f"exact mode requires integers or 'p/q' strings, got {x}")
     try:
-        value = Fraction(x) if exact else float(Fraction(x) if isinstance(x, str) else x)
+        value = (linalg.rational(x) if exact
+                 else float(Fraction(x) if isinstance(x, str) else x))
         if not exact and not math.isfinite(value):
             raise ValueError
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -83,15 +84,15 @@ def _parse_matrix(rows, exact: bool, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
         raise InvalidInputError(f"{what} must be a rectangular matrix")
-    parsed = [[_parse_scalar(v, exact, what) for v in row] for row in rows]
-    return linalg.frac_array(parsed) if exact else np.asarray(parsed, dtype=float)
+    return np.array([[_parse_scalar(v, exact, what) for v in row] for row in rows],
+                    dtype=object if exact else float)
 
 
 def _parse_vector(vals, exact: bool, what: str) -> np.ndarray:
     if not isinstance(vals, list):
         raise InvalidInputError(f"{what} must be a list of numbers")
-    parsed = [_parse_scalar(v, exact, what) for v in vals]
-    return np.array(parsed, dtype=object) if exact else np.asarray(parsed, dtype=float)
+    return np.array([_parse_scalar(v, exact, what) for v in vals],
+                    dtype=object if exact else float)
 
 
 def _object(value, what: str) -> dict:
@@ -220,15 +221,16 @@ def load_representation(group, spec, settings: Settings):
     if "matrices" in spec:
         mats = [_parse_matrix(m, settings.exact, "representation matrices")
                 for m in _list(spec["matrices"], "representation matrices")]
-        return reps.rep_from_matrices(group, mats, exact=settings.exact)
+        return reps.rep_from_matrices(group, mats)
     if "generator_matrices" in spec:
         sub = spec["generator_matrices"]
         mats = [_parse_matrix(m, settings.exact, "generator_matrices")
                 for m in _list(_field(sub, "matrices", "generator_matrices"),
                                "generator_matrices 'matrices'")]
+        gens = _list(_field(sub, "generators", "generator_matrices"),
+                     "generator_matrices 'generators'")
         return reps.rep_from_generators(
-            group, _field(sub, "generators", "generator_matrices"), mats,
-            exact=settings.exact)
+            group, [_int(g, "generator_matrices 'generators'") for g in gens], mats)
     if "random" in spec:
         rng = np.random.default_rng(settings.seed)
         max_dim = _int(_object(spec["random"], "representation 'random'").get(

@@ -52,7 +52,7 @@ class HomologyLattice:
         return a
 
     def omega_of(self, a) -> Fraction:
-        return sum((Fraction(k) * w for k, w in zip(a, self.omega)), Fraction(0))
+        return sum((k * w for k, w in zip(a, self.omega)), Fraction(0))
 
     def c1_of(self, a) -> int:
         return sum(k * c for k, c in zip(a, self.c1))
@@ -97,7 +97,7 @@ class NovikovElement:
 
     @staticmethod
     def monomial(lattice, a, coeff=1, cutoff=None) -> "NovikovElement":
-        return NovikovElement(lattice, {tuple(a): Fraction(coeff)}, cutoff)
+        return NovikovElement(lattice, {tuple(a): coeff}, cutoff)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -218,7 +218,8 @@ class GeneratorSet:
     """Critical points with Morse indices and critical values.
 
     Self-indexing is required: H(x) > H(y) exactly when ind x > ind y.
-    Gradings: Morse |x| = 2n - ind x, Floer mu(x, 0) = n - ind x.
+    Gradings: Morse |x| = 2n - ind x, Floer mu(x, 0) = n - ind x.  The
+    critical values of the named generators are kept as ``Fraction``s.
     """
 
     names: tuple
@@ -231,9 +232,10 @@ class GeneratorSet:
         for x in self.names:
             if x not in self.morse_index or x not in self.crit_values:
                 raise InvalidInputError(f"generator {x!r} missing index or value")
+        self.crit_values = {x: Fraction(self.crit_values[x]) for x in self.names}
         for x in self.names:
             for y in self.names:
-                hx, hy = Fraction(self.crit_values[x]), Fraction(self.crit_values[y])
+                hx, hy = self.crit_values[x], self.crit_values[y]
                 ix, iy = self.morse_index[x], self.morse_index[y]
                 if (hx > hy) != (ix > iy):
                     raise InvalidInputError(
@@ -272,11 +274,7 @@ class ModuliCountTable:
         """Entries may only sit where the energy H(y) - H(x) + omega(A) is
         positive."""
         for (x, y, a) in self.counts:
-            energy = (
-                Fraction(gens.crit_values[y])
-                - Fraction(gens.crit_values[x])
-                + self.lattice.omega_of(a)
-            )
+            energy = gens.crit_values[y] - gens.crit_values[x] + self.lattice.omega_of(a)
             if energy <= 0:
                 raise InvalidInputError(
                     f"count at ({x!r}, {y!r}, {a}) has non-positive energy {energy}"

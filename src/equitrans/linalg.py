@@ -5,7 +5,9 @@ Two arithmetic modes coexist:
 * exact mode: numpy object arrays of rationals: a python ``int`` where the
   value is integral, a ``fractions.Fraction`` only where a division makes
   one (never a float; divide by a ``Fraction``, since int / int is a
-  float).  Rank, kernels and equality tests are exact.
+  float).  Values are normalized once, where they enter (``rational``,
+  ``frac_array``); the routines here take them as they are.  Rank, kernels
+  and equality tests are exact.
 * float mode: ordinary float64 arrays, SVD-based ranks, tolerance 1e-10
   unless stated otherwise.
 
@@ -27,15 +29,21 @@ def is_exact(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
+def rational(v):
+    """An exact value as exact arrays hold it: an ``int`` when integral, else
+    a ``Fraction``."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return int(v.numerator) if v.denominator == 1 else v
+
+
 def frac_array(rows) -> np.ndarray:
-    """Exact object array from nested lists / arrays: each entry becomes an
-    ``int`` when integral, else a ``Fraction``."""
+    """Exact object array from nested lists / arrays of rationals."""
     arr = np.array(rows, dtype=object)
-    flat = arr.reshape(-1)
-    for i, v in enumerate(flat):
-        f = Fraction(v)
-        flat[i] = int(f.numerator) if f.denominator == 1 else f
-    return flat.reshape(arr.shape)
+    arr.reshape(-1)[:] = [rational(v) for v in arr.flat]
+    return arr
 
 
 def as_float(a) -> np.ndarray:
@@ -82,11 +90,10 @@ def is_zero(a: np.ndarray, tol: float = TOL) -> bool:
 def rref(a: np.ndarray):
     """Reduced row echelon form over the rationals.
 
-    Returns (R, pivot_columns).  The input is copied through
-    ``frac_array``; pivot rows are divided by ``Fraction(pivot)``, so
-    integer input stays rational.
+    Returns (R, pivot_columns).  The exact input is copied as it is; pivot
+    rows are divided by ``Fraction(pivot)``, so integer input stays rational.
     """
-    m = frac_array(a)
+    m = np.array(a, dtype=object)
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -140,15 +147,9 @@ def nullspace(a: np.ndarray, tol: float = TOL) -> np.ndarray:
 
 def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b exactly; raises if the system is inconsistent."""
-    a = frac_array(a)
-    b = frac_array(b)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-        squeeze = True
-    else:
-        squeeze = False
-    aug = np.concatenate([a, b], axis=1)
-    red, pivots = rref(aug)
+    squeeze = b.ndim == 1
+    b = b[:, None] if squeeze else b
+    red, pivots = rref(np.concatenate([a, b], axis=1))
     n = a.shape[1]
     if any(p >= n for p in pivots):
         raise ValueError("inconsistent linear system")

@@ -496,8 +496,8 @@ def _inverses(group: GroupModel) -> np.ndarray:
 
 
 def _mean(acc: np.ndarray, n: int) -> np.ndarray:
-    """acc / n, exact for object arrays."""
-    return acc * Fraction(1, n) if linalg.is_exact(acc) else acc / n
+    """acc / n; exact (and normalized) for object arrays."""
+    return linalg.frac_array(acc * Fraction(1, n)) if linalg.is_exact(acc) else acc / n
 
 
 def fixed_projector(rep: RealRepresentation) -> np.ndarray:
@@ -507,13 +507,13 @@ def fixed_projector(rep: RealRepresentation) -> np.ndarray:
 
 def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
     """The irrep's character, checked to have one value per group element of
-    ``rep`` and, in exact mode, rational values."""
+    ``rep`` and, in exact mode, only ``int`` and ``Fraction`` values."""
     chi = irrep.character
     if len(chi) != rep.group.order:
         raise InvalidInputError(
             "irrep does not belong to the representation's group model"
         )
-    if rep.exact and not isinstance(chi[0], (Fraction, int)):
+    if rep.exact and not all(isinstance(c, (Fraction, int)) for c in chi):
         raise InvalidInputError(
             f"irrep {irrep.label!r} has no exact character; use float mode"
         )
@@ -523,20 +523,17 @@ def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
 def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
     """Character projector onto the isotypic component of ``irrep``; raises
     InvalidInputError on a character that ``_character`` rejects."""
-    chi = _character(rep, irrep)
+    chi, n = _character(rep, irrep), irrep.endo_dim * rep.group.order
     if rep.exact:
-        weights = linalg.frac_array(chi)
-        scale = Fraction(irrep.dim_V, irrep.endo_dim * rep.group.order)
-    else:
-        weights = linalg.as_float(np.asarray(chi))
-        scale = irrep.dim_V / (irrep.endo_dim * rep.group.order)
-    return np.tensordot(weights, rep.matrices, axes=1) * scale
+        return np.tensordot(chi, rep.matrices, axes=1) * Fraction(irrep.dim_V, n)
+    return np.tensordot(linalg.as_float(np.asarray(chi)), rep.matrices,
+                        axes=1) * (irrep.dim_V / n)
 
 
 def isotypic_rank(rep: RealRepresentation, irrep: IrrepDescriptor) -> int:
     """Rank of the isotypic component (trace of its projector)."""
     tr = np.trace(isotypic_projector(rep, irrep))
-    return linalg.trace_rank(*(Fraction(tr).as_integer_ratio() if rep.exact else (tr,)))
+    return linalg.trace_rank(*(tr.as_integer_ratio() if rep.exact else (tr,)))
 
 
 def all_projectors(rep: RealRepresentation) -> dict[str, np.ndarray]:
@@ -746,12 +743,26 @@ def _assert_irreducible(rep: RealRepresentation) -> None:
 # ---------------------------------------------------------------------------
 
 
-def rep_from_matrices(group: GroupModel, matrices, exact: bool | None = None,
-                      validate: bool = True) -> RealRepresentation:
-    arr = linalg.frac_array(matrices) if exact else np.asarray(matrices, dtype=float)
-    rep = RealRepresentation(group, arr)
-    if validate:
-        rep.validate(full=False)
+def _square_stack(matrices, count: int, what: str) -> np.ndarray:
+    """``count`` square matrices of one size d >= 1 as a (count, d, d) stack:
+    exact (object dtype) when every matrix is, else float."""
+    mats = [np.asarray(m) for m in matrices]
+    shapes = sorted({m.shape for m in mats})
+    d = shapes[0][-1] if shapes and shapes[0] else 0
+    if len(mats) != count or not d or shapes != [(d, d)]:
+        raise InvalidInputError(
+            f"{what}: need {count} square matrices of one size d >= 1, got "
+            f"{len(mats)} of shapes {shapes}")
+    stack = np.array(mats)
+    return stack if all(map(linalg.is_exact, mats)) else stack.astype(float)
+
+
+def rep_from_matrices(group: GroupModel, matrices) -> RealRepresentation:
+    """Representation from one matrix per group element, exact when the
+    matrices are exact arrays (normalized ``linalg`` object arrays)."""
+    rep = RealRepresentation(group, _square_stack(
+        matrices, group.order, "representation matrices"))
+    rep.validate(full=False)
     return rep
 
 
@@ -768,20 +779,20 @@ def regular_rep(group: FiniteGroupModel) -> RealRepresentation:
     return permutation_rep(group, group.table)
 
 
-def rep_from_generators(group: FiniteGroupModel, generators, matrices,
-                        exact: bool = True) -> RealRepresentation:
-    """Representation from matrices on a generating set.
+def rep_from_generators(group: FiniteGroupModel, generators,
+                        matrices) -> RealRepresentation:
+    """Representation from matrices on a generating set, exact when the
+    matrices are exact arrays.
 
     Every group element is expressed as a word in the generators by
     breadth-first search over the multiplication table; elements not
     reachable make the input invalid.
     """
     generators = [int(g) for g in generators]
-    if len(generators) != len(matrices):
-        raise InvalidInputError("one matrix per generator is required")
-    mats = [linalg.frac_array(m) if exact else np.asarray(m, dtype=float)
-            for m in matrices]
-    d = mats[0].shape[0]
+    if not all(0 <= g < group.order for g in generators):
+        raise InvalidInputError(f"generators {generators} are not all group elements")
+    mats = _square_stack(matrices, len(generators), "generator matrices")
+    exact, d = linalg.is_exact(mats), mats.shape[1]
     e = group.identity
     assigned = {e: linalg.eye(d, exact)}
     frontier = [e]
@@ -797,16 +808,14 @@ def rep_from_generators(group: FiniteGroupModel, generators, matrices,
         raise InvalidInputError(
             f"generators do not generate the group; unreachable: {missing}"
         )
-    stack = np.array([assigned[g] for g in range(group.order)],
-                     dtype=object if exact else float)
-    rep = RealRepresentation(group, stack)
+    rep = RealRepresentation(group, np.array([assigned[g] for g in range(group.order)]))
     rep.validate(full=True)
     return rep
 
 
 def one_dim_rep(group: FiniteGroupModel, values) -> RealRepresentation:
-    mats = [[[values[g]]] for g in range(group.order)]
-    return rep_from_matrices(group, mats, exact=True, validate=False)
+    return RealRepresentation(
+        group, linalg.frac_array([[[values[g]]] for g in range(group.order)]))
 
 
 def direct_sum(*reps: RealRepresentation) -> RealRepresentation:
@@ -870,7 +879,7 @@ def _build_block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentatio
                 [[-1, 0], [0, -1]],
                 [[0, 1], [-1, 0]],
             ]
-            blocks["rot90"] = rep_from_matrices(group, rot, exact=True, validate=False)
+            blocks["rot90"] = RealRepresentation(group, linalg.frac_array(rot))
     elif name.startswith("S_"):
         n = int(name[2:])
         perms = sorted(itertools.permutations(range(n)))
@@ -897,7 +906,7 @@ def _build_block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentatio
         for q in elems:
             cols = [_quat_mul(q, _QUAT_VEC[u]) for u in ("1", "i", "j", "k")]
             mats.append([[cols[c][r] for c in range(4)] for r in range(4)])
-        blocks["left"] = rep_from_matrices(group, mats, exact=True, validate=False)
+        blocks["left"] = RealRepresentation(group, linalg.frac_array(mats))
         for axis in ("i", "j", "k"):
             ir = {x.label: x for x in group.irreps}[f"sign_{axis}"]
             blocks[f"sign_{axis}"] = one_dim_rep(group, [int(c) for c in ir.character])

@@ -33,6 +33,7 @@ HYPERBOLICITY_MARGIN = 1e-6
 TAIL_TOLERANCE = 1e-6
 ANGLE_THRESHOLD = 1e-6
 SIGN_STEPS = 100  # scaled Newton steps allowed for the matrix sign function
+MAX_STEPS = 10**5  # RK4 steps allowed per shooting sweep
 _BLOCK = 128  # RK4 steps sampled and multiplied at a time
 _CHUNK = 16  # RK4 steps per QR renormalization (a power of two)
 
@@ -85,6 +86,8 @@ class MatrixPath:
         return self.sample([s])[0]
 
     def validate(self) -> None:
+        if not self.horizon > 0:
+            raise InvalidInputError(f"path horizon {self.horizon} is not positive")
         for b, side in ((self.b_minus, "-"), (self.b_plus, "+")):
             _assert_hyperbolic(b, f"limit matrix B{side}")
         for sign, b in ((-1.0, self.b_minus), (1.0, self.b_plus)):
@@ -284,10 +287,10 @@ def _chunk_maps(b: np.ndarray, h: np.ndarray) -> np.ndarray:
     return p[:, :, 0]
 
 
-def _propagated_frames(path: MatrixPath, step: float, adjoint: bool) -> list:
+def _propagated_frames(path: MatrixPath, n_steps: int, adjoint: bool) -> list:
     """Frames at s = 0 of the rhp subspace of B- carried forward from -T and
     the lhp subspace of B+ carried backward from +T under u' = B(s) u, then,
-    if ``adjoint``, the same two under u' = -B(s)^T u.
+    if ``adjoint``, the same two under u' = -B(s)^T u, in n_steps RK4 steps.
 
     The mirrored grids s_{j+1} = s_j +- h have one step count, so each block
     of _BLOCK steps samples both, every half step, in one ``path.sample``
@@ -300,7 +303,6 @@ def _propagated_frames(path: MatrixPath, step: float, adjoint: bool) -> list:
     frames = _start_frames(path, adjoint)
     widths = [f.shape[1] for f in frames]
     u = np.stack([np.pad(f, ((0, 0), (0, max(widths) - f.shape[1]))) for f in frames])
-    n_steps = max(1, int(np.ceil(t / step)))
     h = np.array([[t], [-t]]) / n_steps
     ends = np.cumsum(np.column_stack([[-t, t], np.tile(h, n_steps)]), axis=1)
     grid = np.stack([ends[:, :-1] + h / 2, ends[:, 1:]], axis=2)
@@ -321,12 +323,16 @@ def _propagated_frames(path: MatrixPath, step: float, adjoint: bool) -> list:
 
 def _kernel_dims(path: MatrixPath, adjoint: bool) -> list:
     """Kernel dimensions of the path and, if ``adjoint``, of s -> -B(s)^T.
-    The RK4 step is min(1e-3 T, 0.05 / max|B+-|), and a principal angle
-    counts as zero when its cosine is within ANGLE_THRESHOLD of 1."""
+    The RK4 step is min(1e-3 T, 0.05 / max|B+-|); a path that needs more
+    than MAX_STEPS of them is invalid input.  A principal angle counts as
+    zero when its cosine is within ANGLE_THRESHOLD of 1."""
     path.validate()
     scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
-    step = min(1e-3 * path.horizon, 0.05 / scale)
-    frames = _propagated_frames(path, step, adjoint)
+    n_steps = np.ceil(path.horizon / min(1e-3 * path.horizon, 0.05 / scale))
+    if not n_steps <= MAX_STEPS:
+        raise InvalidInputError(f"path needs {n_steps:.3g} RK4 steps at horizon "
+                                f"{path.horizon}, above the limit of {MAX_STEPS}")
+    frames = _propagated_frames(path, int(n_steps), adjoint)
     return [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False)
                        <= ANGLE_THRESHOLD))
             for x, y in zip(frames[::2], frames[1::2])]

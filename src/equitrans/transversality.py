@@ -460,25 +460,20 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
     for v in sorted(model.base.vertices, key=str):
         split = model.split_at(v)
         d_fix = split.fixed_block
-        in_zero = v in zero
-        if not in_zero or v not in support:
+        if v not in zero:
             fixed_corr[v] = np.zeros_like(d_fix)
             for label, blk in split.lambda_blocks.items():
                 lambda_corr[v][label] = np.zeros_like(blk)
-            if in_zero and v not in support:
-                raise InvalidInputError(
-                    f"zero-set vertex {v} lies outside the declared support"
-                )
             continue
+        if v not in support:
+            raise InvalidInputError(
+                f"zero-set vertex {v} lies outside the declared support"
+            )
         child = np.random.default_rng(rng_root.spawn(1)[0])
+        # zeros of negative fixed index were shifted off above: rows <= cols
         rows, cols = d_fix.shape
         if rows == 0:
             fixed_corr[v], sv_fix = np.zeros_like(d_fix), np.inf
-        elif cols < rows:
-            raise ObstructionError(
-                "fixed block cannot be surjective: negative index",
-                {"shape": d_fix.shape},
-            )
         else:
             # the fixed part carries the trivial action: every matrix unit
             # is equivariant

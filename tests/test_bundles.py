@@ -25,7 +25,7 @@ from equitrans.errors import InvalidInputError, ObstructionError, ResampleFailur
 def z2_trivial_sign_bundle(base=None):
     z2 = reps.cyclic_group(2)
     rep = reps.rep_from_matrices(
-        z2, [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], exact=True
+        z2, linalg.frac_array([[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
     )
     base = base or SimplicialBase.interval(1)
     return GBundleModel(base, rep)
@@ -79,7 +79,7 @@ def test_barycentric_grid_density():
 
 def test_decompose_trivial_group_single_component():
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     splitting = decompose_bundle(bundle)
     assert splitting.ranks == {"fixed": 3}
@@ -119,9 +119,9 @@ def test_decompose_rejects_nonequivariant_transition():
         decompose_bundle(bundle2)
 
 
-def test_evaluate_section_applies_transitions_in_tree_gauge():
+def test_evaluate_section_applies_transitions_in_simplex_gauge():
     # a sign flip on the edge must show up when the far value is carried to
-    # the root frame: s(1) = e1 in its own frame is -e1 at the root
+    # the frame of the first vertex: s(1) = e1 in its own frame is -e1 there
     bundle = z2_trivial_sign_bundle()
     flip = linalg.frac_array([[1, 0], [0, -1]])
     flipped = bundles.GBundleModel(bundle.base, bundle.rep, {(0, 1): flip})
@@ -131,7 +131,7 @@ def test_evaluate_section_applies_transitions_in_tree_gauge():
     mid = bundles.evaluate_section(
         flipped, section, (0, 1), (Fraction(1, 2), Fraction(1, 2))
     )
-    # root frame: value at 0 is (0,1), value at 1 transports to (0,-1)
+    # first-vertex frame: value at 0 is (0,1), value at 1 transports to (0,-1)
     assert mid[0] == 0 and mid[1] == 0
     at_zero = bundles.evaluate_section(flipped, section, (0, 1), (1, 0))
     assert at_zero[1] == 1
@@ -260,7 +260,7 @@ def test_complement_rank_jump_reports_vertices():
 
 def test_extend_constant_boundary_gives_constant_extension():
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(2).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     c = np.array([1.0, 0.5])
     res = extend_nonvanishing_section(bundle, (0, 1), {0: c, 1: c})
@@ -273,7 +273,7 @@ def test_extend_antipodal_boundary_rotates_through_orthogonal_direction():
     # frozen expectation: s(0)=e1, s(1)=-e1 extends through the e2 axis
     # with min sampled norm >= 0.5 (the true minimum is 1/sqrt(2))
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(2).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     res = extend_nonvanishing_section(
         bundle, (0, 1), {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])}
@@ -308,7 +308,7 @@ def test_extend_weight1_rank4_two_simplex():
 
 def test_extend_rank_hypothesis_obstruction():
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(1).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(1)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     with pytest.raises(ObstructionError):
         extend_nonvanishing_section(
@@ -318,7 +318,7 @@ def test_extend_rank_hypothesis_obstruction():
 
 def test_extend_vanishing_boundary_rejected():
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(2).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     with pytest.raises(InvalidInputError, match="vanishes"):
         extend_nonvanishing_section(
@@ -328,7 +328,7 @@ def test_extend_vanishing_boundary_rejected():
 
 def test_extend_boundary_vector_of_wrong_length_rejected():
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(2).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     with pytest.raises(InvalidInputError, match="length 2"):
         extend_nonvanishing_section(
@@ -390,7 +390,7 @@ def test_min_norm_on_a_caller_fraction_grid_matches_per_point_loop():
 
 def test_extend_frame_already_global_on_single_simplex_base():
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
     out = extend_trivial_subbundle(bundle, (0, 1), frame)
@@ -400,7 +400,7 @@ def test_extend_frame_already_global_on_single_simplex_base():
 
 def test_extend_frame_around_circle_trivial_group():
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     base = SimplicialBase.circle(4)
     bundle = GBundleModel(base, rep)
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
@@ -426,13 +426,28 @@ def moebius_bundle():
     # holonomy -1 around the circle: straight transport closes up
     # anti-aligned, e1 at vertex 2 and -e1 at vertex 3
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     twist = linalg.frac_array(
         [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
     )
     bundle = GBundleModel(SimplicialBase.circle(4), rep, {(3, 0): twist})
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
     return bundle, frame
+
+
+def test_evaluate_section_on_moebius_edge_uses_its_own_gauge():
+    # e1, e1, e1, -e1 is continuous around the twisted circle: on edge (2,3)
+    # the value -e1 at vertex 3 is e1 in the frame of vertex 2, while on the
+    # twisted edge (0,3) it is e1 in the frame of vertex 0.  A spanning-tree
+    # gauge would carry vertex 3 to vertex 0 along (3,0) and give e1 at the
+    # midpoint of (2,3) instead of 0.
+    bundle, _ = moebius_bundle()
+    e1 = linalg.frac_array([1, 0, 0])
+    section = bundles.SectionModel({0: e1, 1: e1, 2: e1, 3: -e1})
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert list(bundles.evaluate_section(bundle, section, (2, 3), half)) == [0, 0, 0]
+    for edge in ((0, 1), (1, 2), (0, 3)):
+        assert list(bundles.evaluate_section(bundle, section, edge, half)) == [1, 0, 0]
 
 
 def test_extend_frame_around_moebius_twist():
@@ -455,7 +470,7 @@ def test_extend_frame_seed_vanishing_between_grid_points():
     # e1 and -e1 on the seed edge vanish at its midpoint, which the grid
     # (steps of 1/9) misses
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     bundle = GBundleModel(SimplicialBase.interval(2), rep)
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[-1.0], [0.0], [0.0]])}
     with pytest.raises(ResampleFailureError, match="seed frame is degenerate on"):
@@ -480,7 +495,7 @@ def test_extend_frame_z2_rank_1_1():
     # each component on the first edge, extended with both components invariant
     z2 = reps.cyclic_group(2)
     mats = [np.eye(6).tolist(), np.diag([1, 1, 1, -1, -1, -1]).tolist()]
-    rep = reps.rep_from_matrices(z2, mats, exact=True)
+    rep = reps.rep_from_matrices(z2, linalg.frac_array(mats))
     base = SimplicialBase.interval(2)
     bundle = GBundleModel(base, rep)
     col_triv = np.array([1.0, 0, 0, 0, 0, 0])
@@ -560,7 +575,7 @@ def stabilize_triangle_rotation():
     # the second column, transported from vertex 1, lands on the first one at
     # vertex 2 (the transition (0,2) turns e1 into e2): a vertex reseed
     g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, [np.eye(3).tolist()], exact=True)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     turn = linalg.frac_array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
     bundle = GBundleModel(SimplicialBase.circle(3), rep, {(0, 2): turn})
     lin = {0: np.diag([0.0, 1, 1]), 1: np.diag([1.0, 0, 1]), 2: np.eye(3)}

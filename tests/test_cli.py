@@ -8,8 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitrans import cli, reps
 
@@ -1062,3 +1066,122 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _reps_with(mode, **representation):
+    return {"settings": {"mode": mode}, "group": {"preset": "Z_2"},
+            "representation": representation}
+
+
+EYE2, EYE3 = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("representation", [
+    {"matrices": [EYE2, EYE3]},  # two sizes
+    {"matrices": [EYE2]},  # one matrix for two elements
+    {"matrices": [EYE2] * 3},  # three
+    {"matrices": []},
+    {"matrices": [[[1, 0]], [[1, 0]]]},  # not square
+    {"matrices": [[[]], [[]]]},  # d = 0
+    {"generator_matrices": {"generators": [1, 1], "matrices": [EYE2, EYE3]}},
+    {"generator_matrices": {"generators": [], "matrices": []}},
+    {"generator_matrices": {"generators": [1], "matrices": []}},
+    {"generator_matrices": {"generators": [2], "matrices": [EYE2]}},
+    {"generator_matrices": {"generators": ["x"], "matrices": [EYE2]}},
+])
+def test_malformed_representation_matrices_exit_2(tmp_path, capsys, mode,
+                                                  representation):
+    path = write(tmp_path, "bad.json", _reps_with(mode, **representation))
+    code, out, err = run(capsys, ["reps", "decompose", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command, flow_path, named", [
+    ("index", {"preset": "tanh-scalar", "horizon": 0}, "not positive"),
+    ("oracle", {"preset": "tanh-scalar", "horizon": 0}, "not positive"),
+    ("oracle", {"preset": "tanh-scalar", "horizon": -9}, "not positive"),
+    # ceil(T / min(1e-3 T, 0.05 / max|B+-|)) = 2e7 and 1.8e11 RK4 steps
+    ("oracle", {"preset": "tanh-scalar", "horizon": 1e6}, "RK4 steps"),
+    ("oracle", {"preset": "constant", "matrix": [[1e9]]}, "RK4 steps"),
+])
+def test_flow_path_whose_step_rule_cannot_run_exit_2(tmp_path, capsys, command,
+                                                     flow_path, named):
+    path = write(tmp_path, "bad.json", {"flow": {"paths": [flow_path]}})
+    code, out, err = run(capsys, ["flow", command, path])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert named in msg["error"]
+
+
+def test_flow_index_of_long_horizon_needs_no_steps(tmp_path, capsys):
+    # the eigenvalue count takes no RK4 step, so only the oracle is capped
+    path = write(tmp_path, "long.json",
+                 {"flow": {"paths": [{"preset": "tanh-scalar", "horizon": 1e6}]}})
+    assert run(capsys, ["flow", "index", path])[0] == 0
+
+
+def test_perturb_zero_outside_declared_support_exit_2(tmp_path, capsys):
+    # both vertices are zeros of fixed index 0 that satisfy the index
+    # condition; the support leaves vertex 1 out
+    model = json.loads(json.dumps(FIXED_LOCUS))
+    model["fixed_locus"]["support"] = [0]
+    path = write(tmp_path, "support.json", model)
+    assert run(capsys, ["transversality", "check", path])[0] == 0
+    code, out, err = run(capsys, ["transversality", "perturb", path])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert "zero-set vertex 1 lies outside the declared support" in msg["error"]
+
+
+@pytest.mark.parametrize("command", ["decompose", "endotype"])
+def test_exact_entry_spellings_give_byte_identical_reports(tmp_path, capsys, command):
+    # Z_4 acting on R^2 by quarter turns, with its plane character (2, 0, -2, 0)
+    # and the matrix entries +-1 spelled as ints, integral floats, strings and
+    # unreduced fractions
+    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    reports = set()
+    for two, one in ((2, 1), (2.0, 1.0), ("2", "1"), ("4/2", "2/2")):
+        minus_two, minus_one = (f"-{x}" if isinstance(x, str) else -x
+                                for x in (two, one))
+        irreps = [{"label": "trivial", "dim": 1, "character": [one] * 4,
+                   "endo_type": "R"},
+                  {"label": "sign", "dim": 1,
+                   "character": [one, minus_one, one, minus_one], "endo_type": "R"},
+                  {"label": "plane", "dim": 2, "character": [two, 0, minus_two, 0],
+                   "endo_type": "C"}]
+        turns = [[[one, 0], [0, one]], [[0, minus_one], [one, 0]],
+                 [[minus_one, 0], [0, minus_one]], [[0, one], [minus_one, 0]]]
+        path = write(tmp_path, "spelled.json",
+                     {"group": {"table": table, "irreps": irreps},
+                      "representation": {"matrices": turns}})
+        code, out, err = run(capsys, ["reps", command, path])
+        assert code == 0 and err == ""
+        reports.add(out)
+    assert len(reports) == 1
+    records = json.loads(reports.pop())["records"]
+    assert records[0]["certificate"] == ({"rank": 2} if command == "decompose"
+                                         else {"endo_dim": 2, "type": "C"})
+
+
+EXACT_SPELLINGS = st.one_of(
+    st.integers(),
+    st.integers(-2**60, 2**60).map(float),  # integral floats
+    st.integers().map(str),
+    st.tuples(st.integers(), st.integers(1, 10**6)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.fractions().map(str),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=EXACT_SPELLINGS)
+def test_exact_parse_scalar_is_normalized(x):
+    value = cli._parse_scalar(x, True, "x")
+    assert value == Fraction(x)
+    assert type(value) is (int if Fraction(x).denominator == 1 else Fraction)

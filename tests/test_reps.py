@@ -61,10 +61,32 @@ def test_character_s3_permutation_counts_fixed_points():
 def test_isotypic_projector_z2_diag():
     z2 = reps.cyclic_group(2)
     rep = reps.rep_from_matrices(
-        z2, [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], exact=True
+        z2, linalg.frac_array([[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
     )
     p = reps.isotypic_projector(rep, irrep_by_label(z2, "sign"))
     assert linalg.mat_eq(p, linalg.frac_array([[0, 0], [0, 1]]))
+
+
+def test_rep_from_matrices_takes_exactness_from_the_dtype():
+    z2 = reps.cyclic_group(2)
+    swap = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    exact = reps.rep_from_matrices(z2, linalg.frac_array(swap))
+    assert exact.exact and all(type(x) is int for x in exact.matrices.flat)
+    for floats in (np.array(swap, dtype=float), np.array(swap), [np.eye(2), swap[1]]):
+        rep = reps.rep_from_matrices(z2, floats)
+        assert not rep.exact and rep.matrices.dtype == float
+        assert linalg.mat_eq(rep.matrices, linalg.as_float(exact.matrices), 0.0)
+    assert reps.isotypic_rank(exact, irrep_by_label(z2, "sign")) == 1
+    assert reps.isotypic_rank(rep, irrep_by_label(z2, "sign")) == 1
+
+
+def test_exact_projector_rejects_a_float_anywhere_in_the_character():
+    # the check covers every value, not only the first
+    z2 = reps.cyclic_group(2)
+    rep = reps.rep_from_matrices(z2, linalg.frac_array([[[1]], [[-1]]]))
+    odd = reps.IrrepDescriptor("odd", 1, np.array([1, -1.0], dtype=object), "R")
+    with pytest.raises(InvalidInputError, match="no exact character"):
+        reps.isotypic_projector(rep, odd)
 
 
 def test_isotypic_projector_circle_weight_mismatch_is_zero():
@@ -164,7 +186,7 @@ def test_endo_type_q8_four_dim_is_quaternionic():
 def test_endo_type_reducible_carries_invariant_subspace():
     z2 = reps.cyclic_group(2)
     rep = reps.rep_from_matrices(
-        z2, [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], exact=True
+        z2, linalg.frac_array([[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
     )
     with pytest.raises(ReducibleRepresentationError) as err:
         reps.endo_type(rep)
@@ -285,7 +307,8 @@ def test_rep_from_generators_matches_block():
             m[row][col] = 1
         return m
 
-    rep = reps.rep_from_generators(g, gen_ids, [perm_matrix(p) for p in gen_perms])
+    rep = reps.rep_from_generators(
+        g, gen_ids, linalg.frac_array([perm_matrix(p) for p in gen_perms]))
     nat = reps._block_catalog(g)["natural"]
     for e in range(g.order):
         assert linalg.mat_eq(rep.matrices[e], nat.matrices[e])
@@ -294,7 +317,7 @@ def test_rep_from_generators_matches_block():
 def test_rep_from_generators_rejects_non_generating_set():
     g = reps.symmetric_group(3)
     with pytest.raises(InvalidInputError, match="unreachable"):
-        reps.rep_from_generators(g, [0], [np.eye(2).tolist()])
+        reps.rep_from_generators(g, [0], linalg.frac_array([np.eye(2)]))
 
 
 def test_endo_type_invariant_under_orthogonal_change_of_basis():

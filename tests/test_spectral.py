@@ -329,7 +329,7 @@ def test_batched_propagation_spans_per_step_subspaces():
         step = min(1e-3 * t, 0.05 / scale)
         starts = zip((path, path, path.adjoint(), path.adjoint()), (-t, t, -t, t),
                      spectral._start_frames(path, adjoint=True))
-        swept = spectral._propagated_frames(path, step, adjoint=True)
+        swept = spectral._propagated_frames(path, int(np.ceil(t / step)), adjoint=True)
         assert len(swept) == 4
         if path is uneven:
             assert [u.shape[1] for u in swept] == [1, 3, 2, 0]

@@ -15,7 +15,7 @@ from equitrans.errors import InvalidInputError, ObstructionError
 
 def test_split_block_diagonal_returned_verbatim():
     z2 = reps.cyclic_group(2)
-    dom = reps.rep_from_matrices(z2, [np.eye(2).tolist(), np.diag([1, -1]).tolist()], exact=True)
+    dom = reps.rep_from_matrices(z2, linalg.frac_array([np.eye(2), np.diag([1, -1])]))
     cod = dom
     full = linalg.frac_array([[3, 0], [0, 7]])
     split = tv.split_linearization(full, dom, cod)
@@ -57,7 +57,7 @@ def test_split_float_natural_rep_has_no_sign_block():
 
 def test_split_rejects_nonequivariant_with_commutator_report():
     z2 = reps.cyclic_group(2)
-    dom = reps.rep_from_matrices(z2, [np.eye(2).tolist(), np.diag([1, -1]).tolist()], exact=True)
+    dom = reps.rep_from_matrices(z2, linalg.frac_array([np.eye(2), np.diag([1, -1])]))
     full = linalg.frac_array([[0, 1], [1, 0]])  # swaps components: norm-1 defect
     with pytest.raises(InvalidInputError, match="commutator"):
         tv.split_linearization(full, dom, dom)
