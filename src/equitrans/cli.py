@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -56,6 +57,8 @@ class Settings:
                 self.mode = args.mode
         if self.tolerance < 0:
             raise InvalidInputError(f"tolerance {self.tolerance} is negative")
+        if self.cutoff < 0:
+            raise InvalidInputError(f"cutoff {self.cutoff} is negative")
         if self.mode not in ("exact", "float"):
             raise InvalidInputError(f"unknown arithmetic mode {self.mode!r}")
 
@@ -660,7 +663,7 @@ def cmd_floer(scenario, settings, sub):
         rep = floer.check_d_squared(delta)
         cert = {} if rep.ok else {
             "pair": list(rep.first_failure),
-            "defect": {str(a): c for a, c in rep.defect.terms.items()},
+            "defect": {str(a): Fraction(c) for a, c in rep.defect.terms.items()},
         }
         records.append(
             make_record("d-squared", "differential-squares-to-zero", rep.ok, cert)
@@ -866,6 +869,7 @@ COMMANDS = {
 }
 
 
+@cache  # built once per process: parsing keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equitrans",

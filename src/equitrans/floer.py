@@ -21,9 +21,11 @@ exactly that replacement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .errors import IndeterminateError, InvalidInputError
 
 # ---------------------------------------------------------------------------
@@ -33,7 +35,9 @@ from .errors import IndeterminateError, InvalidInputError
 
 @dataclass(frozen=True)
 class HomologyLattice:
-    """Finite-rank lattice with linear omega (rational) and c1 (integer)."""
+    """Finite-rank lattice with linear omega (rational) and c1 (integer).
+    omega is kept as integer ``weights`` over one ``denom``, and arithmetic
+    compares the integer energy denom * omega(A)."""
 
     rank: int
     omega: tuple
@@ -42,8 +46,13 @@ class HomologyLattice:
     def __post_init__(self):
         if len(self.omega) != self.rank or len(self.c1) != self.rank:
             raise InvalidInputError("omega and c1 must have one value per generator")
-        object.__setattr__(self, "omega", tuple(Fraction(w) for w in self.omega))
+        omega = tuple(Fraction(w) for w in self.omega)
+        denom = math.lcm(*(w.denominator for w in omega))
+        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "c1", tuple(int(c) for c in self.c1))
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "weights",
+                           tuple(w.numerator * (denom // w.denominator) for w in omega))
 
     def check_point(self, a) -> tuple:
         a = tuple(int(k) for k in a)
@@ -51,8 +60,15 @@ class HomologyLattice:
             raise InvalidInputError(f"lattice point {a} has wrong rank")
         return a
 
+    def energy(self, a) -> int:
+        return sum(k * w for k, w in zip(a, self.weights))
+
+    def energy_bound(self, cutoff) -> int | None:
+        """The largest energy at or below omega = cutoff (None: no cutoff)."""
+        return None if cutoff is None else math.floor(cutoff * self.denom)
+
     def omega_of(self, a) -> Fraction:
-        return sum((k * w for k, w in zip(a, self.omega)), Fraction(0))
+        return Fraction(self.energy(a), self.denom)
 
     def c1_of(self, a) -> int:
         return sum(k * c for k, c in zip(a, self.c1))
@@ -68,7 +84,8 @@ class NovikovElement:
 
     ``cutoff`` is the guaranteed-precision level: terms with omega above it
     are dropped and results are only claimed modulo such terms.  ``None``
-    means no truncation happened.
+    means no truncation happened.  Coefficients are ``linalg.rational`` (an
+    int when integral); arithmetic results skip the constructor's checks.
     """
 
     lattice: HomologyLattice
@@ -79,13 +96,18 @@ class NovikovElement:
         clean = {}
         for a, coeff in self.terms.items():
             a = self.lattice.check_point(a)
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if self.cutoff is not None and self.lattice.omega_of(a) > self.cutoff:
-                continue
-            clean[a] = clean.get(a, Fraction(0)) + coeff
-        self.terms = {a: c for a, c in clean.items() if c != 0}
+            clean[a] = clean.get(a, 0) + linalg.rational(coeff)
+        self._bound = self.lattice.energy_bound(self.cutoff)
+        self.terms = self._checked(self.lattice, clean, None, self._bound).terms
+
+    @classmethod
+    def _checked(cls, lattice, terms, cutoff, bound) -> "NovikovElement":
+        """Element of the nonzero checked terms at or below the energy bound."""
+        out = cls.__new__(cls)
+        out.lattice, out.cutoff, out._bound = lattice, cutoff, bound
+        out.terms = {a: linalg.rational(c) for a, c in terms.items()
+                     if c != 0 and (bound is None or lattice.energy(a) <= bound)}
+        return out
 
     @staticmethod
     def zero(lattice, cutoff=None) -> "NovikovElement":
@@ -93,7 +115,7 @@ class NovikovElement:
 
     @staticmethod
     def unit(lattice, cutoff=None) -> "NovikovElement":
-        return NovikovElement(lattice, {lattice.zero: Fraction(1)}, cutoff)
+        return NovikovElement(lattice, {lattice.zero: 1}, cutoff)
 
     @staticmethod
     def monomial(lattice, a, coeff=1, cutoff=None) -> "NovikovElement":
@@ -109,10 +131,9 @@ class NovikovElement:
             return degs.pop()
         return None
 
-    def min_valuation(self):
-        if not self.terms:
-            return None
-        return min(self.lattice.omega_of(a) for a in self.terms)
+    def min_energy(self):
+        """The least integer energy of a term (None for zero)."""
+        return min(map(self.lattice.energy, self.terms), default=None)
 
     def leading(self):
         """(point, coefficient) of the unique omega-minimal term.
@@ -121,48 +142,44 @@ class NovikovElement:
         once: such an element cannot be certified invertible by truncated
         arithmetic.
         """
-        val = self.min_valuation()
-        hits = [a for a in self.terms if self.lattice.omega_of(a) == val]
+        energy, low = self.lattice.energy, self.min_energy()
+        hits = [a for a in self.terms if energy(a) == low]
         if len(hits) != 1:
-            raise IndeterminateError(
-                f"no unique omega-minimal term (tied at omega = {val})"
-            )
+            val = self.lattice.omega_of(hits[0]) if hits else None
+            raise IndeterminateError(f"no unique omega-minimal term (tied at omega = {val})")
         return hits[0], self.terms[hits[0]]
 
-    def _merged_cutoff(self, other):
-        if self.cutoff is None:
-            return other.cutoff
-        if other.cutoff is None:
-            return self.cutoff
-        return min(self.cutoff, other.cutoff)
+    def _merged(self, other):
+        """(cutoff, bound) of a result: the lower of the two precisions."""
+        if other._bound is None or (self._bound is not None
+                                    and self._bound <= other._bound):
+            return self.cutoff, self._bound
+        return other.cutoff, other._bound
 
     def __add__(self, other):
         merged = dict(self.terms)
         for a, c in other.terms.items():
-            merged[a] = merged.get(a, Fraction(0)) + c
-        return NovikovElement(self.lattice, merged, self._merged_cutoff(other))
+            merged[a] = merged.get(a, 0) + c
+        return self._checked(self.lattice, merged, *self._merged(other))
 
     def __neg__(self):
-        return NovikovElement(
-            self.lattice, {a: -c for a, c in self.terms.items()}, self.cutoff
-        )
+        return self._checked(self.lattice, {a: -c for a, c in self.terms.items()},
+                             self.cutoff, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NovikovElement(
-                self.lattice,
-                {a: c * other for a, c in self.terms.items()},
-                self.cutoff,
-            )
+            return self._checked(self.lattice,
+                                 {a: c * other for a, c in self.terms.items()},
+                                 self.cutoff, self._bound)
         out: dict = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return NovikovElement(self.lattice, out, self._merged_cutoff(other))
+                out[key] = out.get(key, 0) + ca * cb
+        return self._checked(self.lattice, out, *self._merged(other))
 
     __rmul__ = __mul__
 
@@ -180,32 +197,31 @@ class NovikovElement:
         """
         if self.is_zero():
             raise InvalidInputError("cannot invert the zero Novikov element")
-        cutoff = Fraction(cutoff)
+        lat = self.lattice
         lead_a, lead_c = self.leading()
-        lead_val = self.lattice.omega_of(lead_a)
-        ext = cutoff + max(Fraction(0), -lead_val)
+        lead_e = lat.energy(lead_a)
+        ext = cutoff + Fraction(max(0, -lead_e), lat.denom)
+        ext_bound = lat.energy_bound(cutoff) + max(0, -lead_e)
         neg_a = tuple(-k for k in lead_a)
         # x := 1 - lead^{-1} * self has strictly positive valuation
-        lead_inv = NovikovElement(
-            self.lattice, {neg_a: Fraction(1) / lead_c}, None
-        )
-        x = NovikovElement.unit(self.lattice) - (lead_inv * self)
-        if not x.is_zero() and x.min_valuation() <= 0:
+        lead_inv = self._checked(lat, {neg_a: Fraction(1) / lead_c}, None, None)
+        x = self._checked(lat, {lat.zero: 1}, None, None) - (lead_inv * self)
+        if not x.is_zero() and x.min_energy() <= 0:
             raise IndeterminateError(
                 "element has non-leading terms of non-positive relative energy"
             )
-        acc_cutoff = ext + lead_val
-        acc = NovikovElement.unit(self.lattice, acc_cutoff)
-        power = NovikovElement.unit(self.lattice, acc_cutoff)
+        acc_cutoff = ext + Fraction(lead_e, lat.denom)
+        acc_bound = ext_bound + lead_e
+        acc = power = self._checked(lat, {lat.zero: 1}, acc_cutoff, acc_bound)
         while not power.is_zero() and not x.is_zero():
-            power = NovikovElement(self.lattice, (power * x).terms, acc_cutoff)
+            power = self._checked(lat, (power * x).terms, acc_cutoff, acc_bound)
             if power.is_zero():
                 break
             acc = acc + power
         # shift by the leading valuation without intermediate truncation,
         # then cut at the extended precision
-        raw = lead_inv * NovikovElement(self.lattice, acc.terms, None)
-        return NovikovElement(self.lattice, raw.terms, ext)
+        raw = lead_inv * self._checked(lat, acc.terms, None, None)
+        return self._checked(lat, raw.terms, ext, ext_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +248,16 @@ class GeneratorSet:
         for x in self.names:
             if x not in self.morse_index or x not in self.crit_values:
                 raise InvalidInputError(f"generator {x!r} missing index or value")
-        self.crit_values = {x: Fraction(self.crit_values[x]) for x in self.names}
+        self.crit_values = h = {x: Fraction(self.crit_values[x]) for x in self.names}
+        ind = self.morse_index
+        # sorted by (value, index), neighbours' values must rise exactly where
+        # their indices do; only a failure pays for the scan naming the pair
+        ordered = sorted(self.names, key=lambda x: (h[x], ind[x]))
+        if all((h[x] < h[y]) == (ind[x] < ind[y]) for x, y in zip(ordered, ordered[1:])):
+            return
         for x in self.names:
             for y in self.names:
-                hx, hy = self.crit_values[x], self.crit_values[y]
-                ix, iy = self.morse_index[x], self.morse_index[y]
-                if (hx > hy) != (ix > iy):
+                if (h[x] > h[y]) != (ind[x] > ind[y]):
                     raise InvalidInputError(
                         f"not self-indexing at pair ({x!r}, {y!r})"
                     )
@@ -332,10 +352,11 @@ class Differential:
     entries: dict
     cutoff: Fraction | None = None
 
+    def __post_init__(self):
+        self._zero = NovikovElement.zero(self.lattice, self.cutoff)
+
     def entry(self, x, y) -> NovikovElement:
-        return self.entries.get(
-            (x, y), NovikovElement.zero(self.lattice, self.cutoff)
-        )
+        return self.entries.get((x, y), self._zero)
 
 
 def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
@@ -512,7 +533,7 @@ def _novikov_matrix_rank(rows: list, cutoff) -> int:
                 e = work[i][j]
                 if e.is_zero():
                     continue
-                v = e.min_valuation()
+                v = e.min_energy()
                 if pivot is None or v < pivot_val:
                     pivot, pivot_val = (i, j), v
         if pivot is None:
@@ -524,14 +545,21 @@ def _novikov_matrix_rank(rows: list, cutoff) -> int:
             raise IndeterminateError(
                 f"cannot certify pivot at row {pi}, column {pj}: {exc}"
             ) from None
+        prow = work[pi]
         for i in range(n_rows):
             if i == pi or i in used_rows:
                 continue
             factor = work[i][pj] * inv
             if factor.is_zero():
                 continue
-            for j in range(n_cols):
-                work[i][j] = work[i][j] - factor * work[pi][j]
+            row = work[i]
+            for j, p in enumerate(prow):
+                if p.terms:
+                    row[j] = row[j] - factor * p
+                    continue
+                cut, bound = factor._merged(p)  # a zero p only truncates row[j]
+                if bound is not None and (row[j]._bound is None or bound < row[j]._bound):
+                    row[j] = p._checked(p.lattice, row[j].terms, cut, bound)
         used_rows.add(pi)
         rank += 1
     return rank

@@ -666,8 +666,14 @@ def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np
 
 def equivariance_residual(rep_v: RealRepresentation, rep_w: RealRepresentation,
                           m: np.ndarray):
-    """max_g || rho_W(g) m - m rho_V(g) ||, exact or float."""
-    return linalg.max_abs(rep_w.matrices @ m - m @ rep_v.matrices)
+    """max_g || rho_W(g) m - m rho_V(g) ||, exact or float.  Exact input is
+    multiplied as numerators rho_W = W / a, m = N / k, rho_V = V / b."""
+    mats = (rep_w.matrices, m, rep_v.matrices)
+    if not all(map(linalg.is_exact, mats)):
+        return linalg.max_abs(rep_w.matrices @ m - m @ rep_v.matrices)
+    (w, a), (n, k), (v, b) = map(_numerators, mats)
+    defect = b * (w @ n) - a * (n @ v)
+    return linalg.rational(Fraction(max(map(abs, defect.flat), default=0), a * b * k))
 
 
 def endo_type(rep: RealRepresentation):

@@ -1018,6 +1018,30 @@ def test_cutoff_flag_not_a_number_exit_2(tmp_path, capsys):
                                "kind": "invalid-input"}
 
 
+FLOER_ARROW = {"lattice": {"rank": 1, "omega": ["1"], "c1": [0]},
+               "generators": {"names": ["a", "b"], "index": {"a": 0, "b": 1},
+                              "half_dim": 1, "values": {"a": 0, "b": 1}},
+               "counts": [{"x": "a", "y": "b", "A": [0], "count": 1}]}
+
+
+@pytest.mark.parametrize("settings, flags", [
+    ({"cutoff": "-1/2"}, []),
+    ({}, ["--cutoff=-1/2"]),
+])
+def test_negative_cutoff_exit_2(tmp_path, capsys, settings, flags):
+    # a cutoff below 0 would drop every q^0 term: a -> b would report
+    # betti_sum 2 instead of 0
+    path = write(tmp_path, "f.json", dict(FLOER_ARROW, settings=settings))
+    code, out, err = run(capsys, ["floer", "ranks", path] + flags)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "cutoff -1/2 is negative",
+                               "kind": "invalid-input"}
+    code, out, _ = run(capsys, ["floer", "ranks", path, "--cutoff=10"])
+    assert code == 0
+    assert json.loads(out)["records"][0]["certificate"]["betti_sum"] == 0
+
+
 NAN, INF = float("nan"), float("inf")
 REPS_FLOAT = dict(REPS_MATRICES, settings={"mode": "float"})
 

@@ -8,6 +8,7 @@ Novikov elimination.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from equitrans import floer
 from equitrans.errors import IndeterminateError, InvalidInputError
 from equitrans.floer import (
+    Differential,
     GeneratorSet,
     HomologyLattice,
     ModuliCountTable,
@@ -111,6 +113,61 @@ def test_novikov_invert_roundtrip(a):
     assert back == NovikovElement.unit(LAT1, cutoff)
 
 
+def held_as_fractions(a):
+    """``a`` with every coefficient held as a ``Fraction``: the reference
+    that int coefficients must agree with."""
+    held = NovikovElement._checked(a.lattice, {}, a.cutoff, a._bound)
+    held.terms = {p: Fraction(c) for p, c in a.terms.items()}
+    return held
+
+
+int_terms = st.dictionaries(st.tuples(points), st.integers(-4, 4), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_terms, int_terms, st.sampled_from([None, 2, Fraction(7, 2)]))
+def test_int_and_fraction_coefficients_agree(s, t, cutoff):
+    a, b = NovikovElement(LAT1, s, cutoff), NovikovElement(LAT1, t)
+    # Fractions that come in are normalized where they enter
+    a_in = NovikovElement(LAT1, {p: Fraction(c) for p, c in s.items()}, cutoff)
+    assert a_in == a and all(type(c) is int for c in a_in.terms.values())
+    fa, fb = held_as_fractions(a), held_as_fractions(b)
+    for got, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)):
+        assert got == want
+        # integral results are ints, also from Fraction operands
+        assert all(type(c) is int for c in got.terms.values())
+        assert all(type(c) is int for c in want.terms.values())
+    if a.is_zero():
+        return
+    inv = a.invert_truncated(Fraction(6))
+    assert inv == fa.invert_truncated(Fraction(6))
+    assert all(type(c) is int or c.denominator != 1 for c in inv.terms.values())
+
+
+def two_level_complex(data, lattice=LAT1):
+    """Random delta from index-1 sources b_j to index-0 targets a_i with
+    q-polynomial entries (d^2 = 0 holds trivially on two levels)."""
+    n0, n1 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    names = [f"a{i}" for i in range(n0)] + [f"b{j}" for j in range(n1)]
+    index = {x: int(x[0] == "b") for x in names}
+    gens = GeneratorSet(tuple(names), index, 1, dict(index))
+    counts = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(names[:n0]), st.sampled_from(names[n0:]),
+                  st.tuples(st.integers(0, 4))),
+        st.integers(-3, 3), max_size=3 * n0 * n1))
+    return gens, ModuliCountTable(lattice, counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cohomology_rank_int_and_fraction_entries_agree(data):
+    gens, counts = two_level_complex(data)
+    delta = build_differential(gens, counts, cutoff=data.draw(st.sampled_from([None, 3])))
+    held = Differential(gens, LAT1, {k: held_as_fractions(e)
+                                     for k, e in delta.entries.items()}, delta.cutoff)
+    assert cohomology_rank(held, cutoff=5) == cohomology_rank(delta, cutoff=5)
+
+
 # ---------------------------------------------------------------------------
 # generators and tables
 # ---------------------------------------------------------------------------
@@ -132,6 +189,24 @@ def circle4_gens():
 def test_self_indexing_enforced():
     with pytest.raises(InvalidInputError):
         GeneratorSet(("a", "b"), {"a": 0, "b": 1}, 1, {"a": 5, "b": 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), min_size=1, max_size=7),
+       st.booleans())
+def test_self_indexing_sort_matches_pair_scan(spec, monotone):
+    # the sort decides; a failure still names the pair scan's first (x, y)
+    names = tuple(f"g{k}" for k in range(len(spec)))
+    index = {x: i for x, (i, _) in zip(names, spec)}
+    values = {x: Fraction(i if monotone else v, 2) for x, (i, v) in zip(names, spec)}
+    first = next(((x, y) for x in names for y in names
+                  if (values[x] > values[y]) != (index[x] > index[y])), None)
+    if first is None:
+        GeneratorSet(names, index, 1, values)
+        return
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"pair ({first[0]!r}, {first[1]!r})")):
+        GeneratorSet(names, index, 1, values)
 
 
 def test_gradings():
@@ -494,3 +569,69 @@ def test_weak_arnold_lower_bound_on_perfect_models():
         ranks = cohomology_rank(delta, cutoff=10)
         assert len(gens.names) >= betti_sum(ranks)
         assert len(gens.names) == betti_sum(ranks)  # perfect models
+
+
+LAT2 = HomologyLattice(2, (Fraction(1), Fraction(1, 2)), (0, 0))  # ties: q^(1,0), q^(0,2)
+
+
+def full_row_rank(rows, cutoff):
+    """Reference elimination: every column of every other row is updated,
+    also where the pivot row is zero, and pivots compare omega."""
+    work = [list(r) for r in rows]
+    rank, used = 0, set()
+    for _ in range(min(len(work), len(work[0]))):
+        best = None
+        for i, row in enumerate(work):
+            for j, e in enumerate(row):
+                if i in used or e.is_zero():
+                    continue
+                v = min(e.lattice.omega_of(p) for p in e.terms)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        inv = work[pi][pj].invert_truncated(cutoff)
+        for i in range(len(work)):
+            if i == pi or i in used:
+                continue
+            factor = work[i][pj] * inv
+            if factor.is_zero():
+                continue
+            for j in range(len(work[0])):
+                work[i][j] = work[i][j] - factor * work[pi][j]
+        used.add(pi)
+        rank += 1
+    return rank
+
+
+def rank_or_indeterminate(fn, rows, cutoff):
+    try:
+        return fn(rows, cutoff)
+    except IndeterminateError:
+        return "indeterminate"
+
+
+novikov_entries = st.tuples(
+    st.dictionaries(st.tuples(st.integers(-1, 6), st.integers(0, 4)),
+                    st.integers(-3, 3), max_size=3),
+    st.sampled_from([None, 3, Fraction(9, 2)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data(),
+       st.sampled_from([Fraction(3, 2), 3, 6]))
+def test_matrix_rank_matches_full_row_elimination(n_rows, n_cols, data, cutoff):
+    rows = [[NovikovElement(LAT2, *data.draw(novikov_entries)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    assert (rank_or_indeterminate(floer._novikov_matrix_rank, rows, cutoff)
+            == rank_or_indeterminate(full_row_rank, rows, cutoff))
+
+
+def test_matrix_rank_zero_pivot_row_entry_still_truncates():
+    # entries without a cutoff: the full-row update cuts q^20 at the
+    # pivot's precision 10 although the pivot row is zero in its column
+    rows = [[NovikovElement(LAT1, {(0,): 1}), NovikovElement(LAT1, {})],
+            [NovikovElement(LAT1, {(0,): 1}), NovikovElement(LAT1, {(20,): 1})]]
+    assert floer._novikov_matrix_rank(rows, 10) == full_row_rank(rows, 10) == 1

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitrans import linalg, reps
 from equitrans.errors import InvalidInputError
@@ -221,6 +223,25 @@ def test_hom_basis_circle_weight_dimension_two():
     assert len(basis) == 2
     for m in basis:
         assert reps.equivariance_residual(rep, rep, m) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                min_size=9, max_size=9))
+def test_exact_equivariance_residual_is_the_fraction_product(entries):
+    # a rational rotation of the natural S_3 block has Fraction entries too
+    nat = reps._block_catalog(reps.symmetric_group(3))["natural"]
+    q = linalg.frac_array([[Fraction(3, 5), Fraction(-4, 5), 0],
+                           [Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 1]])
+    rotated = reps.conjugate_rep(nat, q)
+    m = linalg.frac_array(np.array(entries, dtype=object).reshape(3, 3))
+    pairs = [(nat, rotated), (rotated, nat), (rotated, rotated)]
+    direct = [linalg.max_abs(w.matrices @ m - m @ v.matrices) for v, w in pairs]
+    with pytest.MonkeyPatch.context() as patch:  # exact input multiplies numerators
+        for name in ("__mul__", "__rmul__"):
+            patch.setattr(Fraction, name, None)
+        got = [reps.equivariance_residual(v, w, m) for v, w in pairs]
+    assert got == direct
 
 
 @pytest.mark.parametrize("group_name, block", [
