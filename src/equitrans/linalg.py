@@ -167,6 +167,7 @@ def inv(a: np.ndarray) -> np.ndarray:
 
 
 def min_singular_value(a: np.ndarray) -> float:
+    """Smallest singular value of one matrix, 0.0 for an empty one."""
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(as_float(a), compute_uv=False)[-1])

@@ -338,6 +338,16 @@ class FixedLocusModel:
     lambda_blocks: dict  # vertex -> {label -> equivariant matrix}
     support: set | None = None
 
+    def __post_init__(self):
+        for v, per in self.lambda_blocks.items():
+            for label, blk in per.items():
+                expected = (self.fiber_reps[label].dim, self.normal_reps[label].dim)
+                if np.shape(blk) != expected:
+                    raise InvalidInputError(
+                        f"block shape {np.shape(blk)} at vertex {v} does not match "
+                        f"the declared {label!r} bundle pair {expected}"
+                    )
+
     def zero_set(self):
         out = []
         for v in self.base.vertices:
@@ -481,12 +491,6 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
             fixed_corr[v], sv_fix = _surject_equivariant_block(d_fix, units, child)
         report.record(v, "fixed", sv_fix, sv_fix > SV_THRESHOLD)
         for label, blk in split.lambda_blocks.items():
-            expected = (model.fiber_reps[label].dim, model.normal_reps[label].dim)
-            if blk.shape != expected:
-                raise InvalidInputError(
-                    f"block shape {blk.shape} at vertex {v} does not match the "
-                    f"declared {label!r} bundle pair {expected}"
-                )
             if blk.shape[0] == 0:
                 lambda_corr[v][label] = np.zeros_like(blk)
                 continue
@@ -520,26 +524,29 @@ def _gamma_residual(model: FixedLocusModel, gamma: EquivariantPerturbation) -> f
 
 def _surject_equivariant_block(block: np.ndarray, hom_basis: np.ndarray,
                                rng: np.random.Generator):
-    """Sample coefficients on the equivariant hom basis, a (k, rows, cols)
-    float stack, until the corrected block is surjective; smallest-norm
-    success within the budget wins."""
+    """Correct a block that is not surjective by a combination of the
+    equivariant hom basis, a (k, rows, cols) float stack.  Draws the whole
+    RETRY_BUDGET of seeded coefficient vectors, probes all candidates with
+    one stacked SVD, and returns the first smallest-norm success with its
+    smallest singular value; if none succeeds, a zero correction and the
+    block's own value."""
     sv = linalg.min_singular_value(block)
-    if sv > SV_THRESHOLD:
+    if sv > SV_THRESHOLD or len(hom_basis) == 0 or bundles.RETRY_BUDGET == 0:
         return np.zeros_like(block), sv
-    if len(hom_basis) == 0:
-        return np.zeros_like(block), sv
-    best = None
     scale = max(1.0, linalg.max_abs(block))
-    for k in range(bundles.RETRY_BUDGET):
-        coeffs = rng.normal(size=len(hom_basis)) * scale * (0.25 + 0.75 * rng.random())
-        # a sequential sum from +0.0 (np.sum adds long axes pairwise, so its
-        # rounding would depend on the basis size); + 0.0 clears a -0.0
-        cand = np.add.accumulate(coeffs[:, None, None] * hom_basis)[-1] + 0.0
-        sv = linalg.min_singular_value(block + cand)
-        if sv > SV_THRESHOLD:
-            norm = float(np.linalg.norm(coeffs))
-            if best is None or norm < best[0]:
-                best = (norm, cand, sv)
-    if best is None:
-        return np.zeros_like(block), linalg.min_singular_value(block)
-    return best[1], best[2]
+    normals, uniforms = zip(*[(rng.normal(size=len(hom_basis)), rng.random())
+                              for _ in range(bundles.RETRY_BUDGET)])
+    coeffs = np.array(normals) * scale * (0.25 + 0.75 * np.array(uniforms))[:, None]
+    # every candidate adds its terms one by one in basis order (np.sum adds
+    # long axes pairwise, so its rounding would depend on the basis size),
+    # and the stack never holds all budget x k terms at once; + 0.0 clears -0.0
+    cands = coeffs[:, 0, None, None] * hom_basis[0]
+    for j in range(1, len(hom_basis)):
+        cands = cands + coeffs[:, j, None, None] * hom_basis[j]
+    cands = cands + 0.0
+    svs = np.linalg.svd(block + cands, compute_uv=False)[:, -1]
+    norms = np.where(svs > SV_THRESHOLD, np.linalg.norm(coeffs, axis=1), np.inf)
+    best = int(np.argmin(norms))
+    if norms[best] == np.inf:
+        return np.zeros_like(block), sv
+    return cands[best], float(svs[best])

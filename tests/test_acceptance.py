@@ -13,11 +13,11 @@ from equitrans import suites
 BUDGETS = {
     1: 1.0,  # projector algebra
     2: 1.0,  # endomorphism-type table
-    3: 1.0,  # determinantal codimension
-    4: 1.0,  # condition consistency
+    3: 0.01,  # determinantal codimension
+    4: 0.1,  # condition consistency
     5: 1.0,  # spectral-flow battery
     6: 1.0,  # shooting oracle
-    7: 1.0,  # perturbation pipeline
+    7: 0.25,  # perturbation pipeline
     8: 1.0,  # floer algebra
     9: 1.5,  # groupoid quotient
 }

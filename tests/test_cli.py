@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equitrans import cli, reps
+from equitrans import bundles, cli, reps
 
 
 def run(capsys, argv):
@@ -921,6 +921,10 @@ FIXED_LOCUS_WEIGHT_0 = _replaced(
     _replaced(FIXED_LOCUS, {"weight_0": {"n_units": 2, "m_units": 1}},
               "fixed_locus", "components"),
     {v: {"weight_0": [[0] * 4] * 2} for v in ("0", "1")}, "fixed_locus", "lambda_blocks")
+# a weight_1 block of shape (2, 3) where one unit each way declares (2, 2)
+FIXED_LOCUS_MISSHAPED = _replaced(
+    _replaced(FIXED_LOCUS, {"n_units": 1, "m_units": 1}, *COMPONENT),
+    {v: {"weight_1": [[0] * 3] * 2} for v in ("0", "1")}, "fixed_locus", "lambda_blocks")
 
 
 @pytest.mark.parametrize("command, payload, named", [
@@ -958,6 +962,11 @@ FIXED_LOCUS_WEIGHT_0 = _replaced(
     (["reps", "endotype"], dict(CIRCLE_WEIGHTS, representation={"weights": [-1]}),
      "weight -1"),
     (["transversality", "check"], FIXED_LOCUS_WEIGHT_0, "weight 0"),
+    # a lambda block must have the shape of its declared bundle pair
+    (["transversality", "check"], FIXED_LOCUS_MISSHAPED,
+     "block shape (2, 3) at vertex 0 does not match the declared 'weight_1'"),
+    (["transversality", "perturb"], FIXED_LOCUS_MISSHAPED,
+     "block shape (2, 3) at vertex 0 does not match the declared 'weight_1'"),
     # vertex labels: integers or strings, one kind per base
     (["bundle", "extend"], _replaced(BUNDLE_EXTEND, {"maximal_simplices": [[[0], 1]]},
                                      "base"), "base 'maximal_simplices'"),
@@ -1162,6 +1171,20 @@ def test_perturb_zero_outside_declared_support_exit_2(tmp_path, capsys):
     msg = json.loads(err)
     assert msg["kind"] == "invalid-input"
     assert "zero-set vertex 1 lies outside the declared support" in msg["error"]
+
+
+def test_perturb_exhausted_budget_exit_1(tmp_path, capsys, monkeypatch):
+    # the zero fixed blocks are not surjective, and with no draws in the
+    # budget no correction can be found
+    monkeypatch.setattr(bundles, "RETRY_BUDGET", 0)
+    path = write(tmp_path, "budget.json", FIXED_LOCUS)
+    code, out, err = run(capsys, ["transversality", "perturb", path])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    msg = json.loads(err)
+    assert msg == {"error": "sampling budget exhausted before surjectivity",
+                   "kind": "mathematical-failure"}
 
 
 @pytest.mark.parametrize("command", ["decompose", "endotype"])

@@ -3,6 +3,8 @@ condition, division-ring ranks, and the perturbation pipeline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitrans import bundles, linalg, reps, transversality as tv
 from equitrans.errors import InvalidInputError, ObstructionError
@@ -429,3 +431,104 @@ def test_perturbation_reproducible():
         assert np.array_equal(g1.fixed[v], g2.fixed[v])
         assert np.array_equal(g1.lambdas[v]["weight_1"], g2.lambdas[v]["weight_1"])
     assert r1.vertex_results == r2.vertex_results
+
+
+# ---------------------------------------------------------------------------
+# the stacked block sampler against the one-candidate-at-a-time loop
+# ---------------------------------------------------------------------------
+
+
+def _sequential_surject(block, hom_basis, rng):
+    """The sampler probing one candidate per SVD, as it was before all
+    candidates went into one stack: the reference for bitwise equality."""
+    sv = linalg.min_singular_value(block)
+    if sv > tv.SV_THRESHOLD:
+        return np.zeros_like(block), sv
+    if len(hom_basis) == 0:
+        return np.zeros_like(block), sv
+    best = None
+    scale = max(1.0, linalg.max_abs(block))
+    for k in range(bundles.RETRY_BUDGET):
+        coeffs = rng.normal(size=len(hom_basis)) * scale * (0.25 + 0.75 * rng.random())
+        cand = np.add.accumulate(coeffs[:, None, None] * hom_basis)[-1] + 0.0
+        sv = linalg.min_singular_value(block + cand)
+        if sv > tv.SV_THRESHOLD:
+            norm = float(np.linalg.norm(coeffs))
+            if best is None or norm < best[0]:
+                best = (norm, cand, sv)
+    if best is None:
+        return np.zeros_like(block), linalg.min_singular_value(block)
+    return best[1], best[2]
+
+
+def _assert_same_sampling(block, basis, seed):
+    """Stacked and sequential samplers return the same bits and leave the
+    generator in the same state."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    corr_a, sv_a = tv._surject_equivariant_block(block, basis, rng_a)
+    corr_b, sv_b = _sequential_surject(block, basis, rng_b)
+    assert corr_a.shape == corr_b.shape == block.shape
+    assert corr_a.tobytes() == corr_b.tobytes()
+    assert type(sv_a) is type(sv_b) is float
+    assert np.float64(sv_a).tobytes() == np.float64(sv_b).tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    return corr_a, sv_a
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 5), k=st.integers(0, 6),
+       kind=st.sampled_from(["zero", "rank-deficient", "full"]),
+       dead_row=st.booleans(), magnitude=st.sampled_from([1e-3, 1.0, 1e3]),
+       data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+def test_stacked_sampler_matches_sequential_loop(rows, cols, k, kind, dead_row,
+                                                 magnitude, data_seed, seed):
+    data = np.random.default_rng(data_seed)
+    if kind == "zero":
+        block = np.zeros((rows, cols))
+    elif kind == "rank-deficient":
+        r = int(data.integers(0, rows))
+        block = data.normal(size=(rows, r)) @ data.normal(size=(r, cols))
+    else:
+        block = data.normal(size=(rows, cols))
+    block = block * magnitude
+    basis = data.normal(size=(k, rows, cols))
+    if dead_row:  # no correction reaches row 0: only a block with it can succeed
+        basis[:, 0] = 0.0
+    _assert_same_sampling(block, basis, seed)
+
+
+def _basis(k, shape, dead_row=False):
+    basis = np.random.default_rng(1).normal(size=(k,) + shape)
+    if dead_row:
+        basis[:, 0] = 0.0
+    return basis
+
+
+@pytest.mark.parametrize("block, basis, corrected, certified", [
+    (np.eye(2, 3), _basis(4, (2, 3)), False, True),  # already surjective: no draw
+    (np.zeros((2, 2)), _basis(0, (2, 2)), False, False),  # empty hom basis
+    (np.zeros((2, 2)), _basis(4, (2, 2), dead_row=True), False, False),  # no success
+    (np.zeros((2, 2)), _basis(4, (2, 2)), True, True),  # smallest-norm success
+])
+def test_stacked_sampler_cases(block, basis, corrected, certified):
+    corr, sv = _assert_same_sampling(block, basis, 7)
+    assert (linalg.max_abs(corr) > 0) == corrected
+    assert (sv > tv.SV_THRESHOLD) == certified
+
+
+def test_stacked_sampler_with_no_budget(monkeypatch):
+    monkeypatch.setattr(bundles, "RETRY_BUDGET", 0)
+    corr, sv = _assert_same_sampling(np.zeros((2, 2)), _basis(4, (2, 2)), 7)
+    assert linalg.max_abs(corr) == 0 and sv == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_svd_equals_per_matrix_min_singular_value(n, rows, cols, seed):
+    # the sampler takes a stack's smallest singular values in one call; each
+    # must be the bits linalg.min_singular_value gives for its matrix alone
+    stack = np.random.default_rng(seed).normal(size=(n, rows, cols))
+    stacked = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    singles = np.array([linalg.min_singular_value(m) for m in stack])
+    assert stacked.tobytes() == singles.tobytes()
