@@ -2,9 +2,9 @@
 
 A bundle is per-vertex fibers of a single representation type with
 orthogonal, equivariant transition matrices on oriented edges.  Sections
-are per-vertex fiber vectors, interpolated affinely in a spanning-tree
-trivialization per connected component; transition matrices apply at
-tree-crossing edges.
+and frames are per-vertex fiber vectors, interpolated affinely across a
+simplex in the gauge of its first vertex: the other vertices' values are
+carried there by the transitions along the simplex's own edges.
 
 The extension operations realize the boundary-extension and stabilization
 constructions at finite scale: one barycentric subdivision provides the
@@ -21,7 +21,7 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import comb, prod
 
 import numpy as np
@@ -155,16 +155,6 @@ def barycentric_subdivision(simplex) -> SimplicialBase:
     for v in verts:
         chains([(v,)])
     return SimplicialBase.from_maximal(maximal)
-
-
-def subdivision_coordinates(subset, simplex) -> np.ndarray:
-    """Barycentric coordinates (w.r.t. the original simplex) of the
-    barycenter labeled by ``subset``."""
-    verts = tuple(sorted(simplex))
-    coords = np.zeros(len(verts))
-    for v in subset:
-        coords[verts.index(v)] = 1.0 / len(subset)
-    return coords
 
 
 def barycentric_grid(dim: int, min_points: int | None = None):
@@ -319,50 +309,18 @@ class SectionModel:
         return self.values[vertex]
 
 
-def evaluate_section(bundle: GBundleModel, section: SectionModel, simplex,
-                     weights) -> np.ndarray:
-    """Affine interpolation of a section at barycentric coordinates inside
-    a simplex, in the gauge of its first vertex, as in section extension
-    and the frame certificate.
-
-    Vertex values are carried to the first vertex's frame along the
-    simplex's own edges and combined affinely; the returned vector lives in
-    that frame.
-    """
-    simplex = tuple(sorted(simplex))
-    if simplex not in bundle.base.simplices:
-        raise InvalidInputError(f"{simplex} is not a simplex of the base")
-    if len(weights) != len(simplex):
-        raise InvalidInputError("one barycentric weight per simplex vertex")
-    return sum(w * (bundle.transport(v, simplex[0]) @ np.asarray(section.value(v)))
-               for w, v in zip(weights, simplex))
-
-
-@dataclass
-class IsotypicSplitting:
-    """Fiberwise isotypic projector family and the rank of each component.
+def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
+    """Split a bundle into its fixed part and isotypic components: the rank
+    of each component, by label.
 
     Transitions commute with the action, hence with each character
-    projector, so a single fiber-level projector per label describes the
-    whole family, and each rank holds on every connected component.
-    """
-
-    rep: reps.RealRepresentation
-    ranks: dict
-
-    @cached_property
-    def projectors(self) -> dict:
-        return reps.all_projectors(self.rep)
-
-
-def decompose_bundle(bundle: GBundleModel,
-                     tol: float = linalg.TOL) -> IsotypicSplitting:
-    """Split a bundle into its fixed part and isotypic components.
-
-    ``reps.projector_check`` verifies the projector identities and that
-    every transition commutes with every projector.  A transition that does
-    not is named by its edge; a failed identity means an invalid character
-    table.  The first failure raises InvalidInputError, as does a non-integral rank.
+    projector, so the fiber-level projectors ``reps.all_projectors(rep)``
+    describe the whole family, and each rank holds on every connected
+    component.  ``reps.projector_check`` verifies the projector identities
+    and that every transition commutes with every projector.  A transition
+    that does not is named by its edge; a failed identity means an invalid
+    character table.  The first failure raises InvalidInputError, as does a
+    non-integral rank.
     """
     edges = {f"({u},{v})": bundle.transitions[(u, v)] for (u, v) in bundle.base.edges()}
     ranks, _, failed = reps.projector_check(bundle.rep, tol, commuting=edges)
@@ -373,84 +331,7 @@ def decompose_bundle(bundle: GBundleModel,
                                     f"preserve the {label!r} component")
         raise InvalidInputError(f"character projectors fail the {identity} identity "
                                 f"at {label!r}; invalid character table")
-    return IsotypicSplitting(bundle.rep, ranks)
-
-
-def equivariant_average_bundle_map(bundle: GBundleModel, raw_map: dict,
-                                   target: GBundleModel | None = None) -> dict:
-    """Average a per-vertex linear map over the group, vertex by vertex.
-
-    The result is equivariant; an already-equivariant input is returned
-    unchanged (averaging fixes it).
-    """
-    target = target or bundle
-    out = {}
-    for v in bundle.base.vertices:
-        if v not in raw_map:
-            raise InvalidInputError(f"raw map missing at vertex {v}")
-        out[v] = reps.conjugation_average(target.rep, bundle.rep, raw_map[v])
-    return out
-
-
-def invariant_metric(rep: reps.RealRepresentation) -> np.ndarray:
-    """Group-averaged fiber metric; equals the identity for orthogonal reps."""
-    n = rep.group.order
-    acc = (rep.matrices.transpose(0, 2, 1) @ rep.matrices).sum(axis=0)
-    if rep.exact:
-        return acc * Fraction(1, n)
-    return acc / n
-
-
-@dataclass
-class ComplementResult:
-    frames: dict
-    projector_onto: dict
-    projector_complement: dict
-
-
-def invariant_complement(bundle: GBundleModel, subbundle: dict) -> ComplementResult:
-    """Invariant complement of a constant-rank invariant subbundle.
-
-    ``subbundle`` maps each vertex to a matrix whose columns span the fiber
-    of the subbundle there.  Uses the group-averaged metric; returns per
-    vertex a complement frame plus the complementary pair of projectors.
-    """
-    rep = bundle.rep
-    metric = invariant_metric(rep)
-    d = bundle.fiber_dim
-    ranks = {}
-    for v in bundle.base.vertices:
-        if v not in subbundle:
-            raise InvalidInputError(f"subbundle frame missing at vertex {v}")
-        ranks[v] = linalg.rank(subbundle[v])
-    distinct = sorted(set(ranks.values()))
-    if len(distinct) > 1:
-        jumps = [v for v in bundle.base.vertices if ranks[v] != distinct[0]]
-        raise InvalidInputError(f"subbundle rank jumps at vertices {jumps}")
-    frames, proj_f, proj_c = {}, {}, {}
-    ident = linalg.eye(d, bundle.exact)
-    for v in bundle.base.vertices:
-        f = subbundle[v]
-        for g in range(rep.group.order):
-            moved = rep.matrices[g] @ f
-            if linalg.rank(np.concatenate([f, moved], axis=1)) != ranks[v]:
-                raise InvalidInputError(
-                    f"subbundle at vertex {v} is not invariant under element {g}"
-                )
-        gram = f.T @ metric @ f
-        p = f @ linalg.inv(gram) @ f.T @ metric
-        comp = linalg.nullspace(f.T @ metric)
-        frames[v] = comp
-        proj_f[v] = p
-        proj_c[v] = ident - p
-    for (u, v) in bundle.base.edges():
-        t = bundle.transitions[(u, v)]
-        moved = t @ subbundle[u]
-        if linalg.rank(np.concatenate([subbundle[v], moved], axis=1)) != ranks[v]:
-            raise InvalidInputError(
-                f"subbundle is not preserved by the transition on edge ({u},{v})"
-            )
-    return ComplementResult(frames, proj_f, proj_c)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +394,7 @@ def _single_component_dim(bundle: GBundleModel) -> int:
     The extension operations model sections of a lambda-bundle; mixed fibers
     are rejected.
     """
-    splitting = decompose_bundle(bundle)
-    nonzero = [(label, r) for label, r in splitting.ranks.items() if r > 0]
+    nonzero = [(label, r) for label, r in decompose_bundle(bundle).items() if r > 0]
     if len(nonzero) != 1:
         raise InvalidInputError(
             "extension requires a single-isotypic-type fiber; "
@@ -654,14 +534,6 @@ def _certified(bundle: GBundleModel, frames: dict, simplex, rank: int) -> bool:
         np.all(sigma[:, rank - 1] > max(RANK_TOL, rho * lip)))
 
 
-def frame_independent_on_grid(bundle: GBundleModel, frames: dict,
-                              expected_rank: int) -> bool:
-    """Whether the interpolated frame keeps orbit rank ``expected_rank`` on
-    the whole of every top simplex, between the grid points too."""
-    return all(_certified(bundle, frames, s, expected_rank)
-               for s in bundle.base.top_simplices())
-
-
 def _draw(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     cand = rng.normal(size=shape)
     return cand / np.linalg.norm(cand, axis=0) * scale
@@ -721,67 +593,6 @@ def _extend_frame(bundle: GBundleModel, seeds: dict, built: dict, rank: int,
     return {v: frames[v][:, m:] for v in base.vertices}
 
 
-def _column_component(splitting: IsotypicSplitting, column: np.ndarray) -> str:
-    """The isotypic component containing a fiber vector; mixed vectors are
-    rejected (invariant frames are extended component by component)."""
-    hits = [label for label, p in splitting.projectors.items()
-            if np.linalg.norm(linalg.as_float(p) @ column)
-            > RANK_TOL * max(1.0, np.linalg.norm(column))]
-    if len(hits) != 1:
-        raise InvalidInputError(
-            f"frame column is not contained in a single isotypic component: {hits}"
-        )
-    return hits[0]
-
-
-def extend_trivial_subbundle(bundle: GBundleModel, simplex, frame: dict,
-                             seed: int = 0) -> dict:
-    """Extend an invariant frame given on one simplex to a global trivial
-    invariant subbundle of the same rank.
-
-    Each frame column must lie in a single isotypic component.  Per
-    component, the columns are written in orthonormal coordinates of the
-    component (every transition preserves it), extended by the engine of
-    ``stabilize_cokernel`` (transport, reseeds, and a grid certificate that
-    holds between the grid points, see ``_certified``) and lifted back.
-    """
-    simplex = tuple(sorted(simplex))
-    if simplex not in bundle.base.simplices:
-        raise InvalidInputError(f"{simplex} is not a simplex of the base")
-    for v in simplex:
-        if v not in frame:
-            raise InvalidInputError(f"frame missing at simplex vertex {v}")
-    splitting = decompose_bundle(bundle)
-    dims = {ir.label: ir.dim_V for ir in bundle.rep.group.irreps}
-    dims["fixed"] = 1
-    n = bundle.base.top_dim
-    root = linalg.as_float(frame[simplex[0]])
-    by_component: dict[str, list[int]] = {}
-    for j in range(root.shape[1]):
-        by_component.setdefault(_column_component(splitting, root[:, j]), []).append(j)
-    for label, cols in by_component.items():
-        need = len(cols) * dims[label] + _extension_slack(n, dims[label])
-        if splitting.ranks[label] < need:
-            raise ObstructionError(
-                f"frame extension rank hypothesis fails in component {label!r}",
-                {"component": label, "required": need, "rank": splitting.ranks[label]},
-            )
-    mats = linalg.as_float(bundle.rep.matrices)
-    out = {v: np.zeros((bundle.fiber_dim, root.shape[1])) for v in bundle.base.vertices}
-    for comp_idx, (label, cols) in enumerate(sorted(by_component.items())):
-        basis = linalg.projector_range(linalg.as_float(splitting.projectors[label]))
-        sub_bundle = GBundleModel(
-            bundle.base, reps.RealRepresentation(bundle.rep.group, basis.T @ mats @ basis),
-            {e: basis.T @ linalg.as_float(t) @ basis for e, t in bundle.transitions.items()})
-        seeds = {v: basis.T @ linalg.as_float(frame[v])[:, cols] for v in simplex}
-        built = {v: np.zeros((basis.shape[1], 0)) for v in bundle.base.vertices}
-        new = _extend_frame(sub_bundle, seeds, built, len(cols) * dims[label],
-                            np.random.default_rng(seed + comp_idx))
-        for v in bundle.base.vertices:
-            out[v][:, cols] = basis @ new[v]
-    return out
-
-
 @dataclass
 class StabilizationResult:
     """A trivial invariant subbundle covering every cokernel: per-vertex
@@ -798,8 +609,8 @@ def stabilize_cokernel(bundle: GBundleModel, linearizations: dict,
 
     Vertices are visited in ``str`` order.  While the cokernel at a vertex
     is not covered, a unit direction orthogonal to the image and to the
-    orbit span built so far seeds one more frame column, which the engine
-    shared with ``extend_trivial_subbundle`` carries to every vertex: the
+    orbit span built so far seeds one more frame column, which the frame
+    extension engine ``_extend_frame`` carries to every vertex: the
     frame keeps orbit rank dim V per column at every vertex and, by a grid
     certificate that holds between the grid points (``_certified``), on the
     whole of every top simplex.  The rank is dim V per column.

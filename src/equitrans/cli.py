@@ -493,7 +493,7 @@ def cmd_bundle(scenario, settings, sub):
     bundle = load_bundle(base, rep, scenario.get("bundle"), settings)
     records = []
     if sub == "decompose":
-        ranks = bundles.decompose_bundle(bundle, settings.tolerance).ranks
+        ranks = bundles.decompose_bundle(bundle, settings.tolerance)
         return [make_record(f"component-{label}", "bundle-isotypic-splitting",
                             True, {"rank": ranks[label]}) for label in sorted(ranks)]
     if sub == "extend":

@@ -22,7 +22,7 @@ exactly that replacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -63,9 +63,9 @@ class HomologyLattice:
     def energy(self, a) -> int:
         return sum(k * w for k, w in zip(a, self.weights))
 
-    def energy_bound(self, cutoff) -> int | None:
-        """The largest energy at or below omega = cutoff (None: no cutoff)."""
-        return None if cutoff is None else math.floor(cutoff * self.denom)
+    def energy_bound(self, cutoff) -> int:
+        """The largest energy at or below omega = cutoff."""
+        return math.floor(cutoff * self.denom)
 
     def omega_of(self, a) -> Fraction:
         return Fraction(self.energy(a), self.denom)
@@ -83,14 +83,14 @@ class NovikovElement:
     """Finite sum of terms f_A q^A, exact below the energy cutoff.
 
     ``cutoff`` is the guaranteed-precision level: terms with omega above it
-    are dropped and results are only claimed modulo such terms.  ``None``
-    means no truncation happened.  Coefficients are ``linalg.rational`` (an
-    int when integral); arithmetic results skip the constructor's checks.
+    are dropped and results are only claimed modulo such terms.  Coefficients
+    are ``linalg.rational`` (an int when integral); arithmetic results skip
+    the constructor's checks.
     """
 
     lattice: HomologyLattice
     terms: dict
-    cutoff: Fraction | None = None
+    cutoff: Fraction
 
     def __post_init__(self):
         clean = {}
@@ -98,7 +98,7 @@ class NovikovElement:
             a = self.lattice.check_point(a)
             clean[a] = clean.get(a, 0) + linalg.rational(coeff)
         self._bound = self.lattice.energy_bound(self.cutoff)
-        self.terms = self._checked(self.lattice, clean, None, self._bound).terms
+        self.terms = self._checked(self.lattice, clean, self.cutoff, self._bound).terms
 
     @classmethod
     def _checked(cls, lattice, terms, cutoff, bound) -> "NovikovElement":
@@ -106,19 +106,19 @@ class NovikovElement:
         out = cls.__new__(cls)
         out.lattice, out.cutoff, out._bound = lattice, cutoff, bound
         out.terms = {a: linalg.rational(c) for a, c in terms.items()
-                     if c != 0 and (bound is None or lattice.energy(a) <= bound)}
+                     if c != 0 and lattice.energy(a) <= bound}
         return out
 
     @staticmethod
-    def zero(lattice, cutoff=None) -> "NovikovElement":
+    def zero(lattice, cutoff) -> "NovikovElement":
         return NovikovElement(lattice, {}, cutoff)
 
     @staticmethod
-    def unit(lattice, cutoff=None) -> "NovikovElement":
+    def unit(lattice, cutoff) -> "NovikovElement":
         return NovikovElement(lattice, {lattice.zero: 1}, cutoff)
 
     @staticmethod
-    def monomial(lattice, a, coeff=1, cutoff=None) -> "NovikovElement":
+    def monomial(lattice, a, coeff, cutoff) -> "NovikovElement":
         return NovikovElement(lattice, {tuple(a): coeff}, cutoff)
 
     def is_zero(self) -> bool:
@@ -151,8 +151,7 @@ class NovikovElement:
 
     def _merged(self, other):
         """(cutoff, bound) of a result: the lower of the two precisions."""
-        if other._bound is None or (self._bound is not None
-                                    and self._bound <= other._bound):
+        if self._bound <= other._bound:
             return self.cutoff, self._bound
         return other.cutoff, other._bound
 
@@ -202,10 +201,16 @@ class NovikovElement:
         lead_e = lat.energy(lead_a)
         ext = cutoff + Fraction(max(0, -lead_e), lat.denom)
         ext_bound = lat.energy_bound(cutoff) + max(0, -lead_e)
-        neg_a = tuple(-k for k in lead_a)
-        # x := 1 - lead^{-1} * self has strictly positive valuation
-        lead_inv = self._checked(lat, {neg_a: Fraction(1) / lead_c}, None, None)
-        x = self._checked(lat, {lat.zero: 1}, None, None) - (lead_inv * self)
+        lead_inv = linalg.rational(Fraction(1) / lead_c)
+
+        def over_lead(terms):  # lead^{-1} * terms, without truncation
+            return {tuple(k - l for k, l in zip(a, lead_a)): lead_inv * c
+                    for a, c in terms.items()}
+
+        # x := 1 - lead^{-1} * self, at self's precision, has strictly
+        # positive valuation
+        x = (self._checked(lat, {lat.zero: 1}, self.cutoff, self._bound)
+             - self._checked(lat, over_lead(self.terms), self.cutoff, self._bound))
         if not x.is_zero() and x.min_energy() <= 0:
             raise IndeterminateError(
                 "element has non-leading terms of non-positive relative energy"
@@ -218,10 +223,8 @@ class NovikovElement:
             if power.is_zero():
                 break
             acc = acc + power
-        # shift by the leading valuation without intermediate truncation,
-        # then cut at the extended precision
-        raw = lead_inv * self._checked(lat, acc.terms, None, None)
-        return self._checked(lat, raw.terms, ext, ext_bound)
+        # shift by the leading valuation, then cut at the extended precision
+        return self._checked(lat, over_lead(acc.terms), ext, ext_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +267,6 @@ class GeneratorSet:
 
     def ind(self, x) -> int:
         return self.morse_index[x]
-
-    def morse_grading(self, x) -> int:
-        return 2 * self.half_dim - self.morse_index[x]
 
     def floer_grading(self, x) -> int:
         return self.half_dim - self.morse_index[x]
@@ -350,7 +350,7 @@ class Differential:
     gens: GeneratorSet
     lattice: HomologyLattice
     entries: dict
-    cutoff: Fraction | None = None
+    cutoff: Fraction
 
     def __post_init__(self):
         self._zero = NovikovElement.zero(self.lattice, self.cutoff)
@@ -360,7 +360,7 @@ class Differential:
 
 
 def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
-                       cutoff=None) -> Differential:
+                       cutoff) -> Differential:
     """delta y = sum over (x, A) of count(x, y, A) q^A x.
 
     The table must already be restricted to the index-0 slot; a nonzero
@@ -368,7 +368,7 @@ def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
     entry raises total grading by exactly one (checked).
     """
     counts.validate(gens)
-    cutoff = Fraction(cutoff) if cutoff is not None else None
+    cutoff = Fraction(cutoff)
     entries: dict = {}
     for (x, y, a), c in counts.counts.items():
         idx = counts.derived_index(gens, x, y, a)
@@ -431,80 +431,6 @@ def check_d_squared(delta: Differential) -> DSquaredReport:
 
 
 # ---------------------------------------------------------------------------
-# coherence of boundary strata
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CoherenceReport:
-    ok: bool
-    stratum_failures: list = field(default_factory=list)
-    aggregate_failures: list = field(default_factory=list)
-
-
-def coherence_validate(counts: ModuliCountTable, gens: GeneratorSet,
-                       strata: dict) -> CoherenceReport:
-    """Validate declared boundary strata of index-1 moduli.
-
-    ``strata`` maps each index-1 triple (x, z, A) to a list of records
-    {"through": y, "a1": A1, "a2": A2, "declared": int}; every index-1
-    entry of the table must be labeled (missing labels are invalid input).
-    Per stratum the declared contribution must equal the signed product of
-    the two index-0 factor counts, the classes must satisfy A1 + A2 = A,
-    and per triple the declared total must equal the delta-squared
-    coefficient computed from the index-0 table.
-    """
-    index1 = counts.restrict_index(gens, 1)
-    index0 = counts.restrict_index(gens, 0)
-    for key in index1.counts:
-        if key not in strata:
-            raise InvalidInputError(f"index-1 entry {key} has no stratum label")
-    report = CoherenceReport(True)
-    lattice = counts.lattice
-    for (x, z, a), records in strata.items():
-        declared_total = 0
-        for rec in records:
-            y = rec["through"]
-            a1 = lattice.check_point(rec["a1"])
-            a2 = lattice.check_point(rec["a2"])
-            declared = int(rec["declared"])
-            if tuple(p + q for p, q in zip(a1, a2)) != lattice.check_point(a):
-                report.ok = False
-                report.stratum_failures.append(
-                    {"pair": (x, z, a), "through": y, "reason": "class bookkeeping",
-                     "a1": a1, "a2": a2}
-                )
-                continue
-            product = index0.counts.get((x, y, a1), 0) * index0.counts.get(
-                (y, z, a2), 0
-            )
-            if product != declared:
-                report.ok = False
-                report.stratum_failures.append(
-                    {"pair": (x, z, a), "through": y,
-                     "reason": "declared != product",
-                     "declared": declared, "product": product}
-                )
-            declared_total += declared
-        dsq = 0
-        for (x0, y0, a1), cnt1 in index0.counts.items():
-            if x0 != x:
-                continue
-            for (y1, z1, a2), cnt2 in index0.counts.items():
-                if y1 != y0 or z1 != z:
-                    continue
-                if tuple(p + q for p, q in zip(a1, a2)) == lattice.check_point(a):
-                    dsq += cnt1 * cnt2
-        if declared_total != dsq:
-            report.ok = False
-            report.aggregate_failures.append(
-                {"pair": (x, z, a), "declared_total": declared_total,
-                 "delta_squared": dsq}
-            )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # cohomology ranks over the Novikov field
 # ---------------------------------------------------------------------------
 
@@ -558,7 +484,7 @@ def _novikov_matrix_rank(rows: list, cutoff) -> int:
                     row[j] = row[j] - factor * p
                     continue
                 cut, bound = factor._merged(p)  # a zero p only truncates row[j]
-                if bound is not None and (row[j]._bound is None or bound < row[j]._bound):
+                if bound < row[j]._bound:
                     row[j] = p._checked(p.lattice, row[j].terms, cut, bound)
         used_rows.add(pi)
         rank += 1
@@ -572,10 +498,9 @@ def cohomology_rank(delta: Differential, cutoff=None) -> dict:
     (entries of nonzero q-degree would make the generator grading periodic;
     they are rejected).  delta sends index-d generators to index-(d-1)
     sources, so rank H_d = #generators(d) - rank(delta_d) - rank(delta_{d+1}).
+    Elimination works at ``cutoff``, by default the differential's own.
     """
     cutoff = Fraction(cutoff) if cutoff is not None else delta.cutoff
-    if cutoff is None:
-        cutoff = Fraction(10**6)
     sq = check_d_squared(delta)
     if not sq.ok:
         raise InvalidInputError(

@@ -87,9 +87,6 @@ class FiniteGroupoid:
     def stab(self, x: int) -> list:
         return self.morphisms_between(x, x)
 
-    def isomorphic_objects(self, x: int) -> set:
-        return set(self.tgt[self.src == x].tolist())
-
     def validate(self) -> None:
         """Category axioms on every composable pair and triple.
 
@@ -199,83 +196,6 @@ def properness_check(gpd: FiniteGroupoid, uniformizers: dict) -> dict:
         report[x] = {"ok": offending is None, "offending": offending,
                      "stab_order": want}
     return report
-
-
-# ---------------------------------------------------------------------------
-# effective isotropy
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EffectivePart:
-    stab: list
-    kernel: list
-    cosets: list  # lists of morphisms; the effective quotient's elements
-
-    @property
-    def order(self) -> int:
-        return len(self.cosets)
-
-
-def effective_part(gpd: FiniteGroupoid, x: int, probe_action: dict) -> EffectivePart:
-    """Quotient of stab_x by the morphisms acting as the identity on probes.
-
-    ``probe_action`` maps every stabilizer morphism to a permutation tuple
-    of the probe set (the declared local action on nearby objects); it must
-    be a homomorphism into bijections, otherwise the probe data is invalid.
-    """
-    stab = gpd.stab(x)
-    if set(probe_action) != set(stab):
-        raise InvalidInputError("probe action must cover exactly the stabilizer")
-    size = len(next(iter(probe_action.values()), ()))
-    for m, perm in probe_action.items():
-        if sorted(perm) != list(range(size)):
-            raise InvalidInputError(
-                f"probe set is not invariant under stabilizer morphism {m}"
-            )
-    perms = np.array([probe_action[m] for m in stab], dtype=int)
-    perms = perms.reshape(len(stab), size)
-    row = np.zeros(gpd.n_morphisms, dtype=int)
-    row[stab] = np.arange(len(stab))
-    # [a, b, i] = perm_a[perm_b[i]] against perm_(a o b)[i]
-    composed = perms[np.arange(len(stab))[:, None, None], perms]
-    ab = gpd.compose_table[np.ix_(stab, stab)]
-    bad = np.argwhere((composed != perms[row[ab]]).any(axis=2))
-    if len(bad):
-        a, b = stab[bad[0, 0]], stab[bad[0, 1]]
-        raise InvalidInputError(f"probe action is not functorial at pair ({a},{b})")
-    kernel = [m for m, p in zip(stab, perms) if np.all(p == np.arange(size))]
-    products = np.sort(gpd.compose_table[np.ix_(stab, kernel)], axis=1).tolist()
-    cosets = []
-    seen = set()
-    for m, coset in zip(stab, products):
-        if m not in seen:
-            seen.update(coset)
-            cosets.append(coset)
-    return EffectivePart(stab, kernel, cosets)
-
-
-def translation_probe_action(gpd: FiniteGroupoid, group: reps.FiniteGroupModel,
-                             action: np.ndarray, x: int, probes) -> dict:
-    """Probe action of stab_x in a translation groupoid, restricted to a
-    probe subset of the objects (which must be closed under the stabilizer)."""
-    action = np.asarray(action)
-    npts = action.shape[1]
-    probes = list(probes)
-    pos = {p: i for i, p in enumerate(probes)}
-    out = {}
-    for m in gpd.stab(x):
-        g = m // npts
-        perm = []
-        for p in probes:
-            q = int(action[g, p])
-            if q not in pos:
-                raise InvalidInputError(
-                    f"probe set is not invariant: {p} maps to {q}"
-                )
-            perm.append(pos[q])
-        out[m] = tuple(perm)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -215,19 +215,6 @@ def independent_columns(a: np.ndarray) -> list[int]:
     return idx
 
 
-def cayley_orthogonal(dim: int, rng: np.random.Generator, denom: int = 3) -> np.ndarray:
-    """Exact rational orthogonal matrix via the Cayley transform of a
-    random antisymmetric matrix with small entries."""
-    a = zeros((dim, dim), exact=True)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = Fraction(int(rng.integers(-1, 2)), denom)
-            a[i, j] = v
-            a[j, i] = -v
-    i_mat = eye(dim, exact=True)
-    return solve_exact(i_mat + a, i_mat - a)
-
-
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish float orthogonal matrix (QR of a Gaussian sample)."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))

@@ -482,14 +482,6 @@ def character(rep: RealRepresentation) -> np.ndarray:
     return np.trace(rep.matrices, axis1=1, axis2=2)
 
 
-def character_inner(group: GroupModel, chi1, chi2):
-    """Averaged pairing (1/|G|) sum chi1(g) chi2(g) of real characters."""
-    total = sum(chi1[g] * chi2[g] for g in range(group.order))
-    if isinstance(total, (Fraction, int)):
-        return Fraction(total, group.order)
-    return total / group.order
-
-
 def _inverses(group: GroupModel) -> np.ndarray:
     """Index of g^-1 for every element g."""
     return group.inverse(np.arange(group.order))
@@ -528,12 +520,6 @@ def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.nd
         return np.tensordot(chi, rep.matrices, axes=1) * Fraction(irrep.dim_V, n)
     return np.tensordot(linalg.as_float(np.asarray(chi)), rep.matrices,
                         axes=1) * (irrep.dim_V / n)
-
-
-def isotypic_rank(rep: RealRepresentation, irrep: IrrepDescriptor) -> int:
-    """Rank of the isotypic component (trace of its projector)."""
-    tr = np.trace(isotypic_projector(rep, irrep))
-    return linalg.trace_rank(*(tr.as_integer_ratio() if rep.exact else (tr,)))
 
 
 def all_projectors(rep: RealRepresentation) -> dict[str, np.ndarray]:

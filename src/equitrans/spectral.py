@@ -122,19 +122,6 @@ def scalar_tanh_path(horizon: float = 9.0) -> MatrixPath:
     return tanh_path([[0.0]], [[1.0]], horizon)
 
 
-def concatenate(p1: MatrixPath, p2: MatrixPath) -> MatrixPath:
-    """Glue two paths whose inner limits match (B1+ = B2-, up to 1e-5) at the
-    seam s = 0."""
-    if p1.dim != p2.dim:
-        raise InvalidInputError("cannot concatenate paths of different sizes")
-    if np.max(np.abs(p1.b_plus - p2.b_minus)) > 1e-5:
-        raise InvalidInputError("inner limits do not match")
-    t1, t2 = p1.horizon, p2.horizon
-    return MatrixPath(
-        lambda s: np.where(s <= 0, p1.sample(s + 2 * t1), p2.sample(s - 2 * t2)),
-        2 * (t1 + t2), p1.b_minus, p2.b_plus, name="concat")
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue counts and the index
 # ---------------------------------------------------------------------------
@@ -257,14 +244,12 @@ def _matrix_sign(b: np.ndarray) -> np.ndarray:
                              "an eigenvalue on the imaginary axis")
 
 
-def _start_frames(path: MatrixPath, adjoint: bool) -> list:
+def _start_frames(path: MatrixPath) -> list:
     """Orthonormal bases of the rhp invariant subspace of B- and the lhp one
-    of B+, then, if ``adjoint``, of the same two for -B-^T and -B+^T: ranges
-    of the spectral projectors (I +- sign B) / 2, sign(-B^T) = -sign(B)^T."""
+    of B+, then of the same two for -B-^T and -B+^T: ranges of the spectral
+    projectors (I +- sign B) / 2, sign(-B^T) = -sign(B)^T."""
     sign = _matrix_sign(np.stack([path.b_minus, path.b_plus]))
-    halves = [(1, sign[0]), (-1, sign[1])]
-    if adjoint:
-        halves += [(-1, sign[0].T), (1, sign[1].T)]
+    halves = [(1, sign[0]), (-1, sign[1]), (-1, sign[0].T), (1, sign[1].T)]
     return [linalg.projector_range((np.eye(path.dim) + e * s) / 2) for e, s in halves]
 
 
@@ -287,10 +272,10 @@ def _chunk_maps(b: np.ndarray, h: np.ndarray) -> np.ndarray:
     return p[:, :, 0]
 
 
-def _propagated_frames(path: MatrixPath, n_steps: int, adjoint: bool) -> list:
+def _propagated_frames(path: MatrixPath, n_steps: int) -> list:
     """Frames at s = 0 of the rhp subspace of B- carried forward from -T and
-    the lhp subspace of B+ carried backward from +T under u' = B(s) u, then,
-    if ``adjoint``, the same two under u' = -B(s)^T u, in n_steps RK4 steps.
+    the lhp subspace of B+ carried backward from +T under u' = B(s) u, then
+    the same two under u' = -B(s)^T u, in n_steps RK4 steps.
 
     The mirrored grids s_{j+1} = s_j +- h have one step count, so each block
     of _BLOCK steps samples both, every half step, in one ``path.sample``
@@ -300,7 +285,7 @@ def _propagated_frames(path: MatrixPath, n_steps: int, adjoint: bool) -> list:
     depend only on the first r columns, so each frame keeps its span.
     """
     t, d = path.horizon, path.dim
-    frames = _start_frames(path, adjoint)
+    frames = _start_frames(path)
     widths = [f.shape[1] for f in frames]
     u = np.stack([np.pad(f, ((0, 0), (0, max(widths) - f.shape[1]))) for f in frames])
     h = np.array([[t], [-t]]) / n_steps
@@ -311,7 +296,7 @@ def _propagated_frames(path: MatrixPath, n_steps: int, adjoint: bool) -> list:
         half_steps = grid[:, j:j + _BLOCK].ravel()
         b = np.concatenate(
             [b[:, -1:], path.sample(half_steps).reshape(2, -1, d, d)], axis=1)
-        views = np.concatenate([b, -b.swapaxes(2, 3)]) if adjoint else b
+        views = np.concatenate([b, -b.swapaxes(2, 3)])
         for chunk in _chunk_maps(views, hs).swapaxes(0, 1):
             u = chunk @ u
             if not np.all(np.isfinite(u)):
@@ -321,37 +306,31 @@ def _propagated_frames(path: MatrixPath, n_steps: int, adjoint: bool) -> list:
     return [x[:, :w] for x, w in zip(u, widths)]
 
 
-def _kernel_dims(path: MatrixPath, adjoint: bool) -> list:
-    """Kernel dimensions of the path and, if ``adjoint``, of s -> -B(s)^T.
-    The RK4 step is min(1e-3 T, 0.05 / max|B+-|); a path that needs more
-    than MAX_STEPS of them is invalid input.  A principal angle counts as
-    zero when its cosine is within ANGLE_THRESHOLD of 1."""
+def _kernel_dims(path: MatrixPath) -> list:
+    """[kernel, cokernel]: the dimensions of the bounded solutions of
+    u' = B(s) u and of the adjoint u' = -B(s)^T u.
+
+    Solutions bounded at -infinity come from the right-half-plane subspace
+    of B-, propagated forward from -horizon; solutions bounded at +infinity
+    come from the left-half-plane subspace of B+, propagated backward from
+    +horizon.  A kernel is their intersection at s = 0, measured by
+    principal angles, an angle counting as zero when its cosine is within
+    ANGLE_THRESHOLD of 1.  The RK4 step is min(1e-3 T, 0.05 / max|B+-|); a
+    path that needs more than MAX_STEPS of them is invalid input."""
     path.validate()
     scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
     n_steps = np.ceil(path.horizon / min(1e-3 * path.horizon, 0.05 / scale))
     if not n_steps <= MAX_STEPS:
         raise InvalidInputError(f"path needs {n_steps:.3g} RK4 steps at horizon "
                                 f"{path.horizon}, above the limit of {MAX_STEPS}")
-    frames = _propagated_frames(path, int(n_steps), adjoint)
+    frames = _propagated_frames(path, int(n_steps))
     return [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False)
                        <= ANGLE_THRESHOLD))
             for x, y in zip(frames[::2], frames[1::2])]
 
 
-def kernel_dim_oracle(path: MatrixPath) -> int:
-    """Dimension of the space of bounded solutions of u' = B(s) u.
-
-    Solutions bounded at -infinity come from the right-half-plane subspace
-    of B-, propagated forward from -horizon; solutions bounded at +infinity
-    come from the left-half-plane subspace of B+, propagated backward from
-    +horizon.  The kernel is their intersection at s = 0, measured by
-    principal angles.
-    """
-    return _kernel_dims(path, adjoint=False)[0]
-
-
 def index_by_shooting(path: MatrixPath) -> int:
     """Independent oracle: kernel of the adjoint path minus kernel of the
     path equals the eigenvalue-count index."""
-    kernel, cokernel = _kernel_dims(path, adjoint=True)
+    kernel, cokernel = _kernel_dims(path)
     return cokernel - kernel

@@ -124,15 +124,22 @@ def suite_codimension() -> dict:
 
 def suite_condition() -> dict:
     """Criterion 4: the circle inequality agrees with the general pointwise
-    condition at (dim V, d) = (2, 2), on 500 seeded cases."""
+    condition at (dim V, d) = (2, 2), on 500 seeded cases.  Each case is a
+    split of zero blocks: a fixed block of index ind_sG and one weight
+    block V^n -> V^m with n - m = ind_lambda / 2 and m >= 1."""
     t0 = time.perf_counter()
     failures = []
     rng = np.random.default_rng(11)
     for k in range(500):
         ind_sg = int(rng.integers(-8, 9))
         ind_l = 2 * int(rng.integers(-4, 5))
-        general = ind_sg < (ind_l // 2 + 1) * 2
-        circle = tv.s1_condition(ind_sg, [ind_l])
+        m = max(1, 1 - ind_l // 2)
+        n = m + ind_l // 2
+        split = tv.LinearizationSplit(
+            np.zeros((max(0, -ind_sg), max(0, ind_sg))),
+            {"weight": np.zeros((2 * m, 2 * n))}, {"weight": 2}, {"weight": 2})
+        general = tv.check_pointwise_condition(split)["weight"]
+        circle = tv.s1_condition(split.fixed_index, [split.lambda_real_index("weight")])
         if general != circle:
             failures.append({"ind_sG": ind_sg, "ind_lambda": ind_l})
     return _record(4, "condition-consistency", "circle-index-condition",
@@ -353,7 +360,7 @@ def suite_floer() -> dict:
     # toy models
     sphere = floer.GeneratorSet(("x", "z"), {"x": 0, "z": 2}, 1, {"x": 0, "z": 2})
     ranks_s = floer.cohomology_rank(
-        floer.build_differential(sphere, floer.ModuliCountTable(lat, {})), cutoff=10
+        floer.build_differential(sphere, floer.ModuliCountTable(lat, {}), cutoff=10)
     )
     checks += 1
     if {d: ranks_s.get(d, 0) for d in (0, 1, 2)} != {0: 1, 1: 0, 2: 1}:
@@ -365,7 +372,7 @@ def suite_floer() -> dict:
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
     ranks_t = floer.cohomology_rank(
-        floer.build_differential(torus, floer.ModuliCountTable(lat, {})), cutoff=10
+        floer.build_differential(torus, floer.ModuliCountTable(lat, {}), cutoff=10)
     )
     checks += 1
     if ranks_t != {0: 1, 1: 2, 2: 1}:

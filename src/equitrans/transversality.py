@@ -1,13 +1,12 @@
 """Equivariant transversality calculus near a fixed locus.
 
-The linearization of an equivariant section at a fixed-locus zero splits by
-Schur's lemma into a fixed block T M^G -> E^G and one equivariant block per
-isotypic type; transversality is surjectivity of every block.  Equivariant
-maps between isotypic components are matrices over the endomorphism division
-ring (R, C or H), and the non-surjective ones form a determinantal variety:
-with n and m the source/target ranks in End-units and d the real dimension
-of the ring, its real codimension is (n - m + 1) * d, the singular part
-sitting (n - m + 3) * d deeper inside it.
+The linearization of an equivariant section at a fixed-locus zero is given
+as its Schur's-lemma blocks: a fixed block T M^G -> E^G and one equivariant
+block per isotypic type; transversality is surjectivity of every block.  The
+non-surjective equivariant blocks form a determinantal variety: with n and m
+the source/target ranks in End-units and d the real dimension of the
+endomorphism division ring (R, C or H), its real codimension is
+(n - m + 1) * d, the singular part sitting (n - m + 3) * d deeper inside it.
 
 The pointwise index condition
 
@@ -20,7 +19,6 @@ seeded budget and certifies surjectivity by smallest singular value.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -31,7 +29,7 @@ SV_THRESHOLD = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# linearization splitting
+# linearization blocks
 # ---------------------------------------------------------------------------
 
 
@@ -65,75 +63,9 @@ class LinearizationSplit:
         return sorted(self.lambda_blocks)
 
 
-def split_linearization(full: np.ndarray,
-                        domain_rep: reps.RealRepresentation,
-                        codomain_rep: reps.RealRepresentation) -> LinearizationSplit:
-    """Split a full equivariant matrix into its fixed and isotypic blocks.
-
-    The matrix maps the domain representation to the codomain representation
-    (rows = codomain).  Cross blocks between distinct isotypic components
-    must vanish by Schur's lemma; residuals above 1e-10 (float mode) report
-    the offending group element and commutator norm.
-    """
-    if not reps.same_group(domain_rep.group, codomain_rep.group):
-        raise InvalidInputError("domain and codomain live over different groups")
-    group = domain_rep.group
-    exact = domain_rep.exact and codomain_rep.exact and linalg.is_exact(full)
-    comm = codomain_rep.matrices @ full - full @ domain_rep.matrices
-    per_g = np.abs(comm).reshape(group.order, -1).max(axis=1, initial=0)
-    g = int(np.argmax(per_g))
-    bad = (per_g[g] != 0) if exact else (float(per_g[g]) > linalg.TOL)
-    if bad:
-        raise InvalidInputError(
-            "linearization is not equivariant: max commutator norm "
-            f"{float(per_g[g]):.3e} at element {g}"
-        )
-    dom_bases, cod_bases = (
-        {label: linalg.projector_range(p if exact else linalg.as_float(p))
-         for label, p in reps.all_projectors(rep).items()}
-        for rep in (domain_rep, codomain_rep))
-    labels = sorted(dom_bases)
-    # certify that cross blocks between distinct components vanish
-    for la, lb in itertools.permutations(labels, 2):
-        ca, db = cod_bases[la], dom_bases[lb]
-        cross = ca.T @ linalg.as_float(full) @ db if not exact else ca.T @ full @ db
-        if not linalg.is_zero(cross):
-            raise InvalidInputError(
-                f"cross block between components {la!r} and {lb!r} does not vanish")
-    blocks = {label: _compress(full, cod_bases[label], dom_bases[label], exact)
-              for label in labels}
-    fixed = blocks.pop("fixed")
-    lam = {label: b for label, b in blocks.items() if b.shape != (0, 0)}
-    irreps = {ir.label: ir for ir in group.irreps}
-    return LinearizationSplit(fixed, lam, {label: irreps[label].dim_V for label in lam},
-                              {label: irreps[label].endo_dim for label in lam})
-
-
-def _compress(full, cod_basis, dom_basis, exact):
-    if cod_basis.shape[1] == 0 or dom_basis.shape[1] == 0:
-        return np.zeros((cod_basis.shape[1], dom_basis.shape[1]))
-    if exact:
-        gram = linalg.inv(cod_basis.T @ cod_basis)
-        return gram @ cod_basis.T @ full @ dom_basis
-    return cod_basis.T @ linalg.as_float(full) @ dom_basis
-
-
 # ---------------------------------------------------------------------------
-# indices and determinantal codimensions
+# determinantal codimensions
 # ---------------------------------------------------------------------------
-
-
-def lambda_index(block: np.ndarray, irrep: reps.IrrepDescriptor) -> tuple[int, int]:
-    """(real index, End-unit index) of an equivariant block (V^n -> V^m)."""
-    rows, cols = block.shape
-    dv = irrep.dim_V
-    if rows % dv or cols % dv:
-        raise InvalidInputError(
-            f"block shape {block.shape} is not a multiple of dim V = {dv}"
-        )
-    n_units = cols // dv
-    m_units = rows // dv
-    return ((n_units - m_units) * dv, n_units - m_units)
 
 
 @dataclass(frozen=True)
@@ -157,11 +89,6 @@ class SingularStratumSpec:
         if self.n < self.m:
             return 0
         return (self.n - self.m + 3) * self.endo_dim
-
-
-def singular_codim(spec: SingularStratumSpec) -> tuple[int, int]:
-    """(codim of the stratum in Hom, codim of its singularities inside it)."""
-    return spec.codim, spec.singular_codim
 
 
 def determinantal_dimension_oracle(n: int, m: int, rank: int) -> int:
@@ -220,99 +147,6 @@ def s1_condition(fixed_index: int, lambda_indices) -> bool:
     """Circle-action form: ind D^lambda + 2 > ind D^{S^1} for every weight."""
     vals = lambda_indices.values() if isinstance(lambda_indices, dict) else lambda_indices
     return all(ind_l + 2 > fixed_index for ind_l in vals)
-
-
-def s1_condition_split(split: LinearizationSplit) -> bool:
-    """The circle form evaluated on a split; agrees with the general
-    pointwise condition at (dim V, d) = (2, 2)."""
-    for label in split.labels():
-        if split.dim_v[label] != 2 or split.endo_dim[label] != 2:
-            raise InvalidInputError(
-                "the circle condition applies to weight planes only "
-                f"(component {label!r} has dim V {split.dim_v[label]})"
-            )
-    lam = {
-        label: split.lambda_real_index(label)
-        for label in split.labels()
-        if split.lambda_blocks[label].shape[0] > 0
-    }
-    return s1_condition(split.fixed_index, lam)
-
-
-def preimage_rank(block: np.ndarray, cover: np.ndarray) -> int:
-    """Rank of the preimage of a covering subspace under a linear block.
-
-    When the columns of ``cover`` together with the image of ``block`` span
-    the whole target, dim block^{-1}(cover) - dim cover equals the Fredholm
-    index of the block (kernel-bundle rank relation).  Ranks are taken at
-    bundles.RANK_TOL.
-    """
-    block = linalg.as_float(block)
-    cover = linalg.as_float(cover)
-    rows = block.shape[0]
-    span = np.concatenate([block, cover], axis=1) if cover.size else block
-    if linalg.rank(span, bundles.RANK_TOL) < rows:
-        raise InvalidInputError("cover does not span the cokernel of the block")
-    # solutions (x, c) of block x = cover c form the graph of the preimage
-    graph = np.concatenate([block, -cover], axis=1) if cover.size else block
-    kernel = linalg.nullspace(graph, bundles.RANK_TOL)
-    n_cols = block.shape[1]
-    if kernel.shape[1] == 0:
-        return 0
-    return linalg.rank(kernel[:n_cols, :], bundles.RANK_TOL)
-
-
-# ---------------------------------------------------------------------------
-# division-ring ranks
-# ---------------------------------------------------------------------------
-
-
-def division_ring_rank(matrix, endo_type: str) -> int:
-    """Rank over R, C or H of a matrix given in End-unit entries.
-
-    Entries: real numbers for R; complex numbers or (re, im) pairs for C;
-    (1, i, j, k) quadruples for H.  Quaternionic rank is computed through
-    the standard complex 2x2 embedding, rank_H = rank_C / 2.
-    """
-    if endo_type == "R":
-        arr = np.asarray(matrix)
-        if arr.ndim != 2:
-            raise InvalidInputError("real entries must form a 2-d matrix")
-        return linalg.rank(arr)
-    if endo_type == "C":
-        arr = np.asarray(matrix)
-        if arr.ndim == 3 and arr.shape[2] == 2:
-            arr = linalg.as_float(arr)
-            arr = arr[..., 0] + 1j * arr[..., 1]
-        elif arr.ndim != 2:
-            raise InvalidInputError("complex entries must be scalars or (re, im) pairs")
-        arr = np.asarray(arr, dtype=complex)
-        if arr.size == 0:
-            return 0
-        return int(np.linalg.matrix_rank(arr, tol=linalg.TOL))
-    if endo_type == "H":
-        try:
-            arr = linalg.as_float(np.asarray(matrix))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed quaternion entries: {exc}") from None
-        if arr.ndim != 3 or arr.shape[2] != 4:
-            raise InvalidInputError("quaternion entries must be (1, i, j, k) quadruples")
-        m, n = arr.shape[:2]
-        out = np.zeros((2 * m, 2 * n), dtype=complex)
-        for i in range(m):
-            for j in range(n):
-                a, b, c, d = arr[i, j]
-                out[2 * i, 2 * j] = a + 1j * b
-                out[2 * i, 2 * j + 1] = c + 1j * d
-                out[2 * i + 1, 2 * j] = -c + 1j * d
-                out[2 * i + 1, 2 * j + 1] = a - 1j * b
-        if out.size == 0:
-            return 0
-        rank_c = int(np.linalg.matrix_rank(out, tol=linalg.TOL))
-        if rank_c % 2:
-            raise InvalidInputError("quaternionic embedding produced odd complex rank")
-        return rank_c // 2
-    raise InvalidInputError(f"unknown endomorphism type {endo_type!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +363,10 @@ def _surject_equivariant_block(block: np.ndarray, hom_basis: np.ndarray,
     RETRY_BUDGET of seeded coefficient vectors, probes all candidates with
     one stacked SVD, and returns the first smallest-norm success with its
     smallest singular value; if none succeeds, a zero correction and the
-    block's own value."""
+    block's own value.  A tall block (rows > cols) cannot be surjective: it
+    gets a zero correction and the value 0.0, with no draw."""
+    if block.shape[0] > block.shape[1]:
+        return np.zeros_like(block), 0.0
     sv = linalg.min_singular_value(block)
     if sv > SV_THRESHOLD or len(hom_basis) == 0 or bundles.RETRY_BUDGET == 0:
         return np.zeros_like(block), sv

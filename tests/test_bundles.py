@@ -1,5 +1,6 @@
-"""Tests for equivariant bundles: decomposition, averaging, complements,
-section/frame extension and cokernel stabilization."""
+"""Tests for equivariant bundles: decomposition, group averaging of fiber
+maps, section extension, the frame-extension engine and cokernel
+stabilization."""
 
 from fractions import Fraction
 
@@ -13,10 +14,7 @@ from equitrans.bundles import (
     barycentric_grid,
     barycentric_subdivision,
     decompose_bundle,
-    equivariant_average_bundle_map,
     extend_nonvanishing_section,
-    extend_trivial_subbundle,
-    invariant_complement,
     stabilize_cokernel,
 )
 from equitrans.errors import InvalidInputError, ObstructionError, ResampleFailureError
@@ -81,17 +79,18 @@ def test_decompose_trivial_group_single_component():
     g = reps.cyclic_group(1)
     rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
-    splitting = decompose_bundle(bundle)
-    assert splitting.ranks == {"fixed": 3}
+    ranks = decompose_bundle(bundle)
+    assert ranks == {"fixed": 3}
 
 
 def test_decompose_z2_interval_ranks():
     bundle = z2_trivial_sign_bundle()
-    splitting = decompose_bundle(bundle)
-    assert splitting.ranks["fixed"] == 1
-    assert splitting.ranks["sign"] == 1
+    ranks = decompose_bundle(bundle)
+    assert ranks["fixed"] == 1
+    assert ranks["sign"] == 1
     # the components reassemble the fiber: projectors sum to the identity
-    total = sum(splitting.projectors[label] for label in splitting.ranks)
+    projectors = reps.all_projectors(bundle.rep)
+    total = sum(projectors[label] for label in ranks)
     assert linalg.mat_eq(total, linalg.eye(2, True))
 
 
@@ -99,16 +98,17 @@ def test_decompose_circle_weight_blocks_cross_checked():
     # derived oracle: the quadrature projector must match the block
     # indicator of the explicit weight-block construction
     bundle, circle = circle_weight_bundle([1, 2])
-    splitting = decompose_bundle(bundle)
-    assert splitting.ranks["fixed"] == 0
-    assert splitting.ranks["weight_1"] == 2
-    assert splitting.ranks["weight_2"] == 2
+    ranks = decompose_bundle(bundle)
+    assert ranks["fixed"] == 0
+    assert ranks["weight_1"] == 2
+    assert ranks["weight_2"] == 2
+    projectors = reps.all_projectors(bundle.rep)
     block1 = np.zeros((4, 4))
     block1[:2, :2] = np.eye(2)
-    assert linalg.max_abs(splitting.projectors["weight_1"] - block1) <= 1e-10
+    assert linalg.max_abs(projectors["weight_1"] - block1) <= 1e-10
     block2 = np.zeros((4, 4))
     block2[2:, 2:] = np.eye(2)
-    assert linalg.max_abs(splitting.projectors["weight_2"] - block2) <= 1e-10
+    assert linalg.max_abs(projectors["weight_2"] - block2) <= 1e-10
 
 
 def test_decompose_rejects_nonequivariant_transition():
@@ -119,138 +119,52 @@ def test_decompose_rejects_nonequivariant_transition():
         decompose_bundle(bundle2)
 
 
-def test_evaluate_section_applies_transitions_in_simplex_gauge():
-    # a sign flip on the edge must show up when the far value is carried to
-    # the frame of the first vertex: s(1) = e1 in its own frame is -e1 there
-    bundle = z2_trivial_sign_bundle()
-    flip = linalg.frac_array([[1, 0], [0, -1]])
-    flipped = bundles.GBundleModel(bundle.base, bundle.rep, {(0, 1): flip})
-    section = bundles.SectionModel(
-        {0: linalg.frac_array([0, 1]), 1: linalg.frac_array([0, 1])}
-    )
-    mid = bundles.evaluate_section(
-        flipped, section, (0, 1), (Fraction(1, 2), Fraction(1, 2))
-    )
-    # first-vertex frame: value at 0 is (0,1), value at 1 transports to (0,-1)
-    assert mid[0] == 0 and mid[1] == 0
-    at_zero = bundles.evaluate_section(flipped, section, (0, 1), (1, 0))
-    assert at_zero[1] == 1
-
-
-def test_subdivision_coordinates_average():
-    coords = bundles.subdivision_coordinates((0, 2), (0, 1, 2))
-    assert np.allclose(coords, [0.5, 0.0, 0.5])
-
-
 def test_isotypic_rank_helper():
+    # the rank of an isotypic component is the trace of its projector
     g = reps.symmetric_group(3)
     nat = reps._block_catalog(g)["natural"]
-    std = {ir.label: ir for ir in g.irreps}["standard"]
-    assert reps.isotypic_rank(nat, std) == 2
+    std = reps.all_projectors(nat)["standard"]
+    assert linalg.trace_rank(np.trace(std)) == 2
+    assert reps.projector_check(nat)[0]["standard"] == 2
 
 
 # ---------------------------------------------------------------------------
-# averaging
+# group averaging of fiber maps (the equivariant part a hom basis is built of)
 # ---------------------------------------------------------------------------
+
+
+def average(rep, raw):
+    return reps.conjugation_average(rep, rep, raw)
 
 
 def test_average_fixes_equivariant_map():
-    bundle = z2_trivial_sign_bundle()
-    raw = {v: linalg.frac_array([[2, 0], [0, 5]]) for v in bundle.base.vertices}
-    out = equivariant_average_bundle_map(bundle, raw)
-    for v in bundle.base.vertices:
-        assert linalg.mat_eq(out[v], raw[v])
+    rep = z2_trivial_sign_bundle().rep
+    raw = linalg.frac_array([[2, 0], [0, 5]])
+    assert linalg.mat_eq(average(rep, raw), raw)
 
 
 def test_average_of_group_element_abelian():
     z4 = reps.cyclic_group(4)
     rot = reps._block_catalog(z4)["rot90"]
-    bundle = GBundleModel(SimplicialBase.interval(1), rot)
     h = 1
-    raw = {v: rot.matrices[h] for v in bundle.base.vertices}
-    out = equivariant_average_bundle_map(bundle, raw)
-    for v in bundle.base.vertices:
-        assert linalg.mat_eq(out[v], rot.matrices[h])
+    assert linalg.mat_eq(average(rot, rot.matrices[h]), rot.matrices[h])
 
 
 def test_average_kills_off_diagonal_blocks():
     # derived oracle: explicit two-element sum
-    bundle = z2_trivial_sign_bundle()
-    raw_mat = linalg.frac_array([[1, 2], [3, 4]])
-    raw = {v: raw_mat for v in bundle.base.vertices}
-    rep = bundle.rep
-    expected = (raw_mat + rep.matrices[1] @ raw_mat @ rep.matrices[1]) * Fraction(1, 2)
-    out = equivariant_average_bundle_map(bundle, raw)
-    for v in bundle.base.vertices:
-        assert linalg.mat_eq(out[v], expected)
-        assert out[v][0, 1] == 0 and out[v][1, 0] == 0
+    rep = z2_trivial_sign_bundle().rep
+    raw = linalg.frac_array([[1, 2], [3, 4]])
+    expected = (raw + rep.matrices[1] @ raw @ rep.matrices[1]) * Fraction(1, 2)
+    out = average(rep, raw)
+    assert linalg.mat_eq(out, expected)
+    assert out[0, 1] == 0 and out[1, 0] == 0
 
 
 def test_average_idempotent_as_operator():
     bundle, _ = circle_weight_bundle([1, 2])
-    rng = np.random.default_rng(3)
-    raw = {v: rng.normal(size=(4, 4)) for v in bundle.base.vertices}
-    once = equivariant_average_bundle_map(bundle, raw)
-    twice = equivariant_average_bundle_map(bundle, once)
-    for v in bundle.base.vertices:
-        assert linalg.max_abs(once[v] - twice[v]) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# invariant complements
-# ---------------------------------------------------------------------------
-
-
-def test_complement_of_whole_bundle_is_zero():
-    bundle = z2_trivial_sign_bundle()
-    whole = {v: linalg.eye(2, True) for v in bundle.base.vertices}
-    res = invariant_complement(bundle, whole)
-    for v in bundle.base.vertices:
-        assert res.frames[v].shape[1] == 0
-
-
-def test_complement_of_fixed_part_is_sign_part():
-    bundle = z2_trivial_sign_bundle()
-    fixed = {v: linalg.frac_array([[1], [0]]) for v in bundle.base.vertices}
-    res = invariant_complement(bundle, fixed)
-    for v in bundle.base.vertices:
-        frame = res.frames[v]
-        assert frame.shape[1] == 1
-        assert frame[0, 0] == 0 and frame[1, 0] != 0
-        total = res.projector_onto[v] + res.projector_complement[v]
-        assert linalg.mat_eq(total, linalg.eye(2, True))
-
-
-def test_complement_random_invariant_plane_circle():
-    # random invariant plane inside the weight-1 isotypic pair of planes
-    bundle, circle = circle_weight_bundle([1, 1])
-    rng = np.random.default_rng(5)
-    v0 = rng.normal(size=4)
-    rep = bundle.rep
-    orbit = bundles.orbit_stack(rep, v0[:, None])
-    u, sv, _ = np.linalg.svd(orbit)
-    basis = u[:, sv > 1e-10 * sv[0]]
-    assert basis.shape[1] == 2
-    sub = {v: basis for v in bundle.base.vertices}
-    res = invariant_complement(bundle, sub)
-    for v in bundle.base.vertices:
-        assert res.frames[v].shape[1] == 2
-        total = res.projector_onto[v] + res.projector_complement[v]
-        assert linalg.max_abs(total - np.eye(4)) <= 1e-8
-        for g in range(0, circle.order, 7):
-            m = linalg.as_float(rep.matrices[g])
-            for p in (res.projector_onto[v], res.projector_complement[v]):
-                assert linalg.max_abs(m @ p - p @ m) <= 1e-8
-
-
-def test_complement_rank_jump_reports_vertices():
-    bundle = z2_trivial_sign_bundle()
-    sub = {
-        0: linalg.frac_array([[1], [0]]),
-        1: linalg.frac_array([[0], [0]]),
-    }
-    with pytest.raises(InvalidInputError, match="rank jumps"):
-        invariant_complement(bundle, sub)
+    raw = np.random.default_rng(3).normal(size=(4, 4))
+    once = average(bundle.rep, raw)
+    assert linalg.max_abs(once - average(bundle.rep, once)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +298,22 @@ def test_min_norm_on_a_caller_fraction_grid_matches_per_point_loop():
 
 
 # ---------------------------------------------------------------------------
-# frame extension
+# the frame-extension engine
 # ---------------------------------------------------------------------------
+
+
+def frame_independent_on_grid(bundle, frames, expected_rank):
+    """Whether the interpolated frame keeps orbit rank ``expected_rank`` on
+    the whole of every top simplex, between the grid points too."""
+    return all(bundles._certified(bundle, frames, s, expected_rank)
+               for s in bundle.base.top_simplices())
+
+
+def extend_frame(bundle, frame, seed=0):
+    """Extend one seed column per vertex of ``frame`` (trivial group, so the
+    orbit rank is the column count) to every vertex."""
+    built = {v: np.zeros((bundle.fiber_dim, 0)) for v in bundle.base.vertices}
+    return bundles._extend_frame(bundle, frame, built, 1, np.random.default_rng(seed))
 
 
 def test_extend_frame_already_global_on_single_simplex_base():
@@ -393,7 +321,7 @@ def test_extend_frame_already_global_on_single_simplex_base():
     rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
-    out = extend_trivial_subbundle(bundle, (0, 1), frame)
+    out = extend_frame(bundle, frame)
     for v in (0, 1):
         assert np.allclose(out[v], frame[v])
 
@@ -404,10 +332,10 @@ def test_extend_frame_around_circle_trivial_group():
     base = SimplicialBase.circle(4)
     bundle = GBundleModel(base, rep)
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
-    out = extend_trivial_subbundle(bundle, (0, 1), frame)
+    out = extend_frame(bundle, frame)
     for v in base.vertices:
         assert np.linalg.norm(out[v]) > 1e-8
-    assert bundles.frame_independent_on_grid(bundle, out, 1)
+    assert frame_independent_on_grid(bundle, out, 1)
 
 
 def edge_midpoint_orbit_ranks(bundle, frames):
@@ -435,27 +363,12 @@ def moebius_bundle():
     return bundle, frame
 
 
-def test_evaluate_section_on_moebius_edge_uses_its_own_gauge():
-    # e1, e1, e1, -e1 is continuous around the twisted circle: on edge (2,3)
-    # the value -e1 at vertex 3 is e1 in the frame of vertex 2, while on the
-    # twisted edge (0,3) it is e1 in the frame of vertex 0.  A spanning-tree
-    # gauge would carry vertex 3 to vertex 0 along (3,0) and give e1 at the
-    # midpoint of (2,3) instead of 0.
-    bundle, _ = moebius_bundle()
-    e1 = linalg.frac_array([1, 0, 0])
-    section = bundles.SectionModel({0: e1, 1: e1, 2: e1, 3: -e1})
-    half = (Fraction(1, 2), Fraction(1, 2))
-    assert list(bundles.evaluate_section(bundle, section, (2, 3), half)) == [0, 0, 0]
-    for edge in ((0, 1), (1, 2), (0, 3)):
-        assert list(bundles.evaluate_section(bundle, section, edge, half)) == [1, 0, 0]
-
-
 def test_extend_frame_around_moebius_twist():
     # the transported frame vanishes at the midpoint of edge (2,3), between
     # the grid points, so the repair step must route through a new direction
     bundle, frame = moebius_bundle()
-    out = extend_trivial_subbundle(bundle, (0, 1), frame, seed=4)
-    assert bundles.frame_independent_on_grid(bundle, out, 1)
+    out = extend_frame(bundle, frame, seed=4)
+    assert frame_independent_on_grid(bundle, out, 1)
     assert set(edge_midpoint_orbit_ranks(bundle, out).values()) == {1}
 
 
@@ -463,7 +376,7 @@ def test_extend_frame_repair_budget_exhausted(monkeypatch):
     bundle, frame = moebius_bundle()
     monkeypatch.setattr(bundles, "RETRY_BUDGET", 0)
     with pytest.raises(ResampleFailureError, match="could not repair"):
-        extend_trivial_subbundle(bundle, (0, 1), frame, seed=4)
+        extend_frame(bundle, frame, seed=4)
 
 
 def test_extend_frame_seed_vanishing_between_grid_points():
@@ -474,47 +387,7 @@ def test_extend_frame_seed_vanishing_between_grid_points():
     bundle = GBundleModel(SimplicialBase.interval(2), rep)
     frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[-1.0], [0.0], [0.0]])}
     with pytest.raises(ResampleFailureError, match="seed frame is degenerate on"):
-        extend_trivial_subbundle(bundle, (0, 1), frame)
-
-
-@pytest.mark.parametrize("simplex, frame, error", [
-    ((0, 2), {0: [1.0, 0], 2: [1.0, 0]}, InvalidInputError),  # not a simplex
-    ((0, 1), {0: [1.0, 0]}, InvalidInputError),  # frame missing at vertex 1
-    ((0, 1), {0: [1.0, 1.0], 1: [1.0, 1.0]}, InvalidInputError),  # mixed column
-    ((0, 1), {0: [1.0, 0], 1: [1.0, 0]}, ObstructionError),  # fiber rank 1 < 3
-])
-def test_extend_frame_rejects(simplex, frame, error):
-    bundle = z2_trivial_sign_bundle()
-    frame = {v: np.array(col)[:, None] for v, col in frame.items()}
-    with pytest.raises(error):
-        extend_trivial_subbundle(bundle, simplex, frame)
-
-
-def test_extend_frame_z2_rank_1_1():
-    # trivial^3 + sign^3 fiber over a two-edge interval; one frame column in
-    # each component on the first edge, extended with both components invariant
-    z2 = reps.cyclic_group(2)
-    mats = [np.eye(6).tolist(), np.diag([1, 1, 1, -1, -1, -1]).tolist()]
-    rep = reps.rep_from_matrices(z2, linalg.frac_array(mats))
-    base = SimplicialBase.interval(2)
-    bundle = GBundleModel(base, rep)
-    col_triv = np.array([1.0, 0, 0, 0, 0, 0])
-    col_sign = np.array([0, 0, 0, 1.0, 0, 0])
-    frame = {
-        0: np.stack([col_triv, col_sign], axis=1),
-        1: np.stack([col_triv, col_sign], axis=1),
-    }
-    out = extend_trivial_subbundle(bundle, (0, 1), frame)
-    splitting = decompose_bundle(bundle)
-    p_triv = linalg.as_float(splitting.projectors["fixed"])
-    p_sign = linalg.as_float(splitting.projectors["sign"])
-    for v in base.vertices:
-        assert np.linalg.norm(out[v][:, 0]) > 1e-8
-        assert np.linalg.norm(out[v][:, 1]) > 1e-8
-        # per-component invariance: each column stays inside its component
-        assert np.allclose(p_triv @ out[v][:, 0], out[v][:, 0])
-        assert np.allclose(p_sign @ out[v][:, 1], out[v][:, 1])
-        assert linalg.rank(bundles.orbit_stack(bundle.rep, out[v]), 1e-8) == 2
+        extend_frame(bundle, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +473,7 @@ def test_stabilize_multi_vertex_frame_certified(make, rank):
     bundle, lin = make()
     res = stabilize_cokernel(bundle, lin, seed=3)
     assert res.rank == rank
-    assert bundles.frame_independent_on_grid(bundle, res.frames, rank)
+    assert frame_independent_on_grid(bundle, res.frames, rank)
     assert set(edge_midpoint_orbit_ranks(bundle, res.frames).values()) == {rank}
     for v, dmat in lin.items():
         cover = np.concatenate([dmat, bundles.orbit_stack(bundle.rep, res.frames[v])], axis=1)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end: scenario ingestion,
 report shape, exit-code triage, and byte-level determinism."""
 
+import ast
 import itertools
 import json
 import os
@@ -994,6 +995,64 @@ def test_malformed_integer_name_weight_or_vertex_exit_2(tmp_path, capsys, comman
     assert named in msg["error"]
 
 
+@pytest.mark.parametrize("command, payload, named", [
+    # a choice the scenario format does not offer
+    (["reps", "decompose"], dict(REPS_MATRICES, settings={"mode": "rational"}),
+     "unknown arithmetic mode 'rational'"),
+    (["reps", "decompose"], dict(REPS_MATRICES, group={"name": "Z_2"}),
+     "group section needs 'preset', 'circle' or 'table'"),
+    (["reps", "decompose"], dict(REPS_MATRICES, representation={"dim": 2}),
+     "representation section needs 'weights', 'blocks', 'matrices'"),
+    (["reps", "decompose"], dict(REPS_MATRICES, representation={"blocks": ["nope"]}),
+     "unknown block 'nope'"),
+    (["bundle", "extend"], dict(BUNDLE_EXTEND, base={"simplex": 2}),
+     "base section needs 'interval', 'circle' or 'maximal_simplices'"),
+    (["groupoid", "check"], dict(GROUPOID_CHECK, groupoid={"free": 2}),
+     "groupoid section needs 'discrete' or 'translation'"),
+    (["flow", "index"], {"flow": {"paths": [{"preset": "sawtooth"}]}},
+     "unknown flow preset 'sawtooth'"),
+    (["metric", "quotient"],
+     _replaced(METRIC_PERMUTATION, "rotation", "metric_action", "type"),
+     "unknown metric action type 'rotation'"),
+    # entries of the wrong kind
+    (["reps", "decompose"], _replaced(REPS_MATRICES, -1.5, "representation", "matrices",
+                                      1, 1, 1),
+     "exact mode requires integers or 'p/q' strings, got -1.5"),
+    (["reps", "decompose"], _replaced(REPS_MATRICES, 5, "representation", "matrices"),
+     "representation matrices must be a JSON list"),
+    (["bundle", "extend"], _replaced(BUNDLE_EXTEND, 5, "sections", "s", "1"),
+     "section 's' must be a list of numbers"),
+    (["reps", "decompose"], dict(REPS_MATRICES, representation={"weights": [1]}),
+     "weight lists need a circle group"),
+    # sections a subcommand needs
+    (["bundle", "extend"], _replaced(BUNDLE_EXTEND, "t", "extend", "section"),
+     "section 't' not in scenario"),
+    (["bundle", "decompose"], dict(REPS_MATRICES, bundle={}), "no 'base' section"),
+    (["transversality", "check"], {}, "no 'fixed_locus' section"),
+    (["groupoid", "quotient"], {}, "no 'groupoid' section"),
+    (["flow", "index"], {"flow": {"paths": []}}, "no 'flow' section with paths"),
+    (["floer", "ranks"], _without(FLOER_RANKS, "lattice"),
+     "scenario needs 'lattice' and 'generators'"),
+])
+def test_unoffered_choice_or_missing_section_exit_2(tmp_path, capsys, command, payload,
+                                                    named):
+    code, out, err = run(capsys, command + [write(tmp_path, "bad.json", payload)])
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert named in msg["error"]
+
+
+def test_missing_scenario_file_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, ["reps", "decompose", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": f"scenario file not found: {path}",
+                               "kind": "invalid-input"}
+
+
 # a transition 1e-6 away from orthogonal: valid at tolerance 1e-3 only
 NEARLY_ORTHOGONAL = {"settings": {"mode": "float"}, "group": {"preset": "Z_2"},
                      "representation": {"matrices": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]},
@@ -1099,6 +1158,38 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_every_public_library_name_has_a_library_caller():
+    # each public module-level function and class of src/equitrans is
+    # referenced in src/ besides its own def, so no routine is kept for the
+    # tests alone: a bare name in its own module, ``module.name`` through a
+    # package import, or ``from .module import name``
+    src = Path(cli.__file__).resolve().parent
+    trees = {f.stem: ast.parse(f.read_text()) for f in sorted(src.glob("*.py"))}
+    used = set()
+    for mod, tree in trees.items():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module:
+                        used.add((node.module, alias.name))
+                    else:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add((mod, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                used.add((aliases[node.value.id], node.attr))
+    unused = sorted(f"{mod}.{node.name}" for mod, tree in trees.items()
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and (mod, node.name) not in used)
+    # the one exception: perfbench/scenarios.py calls reps.choose_blocks to
+    # rebuild the blocks that a seeded random representation draws
+    assert unused == ["reps.choose_blocks"]
 
 
 def _reps_with(mode, **representation):

@@ -1,5 +1,5 @@
-"""Tests for Novikov arithmetic, count tables, differentials, coherence,
-the autonomous reduction, and cohomology ranks.
+"""Tests for Novikov arithmetic, count tables, differentials, the
+autonomous reduction, and cohomology ranks.
 
 Independent oracles: hand enumeration of gradient lines on circle models,
 simplicial cohomology of explicit triangulations (boundary-matrix ranks
@@ -28,13 +28,13 @@ from equitrans.floer import (
     betti_sum,
     build_differential,
     check_d_squared,
-    coherence_validate,
     cohomology_rank,
 )
 
 LAT1 = HomologyLattice(1, (Fraction(1),), (0,))
 LATC = HomologyLattice(1, (Fraction(1),), (1,))
 LAT0 = HomologyLattice(0, (), ())
+CUT = Fraction(100)  # a cutoff above every energy the arithmetic tests reach
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +43,21 @@ LAT0 = HomologyLattice(0, (), ())
 
 
 def test_unit_is_multiplicative_identity():
-    one = NovikovElement.unit(LAT1)
-    x = NovikovElement(LAT1, {(2,): Fraction(3, 7), (0,): 1})
+    one = NovikovElement.unit(LAT1, CUT)
+    x = NovikovElement(LAT1, {(2,): Fraction(3, 7), (0,): 1}, CUT)
     assert one * x == x
     assert x * one == x
 
 
 def test_monomial_grading():
-    q3 = NovikovElement.monomial(LATC, (3,))
+    q3 = NovikovElement.monomial(LATC, (3,), 1, CUT)
     assert q3.degree() == 6  # 2 * c1, with c1(A) = 3
 
 
 def test_invert_geometric_series():
     # (1 - q)^-1 truncated at 5 * omega(q) is 1 + q + ... + q^5, and
     # multiplying back gives 1 modulo terms above the cutoff
-    a = NovikovElement.unit(LAT1) - NovikovElement.monomial(LAT1, (1,))
+    a = NovikovElement.unit(LAT1, CUT) - NovikovElement.monomial(LAT1, (1,), 1, CUT)
     inv = a.invert_truncated(5)
     expected = NovikovElement(LAT1, {(k,): 1 for k in range(6)}, Fraction(5))
     assert inv == expected
@@ -67,12 +67,12 @@ def test_invert_geometric_series():
 
 def test_invert_zero_rejected():
     with pytest.raises(InvalidInputError):
-        NovikovElement.zero(LAT1).invert_truncated(3)
+        NovikovElement.zero(LAT1, CUT).invert_truncated(3)
 
 
 def test_invert_tied_leading_terms_indeterminate():
     flat = HomologyLattice(1, (Fraction(0),), (1,))  # omega identically zero
-    a = NovikovElement.unit(flat) - NovikovElement.monomial(flat, (1,))
+    a = NovikovElement.unit(flat, CUT) - NovikovElement.monomial(flat, (1,), 1, CUT)
     with pytest.raises(IndeterminateError):
         a.invert_truncated(3)
 
@@ -83,7 +83,7 @@ coeffs = st.fractions(
 points = st.integers(min_value=-3, max_value=3)
 elements = st.dictionaries(
     st.tuples(points), coeffs, max_size=4
-).map(lambda t: NovikovElement(LAT1, t))
+).map(lambda t: NovikovElement(LAT1, t, CUT))
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,9 +125,9 @@ int_terms = st.dictionaries(st.tuples(points), st.integers(-4, 4), max_size=4)
 
 
 @settings(max_examples=80, deadline=None)
-@given(int_terms, int_terms, st.sampled_from([None, 2, Fraction(7, 2)]))
+@given(int_terms, int_terms, st.sampled_from([CUT, 2, Fraction(7, 2)]))
 def test_int_and_fraction_coefficients_agree(s, t, cutoff):
-    a, b = NovikovElement(LAT1, s, cutoff), NovikovElement(LAT1, t)
+    a, b = NovikovElement(LAT1, s, cutoff), NovikovElement(LAT1, t, CUT)
     # Fractions that come in are normalized where they enter
     a_in = NovikovElement(LAT1, {p: Fraction(c) for p, c in s.items()}, cutoff)
     assert a_in == a and all(type(c) is int for c in a_in.terms.values())
@@ -162,7 +162,7 @@ def two_level_complex(data, lattice=LAT1):
 @given(st.data())
 def test_cohomology_rank_int_and_fraction_entries_agree(data):
     gens, counts = two_level_complex(data)
-    delta = build_differential(gens, counts, cutoff=data.draw(st.sampled_from([None, 3])))
+    delta = build_differential(gens, counts, cutoff=data.draw(st.sampled_from([CUT, 3])))
     held = Differential(gens, LAT1, {k: held_as_fractions(e)
                                      for k, e in delta.entries.items()}, delta.cutoff)
     assert cohomology_rank(held, cutoff=5) == cohomology_rank(delta, cutoff=5)
@@ -211,7 +211,6 @@ def test_self_indexing_sort_matches_pair_scan(spec, monotone):
 
 def test_gradings():
     g = sphere_gens()
-    assert g.morse_grading("x") == 2 and g.morse_grading("z") == 0
     assert g.floer_grading("x") == 1 and g.floer_grading("z") == -1
 
 
@@ -236,15 +235,15 @@ def test_derived_index_formula():
 
 def test_empty_counts_zero_differential():
     gens = sphere_gens()
-    delta = build_differential(gens, ModuliCountTable(LAT1, {}))
+    delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
     assert check_d_squared(delta).ok
 
 
 def test_two_generator_differential():
     gens = GeneratorSet(("x", "y"), {"x": 0, "y": 1}, 1, {"x": 0, "y": 1})
     counts = ModuliCountTable(LAT0, {("x", "y", ()): 1})
-    delta = build_differential(gens, counts)
-    assert delta.entry("x", "y") == NovikovElement.unit(LAT0)
+    delta = build_differential(gens, counts, cutoff=10)
+    assert delta.entry("x", "y") == NovikovElement.unit(LAT0, 10)
 
 
 def test_wiggly_circle_hand_enumeration():
@@ -261,9 +260,9 @@ def test_wiggly_circle_hand_enumeration():
             ("m2", "M2", ()): 1,
         },
     )
-    delta = build_differential(gens, counts)
+    delta = build_differential(gens, counts, cutoff=10)
     assert check_d_squared(delta).ok
-    ranks = cohomology_rank(delta, cutoff=10)
+    ranks = cohomology_rank(delta)
     assert ranks == {0: 1, 1: 1}
 
 
@@ -271,7 +270,7 @@ def test_differential_rejects_wrong_index_slot():
     gens = sphere_gens()
     counts = ModuliCountTable(LAT1, {("x", "z", (0,)): 1})  # derived index 1
     with pytest.raises(InvalidInputError):
-        build_differential(gens, counts)
+        build_differential(gens, counts, cutoff=10)
 
 
 # ---------------------------------------------------------------------------
@@ -335,67 +334,6 @@ def test_d_squared_first_failure_matches_dense_loop():
     assert not report.ok
     assert report.first_failure == failures[0][0]
     assert report.defect == failures[0][1]
-
-
-# ---------------------------------------------------------------------------
-# coherence validation
-# ---------------------------------------------------------------------------
-
-
-def test_coherence_vacuous():
-    gens = sphere_gens()
-    report = coherence_validate(ModuliCountTable(LAT1, {}), gens, {})
-    assert report.ok
-
-
-def test_coherence_two_level_product_rule():
-    names = ("x", "y", "z")
-    gens = GeneratorSet(
-        names, {"x": 0, "y": 1, "z": 2}, 1, {"x": 0, "y": 1, "z": 2}
-    )
-    counts = ModuliCountTable(
-        LAT1,
-        {
-            ("x", "y", (1,)): 2,
-            ("y", "z", (2,)): -3,
-            ("x", "z", (3,)): 5,  # an index-1 entry (2 - 0 + 0 - 1 = 1)
-        },
-    )
-    strata = {
-        ("x", "z", (3,)): [
-            {"through": "y", "a1": (1,), "a2": (2,), "declared": -6}
-        ]
-    }
-    report = coherence_validate(counts, gens, strata)
-    assert report.ok
-
-
-def test_coherence_mismatched_class_bookkeeping_fails():
-    names = ("x", "y", "z")
-    gens = GeneratorSet(
-        names, {"x": 0, "y": 1, "z": 2}, 1, {"x": 0, "y": 1, "z": 2}
-    )
-    counts = ModuliCountTable(
-        LAT1, {("x", "y", (1,)): 2, ("y", "z", (2,)): -3, ("x", "z", (3,)): 5}
-    )
-    strata = {
-        ("x", "z", (3,)): [
-            {"through": "y", "a1": (1,), "a2": (1,), "declared": -6}
-        ]
-    }
-    report = coherence_validate(counts, gens, strata)
-    assert not report.ok
-    assert report.stratum_failures[0]["reason"] == "class bookkeeping"
-
-
-def test_coherence_missing_label_invalid():
-    names = ("x", "y", "z")
-    gens = GeneratorSet(
-        names, {"x": 0, "y": 1, "z": 2}, 1, {"x": 0, "y": 1, "z": 2}
-    )
-    counts = ModuliCountTable(LAT1, {("x", "z", (3,)): 5})
-    with pytest.raises(InvalidInputError):
-        coherence_validate(counts, gens, {})
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +426,7 @@ def test_zero_differential_degrees_0112():
         2,
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
-    delta = build_differential(gens, ModuliCountTable(LAT1, {}))
+    delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
     assert cohomology_rank(delta, cutoff=10) == {0: 1, 1: 2, 2: 1}
 
 
@@ -510,7 +448,7 @@ def test_unit_entry_kills_cohomology_with_specialization_oracle():
 
 def test_sphere_model_against_simplicial_oracle():
     gens = sphere_gens()
-    delta = build_differential(gens, ModuliCountTable(LAT1, {}))
+    delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
     ranks = cohomology_rank(delta, cutoff=10)
     full = {d: ranks.get(d, 0) for d in (0, 1, 2)}
     # boundary of the tetrahedron as the sphere oracle
@@ -526,7 +464,7 @@ def test_torus_model_against_simplicial_oracle():
         2,
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
-    delta = build_differential(gens, ModuliCountTable(LAT1, {}))
+    delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
     ranks = cohomology_rank(delta, cutoff=10)
     # 3x3 grid torus: 9 vertices, 27 edges, 18 triangles
     verts = [(i, j) for i in range(3) for j in range(3)]
@@ -565,7 +503,7 @@ def test_weak_arnold_lower_bound_on_perfect_models():
             {0: 1, 1: 2, 2: 1},
         ),
     ):
-        delta = build_differential(gens, ModuliCountTable(LAT1, {}))
+        delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
         ranks = cohomology_rank(delta, cutoff=10)
         assert len(gens.names) >= betti_sum(ranks)
         assert len(gens.names) == betti_sum(ranks)  # perfect models
@@ -615,7 +553,7 @@ def rank_or_indeterminate(fn, rows, cutoff):
 novikov_entries = st.tuples(
     st.dictionaries(st.tuples(st.integers(-1, 6), st.integers(0, 4)),
                     st.integers(-3, 3), max_size=3),
-    st.sampled_from([None, 3, Fraction(9, 2)]),
+    st.sampled_from([CUT, 3, Fraction(9, 2)]),
 )
 
 
@@ -629,9 +567,13 @@ def test_matrix_rank_matches_full_row_elimination(n_rows, n_cols, data, cutoff):
             == rank_or_indeterminate(full_row_rank, rows, cutoff))
 
 
-def test_matrix_rank_zero_pivot_row_entry_still_truncates():
-    # entries without a cutoff: the full-row update cuts q^20 at the
-    # pivot's precision 10 although the pivot row is zero in its column
-    rows = [[NovikovElement(LAT1, {(0,): 1}), NovikovElement(LAT1, {})],
-            [NovikovElement(LAT1, {(0,): 1}), NovikovElement(LAT1, {(20,): 1})]]
-    assert floer._novikov_matrix_rank(rows, 10) == full_row_rank(rows, 10) == 1
+def test_matrix_rank_truncates_where_elements_are_built():
+    # q^20 lies above cutoff 10, so it is dropped where it is built and
+    # [[1, 0], [1, q^20]] has rank 1; q^2 stays and [[1, 0], [1, q^2]] has rank 2
+    def matrix(k):
+        return [[NovikovElement(LAT1, {(0,): 1}, 10), NovikovElement(LAT1, {}, 10)],
+                [NovikovElement(LAT1, {(0,): 1}, 10), NovikovElement(LAT1, {(k,): 1}, 10)]]
+
+    assert NovikovElement(LAT1, {(20,): 1}, 10).is_zero()
+    assert floer._novikov_matrix_rank(matrix(2), 10) == full_row_rank(matrix(2), 10) == 2
+    assert floer._novikov_matrix_rank(matrix(20), 10) == full_row_rank(matrix(20), 10) == 1

@@ -1,5 +1,5 @@
-"""Tests for finite groupoids, quotients, effective isotropy, regularity,
-and quotient metrics."""
+"""Tests for finite groupoids, quotients, regularity, and quotient
+metrics."""
 
 import itertools
 
@@ -15,14 +15,12 @@ from equitrans.groupoids import (
     GlobalActionData,
     circle_rotation_action,
     discrete_groupoid,
-    effective_part,
     make_translation_groupoid,
     orbit_set,
     properness_check,
     quotient_groupoid,
     quotient_metric,
     regularity_check,
-    translation_probe_action,
 )
 
 
@@ -57,7 +55,7 @@ def test_z2_free_action_on_two_points():
     gpd.validate()
     assert gpd.n_morphisms == 4
     assert len(gpd.stab(0)) == 1  # free action: trivial isotropy
-    assert gpd.isomorphic_objects(0) == {0, 1}  # one orbit
+    assert set(gpd.tgt[gpd.src == 0].tolist()) == {0, 1}  # one orbit
 
 
 def test_z2_trivial_action_has_full_stabilizer():
@@ -283,51 +281,6 @@ def test_properness_trivial_groupoid():
 
 
 # ---------------------------------------------------------------------------
-# effective part
-# ---------------------------------------------------------------------------
-
-
-def test_effective_part_faithful_action():
-    group = reps.cyclic_group(2)
-    act = np.array([[0, 1, 2], [0, 2, 1]])  # fixes object 0, swaps 1 and 2
-    gpd = make_translation_groupoid(group, act)
-    pa = translation_probe_action(gpd, group, act, 0, [0, 1, 2])
-    eff = effective_part(gpd, 0, pa)
-    assert eff.order == 2  # faithful: stab^eff = stab
-
-
-def test_effective_part_trivial_probe_action():
-    group = reps.cyclic_group(2)
-    act = np.zeros((2, 1), dtype=int)
-    gpd = make_translation_groupoid(group, act)
-    pa = translation_probe_action(gpd, group, act, 0, [0])
-    eff = effective_part(gpd, 0, pa)
-    assert eff.order == 1  # everything acts trivially
-
-
-def test_effective_part_z4_through_z2():
-    # Z_4 fixing object 0, acting on probes {1, 2} through its Z_2 quotient
-    group = reps.cyclic_group(4)
-    act = np.array(
-        [[0, 1, 2], [0, 2, 1], [0, 1, 2], [0, 2, 1]]
-    )
-    gpd = make_translation_groupoid(group, act)
-    pa = translation_probe_action(gpd, group, act, 0, [1, 2])
-    eff = effective_part(gpd, 0, pa)
-    assert len(eff.stab) == 4
-    assert len(eff.kernel) == 2
-    assert eff.order == 2
-
-
-def test_effective_part_invalid_probe_set():
-    group = reps.cyclic_group(2)
-    act = np.array([[0, 1, 2], [0, 2, 1]])
-    gpd = make_translation_groupoid(group, act)
-    with pytest.raises(InvalidInputError, match="not invariant"):
-        translation_probe_action(gpd, group, act, 0, [0, 1])
-
-
-# ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------
 
@@ -448,6 +401,39 @@ def test_quotient_library_cardinality_law():
     assert all(rec["ok"] for rec in model.stab_law.values())
     cases += 1
     assert cases >= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_quotient_cardinality_law_on_random_actions(data):
+    # Z_k acting trivially on n points, a declared ineffective subgroup of
+    # order j in every stabilizer, and a cyclic G permuting the points by
+    # the powers of a random permutation: |stab^Q_x| = (k / j) * |G_x|, with
+    # |G_x| = |G| / |orbit of x|
+    n = data.draw(st.integers(1, 4))
+    sigma = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(1, 4))
+    j = data.draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+    powers = [list(range(n))]
+    while True:
+        nxt = [sigma[x] for x in powers[-1]]
+        if nxt == powers[0]:
+            break
+        powers.append(nxt)
+    order = len(powers)
+    gpd = make_translation_groupoid(reps.cyclic_group(k), np.tile(np.arange(n), (k, 1)))
+    obj = np.array(powers)
+    mor = np.array([[h * n + p[x] for h in range(k) for x in range(n)] for p in powers])
+    action = GlobalActionData(reps.cyclic_group(order), obj, mor)
+    kernels = {x: [h * n + x for h in range(0, k, k // j)] for x in range(n)}
+    orbits = {x: set(obj[:, x].tolist()) for x in range(n)}
+    slices = sorted({min(o) for o in orbits.values()})
+    model = quotient_groupoid(gpd, action, slices, kernels)
+    for xi, x in enumerate(slices):
+        g_x = order // len(orbits[x])
+        assert len(model.groupoid.stab(xi)) == (k // j) * g_x
+        assert model.stab_law[x] == {"stab_Q": (k // j) * g_x, "stab_eff": k // j,
+                                     "G_x": g_x, "ok": True}
 
 
 def _disjoint_double(gpd):

@@ -5,7 +5,8 @@ Its exact ranks and verdicts are compared with an all-Fraction computation
 written here from the character formula, on representations whose
 numerators fit int64 and on ones that need python ints.  Corrupting one
 group matrix, one character or one commuting matrix must make exactly the
-identity it breaks fail, in both modes.
+identity it breaks fail, in both modes; on random representations every
+identity holds.
 """
 
 import dataclasses
@@ -13,9 +14,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitrans import linalg, reps
 from equitrans.errors import InvalidInputError
+
+
+def cayley_orthogonal(dim, rng, denom=3):
+    """Exact rational orthogonal matrix: the Cayley transform
+    (I + A)^-1 (I - A) of a random antisymmetric A with entries in
+    {-1, 0, 1} / denom."""
+    a = linalg.zeros((dim, dim), exact=True)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = Fraction(int(rng.integers(-1, 2)), denom)
+            a[i, j] = v
+            a[j, i] = -v
+    i_mat = linalg.eye(dim, exact=True)
+    return linalg.solve_exact(i_mat + a, i_mat - a)
 
 
 def fraction_reference(rep, commuting=None):
@@ -73,7 +90,7 @@ def as_mode(rep, exact):
 def test_exact_check_matches_fraction_reference(name, block, denom, python_ints):
     group = reps.preset_group(name)
     base = reps._block_catalog(group)[block]
-    q = linalg.cayley_orthogonal(base.dim, np.random.default_rng(5), denom=denom)
+    q = cayley_orthogonal(base.dim, np.random.default_rng(5), denom=denom)
     reps_under_test = [reps.conjugate_rep(base, q)]
     # a wrong character table on the same matrices (a 1-dim irrep given the
     # trivial character) keeps integral traces but fails identities
@@ -146,3 +163,21 @@ def test_non_integral_trace_is_invalid(exact):
     group = with_irreps(rep.group, sign=[1, "1/2"])
     with pytest.raises(InvalidInputError, match="trace"):
         reps.projector_check(as_mode(reps.RealRepresentation(group, mats), exact))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["Z_2", "Z_3", "Z_4", "S_3", "Q_8", "D_4", "circle"]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_projector_identities_hold_on_random_reps(name, seed, exact):
+    # every identity holds, and each rank is the numerical rank of the float
+    # projector; the ranks add up to the dimension
+    if name == "circle":
+        group, exact = reps.CircleGroupModel(32), False
+    else:
+        group = reps.preset_group(name)
+    rep = reps.random_rep(group, np.random.default_rng(seed), max_dim=8, exact=exact)
+    ranks, _, failed = reps.projector_check(rep)
+    assert failed == []
+    assert sum(ranks.values()) == rep.dim
+    for label, p in reps.all_projectors(rep).items():
+        assert linalg.rank(linalg.as_float(p), 1e-8) == ranks[label]

@@ -11,11 +11,9 @@ from equitrans.errors import InvalidInputError, NonHyperbolicError
 from equitrans.spectral import (
     LambdaOperatorSpec,
     build_lambda_path,
-    concatenate,
     constant_path,
     fredholm_index,
     index_by_shooting,
-    kernel_dim_oracle,
     scalar_tanh_path,
     tanh_path,
     unstable_dim,
@@ -63,6 +61,16 @@ def test_path_validation_rejects_drifting_tail():
     path = spectral.MatrixPath(lambda s: np.tanh(s), 4.0, [[-1.0]], [[2.0]])
     with pytest.raises(InvalidInputError):
         path.validate()
+
+
+def concatenate(p1, p2):
+    """Glue two paths whose inner limits match (B1+ = B2-) at the seam s = 0:
+    p1 shifted left of it, p2 shifted right."""
+    assert np.max(np.abs(p1.b_plus - p2.b_minus)) <= 1e-5
+    t1, t2 = p1.horizon, p2.horizon
+    return spectral.MatrixPath(
+        lambda s: np.where(s <= 0, p1.sample(s + 2 * t1), p2.sample(s - 2 * t2)),
+        2 * (t1 + t2), p1.b_minus, p2.b_plus, name="concat")
 
 
 def test_concatenation_additivity():
@@ -234,6 +242,11 @@ def test_lambda_path_blocks_from_complex_a():
 # ---------------------------------------------------------------------------
 
 
+def kernel_dim_oracle(path):
+    """Dimension of the bounded solutions of u' = B(s) u, by shooting."""
+    return spectral._kernel_dims(path)[0]
+
+
 def test_oracle_constant_path_no_bounded_solutions():
     assert kernel_dim_oracle(constant_path(np.diag([-1.0, 2.0]))) == 0
 
@@ -328,8 +341,8 @@ def test_batched_propagation_spans_per_step_subspaces():
         scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
         step = min(1e-3 * t, 0.05 / scale)
         starts = zip((path, path, path.adjoint(), path.adjoint()), (-t, t, -t, t),
-                     spectral._start_frames(path, adjoint=True))
-        swept = spectral._propagated_frames(path, int(np.ceil(t / step)), adjoint=True)
+                     spectral._start_frames(path))
+        swept = spectral._propagated_frames(path, int(np.ceil(t / step)))
         assert len(swept) == 4
         if path is uneven:
             assert [u.shape[1] for u in swept] == [1, 3, 2, 0]
@@ -402,7 +415,7 @@ def test_sign_frames_are_invariant_with_eigencount_widths():
         b_minus, b_plus = (_non_normal_hyperbolic(rng, size) for _ in range(2))
         path = tanh_path((b_minus + b_plus) / 2, (b_plus - b_minus) / 2)
         b_minus, b_plus = path.b_minus, path.b_plus
-        frames = spectral._start_frames(path, adjoint=True)
+        frames = spectral._start_frames(path)
         # rhp of B-, lhp of B+, rhp of -B-^T, lhp of -B+^T
         u_minus, u_plus = unstable_dim(b_minus), unstable_dim(b_plus)
         assert [f.shape[1] for f in frames] == [size - u_minus, u_plus,

@@ -1,13 +1,15 @@
 """Meta-tests of the acceptance batteries: the exact draws and projectors
 criterion 1 certifies (int entries where integral) must agree with an
-all-Fraction rebuild, and batteries must be deterministic."""
+all-Fraction rebuild, batteries must be deterministic, and each battery
+must report a fault planted in the kernel it checks."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from equitrans import linalg, reps, suites
+from equitrans import (floer, groupoids, linalg, reps, spectral, suites,
+                       transversality as tv)
 from equitrans.errors import InvalidInputError
 
 
@@ -47,6 +49,138 @@ def test_battery_records_are_deterministic():
     b = suites.suite_condition()
     for key in ("criterion", "checks", "n_failures", "pass", "failures"):
         assert a[key] == b[key]
+
+
+def test_condition_battery_reports_a_planted_fault(monkeypatch):
+    # criterion 4 asks the library's pointwise condition, so flipping its
+    # verdict for one (ind_sG, ind_lambda) pair must fail the record there
+    planted = (2, 0)
+    honest = tv.check_pointwise_condition
+
+    def flipped(split):
+        return {label: ok != ((split.fixed_index, split.lambda_real_index(label))
+                              == planted)
+                for label, ok in honest(split).items()}
+
+    monkeypatch.setattr(tv, "check_pointwise_condition", flipped)
+    record = suites.SUITES["condition"]()
+    assert not record["pass"] and record["n_failures"] > 0
+    assert {(f["ind_sG"], f["ind_lambda"]) for f in record["failures"]} == {planted}
+
+
+# each battery reports a wrong answer planted in the kernel it checks, and
+# names the case
+
+
+def test_projector_battery_reports_a_planted_fault(monkeypatch):
+    # one flipped off-diagonal entry in the float S_3 standard projector
+    honest = reps.isotypic_projector
+
+    def flipped(rep, irrep):
+        p = honest(rep, irrep)
+        if (getattr(rep.group, "name", "") == "S_3" and irrep.label == "standard"
+                and rep.dim > 1):
+            p = p.copy()
+            p[0, 1] += 1.0
+        return p
+
+    monkeypatch.setattr(reps, "isotypic_projector", flipped)
+    record = suites.SUITES["projectors"]()
+    assert not record["pass"]
+    assert {(f["mode"], f["group"]) for f in record["failures"]} == {("float", "S_3")}
+    assert ("idempotent", "standard") in {(f["check"], f["component"])
+                                          for f in record["failures"]}
+
+
+def test_endotype_battery_reports_a_planted_fault(monkeypatch):
+    # the four-dimensional Q_8 irrep classified as real
+    honest = reps.endo_type
+    monkeypatch.setattr(reps, "endo_type", lambda rep: ("R", 1) if rep.dim == 4
+                        else honest(rep))
+    record = suites.SUITES["endotype"]()
+    assert record["failures"] == [{"case": "quaternion-four-dim"}]
+
+
+def test_codimension_battery_reports_a_planted_fault(monkeypatch):
+    # the column fibration count one too high at (n, m) = (3, 2)
+    honest = tv.determinantal_dimension_oracle_columns
+    monkeypatch.setattr(tv, "determinantal_dimension_oracle_columns",
+                        lambda n, m, r: honest(n, m, r) + ((n, m) == (3, 2)))
+    record = suites.SUITES["codimension"]()
+    assert record["failures"] == [{"n": 3, "m": 2, "d": d, "check": "fibrations"}
+                                  for d in (1, 2, 4)]
+
+
+def test_spectral_flow_battery_reports_a_planted_fault(monkeypatch):
+    # unstable dimensions one too low on 12x12 ends, the lambda paths with
+    # n = 3 (the index, a difference of two such counts, is unchanged)
+    honest = spectral.unstable_dim
+    monkeypatch.setattr(spectral, "unstable_dim",
+                        lambda b: honest(b) - (np.shape(b) == (12, 12)))
+    record = suites.SUITES["spectral-flow"]()
+    assert record["failures"] == [{"case": f"unstable-dim-l{w}-n3"} for w in range(1, 6)]
+
+
+def test_oracle_battery_reports_a_planted_fault(monkeypatch):
+    # the shooting index one too high on the 2x2 paths, the odd cases
+    honest = spectral.index_by_shooting
+    monkeypatch.setattr(spectral, "index_by_shooting",
+                        lambda path: honest(path) + (path.dim == 2))
+    record = suites.SUITES["oracle"]()
+    assert [f["case"] for f in record["failures"]] == list(range(1, 20, 2))
+    assert all(f["shooting"] == f["eigencount"] + 1 for f in record["failures"])
+
+
+def test_perturbation_battery_reports_a_planted_fault(monkeypatch):
+    # the sampler certifies a 4x4 weight block as surjective without
+    # correcting it: the battery's own singular-value check must catch it at
+    # every vertex of the two {3: (2, 2)} models, 3 and 8
+    honest = tv._surject_equivariant_block
+
+    def lying(block, hom_basis, rng):
+        if block.shape == (4, 4):
+            return np.zeros_like(block), 1.0
+        return honest(block, hom_basis, rng)
+
+    monkeypatch.setattr(tv, "_surject_equivariant_block", lying)
+    record = suites.SUITES["perturbation"]()
+    assert not record["pass"]
+    assert {(f["model"], f["block"]) for f in record["failures"]} == {
+        (3, "weight_3"), (8, "weight_3")}
+    assert len(record["failures"]) == 2 + 3  # interval and circle(3) vertices
+
+
+def test_floer_battery_reports_a_planted_fault(monkeypatch):
+    # a degree-1 Novikov cohomology rank one too high on the four-generator
+    # torus model
+    honest = floer.cohomology_rank
+
+    def inflated(delta, *args, **kwargs):
+        ranks = honest(delta, *args, **kwargs)
+        if len(delta.gens.names) == 4:
+            ranks = {**ranks, 1: ranks.get(1, 0) + 1}
+        return ranks
+
+    monkeypatch.setattr(floer, "cohomology_rank", inflated)
+    record = suites.SUITES["floer"]()
+    assert [f["case"] for f in record["failures"]] == [
+        "torus-ranks", "generator-lower-bound", "perfect-model-equality"]
+    assert record["failures"][0]["got"] == {0: 1, 1: 3, 2: 1}
+
+
+def test_groupoid_battery_reports_a_planted_fault(monkeypatch):
+    # one wrong entry of the Z_2 negation orbit metric
+    honest = groupoids.quotient_metric
+
+    def skewed(points, group, action, *args):
+        res = honest(points, group, action, *args)
+        if group.order == 2:
+            res.orbit_matrix[2, 5] += 0.5
+        return res
+
+    monkeypatch.setattr(groupoids, "quotient_metric", skewed)
+    record = suites.SUITES["groupoid"]()
+    assert record["failures"] == [{"metric-pair": (2, 5)}]
 
 
 def test_unknown_suite_name_rejected():

@@ -1,5 +1,6 @@
-"""Tests for linearization splitting, determinantal codimensions, the index
-condition, division-ring ranks, and the perturbation pipeline."""
+"""Tests for lambda indices, determinantal codimensions, the index
+condition, rank relations of equivariant blocks, and the perturbation
+pipeline."""
 
 import numpy as np
 import pytest
@@ -7,62 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equitrans import bundles, linalg, reps, transversality as tv
-from equitrans.errors import InvalidInputError, ObstructionError
-
-
-# ---------------------------------------------------------------------------
-# splitting
-# ---------------------------------------------------------------------------
-
-
-def test_split_block_diagonal_returned_verbatim():
-    z2 = reps.cyclic_group(2)
-    dom = reps.rep_from_matrices(z2, linalg.frac_array([np.eye(2), np.diag([1, -1])]))
-    cod = dom
-    full = linalg.frac_array([[3, 0], [0, 7]])
-    split = tv.split_linearization(full, dom, cod)
-    assert split.fixed_block.shape == (1, 1) and split.fixed_block[0, 0] == 3
-    assert split.lambda_blocks["sign"][0, 0] == 7
-
-
-def test_split_random_equivariant_cross_blocks_exact_zero():
-    # assemble a random equivariant map from the averaged hom basis; the
-    # re-split must produce exactly vanishing cross blocks in rational mode
-    g = reps.symmetric_group(3)
-    nat = reps._block_catalog(g)["natural"]
-    basis = reps.hom_G_basis(nat, nat)
-    from fractions import Fraction
-
-    rng = np.random.default_rng(41)
-    coeffs = [Fraction(int(rng.integers(-5, 6)), 3) for _ in basis]
-    full = sum(c * b for c, b in zip(coeffs, basis))
-    split = tv.split_linearization(full, nat, nat)
-    # blocks reassemble to a map with the same equivariance
-    assert split.fixed_block.shape == (1, 1)
-    assert split.lambda_blocks["standard"].shape == (2, 2)
-
-
-def test_split_float_natural_rep_has_no_sign_block():
-    # the absent sign component's projector is roundoff: its rank is its
-    # trace, 0, so no noise basis meets a non-vanishing cross block
-    g = reps.symmetric_group(3)
-    nat = linalg.as_float(reps._block_catalog(g)["natural"].matrices)
-    for seed in range(20):
-        q = linalg.random_orthogonal(3, np.random.default_rng(seed))
-        rep = reps.rep_from_matrices(g, q @ nat @ q.T)
-        split = tv.split_linearization(2 * np.eye(3), rep, rep)
-        assert split.fixed_block.shape == (1, 1)
-        assert split.lambda_blocks["standard"].shape == (2, 2)
-        assert set(split.lambda_blocks) == {"standard"}
-        assert np.allclose(split.lambda_blocks["standard"], 2 * np.eye(2))
-
-
-def test_split_rejects_nonequivariant_with_commutator_report():
-    z2 = reps.cyclic_group(2)
-    dom = reps.rep_from_matrices(z2, linalg.frac_array([np.eye(2), np.diag([1, -1])]))
-    full = linalg.frac_array([[0, 1], [1, 0]])  # swaps components: norm-1 defect
-    with pytest.raises(InvalidInputError, match="commutator"):
-        tv.split_linearization(full, dom, dom)
+from equitrans.errors import ObstructionError
 
 
 # ---------------------------------------------------------------------------
@@ -71,24 +17,35 @@ def test_split_rejects_nonequivariant_with_commutator_report():
 
 
 def test_lambda_index_cases():
+    # a lambda block V^n -> V^m has real index (n - m) dim V, unit index n - m
     circle = reps.CircleGroupModel(64)
     w = circle.weight_irrep(1)
-    assert tv.lambda_index(np.zeros((4, 4)), w) == (0, 0)
-    assert tv.lambda_index(np.zeros((4, 6)), w) == (2, 1)
     q8 = reps.quaternion_group()
     four = {ir.label: ir for ir in q8.irreps}["four_dim"]
-    assert tv.lambda_index(np.zeros((8, 4)), four) == (-4, -1)
-    with pytest.raises(InvalidInputError):
-        tv.lambda_index(np.zeros((3, 4)), w)
+    for shape, irrep, expected in (((4, 4), w, (0, 0)), ((4, 6), w, (2, 1)),
+                                   ((8, 4), four, (-4, -1))):
+        split = tv.LinearizationSplit(np.zeros((0, 0)), {"l": np.zeros(shape)},
+                                      {"l": irrep.dim_V}, {"l": irrep.endo_dim})
+        assert (split.lambda_real_index("l"), split.lambda_unit_index("l")) == expected
+
+
+# ---------------------------------------------------------------------------
+# determinantal codimensions
+# ---------------------------------------------------------------------------
+
+
+def codims(spec):
+    """(codim of the stratum in Hom, codim of its singularities inside it)."""
+    return spec.codim, spec.singular_codim
 
 
 def test_singular_codim_values():
     # statement-level formulas: (n-m+1)*d and (n-m+3)*d
-    assert tv.singular_codim(tv.SingularStratumSpec("l", 1, 1, 1)) == (1, 3)
-    assert tv.singular_codim(tv.SingularStratumSpec("l", 3, 2, 2)) == (4, 8)
-    assert tv.singular_codim(tv.SingularStratumSpec("l", 2, 2, 4)) == (4, 12)
+    assert codims(tv.SingularStratumSpec("l", 1, 1, 1)) == (1, 3)
+    assert codims(tv.SingularStratumSpec("l", 3, 2, 2)) == (4, 8)
+    assert codims(tv.SingularStratumSpec("l", 2, 2, 4)) == (4, 12)
     # n < m: the stratum is everything
-    assert tv.singular_codim(tv.SingularStratumSpec("l", 1, 2, 2)) == (0, 0)
+    assert codims(tv.SingularStratumSpec("l", 1, 2, 2)) == (0, 0)
 
 
 def test_singular_codim_consistency_invariant():
@@ -163,14 +120,6 @@ def test_s1_condition_matches_pointwise_on_random_pairs():
         assert general == circle
 
 
-def test_s1_condition_split_rejects_non_circle():
-    split = tv.LinearizationSplit(
-        np.zeros((1, 1)), {"sign": np.zeros((1, 1))}, {"sign": 1}, {"sign": 1}
-    )
-    with pytest.raises(InvalidInputError):
-        tv.s1_condition_split(split)
-
-
 def test_condition_monotonicity():
     # increasing ind D^lambda keeps/turns the condition true; increasing
     # ind s^G can only break it
@@ -185,19 +134,32 @@ def test_condition_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# division-ring ranks
+# rank relations of equivariant blocks
 # ---------------------------------------------------------------------------
 
 
+def complex_rank(matrix):
+    """Rank over C of a matrix of complex entries."""
+    return int(np.linalg.matrix_rank(np.asarray(matrix, dtype=complex), tol=linalg.TOL))
+
+
+def quaternion_rank(quads):
+    """Rank over H of an (m, n, 4) array of (1, i, j, k) entries: half the
+    complex rank of the standard complex 2x2 embedding."""
+    a, b, c, d = np.moveaxis(np.asarray(quads, dtype=float), -1, 0)
+    return complex_rank(np.block([[a + 1j * b, c + 1j * d],
+                                  [-c + 1j * d, a - 1j * b]])) // 2
+
+
 def test_division_ring_rank_identity_and_zero():
-    assert tv.division_ring_rank(np.eye(3), "R") == 3
-    assert tv.division_ring_rank(np.zeros((2, 2)), "R") == 0
-    eye_c = np.stack([np.eye(2), np.zeros((2, 2))], axis=2)
-    assert tv.division_ring_rank(eye_c, "C") == 2
+    assert linalg.rank(np.eye(3), 1e-8) == 3
+    assert linalg.rank(np.zeros((2, 2)), 1e-8) == 0
+    assert complex_rank(np.eye(2)) == 2
+    assert complex_rank(np.zeros((2, 3))) == 0
     eye_h = np.zeros((2, 2, 4))
     eye_h[0, 0, 0] = 1
     eye_h[1, 1, 0] = 1
-    assert tv.division_ring_rank(eye_h, "H") == 2
+    assert quaternion_rank(eye_h) == 2
 
 
 def test_division_ring_rank_quaternion_1_j():
@@ -205,14 +167,20 @@ def test_division_ring_rank_quaternion_1_j():
     m = np.zeros((1, 2, 4))
     m[0, 0, 0] = 1  # 1
     m[0, 1, 2] = 1  # j
-    assert tv.division_ring_rank(m, "H") == 1
+    assert quaternion_rank(m) == 1
+    # (1, i) is one row over C as well
+    assert complex_rank([[1, 1j]]) == 1
 
 
-def test_division_ring_rank_malformed():
-    with pytest.raises(InvalidInputError):
-        tv.division_ring_rank(np.zeros((2, 2, 3)), "H")
-    with pytest.raises(InvalidInputError):
-        tv.division_ring_rank(np.zeros((2, 2)), "X")
+def preimage_rank(block, cover):
+    """Rank of the preimage block^{-1}(span cover), read off the solutions
+    (x, c) of block x = cover c.  When the columns of ``cover`` and the image
+    of ``block`` span the target, it exceeds rank cover by the Fredholm
+    index of the block (kernel-bundle rank relation)."""
+    kernel = linalg.nullspace(np.concatenate([block, -cover], axis=1), bundles.RANK_TOL)
+    if kernel.shape[1] == 0:
+        return 0
+    return linalg.rank(kernel[:block.shape[1]], bundles.RANK_TOL)
 
 
 def test_real_rank_equals_unit_rank_times_dim():
@@ -232,7 +200,7 @@ def test_real_rank_equals_unit_rank_times_dim():
             for j in range(3):
                 blk = m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
                 cm[i, j] = complex(blk[0, 0], blk[1, 0])
-        unit_rank = tv.division_ring_rank(cm, "C")
+        unit_rank = complex_rank(cm)
         assert real_rank == 2 * unit_rank
 
 
@@ -252,12 +220,10 @@ def test_preimage_rank_relation():
             cover_basis = np.concatenate(
                 [cover_basis, rng.normal(size=(rows, extra))], axis=1
             )
-        pre = tv.preimage_rank(block, cover_basis)
+        pre = preimage_rank(block, cover_basis)
         index = cols - rows
         cover_rank = linalg.rank(cover_basis, 1e-8) if cover_basis.size else 0
         assert pre - cover_rank == index
-    with pytest.raises(InvalidInputError):
-        tv.preimage_rank(np.zeros((2, 2)), np.zeros((2, 0)))
 
 
 def test_preimage_rank_on_stabilization_output():
@@ -277,7 +243,7 @@ def test_preimage_rank_on_stabilization_output():
     res = stabilize_cokernel(bundle, {0: d0, 1: d1}, seed=2)
     for v, dmat in ((0, d0), (1, d1)):
         cover = orbit_stack(rep, res.frames[v])
-        pre = tv.preimage_rank(dmat, cover)
+        pre = preimage_rank(dmat, cover)
         cover_rank = linalg.rank(cover, 1e-8)
         assert pre - cover_rank == 0  # square blocks: index zero
 
@@ -295,7 +261,7 @@ def test_real_rank_equals_unit_rank_times_dim_quaternionic():
         m = sum(c * linalg.as_float(b) for c, b in zip(coeffs, basis))
         real_rank = linalg.rank(m, 1e-8)
         quad = m[:, 0]  # image of the unit quaternion
-        unit_rank = tv.division_ring_rank(quad.reshape(1, 1, 4), "H")
+        unit_rank = quaternion_rank(quad.reshape(1, 1, 4))
         assert real_rank == 4 * unit_rank
 
 
@@ -440,7 +406,10 @@ def test_perturbation_reproducible():
 
 def _sequential_surject(block, hom_basis, rng):
     """The sampler probing one candidate per SVD, as it was before all
-    candidates went into one stack: the reference for bitwise equality."""
+    candidates went into one stack: the reference for bitwise equality.  A
+    tall block is refused before any draw."""
+    if block.shape[0] > block.shape[1]:
+        return np.zeros_like(block), 0.0
     sv = linalg.min_singular_value(block)
     if sv > tv.SV_THRESHOLD:
         return np.zeros_like(block), sv
@@ -509,6 +478,7 @@ def _basis(k, shape, dead_row=False):
     (np.zeros((2, 2)), _basis(0, (2, 2)), False, False),  # empty hom basis
     (np.zeros((2, 2)), _basis(4, (2, 2), dead_row=True), False, False),  # no success
     (np.zeros((2, 2)), _basis(4, (2, 2)), True, True),  # smallest-norm success
+    (np.zeros((3, 2)), _basis(5, (3, 2)), False, False),  # tall: never surjective
 ])
 def test_stacked_sampler_cases(block, basis, corrected, certified):
     corr, sv = _assert_same_sampling(block, basis, 7)
