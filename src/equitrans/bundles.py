@@ -87,24 +87,6 @@ class SimplicialBase:
     def edges(self):
         return sorted(s for s in self.simplices if len(s) == 2)
 
-    def components(self) -> list[set]:
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for s in self.simplices:
-            root = find(s[0])
-            for v in s[1:]:
-                parent[find(v)] = root
-        groups: dict = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), set()).add(v)
-        return sorted(groups.values(), key=lambda c: str(min(c, key=str)))
-
     def bfs_edges(self, roots):
         """Breadth-first (parent, child) edges from the given roots, visiting
         neighbours in ``str`` order of their labels."""
@@ -121,15 +103,6 @@ class SimplicialBase:
                     seen.add(w)
                     yield u, w
                     queue.append(w)
-
-    def validate(self) -> None:
-        for s in self.simplices:
-            if tuple(sorted(s)) != s:
-                raise InvalidInputError(f"simplex {s} is not sorted")
-            for k in range(1, len(s)):
-                for face in itertools.combinations(s, k):
-                    if face not in self.simplices:
-                        raise InvalidInputError(f"face {face} of {s} is missing")
 
 
 def barycentric_subdivision(simplex) -> SimplicialBase:
@@ -157,18 +130,16 @@ def barycentric_subdivision(simplex) -> SimplicialBase:
     return SimplicialBase.from_maximal(maximal)
 
 
-def barycentric_grid(dim: int, min_points: int | None = None):
+def barycentric_grid(dim: int):
     """Deterministic barycentric sample grid on a dim-simplex.
 
-    Denominator m is the smallest with C(m+dim, dim) >= min_points
-    (default 10^dim).  Returns Fraction tuples summing to 1.  The
-    certificates below read the default grid as a cached, read-only
-    (points, dim+1) float array of the same weights (``_grid_weights``).
+    Denominator m is the smallest with C(m+dim, dim) >= 10^dim.  Returns
+    Fraction tuples summing to 1.  The certificates below read it as a
+    cached, read-only (points, dim+1) float array of the same weights
+    (``_grid_weights``).
     """
-    if min_points is None:
-        min_points = 10**dim
     m = 1
-    while comb(m + dim, dim) < min_points:
+    while comb(m + dim, dim) < 10**dim:
         m += 1
     pts = []
     for cut in itertools.combinations(range(m + dim), dim):
@@ -183,18 +154,12 @@ def barycentric_grid(dim: int, min_points: int | None = None):
 
 
 @cache
-def _default_weights(dim: int) -> np.ndarray:
+def _grid_weights(dim: int) -> np.ndarray:
+    """``barycentric_grid(dim)`` as (points, dim+1) float weights, converted
+    once per dim."""
     weights = np.array(barycentric_grid(dim), dtype=float)
     weights.flags.writeable = False
     return weights
-
-
-def _grid_weights(dim: int, grid=None) -> np.ndarray:
-    """(points, dim+1) float weights: a caller's grid of weight tuples, or
-    the default ``barycentric_grid(dim)``, converted once per dim."""
-    if grid is None:
-        return _default_weights(dim)
-    return np.array(grid, dtype=float).reshape(len(grid), dim + 1)
 
 
 def _interpolate(weights: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
@@ -214,7 +179,7 @@ def _interpolate(weights: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
 
 def _min_norm_on_grid(vertex_values: np.ndarray, weights: np.ndarray) -> float:
     """Minimum Euclidean norm of the interpolation over every grid point of
-    every simplex; inf on an empty grid.
+    every simplex.
 
     Norms are ``sqrt(p @ p)`` as one stacked matmul, the dot product
     ``np.linalg.norm`` takes of one vector (einsum or ``norm(axis=-1)`` may
@@ -298,17 +263,6 @@ class GBundleModel:
                 )
 
 
-@dataclass
-class SectionModel:
-    """Per-vertex fiber vectors; evaluation at a vertex returns the stored
-    vector, interior values come from affine interpolation in a gauge."""
-
-    values: dict
-
-    def value(self, vertex) -> np.ndarray:
-        return self.values[vertex]
-
-
 def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
     """Split a bundle into its fixed part and isotypic components: the rank
     of each component, by label.
@@ -339,21 +293,20 @@ def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def sample_min_norm(simplex_values: dict, grid=None) -> float:
+def sample_min_norm(simplex_values: dict) -> float:
     """Minimum Euclidean norm of the affine interpolation over a simplex.
 
     ``simplex_values`` maps each simplex vertex to its fiber value in a
-    common gauge.  Uses the deterministic barycentric grid unless a grid of
-    weight tuples (in ``sorted(key=str)`` vertex order) is given; all grid
-    points are evaluated in one stacked pass, and each norm equals
-    ``np.linalg.norm`` of that point.
+    common gauge.  All points of the deterministic barycentric grid are
+    evaluated in one stacked pass, and each norm equals ``np.linalg.norm``
+    of that point.
     """
     verts = sorted(simplex_values, key=str)
     vals = np.stack([linalg.as_float(simplex_values[v]) for v in verts])
-    return _min_norm_on_grid(vals[None], _grid_weights(len(verts) - 1, grid))
+    return _min_norm_on_grid(vals[None], _grid_weights(len(verts) - 1))
 
 
-def section_min_norm(base: SimplicialBase, values: dict, grid_points=None) -> float:
+def section_min_norm(base: SimplicialBase, values: dict) -> float:
     """Minimum interpolated norm over every top simplex of a base whose
     simplices all live in one gauge (e.g. a subdivided simplex).
 
@@ -364,7 +317,7 @@ def section_min_norm(base: SimplicialBase, values: dict, grid_points=None) -> fl
     tops = base.top_simplices()
     vals = np.array([[linalg.as_float(values[v]) for v in sorted(s, key=str)]
                      for s in tops], dtype=float)
-    return _min_norm_on_grid(vals, _grid_weights(base.top_dim, grid_points))
+    return _min_norm_on_grid(vals, _grid_weights(base.top_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +327,11 @@ def section_min_norm(base: SimplicialBase, values: dict, grid_points=None) -> fl
 
 @dataclass
 class ExtensionResult:
-    """A section on the once-subdivided simplex, in the simplex gauge."""
+    """A section on the once-subdivided simplex, in the simplex gauge: one
+    fiber vector per vertex of ``base``."""
 
     base: SimplicialBase
-    section: SectionModel
+    section: dict
     min_norm: float
 
 
@@ -473,17 +427,13 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     for _ in range(RETRY_BUDGET):
         cand = rng.normal(size=d)
         candidates.append(cand / np.linalg.norm(cand) * scale)
-    last = None
     for cand in candidates[: RETRY_BUDGET + 1]:
         values[full] = cand
         m = section_min_norm(sub, values)
         if m > 1e-9:
-            return ExtensionResult(sub, SectionModel(dict(values)), m)
-        last = m
+            return ExtensionResult(sub, dict(values), m)
     raise ResampleFailureError(
-        "could not find a nonvanishing extension within the retry budget",
-        {"simplex": simplex, "last_min_norm": last},
-    )
+        "could not find a nonvanishing extension within the retry budget")
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +457,7 @@ def _certified(bundle: GBundleModel, frames: dict, simplex, rank: int) -> bool:
     at the grid points.
 
     The orbit matrix O(x) = sum_j x_j O_j is affine in the barycentric point
-    x (O_j is the orbit matrix at vertex j).  The default grid of an
+    x (O_j is the orbit matrix at vertex j).  The grid of an
     n-simplex has denominator m (its smallest positive weight is 1/m), and
     every x lies within l1 distance rho = (n+1)/(2m) of a grid point p:
     round each m x_j down, which leaves fractional parts f_j summing to an
@@ -539,48 +489,45 @@ def _draw(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     return cand / np.linalg.norm(cand, axis=0) * scale
 
 
-def _extend_frame(bundle: GBundleModel, seeds: dict, built: dict, rank: int,
-                  rng: np.random.Generator) -> dict:
-    """Extend seed columns, given at some vertices, to every vertex so that
-    with the columns already ``built`` they keep orbit rank ``rank``;
-    returns the new columns per vertex.
+def _extend_frame(bundle: GBundleModel, root, column: np.ndarray, built: dict,
+                  rank: int, rng: np.random.Generator) -> dict:
+    """Extend a seed column at vertex ``root`` to every vertex so that with
+    the columns already ``built`` it keeps orbit rank ``rank``; returns the
+    new column per vertex.
 
-    The seeds are carried along ``base.bfs_edges``; a vertex out of their
-    reach gets a seeded draw.  A vertex where the combined orbit rank drops
-    is reseeded on arrival, so transport continues from the new value.
-    Then every top simplex must pass ``_certified``; one that fails is
-    repaired by reseeding its newest non-seed vertex until every top
-    simplex through that vertex passes.  Each reseed has RETRY_BUDGET draws;
-    a failing seed vertex or simplex of seed vertices raises.
+    The seed is carried along ``base.bfs_edges``; a vertex out of its reach
+    gets a seeded draw.  A vertex where the combined orbit rank drops is
+    reseeded on arrival, so transport continues from the new value.  Then
+    every top simplex must pass ``_certified``; one that fails is repaired
+    by reseeding its newest vertex until every top simplex through that
+    vertex passes, with RETRY_BUDGET draws per reseed.  The root is the
+    oldest vertex, so only a failure at the root alone could reseed it, and
+    none occurs for the seeds ``stabilize_cokernel`` passes: a column
+    orthogonal to the invariant span built at the root has an orbit span
+    orthogonal to it, so the two ranks add.
     """
     base, d = bundle.base, bundle.fiber_dim
     m = built[base.vertices[0]].shape[1]
-    k = next(iter(seeds.values())).shape[1]
     frames: dict = {}
 
     def arrivals():
-        yield from seeds.items()
-        for u, w in base.bfs_edges(seeds):
+        yield root, column
+        for u, w in base.bfs_edges([root]):
             yield w, linalg.as_float(bundle.transport(u, w)) @ frames[u][:, m:]
         for w in base.vertices:
-            if w not in frames:  # out of the seeds' reach
-                yield w, _draw(rng, (d, k), 1.0)
+            if w not in frames:  # out of the seed's reach
+                yield w, _draw(rng, (d, 1), 1.0)
 
     def repair(cell, cells):
-        free = [v for v in cell if v not in seeds]
-        if not free:
-            raise ResampleFailureError(f"the seed frame is degenerate on {cell}",
-                                       {"simplex": cell})
         order = list(frames)
-        target = max(free, key=order.index)
+        target = max(cell, key=order.index)
         touching = [c for c in cells if target in c]
         scale = float(np.mean(np.linalg.norm(frames[target][:, m:], axis=0))) or 1.0
         for _ in range(RETRY_BUDGET):
-            frames[target][:, m:] = _draw(rng, (d, k), scale)
+            frames[target][:, m:] = _draw(rng, (d, 1), scale)
             if all(_certified(bundle, frames, c, rank) for c in touching):
                 return
-        raise ResampleFailureError(f"could not repair the frame on {cell}",
-                                   {"simplex": cell})
+        raise ResampleFailureError(f"could not repair the frame on {cell}")
 
     for w, cols in arrivals():
         frames[w] = np.concatenate([built[w], linalg.as_float(cols)], axis=1)
@@ -642,7 +589,7 @@ def stabilize_cokernel(bundle: GBundleModel, linearizations: dict,
             if linalg.rank(span, RANK_TOL) >= d:
                 break
             u = linalg.nullspace(span.T, RANK_TOL)[:, :1]
-            new = _extend_frame(bundle, {v: u}, frames,
+            new = _extend_frame(bundle, v, u, frames,
                                 (frames[v].shape[1] + 1) * dim_v, rng)
             frames = {x: np.concatenate([frames[x], new[x]], axis=1) for x in base.vertices}
     return StabilizationResult(frames, frames[base.vertices[0]].shape[1] * dim_v)

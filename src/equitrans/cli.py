@@ -695,7 +695,7 @@ def cmd_floer(scenario, settings, sub):
         )
         return records
     delta = floer.build_differential(gens, counts.restrict_index(gens, 0), cutoff)
-    ranks = floer.cohomology_rank(delta, cutoff)
+    ranks = floer.cohomology_rank(delta)
     records.append(
         make_record("cohomology-ranks", "novikov-field-elimination", True,
                     {"ranks": {str(d): r for d, r in sorted(ranks.items())},
@@ -724,7 +724,7 @@ def cmd_groupoid(scenario, settings, sub):
                          for m in _list(v, "'ineffective_kernels'")]
             for k, v in _object(scenario.get("ineffective_kernels", {}),
                                 "'ineffective_kernels' section").items()
-        } or None
+        }
         model = groupoids.quotient_groupoid(gpd, action, slices, kernels)
         for x in sorted(model.stab_law):
             rec = model.stab_law[x]

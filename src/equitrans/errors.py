@@ -24,10 +24,6 @@ class ObstructionError(EquitransError):
 class ResampleFailureError(EquitransError):
     """Seeded sampling budget exhausted without finding a valid candidate."""
 
-    def __init__(self, message, data=None):
-        super().__init__(message)
-        self.data = data or {}
-
 
 class NonHyperbolicError(EquitransError):
     """A matrix has an eigenvalue too close to the imaginary axis."""

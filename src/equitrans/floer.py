@@ -114,10 +114,6 @@ class NovikovElement:
         return NovikovElement(lattice, {}, cutoff)
 
     @staticmethod
-    def unit(lattice, cutoff) -> "NovikovElement":
-        return NovikovElement(lattice, {lattice.zero: 1}, cutoff)
-
-    @staticmethod
     def monomial(lattice, a, coeff, cutoff) -> "NovikovElement":
         return NovikovElement(lattice, {tuple(a): coeff}, cutoff)
 
@@ -491,16 +487,15 @@ def _novikov_matrix_rank(rows: list, cutoff) -> int:
     return rank
 
 
-def cohomology_rank(delta: Differential, cutoff=None) -> dict:
+def cohomology_rank(delta: Differential) -> dict:
     """Graded ranks of H(delta) over the Novikov field, keyed by Morse index.
 
     Requires delta^2 = 0.  A nonzero entry (x, y) connects ind x = ind y - 1
     (entries of nonzero q-degree would make the generator grading periodic;
     they are rejected).  delta sends index-d generators to index-(d-1)
     sources, so rank H_d = #generators(d) - rank(delta_d) - rank(delta_{d+1}).
-    Elimination works at ``cutoff``, by default the differential's own.
+    Elimination works at the differential's cutoff.
     """
-    cutoff = Fraction(cutoff) if cutoff is not None else delta.cutoff
     sq = check_d_squared(delta)
     if not sq.ok:
         raise InvalidInputError(
@@ -520,7 +515,8 @@ def cohomology_rank(delta: Differential, cutoff=None) -> dict:
         sources = by_degree.get(d, [])
         targets = by_degree.get(d - 1, [])
         rows = [[delta.entry(x, y) for y in sources] for x in targets]
-        rank_from[d] = _novikov_matrix_rank(rows, cutoff) if sources and targets else 0
+        rank_from[d] = (_novikov_matrix_rank(rows, delta.cutoff)
+                        if sources and targets else 0)
     out = {}
     for d in degrees:
         out[d] = len(by_degree[d]) - rank_from.get(d, 0) - rank_from.get(d + 1, 0)

@@ -15,14 +15,13 @@ where psi is an internal morphism g.x -> y witnessing the identification
 and [psi] is its class modulo declared ineffective isotropy.  Isotropy
 sizes multiply: |stab^Q_x| = |stab^eff_x| * |G_x|.
 
-Quotient metrics: averaging a metric over the group makes it invariant,
-and the orbit distance min_k d_G(x, k.y) is a metric on the orbit space;
-for the circle the minimum is a quadrature minimum plus one golden-section
-refinement pass on the best bracket.  Points travel as columns of a (d, m)
-stack: ``action(g, P)`` takes a single element index g or one index per
-column of P and returns the moved (d, m) stack, and ``metric(P, Q)``
-returns the distances between matching columns.  So d_G is one action call
-and one metric call on the point pairs tiled once per group element, and
+Quotient metrics: averaging the Euclidean metric over the group makes it
+invariant, and the orbit distance min_k d_G(x, k.y) is a metric on the
+orbit space; for the circle the minimum is a quadrature minimum plus one
+golden-section refinement pass on the best bracket.  Points travel as
+columns of a (d, m) stack: ``action(g, P)`` takes a single element index g
+or one index per column of P and returns the moved (d, m) stack.  So d_G
+is one action call on the point pairs tiled once per group element, and
 the orbit minimum costs two action calls per k (and per golden-section
 evaluation) while memory stays O(|G| d n^2).
 """
@@ -74,12 +73,6 @@ class FiniteGroupoid:
     @property
     def n_morphisms(self) -> int:
         return len(self.src)
-
-    def compose(self, a: int, b: int) -> int:
-        c = int(self.compose_table[a, b])
-        if c < 0:
-            raise InvalidInputError(f"morphisms {a} and {b} are not composable")
-        return c
 
     def morphisms_between(self, x: int, y: int) -> list:
         return np.flatnonzero((self.src == x) & (self.tgt == y)).tolist()
@@ -243,32 +236,26 @@ class GlobalActionData:
 
 @dataclass
 class QuotientGroupoidModel:
-    """The quotient groupoid plus its bookkeeping.
-
-    ``morphism_data[m]`` is (x, y, g, witness class) for the m-th quotient
-    morphism, with x and y slice positions and the class as a sorted tuple
-    of original morphisms; ``stab_law`` records per object the cardinality
-    identity |stab^Q| = |stab^eff| * |G_x|.
-    """
+    """The quotient groupoid, whose object i is the i-th slice, and per
+    slice object the cardinality identity |stab^Q| = |stab^eff| * |G_x|."""
 
     groupoid: FiniteGroupoid
-    objects: tuple  # slice representatives (original object ids)
-    morphism_data: tuple
     stab_law: dict
 
 
 def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
-                      slices, ineffective_kernels: dict | None = None
-                      ) -> QuotientGroupoidModel:
+                      slices, ineffective_kernels: dict) -> QuotientGroupoidModel:
     """Quotient of a groupoid by a finite group action.
 
     ``slices`` are object representatives meeting every orbit of the
     combined equivalence (internal isomorphism + group action); a morphism
     of the quotient from x to y is a tuple (x, y, g, [psi]) with psi an
     internal morphism g.x -> y, taken modulo precomposition with the
-    declared ineffective kernel at g.x.  Structure maps compose the group
-    parts and transport the witnesses; the construction validates the
-    groupoid axioms exhaustively and the isotropy cardinality law.
+    declared ineffective kernel at g.x (``ineffective_kernels[obj]`` lists
+    morphisms of stab_obj; an object without an entry has only its unit).
+    Structure maps compose the group parts and transport the witnesses; the
+    construction validates the groupoid axioms exhaustively and the isotropy
+    cardinality law.
     """
     action.validate(gpd)
     n, m, order = gpd.n_objects, gpd.n_morphisms, action.group.order
@@ -283,10 +270,9 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
     missing = np.setdiff1d(np.arange(n), tgt[np.isin(src, oa[:, sl])])
     if missing.size:
         raise InvalidInputError(f"slices miss the orbits of objects {missing.tolist()}")
-    kernels = ineffective_kernels or {}
 
     def kernel_at(obj: int) -> list:
-        ker = list(kernels.get(obj, []))
+        ker = list(ineffective_kernels.get(obj, []))
         for k in ker:
             if not 0 <= k < m or src[k] != obj or tgt[k] != obj:
                 raise InvalidInputError(
@@ -360,12 +346,7 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
             "G_x": g_x,
             "ok": stab_q == n_eff * g_x,
         }
-    morphism_data = tuple(
-        (x, y, g, tuple(sorted(set(c))))
-        for x, y, g, c in zip(qx.tolist(), qy.tolist(), qg.tolist(),
-                              members[qpsi].tolist())
-    )
-    return QuotientGroupoidModel(q, tuple(slices), morphism_data, stab_law)
+    return QuotientGroupoidModel(q, stab_law)
 
 
 # ---------------------------------------------------------------------------
@@ -411,30 +392,8 @@ def regularity_check(gpd: FiniteGroupoid, local_data: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _euclidean(p, q):
-    return np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float),
-                          axis=0)
-
-
-def _validate_metric(dist: np.ndarray) -> None:
-    """Metric axioms on the n x n matrix of distances between sample points."""
-    off = ~np.eye(len(dist), dtype=bool)
-    for bad, what in (
-        (np.abs(np.diag(dist)) > 1e-12, "metric is nonzero on the diagonal at"),
-        (dist < 0, "metric is negative at"),
-        (np.abs(dist - dist.T) > 1e-12, "metric is asymmetric at"),
-        (off & (dist <= 1e-12), "metric does not separate points"),
-        (dist[:, None, :] > dist[:, :, None] + dist[None, :, :] + 1e-12,
-         "triangle inequality fails at"),
-    ):
-        if bad.any():
-            at = ",".join(str(x) for x in np.argwhere(bad)[0])
-            raise InvalidInputError(f"{what} ({at})")
-
-
 @dataclass
 class QuotientMetricResult:
-    points: list
     invariant: object  # d_G between matching columns (or two single points)
     invariant_matrix: np.ndarray
     orbit_matrix: np.ndarray
@@ -459,34 +418,30 @@ def _golden_refine(f, lo, hi):
     return np.minimum(fc, fd)
 
 
-def quotient_metric(points, group: reps.GroupModel, action, metric=None
-                    ) -> QuotientMetricResult:
+def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricResult:
     """Group-averaged invariant metric and the induced orbit-space metric.
 
     ``action(g, P)`` moves the columns of a (d, m) stack of coordinates and
     returns a (d, m) stack; g is either one element index for every column
     or an array of m indices, one per column (for the circle, sample angle
-    indices, which may be fractional).  ``metric(P, Q)`` returns the
-    distances between matching columns and defaults to Euclidean; it must
-    satisfy the metric axioms on the sample points.
+    indices, which may be fractional).  Distances are Euclidean, and the
+    sample points must be distinct.
 
     All n^2 point pairs are evaluated at once as pair columns.  d_G tiles
-    them once per group element, so it is one action call and one metric
-    call; the orbit minimum adds one action call on the moved points per k,
-    so it takes 2|G| + 1 action calls (plus two per golden-section
-    evaluation for the circle: 229 in all at order 64).  Finite groups
-    use exact sums and exact minima; the circle uses quadrature averages
-    and a quadrature minimum refined by one golden-section pass on each
-    pair's best bracket.  An action that returns a stack of another shape
-    is invalid input.
+    them once per group element, so it is one action call; the orbit
+    minimum adds one action call on the moved points per k, so it takes
+    2|G| + 1 action calls (plus two per golden-section evaluation for the
+    circle: 229 in all at order 64).  Finite groups use exact sums and exact
+    minima; the circle uses quadrature averages and a quadrature minimum
+    refined by one golden-section pass on each pair's best bracket.  An
+    action that returns a stack of another shape is invalid input.
     """
-    metric = metric or _euclidean
-    points = [np.asarray(p, dtype=float) for p in points]
     n = len(points)
     i, j = np.divmod(np.arange(n * n), n)
-    pts = np.stack(points, axis=1)
+    pts = np.stack([np.asarray(p, dtype=float) for p in points], axis=1)
     p, q = pts[:, i], pts[:, j]  # column i * n + j holds the pair (i, j)
-    _validate_metric(np.broadcast_to(metric(p, q), (n * n,)).reshape(n, n))
+    close = np.linalg.norm(p - q, axis=0).reshape(n, n) <= 1e-12
+    _require(~close | np.eye(n, dtype=bool), "metric does not separate points ({},{})")
     order = group.order
 
     def act(g, stack):
@@ -499,13 +454,12 @@ def quotient_metric(points, group: reps.GroupModel, action, metric=None
     def d_g(u, v):
         """avg_g d(g.u, g.v) over matching columns of two stacks (or two
         single points): [u | v] tiled once per group element, moved by one
-        action call, then one metric call and a sum over the group axis."""
+        action call, then the distances and a sum over the group axis."""
         both = np.column_stack([u, v])
         d, m = both.shape[0], both.shape[1] // 2
         moved = act(np.repeat(np.arange(order), 2 * m), np.tile(both, order))
         moved = moved.reshape(d, order, 2, m)
-        dist = metric(moved[:, :, 0].reshape(d, -1), moved[:, :, 1].reshape(d, -1))
-        dist = np.broadcast_to(dist, (order * m,)).reshape(order, m)
+        dist = np.linalg.norm(moved[:, :, 0] - moved[:, :, 1], axis=0)
         return (dist.sum(axis=0) / order).reshape(np.shape(u)[1:])
 
     inv = d_g(p, q)
@@ -519,7 +473,7 @@ def quotient_metric(points, group: reps.GroupModel, action, metric=None
         refined = _golden_refine(lambda t: d_g(p, act(t, q)),
                                  best_k - 1.0, best_k + 1.0)
         best = np.minimum(best, refined)
-    return QuotientMetricResult(points, d_g, inv.reshape(n, n), best.reshape(n, n))
+    return QuotientMetricResult(d_g, inv.reshape(n, n), best.reshape(n, n))
 
 
 def circle_rotation_action(circle: reps.CircleGroupModel):

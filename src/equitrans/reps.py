@@ -517,7 +517,8 @@ def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.nd
     InvalidInputError on a character that ``_character`` rejects."""
     chi, n = _character(rep, irrep), irrep.endo_dim * rep.group.order
     if rep.exact:
-        return np.tensordot(chi, rep.matrices, axes=1) * Fraction(irrep.dim_V, n)
+        return linalg.frac_array(
+            np.tensordot(chi, rep.matrices, axes=1) * Fraction(irrep.dim_V, n))
     return np.tensordot(linalg.as_float(np.asarray(chi)), rep.matrices,
                         axes=1) * (irrep.dim_V / n)
 

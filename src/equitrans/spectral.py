@@ -98,13 +98,6 @@ class MatrixPath:
                     f"drift {drift:.2e}"
                 )
 
-    def adjoint(self) -> "MatrixPath":
-        """The path s -> -B(s)^T, whose bounded solutions realize the
-        cokernel of d/ds - B(s)."""
-        return MatrixPath(lambda s: -self.sample(s).swapaxes(1, 2),
-                          self.horizon, -self.b_minus.T, -self.b_plus.T,
-                          name=f"adjoint({self.name})")
-
 
 def constant_path(b, horizon: float = 8.0) -> MatrixPath:
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -160,7 +153,7 @@ def fredholm_index(path: MatrixPath) -> int:
 class LambdaOperatorSpec:
     """Weight-lambda linearization data: a path of real-linear maps A(s) on
     C^n, n >= 1.  ``a_path`` follows the ``MatrixPath`` evaluator contract,
-    with 2n x 2n real matrices, or n x n complex ones for C-linear maps."""
+    with 2n x 2n real matrices in the coordinates (Re, Im)."""
 
     n: int
     weight: int
@@ -174,11 +167,8 @@ class LambdaOperatorSpec:
             raise InvalidInputError("weights are positive integers")
 
     def a_at(self, s) -> np.ndarray:
-        """A at the points s, realified to 2n x 2n over the last two axes."""
-        a = np.asarray(self.a_path(s))
-        if a.shape[-2:] == (self.n, self.n) and np.iscomplexobj(a):
-            a = np.block([[a.real, -a.imag], [a.imag, a.real]])
-        a = np.atleast_2d(np.asarray(a, dtype=float))
+        """A at the points s, 2n x 2n over the last two axes."""
+        a = np.atleast_2d(np.asarray(self.a_path(s), dtype=float))
         if a.shape[-2:] != (2 * self.n, 2 * self.n):
             raise InvalidInputError(
                 f"A(s) must be a real-linear map on C^{self.n} "

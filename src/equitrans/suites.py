@@ -403,16 +403,16 @@ def suite_groupoid() -> dict:
         action = groupoids.GlobalActionData(
             z2, np.zeros((2, 1), dtype=int), np.stack([ident, ident])
         )
-        library.append((gpd, action, [0], None))
+        library.append((gpd, action, [0], {}))
     for npts in (2, 3, 4):
         gpd = groupoids.discrete_groupoid(npts)
         zn = reps.cyclic_group(npts)
         obj = np.array([[(x + g) % npts for x in range(npts)] for g in range(npts)])
-        library.append((gpd, groupoids.GlobalActionData(zn, obj, obj), [0], None))
+        library.append((gpd, groupoids.GlobalActionData(zn, obj, obj), [0], {}))
     gpd = groupoids.discrete_groupoid(3)
     z2 = reps.cyclic_group(2)
     obj = np.array([[0, 1, 2], [1, 0, 2]])
-    library.append((gpd, groupoids.GlobalActionData(z2, obj, obj), [0, 2], None))
+    library.append((gpd, groupoids.GlobalActionData(z2, obj, obj), [0, 2], {}))
     stab4 = groupoids.make_translation_groupoid(
         reps.cyclic_group(4), np.zeros((4, 1), dtype=int)
     )

@@ -145,8 +145,7 @@ def condition_certificate(split: LinearizationSplit, label: str) -> dict:
 
 def s1_condition(fixed_index: int, lambda_indices) -> bool:
     """Circle-action form: ind D^lambda + 2 > ind D^{S^1} for every weight."""
-    vals = lambda_indices.values() if isinstance(lambda_indices, dict) else lambda_indices
-    return all(ind_l + 2 > fixed_index for ind_l in vals)
+    return all(ind_l + 2 > fixed_index for ind_l in lambda_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +205,7 @@ class FixedLocusModel:
 class TransversalityReport:
     """Deterministic record of the perturbation run."""
 
-    seed: int
     vertex_results: dict = field(default_factory=dict)
-    certificates: list = field(default_factory=list)
     passed: bool = True
     equivariance_residual: float = 0.0
 
@@ -232,17 +229,6 @@ class EquivariantPerturbation:
     lambdas: dict
     section_shifts: dict = field(default_factory=dict)
 
-    def is_zero(self) -> bool:
-        return (
-            all(linalg.max_abs(m) == 0 for m in self.fixed.values())
-            and all(
-                linalg.max_abs(m) == 0
-                for per in self.lambdas.values()
-                for m in per.values()
-            )
-            and not self.section_shifts
-        )
-
 
 def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
     """Build an equivariant perturbation making every linearization block
@@ -259,7 +245,7 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
     reproducible from the seed.
     """
     support = model.support if model.support is not None else set(model.base.vertices)
-    report = TransversalityReport(seed=seed)
+    report = TransversalityReport()
     shift_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC7]))
     section_shifts = {}
     zero = []
@@ -287,12 +273,10 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
                 cert["vertex"] = v
                 obstructions.append(cert)
     if obstructions:
-        report.certificates = obstructions
-        report.passed = False
         raise ObstructionError(
             "pointwise index condition fails at "
             f"{sorted({c['vertex'] for c in obstructions})}",
-            {"certificates": obstructions, "report": report},
+            {"certificates": obstructions},
         )
     rng_root = np.random.SeedSequence(seed)
     fixed_corr = {v: None for v in model.base.vertices}
@@ -333,9 +317,7 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
             lambda_corr[v][label] = corr
             report.record(v, label, sv, sv > SV_THRESHOLD)
     if not report.passed:
-        raise ResampleFailureError(
-            "sampling budget exhausted before surjectivity", {"report": report}
-        )
+        raise ResampleFailureError("sampling budget exhausted before surjectivity")
     gamma = EquivariantPerturbation(fixed_corr, lambda_corr, section_shifts)
     report.equivariance_residual = _gamma_residual(model, gamma)
     return gamma, report

@@ -2,6 +2,7 @@
 maps, section extension, the frame-extension engine and cokernel
 stabilization."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -41,18 +42,29 @@ def circle_weight_bundle(weights, base=None, n=64):
 # ---------------------------------------------------------------------------
 
 
+def face_closed(base):
+    """Whether every simplex of the base is a sorted tuple whose proper
+    faces are simplices of the base too."""
+    return all(tuple(sorted(s)) == s
+               and all(face in base.simplices
+                       for k in range(1, len(s))
+                       for face in itertools.combinations(s, k))
+               for s in base.simplices)
+
+
 def test_face_closure_and_validation():
     base = SimplicialBase.from_maximal([(0, 1, 2)])
-    base.validate()
+    assert face_closed(base)
     assert (0, 1) in base.simplices and (2,) in base.simplices
     assert base.top_dim == 2
-    assert len(base.components()) == 1
 
 
 def test_circle_base_components_and_edges():
     base = SimplicialBase.circle(4)
+    assert face_closed(base)
     assert len(base.edges()) == 4
-    assert len(base.components()) == 1
+    # one component: the breadth-first tree from 0 reaches every other vertex
+    assert [w for _, w in base.bfs_edges([0])] == [1, 3, 2]
 
 
 def test_barycentric_subdivision_counts():
@@ -179,7 +191,7 @@ def test_extend_constant_boundary_gives_constant_extension():
     c = np.array([1.0, 0.5])
     res = extend_nonvanishing_section(bundle, (0, 1), {0: c, 1: c})
     for v in res.base.vertices:
-        assert np.allclose(res.section.value(v), c)
+        assert np.allclose(res.section[v], c)
     assert res.min_norm > 0
 
 
@@ -192,16 +204,13 @@ def test_extend_antipodal_boundary_rotates_through_orthogonal_direction():
     res = extend_nonvanishing_section(
         bundle, (0, 1), {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])}
     )
-    mid = res.section.value((0, 1))
+    mid = res.section[(0, 1)]
     assert abs(mid[0]) <= 1e-9 and abs(abs(mid[1]) - 1.0) <= 1e-9
     # independent re-check on a 101-point grid over the whole interval
     grid = [(Fraction(k, 100), Fraction(100 - k, 100)) for k in range(101)]
-    vals_left = {v: res.section.value(v) for v in [(0,), (0, 1)]}
-    vals_right = {v: res.section.value(v) for v in [(0, 1), (1,)]}
-    m = min(
-        bundles.sample_min_norm(vals_left, grid),
-        bundles.sample_min_norm(vals_right, grid),
-    )
+    vals_left = {v: res.section[v] for v in [(0,), (0, 1)]}
+    vals_right = {v: res.section[v] for v in [(0, 1), (1,)]}
+    m = min(reference_min_norm(vals_left, grid), reference_min_norm(vals_right, grid))
     assert m >= 0.5
     assert res.min_norm >= 0.5
 
@@ -214,10 +223,10 @@ def test_extend_weight1_rank4_two_simplex():
     assert res.min_norm > 0
     # agreement near the boundary: original vertices and the first ring
     for v in (0, 1, 2):
-        assert np.allclose(res.section.value((v,)), boundary[v])
+        assert np.allclose(res.section[(v,)], boundary[v])
     for pair in [(0, 1), (0, 2), (1, 2)]:
         expected = (boundary[pair[0]] + boundary[pair[1]]) / 2
-        assert np.allclose(res.section.value(pair), expected)
+        assert np.allclose(res.section[pair], expected)
 
 
 def test_extend_rank_hypothesis_obstruction():
@@ -270,31 +279,18 @@ def reference_min_norm(simplex_values, grid):
 def test_min_norm_certificates_match_per_point_loop(dim):
     rng = np.random.default_rng(dim)
     simplex = tuple(range(dim + 1))
-    coarse = barycentric_grid(dim, min_points=7)
+    grid = barycentric_grid(dim)
     for d, scale in ((1, 1e-3), (3, 1.0), (8, 1e3)):
         vals = {v: rng.normal(size=d) * scale for v in simplex}
-        for grid in (None, coarse):
-            expected = reference_min_norm(vals, grid or barycentric_grid(dim))
-            assert bundles.sample_min_norm(vals, grid) == expected
+        assert bundles.sample_min_norm(vals) == reference_min_norm(vals, grid)
         # antipodal vertex values: the interpolation passes near zero
         vals = {v: (-1.0) ** v * np.ones(d) for v in simplex}
-        assert bundles.sample_min_norm(vals) == reference_min_norm(
-            vals, barycentric_grid(dim))
+        assert bundles.sample_min_norm(vals) == reference_min_norm(vals, grid)
     sub = barycentric_subdivision(simplex)
     values = {v: rng.normal(size=3) for v in sub.vertices}
-    for grid in (None, coarse):
-        expected = min(reference_min_norm({v: values[v] for v in top},
-                                          grid or barycentric_grid(dim))
-                       for top in sub.top_simplices())
-        assert bundles.section_min_norm(sub, values, grid) == expected
-
-
-def test_min_norm_on_a_caller_fraction_grid_matches_per_point_loop():
-    rng = np.random.default_rng(7)
-    grid = [(Fraction(k, 7), Fraction(7 - k, 7)) for k in range(8)]
-    vals = {"a": rng.normal(size=4), "b": rng.normal(size=4)}
-    assert bundles.sample_min_norm(vals, grid) == reference_min_norm(vals, grid)
-    assert bundles.sample_min_norm(vals, []) == np.inf
+    expected = min(reference_min_norm({v: values[v] for v in top}, grid)
+                   for top in sub.top_simplices())
+    assert bundles.section_min_norm(sub, values) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +305,24 @@ def frame_independent_on_grid(bundle, frames, expected_rank):
                for s in bundle.base.top_simplices())
 
 
-def extend_frame(bundle, frame, seed=0):
-    """Extend one seed column per vertex of ``frame`` (trivial group, so the
-    orbit rank is the column count) to every vertex."""
+E1 = np.array([[1.0], [0.0], [0.0]])
+
+
+def extend_frame(bundle, column, seed=0):
+    """Extend a seed column at vertex 0 (trivial group, so the orbit rank is
+    the column count) to every vertex."""
     built = {v: np.zeros((bundle.fiber_dim, 0)) for v in bundle.base.vertices}
-    return bundles._extend_frame(bundle, frame, built, 1, np.random.default_rng(seed))
+    return bundles._extend_frame(bundle, 0, column, built, 1,
+                                 np.random.default_rng(seed))
 
 
 def test_extend_frame_already_global_on_single_simplex_base():
     g = reps.cyclic_group(1)
     rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     bundle = GBundleModel(SimplicialBase.interval(1), rep)
-    frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
-    out = extend_frame(bundle, frame)
+    out = extend_frame(bundle, E1)
     for v in (0, 1):
-        assert np.allclose(out[v], frame[v])
+        assert np.allclose(out[v], E1)
 
 
 def test_extend_frame_around_circle_trivial_group():
@@ -331,8 +330,7 @@ def test_extend_frame_around_circle_trivial_group():
     rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     base = SimplicialBase.circle(4)
     bundle = GBundleModel(base, rep)
-    frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
-    out = extend_frame(bundle, frame)
+    out = extend_frame(bundle, E1)
     for v in base.vertices:
         assert np.linalg.norm(out[v]) > 1e-8
     assert frame_independent_on_grid(bundle, out, 1)
@@ -351,43 +349,29 @@ def edge_midpoint_orbit_ranks(bundle, frames):
 
 
 def moebius_bundle():
-    # holonomy -1 around the circle: straight transport closes up
-    # anti-aligned, e1 at vertex 2 and -e1 at vertex 3
+    # holonomy -1 around the circle: straight transport of e1 from vertex 0
+    # closes up anti-aligned, e1 at vertex 2 and -e1 at vertex 3
     g = reps.cyclic_group(1)
     rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
     twist = linalg.frac_array(
         [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
     )
-    bundle = GBundleModel(SimplicialBase.circle(4), rep, {(3, 0): twist})
-    frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[1.0], [0.0], [0.0]])}
-    return bundle, frame
+    return GBundleModel(SimplicialBase.circle(4), rep, {(3, 0): twist})
 
 
 def test_extend_frame_around_moebius_twist():
     # the transported frame vanishes at the midpoint of edge (2,3), between
     # the grid points, so the repair step must route through a new direction
-    bundle, frame = moebius_bundle()
-    out = extend_frame(bundle, frame, seed=4)
+    bundle = moebius_bundle()
+    out = extend_frame(bundle, E1, seed=4)
     assert frame_independent_on_grid(bundle, out, 1)
     assert set(edge_midpoint_orbit_ranks(bundle, out).values()) == {1}
 
 
 def test_extend_frame_repair_budget_exhausted(monkeypatch):
-    bundle, frame = moebius_bundle()
     monkeypatch.setattr(bundles, "RETRY_BUDGET", 0)
     with pytest.raises(ResampleFailureError, match="could not repair"):
-        extend_frame(bundle, frame, seed=4)
-
-
-def test_extend_frame_seed_vanishing_between_grid_points():
-    # e1 and -e1 on the seed edge vanish at its midpoint, which the grid
-    # (steps of 1/9) misses
-    g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
-    bundle = GBundleModel(SimplicialBase.interval(2), rep)
-    frame = {0: np.array([[1.0], [0.0], [0.0]]), 1: np.array([[-1.0], [0.0], [0.0]])}
-    with pytest.raises(ResampleFailureError, match="seed frame is degenerate on"):
-        extend_frame(bundle, frame)
+        extend_frame(moebius_bundle(), E1, seed=4)
 
 
 # ---------------------------------------------------------------------------

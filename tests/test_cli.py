@@ -496,6 +496,27 @@ def test_metric_quotient_negation(tmp_path, capsys):
     assert mat[0][2] == pytest.approx(1.5)  # min(|0.5+2|, |0.5-2|)
 
 
+def test_metric_quotient_of_distant_collinear_points_passes(tmp_path, capsys):
+    # three distinct collinear points far apart: the orbit metric's triangle
+    # defect is roundoff (about 4e-12), well inside the report's 1e-8
+    path = write(tmp_path, "metric.json",
+                 {"metric_points": [[0.1, 0.2], [1000.1, 2000.2], [10000.1, 20000.2]]})
+    code, out, _ = run(capsys, ["metric", "quotient", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"]
+    assert 0 < report["records"][0]["certificate"]["triangle_defect"] <= 1e-8
+
+
+def test_metric_quotient_of_repeated_points_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "metric.json", {"metric_points": [[1.0, 2.0], [1.0, 2.0]]})
+    code, out, err = run(capsys, ["metric", "quotient", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "metric does not separate points (0,1)",
+                               "kind": "invalid-input"}
+
+
 def test_bundle_decompose_command(tmp_path, capsys):
     payload = {
         "settings": {"mode": "float"},
@@ -537,6 +558,15 @@ def test_flow_nonhyperbolic_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, ["flow", "index", path])
     assert code == 1
     assert json.loads(err)["kind"] == "mathematical-failure"
+
+
+def test_suite_all_runs_the_nine_batteries_in_order(capsys):
+    # each record's elapsed_s varies from run to run, so no bytes are compared
+    code, out, _ = run(capsys, ["suite", "all"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["check"].split("-")[1] for r in records] == [str(k) for k in range(1, 10)]
+    assert all(r["pass"] and r["certificate"]["checks"] > 0 for r in records)
 
 
 def test_suite_command_text_output(capsys):
@@ -1053,6 +1083,58 @@ def test_missing_scenario_file_exit_2(tmp_path, capsys):
                                "kind": "invalid-input"}
 
 
+BUNDLE_Z2_SPLIT = dict(BUNDLE_EXTEND, representation={"matrices": Z2_MATRICES})
+SWAP = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    # bases, transitions and extension data the bundle model rejects
+    (["bundle", "decompose"], dict(BUNDLE_EXTEND, base={"maximal_simplices": [[0, 1, 0]]}),
+     "simplex (0, 0, 1) has repeated vertices"),
+    (["bundle", "decompose"], dict(BUNDLE_EXTEND, base={"circle": 2}),
+     "a triangulated circle needs >= 3 vertices"),
+    (["bundle", "decompose"], dict(BUNDLE_Z2_SPLIT, base={"interval": 2},
+                                   bundle={"transitions": {"0,2": Z2_MATRICES[0]}}),
+     "transition given for (0,2), which is not an edge"),
+    (["bundle", "decompose"],
+     dict(BUNDLE_Z2_SPLIT, bundle={"transitions": {"0,1": Z2_MATRICES[0], "1,0": Z2_MATRICES[1]}}),
+     "transitions on edge (0,1) are not mutually inverse"),
+    (["bundle", "decompose"], dict(BUNDLE_Z2_SPLIT, bundle={"transitions": {"0,1": SWAP}}),
+     "transition on edge (0,1) is not equivariant (residual 2)"),
+    (["bundle", "extend"], BUNDLE_Z2_SPLIT,
+     "extension requires a single-isotypic-type fiber; components present: "
+     "['fixed', 'sign']"),
+    (["bundle", "extend"], _replaced(BUNDLE_EXTEND, [0, 2], "extend", "simplex"),
+     "(0, 2) is not a simplex of the base"),
+    (["bundle", "extend"], _without(BUNDLE_EXTEND, "sections", "s", "1"),
+     "boundary section missing at vertex 1"),
+    # groupoids, group actions and local data the groupoid model rejects
+    (["groupoid", "check"], _replaced(GROUPOID_CHECK, [[0, 1, 2]], *ACTION),
+     "action table must have one row per group element"),
+    (["groupoid", "check"], _replaced(GROUPOID_CHECK, [[1, 0, 2], [0, 1, 2]], *ACTION),
+     "identity does not act as the identity"),
+    (["groupoid", "check"], _replaced(GROUPOID_CHECK, {"0": [2]}, "uniformizers"),
+     "uniformizer of object 0 does not contain it"),
+    (["groupoid", "quotient"], _replaced(GROUPOID_QUOTIENT, [[0, 1]], *OBJECTS),
+     "action tables have wrong shapes"),
+    (["groupoid", "quotient"],
+     _replaced(_replaced(GROUPOID_QUOTIENT, SWAP[::-1], *OBJECTS), SWAP[::-1],
+               *MORPHISMS), "identity must act as the identity functor"),
+    (["groupoid", "quotient"], dict(GROUPOID_QUOTIENT, ineffective_kernels={"0": [1]}),
+     "declared kernel element 1 is not in stab_0"),
+    (["groupoid", "check"],
+     dict(GROUPOID_CHECK, uniformizers={},
+          regularity={"0": {"points": [0, 1], "sub": [2], "action": {}}}),
+     "sub-neighborhood of 0 is not inside its uniformizer"),
+])
+def test_model_rejects_inconsistent_data_exit_2(tmp_path, capsys, command, payload,
+                                                named):
+    code, out, err = run(capsys, command + [write(tmp_path, "bad.json", payload)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": named, "kind": "invalid-input"}
+
+
 # a transition 1e-6 away from orthogonal: valid at tolerance 1e-3 only
 NEARLY_ORTHOGONAL = {"settings": {"mode": "float"}, "group": {"preset": "Z_2"},
                      "representation": {"matrices": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]},
@@ -1190,6 +1272,24 @@ def test_every_public_library_name_has_a_library_caller():
     # the one exception: perfbench/scenarios.py calls reps.choose_blocks to
     # rebuild the blocks that a seeded random representation draws
     assert unused == ["reps.choose_blocks"]
+
+
+def test_every_public_method_has_a_library_caller():
+    # each public method or property defined in a class body of
+    # src/equitrans is read as an attribute somewhere in src/.  The check
+    # goes by name only, so a method shares its callers with every same-named
+    # attribute: ``validate``, ``compose`` and ``is_zero`` pass through any
+    # class's (or ``linalg.is_zero``'s) library calls
+    src = Path(cli.__file__).resolve().parent
+    trees = {f.stem: ast.parse(f.read_text()) for f in sorted(src.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unused = sorted(f"{mod}.{cls.name}.{node.name}" for mod, tree in trees.items()
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_") and node.name not in read)
+    assert unused == []
 
 
 def _reps_with(mode, **representation):

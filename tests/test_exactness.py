@@ -5,6 +5,7 @@ int / int true division would silently produce one."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from equitrans import linalg, reps
 
@@ -63,6 +64,19 @@ def test_random_rep_and_projectors_are_rational():
             assert linalg.mat_eq(p @ p, p)
             total = total + p
         assert linalg.mat_eq(total, linalg.eye(rep.dim, exact=True))
+
+
+@pytest.mark.parametrize("group", [reps.symmetric_group(3), reps.symmetric_group(4),
+                                   reps.quaternion_group(), reps.dihedral_group(4)],
+                         ids=lambda g: g.name)
+def test_exact_projectors_hold_integral_entries_as_ints(group):
+    # the catalog blocks' projectors keep linalg's normalization: an int
+    # wherever the value is integral (the S_3 natural block's sign
+    # projector is all zeros), a Fraction elsewhere
+    for name, block in reps._block_catalog(group).items():
+        for label, p in reps.all_projectors(block).items():
+            assert all(type(x) is int if x == int(x) else type(x) is Fraction
+                       for x in p.reshape(-1)), (name, label)
 
 
 def test_s3_natural_projectors_hom_basis_and_average():

@@ -37,13 +37,18 @@ LAT0 = HomologyLattice(0, (), ())
 CUT = Fraction(100)  # a cutoff above every energy the arithmetic tests reach
 
 
+def unit(lattice, cutoff):
+    """The Novikov element 1 = q^0."""
+    return NovikovElement(lattice, {lattice.zero: 1}, cutoff)
+
+
 # ---------------------------------------------------------------------------
 # Novikov arithmetic
 # ---------------------------------------------------------------------------
 
 
 def test_unit_is_multiplicative_identity():
-    one = NovikovElement.unit(LAT1, CUT)
+    one = unit(LAT1, CUT)
     x = NovikovElement(LAT1, {(2,): Fraction(3, 7), (0,): 1}, CUT)
     assert one * x == x
     assert x * one == x
@@ -57,12 +62,12 @@ def test_monomial_grading():
 def test_invert_geometric_series():
     # (1 - q)^-1 truncated at 5 * omega(q) is 1 + q + ... + q^5, and
     # multiplying back gives 1 modulo terms above the cutoff
-    a = NovikovElement.unit(LAT1, CUT) - NovikovElement.monomial(LAT1, (1,), 1, CUT)
+    a = unit(LAT1, CUT) - NovikovElement.monomial(LAT1, (1,), 1, CUT)
     inv = a.invert_truncated(5)
     expected = NovikovElement(LAT1, {(k,): 1 for k in range(6)}, Fraction(5))
     assert inv == expected
     back = NovikovElement(LAT1, (a * inv).terms, Fraction(5))
-    assert back == NovikovElement.unit(LAT1, Fraction(5))
+    assert back == unit(LAT1, Fraction(5))
 
 
 def test_invert_zero_rejected():
@@ -72,7 +77,7 @@ def test_invert_zero_rejected():
 
 def test_invert_tied_leading_terms_indeterminate():
     flat = HomologyLattice(1, (Fraction(0),), (1,))  # omega identically zero
-    a = NovikovElement.unit(flat, CUT) - NovikovElement.monomial(flat, (1,), 1, CUT)
+    a = unit(flat, CUT) - NovikovElement.monomial(flat, (1,), 1, CUT)
     with pytest.raises(IndeterminateError):
         a.invert_truncated(3)
 
@@ -110,7 +115,7 @@ def test_novikov_invert_roundtrip(a):
     cutoff = Fraction(6)
     inv = a.invert_truncated(cutoff)
     back = NovikovElement(LAT1, (a * inv).terms, cutoff)
-    assert back == NovikovElement.unit(LAT1, cutoff)
+    assert back == unit(LAT1, cutoff)
 
 
 def held_as_fractions(a):
@@ -165,7 +170,7 @@ def test_cohomology_rank_int_and_fraction_entries_agree(data):
     delta = build_differential(gens, counts, cutoff=data.draw(st.sampled_from([CUT, 3])))
     held = Differential(gens, LAT1, {k: held_as_fractions(e)
                                      for k, e in delta.entries.items()}, delta.cutoff)
-    assert cohomology_rank(held, cutoff=5) == cohomology_rank(delta, cutoff=5)
+    assert cohomology_rank(held) == cohomology_rank(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,7 @@ def test_two_generator_differential():
     gens = GeneratorSet(("x", "y"), {"x": 0, "y": 1}, 1, {"x": 0, "y": 1})
     counts = ModuliCountTable(LAT0, {("x", "y", ()): 1})
     delta = build_differential(gens, counts, cutoff=10)
-    assert delta.entry("x", "y") == NovikovElement.unit(LAT0, 10)
+    assert delta.entry("x", "y") == unit(LAT0, 10)
 
 
 def test_wiggly_circle_hand_enumeration():
@@ -427,7 +432,7 @@ def test_zero_differential_degrees_0112():
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
     delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
-    assert cohomology_rank(delta, cutoff=10) == {0: 1, 1: 2, 2: 1}
+    assert cohomology_rank(delta) == {0: 1, 1: 2, 2: 1}
 
 
 def test_unit_entry_kills_cohomology_with_specialization_oracle():
@@ -438,7 +443,7 @@ def test_unit_entry_kills_cohomology_with_specialization_oracle():
         LAT1, {("y", "x", (0,)): 1, ("y", "x", (1,)): -1}
     )
     delta = build_differential(gens, counts, cutoff=8)
-    ranks = cohomology_rank(delta, cutoff=8)
+    ranks = cohomology_rank(delta)
     assert ranks == {0: 0, 1: 0}
     specialized = sum(
         c * Fraction(1, 2) ** a[0] for a, c in delta.entry("y", "x").terms.items()
@@ -449,7 +454,7 @@ def test_unit_entry_kills_cohomology_with_specialization_oracle():
 def test_sphere_model_against_simplicial_oracle():
     gens = sphere_gens()
     delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
-    ranks = cohomology_rank(delta, cutoff=10)
+    ranks = cohomology_rank(delta)
     full = {d: ranks.get(d, 0) for d in (0, 1, 2)}
     # boundary of the tetrahedron as the sphere oracle
     verts = [0, 1, 2, 3]
@@ -465,7 +470,7 @@ def test_torus_model_against_simplicial_oracle():
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
     delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
-    ranks = cohomology_rank(delta, cutoff=10)
+    ranks = cohomology_rank(delta)
     # 3x3 grid torus: 9 vertices, 27 edges, 18 triangles
     verts = [(i, j) for i in range(3) for j in range(3)]
     tris = []
@@ -483,7 +488,7 @@ def test_rank_nullity_bookkeeping():
     for _ in range(5):
         gens, counts = coherent_three_level_table(rng)
         delta = build_differential(gens, counts, cutoff=10)
-        ranks = cohomology_rank(delta, cutoff=10)
+        ranks = cohomology_rank(delta)
         n_gens = len(gens.names)
         # recover the two block ranks from the homology defect
         total_rank = (n_gens - betti_sum(ranks)) // 2
@@ -504,7 +509,7 @@ def test_weak_arnold_lower_bound_on_perfect_models():
         ),
     ):
         delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
-        ranks = cohomology_rank(delta, cutoff=10)
+        ranks = cohomology_rank(delta)
         assert len(gens.names) >= betti_sum(ranks)
         assert len(gens.names) == betti_sum(ranks)  # perfect models
 

@@ -297,7 +297,9 @@ def test_perturbation_already_transverse_keeps_zero():
     model = weight_model(base, circle, 2, 2, 1, d_fix, lam,
                          section={v: np.zeros(2) for v in (0, 1)})
     gamma, report = tv.construct_equivariant_perturbation(model, seed=5)
-    assert gamma.is_zero()
+    corrections = list(gamma.fixed.values()) + [
+        m for per in gamma.lambdas.values() for m in per.values()]
+    assert all(not np.any(m) for m in corrections) and not gamma.section_shifts
     assert report.passed
 
 
