@@ -268,7 +268,7 @@ def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
     of each component, by label.
 
     Transitions commute with the action, hence with each character
-    projector, so the fiber-level projectors ``reps.all_projectors(rep)``
+    projector, so the fiber-level character projectors of ``rep``
     describe the whole family, and each rank holds on every connected
     component.  ``reps.projector_check`` verifies the projector identities
     and that every transition commutes with every projector.  A transition

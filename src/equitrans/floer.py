@@ -47,12 +47,11 @@ class HomologyLattice:
         if len(self.omega) != self.rank or len(self.c1) != self.rank:
             raise InvalidInputError("omega and c1 must have one value per generator")
         omega = tuple(Fraction(w) for w in self.omega)
-        denom = math.lcm(*(w.denominator for w in omega))
+        weights, denom = linalg.numerators(omega)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "c1", tuple(int(c) for c in self.c1))
         object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "weights",
-                           tuple(w.numerator * (denom // w.denominator) for w in omega))
+        object.__setattr__(self, "weights", tuple(weights))
 
     def check_point(self, a) -> tuple:
         a = tuple(int(k) for k in a)

@@ -16,6 +16,7 @@ Dispatch is by dtype: ``dtype == object`` selects the exact path.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -81,10 +82,14 @@ def mat_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL) -> bool:
     return max_abs(as_float(a) - as_float(b)) <= tol
 
 
-def is_zero(a: np.ndarray, tol: float = TOL) -> bool:
-    if is_exact(a):
-        return all(x == 0 for x in a.reshape(-1))
-    return max_abs(a) <= tol
+def numerators(a) -> tuple[np.ndarray, int]:
+    """(N, m) with a == N / m for an exact array: m is the least common
+    denominator of the entries and N holds python ints.  Builds no Fraction."""
+    a = np.asarray(a, dtype=object)
+    flat = a.reshape(-1)
+    m = math.lcm(*(x.denominator for x in flat))
+    nums = [x.numerator * (m // x.denominator) for x in flat]
+    return np.array(nums, dtype=object).reshape(a.shape), m
 
 
 def rref(a: np.ndarray):
@@ -188,13 +193,10 @@ def trace_rank(trace, denom: int = 1) -> int:
 
 
 def projector_range(p: np.ndarray) -> np.ndarray:
-    """Basis of the range of a projector p: its pivot columns when exact,
-    else its first r = trace_rank(tr p) left singular vectors.  A rank-r
-    projector has r singular values >= 1 and the rest 0, so the trace picks r
-    with no cutoff (one relative to s_max keeps roundoff when p = 0)."""
-    if is_exact(p):
-        _, pivots = rref(p)
-        return p[:, pivots]
+    """Orthonormal basis of the range of a float projector p: its first
+    r = trace_rank(tr p) left singular vectors.  A rank-r projector has r
+    singular values >= 1 and the rest 0, so the trace picks r with no cutoff
+    (one relative to s_max keeps roundoff when p = 0)."""
     r = trace_rank(np.trace(p))
     return np.linalg.svd(p)[0][:, :r] if r else np.zeros((len(p), 0))
 

@@ -13,16 +13,19 @@ type R, C or H of real dimension 1, 2 or 4, and the character projector
 
     P = (dim V / endo_dim) * avg_g chi(g) rho(g)
 
-projects onto the corresponding isotypic component.
+projects onto the corresponding isotypic component.  The projectors have one
+construction, ``_projectors``: float matrices in float mode, and in exact
+mode integer numerators Q = D P over one common denominator D
+(``linalg.numerators``), so no entry is a Fraction.  ``projector_check`` and
+the irreducibility test of ``endo_type`` both read them from there.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from types import MappingProxyType
 from typing import Mapping
 
@@ -190,14 +193,6 @@ class CircleGroupModel:
 GroupModel = FiniteGroupModel | CircleGroupModel
 
 
-def same_group(a: GroupModel, b: GroupModel) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, CircleGroupModel) or isinstance(b, CircleGroupModel):
-        return type(a) is type(b) and a.order == b.order
-    return a.name == b.name and a.order == b.order
-
-
 # ---------------------------------------------------------------------------
 # preset groups and their real character tables
 # ---------------------------------------------------------------------------
@@ -307,8 +302,7 @@ def _perm_parity(p) -> int:
 
 
 def symmetric_group(n: int) -> FiniteGroupModel:
-    if n not in (2, 3, 4):
-        raise InvalidInputError("symmetric-group presets cover n in {2, 3, 4}")
+    """S_n with its real character table, for n in {2, 3, 4}."""
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     order = len(perms)
@@ -487,16 +481,6 @@ def _inverses(group: GroupModel) -> np.ndarray:
     return group.inverse(np.arange(group.order))
 
 
-def _mean(acc: np.ndarray, n: int) -> np.ndarray:
-    """acc / n; exact (and normalized) for object arrays."""
-    return linalg.frac_array(acc * Fraction(1, n)) if linalg.is_exact(acc) else acc / n
-
-
-def fixed_projector(rep: RealRepresentation) -> np.ndarray:
-    """Projector onto the fixed subspace: average of the action."""
-    return _mean(rep.matrices.sum(axis=0), rep.group.order)
-
-
 def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
     """The irrep's character, checked to have one value per group element of
     ``rep`` and, in exact mode, only ``int`` and ``Fraction`` values."""
@@ -512,60 +496,54 @@ def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
     return chi
 
 
-def isotypic_projector(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
-    """Character projector onto the isotypic component of ``irrep``; raises
-    InvalidInputError on a character that ``_character`` rejects."""
-    chi, n = _character(rep, irrep), irrep.endo_dim * rep.group.order
-    if rep.exact:
-        return linalg.frac_array(
-            np.tensordot(chi, rep.matrices, axes=1) * Fraction(irrep.dim_V, n))
-    return np.tensordot(linalg.as_float(np.asarray(chi)), rep.matrices,
-                        axes=1) * (irrep.dim_V / n)
+def _projectors(rep: RealRepresentation, commuting: dict):
+    """(M, {label: Q}, D, {name: C}): the character projectors P_l of ``rep``
+    over the fixed part and each nontrivial irrep l, as Q_l = D P_l.
 
-
-def all_projectors(rep: RealRepresentation) -> dict[str, np.ndarray]:
-    """Fixed projector plus one isotypic projector per nontrivial irrep."""
-    out = {"fixed": fixed_projector(rep)}
-    for ir in rep.group.nontrivial_irreps():
-        out[ir.label] = isotypic_projector(rep, ir)
-    return out
-
-
-def _numerators(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(N, m) with a == N / m for an exact array: m is the lcm of the
-    entries' denominators and N holds python ints.  Builds no Fraction."""
-    flat = a.reshape(-1)
-    m = math.lcm(*(x.denominator for x in flat))
-    nums = [x.numerator * (m // x.denominator) for x in flat]
-    return np.array(nums, dtype=object).reshape(a.shape), m
-
-
-def _integer_projectors(rep: RealRepresentation, commuting: dict):
-    """(M, {label: Q}, D, {name: C}): integer numerators with rho = M / m,
-    Q = D * P and C a multiple of each named matrix.  P = (a / b) sum_g X(g)
-    M_g with X = c * chi integral, a = dim V, b = endo_dim |G| c m (a = 1,
-    b = |G| m for the fixed part), and D = lcm of the b.  The arrays are
-    int64 when a bound on every entry the check computes is below 2**63."""
-    order = rep.group.order
-    mats, m = _numerators(rep.matrices)
-    weights = {"fixed": (np.ones(order, dtype=object), 1, order * m)}
-    for ir in rep.group.nontrivial_irreps():
-        x, c = _numerators(np.asarray(_character(rep, ir)))
-        weights[ir.label] = (x, ir.dim_V, ir.endo_dim * order * c * m)
-    denom = math.lcm(*(b for _, _, b in weights.values()))
-    scales = {label: a * denom // b for label, (_, a, b) in weights.items()}
-    named = {name: _numerators(c)[0] for name, c in commuting.items()}
+    Float mode returns M = rho, Q = P, D = 1 and the matrices of
+    ``commuting`` as given.  Exact mode returns integer numerators: rho =
+    M / m, C a multiple of each named matrix, P = s sum_g X(g) M_g with X = c
+    * chi integral and s = dim V / (endo_dim |G| c m) (s = 1 / (|G| m) for
+    the fixed part), and D the common denominator of the s.  The exact arrays
+    are int64 when a bound on every entry ``projector_check`` computes is
+    below 2**63, else python ints; the one Fraction per label is its s.  A
+    character that ``_character`` rejects raises InvalidInputError.
+    """
+    order, irreps = rep.group.order, rep.group.nontrivial_irreps()
+    if not rep.exact:
+        projs = {"fixed": rep.matrices.sum(axis=0) / order}
+        for ir in irreps:
+            chi = linalg.as_float(np.asarray(_character(rep, ir)))
+            projs[ir.label] = np.tensordot(chi, rep.matrices, axes=1) * (
+                ir.dim_V / (ir.endo_dim * order))
+        return rep.matrices, projs, 1, commuting
+    mats, m = linalg.numerators(rep.matrices)
+    weights = {"fixed": (np.ones(order, dtype=object), Fraction(1, order * m))}
+    for ir in irreps:
+        x, c = linalg.numerators(_character(rep, ir))
+        weights[ir.label] = (x, Fraction(ir.dim_V, ir.endo_dim * order * c * m))
+    nums, denom = linalg.numerators([s for _, s in weights.values()])
+    scales = dict(zip(weights, nums))
+    named = {name: linalg.numerators(c)[0] for name, c in commuting.items()}
     # |Q|, |M|, |C| and D bound every factor; a product sums at most
     # dim terms, a sum of projectors has one term per label
     m_max = max(map(abs, mats.flat), default=0)
     q_max = max(scales[label] * sum(map(abs, x)) * m_max
-                for label, (x, _, _) in weights.items())
+                for label, (x, _) in weights.items())
     factor = max([q_max, m_max, denom] + [abs(v) for c in named.values() for v in c.flat])
     dtype = np.int64 if factor**2 * max(rep.dim, len(weights)) < 2**63 else object
     mats = mats.astype(dtype)
     projs = {label: scales[label] * np.tensordot(x.astype(dtype), mats, axes=1)
-             for label, (x, _, _) in weights.items()}
+             for label, (x, _) in weights.items()}
     return mats, projs, denom, {name: c.astype(dtype) for name, c in named.items()}
+
+
+def _same(a, b, exact: bool, tol: float = linalg.TOL, axes=(-2, -1)):
+    """Verdict per leading index: a == b exactly, or within tol."""
+    if exact:
+        return np.all(a == b, axis=axes)
+    diff = a - b
+    return np.abs(diff, out=diff).max(axis=axes, initial=0.0) <= tol
 
 
 def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
@@ -573,28 +551,17 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
     """Check the character projectors of ``rep``: (ranks, number of checks,
     failed (identity, label) pairs).
 
-    For Q_l = D P_l, over the fixed part and each nontrivial irrep l in
-    sorted order, the identities are, in this order: Q^2 = D Q
-    ("idempotent"), rho(g) Q = Q rho(g) ("commutes-with-action"),
+    For Q_l = D P_l (``_projectors``), over the fixed part and each
+    nontrivial irrep l in sorted order, the identities are, in this order:
+    Q^2 = D Q ("idempotent"), rho(g) Q = Q rho(g) ("commutes-with-action"),
     Q_a Q_b = 0 ("pairwise-orthogonal", label "a|b"), sum_l Q_l = D I
     ("resolution-of-identity", label "") and C Q = Q C for each matrix C in
     ``commuting``, under its name.  Exact mode compares integer numerators
-    (``_integer_projectors``; no Fraction is built), float mode the
-    ``all_projectors`` with D = 1 within ``tol``.  A non-integral rank
-    (trace of P) raises InvalidInputError.
+    exactly, float mode within ``tol``.  A non-integral rank (trace of P)
+    raises InvalidInputError.
     """
-    if rep.exact:
-        mats, projs, denom, named = _integer_projectors(rep, commuting or {})
-    else:
-        mats, projs, denom, named = rep.matrices, all_projectors(rep), 1, commuting or {}
-
-    def same(a, b, axes=(-2, -1)):
-        """Verdict per leading index: a == b exactly, or within tol."""
-        if rep.exact:
-            return np.all(a == b, axis=axes)
-        diff = a - b
-        return np.abs(diff, out=diff).max(axis=axes, initial=0.0) <= tol
-
+    mats, projs, denom, named = _projectors(rep, commuting or {})
+    same = partial(_same, exact=rep.exact, tol=tol)
     labels = sorted(projs)
     q = np.stack([projs[label] for label in labels])
     ranks = {label: linalg.trace_rank(tr, denom)
@@ -604,7 +571,7 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
         ("idempotent", labels, same(q @ q, denom * q)),
         # one label at a time: an (L, |G|, d, d) stack costs more in fresh
         # memory than in arithmetic
-        ("commutes-with-action", labels, [same(mats @ p, p @ mats, (0, 1, 2))
+        ("commutes-with-action", labels, [same(mats @ p, p @ mats, axes=(0, 1, 2))
                                           for p in q]),
         ("pairwise-orthogonal", [f"{labels[i]}|{labels[j]}" for i, j in zip(a, b)],
          same(q[a] @ q[b], 0)),
@@ -616,31 +583,21 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
     return ranks, len(results), [(check, label) for check, label, ok in results if not ok]
 
 
-def conjugation_average(rep_w: RealRepresentation, rep_v: RealRepresentation,
-                        raw: np.ndarray) -> np.ndarray:
-    """avg_g rho_W(g) raw rho_V(g)^-1 - the equivariant part of a linear map."""
-    if not same_group(rep_w.group, rep_v.group):
-        raise InvalidInputError("representations live over different group models")
-    vinv = rep_v.matrices[_inverses(rep_v.group)]
-    return _mean((rep_w.matrices @ raw @ vinv).sum(axis=0), rep_w.group.order)
-
-
 def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np.ndarray]:
     """Basis of the space of equivariant linear maps V -> W.
 
     Obtained by averaging the full basis of raw matrix units; the returned
     maps are linearly independent and span the averaged space.
     """
-    if not same_group(rep_v.group, rep_w.group):
-        raise InvalidInputError("representations live over different group models")
-    dv, dw = rep_v.dim, rep_w.dim
+    dv, dw, order = rep_v.dim, rep_w.dim, rep_v.group.order
     exact = rep_v.exact and rep_w.exact
     wm, vinv = rep_w.matrices, rep_v.matrices[_inverses(rep_v.group)]
     if not exact:
         wm, vinv = linalg.as_float(wm), linalg.as_float(vinv)
     # rho_W(g) E_ab rho_V(g)^-1 is the outer product of column a of
     # rho_W(g) with row b of rho_V(g)^-1; candidate (a, b) is its average
-    candidates = _mean(np.einsum("gia,gbj->abij", wm, vinv), rep_v.group.order)
+    total = np.einsum("gia,gbj->abij", wm, vinv)
+    candidates = linalg.frac_array(total * Fraction(1, order)) if exact else total / order
     candidates = candidates.reshape(dw * dv, dw, dv)
     keep = linalg.independent_columns(candidates.reshape(dw * dv, -1).T)
     basis = [candidates[k] for k in keep]
@@ -658,7 +615,7 @@ def equivariance_residual(rep_v: RealRepresentation, rep_w: RealRepresentation,
     mats = (rep_w.matrices, m, rep_v.matrices)
     if not all(map(linalg.is_exact, mats)):
         return linalg.max_abs(rep_w.matrices @ m - m @ rep_v.matrices)
-    (w, a), (n, k), (v, b) = map(_numerators, mats)
+    (w, a), (n, k), (v, b) = map(linalg.numerators, mats)
     defect = b * (w @ n) - a * (n @ v)
     return linalg.rational(Fraction(max(map(abs, defect.flat), default=0), a * b * k))
 
@@ -667,8 +624,10 @@ def endo_type(rep: RealRepresentation):
     """Classify End_G of an irreducible real representation as R, C or H.
 
     The commutant is computed by averaging a spanning set of matrix units;
-    classification is by its real dimension 1, 2 or 4.  Reducible input
-    raises InvalidInputError carrying a nontrivial invariant subspace.
+    classification is by its real dimension 1, 2 or 4.  Input that is not
+    irreducible raises InvalidInputError: a proper isotypic component, an
+    isotypic one with multiplicity > 1, no character projector equal to the
+    identity (an incomplete irrep table), or a commutant of another dimension.
     """
     _assert_irreducible(rep)
     basis = hom_G_basis(rep, rep)
@@ -681,54 +640,26 @@ def endo_type(rep: RealRepresentation):
     return label, dim, basis
 
 
-class ReducibleRepresentationError(InvalidInputError):
-    """Raised by endo_type on reducible input; carries an invariant subspace."""
-
-    def __init__(self, message, subspace):
-        super().__init__(message)
-        self.subspace = subspace
-
-
 def _assert_irreducible(rep: RealRepresentation) -> None:
-    projs = all_projectors(rep)
-    ident = linalg.eye(rep.dim, rep.exact)
+    """Exactly one character projector is the identity, the rest vanish, and
+    ``rep`` has the dimension of that irrep."""
+    _, projs, denom, _ = _projectors(rep, {})
     hits = []
-    for label, p in projs.items():
-        if linalg.is_zero(p):
+    for label, q in projs.items():
+        if _same(q, 0, rep.exact):
             continue
-        if linalg.mat_eq(p, ident):
-            hits.append(label)
-        else:
-            sub = linalg.projector_range(p)
-            raise ReducibleRepresentationError(
-                f"representation is reducible: isotypic component {label!r} is proper",
-                sub,
+        if not _same(q, denom * np.eye(rep.dim, dtype=q.dtype), rep.exact):
+            raise InvalidInputError(
+                f"representation is reducible: isotypic component {label!r} is proper"
             )
+        hits.append(label)
     if len(hits) != 1:
         raise InvalidInputError(
             "projector family inconsistent; group irrep table may be incomplete"
         )
-    label = hits[0]
     dims = {ir.label: ir.dim_V for ir in rep.group.irreps}
-    dim_v = 1 if label == "fixed" else dims[label]
-    if rep.dim != dim_v:
-        # isotypic with multiplicity: averaging a rank-one unit yields a
-        # singular commutant element whose kernel is invariant
-        for a in range(rep.dim):
-            unit = linalg.zeros((rep.dim, rep.dim), rep.exact)
-            unit[a, a] = 1
-            t = conjugation_average(rep, rep, unit)
-            if linalg.is_zero(t):
-                continue
-            if linalg.rank(t) < rep.dim:
-                raise ReducibleRepresentationError(
-                    "representation is isotypic with multiplicity > 1",
-                    linalg.nullspace(t),
-                )
-        raise ReducibleRepresentationError(
-            "representation is isotypic with multiplicity > 1",
-            None,
-        )
+    if rep.dim != (1 if hits[0] == "fixed" else dims[hits[0]]):
+        raise InvalidInputError("representation is isotypic with multiplicity > 1")
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,7 @@ def coherent_three_level_table(rng: np.random.Generator,
     )
     b = rng.integers(-2, 3, size=(n0, n1))
     kern = linalg.nullspace(linalg.frac_array(b.tolist()))
-    cols = []
-    for j in range(kern.shape[1]):
-        col = kern[:, j]
-        den = 1
-        for x in col:
-            den = den * x.denominator // np.gcd(den, x.denominator)
-        cols.append([int(x * den) for x in col])
+    cols = [linalg.numerators(col)[0].tolist() for col in kern.T]
     zero = lattice.zero
     counts = {}
     for i, x in enumerate(names0):

@@ -19,6 +19,7 @@ from equitrans.bundles import (
     stabilize_cokernel,
 )
 from equitrans.errors import InvalidInputError, ObstructionError, ResampleFailureError
+from test_projector_check import fraction_projectors, library_projectors
 
 
 def z2_trivial_sign_bundle(base=None):
@@ -101,7 +102,7 @@ def test_decompose_z2_interval_ranks():
     assert ranks["fixed"] == 1
     assert ranks["sign"] == 1
     # the components reassemble the fiber: projectors sum to the identity
-    projectors = reps.all_projectors(bundle.rep)
+    projectors = library_projectors(bundle.rep)
     total = sum(projectors[label] for label in ranks)
     assert linalg.mat_eq(total, linalg.eye(2, True))
 
@@ -114,7 +115,7 @@ def test_decompose_circle_weight_blocks_cross_checked():
     assert ranks["fixed"] == 0
     assert ranks["weight_1"] == 2
     assert ranks["weight_2"] == 2
-    projectors = reps.all_projectors(bundle.rep)
+    projectors = library_projectors(bundle.rep)
     block1 = np.zeros((4, 4))
     block1[:2, :2] = np.eye(2)
     assert linalg.max_abs(projectors["weight_1"] - block1) <= 1e-10
@@ -135,7 +136,7 @@ def test_isotypic_rank_helper():
     # the rank of an isotypic component is the trace of its projector
     g = reps.symmetric_group(3)
     nat = reps._block_catalog(g)["natural"]
-    std = reps.all_projectors(nat)["standard"]
+    std = fraction_projectors(nat)["standard"]
     assert linalg.trace_rank(np.trace(std)) == 2
     assert reps.projector_check(nat)[0]["standard"] == 2
 
@@ -146,13 +147,27 @@ def test_isotypic_rank_helper():
 
 
 def average(rep, raw):
-    return reps.conjugation_average(rep, rep, raw)
+    """avg_g rho(g) raw rho(g)^-1, summed term by term: the equivariant part
+    of a fiber map."""
+    order = rep.group.order
+    inverse = rep.group.inverse(np.arange(order))
+    total = sum(rep.matrices[g] @ raw @ rep.matrices[inverse[g]] for g in range(order))
+    return total * Fraction(1, order) if rep.exact else total / order
+
+
+def in_hom_span(rep, m):
+    """m lies in the span of ``reps.hom_G_basis(rep, rep)``, whose members
+    are the averages of the matrix units."""
+    basis = reps.hom_G_basis(rep, rep)
+    flat = np.stack([b.reshape(-1) for b in basis + [m]], axis=1)
+    return linalg.rank(flat) == len(basis)
 
 
 def test_average_fixes_equivariant_map():
     rep = z2_trivial_sign_bundle().rep
     raw = linalg.frac_array([[2, 0], [0, 5]])
     assert linalg.mat_eq(average(rep, raw), raw)
+    assert in_hom_span(rep, raw)
 
 
 def test_average_of_group_element_abelian():
@@ -160,6 +175,7 @@ def test_average_of_group_element_abelian():
     rot = reps._block_catalog(z4)["rot90"]
     h = 1
     assert linalg.mat_eq(average(rot, rot.matrices[h]), rot.matrices[h])
+    assert in_hom_span(rot, rot.matrices[h])
 
 
 def test_average_kills_off_diagonal_blocks():
@@ -170,6 +186,7 @@ def test_average_kills_off_diagonal_blocks():
     out = average(rep, raw)
     assert linalg.mat_eq(out, expected)
     assert out[0, 1] == 0 and out[1, 0] == 0
+    assert in_hom_span(rep, out) and not in_hom_span(rep, raw)
 
 
 def test_average_idempotent_as_operator():
@@ -177,6 +194,7 @@ def test_average_idempotent_as_operator():
     raw = np.random.default_rng(3).normal(size=(4, 4))
     once = average(bundle.rep, raw)
     assert linalg.max_abs(once - average(bundle.rep, once)) <= 1e-10
+    assert in_hom_span(bundle.rep, once)
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,28 @@ def test_endotype_command(tmp_path, capsys):
     assert cert == {"type": "C", "endo_dim": 2}
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("group, representation, message", [
+    ({"preset": "S_3"}, {"blocks": ["natural"]},
+     "representation is reducible: isotypic component 'fixed' is proper"),
+    ({"preset": "Z_2"}, {"blocks": ["trivial", "trivial"]},
+     "representation is isotypic with multiplicity > 1"),
+    # a group given no irreps: the sign action has a zero fixed projector
+    # and nothing else to be the identity
+    ({"table": [[0, 1], [1, 0]], "irreps": []}, {"matrices": [[[1]], [[-1]]]},
+     "projector family inconsistent; group irrep table may be incomplete"),
+])
+def test_endotype_of_reducible_input_exit_2(tmp_path, capsys, mode, group,
+                                            representation, message):
+    payload = {"settings": {"mode": mode}, "group": group,
+               "representation": representation}
+    code, out, err = run(capsys, ["reps", "endotype",
+                                  write(tmp_path, "reducible.json", payload)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": message, "kind": "invalid-input"}
+
+
 Z2_MATRICES = [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
 CUSTOM_Z2 = {"table": [[0, 1], [1, 0]],
              "irreps": [{"label": "odd", "dim": 1, "character": ["1", "-1"],
@@ -1085,6 +1107,13 @@ def test_missing_scenario_file_exit_2(tmp_path, capsys):
 
 BUNDLE_Z2_SPLIT = dict(BUNDLE_EXTEND, representation={"matrices": Z2_MATRICES})
 SWAP = [[0, 1], [1, 0]]
+REPS_TRIVIAL = {"group": {"preset": "Z_2"}, "representation": {"blocks": ["trivial"]}}
+EYE4 = np.eye(4, dtype=int)
+FOUR_CYCLE = np.roll(EYE4, 1, axis=0)
+# one matrix per Q_8 element, in the order 1, -1, i, -i, j, -j, k, -k
+Q8_SCALARS = [(s * EYE4).tolist() for s in (1, -1) * 4]
+Q8_FOUR_CYCLE = [(s * m).tolist() for m in (EYE4, FOUR_CYCLE, EYE4, EYE4)
+                 for s in (1, -1)]
 
 
 @pytest.mark.parametrize("command, payload, named", [
@@ -1126,6 +1155,47 @@ SWAP = [[0, 1], [1, 0]]
      dict(GROUPOID_CHECK, uniformizers={},
           regularity={"0": {"points": [0, 1], "sub": [2], "action": {}}}),
      "sub-neighborhood of 0 is not inside its uniformizer"),
+    # groups, irreps and representations the reps model rejects
+    (["reps", "decompose"], dict(REPS_TRIVIAL, group={"preset": "Z_0"}),
+     "cyclic order must be positive"),
+    (["reps", "decompose"], dict(REPS_TRIVIAL, group={"preset": "D_1"}),
+     "dihedral parameter must be at least 2"),
+    (["reps", "decompose"], dict(REPS_TRIVIAL, group={"preset": 5}),
+     "unknown group preset 5"),
+    (["reps", "decompose"], dict(REPS_TRIVIAL, group={"preset": "A_5"}),
+     "unknown group preset 'A_5'"),
+    (["reps", "decompose"],
+     dict(CIRCLE_WEIGHTS, group={"circle": {"quadrature_order": 3}}),
+     "quadrature order must be at least 4"),
+    (["reps", "decompose"],
+     _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), "X", "group", "irreps", 0,
+               "endo_type"), "unknown endomorphism type 'X'"),
+    # an associative table with no identity, and one whose element 1 absorbs
+    (["reps", "decompose"], _replaced(REPS_MATRICES, {"table": [[0, 0], [0, 0]]},
+                                      "group"), "multiplication table has no identity"),
+    (["reps", "decompose"], _replaced(REPS_MATRICES, {"table": [[0, 1], [1, 1]]},
+                                      "group"), "element 1 has no two-sided inverse"),
+    (["reps", "decompose"],
+     _replaced(REPS_MATRICES, [[1, 1], [0, 1]], "representation", "matrices", 1),
+     "action of element 1 is not orthogonal"),
+    (["reps", "decompose"],
+     _replaced(REPS_MATRICES, Z2_MATRICES[::-1], "representation", "matrices"),
+     "action at the identity is not the identity matrix"),
+    (["reps", "decompose"],
+     dict(REPS_TRIVIAL, group={"preset": "Z_3"},
+          representation={"generator_matrices": {"generators": [1],
+                                                  "matrices": [[[-1]]]}}),
+     "group law fails at pair (1, 2)"),
+    # matrices that pass the identity and orthogonality checks but not the
+    # group law: Q_8's elements +-i, +-j, +-k as +-P, +-I, +-I for a 4-cycle
+    # P, or all as +-I, give the quaternionic projectors, and the averaged
+    # maps fail to commute with P, or span all 16 dimensions
+    (["reps", "endotype"], dict(REPS_TRIVIAL, group={"preset": "Q_8"},
+                                representation={"matrices": Q8_FOUR_CYCLE}),
+     "averaged map failed the equivariance check"),
+    (["reps", "endotype"], dict(REPS_TRIVIAL, group={"preset": "Q_8"},
+                                representation={"matrices": Q8_SCALARS}),
+     "commutant dimension 16 is not 1, 2 or 4; input is not irreducible"),
 ])
 def test_model_rejects_inconsistent_data_exit_2(tmp_path, capsys, command, payload,
                                                 named):
@@ -1278,8 +1348,8 @@ def test_every_public_method_has_a_library_caller():
     # each public method or property defined in a class body of
     # src/equitrans is read as an attribute somewhere in src/.  The check
     # goes by name only, so a method shares its callers with every same-named
-    # attribute: ``validate``, ``compose`` and ``is_zero`` pass through any
-    # class's (or ``linalg.is_zero``'s) library calls
+    # attribute: ``validate`` and ``compose`` pass through any class's
+    # library calls
     src = Path(cli.__file__).resolve().parent
     trees = {f.stem: ast.parse(f.read_text()) for f in sorted(src.glob("*.py"))}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)

@@ -2,12 +2,17 @@
 ``int`` or a ``Fraction``, never a float, also on integer input where an
 int / int true division would silently produce one."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitrans import linalg, reps
+from test_bundles import average
+from test_projector_check import fraction_projectors, library_projectors
 
 
 def rational(a) -> bool:
@@ -24,6 +29,23 @@ def test_frac_array_keeps_integers_as_ints():
     assert list(a) == [Fraction(1, 2), 2, 2, 3, -1]
     assert all(type(x) is int for x in linalg.eye(3, exact=True).reshape(-1))
     assert all(type(x) is int for x in linalg.zeros((2, 3), exact=True).reshape(-1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**20, 10**20),
+                          st.fractions(max_denominator=60)), max_size=12),
+       st.lists(st.integers(-2**62, 2**62), max_size=6))
+def test_numerators_are_python_ints_over_the_least_common_denominator(values, ints):
+    # N / m is the input entry by entry, N holds python ints, and m is the
+    # least common denominator: any common denominator m' = m / g leaves
+    # N / g integral, so it is the least one exactly when gcd(m, N) = 1
+    for a in (linalg.frac_array(values).reshape(-1, 1), np.array(ints, dtype=np.int64)):
+        nums, m = linalg.numerators(a)
+        assert nums.shape == a.shape
+        assert type(m) is int and m >= 1
+        assert all(type(n) is int for n in nums.flat)
+        assert all(Fraction(n, m) == x for n, x in zip(nums.flat, a.flat))
+        assert math.gcd(m, *nums.flat) == 1
 
 
 def test_rref_on_int_input():
@@ -51,16 +73,26 @@ def test_nullspace_solve_and_inverse_on_int_input():
     assert linalg.mat_eq(inv, exact([[1, -1], [-1, 2]]))
 
 
+def integers(q) -> bool:
+    """An exact projector numerator: int64, or python ints where int64 could
+    overflow."""
+    return q.dtype == np.int64 or all(type(x) is int for x in q.reshape(-1))
+
+
 def test_random_rep_and_projectors_are_rational():
     for name in ("S_3", "Q_8", "D_4"):
         group = reps.preset_group(name)
         rep = reps.random_rep(group, np.random.default_rng(5), 12, exact=True)
         assert all(type(x) is int for x in rep.matrices.reshape(-1))
         rep.validate(full=True)
-        projs = reps.all_projectors(rep)
+        _, projs, denom, _ = reps._projectors(rep, {})
+        assert type(denom) is int
+        reference = fraction_projectors(rep)
         total = linalg.zeros((rep.dim, rep.dim), exact=True)
-        for p in projs.values():
+        for label, p in library_projectors(rep).items():
+            assert integers(projs[label])
             assert rational(p)
+            assert linalg.mat_eq(p, reference[label])
             assert linalg.mat_eq(p @ p, p)
             total = total + p
         assert linalg.mat_eq(total, linalg.eye(rep.dim, exact=True))
@@ -70,13 +102,15 @@ def test_random_rep_and_projectors_are_rational():
                                    reps.quaternion_group(), reps.dihedral_group(4)],
                          ids=lambda g: g.name)
 def test_exact_projectors_hold_integral_entries_as_ints(group):
-    # the catalog blocks' projectors keep linalg's normalization: an int
-    # wherever the value is integral (the S_3 natural block's sign
-    # projector is all zeros), a Fraction elsewhere
+    # the catalog blocks' exact projectors are integer numerators Q over
+    # one python-int denominator D, and Q / D is the character formula (the
+    # S_3 natural block's sign projector is all zeros)
     for name, block in reps._block_catalog(group).items():
-        for label, p in reps.all_projectors(block).items():
-            assert all(type(x) is int if x == int(x) else type(x) is Fraction
-                       for x in p.reshape(-1)), (name, label)
+        _, projs, denom, _ = reps._projectors(block, {})
+        assert type(denom) is int
+        for label, p in fraction_projectors(block).items():
+            assert integers(projs[label]), (name, label)
+            assert linalg.mat_eq(projs[label].astype(object), p * denom), (name, label)
 
 
 def test_s3_natural_projectors_hom_basis_and_average():
@@ -86,13 +120,14 @@ def test_s3_natural_projectors_hom_basis_and_average():
     nat = reps._block_catalog(reps.symmetric_group(3))["natural"]
     ident = linalg.eye(3, exact=True)
     third = exact([[Fraction(1, 3)] * 3] * 3)
-    projs = reps.all_projectors(nat)
+    projs = library_projectors(nat)
     assert rational(projs["fixed"]) and rational(projs["standard"])
     assert linalg.mat_eq(projs["fixed"], third)
     assert linalg.mat_eq(projs["standard"], ident - third)
+    assert linalg.mat_eq(fraction_projectors(nat)["standard"], ident - third)
     unit = linalg.zeros((3, 3), exact=True)
     unit[0, 0] = 1
-    avg = reps.conjugation_average(nat, nat, unit)
+    avg = average(nat, unit)
     assert rational(avg)
     assert linalg.mat_eq(avg, ident * Fraction(1, 3))
     basis = reps.hom_G_basis(nat, nat)

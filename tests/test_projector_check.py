@@ -35,9 +35,10 @@ def cayley_orthogonal(dim, rng, denom=3):
     return linalg.solve_exact(i_mat + a, i_mat - a)
 
 
-def fraction_reference(rep, commuting=None):
-    """(ranks, failed) from all-Fraction projectors and exact comparisons, in
-    the order ``projector_check`` documents."""
+def fraction_projectors(rep):
+    """The character projectors of ``rep`` with every entry a Fraction,
+    written out from the formula: the fixed part averages rho, and the part
+    of irrep l is (dim V / endo_dim) avg_g chi_l(g) rho(g)."""
     group = rep.group
     mats = np.array([[[Fraction(x) for x in row] for row in m] for m in rep.matrices],
                     dtype=object)
@@ -45,6 +46,30 @@ def fraction_reference(rep, commuting=None):
     for ir in group.nontrivial_irreps():
         scale = Fraction(ir.dim_V, ir.endo_dim * group.order)
         projs[ir.label] = sum(Fraction(c) * m for c, m in zip(ir.character, mats)) * scale
+    return projs
+
+
+def library_projectors(rep):
+    """The library's projectors P = Q / D (``reps._projectors``): exact
+    arrays in exact mode, float ones in float mode."""
+    _, projs, denom, _ = reps._projectors(rep, {})
+    if not rep.exact:
+        return projs
+    return {label: linalg.frac_array(q.astype(object) * Fraction(1, denom))
+            for label, q in projs.items()}
+
+
+def is_zero(a):
+    """Every entry is 0: exactly for an exact array, within linalg.TOL else."""
+    return linalg.mat_eq(a, linalg.zeros(a.shape, linalg.is_exact(a)))
+
+
+def fraction_reference(rep, commuting=None):
+    """(ranks, failed) from all-Fraction projectors and exact comparisons, in
+    the order ``projector_check`` documents."""
+    mats = np.array([[[Fraction(x) for x in row] for row in m] for m in rep.matrices],
+                    dtype=object)
+    projs = fraction_projectors(rep)
     labels = sorted(projs)
     traces = {label: Fraction(np.trace(projs[label])) for label in labels}
     assert all(t.denominator == 1 for t in traces.values())
@@ -55,7 +80,7 @@ def fraction_reference(rep, commuting=None):
                if not all(linalg.mat_eq(m @ projs[label], projs[label] @ m) for m in mats)]
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            if not linalg.is_zero(projs[a] @ projs[b]):
+            if not is_zero(projs[a] @ projs[b]):
                 failed.append(("pairwise-orthogonal", f"{a}|{b}"))
     if not linalg.mat_eq(sum(projs.values()), linalg.eye(rep.dim, True)):
         failed.append(("resolution-of-identity", ""))
@@ -99,7 +124,7 @@ def test_exact_check_matches_fraction_reference(name, block, denom, python_ints)
     reps_under_test.append(reps.RealRepresentation(wrong, reps_under_test[0].matrices))
     swap = linalg.eye(base.dim, True)[::-1]
     for rep in reps_under_test:
-        _, projs, denom_q, _ = reps._integer_projectors(rep, {})
+        _, projs, denom_q, _ = reps._projectors(rep, {})
         assert (projs["fixed"].dtype == object) == python_ints
         if python_ints:
             assert denom_q >= 2**63
@@ -179,5 +204,5 @@ def test_projector_identities_hold_on_random_reps(name, seed, exact):
     ranks, _, failed = reps.projector_check(rep)
     assert failed == []
     assert sum(ranks.values()) == rep.dim
-    for label, p in reps.all_projectors(rep).items():
+    for label, p in fraction_projectors(rep).items():
         assert linalg.rank(linalg.as_float(p), 1e-8) == ranks[label]

@@ -6,6 +6,7 @@ here, then compared against the library's character-projector path.
 """
 
 import ast
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,7 @@ from hypothesis import strategies as st
 
 from equitrans import linalg, reps
 from equitrans.errors import InvalidInputError
-from equitrans.reps import ReducibleRepresentationError
-from test_projector_check import cayley_orthogonal
+from test_projector_check import cayley_orthogonal, is_zero, library_projectors
 
 ALL_PRESETS = ["Z_2", "Z_3", "Z_4", "Z_6", "S_3", "S_4", "Q_8", "D_3", "D_4", "D_6"]
 
@@ -67,7 +67,7 @@ def test_isotypic_projector_z2_diag():
     rep = reps.rep_from_matrices(
         z2, linalg.frac_array([[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
     )
-    p = reps.isotypic_projector(rep, irrep_by_label(z2, "sign"))
+    p = library_projectors(rep)["sign"]
     assert linalg.mat_eq(p, linalg.frac_array([[0, 0], [0, 1]]))
 
 
@@ -86,18 +86,17 @@ def test_rep_from_matrices_takes_exactness_from_the_dtype():
 
 def test_exact_projector_rejects_a_float_anywhere_in_the_character():
     # the check covers every value, not only the first
-    z2 = reps.cyclic_group(2)
-    rep = reps.rep_from_matrices(z2, linalg.frac_array([[[1]], [[-1]]]))
     odd = reps.IrrepDescriptor("odd", 1, np.array([1, -1.0], dtype=object), "R")
+    z2 = dataclasses.replace(reps.cyclic_group(2), irreps=(odd,))
+    rep = reps.rep_from_matrices(z2, linalg.frac_array([[[1]], [[-1]]]))
     with pytest.raises(InvalidInputError, match="no exact character"):
-        reps.isotypic_projector(rep, odd)
+        reps.projector_check(rep)
 
 
 def test_isotypic_projector_circle_weight_mismatch_is_zero():
     circle = reps.CircleGroupModel(64)
     rep = reps.circle_weight_rep(circle, [1])
-    p = reps.isotypic_projector(rep, circle.weight_irrep(2))
-    assert linalg.is_zero(p)
+    assert is_zero(library_projectors(rep)["weight_2"])
 
 
 def test_isotypic_projector_s3_standard_matches_sum_zero_plane():
@@ -110,7 +109,7 @@ def test_isotypic_projector_s3_standard_matches_sum_zero_plane():
     for elem in range(6):
         direct = direct + std.character[elem] * nat.matrices[elem]
     direct = direct * Fraction(std.dim_V, std.endo_dim * 6)
-    p = reps.isotypic_projector(nat, std)
+    p = library_projectors(nat)["standard"]
     assert linalg.mat_eq(p, direct)
     ones = linalg.frac_array([[1, 1, 1]] * 3)
     assert linalg.mat_eq(p, linalg.eye(3, True) - ones * Fraction(1, 3))
@@ -120,23 +119,24 @@ def test_isotypic_projector_s3_standard_matches_sum_zero_plane():
 def test_fixed_projector_examples():
     g = reps.symmetric_group(3)
     nat = reps._block_catalog(g)["natural"]
-    pg = reps.fixed_projector(nat)
+    pg = library_projectors(nat)["fixed"]
     ones = linalg.frac_array([[1, 1, 1]] * 3)
     assert linalg.mat_eq(pg, ones * Fraction(1, 3))
     assert linalg.rank(pg) == 1
     z2 = reps.cyclic_group(2)
     sign = reps.one_dim_rep(z2, [1, -1])
-    assert linalg.is_zero(reps.fixed_projector(sign))
+    assert is_zero(library_projectors(sign)["fixed"])
     triv = reps.one_dim_rep(z2, [1, 1])
-    assert linalg.mat_eq(reps.fixed_projector(triv), linalg.eye(1, True))
+    assert linalg.mat_eq(library_projectors(triv)["fixed"], linalg.eye(1, True))
 
 
 def test_isotypic_projector_wrong_group_errors():
-    z2 = reps.cyclic_group(2)
     z3 = reps.cyclic_group(3)
+    z2 = dataclasses.replace(reps.cyclic_group(2),
+                             irreps=(irrep_by_label(z3, "plane_1"),))
     rep = reps.one_dim_rep(z2, [1, -1])
-    with pytest.raises(InvalidInputError):
-        reps.isotypic_projector(rep, irrep_by_label(z3, "plane_1"))
+    with pytest.raises(InvalidInputError, match="does not belong"):
+        reps.projector_check(rep)
 
 
 def test_endo_type_trivial_is_real():
@@ -174,7 +174,7 @@ def test_endo_type_q8_four_dim_is_quaternionic():
     traceless = []
     for b in basis:
         t = b - ident * Fraction(np.trace(b), 4)
-        if not linalg.is_zero(t):
+        if not is_zero(t):
             traceless.append(t)
     flat = np.stack([t.reshape(-1) for t in traceless], axis=1)
     keep = linalg.independent_columns(flat)
@@ -184,30 +184,26 @@ def test_endo_type_q8_four_dim_is_quaternionic():
     coeff = Fraction(np.trace(x @ y), 4)
     y = y + x * (coeff / xx)
     anti = x @ y + y @ x
-    assert linalg.is_zero(anti)
+    assert is_zero(anti)
 
 
-def test_endo_type_reducible_carries_invariant_subspace():
+def test_endo_type_reducible_names_a_proper_component():
     z2 = reps.cyclic_group(2)
     rep = reps.rep_from_matrices(
         z2, linalg.frac_array([[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
     )
-    with pytest.raises(ReducibleRepresentationError) as err:
+    with pytest.raises(InvalidInputError,
+                       match="reducible: isotypic component 'fixed' is proper"):
         reps.endo_type(rep)
-    sub = err.value.subspace
-    assert sub is not None and sub.shape[1] >= 1
-    # the carried subspace is invariant under both group elements
-    for g in range(2):
-        moved = rep.matrices[g] @ sub
-        combined = np.concatenate([sub, moved], axis=1)
-        assert linalg.rank(combined) == linalg.rank(sub)
 
 
 def test_endo_type_multiplicity_two_is_reducible():
     g = reps.symmetric_group(3)
     nat = reps._block_catalog(g)["natural"]
     double = reps.direct_sum(nat, nat)
-    with pytest.raises(ReducibleRepresentationError):
+    # natural = trivial + standard, so its double has a proper fixed part
+    with pytest.raises(InvalidInputError,
+                       match="reducible: isotypic component 'fixed' is proper"):
         reps.endo_type(double)
 
 
@@ -270,7 +266,7 @@ def test_hom_basis_s3_standard_dimension_one():
     # natural = trivial + standard: End_G has dimension 1 + 1 = 2,
     # so Hom_G(standard, standard) itself is 1-dimensional; isolate it by
     # compressing to the standard isotypic component
-    p = reps.isotypic_projector(nat, irrep_by_label(g, "standard"))
+    p = library_projectors(nat)["standard"]
     compressed = [p @ b @ p for b in basis]
     flat = np.stack([c.reshape(-1) for c in compressed], axis=1)
     assert linalg.rank(flat) == 1
@@ -283,7 +279,7 @@ def test_projector_algebra_random_reps(name, exact):
     rng = np.random.default_rng(2024)
     for trial in range(3):
         rep = reps.random_rep(group, rng, max_dim=10, exact=exact)
-        projs = reps.all_projectors(rep)
+        projs = library_projectors(rep)
         ident = linalg.eye(rep.dim, exact)
         total = linalg.zeros((rep.dim, rep.dim), exact)
         labels = list(projs)
@@ -296,7 +292,7 @@ def test_projector_algebra_random_reps(name, exact):
                 assert linalg.mat_eq(m @ p, p @ m), (name, label, "commutes")
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
-                assert linalg.is_zero(projs[a] @ projs[b]), (name, a, b)
+                assert is_zero(projs[a] @ projs[b]), (name, a, b)
         assert linalg.mat_eq(total, ident), (name, "resolution of identity")
 
 
@@ -304,7 +300,7 @@ def test_projector_algebra_circle_quadrature():
     circle = reps.CircleGroupModel(64)
     rng = np.random.default_rng(7)
     rep = reps.random_rep(circle, rng, max_dim=10)
-    projs = reps.all_projectors(rep)
+    projs = library_projectors(rep)
     ident = np.eye(rep.dim)
     total = np.zeros((rep.dim, rep.dim))
     for label, p in projs.items():

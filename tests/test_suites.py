@@ -11,6 +11,7 @@ import pytest
 from equitrans import (floer, groupoids, linalg, reps, spectral, suites,
                        transversality as tv)
 from equitrans.errors import InvalidInputError
+from test_projector_check import fraction_projectors
 
 
 @pytest.mark.parametrize("name", ["Z_3", "S_3", "Q_8", "D_4"])
@@ -33,15 +34,13 @@ def test_integer_battery_matches_fraction_projectors(name):
     mats = q @ blocks @ q.T
     assert all(type(x) is Fraction for x in mats.reshape(-1))
     assert linalg.mat_eq(rep.matrices, mats)
-    # the int-entry projectors criterion 1 certifies equal the all-Fraction
-    # character sums
-    projs = reps.all_projectors(rep)
-    order = group.order
-    assert linalg.mat_eq(projs["fixed"], sum(mats) * Fraction(1, order))
-    for ir in group.nontrivial_irreps():
-        ref = sum(Fraction(c) * m for c, m in zip(ir.character, mats))
-        scale = Fraction(ir.dim_V, ir.endo_dim * order)
-        assert linalg.mat_eq(projs[ir.label], ref * scale)
+    # the integer numerators criterion 1 certifies, Q = D P, equal the
+    # all-Fraction character sums on the rebuilt rep
+    _, projs, denom, _ = reps._projectors(rep, {})
+    reference = fraction_projectors(reps.RealRepresentation(group, mats))
+    assert sorted(projs) == sorted(reference)
+    for label, ref in reference.items():
+        assert linalg.mat_eq(projs[label].astype(object), ref * denom), label
 
 
 def test_battery_records_are_deterministic():
@@ -74,17 +73,16 @@ def test_condition_battery_reports_a_planted_fault(monkeypatch):
 
 def test_projector_battery_reports_a_planted_fault(monkeypatch):
     # one flipped off-diagonal entry in the float S_3 standard projector
-    honest = reps.isotypic_projector
+    honest = reps._projectors
 
-    def flipped(rep, irrep):
-        p = honest(rep, irrep)
-        if (getattr(rep.group, "name", "") == "S_3" and irrep.label == "standard"
-                and rep.dim > 1):
-            p = p.copy()
-            p[0, 1] += 1.0
-        return p
+    def flipped(rep, commuting):
+        mats, projs, denom, named = honest(rep, commuting)
+        if getattr(rep.group, "name", "") == "S_3" and not rep.exact and rep.dim > 1:
+            projs = dict(projs, standard=projs["standard"].copy())
+            projs["standard"][0, 1] += 1.0
+        return mats, projs, denom, named
 
-    monkeypatch.setattr(reps, "isotypic_projector", flipped)
+    monkeypatch.setattr(reps, "_projectors", flipped)
     record = suites.SUITES["projectors"]()
     assert not record["pass"]
     assert {(f["mode"], f["group"]) for f in record["failures"]} == {("float", "S_3")}
