@@ -200,7 +200,9 @@ def _min_norm_on_grid(vertex_values: np.ndarray, weights: np.ndarray) -> float:
 @dataclass
 class GBundleModel:
     """Equivariant bundle: uniform fiber representation plus per-oriented-edge
-    orthogonal transition matrices commuting with the action."""
+    orthogonal transition matrices commuting with the action.  An edge given
+    in one direction gets the transpose the other way, the inverse once
+    ``validate`` has checked orthogonality; an edge not given, the identity."""
 
     base: SimplicialBase
     rep: reps.RealRepresentation
@@ -217,12 +219,10 @@ class GBundleModel:
                 )
             complete[(u, v)] = m
         for (u, v) in self.base.edges():
-            if (u, v) not in complete and (v, u) not in complete:
-                complete[(u, v)] = linalg.eye(self.rep.dim, self.exact)
-            if (u, v) in complete and (v, u) not in complete:
-                complete[(v, u)] = linalg.inv(complete[(u, v)])
-            if (v, u) in complete and (u, v) not in complete:
-                complete[(u, v)] = linalg.inv(complete[(v, u)])
+            if (u, v) not in complete:
+                complete[(u, v)] = (complete[(v, u)].T if (v, u) in complete
+                                    else linalg.eye(self.rep.dim, self.exact))
+            complete.setdefault((v, u), complete[(u, v)].T)
         self.transitions = complete
 
     @property
@@ -248,12 +248,12 @@ class GBundleModel:
         for (u, v) in self.base.edges():
             t_uv = self.transitions[(u, v)]
             t_vu = self.transitions[(v, u)]
+            if not linalg.mat_eq(t_uv.T @ t_uv, ident, tol):
+                raise InvalidInputError(f"transition on edge ({u},{v}) not orthogonal")
             if not linalg.mat_eq(t_uv @ t_vu, ident, tol):
                 raise InvalidInputError(
                     f"transitions on edge ({u},{v}) are not mutually inverse"
                 )
-            if not linalg.mat_eq(t_uv.T @ t_uv, ident, tol):
-                raise InvalidInputError(f"transition on edge ({u},{v}) not orthogonal")
             res = reps.equivariance_residual(self.rep, self.rep, t_uv)
             bad = (res != 0) if self.exact else (res > tol)
             if bad:

@@ -481,7 +481,7 @@ def cmd_reps(scenario, settings, sub):
         ok = ("resolution-of-identity", "") not in failed
         return records + [make_record("resolution-of-identity", anchor, ok,
                                       {"dim": rep.dim})]
-    label, dim, _ = reps.endo_type(rep)
+    label, dim = reps.endo_type(rep)
     return [make_record("endomorphism-type", "division-ring-classification",
                         True, {"type": label, "endo_dim": dim})]
 

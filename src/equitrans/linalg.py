@@ -7,7 +7,8 @@ Two arithmetic modes coexist:
   one (never a float; divide by a ``Fraction``, since int / int is a
   float).  Values are normalized once, where they enter (``rational``,
   ``frac_array``); the routines here take them as they are.  Rank, kernels
-  and equality tests are exact.
+  and equality tests are exact; elimination (``rref``) is fraction-free on
+  the integer numerators (``numerators``) and builds no Fraction.
 * float mode: ordinary float64 arrays, SVD-based ranks, tolerance 1e-10
   unless stated otherwise.
 
@@ -92,35 +93,35 @@ def numerators(a) -> tuple[np.ndarray, int]:
     return np.array(nums, dtype=object).reshape(a.shape), m
 
 
-def rref(a: np.ndarray):
-    """Reduced row echelon form over the rationals.
+def _primitive(row: np.ndarray) -> np.ndarray:
+    """An integer row divided by its content (the gcd of its entries)."""
+    g = math.gcd(*row)
+    return row // g if g > 1 else row
 
-    Returns (R, pivot_columns).  The exact input is copied as it is; pivot
-    rows are divided by ``Fraction(pivot)``, so integer input stays rational.
+
+def rref(a: np.ndarray):
+    """Reduced row echelon form of an exact array by fraction-free
+    Gauss-Jordan elimination on its integer numerators.
+
+    Returns (R, pivot_columns).  R holds python ints, and each nonzero row
+    is primitive with a positive pivot: divided by its pivot, it is the row
+    of the reduced echelon form over the rationals.  The pivot of a column
+    is its first nonzero entry at or below the current row, and every
+    update p * row - x * pivot_row is divided by its content.
     """
-    m = np.array(a, dtype=object)
-    rows, cols = m.shape
+    m = numerators(a)[0]
     pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(m[r:, c])
+        if not below.size:
             continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        piv = m[r, c]
-        m[r] = m[r] / Fraction(piv)
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
+        m[[r, r + below[0]]] = m[[r + below[0], r]]
+        m[r] = _primitive(m[r] if m[r, c] > 0 else -m[r])
+        for i in np.flatnonzero(m[:, c]):
+            if i != r:
+                m[i] = _primitive(m[r, c] * m[i] - m[i, c] * m[r])
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
     return m, pivots
 
 
@@ -128,47 +129,28 @@ def rank(a: np.ndarray, tol: float = TOL) -> int:
     if a.size == 0:
         return 0
     if is_exact(a):
-        _, pivots = rref(a)
-        return len(pivots)
+        return len(rref(a)[1])
     return int(np.linalg.matrix_rank(as_float(a), tol=tol))
 
 
 def nullspace(a: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Columns form a basis of ker(a).  Float mode keeps the right singular
-    vectors past the singular values above tol * s_max (orthonormal)."""
+    """Columns form a basis of ker(a).  Exact mode gives one primitive
+    integer column per non-pivot column, positive there.  Float mode keeps
+    the right singular vectors past the singular values above tol * s_max
+    (orthonormal)."""
     if is_exact(a):
         red, pivots = rref(a)
-        rows, cols = red.shape
-        free = [c for c in range(cols) if c not in pivots]
-        basis = zeros((cols, len(free)), exact=True)
+        free = [c for c in range(a.shape[1]) if c not in pivots]
+        scale = math.lcm(*(red[r, pc] for r, pc in enumerate(pivots)))
+        basis = zeros((a.shape[1], len(free)), exact=True)
         for k, fc in enumerate(free):
-            basis[fc, k] = 1
+            basis[fc, k] = scale
             for r, pc in enumerate(pivots):
-                basis[pc, k] = -red[r, fc]
+                basis[pc, k] = -red[r, fc] * (scale // red[r, pc])
+            basis[:, k] = _primitive(basis[:, k])
         return basis
     _, s, vh = np.linalg.svd(as_float(a))
     return vh[np.sum(s > tol * s.max(initial=0.0)):].T
-
-
-def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b exactly; raises if the system is inconsistent."""
-    squeeze = b.ndim == 1
-    b = b[:, None] if squeeze else b
-    red, pivots = rref(np.concatenate([a, b], axis=1))
-    n = a.shape[1]
-    if any(p >= n for p in pivots):
-        raise ValueError("inconsistent linear system")
-    x = zeros((n, b.shape[1]), exact=True)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, n:]
-    return x[:, 0] if squeeze else x
-
-
-def inv(a: np.ndarray) -> np.ndarray:
-    if is_exact(a):
-        n = a.shape[0]
-        return solve_exact(a, eye(n, exact=True))
-    return np.linalg.inv(as_float(a))
 
 
 def min_singular_value(a: np.ndarray) -> float:
@@ -204,8 +186,7 @@ def projector_range(p: np.ndarray) -> np.ndarray:
 def independent_columns(a: np.ndarray) -> list[int]:
     """Indices of a maximal independent subset of columns, left to right."""
     if is_exact(a):
-        _, pivots = rref(a)
-        return pivots
+        return rref(a)[1]
     af = as_float(a)
     idx: list[int] = []
     basis = np.zeros((a.shape[0], 0))

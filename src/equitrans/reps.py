@@ -450,35 +450,56 @@ class RealRepresentation:
     def exact(self) -> bool:
         return linalg.is_exact(self.matrices)
 
-    def validate(self, full: bool = True) -> None:
-        """Identity, orthogonality, and (optionally) the full group law, to
-        linalg.TOL in float mode."""
-        d = self.dim
-        ident = linalg.eye(d, self.exact)
-        if not linalg.mat_eq(self.matrices[self.group.identity], ident):
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """``linalg.numerators`` of an exact stack, converted once per rep."""
+        return linalg.numerators(self.matrices)
+
+    def validate(self) -> None:
+        """Identity, orthogonality and the group law, each one stacked
+        comparison, exact or to linalg.TOL in float mode.  The law is checked
+        as rho(s) rho(h) = rho(sh) for s in a generating set and every h,
+        which makes every rho(g) a product of generator images."""
+        group, exact = self.group, self.exact
+        mats, m = self.numerators if exact else (self.matrices, 1)
+        if exact:
+            top = max(m, max(map(abs, mats.flat), default=0))
+            mats = mats.astype(np.int64 if self.dim * top**2 < 2**63 else object)
+        ident = m * np.eye(self.dim, dtype=mats.dtype)
+        if not _same(mats[group.identity], ident, exact):
             raise InvalidInputError("action at the identity is not the identity matrix")
-        for g in range(self.group.order):
-            m = self.matrices[g]
-            if not linalg.mat_eq(m.T @ m, ident):
-                raise InvalidInputError(f"action of element {g} is not orthogonal")
-        if full:
-            for g in range(self.group.order):
-                for h in range(self.group.order):
-                    prod = self.matrices[g] @ self.matrices[h]
-                    if not linalg.mat_eq(prod, self.matrices[self.group.compose(g, h)]):
-                        raise InvalidInputError(
-                            f"group law fails at pair ({g}, {h})"
-                        )
+        orthogonal = _same(mats.transpose(0, 2, 1) @ mats, m * ident, exact)
+        if not orthogonal.all():
+            raise InvalidInputError(
+                f"action of element {np.argmin(orthogonal)} is not orthogonal")
+        gens = np.array(_generating_set(group), dtype=int)
+        products = group.compose(gens[:, None], np.arange(group.order))
+        law = _same(mats[gens, None] @ mats, m * mats[products], exact)
+        if not law.all():
+            s, h = np.argwhere(~law)[0]
+            raise InvalidInputError(f"group law fails at pair ({gens[s]}, {h})")
+
+
+def _generating_set(group: GroupModel) -> list[int]:
+    """Elements in index order, each outside the subgroup the earlier ones
+    generate; together they generate the group."""
+    gens, reached = [], np.zeros(group.order, dtype=bool)
+    reached[group.identity] = True
+    for g in range(group.order):
+        if reached[g]:
+            continue
+        gens.append(g)
+        while True:  # close under left multiplication by the generators
+            before = reached.sum()
+            reached[group.compose(np.array(gens)[:, None], np.flatnonzero(reached))] = True
+            if reached.sum() == before:
+                break
+    return gens
 
 
 def character(rep: RealRepresentation) -> np.ndarray:
     """Trace of the action of each sampled/listed element."""
     return np.trace(rep.matrices, axis1=1, axis2=2)
-
-
-def _inverses(group: GroupModel) -> np.ndarray:
-    """Index of g^-1 for every element g."""
-    return group.inverse(np.arange(group.order))
 
 
 def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
@@ -517,7 +538,7 @@ def _projectors(rep: RealRepresentation, commuting: dict):
             projs[ir.label] = np.tensordot(chi, rep.matrices, axes=1) * (
                 ir.dim_V / (ir.endo_dim * order))
         return rep.matrices, projs, 1, commuting
-    mats, m = linalg.numerators(rep.matrices)
+    mats, m = rep.numerators
     weights = {"fixed": (np.ones(order, dtype=object), Fraction(1, order * m))}
     for ir in irreps:
         x, c = linalg.numerators(_character(rep, ir))
@@ -587,18 +608,19 @@ def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np
     """Basis of the space of equivariant linear maps V -> W.
 
     Obtained by averaging the full basis of raw matrix units; the returned
-    maps are linearly independent and span the averaged space.
+    maps are linearly independent and span the averaged space.  Exact maps
+    hold integers: each is a positive multiple of its average.
     """
     dv, dw, order = rep_v.dim, rep_w.dim, rep_v.group.order
     exact = rep_v.exact and rep_w.exact
-    wm, vinv = rep_w.matrices, rep_v.matrices[_inverses(rep_v.group)]
-    if not exact:
-        wm, vinv = linalg.as_float(wm), linalg.as_float(vinv)
+    # exact sums of numerators rho_W = W / a, rho_V = V / b are a b |G| times the averages
+    wm, vm = ((r.numerators[0] if exact else linalg.as_float(r.matrices))
+              for r in (rep_w, rep_v))
+    vinv = vm[rep_v.group.inverse(np.arange(order))]
     # rho_W(g) E_ab rho_V(g)^-1 is the outer product of column a of
     # rho_W(g) with row b of rho_V(g)^-1; candidate (a, b) is its average
     total = np.einsum("gia,gbj->abij", wm, vinv)
-    candidates = linalg.frac_array(total * Fraction(1, order)) if exact else total / order
-    candidates = candidates.reshape(dw * dv, dw, dv)
+    candidates = (total if exact else total / order).reshape(dw * dv, dw, dv)
     keep = linalg.independent_columns(candidates.reshape(dw * dv, -1).T)
     basis = [candidates[k] for k in keep]
     for m in basis:
@@ -615,29 +637,28 @@ def equivariance_residual(rep_v: RealRepresentation, rep_w: RealRepresentation,
     mats = (rep_w.matrices, m, rep_v.matrices)
     if not all(map(linalg.is_exact, mats)):
         return linalg.max_abs(rep_w.matrices @ m - m @ rep_v.matrices)
-    (w, a), (n, k), (v, b) = map(linalg.numerators, mats)
+    (w, a), (v, b), (n, k) = rep_w.numerators, rep_v.numerators, linalg.numerators(m)
     defect = b * (w @ n) - a * (n @ v)
-    return linalg.rational(Fraction(max(map(abs, defect.flat), default=0), a * b * k))
+    worst, denom = max(map(abs, defect.flat), default=0), a * b * k
+    return Fraction(worst, denom) if worst % denom else worst // denom
 
 
-def endo_type(rep: RealRepresentation):
-    """Classify End_G of an irreducible real representation as R, C or H.
-
-    The commutant is computed by averaging a spanning set of matrix units;
-    classification is by its real dimension 1, 2 or 4.  Input that is not
+def endo_type(rep: RealRepresentation) -> tuple[str, int]:
+    """(type, dim) of End_G for an irreducible real representation: R, C or
+    H by the real dimension 1, 2 or 4 of the commutant, which is computed by
+    averaging a spanning set of matrix units.  Input that is not
     irreducible raises InvalidInputError: a proper isotypic component, an
     isotypic one with multiplicity > 1, no character projector equal to the
     identity (an incomplete irrep table), or a commutant of another dimension.
     """
     _assert_irreducible(rep)
-    basis = hom_G_basis(rep, rep)
-    dim = len(basis)
+    dim = len(hom_G_basis(rep, rep))
     label = {1: "R", 2: "C", 4: "H"}.get(dim)
     if label is None:
         raise InvalidInputError(
             f"commutant dimension {dim} is not 1, 2 or 4; input is not irreducible"
         )
-    return label, dim, basis
+    return label, dim
 
 
 def _assert_irreducible(rep: RealRepresentation) -> None:
@@ -686,7 +707,7 @@ def rep_from_matrices(group: GroupModel, matrices) -> RealRepresentation:
     matrices are exact arrays (normalized ``linalg`` object arrays)."""
     rep = RealRepresentation(group, _square_stack(
         matrices, group.order, "representation matrices"))
-    rep.validate(full=False)
+    rep.validate()
     return rep
 
 
@@ -732,9 +753,7 @@ def rep_from_generators(group: FiniteGroupModel, generators,
         raise InvalidInputError(
             f"generators do not generate the group; unreachable: {missing}"
         )
-    rep = RealRepresentation(group, np.array([assigned[g] for g in range(group.order)]))
-    rep.validate(full=True)
-    return rep
+    return rep_from_matrices(group, [assigned[g] for g in range(group.order)])
 
 
 def one_dim_rep(group: FiniteGroupModel, values) -> RealRepresentation:

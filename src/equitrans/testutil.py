@@ -29,8 +29,7 @@ def coherent_three_level_table(rng: np.random.Generator,
          **{x: 2 for x in names2}},
     )
     b = rng.integers(-2, 3, size=(n0, n1))
-    kern = linalg.nullspace(linalg.frac_array(b.tolist()))
-    cols = [linalg.numerators(col)[0].tolist() for col in kern.T]
+    cols = linalg.nullspace(linalg.frac_array(b.tolist())).T.tolist()
     zero = lattice.zero
     counts = {}
     for i, x in enumerate(names0):

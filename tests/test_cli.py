@@ -1116,6 +1116,29 @@ Q8_FOUR_CYCLE = [(s * m).tolist() for m in (EYE4, FOUR_CYCLE, EYE4, EYE4)
                  for s in (1, -1)]
 
 
+def drifting_dihedral(n=32, amplitude=1.2e-10):
+    """A float D_n scenario whose matrices pass the group law on the
+    generators r and s (to 5e-11) but drift along longer words: r^a turns by
+    2 pi a / n + amplitude (cos(4 pi a / n) - 1), r^a s by the opposite
+    drift.  With the plane irrep as the only one listed, its character
+    projectors pass (to 6e-11), and the averaged maps miss equivariance by
+    1.5 * amplitude.  Characters are decimal strings, which a group table
+    takes as exact values."""
+    theta = 2 * np.pi * np.arange(n) / n
+    drift = amplitude * (np.cos(2 * theta) - 1)
+
+    def rotation(a):
+        return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+    mats = ([rotation(t + e) for t, e in zip(theta, drift)]
+            + [rotation(t - e) @ np.diag([1.0, -1.0]) for t, e in zip(theta, drift)])
+    plane = {"label": "plane_1", "dim": 2, "endo_type": "R",
+             "character": [repr(float(c)) for c in 2 * np.cos(theta)] + ["0"] * n}
+    return {"settings": {"mode": "float"},
+            "group": {"table": reps.dihedral_group(n).table.tolist(), "irreps": [plane]},
+            "representation": {"matrices": [m.tolist() for m in mats]}}
+
+
 @pytest.mark.parametrize("command, payload, named", [
     # bases, transitions and extension data the bundle model rejects
     (["bundle", "decompose"], dict(BUNDLE_EXTEND, base={"maximal_simplices": [[0, 1, 0]]}),
@@ -1188,14 +1211,34 @@ Q8_FOUR_CYCLE = [(s * m).tolist() for m in (EYE4, FOUR_CYCLE, EYE4, EYE4)
      "group law fails at pair (1, 2)"),
     # matrices that pass the identity and orthogonality checks but not the
     # group law: Q_8's elements +-i, +-j, +-k as +-P, +-I, +-I for a 4-cycle
-    # P, or all as +-I, give the quaternionic projectors, and the averaged
-    # maps fail to commute with P, or span all 16 dimensions
+    # P, or all as +-I; i * i = -1 fails first
     (["reps", "endotype"], dict(REPS_TRIVIAL, group={"preset": "Q_8"},
                                 representation={"matrices": Q8_FOUR_CYCLE}),
-     "averaged map failed the equivariance check"),
+     "group law fails at pair (2, 2)"),
     (["reps", "endotype"], dict(REPS_TRIVIAL, group={"preset": "Q_8"},
                                 representation={"matrices": Q8_SCALARS}),
-     "commutant dimension 16 is not 1, 2 or 4; input is not irreducible"),
+     "group law fails at pair (2, 2)"),
+    (["reps", "decompose"], dict(REPS_TRIVIAL, group={"preset": "Q_8"},
+                                 representation={"matrices": Q8_FOUR_CYCLE}),
+     "group law fails at pair (2, 2)"),
+    # a valid representation whose irrep table is wrong: Z_2 acting by +-I
+    # on R^3 passes as a 3-dim irrep, and its commutant is all of M_3(R)
+    (["reps", "endotype"],
+     {"group": {"table": [[0, 1], [1, 0]],
+                "irreps": [{"label": "s3", "dim": 3, "character": ["2/3", "-2/3"],
+                            "endo_type": "C"}]},
+      "representation": {"matrices": [np.eye(3, dtype=int).tolist(),
+                                      (-np.eye(3, dtype=int)).tolist()]}},
+     "commutant dimension 9 is not 1, 2 or 4; input is not irreducible"),
+    (["reps", "endotype"], drifting_dihedral(), "averaged map failed the equivariance check"),
+    # a transition given in one direction that is singular, or invertible
+    # but not orthogonal: its transpose is not its inverse
+    *[(["bundle", "decompose"],
+       dict(REPS_TRIVIAL, settings={"mode": mode}, base={"interval": 1},
+            representation={"blocks": ["trivial", "trivial"]},
+            bundle={"transitions": {"0,1": transition}}),
+       "transition on edge (0,1) not orthogonal")
+      for mode in ("exact", "float") for transition in ([[1, 0], [0, 0]], [[2, 0], [0, 1]])],
 ])
 def test_model_rejects_inconsistent_data_exit_2(tmp_path, capsys, command, payload,
                                                 named):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equitrans import linalg, reps
+from equitrans import bundles, linalg, reps
 from test_bundles import average
-from test_projector_check import fraction_projectors, library_projectors
+from test_projector_check import fraction_projectors, fraction_rref, library_projectors
 
 
 def rational(a) -> bool:
@@ -49,28 +49,113 @@ def test_numerators_are_python_ints_over_the_least_common_denominator(values, in
 
 
 def test_rref_on_int_input():
+    # integer rows, each primitive with a positive pivot: row r over its
+    # pivot is row r of the rational reduced echelon form
     red, pivots = linalg.rref(exact([[2, 4, 2], [1, 3, 2]]))
     assert pivots == [0, 1]
-    assert rational(red)
-    assert linalg.mat_eq(red, exact([[1, 0, -1], [0, 1, 1]]))
+    assert all(type(x) is int for x in red.flat)
+    assert red.tolist() == [[1, 0, -1], [0, 1, 1]]
     red, pivots = linalg.rref(exact([[3, 1]]))
-    assert rational(red) and pivots == [0]
-    assert red[0, 1] == Fraction(1, 3)
+    assert pivots == [0]
+    assert red.tolist() == [[3, 1]]
+    # rational input: the reduced rows are [1, 0, 2] and [0, 1, 5/2]
+    red, pivots = linalg.rref(exact([[-2, 4, 6], [Fraction(1, 2), 0, 1]]))
+    assert pivots == [0, 1]
+    assert red.tolist() == [[1, 0, 2], [0, 2, 5]]
 
 
-def test_nullspace_solve_and_inverse_on_int_input():
+def test_nullspace_on_int_input():
     kern = linalg.nullspace(exact([[3, 1]]))
-    assert rational(kern)
-    assert linalg.mat_eq(kern, exact([[Fraction(-1, 3)], [1]]))
-    x = linalg.solve_exact(exact([[2, 0], [0, 3]]), exact([1, 1]))
-    assert rational(x)
-    assert list(x) == [Fraction(1, 2), Fraction(1, 3)]
-    inv = linalg.inv(exact([[2, 0], [0, 4]]))
-    assert rational(inv)
-    assert linalg.mat_eq(inv, exact([[Fraction(1, 2), 0], [0, Fraction(1, 4)]]))
-    inv = linalg.inv(exact([[2, 1], [1, 1]]))
-    assert rational(inv)
-    assert linalg.mat_eq(inv, exact([[1, -1], [-1, 2]]))
+    assert kern.tolist() == [[-1], [3]]
+    assert all(type(x) is int for x in kern.flat)
+
+
+@st.composite
+def exact_matrices(draw):
+    """Integer or rational matrices up to 6 x 6, some columns zero or
+    repeats of an earlier one, and the last row sometimes a combination of
+    the first and the second-to-last, so the rank drops."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.fractions(-3, 3, max_denominator=6))
+    a = np.array(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)), dtype=object)
+    for j in range(cols):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "repeat"]))
+        if kind == "zero":
+            a[:, j] = 0
+        elif kind == "repeat" and j:
+            a[:, j] = a[:, draw(st.integers(0, j - 1))]
+    if rows > 1 and draw(st.booleans()):
+        a[-1] = draw(st.integers(-2, 2)) * a[0] + draw(st.integers(-2, 2)) * a[-2]
+    return linalg.frac_array(a.tolist())
+
+
+def fraction_nullspace(red, pivots):
+    """Kernel columns read off a rational reduced echelon form: 1 at the free
+    column, minus that column's entries at the pivot columns."""
+    cols = red.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = linalg.zeros((cols, len(free)), exact=True)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, k] = -red[r, fc]
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_matrices())
+def test_fraction_free_elimination_matches_the_fraction_oracle(a):
+    red, pivots = linalg.rref(a)
+    oracle, oracle_pivots = fraction_rref(a)
+    assert pivots == oracle_pivots
+    assert all(type(x) is int for x in red.flat)
+    for r, pc in enumerate(pivots):
+        assert red[r, pc] > 0 and math.gcd(*red[r]) == 1
+        assert [Fraction(x, red[r, pc]) for x in red[r]] == list(oracle[r])
+    assert not red[len(pivots):].any()
+    assert linalg.rank(a) == len(pivots)
+    assert linalg.independent_columns(a) == pivots
+    kern = linalg.nullspace(a)
+    expected = fraction_nullspace(oracle, pivots)
+    assert kern.shape == expected.shape
+    for col, ref in zip(kern.T, expected.T):
+        assert all(type(x) is int for x in col) and math.gcd(*col) == 1
+        assert col.tolist() == linalg.numerators(ref)[0].tolist()
+    assert not (a @ kern).any()
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a Fraction was built or combined")
+
+
+def test_integral_input_builds_no_fraction():
+    # with Fraction construction and arithmetic raising, integral input
+    # still gets its rank, kernel, independent columns, equivariant hom
+    # basis and completed transitions
+    a = exact([[2, 4, 2, 0], [1, 3, 2, 5], [3, 7, 4, 5]])
+    nat = reps._block_catalog(reps.symmetric_group(3))["natural"]
+    left = reps._block_catalog(reps.quaternion_group())["left"]
+    rot90 = reps._block_catalog(reps.preset_group("Z_4"))["rot90"]
+    quarter_turn = exact([[0, -1], [1, 0]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", forbidden)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+            patch.setattr(Fraction, name, forbidden)
+        assert linalg.rank(a) == 2
+        assert linalg.independent_columns(a) == [0, 1]
+        kern = linalg.nullspace(a)
+        assert kern.tolist() == [[1, 10], [-1, -5], [1, 0], [0, 1]]
+        assert not (a @ kern).any()
+        assert len(reps.hom_G_basis(nat, nat)) == 2
+        assert len(reps.hom_G_basis(left, left)) == 4
+        bundle = bundles.GBundleModel(bundles.SimplicialBase.from_maximal([[0, 1]]),
+                                      rot90, {(1, 0): quarter_turn})
+        bundle.validate()
+    assert bundle.transitions[(0, 1)].tolist() == [[0, 1], [-1, 0]]
 
 
 def integers(q) -> bool:
@@ -84,7 +169,7 @@ def test_random_rep_and_projectors_are_rational():
         group = reps.preset_group(name)
         rep = reps.random_rep(group, np.random.default_rng(5), 12, exact=True)
         assert all(type(x) is int for x in rep.matrices.reshape(-1))
-        rep.validate(full=True)
+        rep.validate()
         _, projs, denom, _ = reps._projectors(rep, {})
         assert type(denom) is int
         reference = fraction_projectors(rep)
@@ -116,7 +201,8 @@ def test_exact_projectors_hold_integral_entries_as_ints(group):
 def test_s3_natural_projectors_hom_basis_and_average():
     # known answers on the permutation action of S_3 on three points:
     # fixed part J/3, standard part I - J/3; averaging E_00 gives I/3 and
-    # averaging E_01 gives (J - I)/6
+    # averaging E_01 gives (J - I)/6, and the exact hom basis holds the
+    # integer sums over the six elements, 6 times those averages
     nat = reps._block_catalog(reps.symmetric_group(3))["natural"]
     ident = linalg.eye(3, exact=True)
     third = exact([[Fraction(1, 3)] * 3] * 3)
@@ -132,6 +218,6 @@ def test_s3_natural_projectors_hom_basis_and_average():
     assert linalg.mat_eq(avg, ident * Fraction(1, 3))
     basis = reps.hom_G_basis(nat, nat)
     assert len(basis) == 2
-    assert all(rational(m) for m in basis)
-    assert linalg.mat_eq(basis[0], ident * Fraction(1, 3))
-    assert linalg.mat_eq(basis[1], (third * 3 - ident) * Fraction(1, 6))
+    assert all(type(x) is int for m in basis for x in m.flat)
+    assert linalg.mat_eq(basis[0], ident * 2)
+    assert linalg.mat_eq(basis[1], third * 3 - ident)

@@ -21,10 +21,33 @@ from equitrans import linalg, reps
 from equitrans.errors import InvalidInputError
 
 
+def fraction_rref(a):
+    """Reduced row echelon form over the rationals, every pivot divided out
+    as a Fraction: (R, pivot columns).  The pivot of a column is its first
+    nonzero entry at or below the current row, the rule ``linalg.rref``
+    keeps with fraction-free arithmetic."""
+    m = np.array(a, dtype=object)
+    rows, cols = m.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        below = [i for i in range(r, rows) if m[i, c] != 0]
+        if not below:
+            continue
+        m[[r, below[0]]] = m[[below[0], r]]
+        m[r] = m[r] / Fraction(m[r, c])
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = m[i] - m[i, c] * m[r]
+        pivots.append(c)
+    return m, pivots
+
+
 def cayley_orthogonal(dim, rng, denom=3):
     """Exact rational orthogonal matrix: the Cayley transform
     (I + A)^-1 (I - A) of a random antisymmetric A with entries in
-    {-1, 0, 1} / denom."""
+    {-1, 0, 1} / denom.  I + A is invertible, so eliminating [I + A | I - A]
+    leaves [I | (I + A)^-1 (I - A)]."""
     a = linalg.zeros((dim, dim), exact=True)
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -32,7 +55,8 @@ def cayley_orthogonal(dim, rng, denom=3):
             a[i, j] = v
             a[j, i] = -v
     i_mat = linalg.eye(dim, exact=True)
-    return linalg.solve_exact(i_mat + a, i_mat - a)
+    red, _ = fraction_rref(np.concatenate([i_mat + a, i_mat - a], axis=1))
+    return linalg.frac_array(red[:, dim:])
 
 
 def fraction_projectors(rep):

@@ -1,10 +1,15 @@
 """The JSON scenario examples in README.md, run through the command line, do
 what the README says they do."""
 
+import builtins
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import equitrans
 from equitrans import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,3 +49,18 @@ def test_readme_perturbation_example(tmp_path, capsys):
     code, out, _ = run(capsys, ["transversality", "perturb", str(path), "--seed", "3"])
     assert code == 0
     assert json.loads(out)["pass"]
+
+
+def test_module_table_names_exist():
+    # every backticked snake_case name in a module row names a builtin, a
+    # package module, or an attribute of a module or of one of its classes
+    modules = {m.name: importlib.import_module(f"equitrans.{m.name}")
+               for m in pkgutil.iter_modules(equitrans.__path__)}
+    owners = [*modules.values()] + [cls for mod in modules.values()
+                                    for _, cls in inspect.getmembers(mod, inspect.isclass)]
+    rows = re.findall(r"^\| `equitrans\.(\w+)` \|(.*)\|$", README.read_text(), re.M)
+    assert len(rows) == 9 and all(name in modules for name, _ in rows)
+    for module, text in rows:
+        for name in re.findall(r"`([a-z_][a-z0-9_]*)`", text):
+            assert (hasattr(builtins, name) or name in modules
+                    or any(hasattr(owner, name) for owner in owners)), (module, name)

@@ -142,19 +142,17 @@ def test_isotypic_projector_wrong_group_errors():
 def test_endo_type_trivial_is_real():
     z2 = reps.cyclic_group(2)
     triv = reps.one_dim_rep(z2, [1, 1])
-    label, dim, _ = reps.endo_type(triv)
-    assert (label, dim) == ("R", 1)
+    assert reps.endo_type(triv) == ("R", 1)
 
 
 def test_endo_type_circle_weight_plane_is_complex():
     circle = reps.CircleGroupModel(64)
     for weight in (1, 2, 3):
         rep = reps.circle_weight_rep(circle, [weight])
-        label, dim, basis = reps.endo_type(rep)
-        assert (label, dim) == ("C", 2)
-        # the traceless basis element squares to a negative multiple of I
+        assert reps.endo_type(rep) == ("C", 2)
+        # the traceless commutant element squares to a negative multiple of I
         j = None
-        for b in basis:
+        for b in reps.hom_G_basis(rep, rep):
             t = b - np.eye(2) * np.trace(b) / 2
             if np.max(np.abs(t)) > 1e-8:
                 j = t / np.linalg.norm(t[:, 0])
@@ -166,13 +164,12 @@ def test_endo_type_circle_weight_plane_is_complex():
 def test_endo_type_q8_four_dim_is_quaternionic():
     q8 = reps.quaternion_group()
     left = reps._block_catalog(q8)["left"]
-    label, dim, basis = reps.endo_type(left)
-    assert (label, dim) == ("H", 4)
+    assert reps.endo_type(left) == ("H", 4)
     # oracle: orthonormalize the traceless part of the commutant and verify
     # the defining anticommutation i*j = -j*i of a quaternion algebra
     ident = linalg.eye(4, True)
     traceless = []
-    for b in basis:
+    for b in reps.hom_G_basis(left, left):
         t = b - ident * Fraction(np.trace(b), 4)
         if not is_zero(t):
             traceless.append(t)
@@ -247,15 +244,17 @@ def test_exact_equivariance_residual_is_the_fraction_product(entries):
 ])
 def test_hom_basis_exact_and_float_agree(group_name, block):
     # one contraction serves both modes: the float basis is the exact one
-    # converted, element by element
+    # converted, element by element, and divided by |G| (the exact sums of
+    # integer blocks are |G| times the float averages)
     rep = reps._block_catalog(reps.preset_group(group_name))[block]
     as_float = reps.RealRepresentation(rep.group, linalg.as_float(rep.matrices))
     exact_basis = reps.hom_G_basis(rep, rep)
     float_basis = reps.hom_G_basis(as_float, as_float)
     assert len(exact_basis) == len(float_basis)
     for e, f in zip(exact_basis, float_basis):
-        assert linalg.is_exact(e)
-        np.testing.assert_allclose(linalg.as_float(e), f, rtol=0, atol=1e-12)
+        assert all(type(x) is int for x in e.flat)
+        np.testing.assert_allclose(linalg.as_float(e) / rep.group.order, f,
+                                   rtol=0, atol=1e-12)
 
 
 def test_hom_basis_s3_standard_dimension_one():
@@ -345,12 +344,12 @@ def test_endo_type_invariant_under_orthogonal_change_of_basis():
     rep = reps.circle_weight_rep(circle, [3])
     q = linalg.random_orthogonal(2, rng)
     conj = reps.conjugate_rep(rep, q)
-    assert reps.endo_type(conj)[:2] == ("C", 2)
+    assert reps.endo_type(conj) == ("C", 2)
     q8 = reps.quaternion_group()
     left = reps._block_catalog(q8)["left"]
     qe = cayley_orthogonal(4, rng)
     conj2 = reps.conjugate_rep(left, qe)
-    assert reps.endo_type(conj2)[:2] == ("H", 4)
+    assert reps.endo_type(conj2) == ("H", 4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
