@@ -212,16 +212,19 @@ class GBundleModel:
         complete = {}
         edge_set = {e for e in self.base.edges()}
         edge_set |= {(v, u) for (u, v) in edge_set}
+        d = self.rep.dim
         for (u, v), m in self.transitions.items():
             if (u, v) not in edge_set:
                 raise InvalidInputError(
                     f"transition given for ({u},{v}), which is not an edge"
                 )
+            if np.shape(m) != (d, d):
+                raise InvalidInputError(f"transition on edge ({u},{v}) is not {d} x {d}")
             complete[(u, v)] = m
         for (u, v) in self.base.edges():
             if (u, v) not in complete:
                 complete[(u, v)] = (complete[(v, u)].T if (v, u) in complete
-                                    else linalg.eye(self.rep.dim, self.exact))
+                                    else linalg.eye(d, self.exact))
             complete.setdefault((v, u), complete[(u, v)].T)
         self.transitions = complete
 
@@ -235,32 +238,42 @@ class GBundleModel:
 
     def transport(self, u, v) -> np.ndarray:
         """Matrix carrying fiber coordinates at u to coordinates at v
-        along the oriented edge (u, v); the identity when u = v."""
+        along the oriented edge (u, v); the identity when u = v.  Every
+        caller passes two vertices of one simplex of the base."""
         if u == v:
             return linalg.eye(self.fiber_dim, self.exact)
-        try:
-            return self.transitions[(u, v)]
-        except KeyError:
-            raise InvalidInputError(f"no edge between {u} and {v}") from None
+        return self.transitions[(u, v)]
 
     def validate(self, tol: float = linalg.TOL) -> None:
-        ident = linalg.eye(self.fiber_dim, self.exact)
-        for (u, v) in self.base.edges():
-            t_uv = self.transitions[(u, v)]
-            t_vu = self.transitions[(v, u)]
-            if not linalg.mat_eq(t_uv.T @ t_uv, ident, tol):
+        """Orthogonality, mutual inversion and equivariance of every
+        transition, each one stacked comparison over all edges on one stack
+        of numerators T = N / k, or within tol in float mode.  The first
+        failing edge in ``base.edges()`` order raises, for its first check."""
+        edges, d, exact = self.base.edges(), self.fiber_dim, self.exact
+        stack = np.array([self.transitions[e] for e in edges]
+                         + [self.transitions[e[::-1]] for e in edges]).reshape(-1, d, d)
+        mats, k = self.rep.matrices, 1
+        if exact:
+            (mats, _, bound), (stack, k) = self.rep.numerators, linalg.numerators(stack)
+            # every factor is at most the larger bound; a product sums d terms
+            bound = max(bound, k, max(map(abs, stack.flat), default=0))
+            mats, stack = (linalg.narrow(x, bound, d) for x in (mats, stack))
+        fwd, back = stack[:len(edges)], stack[len(edges):]
+        ident = k * k * np.eye(d, dtype=stack.dtype)
+        for (u, v), orthogonal, inverse, equivariant in zip(
+                edges, linalg.same(fwd.transpose(0, 2, 1) @ fwd, ident, exact, tol),
+                linalg.same(fwd @ back, ident, exact, tol),
+                linalg.same(mats[:, None] @ fwd, fwd @ mats[:, None], exact, tol,
+                            axes=(0, 2, 3))):
+            if not orthogonal:
                 raise InvalidInputError(f"transition on edge ({u},{v}) not orthogonal")
-            if not linalg.mat_eq(t_uv @ t_vu, ident, tol):
+            if not inverse:
                 raise InvalidInputError(
-                    f"transitions on edge ({u},{v}) are not mutually inverse"
-                )
-            res = reps.equivariance_residual(self.rep, self.rep, t_uv)
-            bad = (res != 0) if self.exact else (res > tol)
-            if bad:
+                    f"transitions on edge ({u},{v}) are not mutually inverse")
+            if not equivariant:
+                res = reps.equivariance_residual(self.rep, self.rep, self.transitions[(u, v)])
                 raise InvalidInputError(
-                    f"transition on edge ({u},{v}) is not equivariant "
-                    f"(residual {res})"
-                )
+                    f"transition on edge ({u},{v}) is not equivariant (residual {res})")
 
 
 def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:

@@ -6,11 +6,12 @@ Two arithmetic modes coexist:
   value is integral, a ``fractions.Fraction`` only where a division makes
   one (never a float; divide by a ``Fraction``, since int / int is a
   float).  Values are normalized once, where they enter (``rational``,
-  ``frac_array``); the routines here take them as they are.  Rank, kernels
-  and equality tests are exact; elimination (``rref``) is fraction-free on
-  the integer numerators (``numerators``) and builds no Fraction.
+  ``frac_array``); the routines here take them as they are.  Rank and
+  kernels are exact; elimination (``rref``) is fraction-free on the integer
+  numerators (``numerators``), held in int64 where the one bound rule
+  (``narrow``) allows, and compared exactly (``same``).
 * float mode: ordinary float64 arrays, SVD-based ranks, tolerance 1e-10
-  unless stated otherwise.
+  unless stated otherwise; ``same`` compares within it.
 
 Dispatch is by dtype: ``dtype == object`` selects the exact path.
 """
@@ -67,20 +68,26 @@ def zeros(shape, exact: bool) -> np.ndarray:
     return np.zeros(shape)
 
 
-def max_abs(a: np.ndarray):
-    if a.size == 0:
-        return 0.0
-    if is_exact(a):
-        return max(abs(x) for x in a.reshape(-1))
-    return float(np.max(np.abs(a)))
+def max_abs(a: np.ndarray) -> float:
+    """Largest |entry| of a float array, 0.0 for an empty one."""
+    return float(np.max(np.abs(a), initial=0.0))
 
 
-def mat_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL) -> bool:
-    if a.shape != b.shape:
-        return False
-    if is_exact(a) and is_exact(b):
-        return all(x == y for x, y in zip(a.reshape(-1), b.reshape(-1)))
-    return max_abs(as_float(a) - as_float(b)) <= tol
+def same(a, b, exact: bool, tol: float = TOL, axes=(-2, -1)):
+    """The one exact-or-tolerance verdict, per index outside ``axes``: a == b
+    exactly, or every entry of a - b within tol in float mode."""
+    if exact:
+        return np.all(a == b, axis=axes)
+    diff = a - b
+    return np.abs(diff, out=diff).max(axis=axes, initial=0.0) <= tol
+
+
+def narrow(nums: np.ndarray, bound: int, terms: int) -> np.ndarray:
+    """The one int64 rule: integer array ``nums`` as int64 when a sum of
+    ``terms`` products of two integers of size at most ``bound`` stays below
+    2**63, else as python ints.  ``bound`` must cover every factor, so
+    products of the result cannot overflow."""
+    return nums.astype(np.int64 if bound**2 * terms < 2**63 else object, copy=False)
 
 
 def numerators(a) -> tuple[np.ndarray, int]:
@@ -202,15 +209,6 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish float orthogonal matrix (QR of a Gaussian sample)."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diag(r))
-
-
-def random_signed_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Integer orthogonal matrix: permutation with random signs."""
-    perm = rng.permutation(dim)
-    signs = rng.choice([-1, 1], size=dim)
-    m = zeros((dim, dim), exact=True)
-    m[perm, np.arange(dim)] = signs
-    return m
 
 
 def block_diag(blocks: list[np.ndarray], exact: bool) -> np.ndarray:

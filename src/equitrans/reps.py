@@ -36,19 +36,12 @@ from .errors import InvalidInputError
 
 
 def _cos2pi_exact(num: int, den: int) -> Fraction | None:
-    """cos(2*pi*num/den) as a Fraction, or None when irrational."""
-    f = Fraction(num % den, den)
-    table = {
-        Fraction(0): Fraction(1),
-        Fraction(1, 2): Fraction(-1),
-        Fraction(1, 3): Fraction(-1, 2),
-        Fraction(2, 3): Fraction(-1, 2),
-        Fraction(1, 4): Fraction(0),
-        Fraction(3, 4): Fraction(0),
-        Fraction(1, 6): Fraction(1, 2),
-        Fraction(5, 6): Fraction(1, 2),
-    }
-    return table.get(f)
+    """cos(2*pi*num/den) as a Fraction, or None when irrational: it is
+    rational exactly when num/den in lowest terms has denominator 1, 2, 3, 4
+    or 6, and then depends on that denominator alone."""
+    values = {1: 1, 2: -1, 3: Fraction(-1, 2), 4: 0, 6: Fraction(1, 2)}
+    value = values.get(Fraction(num, den).denominator)
+    return None if value is None else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -451,30 +444,32 @@ class RealRepresentation:
         return linalg.is_exact(self.matrices)
 
     @cached_property
-    def numerators(self) -> tuple[np.ndarray, int]:
-        """``linalg.numerators`` of an exact stack, converted once per rep."""
-        return linalg.numerators(self.matrices)
+    def numerators(self) -> tuple[np.ndarray, int, int]:
+        """(N, m, bound), rho = N / m, scanned once per rep: bound is the
+        largest of m and every |N|, and N is narrowed for sums of dim products
+        (``linalg.narrow``); a caller with larger sums narrows it again."""
+        nums, m = linalg.numerators(self.matrices)
+        bound = max(m, max(map(abs, nums.flat), default=0))
+        return linalg.narrow(nums, bound, self.dim), m, bound
 
     def validate(self) -> None:
         """Identity, orthogonality and the group law, each one stacked
-        comparison, exact or to linalg.TOL in float mode.  The law is checked
-        as rho(s) rho(h) = rho(sh) for s in a generating set and every h,
-        which makes every rho(g) a product of generator images."""
+        comparison (``linalg.same``).  Exact mode checks the law as rho(s)
+        rho(h) = rho(sh) for s in a generating set and every h, which makes
+        every rho(g) a product of generator images; float mode checks every
+        pair (g, h), since roundoff compounds along words."""
         group, exact = self.group, self.exact
-        mats, m = self.numerators if exact else (self.matrices, 1)
-        if exact:
-            top = max(m, max(map(abs, mats.flat), default=0))
-            mats = mats.astype(np.int64 if self.dim * top**2 < 2**63 else object)
+        mats, m, _ = self.numerators if exact else (self.matrices, 1, 1)
         ident = m * np.eye(self.dim, dtype=mats.dtype)
-        if not _same(mats[group.identity], ident, exact):
+        if not linalg.same(mats[group.identity], ident, exact):
             raise InvalidInputError("action at the identity is not the identity matrix")
-        orthogonal = _same(mats.transpose(0, 2, 1) @ mats, m * ident, exact)
+        orthogonal = linalg.same(mats.transpose(0, 2, 1) @ mats, m * ident, exact)
         if not orthogonal.all():
             raise InvalidInputError(
                 f"action of element {np.argmin(orthogonal)} is not orthogonal")
-        gens = np.array(_generating_set(group), dtype=int)
+        gens = np.array(_generating_set(group) if exact else range(group.order), dtype=int)
         products = group.compose(gens[:, None], np.arange(group.order))
-        law = _same(mats[gens, None] @ mats, m * mats[products], exact)
+        law = linalg.same(mats[gens, None] @ mats, m * mats[products], exact)
         if not law.all():
             s, h = np.argwhere(~law)[0]
             raise InvalidInputError(f"group law fails at pair ({gens[s]}, {h})")
@@ -495,11 +490,6 @@ def _generating_set(group: GroupModel) -> list[int]:
             if reached.sum() == before:
                 break
     return gens
-
-
-def character(rep: RealRepresentation) -> np.ndarray:
-    """Trace of the action of each sampled/listed element."""
-    return np.trace(rep.matrices, axis1=1, axis2=2)
 
 
 def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
@@ -526,9 +516,9 @@ def _projectors(rep: RealRepresentation, commuting: dict):
     M / m, C a multiple of each named matrix, P = s sum_g X(g) M_g with X = c
     * chi integral and s = dim V / (endo_dim |G| c m) (s = 1 / (|G| m) for
     the fixed part), and D the common denominator of the s.  The exact arrays
-    are int64 when a bound on every entry ``projector_check`` computes is
-    below 2**63, else python ints; the one Fraction per label is its s.  A
-    character that ``_character`` rejects raises InvalidInputError.
+    are narrowed (``linalg.narrow``) for every product ``projector_check``
+    computes; the one Fraction per label is its s.  A character that
+    ``_character`` rejects raises InvalidInputError.
     """
     order, irreps = rep.group.order, rep.group.nontrivial_irreps()
     if not rep.exact:
@@ -538,7 +528,7 @@ def _projectors(rep: RealRepresentation, commuting: dict):
             projs[ir.label] = np.tensordot(chi, rep.matrices, axes=1) * (
                 ir.dim_V / (ir.endo_dim * order))
         return rep.matrices, projs, 1, commuting
-    mats, m = rep.numerators
+    mats, m, m_max = rep.numerators
     weights = {"fixed": (np.ones(order, dtype=object), Fraction(1, order * m))}
     for ir in irreps:
         x, c = linalg.numerators(_character(rep, ir))
@@ -548,23 +538,13 @@ def _projectors(rep: RealRepresentation, commuting: dict):
     named = {name: linalg.numerators(c)[0] for name, c in commuting.items()}
     # |Q|, |M|, |C| and D bound every factor; a product sums at most
     # dim terms, a sum of projectors has one term per label
-    m_max = max(map(abs, mats.flat), default=0)
     q_max = max(scales[label] * sum(map(abs, x)) * m_max
                 for label, (x, _) in weights.items())
     factor = max([q_max, m_max, denom] + [abs(v) for c in named.values() for v in c.flat])
-    dtype = np.int64 if factor**2 * max(rep.dim, len(weights)) < 2**63 else object
-    mats = mats.astype(dtype)
-    projs = {label: scales[label] * np.tensordot(x.astype(dtype), mats, axes=1)
+    mats = linalg.narrow(mats, factor, max(rep.dim, len(weights)))
+    projs = {label: scales[label] * np.tensordot(x.astype(mats.dtype), mats, axes=1)
              for label, (x, _) in weights.items()}
-    return mats, projs, denom, {name: c.astype(dtype) for name, c in named.items()}
-
-
-def _same(a, b, exact: bool, tol: float = linalg.TOL, axes=(-2, -1)):
-    """Verdict per leading index: a == b exactly, or within tol."""
-    if exact:
-        return np.all(a == b, axis=axes)
-    diff = a - b
-    return np.abs(diff, out=diff).max(axis=axes, initial=0.0) <= tol
+    return mats, projs, denom, {name: c.astype(mats.dtype) for name, c in named.items()}
 
 
 def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
@@ -582,7 +562,7 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
     raises InvalidInputError.
     """
     mats, projs, denom, named = _projectors(rep, commuting or {})
-    same = partial(_same, exact=rep.exact, tol=tol)
+    same = partial(linalg.same, exact=rep.exact, tol=tol)
     labels = sorted(projs)
     q = np.stack([projs[label] for label in labels])
     ranks = {label: linalg.trace_rank(tr, denom)
@@ -613,33 +593,39 @@ def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np
     """
     dv, dw, order = rep_v.dim, rep_w.dim, rep_v.group.order
     exact = rep_v.exact and rep_w.exact
-    # exact sums of numerators rho_W = W / a, rho_V = V / b are a b |G| times the averages
-    wm, vm = ((r.numerators[0] if exact else linalg.as_float(r.matrices))
-              for r in (rep_w, rep_v))
+    # exact sums of numerators rho_W = W / a, rho_V = V / b are a b |G| times
+    # the averages; each entry sums |G| products of two numerators
+    if exact:
+        (wm, _, bw), (vm, _, bv) = rep_w.numerators, rep_v.numerators
+        wm, vm = (linalg.narrow(x, max(bw, bv), order) for x in (wm, vm))
+    else:
+        wm, vm = linalg.as_float(rep_w.matrices), linalg.as_float(rep_v.matrices)
     vinv = vm[rep_v.group.inverse(np.arange(order))]
     # rho_W(g) E_ab rho_V(g)^-1 is the outer product of column a of
     # rho_W(g) with row b of rho_V(g)^-1; candidate (a, b) is its average
     total = np.einsum("gia,gbj->abij", wm, vinv)
-    candidates = (total if exact else total / order).reshape(dw * dv, dw, dv)
+    candidates = (total.astype(object) if exact else total / order).reshape(dw * dv, dw, dv)
     keep = linalg.independent_columns(candidates.reshape(dw * dv, -1).T)
     basis = [candidates[k] for k in keep]
-    for m in basis:
-        res = equivariance_residual(rep_v, rep_w, m)
-        if (exact and res != 0) or (not exact and res > linalg.TOL):
-            raise InvalidInputError("averaged map failed the equivariance check")
+    if any(equivariance_residual(rep_v, rep_w, m) > (0 if exact else linalg.TOL)
+           for m in basis):
+        raise InvalidInputError("averaged map failed the equivariance check")
     return basis
 
 
 def equivariance_residual(rep_v: RealRepresentation, rep_w: RealRepresentation,
                           m: np.ndarray):
     """max_g || rho_W(g) m - m rho_V(g) ||, exact or float.  Exact input is
-    multiplied as numerators rho_W = W / a, m = N / k, rho_V = V / b."""
-    mats = (rep_w.matrices, m, rep_v.matrices)
-    if not all(map(linalg.is_exact, mats)):
+    multiplied as numerators rho_W = W / a, m = N / k, rho_V = V / b: an
+    entry of (b W) N - N (a V) sums dim W + dim V products of two factors
+    at most |b W|, |a V| or |N|."""
+    if not (rep_w.exact and rep_v.exact and linalg.is_exact(m)):
         return linalg.max_abs(rep_w.matrices @ m - m @ rep_v.matrices)
-    (w, a), (v, b), (n, k) = rep_w.numerators, rep_v.numerators, linalg.numerators(m)
-    defect = b * (w @ n) - a * (n @ v)
-    worst, denom = max(map(abs, defect.flat), default=0), a * b * k
+    (w, a, bw), (v, b, bv), (n, k) = rep_w.numerators, rep_v.numerators, linalg.numerators(m)
+    bound = max(bw * bv, max(map(abs, n.flat), default=0))
+    w, v, n = (linalg.narrow(x, bound, rep_w.dim + rep_v.dim) for x in (w, v, n))
+    defect = (b * w) @ n - n @ (a * v)
+    worst, denom = int(max(map(abs, defect.flat), default=0)), a * b * k
     return Fraction(worst, denom) if worst % denom else worst // denom
 
 
@@ -667,9 +653,9 @@ def _assert_irreducible(rep: RealRepresentation) -> None:
     _, projs, denom, _ = _projectors(rep, {})
     hits = []
     for label, q in projs.items():
-        if _same(q, 0, rep.exact):
+        if linalg.same(q, 0, rep.exact):
             continue
-        if not _same(q, denom * np.eye(rep.dim, dtype=q.dtype), rep.exact):
+        if not linalg.same(q, denom * np.eye(rep.dim, dtype=q.dtype), rep.exact):
             raise InvalidInputError(
                 f"representation is reducible: isotypic component {label!r} is proper"
             )
@@ -768,11 +754,9 @@ def direct_sum(*reps: RealRepresentation) -> RealRepresentation:
 
 
 def conjugate_rep(rep: RealRepresentation, q: np.ndarray) -> RealRepresentation:
-    """Conjugate by an orthogonal matrix q: rho'(g) = q rho(g) q^T."""
-    mats = q @ rep.matrices @ q.T
-    if not (rep.exact and linalg.is_exact(q)):
-        mats = mats.astype(float)
-    return RealRepresentation(rep.group, mats)
+    """Conjugate by a float orthogonal matrix q: rho'(g) = q rho(g) q^T, a
+    float representation."""
+    return RealRepresentation(rep.group, q @ linalg.as_float(rep.matrices) @ q.T)
 
 
 def circle_weight_rep(circle: CircleGroupModel, weights, fixed_dim: int = 0) -> RealRepresentation:
@@ -869,8 +853,10 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
     """Seeded random orthogonal representation.
 
     Finite groups: a random multiset of integer-orthogonal building blocks,
-    conjugated by a random signed permutation (exact mode) or by a random
-    orthogonal matrix (float mode).  The circle: random weights plus a fixed
+    conjugated by a random orthogonal matrix (float mode) or by a random
+    signed permutation q = sum_j signs[j] e_perm[j] e_j^T by index and sign:
+    q rho q^T has signs[i] signs[j] rho[i, j] at (perm[i], perm[j]), so the
+    entries stay the blocks' ints.  The circle: random weights plus a fixed
     block, conjugated orthogonally (float only).
     """
     if isinstance(group, CircleGroupModel):
@@ -878,17 +864,17 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
         weights = [int(rng.integers(1, group.max_weight + 1)) for _ in range(n_planes)]
         fixed_dim = int(rng.integers(0, max(1, max_dim - 2 * n_planes) + 1))
         rep = circle_weight_rep(group, weights, fixed_dim)
-        q = linalg.random_orthogonal(rep.dim, rng)
-        return conjugate_rep(rep, q)
+        return conjugate_rep(rep, linalg.random_orthogonal(rep.dim, rng))
     catalog = _block_catalog(group)
     chosen = [catalog[n] for n in _choose(catalog, rng, max_dim)]
     rep = direct_sum(*chosen) if len(chosen) > 1 else chosen[0]
-    if exact:
-        q = linalg.random_signed_permutation(rep.dim, rng)
-        return conjugate_rep(rep, q)
-    rep_f = RealRepresentation(group, linalg.as_float(rep.matrices))
-    q = linalg.random_orthogonal(rep.dim, rng)
-    return conjugate_rep(rep_f, q)
+    if not exact:
+        return conjugate_rep(rep, linalg.random_orthogonal(rep.dim, rng))
+    perm, signs = rng.permutation(rep.dim), rng.choice([-1, 1], size=rep.dim)
+    mats = np.empty_like(rep.matrices)
+    mats[:, perm[:, None], perm] = np.where(np.outer(signs, signs) < 0,
+                                            -rep.matrices, rep.matrices)
+    return RealRepresentation(group, mats)
 
 
 def choose_blocks(group: FiniteGroupModel, rng: np.random.Generator,

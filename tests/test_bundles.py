@@ -19,7 +19,7 @@ from equitrans.bundles import (
     stabilize_cokernel,
 )
 from equitrans.errors import InvalidInputError, ObstructionError, ResampleFailureError
-from test_projector_check import fraction_projectors, library_projectors
+from test_projector_check import fraction_projectors, library_projectors, mat_eq
 
 
 def z2_trivial_sign_bundle(base=None):
@@ -104,7 +104,7 @@ def test_decompose_z2_interval_ranks():
     # the components reassemble the fiber: projectors sum to the identity
     projectors = library_projectors(bundle.rep)
     total = sum(projectors[label] for label in ranks)
-    assert linalg.mat_eq(total, linalg.eye(2, True))
+    assert mat_eq(total, linalg.eye(2, True))
 
 
 def test_decompose_circle_weight_blocks_cross_checked():
@@ -122,6 +122,70 @@ def test_decompose_circle_weight_blocks_cross_checked():
     block2 = np.zeros((4, 4))
     block2[2:, 2:] = np.eye(2)
     assert linalg.max_abs(projectors["weight_2"] - block2) <= 1e-10
+
+
+# planted faults on the edge (u, v): a transition that is not orthogonal, a
+# pair of orthogonal equivariant transitions that are not mutually inverse,
+# and an orthogonal rotation that mixes the trivial and sign parts
+PLANTED = {
+    "not-orthogonal": lambda u, v: {(u, v): [[2, 0], [0, 1]]},
+    "not-inverse": lambda u, v: {(u, v): [[1, 0], [0, -1]], (v, u): [[-1, 0], [0, 1]]},
+    "not-equivariant": lambda u, v: {(u, v): [["3/5", "-4/5"], ["4/5", "3/5"]]},
+}
+
+
+def residual_oracle(rep, t):
+    """max over g and entries of |rho(g) t - t rho(g)|, one element at a
+    time: a Fraction or int for exact arrays, a float else."""
+    worst = max(abs(x) for rho in rep.matrices for x in (rho @ t - t @ rho).flat)
+    return worst if rep.exact else float(worst)
+
+
+def first_fault_message(bundle, plants):
+    """The message of the first planted edge in ``base.edges()`` order."""
+    u, v, kind = min(plants)
+    if kind == "not-orthogonal":
+        return f"transition on edge ({u},{v}) not orthogonal"
+    if kind == "not-inverse":
+        return f"transitions on edge ({u},{v}) are not mutually inverse"
+    res = residual_oracle(bundle.rep, bundle.transitions[(u, v)])
+    return f"transition on edge ({u},{v}) is not equivariant (residual {res})"
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("plants", [
+    # circle(4) has the edges (0,1), (0,3), (1,2), (2,3), in that order
+    *[[(2, 3, kind)] for kind in PLANTED],
+    *[[(0, 3, kind), (1, 2, kind)] for kind in PLANTED],
+    # the first failing edge wins over an earlier check on a later edge
+    [(0, 3, "not-equivariant"), (1, 2, "not-orthogonal")],
+    [(1, 2, "not-inverse"), (2, 3, "not-orthogonal")],
+])
+def test_validate_names_the_first_failing_edge_of_a_circle(exact, plants):
+    base = SimplicialBase.circle(4)
+    assert base.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    rep = z2_trivial_sign_bundle().rep
+    transitions = {}
+    for u, v, kind in plants:
+        transitions.update(PLANTED[kind](u, v))
+    transitions = {e: linalg.frac_array(t) for e, t in transitions.items()}
+    if not exact:
+        rep = reps.RealRepresentation(rep.group, linalg.as_float(rep.matrices))
+        transitions = {e: linalg.as_float(t) for e, t in transitions.items()}
+    bundle = GBundleModel(base, rep, transitions)
+    message = first_fault_message(bundle, plants)
+    if min(plants)[2] == "not-equivariant":
+        assert message.endswith("(residual 8/5)" if exact else "(residual 1.6)")
+    with pytest.raises(InvalidInputError) as err:
+        bundle.validate()
+    assert str(err.value) == message
+    # each planted edge alone fails with its own message
+    for plant in plants:
+        alone = GBundleModel(base, rep, {e: t for e, t in transitions.items()
+                                         if set(e) == set(plant[:2])})
+        with pytest.raises(InvalidInputError) as err:
+            alone.validate()
+        assert str(err.value) == first_fault_message(alone, [plant])
 
 
 def test_decompose_rejects_nonequivariant_transition():
@@ -166,7 +230,7 @@ def in_hom_span(rep, m):
 def test_average_fixes_equivariant_map():
     rep = z2_trivial_sign_bundle().rep
     raw = linalg.frac_array([[2, 0], [0, 5]])
-    assert linalg.mat_eq(average(rep, raw), raw)
+    assert mat_eq(average(rep, raw), raw)
     assert in_hom_span(rep, raw)
 
 
@@ -174,7 +238,7 @@ def test_average_of_group_element_abelian():
     z4 = reps.cyclic_group(4)
     rot = reps._block_catalog(z4)["rot90"]
     h = 1
-    assert linalg.mat_eq(average(rot, rot.matrices[h]), rot.matrices[h])
+    assert mat_eq(average(rot, rot.matrices[h]), rot.matrices[h])
     assert in_hom_span(rot, rot.matrices[h])
 
 
@@ -184,7 +248,7 @@ def test_average_kills_off_diagonal_blocks():
     raw = linalg.frac_array([[1, 2], [3, 4]])
     expected = (raw + rep.matrices[1] @ raw @ rep.matrices[1]) * Fraction(1, 2)
     out = average(rep, raw)
-    assert linalg.mat_eq(out, expected)
+    assert mat_eq(out, expected)
     assert out[0, 1] == 0 and out[1, 0] == 0
     assert in_hom_span(rep, out) and not in_hom_span(rep, raw)
 

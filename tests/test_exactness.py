@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from equitrans import bundles, linalg, reps
 from test_bundles import average
-from test_projector_check import fraction_projectors, fraction_rref, library_projectors
+from test_projector_check import (fraction_projectors, fraction_rref, library_projectors,
+                                   mat_eq)
 
 
 def rational(a) -> bool:
@@ -177,10 +178,10 @@ def test_random_rep_and_projectors_are_rational():
         for label, p in library_projectors(rep).items():
             assert integers(projs[label])
             assert rational(p)
-            assert linalg.mat_eq(p, reference[label])
-            assert linalg.mat_eq(p @ p, p)
+            assert mat_eq(p, reference[label])
+            assert mat_eq(p @ p, p)
             total = total + p
-        assert linalg.mat_eq(total, linalg.eye(rep.dim, exact=True))
+        assert mat_eq(total, linalg.eye(rep.dim, exact=True))
 
 
 @pytest.mark.parametrize("group", [reps.symmetric_group(3), reps.symmetric_group(4),
@@ -195,7 +196,7 @@ def test_exact_projectors_hold_integral_entries_as_ints(group):
         assert type(denom) is int
         for label, p in fraction_projectors(block).items():
             assert integers(projs[label]), (name, label)
-            assert linalg.mat_eq(projs[label].astype(object), p * denom), (name, label)
+            assert mat_eq(projs[label].astype(object), p * denom), (name, label)
 
 
 def test_s3_natural_projectors_hom_basis_and_average():
@@ -208,16 +209,16 @@ def test_s3_natural_projectors_hom_basis_and_average():
     third = exact([[Fraction(1, 3)] * 3] * 3)
     projs = library_projectors(nat)
     assert rational(projs["fixed"]) and rational(projs["standard"])
-    assert linalg.mat_eq(projs["fixed"], third)
-    assert linalg.mat_eq(projs["standard"], ident - third)
-    assert linalg.mat_eq(fraction_projectors(nat)["standard"], ident - third)
+    assert mat_eq(projs["fixed"], third)
+    assert mat_eq(projs["standard"], ident - third)
+    assert mat_eq(fraction_projectors(nat)["standard"], ident - third)
     unit = linalg.zeros((3, 3), exact=True)
     unit[0, 0] = 1
     avg = average(nat, unit)
     assert rational(avg)
-    assert linalg.mat_eq(avg, ident * Fraction(1, 3))
+    assert mat_eq(avg, ident * Fraction(1, 3))
     basis = reps.hom_G_basis(nat, nat)
     assert len(basis) == 2
     assert all(type(x) is int for m in basis for x in m.flat)
-    assert linalg.mat_eq(basis[0], ident * 2)
-    assert linalg.mat_eq(basis[1], third * 3 - ident)
+    assert mat_eq(basis[0], ident * 2)
+    assert mat_eq(basis[1], third * 3 - ident)

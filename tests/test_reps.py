@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from equitrans import linalg, reps
 from equitrans.errors import InvalidInputError
-from test_projector_check import cayley_orthogonal, is_zero, library_projectors
+from test_projector_check import (cayley_orthogonal, conjugated, is_zero, library_projectors,
+                                  mat_eq)
 
 ALL_PRESETS = ["Z_2", "Z_3", "Z_4", "Z_6", "S_3", "S_4", "Q_8", "D_3", "D_4", "D_6"]
 
@@ -43,12 +44,16 @@ def test_real_character_orthogonality(name):
             assert inner == Fraction(expected), (name, a.label, b.label, inner)
 
 
+def character(rep):
+    return np.trace(rep.matrices, axis1=1, axis2=2)
+
+
 def test_character_trivial_and_sign_z2():
     z2 = reps.cyclic_group(2)
     triv = reps.one_dim_rep(z2, [1, 1])
     sign = reps.one_dim_rep(z2, [1, -1])
-    assert list(reps.character(triv)) == [1, 1]
-    assert list(reps.character(sign)) == [1, -1]
+    assert list(character(triv)) == [1, 1]
+    assert list(character(sign)) == [1, -1]
 
 
 def test_character_s3_permutation_counts_fixed_points():
@@ -59,7 +64,7 @@ def test_character_s3_permutation_counts_fixed_points():
 
     perms = sorted(itertools.permutations(range(3)))
     fixed_counts = [sum(1 for i in range(3) if p[i] == i) for p in perms]
-    assert [int(c) for c in reps.character(nat)] == fixed_counts
+    assert [int(c) for c in character(nat)] == fixed_counts
 
 
 def test_isotypic_projector_z2_diag():
@@ -68,7 +73,7 @@ def test_isotypic_projector_z2_diag():
         z2, linalg.frac_array([[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
     )
     p = library_projectors(rep)["sign"]
-    assert linalg.mat_eq(p, linalg.frac_array([[0, 0], [0, 1]]))
+    assert mat_eq(p, linalg.frac_array([[0, 0], [0, 1]]))
 
 
 def test_rep_from_matrices_takes_exactness_from_the_dtype():
@@ -79,7 +84,7 @@ def test_rep_from_matrices_takes_exactness_from_the_dtype():
     for floats in (np.array(swap, dtype=float), np.array(swap), [np.eye(2), swap[1]]):
         rep = reps.rep_from_matrices(z2, floats)
         assert not rep.exact and rep.matrices.dtype == float
-        assert linalg.mat_eq(rep.matrices, linalg.as_float(exact.matrices), 0.0)
+        assert mat_eq(rep.matrices, linalg.as_float(exact.matrices), 0.0)
     for r in (exact, rep):
         assert reps.projector_check(r, linalg.TOL)[0]["sign"] == 1
 
@@ -110,9 +115,9 @@ def test_isotypic_projector_s3_standard_matches_sum_zero_plane():
         direct = direct + std.character[elem] * nat.matrices[elem]
     direct = direct * Fraction(std.dim_V, std.endo_dim * 6)
     p = library_projectors(nat)["standard"]
-    assert linalg.mat_eq(p, direct)
+    assert mat_eq(p, direct)
     ones = linalg.frac_array([[1, 1, 1]] * 3)
-    assert linalg.mat_eq(p, linalg.eye(3, True) - ones * Fraction(1, 3))
+    assert mat_eq(p, linalg.eye(3, True) - ones * Fraction(1, 3))
     assert linalg.rank(p) == 2
 
 
@@ -121,13 +126,13 @@ def test_fixed_projector_examples():
     nat = reps._block_catalog(g)["natural"]
     pg = library_projectors(nat)["fixed"]
     ones = linalg.frac_array([[1, 1, 1]] * 3)
-    assert linalg.mat_eq(pg, ones * Fraction(1, 3))
+    assert mat_eq(pg, ones * Fraction(1, 3))
     assert linalg.rank(pg) == 1
     z2 = reps.cyclic_group(2)
     sign = reps.one_dim_rep(z2, [1, -1])
     assert is_zero(library_projectors(sign)["fixed"])
     triv = reps.one_dim_rep(z2, [1, 1])
-    assert linalg.mat_eq(library_projectors(triv)["fixed"], linalg.eye(1, True))
+    assert mat_eq(library_projectors(triv)["fixed"], linalg.eye(1, True))
 
 
 def test_isotypic_projector_wrong_group_errors():
@@ -228,10 +233,10 @@ def test_exact_equivariance_residual_is_the_fraction_product(entries):
     nat = reps._block_catalog(reps.symmetric_group(3))["natural"]
     q = linalg.frac_array([[Fraction(3, 5), Fraction(-4, 5), 0],
                            [Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 1]])
-    rotated = reps.conjugate_rep(nat, q)
+    rotated = conjugated(nat, q)
     m = linalg.frac_array(np.array(entries, dtype=object).reshape(3, 3))
     pairs = [(nat, rotated), (rotated, nat), (rotated, rotated)]
-    direct = [linalg.max_abs(w.matrices @ m - m @ v.matrices) for v, w in pairs]
+    direct = [max(map(abs, (w.matrices @ m - m @ v.matrices).flat)) for v, w in pairs]
     with pytest.MonkeyPatch.context() as patch:  # exact input multiplies numerators
         for name in ("__mul__", "__rmul__"):
             patch.setattr(Fraction, name, None)
@@ -284,15 +289,35 @@ def test_projector_algebra_random_reps(name, exact):
         labels = list(projs)
         for label in labels:
             p = projs[label]
-            assert linalg.mat_eq(p @ p, p), (name, label, "idempotent")
+            assert mat_eq(p @ p, p), (name, label, "idempotent")
             total = total + p
             for g in range(group.order):
                 m = rep.matrices[g]
-                assert linalg.mat_eq(m @ p, p @ m), (name, label, "commutes")
+                assert mat_eq(m @ p, p @ m), (name, label, "commutes")
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
                 assert is_zero(projs[a] @ projs[b]), (name, a, b)
-        assert linalg.mat_eq(total, ident), (name, "resolution of identity")
+        assert mat_eq(total, ident), (name, "resolution of identity")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_PRESETS), st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_random_rep_conjugates_by_index_and_sign(name, seed, max_dim):
+    # oracle: the same draws (a catalog multiset, rng.permutation(d), then
+    # rng.choice([-1, 1], size=d)) as the matrix q with q[perm[j], j] =
+    # signs[j], applied by object matmul
+    group = reps.preset_group(name)
+    rep = reps.random_rep(group, np.random.default_rng(seed), max_dim=max_dim)
+    rng = np.random.default_rng(seed)
+    catalog = reps._block_catalog(group)
+    rho = linalg.block_diag([catalog[n].matrices
+                             for n in reps.choose_blocks(group, rng, max_dim)], exact=True)
+    d = rho.shape[-1]
+    perm, signs = rng.permutation(d), rng.choice([-1, 1], size=d)
+    q = linalg.zeros((d, d), exact=True)
+    q[perm, np.arange(d)] = [int(s) for s in signs]
+    assert rep.matrices.tolist() == (q @ rho @ q.T).tolist()
+    assert all(type(x) is int for x in rep.matrices.flat)
 
 
 def test_projector_algebra_circle_quadrature():
@@ -329,7 +354,7 @@ def test_rep_from_generators_matches_block():
         g, gen_ids, linalg.frac_array([perm_matrix(p) for p in gen_perms]))
     nat = reps._block_catalog(g)["natural"]
     for e in range(g.order):
-        assert linalg.mat_eq(rep.matrices[e], nat.matrices[e])
+        assert mat_eq(rep.matrices[e], nat.matrices[e])
 
 
 def test_rep_from_generators_rejects_non_generating_set():
@@ -348,7 +373,7 @@ def test_endo_type_invariant_under_orthogonal_change_of_basis():
     q8 = reps.quaternion_group()
     left = reps._block_catalog(q8)["left"]
     qe = cayley_orthogonal(4, rng)
-    conj2 = reps.conjugate_rep(left, qe)
+    conj2 = conjugated(left, qe)
     assert reps.endo_type(conj2) == ("H", 4)
 
 

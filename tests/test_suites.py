@@ -11,7 +11,7 @@ import pytest
 from equitrans import (floer, groupoids, linalg, reps, spectral, suites,
                        transversality as tv)
 from equitrans.errors import InvalidInputError
-from test_projector_check import fraction_projectors
+from test_projector_check import fraction_projectors, mat_eq
 
 
 @pytest.mark.parametrize("name", ["Z_3", "S_3", "Q_8", "D_4"])
@@ -33,14 +33,14 @@ def test_integer_battery_matches_fraction_projectors(name):
         q[p, j] = Fraction(int(s))
     mats = q @ blocks @ q.T
     assert all(type(x) is Fraction for x in mats.reshape(-1))
-    assert linalg.mat_eq(rep.matrices, mats)
+    assert mat_eq(rep.matrices, mats)
     # the integer numerators criterion 1 certifies, Q = D P, equal the
     # all-Fraction character sums on the rebuilt rep
     _, projs, denom, _ = reps._projectors(rep, {})
     reference = fraction_projectors(reps.RealRepresentation(group, mats))
     assert sorted(projs) == sorted(reference)
     for label, ref in reference.items():
-        assert linalg.mat_eq(projs[label].astype(object), ref * denom), label
+        assert mat_eq(projs[label].astype(object), ref * denom), label
 
 
 def test_battery_records_are_deterministic():
