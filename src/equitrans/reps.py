@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -70,13 +70,16 @@ class FiniteGroupModel:
     ``table[i, j]`` is the index of the product g_i * g_j, an (n, n) int
     array; ``compose`` and ``inverse`` accept index arrays as well as single
     indices.  Irreps may be attached (preset groups ship with their full
-    real character table).
+    real character table).  ``build_blocks`` maps the group to its
+    integer-orthogonal blocks other than the 1-dim irreps; the constructors
+    of ``Z_n``, ``D_n``, ``S_n`` and ``Q_8`` supply it, and a group given by
+    its table has none (``_block_catalog``).
     """
 
     name: str
     table: np.ndarray
     irreps: tuple[IrrepDescriptor, ...] = ()
-    element_names: tuple[str, ...] = ()
+    build_blocks: Callable[[FiniteGroupModel], dict] | None = None
 
     @property
     def order(self) -> int:
@@ -210,8 +213,15 @@ def cyclic_group(n: int) -> FiniteGroupModel:
         else:
             chi = 2.0 * np.cos(2.0 * np.pi * k * np.arange(n) / n)
         irreps.append(IrrepDescriptor(f"plane_{k}", 2, chi, "C"))
-    names = tuple(f"r{j}" for j in range(n))
-    return FiniteGroupModel(f"Z_{n}", table, tuple(irreps), names)
+
+    def blocks(group):
+        out = {"shift": regular_rep(group)}
+        if n == 4:
+            out["rot90"] = RealRepresentation(group, _fr(
+                [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]]))
+        return out
+
+    return FiniteGroupModel(f"Z_{n}", table, tuple(irreps), blocks)
 
 
 def dihedral_group(n: int) -> FiniteGroupModel:
@@ -266,10 +276,13 @@ def dihedral_group(n: int) -> FiniteGroupModel:
                 [2.0 * np.cos(2.0 * np.pi * k * np.arange(n) / n), np.zeros(n)]
             )
         irreps.append(IrrepDescriptor(f"plane_{k}", 2, chi, "R"))
-    names = tuple(
-        (f"r{a}" if b == 0 else f"r{a}s") for b in range(2) for a in range(n)
-    )
-    return FiniteGroupModel(f"D_{n}", table, tuple(irreps), names)
+
+    def blocks(group):
+        # x moves vertex v (the coset of r^v) to that of x r^v
+        return {"vertices": permutation_rep(group, group.table[:, :n] % n),
+                "regular": regular_rep(group)}
+
+    return FiniteGroupModel(f"D_{n}", table, tuple(irreps), blocks)
 
 
 def _perm_compose(p, q):
@@ -320,17 +333,21 @@ def symmetric_group(n: int) -> FiniteGroupModel:
         cycle_type_chi = {(1, 1, 1, 1): 2, (2, 1, 1): 0, (2, 2): 2, (3, 1): -1, (4,): 0}
         chi2 = [cycle_type_chi[_cycle_type(p)] for p in perms]
         irreps.append(IrrepDescriptor("two_dim", 2, _fr(chi2), "R"))
-    names = tuple(str(p) for p in perms)
-    return FiniteGroupModel(f"S_{n}", table, tuple(irreps), names)
 
+    def blocks(group):
+        natural = permutation_rep(group, np.array(perms))
+        out = {"natural": natural}
+        if n == 4:
+            odd = np.array(sgn)[:, None, None] < 0
+            out["natural_sign"] = RealRepresentation(
+                group, np.where(odd, -natural.matrices, natural.matrices))
+            pairs = list(itertools.combinations(range(n), 2))
+            pidx = {p: i for i, p in enumerate(pairs)}
+            out["pairs"] = permutation_rep(group, np.array(
+                [[pidx[tuple(sorted((p[a], p[b])))] for a, b in pairs] for p in perms]))
+        return out
 
-_QUAT_UNITS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-_QUAT_VEC = {
-    "1": (1, 0, 0, 0),
-    "i": (0, 1, 0, 0),
-    "j": (0, 0, 1, 0),
-    "k": (0, 0, 0, 1),
-}
+    return FiniteGroupModel(f"S_{n}", table, tuple(irreps), blocks)
 
 
 def _quat_mul(a, b):
@@ -344,38 +361,34 @@ def _quat_mul(a, b):
     )
 
 
-def _quat_elements():
-    out = []
-    for u in _QUAT_UNITS:
-        base = _QUAT_VEC[u.lstrip("-")]
-        sign = -1 if u.startswith("-") else 1
-        out.append(tuple(sign * c for c in base))
-    return out
-
-
 def quaternion_group() -> FiniteGroupModel:
-    elems = _quat_elements()
+    """Q_8; element 2a + b is (-1)^b times the unit a of 1, i, j, k."""
+    units = [tuple(int(a == c) for c in range(4)) for a in range(4)]
+    elems = [tuple(s * c for c in u) for u in units for s in (1, -1)]
     index = {e: i for i, e in enumerate(elems)}
     table = np.array(
         [[index[_quat_mul(a, b)] for b in elems] for a in elems]
     )
+
     # the three nontrivial 1-dim irreps factor through Q_8 / {+-1} = Z_2 x Z_2
-    def through(kept: str):
-        vals = []
-        for u in _QUAT_UNITS:
-            axis = u.lstrip("-")
-            vals.append(1 if axis in ("1", kept) else -1)
-        return _fr(vals)
+    def through(kept: int):
+        return _fr([1 if x // 2 in (0, kept) else -1 for x in range(8)])
 
     chi4 = _fr([4, -4, 0, 0, 0, 0, 0, 0])
     irreps = (
         IrrepDescriptor("trivial", 1, _fr([1] * 8), "R"),
-        IrrepDescriptor("sign_i", 1, through("i"), "R"),
-        IrrepDescriptor("sign_j", 1, through("j"), "R"),
-        IrrepDescriptor("sign_k", 1, through("k"), "R"),
+        IrrepDescriptor("sign_i", 1, through(1), "R"),
+        IrrepDescriptor("sign_j", 1, through(2), "R"),
+        IrrepDescriptor("sign_k", 1, through(3), "R"),
         IrrepDescriptor("four_dim", 4, chi4, "H"),
     )
-    return FiniteGroupModel("Q_8", table, irreps, tuple(_QUAT_UNITS))
+
+    def blocks(group):
+        # left multiplication by q: column a holds q times the unit a
+        return {"left": RealRepresentation(group, _fr(
+            [list(zip(*(_quat_mul(q, u) for u in units))) for q in elems]))}
+
+    return FiniteGroupModel("Q_8", table, irreps, blocks)
 
 
 _PRESETS = {
@@ -404,8 +417,9 @@ def _preset(name: str) -> FiniteGroupModel:
 def preset_group(name: str) -> FiniteGroupModel:
     """The group of a preset name, or Z_n / D_n for any other n.
 
-    Each name in ``_PRESETS`` is built once per process and shared, with
-    its block catalog (``_block_catalog``): its multiplication table and
+    Each name in ``_PRESETS`` is built once per process and shared, and so
+    is the block catalog that ``_block_catalog`` builds from its
+    constructor's blocks on first use; its multiplication table and
     character arrays are read-only.  Other Z_n / D_n names build a new
     group on every call, so no input can grow the cache.
     """
@@ -424,6 +438,12 @@ def preset_group(name: str) -> FiniteGroupModel:
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------
+
+
+# matrix entries per stacked group-law comparison: every preset, and the
+# order-64 circle at d <= 12, fits one chunk, and a float 12-dim Z_200 rep
+# peaks at 25 MB under tracemalloc instead of 139 MB for all pairs at once
+_LAW_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -453,11 +473,13 @@ class RealRepresentation:
         return linalg.narrow(nums, bound, self.dim), m, bound
 
     def validate(self) -> None:
-        """Identity, orthogonality and the group law, each one stacked
-        comparison (``linalg.same``).  Exact mode checks the law as rho(s)
+        """Identity, orthogonality and the group law as stacked
+        comparisons (``linalg.same``).  Exact mode checks the law as rho(s)
         rho(h) = rho(sh) for s in a generating set and every h, which makes
         every rho(g) a product of generator images; float mode checks every
-        pair (g, h), since roundoff compounds along words."""
+        pair (g, h), since roundoff compounds along words.  The law is
+        compared in chunks of g of at most ``_LAW_CHUNK`` entries, and the
+        first failing pair in (g, h) order is named."""
         group, exact = self.group, self.exact
         mats, m, _ = self.numerators if exact else (self.matrices, 1, 1)
         ident = m * np.eye(self.dim, dtype=mats.dtype)
@@ -468,11 +490,14 @@ class RealRepresentation:
             raise InvalidInputError(
                 f"action of element {np.argmin(orthogonal)} is not orthogonal")
         gens = np.array(_generating_set(group) if exact else range(group.order), dtype=int)
-        products = group.compose(gens[:, None], np.arange(group.order))
-        law = linalg.same(mats[gens, None] @ mats, m * mats[products], exact)
-        if not law.all():
-            s, h = np.argwhere(~law)[0]
-            raise InvalidInputError(f"group law fails at pair ({gens[s]}, {h})")
+        step = max(1, _LAW_CHUNK // mats[0].size // group.order)
+        for start in range(0, len(gens), step):
+            g = gens[start:start + step]
+            products = group.compose(g[:, None], np.arange(group.order))
+            law = linalg.same(mats[g, None] @ mats, m * mats[products], exact)
+            if not law.all():
+                s, h = np.argwhere(~law)[0]
+                raise InvalidInputError(f"group law fails at pair ({g[s]}, {h})")
 
 
 def _generating_set(group: GroupModel) -> list[int]:
@@ -773,7 +798,10 @@ def circle_weight_rep(circle: CircleGroupModel, weights, fixed_dim: int = 0) -> 
 
 
 def _block_catalog(group: FiniteGroupModel) -> Mapping[str, RealRepresentation]:
-    """Integer-orthogonal building blocks available for a preset group.
+    """Integer-orthogonal building blocks of a group whose constructor
+    supplies them (``FiniteGroupModel.build_blocks``), together with one
+    block per 1-dim irrep, its character; a group given by its table, or
+    the circle, has none and raises InvalidInputError.
 
     Built once per group instance and kept in its ``__dict__`` (as
     ``functools.cached_property`` does, which a frozen dataclass allows);
@@ -782,70 +810,17 @@ def _block_catalog(group: FiniteGroupModel) -> Mapping[str, RealRepresentation]:
     """
     cache = group.__dict__
     if "_block_catalog" not in cache:
-        blocks = _build_block_catalog(group)
+        build = getattr(group, "build_blocks", None)
+        if build is None:
+            raise InvalidInputError(
+                "the group has no integer block catalog (only preset groups have one)")
+        blocks = {ir.label: one_dim_rep(group, ir.character)
+                  for ir in group.irreps if ir.dim_V == 1}
+        blocks.update(build(group))
         for rep in blocks.values():
             rep.matrices.flags.writeable = False
         cache["_block_catalog"] = MappingProxyType(blocks)
     return cache["_block_catalog"]
-
-
-def _build_block_catalog(group: FiniteGroupModel) -> dict[str, RealRepresentation]:
-    name = group.name
-    blocks: dict[str, RealRepresentation] = {
-        "trivial": one_dim_rep(group, [1] * group.order)
-    }
-    if name.startswith("Z_"):
-        n = group.order
-        blocks["shift"] = permutation_rep(group, group.table)
-        if n % 2 == 0:
-            blocks["sign"] = one_dim_rep(group, [(-1) ** g for g in range(n)])
-        if n == 4:
-            rot = [
-                [[1, 0], [0, 1]],
-                [[0, -1], [1, 0]],
-                [[-1, 0], [0, -1]],
-                [[0, 1], [-1, 0]],
-            ]
-            blocks["rot90"] = RealRepresentation(group, linalg.frac_array(rot))
-    elif name.startswith("S_"):
-        n = int(name[2:])
-        perms = sorted(itertools.permutations(range(n)))
-        act = np.array([[p[x] for x in range(n)] for p in perms])
-        blocks["natural"] = permutation_rep(group, act)
-        sgn = [_perm_parity(p) for p in perms]
-        blocks["sign"] = one_dim_rep(group, sgn)
-        if n == 4:
-            nat = blocks["natural"].matrices
-            odd = np.array(sgn)[:, None, None] < 0
-            blocks["natural_sign"] = RealRepresentation(group, np.where(odd, -nat, nat))
-            pairs = list(itertools.combinations(range(n), 2))
-            pidx = {p: i for i, p in enumerate(pairs)}
-            act2 = np.array(
-                [
-                    [pidx[tuple(sorted((p[a], p[b])))] for (a, b) in pairs]
-                    for p in perms
-                ]
-            )
-            blocks["pairs"] = permutation_rep(group, act2)
-    elif name == "Q_8":
-        elems = _quat_elements()
-        mats = []
-        for q in elems:
-            cols = [_quat_mul(q, _QUAT_VEC[u]) for u in ("1", "i", "j", "k")]
-            mats.append([[cols[c][r] for c in range(4)] for r in range(4)])
-        blocks["left"] = RealRepresentation(group, linalg.frac_array(mats))
-        for axis in ("i", "j", "k"):
-            ir = {x.label: x for x in group.irreps}[f"sign_{axis}"]
-            blocks[f"sign_{axis}"] = one_dim_rep(group, [int(c) for c in ir.character])
-    elif name.startswith("D_"):
-        n = group.order // 2
-        # x moves vertex v (the coset of r^v) to that of x r^v
-        blocks["vertices"] = permutation_rep(group, group.table[:, :n] % n)
-        for ir in group.irreps:
-            if ir.dim_V == 1 and ir.label != "trivial":
-                blocks[ir.label] = one_dim_rep(group, [int(c) for c in ir.character])
-        blocks["regular"] = regular_rep(group)
-    return blocks
 
 
 def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,

@@ -101,6 +101,37 @@ def test_floer_ranks_command(tmp_path, capsys):
     assert ranks == {"0": 1, "2": 1}
 
 
+def test_floer_ranks_pivot_tie_exit_1(tmp_path, capsys):
+    # two counts x -> y in classes of equal energy: the pivot has no unique
+    # omega-minimal term, so its inverse cannot be certified
+    payload = {
+        "lattice": {"rank": 2, "omega": ["1", "1"], "c1": [0, 0]},
+        "generators": {"names": ["x", "y"], "index": {"x": 0, "y": 1}, "half_dim": 1,
+                       "values": {"x": 0, "y": 1}},
+        "counts": [{"x": "x", "y": "y", "A": [1, 0], "count": 1},
+                   {"x": "x", "y": "y", "A": [0, 1], "count": 1}],
+    }
+    code, out, err = run(capsys, ["floer", "ranks", write(tmp_path, "tie.json", payload)])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "cannot certify pivot at row 0, column 0: no unique omega-minimal "
+                 "term (tied at omega = 1)",
+        "kind": "mathematical-failure"}
+
+
+def test_quadrature_order_flag_sets_the_circle_weight_capacity(tmp_path, capsys):
+    path = write(tmp_path, "w5.json", {"group": {"circle": {}},
+                                       "representation": {"weights": [5]}})
+    argv = ["reps", "decompose", path, "--mode", "float", "--quadrature-order"]
+    code, out, err = run(capsys, argv + ["16"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "weight 5 exceeds quadrature capacity (order 16 supports weights <= 3)",
+        "kind": "invalid-input"}
+    code, out, _ = run(capsys, argv + ["64"])
+    assert code == 0 and json.loads(out)["pass"]
+
+
 def test_parse_error_exit_2_with_line_column(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"group": }')
@@ -1116,6 +1147,12 @@ Q8_FOUR_CYCLE = [(s * m).tolist() for m in (EYE4, FOUR_CYCLE, EYE4, EYE4)
                  for s in (1, -1)]
 
 
+KLEIN_NAMED_Z4 = {"name": "Z_4", "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
+                                           [3, 2, 1, 0]],
+                  "irreps": [{"label": "two", "dim": 2, "character": [1, 0, -1, 0],
+                              "endo_type": "R"}]}
+
+
 def drifting_dihedral(n=32, amplitude=1.2e-10):
     """A float D_n scenario whose matrices pass the group law on the
     generators r and s (to 5e-11) but drift along longer words: r^a turns by
@@ -1260,6 +1297,18 @@ def near_tolerance_s3(scale=0.9e-10):
       "representation": {"matrices": [np.eye(3, dtype=int).tolist(),
                                       (-np.eye(3, dtype=int)).tolist()]}},
      "commutant dimension 9 is not 1, 2 or 4; input is not irreducible"),
+    # only a preset's constructor supplies integer blocks: a Klein four-group
+    # table named "Z_4" gets no rot90 block (which squares to -I), a 2-element
+    # table named "S_3" draws no S_3 block, and the circle has none
+    *[(["reps", sub], {"group": group, "representation": representation},
+       "the group has no integer block catalog (only preset groups have one)")
+      for sub, group, representation in [
+          ("decompose", KLEIN_NAMED_Z4, {"blocks": ["rot90"]}),
+          ("endotype", KLEIN_NAMED_Z4, {"random": {}}),
+          ("decompose", {"name": "S_3", "table": SWAP}, {"random": {"max_dim": 4}}),
+          ("decompose", {"name": "S_3", "table": SWAP}, {"blocks": ["natural"]}),
+          ("decompose", {"circle": {}}, {"blocks": ["trivial"]}),
+      ]],
     (["reps", "endotype"], drifting_dihedral(), "group law fails at pair (2, 11)"),
     (["reps", "endotype"], near_tolerance_s3(), "averaged map failed the equivariance check"),
     # a transition given in one direction that is singular, or invertible

@@ -5,8 +5,9 @@ matrices, brute-force group sums, orthogonal projection formulas) and frozen
 here, then compared against the library's character-projector path.
 """
 
-import ast
 import dataclasses
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -401,8 +402,8 @@ def test_symmetric_group_sign_and_two_dim_characters(n):
     two_dim = {(4, 1): 2, (2, 2): 0, (0, 2): 2, (1, 3): -1, (0, 4): 0}
     group = reps.symmetric_group(n)
     chi = {ir.label: ir.character for ir in group.irreps}
-    for x, name in enumerate(group.element_names):
-        p = ast.literal_eval(name)
+    # the constructor numbers the permutations in sorted order
+    for x, p in enumerate(sorted(itertools.permutations(range(n)))):
         inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
         assert chi["sign"][x] == (-1) ** inversions
         if n == 4:
@@ -426,6 +427,38 @@ def test_preset_group_is_built_once_per_name_and_read_only(name):
     assert reps.preset_group("Z_5") is not reps.preset_group("Z_5")
 
 
+def _expected_blocks(name):
+    """(name, dim) of every catalog block, sorted: the 1-dim irreps and the
+    blocks each constructor supplies."""
+    kind, n = name[0], int(name[2:])
+    if kind == "Z":
+        blocks = [("trivial", 1), ("shift", n)] + [("sign", 1)] * (n % 2 == 0)
+        blocks += [("rot90", 2)] * (n == 4)
+    elif kind == "D":
+        blocks = [("trivial", 1), ("reflection_sign", 1), ("vertices", n),
+                  ("regular", 2 * n)]
+        blocks += [("rotation_sign", 1), ("rotation_reflection_sign", 1)] * (n % 2 == 0)
+    else:
+        blocks = {"S_2": [("trivial", 1), ("sign", 1), ("natural", 2)],
+                  "S_3": [("trivial", 1), ("sign", 1), ("natural", 3)],
+                  "S_4": [("trivial", 1), ("sign", 1), ("natural", 4),
+                          ("natural_sign", 4), ("pairs", 6)],
+                  "Q_8": [("trivial", 1), ("sign_i", 1), ("sign_j", 1), ("sign_k", 1),
+                          ("left", 4)]}[name]
+    return sorted(blocks)
+
+
+@pytest.mark.parametrize("name", sorted({*ALL_PRESETS, *(f"Z_{n}" for n in range(1, 9)),
+                                          *(f"D_{n}" for n in range(2, 9)), "S_2"}))
+def test_block_catalog_blocks_are_integer_representations(name):
+    group = reps.symmetric_group(2) if name == "S_2" else reps.preset_group(name)
+    catalog = reps._block_catalog(group)
+    assert sorted((label, rep.dim) for label, rep in catalog.items()) == _expected_blocks(name)
+    for label, rep in catalog.items():
+        rep.validate()
+        assert all(type(v) is int for v in rep.matrices.flat), label
+
+
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_block_catalog_is_built_once_per_group_and_read_only(name):
     group = reps.preset_group(name)
@@ -440,3 +473,34 @@ def test_block_catalog_is_built_once_per_group_and_read_only(name):
         block.matrices[0, 0, 0] = 2
     with pytest.raises(TypeError):
         catalog["extra"] = block
+
+
+def _z200_planes():
+    """Z_200 acting on R^12 by rotation planes of weights 1 to 6, in float."""
+    planes = reps.circle_weight_rep(reps.CircleGroupModel(200), range(1, 7))
+    return reps.RealRepresentation(reps.preset_group("Z_200"), planes.matrices)
+
+
+def test_float_group_law_check_memory_is_bounded():
+    # all 200 x 200 pairs at once peaked at 139 MB under tracemalloc
+    rep = _z200_planes()
+    tracemalloc.start()
+    try:
+        rep.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+@pytest.mark.parametrize("chunk", [reps._LAW_CHUNK, 1])
+def test_group_law_names_the_first_failing_pair_in_any_chunk(monkeypatch, chunk):
+    # rho(150) turned by 1e-6 in its first plane stays orthogonal; the first
+    # pair (g, h) with g h = 150 is (1, 149), in the second chunk of one row
+    monkeypatch.setattr(reps, "_LAW_CHUNK", chunk)
+    turn = np.eye(12)
+    turn[:2, :2] = [[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]
+    mats = _z200_planes().matrices.copy()
+    mats[150] = mats[150] @ turn
+    with pytest.raises(InvalidInputError, match=r"^group law fails at pair \(1, 149\)$"):
+        reps.RealRepresentation(reps.preset_group("Z_200"), mats).validate()
