@@ -209,15 +209,7 @@ def load_representation(group, spec, settings: Settings):
             _int(spec.get("fixed_dim", 0), "representation 'fixed_dim'")
         )
     if "blocks" in spec:
-        catalog = reps._block_catalog(group)
-        chosen = []
-        for name in _list(spec["blocks"], "representation 'blocks'"):
-            if not isinstance(name, str) or name not in catalog:
-                raise InvalidInputError(
-                    f"unknown block {name!r}; available: {sorted(catalog)}"
-                )
-            chosen.append(catalog[name])
-        rep = chosen[0] if len(chosen) == 1 else reps.direct_sum(*chosen)
+        rep = reps.block_rep(group, _list(spec["blocks"], "representation 'blocks'"))
         if not settings.exact:
             rep = reps.RealRepresentation(group, linalg.as_float(rep.matrices))
         return rep

@@ -840,9 +840,7 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
         fixed_dim = int(rng.integers(0, max(1, max_dim - 2 * n_planes) + 1))
         rep = circle_weight_rep(group, weights, fixed_dim)
         return conjugate_rep(rep, linalg.random_orthogonal(rep.dim, rng))
-    catalog = _block_catalog(group)
-    chosen = [catalog[n] for n in _choose(catalog, rng, max_dim)]
-    rep = direct_sum(*chosen) if len(chosen) > 1 else chosen[0]
+    rep = block_rep(group, choose_blocks(group, rng, max_dim))
     if not exact:
         return conjugate_rep(rep, linalg.random_orthogonal(rep.dim, rng))
     perm, signs = rng.permutation(rep.dim), rng.choice([-1, 1], size=rep.dim)
@@ -852,13 +850,28 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
     return RealRepresentation(group, mats)
 
 
+def block_rep(group: FiniteGroupModel, names) -> RealRepresentation:
+    """The direct sum of the named catalog blocks (``_block_catalog``), in
+    order; an unknown name or an empty list raises InvalidInputError."""
+    catalog = _block_catalog(group)
+    for name in names:
+        if not isinstance(name, str) or name not in catalog:
+            raise InvalidInputError(
+                f"unknown block {name!r}; available: {sorted(catalog)}"
+            )
+    if not names:
+        raise InvalidInputError(
+            "a representation needs at least one block (random: max_dim >= 1)")
+    chosen = [catalog[name] for name in names]
+    return chosen[0] if len(chosen) == 1 else direct_sum(*chosen)
+
+
 def choose_blocks(group: FiniteGroupModel, rng: np.random.Generator,
                   max_dim: int = 12) -> list[str]:
-    """Seeded random multiset of building-block names with total dim <= max."""
-    return _choose(_block_catalog(group), rng, max_dim)
-
-
-def _choose(catalog: dict, rng: np.random.Generator, max_dim: int) -> list[str]:
+    """Seeded random multiset of building-block names with total dim <= max
+    (``random_rep`` draws these): before each pick after the first, stop
+    with probability 1/4, else pick uniformly among the blocks that fit."""
+    catalog = _block_catalog(group)
     names = sorted(catalog)
     chosen: list[str] = []
     total = 0

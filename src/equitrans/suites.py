@@ -1,10 +1,13 @@
 """Acceptance batteries: one callable per criterion, shared by the CLI
 ``suite`` subcommand and the pytest acceptance module.
 
-Each battery returns a record {"criterion", "name", "anchor", "checks",
-"failures", "pass", "elapsed"}; a failure entry is a short dict naming the
-offending case.  Each battery draws from fixed seeds, so its checks are
-deterministic.
+A battery body only states its checks: it takes one callable
+``check(ok, failure, n=1)``, which counts n checks and keeps ``failure``, a
+short dict naming the offending case, when ``ok`` is false.  One harness,
+``_battery``, turns the body into a zero-argument callable that times the
+whole body and returns the record {"criterion", "name", "anchor", "checks",
+"failures" (the first 16), "n_failures", "pass", "elapsed"}.  Each battery
+draws from fixed seeds, so its checks are deterministic.
 
 Criterion 1 draws random representations through ``reps`` in both modes
 and checks each with ``reps.projector_check``: the projector identities on
@@ -14,37 +17,54 @@ projectors within a tolerance in float mode.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from fractions import Fraction
 
 import numpy as np
 
 from . import bundles, floer, groupoids, linalg, reps, spectral, transversality as tv
-from .errors import EquitransError, ObstructionError
+from .errors import EquitransError, InvalidInputError, ObstructionError
 
 PROJECTOR_GROUPS = ("Z_2", "Z_3", "Z_4", "S_3", "S_4", "Q_8", "D_4")
 CIRCLE_ORDER = 64
 
 
-def _record(criterion, name, anchor, failures, checks, t0):
-    return {
-        "criterion": criterion,
-        "name": name,
-        "anchor": anchor,
-        "checks": checks,
-        "failures": failures[:16],
-        "n_failures": len(failures),
-        "pass": not failures,
-        "elapsed": round(time.perf_counter() - t0, 4),
-    }
+def _battery(criterion, name, anchor):
+    """The harness: make a battery record of a body that states its checks."""
+    def harness(body):
+        @functools.wraps(body)
+        def battery() -> dict:
+            t0 = time.perf_counter()
+            checks = 0
+            failures = []
+
+            def check(ok, failure, n=1):
+                nonlocal checks
+                checks += n
+                if not ok:
+                    failures.append(failure)
+
+            body(check)
+            return {
+                "criterion": criterion,
+                "name": name,
+                "anchor": anchor,
+                "checks": checks,
+                "failures": failures[:16],
+                "n_failures": len(failures),
+                "pass": not failures,
+                "elapsed": round(time.perf_counter() - t0, 4),
+            }
+        return battery
+    return harness
 
 
-def suite_projectors() -> dict:
+@_battery(1, "projector-algebra", "isotypic-character-projectors")
+def suite_projectors(check):
     """Criterion 1: projector algebra, exact and float modes: 20 draws per
     group, seeded 2024 (exact) and 2025 (float)."""
-    t0 = time.perf_counter()
-    failures = []
-    checks = 0
     finite = [reps.preset_group(n) for n in PROJECTOR_GROUPS]
     circle = reps.CircleGroupModel(CIRCLE_ORDER)
     for mode, groups, mode_seed in (("exact", finite, 2024),
@@ -54,83 +74,58 @@ def suite_projectors() -> dict:
             for trial in range(20):
                 rep = reps.random_rep(group, rng, max_dim=12, exact=mode == "exact")
                 _, n, failed = reps.projector_check(rep, linalg.TOL)
-                checks += n
-                failures += [{"mode": mode, "group": getattr(group, "name", "S1"),
-                              "trial": trial, "check": identity, "component": label}
-                             for identity, label in failed]
-    return _record(1, "projector-algebra", "isotypic-character-projectors",
-                   failures, checks, t0)
+                check(True, None, n - len(failed))
+                for identity, label in failed:
+                    check(False, {"mode": mode, "group": getattr(group, "name", "S1"),
+                                  "trial": trial, "check": identity, "component": label})
 
 
-def suite_endotype() -> dict:
+@_battery(2, "endomorphism-type-table", "division-ring-classification")
+def suite_endotype(check):
     """Criterion 2: endomorphism-type table (R, 1), (C, 2), (H, 4)."""
-    t0 = time.perf_counter()
-    failures = []
-    checks = 0
     z2 = reps.cyclic_group(2)
-    triv = reps.one_dim_rep(z2, [1, 1])
-    checks += 1
-    if reps.endo_type(triv) != ("R", 1):
-        failures.append({"case": "trivial"})
+    check(reps.endo_type(reps.one_dim_rep(z2, [1, 1])) == ("R", 1), {"case": "trivial"})
     circle = reps.CircleGroupModel(CIRCLE_ORDER)
     rng = np.random.default_rng(7)
     for weight in range(1, circle.max_weight + 1):
         rep = reps.circle_weight_rep(circle, [weight])
         q = linalg.random_orthogonal(2, rng)
-        checks += 1
-        if reps.endo_type(reps.conjugate_rep(rep, q)) != ("C", 2):
-            failures.append({"case": f"weight_{weight}"})
-    q8 = reps.quaternion_group()
-    left = reps._block_catalog(q8)["left"]
-    checks += 1
-    if reps.endo_type(left) != ("H", 4):
-        failures.append({"case": "quaternion-four-dim"})
-    return _record(2, "endomorphism-type-table", "division-ring-classification",
-                   failures, checks, t0)
+        check(reps.endo_type(reps.conjugate_rep(rep, q)) == ("C", 2),
+              {"case": f"weight_{weight}"})
+    left = reps.block_rep(reps.quaternion_group(), ["left"])
+    check(reps.endo_type(left) == ("H", 4), {"case": "quaternion-four-dim"})
 
 
-def suite_codimension() -> dict:
+@_battery(3, "determinantal-codimension", "rank-stratification-count")
+def suite_codimension(check):
     """Criterion 3: determinantal codimensions against the Grassmannian
     fibration oracle, exact integers."""
-    t0 = time.perf_counter()
-    failures = []
-    checks = 0
     for n in range(1, 5):
         for m in range(1, n + 1):
             for d in (1, 2, 4):
                 spec = tv.SingularStratumSpec("l", n, m, d)
                 dim_rows = tv.determinantal_dimension_oracle(n, m, m - 1)
                 dim_cols = tv.determinantal_dimension_oracle_columns(n, m, m - 1)
-                checks += 1
-                if dim_rows != dim_cols:
-                    failures.append({"n": n, "m": m, "d": d, "check": "fibrations"})
-                checks += 1
-                if d * dim_rows != d * n * m - (n - m + 1) * d:
-                    failures.append({"n": n, "m": m, "d": d, "check": "stratum"})
+                case = {"n": n, "m": m, "d": d}
+                check(dim_rows == dim_cols, {**case, "check": "fibrations"})
+                check(d * dim_rows == d * n * m - (n - m + 1) * d,
+                      {**case, "check": "stratum"})
                 if m >= 2:
                     dim_sing = tv.determinantal_dimension_oracle(n, m, m - 2)
-                    checks += 1
                     # the singular sub-stratum sits (n-m+3)*d inside the stratum
-                    if d * dim_sing != d * dim_rows - (n - m + 3) * d:
-                        failures.append(
-                            {"n": n, "m": m, "d": d, "check": "singular"}
-                        )
-                checks += 1
-                if spec.singular_codim != spec.codim + 2 * d:
-                    failures.append({"n": n, "m": m, "d": d, "check": "offset"})
-    return _record(3, "determinantal-codimension", "rank-stratification-count",
-                   failures, checks, t0)
+                    check(d * dim_sing == d * dim_rows - (n - m + 3) * d,
+                          {**case, "check": "singular"})
+                check(spec.singular_codim == spec.codim + 2 * d, {**case, "check": "offset"})
 
 
-def suite_condition() -> dict:
+@_battery(4, "condition-consistency", "circle-index-condition")
+def suite_condition(check):
     """Criterion 4: the circle inequality agrees with the general pointwise
     condition at (dim V, d) = (2, 2), on 500 seeded cases.  Each case is a
     split of zero blocks: a fixed block of index ind_sG and one weight
     block V^n -> V^m with n - m = ind_lambda / 2 and m >= 1."""
-    t0 = time.perf_counter()
-    failures = []
     rng = np.random.default_rng(11)
-    for k in range(500):
+    for _ in range(500):
         ind_sg = int(rng.integers(-8, 9))
         ind_l = 2 * int(rng.integers(-4, 5))
         m = max(1, 1 - ind_l // 2)
@@ -140,41 +135,29 @@ def suite_condition() -> dict:
             {"weight": np.zeros((2 * m, 2 * n))}, {"weight": 2}, {"weight": 2})
         general = tv.check_pointwise_condition(split)["weight"]
         circle = tv.s1_condition(split.fixed_index, [split.lambda_real_index("weight")])
-        if general != circle:
-            failures.append({"ind_sG": ind_sg, "ind_lambda": ind_l})
-    return _record(4, "condition-consistency", "circle-index-condition",
-                   failures, 500, t0)
+        check(general == circle, {"ind_sG": ind_sg, "ind_lambda": ind_l})
 
 
-def suite_spectral_flow() -> dict:
+@_battery(5, "spectral-flow-battery", "eigenvalue-count-index")
+def suite_spectral_flow(check):
     """Criterion 5: eigenvalue-count index battery."""
-    t0 = time.perf_counter()
-    failures = []
-    checks = 0
-    checks += 1
-    if spectral.fredholm_index(spectral.scalar_tanh_path()) != 1:
-        failures.append({"case": "tanh-scalar"})
+    check(spectral.fredholm_index(spectral.scalar_tanh_path()) == 1, {"case": "tanh-scalar"})
     rng = np.random.default_rng(13)
     for k in range(10):
         d = int(rng.integers(1, 4))
         diag = rng.choice([-2.0, -1.0, 1.0, 2.0], size=d)
-        checks += 1
-        if spectral.fredholm_index(spectral.constant_path(np.diag(diag))) != 0:
-            failures.append({"case": f"constant-{k}"})
+        check(spectral.fredholm_index(spectral.constant_path(np.diag(diag))) == 0,
+              {"case": f"constant-{k}"})
     for weight in range(1, 6):
         for n in (1, 2, 3):
             spec = spectral.LambdaOperatorSpec(
                 n, weight, lambda s, n=n: np.zeros((2 * n, 2 * n))
             )
             path = spectral.build_lambda_path(spec)
-            checks += 1
-            if spectral.unstable_dim(path.b_minus) != 2 * n or spectral.unstable_dim(
-                path.b_plus
-            ) != 2 * n:
-                failures.append({"case": f"unstable-dim-l{weight}-n{n}"})
-            checks += 1
-            if spectral.fredholm_index(path) != 0:
-                failures.append({"case": f"index-l{weight}-n{n}"})
+            check(spectral.unstable_dim(path.b_minus) == 2 * n
+                  == spectral.unstable_dim(path.b_plus),
+                  {"case": f"unstable-dim-l{weight}-n{n}"})
+            check(spectral.fredholm_index(path) == 0, {"case": f"index-l{weight}-n{n}"})
     for k in range(50):
         n = int(rng.integers(1, 4))
         weight = int(rng.integers(1, 6))
@@ -190,18 +173,13 @@ def suite_spectral_flow() -> dict:
         path = spectral.build_lambda_path(
             spectral.LambdaOperatorSpec(n, weight, a_path)
         )
-        checks += 1
-        if spectral.fredholm_index(path) != 0:
-            failures.append({"case": f"seeded-A-{k}"})
-    return _record(5, "spectral-flow-battery", "eigenvalue-count-index",
-                   failures, checks, t0)
+        check(spectral.fredholm_index(path) == 0, {"case": f"seeded-A-{k}"})
 
 
-def suite_oracle() -> dict:
+@_battery(6, "oracle-equivalence", "shooting-kernel-oracle")
+def suite_oracle(check):
     """Criterion 6: eigencount index equals the shooting-kernel difference,
     on 20 seeded tanh paths."""
-    t0 = time.perf_counter()
-    failures = []
     rng = np.random.default_rng(17)
     done = 0
     while done < 20:
@@ -218,11 +196,8 @@ def suite_oracle() -> dict:
         path = spectral.tanh_path(b0, b1)
         idx = spectral.fredholm_index(path)
         shoot = spectral.index_by_shooting(path)
-        if idx != shoot:
-            failures.append({"case": done, "eigencount": idx, "shooting": shoot})
+        check(idx == shoot, {"case": done, "eigencount": idx, "shooting": shoot})
         done += 1
-    return _record(6, "oracle-equivalence", "shooting-kernel-oracle",
-                   failures, 20, t0)
 
 
 def _pipeline_model(base, circle, spec_units, fixed_shape):
@@ -248,12 +223,11 @@ def _pipeline_model(base, circle, spec_units, fixed_shape):
     )
 
 
-def suite_perturbation() -> dict:
+@_battery(7, "equivariant-perturbation", "fixed-locus-pipeline")
+def suite_perturbation(check):
     """Criterion 7: the equivariant perturbation pipeline on synthetic
-    fixed-locus models, plus obstruction certificates on violating models."""
-    t0 = time.perf_counter()
-    failures = []
-    checks = 0
+    fixed-locus models, plus obstruction certificates on violating models.
+    A good model whose pipeline raises adds a failure and no check."""
     circle = reps.CircleGroupModel(32)
     bases = [bundles.SimplicialBase.interval(1), bundles.SimplicialBase.circle(3)]
     good_specs = [
@@ -263,61 +237,44 @@ def suite_perturbation() -> dict:
         {3: (2, 2)},
         {1: (1, 1), 2: (2, 1)},
     ]
-    k = 0
-    for base in bases:
-        for spec_units in good_specs:
-            model = _pipeline_model(base, circle, spec_units, (2, 2))
-            try:
-                gamma, report = tv.construct_equivariant_perturbation(
-                    model, seed=19 + k
-                )
-            except EquitransError as exc:
-                failures.append({"model": k, "error": str(exc)})
-                k += 1
-                continue
-            checks += 1
-            if not report.passed:
-                failures.append({"model": k, "error": "report failed"})
-            checks += 1
-            if report.equivariance_residual > 1e-10:
-                failures.append({"model": k, "error": "gamma not equivariant"})
-            for v in model.base.vertices:
-                split = model.split_at(v)
-                fixed = split.fixed_block + gamma.fixed[v]
-                checks += 1
-                if linalg.min_singular_value(fixed) <= 1e-8:
-                    failures.append({"model": k, "vertex": v, "block": "fixed"})
-                for label, blk in split.lambda_blocks.items():
-                    corr = blk + gamma.lambdas[v][label]
-                    checks += 1
-                    if linalg.min_singular_value(corr) <= 1e-8:
-                        failures.append({"model": k, "vertex": v, "block": label})
-            k += 1
+    for k, (base, spec_units) in enumerate(itertools.product(bases, good_specs)):
+        model = _pipeline_model(base, circle, spec_units, (2, 2))
+        try:
+            gamma, report = tv.construct_equivariant_perturbation(model, seed=19 + k)
+        except EquitransError as exc:
+            check(False, {"model": k, "error": str(exc)}, n=0)
+            continue
+        check(report.passed, {"model": k, "error": "report failed"})
+        check(report.equivariance_residual <= 1e-10,
+              {"model": k, "error": "gamma not equivariant"})
+        for v in model.base.vertices:
+            split = model.split_at(v)
+            fixed = split.fixed_block + gamma.fixed[v]
+            check(linalg.min_singular_value(fixed) > 1e-8,
+                  {"model": k, "vertex": v, "block": "fixed"})
+            for label, blk in split.lambda_blocks.items():
+                corr = blk + gamma.lambdas[v][label]
+                check(linalg.min_singular_value(corr) > 1e-8,
+                      {"model": k, "vertex": v, "block": label})
     # violating models: ind s^G = 2 >= (0/2 + 1)*2 with forced zeros
     for j in range(5):
         base = bases[j % 2]
         model = _pipeline_model(base, circle, {1 + (j % 3): (1, 1)}, (1, 3))
-        checks += 1
         try:
             tv.construct_equivariant_perturbation(model, seed=119 + j)
-            failures.append({"violating_model": j, "error": "no obstruction raised"})
+            check(False, {"violating_model": j, "error": "no obstruction raised"})
         except ObstructionError as exc:
             certs = exc.certificate.get("certificates", [])
-            if not certs or any(
+            check(certs and not any(
                 set(c) < {"vertex", "lambda", "n", "m", "d", "ind_sG", "rhs"}
                 for c in certs
-            ):
-                failures.append({"violating_model": j, "error": "bad certificate"})
-    return _record(7, "equivariant-perturbation", "fixed-locus-pipeline",
-                   failures, checks, t0)
+            ), {"violating_model": j, "error": "bad certificate"})
 
 
-def suite_floer() -> dict:
+@_battery(8, "floer-algebra", "novikov-chain-complex")
+def suite_floer(check):
     """Criterion 8: d-squared, autonomous reduction, toy-model ranks, and the
     generator lower bound."""
-    t0 = time.perf_counter()
-    failures = []
-    checks = 0
     lat = floer.HomologyLattice(1, (Fraction(1),), (0,))
     rng = np.random.default_rng(23)
     from .testutil import coherent_three_level_table
@@ -325,9 +282,7 @@ def suite_floer() -> dict:
     for k in range(20):
         gens, counts = coherent_three_level_table(rng, lat)
         delta = floer.build_differential(gens, counts, cutoff=10)
-        checks += 1
-        if not floer.check_d_squared(delta).ok:
-            failures.append({"case": f"coherent-table-{k}"})
+        check(floer.check_d_squared(delta).ok, {"case": f"coherent-table-{k}"})
     # autonomous reduction: entry-by-entry equality with the Morse matrix
     gens = floer.GeneratorSet(
         ("m1", "m2", "M1", "M2"),
@@ -350,21 +305,17 @@ def suite_floer() -> dict:
     reduced = floer.autonomous_reduce(table, gens, morse)
     delta_r = floer.build_differential(gens, reduced, cutoff=10)
     for (x, y), c in morse.items():
-        checks += 1
         want = floer.NovikovElement.monomial(lat_c, lat_c.zero, c, Fraction(10))
-        if delta_r.entry(x, y) != want:
-            failures.append({"case": f"reduction-entry-{x}-{y}"})
-    checks += 1
-    if any(a != lat_c.zero for (_, _, a) in reduced.counts):
-        failures.append({"case": "reduction-left-nonzero-classes"})
+        check(delta_r.entry(x, y) == want, {"case": f"reduction-entry-{x}-{y}"})
+    check(all(a == lat_c.zero for (_, _, a) in reduced.counts),
+          {"case": "reduction-left-nonzero-classes"})
     # toy models
     sphere = floer.GeneratorSet(("x", "z"), {"x": 0, "z": 2}, 1, {"x": 0, "z": 2})
     ranks_s = floer.cohomology_rank(
         floer.build_differential(sphere, floer.ModuliCountTable(lat, {}), cutoff=10)
     )
-    checks += 1
-    if {d: ranks_s.get(d, 0) for d in (0, 1, 2)} != {0: 1, 1: 0, 2: 1}:
-        failures.append({"case": "sphere-ranks", "got": ranks_s})
+    check({d: ranks_s.get(d, 0) for d in (0, 1, 2)} == {0: 1, 1: 0, 2: 1},
+          {"case": "sphere-ranks", "got": ranks_s})
     torus = floer.GeneratorSet(
         ("a", "b1", "b2", "c"),
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
@@ -374,24 +325,17 @@ def suite_floer() -> dict:
     ranks_t = floer.cohomology_rank(
         floer.build_differential(torus, floer.ModuliCountTable(lat, {}), cutoff=10)
     )
-    checks += 1
-    if ranks_t != {0: 1, 1: 2, 2: 1}:
-        failures.append({"case": "torus-ranks", "got": ranks_t})
+    check(ranks_t == {0: 1, 1: 2, 2: 1}, {"case": "torus-ranks", "got": ranks_t})
     for gens_model, ranks in ((sphere, ranks_s), (torus, ranks_t)):
-        checks += 1
-        if len(gens_model.names) < floer.betti_sum(ranks):
-            failures.append({"case": "generator-lower-bound"})
-        checks += 1
-        if len(gens_model.names) != floer.betti_sum(ranks):
-            failures.append({"case": "perfect-model-equality"})
-    return _record(8, "floer-algebra", "novikov-chain-complex", failures, checks, t0)
+        check(len(gens_model.names) >= floer.betti_sum(ranks),
+              {"case": "generator-lower-bound"})
+        check(len(gens_model.names) == floer.betti_sum(ranks),
+              {"case": "perfect-model-equality"})
 
 
-def suite_groupoid() -> dict:
+@_battery(9, "groupoid-quotient", "isotropy-cardinality-law")
+def suite_groupoid(check):
     """Criterion 9: isotropy cardinality law, properness, quotient metrics."""
-    t0 = time.perf_counter()
-    failures = []
-    checks = 0
     # cardinality law over a library of finite actions
     library = []
     for n_stab in (1, 2, 3, 4, 5):
@@ -425,24 +369,18 @@ def suite_groupoid() -> dict:
     for i, (g, a, slices, kern) in enumerate(library):
         model = groupoids.quotient_groupoid(g, a, slices, kern)
         for x, rec in model.stab_law.items():
-            checks += 1
-            if not rec["ok"]:
-                failures.append({"library_case": i, "object": x, "law": rec})
+            check(rec["ok"], {"library_case": i, "object": x, "law": rec})
     # properness on declared uniformizers: stabilizer orbits pass, a
     # uniformizer mixing isotropy types fails at the smaller-isotropy point
     z2 = reps.cyclic_group(2)
     act2 = np.array([[0, 1, 2], [1, 0, 2]])
     mixed = groupoids.make_translation_groupoid(z2, act2)
     rep_ok = groupoids.properness_check(mixed, {2: {2}, 0: {0}})
-    checks += 2
-    if not rep_ok[2]["ok"]:
-        failures.append({"properness": 2})
-    if not rep_ok[0]["ok"]:
-        failures.append({"properness": 0})
+    check(rep_ok[2]["ok"], {"properness": 2})
+    check(rep_ok[0]["ok"], {"properness": 0})
     rep_bad = groupoids.properness_check(mixed, {2: {0, 2}})
-    checks += 1
-    if rep_bad[2]["ok"] or rep_bad[2]["offending"] != 0:
-        failures.append({"properness": "mixed-isotropy-should-fail"})
+    check(not rep_bad[2]["ok"] and rep_bad[2]["offending"] == 0,
+          {"properness": "mixed-isotropy-should-fail"})
     # quotient metric: negation formula on 100 sample pairs
     rng = np.random.default_rng(29)
     pts = [np.array([x]) for x in rng.normal(size=10) * 2.5]
@@ -451,15 +389,14 @@ def suite_groupoid() -> dict:
     )
     for i in range(10):
         for j in range(10):
-            checks += 1
             expected = min(abs(pts[i][0] - pts[j][0]), abs(pts[i][0] + pts[j][0]))
-            if abs(res.orbit_matrix[i, j] - expected) > 1e-12:
-                failures.append({"metric-pair": (i, j)})
+            check(abs(res.orbit_matrix[i, j] - expected) <= 1e-12, {"metric-pair": (i, j)})
     # metric axioms: exact finite / 1e-8 circle quadrature
     circle = reps.CircleGroupModel(CIRCLE_ORDER)
     act = groupoids.circle_rotation_action(circle)
     cpts = [rng.normal(size=2) for _ in range(5)]
     cres = groupoids.quotient_metric(cpts, circle, act)
+    orbit = cres.orbit_matrix
     n = len(cpts)
     # invariance of d_G under each tested g, on all pair columns at once
     pi, pj = np.divmod(np.arange(n * n), n)
@@ -469,26 +406,14 @@ def suite_groupoid() -> dict:
                for g in range(0, circle.order, 9)}
     for i in range(n):
         for j in range(n):
-            checks += 1
-            if abs(cres.orbit_matrix[i, j] - cres.orbit_matrix[j, i]) > 1e-8:
-                failures.append({"circle-symmetry": (i, j)})
+            check(abs(orbit[i, j] - orbit[j, i]) <= 1e-8, {"circle-symmetry": (i, j)})
             radial = abs(np.linalg.norm(cpts[i]) - np.linalg.norm(cpts[j]))
-            checks += 1
-            if abs(cres.orbit_matrix[i, j] - radial) > 1e-6:
-                failures.append({"circle-radial": (i, j)})
+            check(abs(orbit[i, j] - radial) <= 1e-6, {"circle-radial": (i, j)})
             for g, defect in defects.items():
-                checks += 1
-                if abs(defect[i * n + j]) > 1e-8:
-                    failures.append({"circle-invariance": (i, j, g)})
+                check(abs(defect[i * n + j]) <= 1e-8, {"circle-invariance": (i, j, g)})
             for k in range(n):
-                checks += 1
-                if (
-                    cres.orbit_matrix[i, k]
-                    > cres.orbit_matrix[i, j] + cres.orbit_matrix[j, k] + 1e-8
-                ):
-                    failures.append({"circle-triangle": (i, j, k)})
-    return _record(9, "groupoid-quotient", "isotropy-cardinality-law",
-                   failures, checks, t0)
+                check(orbit[i, k] <= orbit[i, j] + orbit[j, k] + 1e-8,
+                      {"circle-triangle": (i, j, k)})
 
 
 SUITES = {
@@ -509,8 +434,6 @@ def run_suite(name: str):
     if name == "all":
         return [fn() for fn in SUITES.values()]
     if name not in SUITES:
-        from .errors import InvalidInputError
-
         raise InvalidInputError(
             f"unknown suite {name!r}; available: {sorted(SUITES)} + ['all']"
         )

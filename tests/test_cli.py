@@ -148,6 +148,12 @@ def test_unknown_subcommand_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_unknown_command_exit_2(capsys):
+    code, out, err = run(capsys, ["nonsense", "all"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("unknown command 'nonsense'")
+
+
 def test_byte_identical_json_reports(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -275,6 +281,7 @@ def test_malformed_regularity_transition_and_points_exit_2(tmp_path, capsys,
     ("index", {"preset": "lambda", "n": 0, "weight": 1}),
     ("oracle", {"preset": "lambda", "n": 0, "weight": 1}),
     ("index", {"preset": "lambda", "n": -1, "weight": 1}),
+    ("index", {"preset": "lambda", "n": 1, "weight": 0}),
 ])
 def test_malformed_flow_paths_exit_2(tmp_path, capsys, command, flow_path):
     path = write(tmp_path, "bad.json", {"flow": {"paths": [flow_path]}})
@@ -1309,6 +1316,10 @@ def near_tolerance_s3(scale=0.9e-10):
           ("decompose", {"name": "S_3", "table": SWAP}, {"blocks": ["natural"]}),
           ("decompose", {"circle": {}}, {"blocks": ["trivial"]}),
       ]],
+    # an empty choice of blocks, listed or drawn, is no representation
+    *[(["reps", "decompose"], {"group": {"preset": "Z_2"}, "representation": representation},
+       "a representation needs at least one block (random: max_dim >= 1)")
+      for representation in ({"blocks": []}, {"random": {"max_dim": 0}})],
     (["reps", "endotype"], drifting_dihedral(), "group law fails at pair (2, 11)"),
     (["reps", "endotype"], near_tolerance_s3(), "averaged map failed the equivariance check"),
     # a transition given in one direction that is singular, or invertible
@@ -1463,9 +1474,7 @@ def test_every_public_library_name_has_a_library_caller():
                     for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_") and (mod, node.name) not in used)
-    # the one exception: perfbench/scenarios.py calls reps.choose_blocks to
-    # rebuild the blocks that a seeded random representation draws
-    assert unused == ["reps.choose_blocks"]
+    assert unused == []
 
 
 def test_every_public_method_has_a_library_caller():

@@ -50,6 +50,35 @@ def test_battery_records_are_deterministic():
         assert a[key] == b[key]
 
 
+# the check count of each battery, pinned exactly: a battery that drops or
+# repeats a check changes its count
+CHECKS = {"projectors": 6860, "endotype": 17, "codimension": 108, "condition": 500,
+          "spectral-flow": 91, "oracle": 20, "perturbation": 80, "floer": 31,
+          "groupoid": 489}
+
+
+def test_battery_check_counts_are_pinned():
+    assert list(CHECKS) == list(suites.SUITES)
+    for name, battery in suites.SUITES.items():
+        record = battery()
+        assert (record["checks"], record["pass"]) == (CHECKS[name], True), name
+
+
+def test_harness_counts_all_failures_and_keeps_the_first_16():
+    @suites._battery(0, "harness", "first-16")
+    def body(check):
+        check(True, None, 5)
+        for i in range(20):
+            check(False, {"case": i})
+
+    record = body()
+    assert list(record) == ["criterion", "name", "anchor", "checks", "failures",
+                            "n_failures", "pass", "elapsed"]
+    assert record["checks"] == 25 and record["n_failures"] == 20
+    assert record["failures"] == [{"case": i} for i in range(16)]
+    assert record["pass"] is False and record["elapsed"] >= 0
+
+
 def test_condition_battery_reports_a_planted_fault(monkeypatch):
     # criterion 4 asks the library's pointwise condition, so flipping its
     # verdict for one (ind_sG, ind_lambda) pair must fail the record there
