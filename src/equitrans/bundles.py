@@ -387,7 +387,9 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     and the grid certificate run in float arithmetic: the boundary faces,
     and then each candidate's subdivision, are certified by stacked passes
     over all grid points of their simplices, with norms equal to
-    ``np.linalg.norm`` of each point.
+    ``np.linalg.norm`` of each point.  A boundary section that vanishes at
+    a face grid point or at a face barycenter (a first-ring vertex, which
+    no candidate changes) is invalid input.
     """
     simplex = tuple(sorted(simplex))
     if simplex not in bundle.base.simplices:
@@ -412,14 +414,6 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
                 f"boundary section at vertex {v} is not a vector of length {d}")
         bdry[v] = linalg.as_float(bundle.transport(v, root)
                                   @ np.asarray(boundary_section[v]))
-    # boundary faces of the simplex must be nonvanishing before extension
-    if n >= 1:
-        face_min = min(
-            sample_min_norm({v: bdry[v] for v in face})
-            for face in itertools.combinations(simplex, len(simplex) - 1)
-        )
-        if face_min <= 0.0:
-            raise InvalidInputError("boundary section vanishes on the boundary")
     # one barycentric subdivision: proper-face barycenters (the first ring)
     # carry interpolated boundary values, only the full barycenter is free
     sub = barycentric_subdivision(simplex)
@@ -427,6 +421,17 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     for subset in sub.vertices:
         values[subset] = sum(bdry[v] for v in subset) / len(subset)
     full = tuple(sorted(simplex))
+    # the boundary must be nonvanishing before extension: on the grid of
+    # each boundary face, and at the face barycenters, whose values no
+    # candidate can change
+    if n >= 1:
+        face_min = min(
+            sample_min_norm({v: bdry[v] for v in face})
+            for face in itertools.combinations(simplex, len(simplex) - 1)
+        )
+        ring_min = min(np.linalg.norm(values[s]) for s in sub.vertices if s != full)
+        if min(face_min, ring_min) <= 0.0:
+            raise InvalidInputError("boundary section vanishes on the boundary")
     rng = np.random.default_rng(seed)
     scale = float(np.mean([np.linalg.norm(bdry[v]) for v in simplex])) or 1.0
     # candidate order: straight affine continuation first (so nonvanishing

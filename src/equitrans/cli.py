@@ -286,7 +286,6 @@ def load_generators(spec) -> floer.GeneratorSet:
         tuple(names),
         {k: _int(v, "generator 'index'") for k, v in
          _object(_field(spec, "index", "generators"), "generators 'index'").items()},
-        _int(_field(spec, "half_dim", "generators"), "generators 'half_dim'"),
         {k: _parse_scalar(v, exact=True, what="generator values") for k, v in
          _object(_field(spec, "values", "generators"), "generators 'values'").items()},
     )

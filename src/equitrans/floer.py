@@ -3,18 +3,23 @@
 Scalars are truncated Novikov sums: finitely many terms f_A q^A over a
 homology lattice carrying linear functionals omega (rational) and c1
 (integer), with q^A graded by 2 c1(A).  All arithmetic is exact rational
-below an explicit omega-cutoff; inverting a scalar requires a unique
-omega-minimal term, and elimination pivots must be certifiable units at the
-working cutoff.
+below an omega-cutoff, held as one precision: an element keeps only its
+integer energy bound floor(cutoff * denom) and drops every term above it,
+and a sum or product keeps the smaller bound of its operands.  Inverting a
+scalar requires a unique omega-minimal term, and elimination pivots must be
+certifiable units at the working cutoff.
 
 Count tables are indexed by (x, y, A) with the derived Fredholm index
 
     ind(x, y, A) = ind y - ind x + 2 c1(A) - 1,
 
 and entries may only sit where H(y) - H(x) + omega(A) > 0.  The differential
-collects the index-0 counts, delta y = sum count(x, y, A) q^A x, and raises
-total grading by one.  For autonomous circle-symmetric data, rotating the
-circle coordinate forces index-0 moduli with A != 0 to be empty and the
+collects the index-0 counts, delta y = sum count(x, y, A) q^A x.  Index 0
+alone makes each entry homogeneous, 2 c1(A) = 1 + ind x - ind y on every
+term, and makes it raise the Floer grading n - ind by exactly one, so
+neither is checked and generators carry no half-dimension n (it cancels in
+every grading difference).  For autonomous circle-symmetric data, rotating
+the circle coordinate forces index-0 moduli with A != 0 to be empty and the
 A = 0 counts to agree with the Morse counts; the reduction below implements
 exactly that replacement.
 """
@@ -22,7 +27,8 @@ exactly that replacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -60,7 +66,7 @@ class HomologyLattice:
         return a
 
     def energy(self, a) -> int:
-        return sum(k * w for k, w in zip(a, self.weights))
+        return sum(map(operator.mul, a, self.weights))
 
     def energy_bound(self, cutoff) -> int:
         """The largest energy at or below omega = cutoff."""
@@ -82,28 +88,29 @@ class NovikovElement:
     """Finite sum of terms f_A q^A, exact below the energy cutoff.
 
     ``cutoff`` is the guaranteed-precision level: terms with omega above it
-    are dropped and results are only claimed modulo such terms.  Coefficients
-    are ``linalg.rational`` (an int when integral); arithmetic results skip
-    the constructor's checks.
+    are dropped and results are only claimed modulo such terms.  The element
+    keeps it only as ``_bound``, the largest integer energy at or below it.
+    Coefficients are ``linalg.rational`` (an int when integral); arithmetic
+    results skip the constructor's checks.
     """
 
     lattice: HomologyLattice
     terms: dict
-    cutoff: Fraction
+    cutoff: InitVar[Fraction]
 
-    def __post_init__(self):
+    def __post_init__(self, cutoff):
         clean = {}
         for a, coeff in self.terms.items():
             a = self.lattice.check_point(a)
             clean[a] = clean.get(a, 0) + linalg.rational(coeff)
-        self._bound = self.lattice.energy_bound(self.cutoff)
-        self.terms = self._checked(self.lattice, clean, self.cutoff, self._bound).terms
+        self._bound = self.lattice.energy_bound(cutoff)
+        self.terms = self._checked(self.lattice, clean, self._bound).terms
 
     @classmethod
-    def _checked(cls, lattice, terms, cutoff, bound) -> "NovikovElement":
+    def _checked(cls, lattice, terms, bound) -> "NovikovElement":
         """Element of the nonzero checked terms at or below the energy bound."""
         out = cls.__new__(cls)
-        out.lattice, out.cutoff, out._bound = lattice, cutoff, bound
+        out.lattice, out._bound = lattice, bound
         out.terms = {a: linalg.rational(c) for a, c in terms.items()
                      if c != 0 and lattice.energy(a) <= bound}
         return out
@@ -118,13 +125,6 @@ class NovikovElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self):
-        """2 c1(A), when all terms agree (homogeneous); None otherwise."""
-        degs = {2 * self.lattice.c1_of(a) for a in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def min_energy(self):
         """The least integer energy of a term (None for zero)."""
@@ -144,36 +144,26 @@ class NovikovElement:
             raise IndeterminateError(f"no unique omega-minimal term (tied at omega = {val})")
         return hits[0], self.terms[hits[0]]
 
-    def _merged(self, other):
-        """(cutoff, bound) of a result: the lower of the two precisions."""
-        if self._bound <= other._bound:
-            return self.cutoff, self._bound
-        return other.cutoff, other._bound
-
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         merged = dict(self.terms)
         for a, c in other.terms.items():
-            merged[a] = merged.get(a, 0) + c
-        return self._checked(self.lattice, merged, *self._merged(other))
-
-    def __neg__(self):
-        return self._checked(self.lattice, {a: -c for a, c in self.terms.items()},
-                             self.cutoff, self._bound)
+            merged[a] = merged.get(a, 0) + sign * c
+        return self._checked(self.lattice, merged, min(self._bound, other._bound))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._checked(self.lattice,
                                  {a: c * other for a, c in self.terms.items()},
-                                 self.cutoff, self._bound)
+                                 self._bound)
         out: dict = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
                 out[key] = out.get(key, 0) + ca * cb
-        return self._checked(self.lattice, out, *self._merged(other))
+        return self._checked(self.lattice, out, min(self._bound, other._bound))
 
     __rmul__ = __mul__
 
@@ -185,16 +175,15 @@ class NovikovElement:
     def invert_truncated(self, cutoff) -> "NovikovElement":
         """Geometric-series inverse: self * result = 1 modulo omega > cutoff.
 
-        A leading term of negative valuation v pulls tail errors down by v,
-        so the series is computed to the extended precision cutoff - min(0, v)
-        and the result carries that extended cutoff.
+        A leading term of negative energy v pulls tail errors down by v, so
+        the series is computed to the extended bound bound(cutoff) - min(0, v)
+        and the result carries that extended bound.
         """
         if self.is_zero():
             raise InvalidInputError("cannot invert the zero Novikov element")
         lat = self.lattice
         lead_a, lead_c = self.leading()
         lead_e = lat.energy(lead_a)
-        ext = cutoff + Fraction(max(0, -lead_e), lat.denom)
         ext_bound = lat.energy_bound(cutoff) + max(0, -lead_e)
         lead_inv = linalg.rational(Fraction(1) / lead_c)
 
@@ -202,24 +191,17 @@ class NovikovElement:
             return {tuple(k - l for k, l in zip(a, lead_a)): lead_inv * c
                     for a, c in terms.items()}
 
-        # x := 1 - lead^{-1} * self, at self's precision, has strictly
-        # positive valuation
-        x = (self._checked(lat, {lat.zero: 1}, self.cutoff, self._bound)
-             - self._checked(lat, over_lead(self.terms), self.cutoff, self._bound))
-        if not x.is_zero() and x.min_energy() <= 0:
-            raise IndeterminateError(
-                "element has non-leading terms of non-positive relative energy"
-            )
-        acc_cutoff = ext + Fraction(lead_e, lat.denom)
+        # x := 1 - lead^{-1} * self, at self's precision: the leading term
+        # is unique, so the constant terms cancel and every other term has
+        # relative energy > 0
+        x = (self._checked(lat, {lat.zero: 1}, self._bound)
+             - self._checked(lat, over_lead(self.terms), self._bound))
         acc_bound = ext_bound + lead_e
-        acc = power = self._checked(lat, {lat.zero: 1}, acc_cutoff, acc_bound)
-        while not power.is_zero() and not x.is_zero():
-            power = self._checked(lat, (power * x).terms, acc_cutoff, acc_bound)
-            if power.is_zero():
-                break
+        acc = power = self._checked(lat, {lat.zero: 1}, acc_bound)
+        while not (power := self._checked(lat, (power * x).terms, acc_bound)).is_zero():
             acc = acc + power
-        # shift by the leading valuation, then cut at the extended precision
-        return self._checked(lat, over_lead(acc.terms), ext, ext_bound)
+        # shift by the leading energy, then cut at the extended bound
+        return self._checked(lat, over_lead(acc.terms), ext_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +214,11 @@ class GeneratorSet:
     """Critical points with Morse indices and critical values.
 
     Self-indexing is required: H(x) > H(y) exactly when ind x > ind y.
-    Gradings: Morse |x| = 2n - ind x, Floer mu(x, 0) = n - ind x.  The
-    critical values of the named generators are kept as ``Fraction``s.
+    The critical values of the named generators are kept as ``Fraction``s.
     """
 
     names: tuple
     morse_index: dict
-    half_dim: int
     crit_values: dict
 
     def __post_init__(self):
@@ -262,9 +242,6 @@ class GeneratorSet:
 
     def ind(self, x) -> int:
         return self.morse_index[x]
-
-    def floer_grading(self, x) -> int:
-        return self.half_dim - self.morse_index[x]
 
 
 @dataclass
@@ -359,8 +336,9 @@ def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
     """delta y = sum over (x, A) of count(x, y, A) q^A x.
 
     The table must already be restricted to the index-0 slot; a nonzero
-    count of a different derived index is invalid input.  Every nonzero
-    entry raises total grading by exactly one (checked).
+    count of a different derived index is invalid input.  Index 0 gives
+    2 c1(A) = 1 + ind x - ind y on every term of entry (x, y), so each
+    entry is homogeneous and raises the grading n - ind by exactly one.
     """
     counts.validate(gens)
     cutoff = Fraction(cutoff)
@@ -376,19 +354,6 @@ def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
         entries[(x, y)] = entries.get(
             (x, y), NovikovElement.zero(counts.lattice, cutoff)
         ) + term
-    for (x, y), val in entries.items():
-        if val.is_zero():
-            continue
-        deg = val.degree()
-        if deg is None:
-            raise InvalidInputError(
-                f"entry ({x!r}, {y!r}) is not homogeneous in the q-grading"
-            )
-        shift = deg + gens.floer_grading(x) - gens.floer_grading(y)
-        if shift != 1:
-            raise InvalidInputError(
-                f"entry ({x!r}, {y!r}) raises grading by {shift}, not 1"
-            )
     return Differential(gens, counts.lattice, entries, cutoff)
 
 
@@ -475,12 +440,7 @@ def _novikov_matrix_rank(rows: list, cutoff) -> int:
                 continue
             row = work[i]
             for j, p in enumerate(prow):
-                if p.terms:
-                    row[j] = row[j] - factor * p
-                    continue
-                cut, bound = factor._merged(p)  # a zero p only truncates row[j]
-                if bound < row[j]._bound:
-                    row[j] = p._checked(p.lattice, row[j].terms, cut, bound)
+                row[j] = row[j] - factor * p
         used_rows.add(pi)
         rank += 1
     return rank

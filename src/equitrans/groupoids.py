@@ -255,7 +255,7 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
     morphisms of stab_obj; an object without an entry has only its unit).
     Structure maps compose the group parts and transport the witnesses; the
     construction validates the groupoid axioms exhaustively and the isotropy
-    cardinality law.
+    cardinality law.  ``gpd`` must pass ``validate()``.
     """
     action.validate(gpd)
     n, m, order = gpd.n_objects, gpd.n_morphisms, action.group.order
@@ -308,12 +308,11 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
     qx, qy, qg, qpsi = xi[keep], yi[keep], g[keep], psi[keep]
 
     def find(x, y, g, c):
-        """Quotient morphisms with the given keys (arrays)."""
-        want = code(x, y, g, c)
-        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        if np.any(keys[at] != want):
-            raise InvalidInputError("composition left the morphism set")
-        return number[at]
+        """Quotient morphisms with the given keys (arrays).  Each key is a
+        candidate's, since ``gpd`` and the action are valid: a composite's
+        pa o g.pb runs gh.x -> g.y -> z, a unit runs e.x = x -> x, and an
+        inverse g^-1.(psi^-1) runs g^-1.y -> x."""
+        return number[np.searchsorted(keys, code(x, y, g, c))]
 
     # a o b for a = (y, z, g, [pa]) and b = (x, y, h, [pb]) is
     # (x, z, gh, [pa o g.pb]), the same class for every choice of members

@@ -832,12 +832,16 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
     signed permutation q = sum_j signs[j] e_perm[j] e_j^T by index and sign:
     q rho q^T has signs[i] signs[j] rho[i, j] at (perm[i], perm[j]), so the
     entries stay the blocks' ints.  The circle: random weights plus a fixed
-    block, conjugated orthogonally (float only).
+    block of dim at most max_dim - 2 * planes, conjugated orthogonally
+    (float only); a weight plane needs max_dim >= 2.
     """
     if isinstance(group, CircleGroupModel):
+        if max_dim < 2:
+            raise InvalidInputError(
+                f"a circle representation needs max_dim >= 2, got {max_dim}")
         n_planes = int(rng.integers(1, max(2, max_dim // 2)))
         weights = [int(rng.integers(1, group.max_weight + 1)) for _ in range(n_planes)]
-        fixed_dim = int(rng.integers(0, max(1, max_dim - 2 * n_planes) + 1))
+        fixed_dim = int(rng.integers(0, max_dim - 2 * n_planes + 1))
         rep = circle_weight_rep(group, weights, fixed_dim)
         return conjugate_rep(rep, linalg.random_orthogonal(rep.dim, rng))
     rep = block_rep(group, choose_blocks(group, rng, max_dim))

@@ -287,7 +287,6 @@ def suite_floer(check):
     gens = floer.GeneratorSet(
         ("m1", "m2", "M1", "M2"),
         {"m1": 0, "m2": 0, "M1": 1, "M2": 1},
-        1,
         {"m1": 0, "m2": 0, "M1": 1, "M2": 1},
     )
     lat_c = floer.HomologyLattice(1, (Fraction(3),), (1,))
@@ -310,7 +309,7 @@ def suite_floer(check):
     check(all(a == lat_c.zero for (_, _, a) in reduced.counts),
           {"case": "reduction-left-nonzero-classes"})
     # toy models
-    sphere = floer.GeneratorSet(("x", "z"), {"x": 0, "z": 2}, 1, {"x": 0, "z": 2})
+    sphere = floer.GeneratorSet(("x", "z"), {"x": 0, "z": 2}, {"x": 0, "z": 2})
     ranks_s = floer.cohomology_rank(
         floer.build_differential(sphere, floer.ModuliCountTable(lat, {}), cutoff=10)
     )
@@ -319,7 +318,6 @@ def suite_floer(check):
     torus = floer.GeneratorSet(
         ("a", "b1", "b2", "c"),
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
-        2,
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
     ranks_t = floer.cohomology_rank(

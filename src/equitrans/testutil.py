@@ -24,7 +24,6 @@ def coherent_three_level_table(rng: np.random.Generator,
         tuple(names0 + names1 + names2),
         {**{x: 0 for x in names0}, **{x: 1 for x in names1},
          **{x: 2 for x in names2}},
-        2,
         {**{x: 0 for x in names0}, **{x: 1 for x in names1},
          **{x: 2 for x in names2}},
     )

@@ -65,7 +65,6 @@ def test_injected_d_squared_defect_exit_1_names_pair(tmp_path, capsys):
         "generators": {
             "names": ["a", "b", "c"],
             "index": {"a": 0, "b": 1, "c": 2},
-            "half_dim": 1,
             "values": {"a": 0, "b": 1, "c": 2},
         },
         "counts": [
@@ -88,7 +87,6 @@ def test_floer_ranks_command(tmp_path, capsys):
         "generators": {
             "names": ["x", "z"],
             "index": {"x": 0, "z": 2},
-            "half_dim": 1,
             "values": {"x": 0, "z": 2},
         },
         "counts": [],
@@ -106,7 +104,7 @@ def test_floer_ranks_pivot_tie_exit_1(tmp_path, capsys):
     # omega-minimal term, so its inverse cannot be certified
     payload = {
         "lattice": {"rank": 2, "omega": ["1", "1"], "c1": [0, 0]},
-        "generators": {"names": ["x", "y"], "index": {"x": 0, "y": 1}, "half_dim": 1,
+        "generators": {"names": ["x", "y"], "index": {"x": 0, "y": 1},
                        "values": {"x": 0, "y": 1}},
         "counts": [{"x": "x", "y": "y", "A": [1, 0], "count": 1},
                    {"x": "x", "y": "y", "A": [0, 1], "count": 1}],
@@ -117,6 +115,18 @@ def test_floer_ranks_pivot_tie_exit_1(tmp_path, capsys):
         "error": "cannot certify pivot at row 0, column 0: no unique omega-minimal "
                  "term (tied at omega = 1)",
         "kind": "mathematical-failure"}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_circle_rep_fits_max_dim_2(tmp_path, capsys, seed):
+    # max_dim 2 leaves room for one weight plane and no fixed line
+    path = write(tmp_path, "c.json", {"settings": {"seed": seed}, "group": {"circle": {}},
+                                      "representation": {"random": {"max_dim": 2}}})
+    code, out, _ = run(capsys, ["reps", "decompose", path])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["certificate"]["dim"] for r in records
+            if r["check"] == "resolution-of-identity"] == [2]
 
 
 def test_quadrature_order_flag_sets_the_circle_weight_capacity(tmp_path, capsys):
@@ -201,7 +211,7 @@ FLOER_DEFECT = {
     "generators": {
         "names": ["a", "b", "c"],
         "index": {"a": 0, "b": 1, "c": 2},
-        "half_dim": 1,
+        "half_dim": 1,  # no command reads it, and older scenarios carry it
         "values": {"a": 0, "b": 1, "c": 2},
     },
     "counts": [
@@ -767,7 +777,7 @@ METRIC_PERMUTATION = {"metric_points": [[0.0, 1.0], [1.0, 0.0], [2.0, 0.0]],
                                         "table": [[0, 1], [1, 0]]}}
 FLOER_RANKS = {"lattice": {"rank": 1, "omega": ["1"], "c1": [0]},
                "generators": {"names": ["x", "z"], "index": {"x": 0, "z": 2},
-                              "half_dim": 1, "values": {"x": 0, "z": 2}}}
+                              "values": {"x": 0, "z": 2}}}
 BUNDLE_EXTEND = VECTOR_SITES[0][1]
 COMPONENT = ("fixed_locus", "components", "weight_1")
 
@@ -814,7 +824,6 @@ def test_missing_scenario_key_exit_2_names_key(tmp_path, capsys, command, payloa
      {"group": CUSTOM_Z2, "representation": {"matrices": Z2_MATRICES}},
      ("group", "irreps", 0, "dim"), "dim"),
     (["floer", "ranks"], FLOER_RANKS, ("lattice", "rank"), "rank"),
-    (["floer", "ranks"], FLOER_RANKS, ("generators", "half_dim"), "half_dim"),
     (["transversality", "check"], FIXED_LOCUS, COMPONENT + ("n_units",), "n_units"),
     (["groupoid", "quotient"], GROUPOID_QUOTIENT, ("slices", 0), "slices"),
     (["groupoid", "check"], GROUPOID_CHECK, ("uniformizers", "2", 0), "uniformizers"),
@@ -845,7 +854,7 @@ def test_non_numeric_scenario_field_exit_2_names_key(tmp_path, capsys, command, 
 FLOER_REDUCE = {
     "lattice": {"rank": 1, "omega": ["3"], "c1": [1]},
     "generators": {"names": ["m1", "m2", "M1", "M2"],
-                   "index": {"m1": 0, "m2": 0, "M1": 1, "M2": 1}, "half_dim": 1,
+                   "index": {"m1": 0, "m2": 0, "M1": 1, "M2": 1},
                    "values": {"m1": 0, "m2": 0, "M1": 1, "M2": 1}},
     "counts": [{"x": "m1", "y": "M1", "A": [0], "count": 1},
                {"x": "M1", "y": "m1", "A": [1], "count": 5}],
@@ -1234,6 +1243,42 @@ def near_tolerance_s3(scale=0.9e-10):
      "(0, 2) is not a simplex of the base"),
     (["bundle", "extend"], _without(BUNDLE_EXTEND, "sections", "s", "1"),
      "boundary section missing at vertex 1"),
+    # a boundary that vanishes only at the midpoint of edge (0, 1): off the
+    # edge's sample grid, but a face barycenter that no candidate can change
+    (["bundle", "extend"],
+     dict(REPS_TRIVIAL, representation={"blocks": ["trivial"] * 3},
+          base={"maximal_simplices": [[0, 1, 2]]},
+          sections={"s": {"0": [1, 0, 0], "1": [-1, 0, 0], "2": [0, 1, 0]}},
+          extend={"simplex": [0, 1, 2], "section": "s"}),
+     "boundary section vanishes on the boundary"),
+    # lattices, generators, counts and differentials the floer model rejects
+    (["floer", "ranks"], _replaced(FLOER_RANKS, 2, "lattice", "rank"),
+     "omega and c1 must have one value per generator"),
+    (["floer", "ranks"], dict(FLOER_RANKS, counts=[{"x": "x", "y": "z", "A": [0, 0],
+                                                     "count": 1}]),
+     "lattice point (0, 0) has wrong rank"),
+    (["floer", "ranks"], _without(FLOER_RANKS, "generators", "index", "z"),
+     "generator 'z' missing index or value"),
+    (["floer", "reduce"], dict(FLOER_REDUCE, morse_counts=[{"x": "m1", "y": "m2",
+                                                           "count": 1}]),
+     "Morse count at ('m1', 'm2') does not sit in the index-0 slot"),
+    (["floer", "ranks"], FLOER_DEFECT,
+     "differential does not square to zero at pair ('a', 'c')"),
+    # x of index 1 -> y of index 0 with 2 c1(A) = 2 sits in the index-0 slot
+    (["floer", "ranks"],
+     {"lattice": {"rank": 1, "omega": [5], "c1": [1]},
+      "generators": {"names": ["x", "y"], "index": {"x": 1, "y": 0},
+                     "values": {"x": 1, "y": 0}},
+      "counts": [{"x": "x", "y": "y", "A": [1], "count": 1}]},
+     "entry ('x', 'y') connects non-adjacent Morse indices; graded ranks are "
+     "defined for q-degree-zero differentials"),
+    # a zero-set vertex whose fixed block is tall (3 x 2) needs a section
+    # shift, and the support leaves it out
+    (["transversality", "perturb"],
+     _replaced(_replaced(_replaced(FIXED_LOCUS, [0], "fixed_locus", "support"),
+                         [[0, 0]] * 3, "fixed_locus", "fixed_blocks", "1"),
+               [0, 0, 0], "fixed_locus", "section", "1"),
+     "zero-set vertex 1 lies outside the declared support"),
     # groupoids, group actions and local data the groupoid model rejects
     (["groupoid", "check"], _replaced(GROUPOID_CHECK, [[0, 1, 2]], *ACTION),
      "action table must have one row per group element"),
@@ -1248,6 +1293,14 @@ def near_tolerance_s3(scale=0.9e-10):
                *MORPHISMS), "identity must act as the identity functor"),
     (["groupoid", "quotient"], dict(GROUPOID_QUOTIENT, ineffective_kernels={"0": [1]}),
      "declared kernel element 1 is not in stab_0"),
+    # Z_2 acting trivially on Z_4 at one point, with the kernel {0, 1},
+    # which is not a subgroup of Z_4
+    (["groupoid", "quotient"],
+     {"groupoid": {"translation": {"group": {"preset": "Z_4"}, "action": [[0]] * 4}},
+      "group_action": {"group": {"preset": "Z_2"}, "objects": [[0], [0]],
+                       "morphisms": [[0, 1, 2, 3]] * 2},
+      "slices": [0], "ineffective_kernels": {"0": [1]}},
+     "ineffective kernels are not coherent under composition"),
     (["groupoid", "check"],
      dict(GROUPOID_CHECK, uniformizers={},
           regularity={"0": {"points": [0, 1], "sub": [2], "action": {}}}),
@@ -1320,6 +1373,11 @@ def near_tolerance_s3(scale=0.9e-10):
     *[(["reps", "decompose"], {"group": {"preset": "Z_2"}, "representation": representation},
        "a representation needs at least one block (random: max_dim >= 1)")
       for representation in ({"blocks": []}, {"random": {"max_dim": 0}})],
+    # a circle representation holds at least one weight plane
+    *[(["reps", "decompose"], {"group": {"circle": {}},
+                               "representation": {"random": {"max_dim": max_dim}}},
+       f"a circle representation needs max_dim >= 2, got {max_dim}")
+      for max_dim in (0, 1)],
     (["reps", "endotype"], drifting_dihedral(), "group law fails at pair (2, 11)"),
     (["reps", "endotype"], near_tolerance_s3(), "averaged map failed the equivariance check"),
     # a transition given in one direction that is singular, or invertible
@@ -1374,7 +1432,7 @@ def test_cutoff_flag_not_a_number_exit_2(tmp_path, capsys):
 
 FLOER_ARROW = {"lattice": {"rank": 1, "omega": ["1"], "c1": [0]},
                "generators": {"names": ["a", "b"], "index": {"a": 0, "b": 1},
-                              "half_dim": 1, "values": {"a": 0, "b": 1}},
+                              "values": {"a": 0, "b": 1}},
                "counts": [{"x": "a", "y": "b", "A": [0], "count": 1}]}
 
 

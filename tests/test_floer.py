@@ -54,11 +54,6 @@ def test_unit_is_multiplicative_identity():
     assert x * one == x
 
 
-def test_monomial_grading():
-    q3 = NovikovElement.monomial(LATC, (3,), 1, CUT)
-    assert q3.degree() == 6  # 2 * c1, with c1(A) = 3
-
-
 def test_invert_geometric_series():
     # (1 - q)^-1 truncated at 5 * omega(q) is 1 + q + ... + q^5, and
     # multiplying back gives 1 modulo terms above the cutoff
@@ -121,7 +116,7 @@ def test_novikov_invert_roundtrip(a):
 def held_as_fractions(a):
     """``a`` with every coefficient held as a ``Fraction``: the reference
     that int coefficients must agree with."""
-    held = NovikovElement._checked(a.lattice, {}, a.cutoff, a._bound)
+    held = NovikovElement._checked(a.lattice, {}, a._bound)
     held.terms = {p: Fraction(c) for p, c in a.terms.items()}
     return held
 
@@ -155,7 +150,7 @@ def two_level_complex(data, lattice=LAT1):
     n0, n1 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     names = [f"a{i}" for i in range(n0)] + [f"b{j}" for j in range(n1)]
     index = {x: int(x[0] == "b") for x in names}
-    gens = GeneratorSet(tuple(names), index, 1, dict(index))
+    gens = GeneratorSet(tuple(names), index, dict(index))
     counts = data.draw(st.dictionaries(
         st.tuples(st.sampled_from(names[:n0]), st.sampled_from(names[n0:]),
                   st.tuples(st.integers(0, 4))),
@@ -179,21 +174,20 @@ def test_cohomology_rank_int_and_fraction_entries_agree(data):
 
 
 def sphere_gens():
-    return GeneratorSet(("x", "z"), {"x": 0, "z": 2}, 1, {"x": 0, "z": 2})
+    return GeneratorSet(("x", "z"), {"x": 0, "z": 2}, {"x": 0, "z": 2})
 
 
 def circle4_gens():
     return GeneratorSet(
         ("m1", "m2", "M1", "M2"),
         {"m1": 0, "m2": 0, "M1": 1, "M2": 1},
-        1,
         {"m1": 0, "m2": 0, "M1": 1, "M2": 1},
     )
 
 
 def test_self_indexing_enforced():
     with pytest.raises(InvalidInputError):
-        GeneratorSet(("a", "b"), {"a": 0, "b": 1}, 1, {"a": 5, "b": 1})
+        GeneratorSet(("a", "b"), {"a": 0, "b": 1}, {"a": 5, "b": 1})
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,16 +201,11 @@ def test_self_indexing_sort_matches_pair_scan(spec, monotone):
     first = next(((x, y) for x in names for y in names
                   if (values[x] > values[y]) != (index[x] > index[y])), None)
     if first is None:
-        GeneratorSet(names, index, 1, values)
+        GeneratorSet(names, index, values)
         return
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"pair ({first[0]!r}, {first[1]!r})")):
-        GeneratorSet(names, index, 1, values)
-
-
-def test_gradings():
-    g = sphere_gens()
-    assert g.floer_grading("x") == 1 and g.floer_grading("z") == -1
+        GeneratorSet(names, index, values)
 
 
 def test_count_table_energy_constraint():
@@ -245,7 +234,7 @@ def test_empty_counts_zero_differential():
 
 
 def test_two_generator_differential():
-    gens = GeneratorSet(("x", "y"), {"x": 0, "y": 1}, 1, {"x": 0, "y": 1})
+    gens = GeneratorSet(("x", "y"), {"x": 0, "y": 1}, {"x": 0, "y": 1})
     counts = ModuliCountTable(LAT0, {("x", "y", ()): 1})
     delta = build_differential(gens, counts, cutoff=10)
     assert delta.entry("x", "y") == unit(LAT0, 10)
@@ -276,6 +265,33 @@ def test_differential_rejects_wrong_index_slot():
     counts = ModuliCountTable(LAT1, {("x", "z", (0,)): 1})  # derived index 1
     with pytest.raises(InvalidInputError):
         build_differential(gens, counts, cutoff=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_index_zero_entries_are_homogeneous_of_grading_shift_one(data):
+    # index 0 is ind y - ind x + 2 c1(A) - 1 = 0, so every term of entry
+    # (x, y) has 2 c1(A) = 1 + ind x - ind y: the entry is homogeneous and
+    # raises the grading n - ind by exactly one, whatever n is
+    c1 = data.draw(st.tuples(st.sampled_from([-1, 1]), st.integers(-2, 2)))
+    omega = data.draw(st.tuples(*[st.fractions(Fraction(1, 2), 3, max_denominator=4)] * 2))
+    lattice = HomologyLattice(2, omega, c1)
+    index = {f"g{k}": i for k, i in enumerate(
+        [0, 1] + data.draw(st.lists(st.integers(0, 3), max_size=3)))}
+    gens = GeneratorSet(tuple(index), index, dict(index))
+    pairs = [(x, y) for x in index for y in index if (index[x] - index[y]) % 2]
+    drawn = data.draw(st.dictionaries(st.tuples(st.sampled_from(pairs), st.integers(-2, 2)),
+                                      st.integers(-3, 3), min_size=1, max_size=12))
+    # index-0 counts: the first coordinate of A solves 2 c1(A) = 1 + ind x - ind y
+    counts = {(x, y, (c1[0] * ((1 + index[x] - index[y]) // 2 - c1[1] * k), k)): c
+              for ((x, y), k), c in drawn.items()}
+    table = ModuliCountTable(lattice, {
+        (x, y, a): c for (x, y, a), c in counts.items()
+        if index[y] - index[x] + lattice.omega_of(a) > 0}).restrict_index(gens, 0)
+    delta = build_differential(gens, table, cutoff=data.draw(st.sampled_from([3, CUT])))
+    for (x, y), entry in delta.entries.items():
+        for a in entry.terms:
+            assert 2 * lattice.c1_of(a) == 1 + gens.ind(x) - gens.ind(y)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +334,7 @@ def test_d_squared_first_failure_matches_dense_loop():
     # b1 - b2), so the first failure in (z, x) order is (a1, c1)
     names = ("a1", "a2", "b1", "b2", "c1", "c2")
     index = {"a1": 0, "a2": 0, "b1": 1, "b2": 1, "c1": 2, "c2": 2}
-    gens = GeneratorSet(names, index, 1, dict(index))
+    gens = GeneratorSet(names, index, dict(index))
     counts = ModuliCountTable(LAT1, {
         ("a1", "b1", (0,)): 1, ("a1", "b2", (0,)): 1,
         ("a2", "b1", (0,)): 1, ("a2", "b1", (1,)): 2,
@@ -428,7 +444,6 @@ def test_zero_differential_degrees_0112():
     gens = GeneratorSet(
         ("a", "b1", "b2", "c"),
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
-        2,
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
     delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
@@ -438,7 +453,7 @@ def test_zero_differential_degrees_0112():
 def test_unit_entry_kills_cohomology_with_specialization_oracle():
     # delta x = (1 - q^A) y: the coefficient is a unit, so H = 0 in both
     # degrees; oracle: specialize q^A -> 1/2 and take the rank over Q
-    gens = GeneratorSet(("y", "x"), {"y": 0, "x": 1}, 1, {"y": 0, "x": 1})
+    gens = GeneratorSet(("y", "x"), {"y": 0, "x": 1}, {"y": 0, "x": 1})
     counts = ModuliCountTable(
         LAT1, {("y", "x", (0,)): 1, ("y", "x", (1,)): -1}
     )
@@ -466,7 +481,6 @@ def test_torus_model_against_simplicial_oracle():
     gens = GeneratorSet(
         ("a", "b1", "b2", "c"),
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
-        2,
         {"a": 0, "b1": 1, "b2": 1, "c": 2},
     )
     delta = build_differential(gens, ModuliCountTable(LAT1, {}), cutoff=10)
@@ -502,7 +516,6 @@ def test_weak_arnold_lower_bound_on_perfect_models():
             GeneratorSet(
                 ("a", "b1", "b2", "c"),
                 {"a": 0, "b1": 1, "b2": 1, "c": 2},
-                2,
                 {"a": 0, "b1": 1, "b2": 1, "c": 2},
             ),
             {0: 1, 1: 2, 2: 1},

@@ -91,6 +91,15 @@ def _corrupt_groupoid(gpd, field, index, value):
     gq.FiniteGroupoid(gpd.n_objects, **arrays).validate()
 
 
+def _truncated_groupoid(gpd, field):
+    """Validate a copy of gpd with the last entry (row) of one index array
+    dropped."""
+    arrays = {f: getattr(gpd, f) for f in ("src", "tgt", "compose_table", "units",
+                                           "inverses")}
+    arrays[field] = arrays[field][:-1]
+    gq.FiniteGroupoid(gpd.n_objects, **arrays).validate()
+
+
 def _z_n_on_a_point(n):
     """Z_n as a one-object groupoid: morphism g is the group element g."""
     return make_translation_groupoid(reps.cyclic_group(n),
@@ -124,6 +133,12 @@ def _non_associative_group():
 
 
 @pytest.mark.parametrize("corrupt, match", [
+    (lambda: _truncated_groupoid(_z2_swap(), "units"),
+     r"units or inverses have the wrong length"),
+    (lambda: _truncated_groupoid(_z2_swap(), "inverses"),
+     r"units or inverses have the wrong length"),
+    (lambda: _truncated_groupoid(_z2_swap(), "compose_table"),
+     r"composition table is not m x m"),
     (lambda: _corrupt_groupoid(_z_n_on_a_point(2), "units", 0, 1),
      r"right unit law fails at morphism 0"),
     (lambda: _corrupt_groupoid(_z_n_on_a_point(3), "inverses", 1, 1),

@@ -216,6 +216,13 @@ def test_lambda_path_seeded_small_a_index_zero():
         assert fredholm_index(path) == 0
 
 
+def test_lambda_spec_rejects_a_of_wrong_shape():
+    # a C-linear map on C^1 is 2 x 2 real, not 3 x 3
+    spec = LambdaOperatorSpec(1, 1, lambda s: np.zeros((3, 3)))
+    with pytest.raises(InvalidInputError, match=r"2n x 2n real matrix\), got shape \(3, 3\)"):
+        build_lambda_path(spec)
+
+
 def test_lambda_path_rejects_large_a():
     spec = LambdaOperatorSpec(1, 1, lambda s: 7.0 * np.eye(2))
     with pytest.raises(NonHyperbolicError):

@@ -5,9 +5,10 @@ never executes, per module.
 
 Runs ``pytest tests`` in this interpreter under ``sys.settrace`` (so
 ``coverage`` is not needed), records every line executed in
-``src/equitrans``, and prints each ``raise`` line that never ran, then the
-count per module, most first, and the total.  A ``raise`` counts as run when
-its first line runs.  Tests that start a fresh interpreter are not traced.
+``src/equitrans``, and prints each ``raise`` that never ran as its
+``file:line`` and its source joined onto one line, then the count per module,
+most first, and the total.  A ``raise`` counts as run when its first line
+runs.  Tests that start a fresh interpreter are not traced.
 Expect the suite to take about twice its untraced time.
 """
 
@@ -24,11 +25,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "equitrans"
 
 
-def raise_lines() -> dict[str, set[int]]:
-    """{source file: first lines of its raise statements}."""
-    return {str(f): {node.lineno for node in ast.walk(ast.parse(f.read_text()))
-                     if isinstance(node, ast.Raise)}
-            for f in sorted(SRC.glob("*.py"))}
+def raise_lines() -> dict[str, dict[int, str]]:
+    """{source file: {first line of a raise statement: its source on one line}}."""
+    out = {}
+    for f in sorted(SRC.glob("*.py")):
+        text = f.read_text()
+        out[str(f)] = {node.lineno: " ".join(ast.get_source_segment(text, node).split())
+                       for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)}
+    return out
 
 
 def main(pytest_args) -> int:
@@ -57,8 +61,8 @@ def main(pytest_args) -> int:
     counts = collections.Counter()
     for path, lines in targets.items():
         module = Path(path).stem
-        for line in sorted(lines - executed[path]):
-            print(f"src/equitrans/{module}.py:{line}")
+        for line in sorted(lines.keys() - executed[path]):
+            print(f"src/equitrans/{module}.py:{line}: {lines[line]}")
             counts[module] += 1
     print(" ".join(f"{module} {n}" for module, n in
                    sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))))
