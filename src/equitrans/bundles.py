@@ -30,6 +30,7 @@ from . import linalg, reps
 from .errors import InvalidInputError, ObstructionError, ResampleFailureError
 
 RETRY_BUDGET = 64
+MIN_NORM = 1e-9  # least certified norm a section extension accepts
 RANK_TOL = 1e-8  # rank cut for frames, orbit spans and cokernel coverage
 
 
@@ -306,17 +307,26 @@ def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def sample_min_norm(simplex_values: dict) -> float:
-    """Minimum Euclidean norm of the affine interpolation over a simplex.
+def _boundary_min_norm(vertex_values: np.ndarray) -> float:
+    """Exact minimum Euclidean norm of the affine interpolation over the
+    proper faces of a simplex whose vertex values are the rows given.
 
-    ``simplex_values`` maps each simplex vertex to its fiber value in a
-    common gauge.  All points of the deterministic barycentric grid are
-    evaluated in one stacked pass, and each norm equals ``np.linalg.norm``
-    of that point.
+    Each proper face projects the origin onto the affine hull of its
+    values; a projection with nonnegative barycentric weights is a point
+    of the face.  The least such norm is the minimum, since the nearest
+    boundary point lies inside the hull of a face with affinely independent
+    values, and there it is that face's projection.  On an edge (a, b) this
+    is |a + t (b - a)| at t = -a.(b - a) / |b - a|^2 clamped to [0, 1].
     """
-    verts = sorted(simplex_values, key=str)
-    vals = np.stack([linalg.as_float(simplex_values[v]) for v in verts])
-    return _min_norm_on_grid(vals[None], _grid_weights(len(verts) - 1))
+    best = np.linalg.norm(vertex_values, axis=1).min()  # the faces of one vertex
+    for size in range(2, len(vertex_values)):
+        faces = vertex_values[list(itertools.combinations(range(len(vertex_values)), size))]
+        a, steps = faces[:, 0], faces[:, 1:] - faces[:, :1]
+        t = -(np.linalg.pinv(np.swapaxes(steps, 1, 2)) @ a[:, :, None])[..., 0]
+        nearest = a + np.einsum("fk,fkd->fd", t, steps)
+        inside = np.all(t >= 0.0, axis=1) & (t.sum(axis=1) <= 1.0)
+        best = min(best, np.linalg.norm(nearest[inside], axis=1).min(initial=np.inf))
+    return float(best)
 
 
 def section_min_norm(base: SimplicialBase, values: dict) -> float:
@@ -324,8 +334,7 @@ def section_min_norm(base: SimplicialBase, values: dict) -> float:
     simplices all live in one gauge (e.g. a subdivided simplex).
 
     The vertex values of all top simplices are stacked and evaluated on the
-    grid in one pass; the result equals the minimum of ``sample_min_norm``
-    over the top simplices.
+    grid in one pass, with norms equal to ``np.linalg.norm`` of each point.
     """
     tops = base.top_simplices()
     vals = np.array([[linalg.as_float(values[v]) for v in sorted(s, key=str)]
@@ -387,9 +396,11 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     and the grid certificate run in float arithmetic: the boundary faces,
     and then each candidate's subdivision, are certified by stacked passes
     over all grid points of their simplices, with norms equal to
-    ``np.linalg.norm`` of each point.  A boundary section that vanishes at
-    a face grid point or at a face barycenter (a first-ring vertex, which
-    no candidate changes) is invalid input.
+    ``np.linalg.norm`` of each point.  A boundary section whose exact
+    minimum norm over the proper faces, or whose norm at a face barycenter
+    (a first-ring vertex, which no candidate changes), is at most the
+    acceptance threshold ``MIN_NORM`` is invalid input: no candidate could
+    beat the threshold there.
     """
     simplex = tuple(sorted(simplex))
     if simplex not in bundle.base.simplices:
@@ -421,16 +432,13 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     for subset in sub.vertices:
         values[subset] = sum(bdry[v] for v in subset) / len(subset)
     full = tuple(sorted(simplex))
-    # the boundary must be nonvanishing before extension: on the grid of
-    # each boundary face, and at the face barycenters, whose values no
-    # candidate can change
+    # the boundary must be nonvanishing before extension: exactly on every
+    # proper face, and at the face barycenters, whose values no candidate
+    # can change
     if n >= 1:
-        face_min = min(
-            sample_min_norm({v: bdry[v] for v in face})
-            for face in itertools.combinations(simplex, len(simplex) - 1)
-        )
+        face_min = _boundary_min_norm(np.stack([bdry[v] for v in simplex]))
         ring_min = min(np.linalg.norm(values[s]) for s in sub.vertices if s != full)
-        if min(face_min, ring_min) <= 0.0:
+        if min(face_min, ring_min) <= MIN_NORM:
             raise InvalidInputError("boundary section vanishes on the boundary")
     rng = np.random.default_rng(seed)
     scale = float(np.mean([np.linalg.norm(bdry[v]) for v in simplex])) or 1.0
@@ -448,7 +456,7 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     for cand in candidates[: RETRY_BUDGET + 1]:
         values[full] = cand
         m = section_min_norm(sub, values)
-        if m > 1e-9:
+        if m > MIN_NORM:
             return ExtensionResult(sub, dict(values), m)
     raise ResampleFailureError(
         "could not find a nonvanishing extension within the retry budget")

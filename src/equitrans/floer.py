@@ -440,7 +440,14 @@ def _novikov_matrix_rank(rows: list, cutoff) -> int:
                 continue
             row = work[i]
             for j, p in enumerate(prow):
-                row[j] = row[j] - factor * p
+                if not p.is_zero():
+                    row[j] = row[j] - factor * p
+                    continue
+                # row[j] - factor * 0 only lowers row[j]'s bound to the
+                # least of the three and drops its terms above it
+                e, bound = row[j], min(factor._bound, p._bound)
+                if bound < e._bound:
+                    row[j] = e._checked(e.lattice, e.terms, bound)
         used_rows.add(pi)
         rank += 1
     return rank

@@ -20,10 +20,12 @@ invariant, and the orbit distance min_k d_G(x, k.y) is a metric on the
 orbit space; for the circle the minimum is a quadrature minimum plus one
 golden-section refinement pass on the best bracket.  Points travel as
 columns of a (d, m) stack: ``action(g, P)`` takes a single element index g
-or one index per column of P and returns the moved (d, m) stack.  So d_G
-is one action call on the point pairs tiled once per group element, and
-the orbit minimum costs two action calls per k (and per golden-section
-evaluation) while memory stays O(|G| d n^2).
+or one index per column of P and returns the moved (d, m) stack.  One
+action call moves every point by every group element, and a chunk of k
+costs two more (k.y, then g.(k.y)), so the orbit minimum reads every
+distance from tables of moved points; each golden-section evaluation moves
+only the rotated side.  A chunk holds a bounded number of entries, or one
+k's O(|G| d n^2) if more.
 """
 
 from __future__ import annotations
@@ -35,18 +37,19 @@ from . import reps
 from .errors import InvalidInputError
 
 TOL = 1e-8
-# composable triples compared per associativity step.  On the 336-morphism
-# S_4 groupoid validate then peaks at 1.5 MB under tracemalloc, as the
-# O(m^2) pair checks do; 2**16 gives 2.8 MB and 2**20 6.3 MB, no faster.
-_TRIPLE_CHUNK = 2**15
+# entries held per step of a chunked loop: composable triples per
+# associativity step, pair differences per chunk of the orbit minimum.  On
+# the 336-morphism S_4 groupoid validate then peaks at 1.5 MB under
+# tracemalloc, as the O(m^2) pair checks do; 2**16 gives 2.8 MB and 2**20
+# 6.3 MB, no faster.
+_CHUNK = 2**15
 
 
 def _require(ok: np.ndarray, message: str) -> None:
     """Raise InvalidInputError unless ``ok`` holds everywhere; ``message`` is
     formatted with the first failing index in C order."""
-    bad = np.argwhere(~ok)
-    if len(bad):
-        raise InvalidInputError(message.format(*bad[0]))
+    if not ok.all():
+        raise InvalidInputError(message.format(*np.argwhere(~ok)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ class FiniteGroupoid:
         by_target = np.argsort(tgt, kind="stable")
         row_start = np.cumsum(counts) - counts
         into[tgt[by_target], a - row_start[tgt[by_target]]] = by_target
-        step = max(1, _TRIPLE_CHUNK // max(1, width * width))
+        step = max(1, _CHUNK // max(1, width * width))
         for start in range(0, m, step):
             i = np.arange(start, min(start + step, m))
             b = into[src[i]]  # [i, p]: every b composable with i
@@ -426,22 +429,26 @@ def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricRes
     indices, which may be fractional).  Distances are Euclidean, and the
     sample points must be distinct.
 
-    All n^2 point pairs are evaluated at once as pair columns.  d_G tiles
-    them once per group element, so it is one action call; the orbit
-    minimum adds one action call on the moved points per k, so it takes
-    2|G| + 1 action calls (plus two per golden-section evaluation for the
-    circle: 229 in all at order 64).  Finite groups use exact sums and exact
-    minima; the circle uses quadrature averages and a quadrature minimum
-    refined by one golden-section pass on each pair's best bracket.  An
-    action that returns a stack of another shape is invalid input.
+    Every distance is read from tables of moved points: one action call
+    moves each point by every group element, and a chunk of k costs two
+    more, k.x_j and then g.(k.x_j), so d_G(x_i, k.x_j) = avg_g |g.x_i -
+    g.(k.x_j)| needs no group law.  A chunk holds at most ``_CHUNK``
+    entries of d |G| n^2 pair differences per k (or one k's, if more), so
+    the orbit minimum of a finite group takes 1 + 2 ceil(|G| / chunk)
+    action calls; each of the circle's 50 golden-section evaluations adds
+    two (115 in all at order 64 on 5 planar points).  Finite groups use
+    exact sums and exact minima; the circle uses quadrature averages and a
+    quadrature minimum refined by one golden-section pass on each pair's
+    best bracket.  An action that returns a stack of another shape is
+    invalid input.
     """
     n = len(points)
     i, j = np.divmod(np.arange(n * n), n)
     pts = np.stack([np.asarray(p, dtype=float) for p in points], axis=1)
-    p, q = pts[:, i], pts[:, j]  # column i * n + j holds the pair (i, j)
-    close = np.linalg.norm(p - q, axis=0).reshape(n, n) <= 1e-12
+    close = np.linalg.norm(pts[:, i] - pts[:, j], axis=0).reshape(n, n) <= 1e-12
     _require(~close | np.eye(n, dtype=bool), "metric does not separate points ({},{})")
-    order = group.order
+    order, d = group.order, pts.shape[0]
+    every_g = np.arange(order)
 
     def act(g, stack):
         moved = np.asarray(action(g, stack), dtype=float)
@@ -450,40 +457,74 @@ def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricRes
                                     f"for one of shape {stack.shape}")
         return moved
 
+    def by_every_g(stack):
+        """[:, g, c] = g.(column c) of a (d, m) stack, one action call."""
+        m = stack.shape[1]
+        return act(np.repeat(every_g, m), np.tile(stack, order)).reshape(d, order, m)
+
+    def mean_distance(gu, gv, axis):
+        """avg_g |g.u - g.v| of points moved by every g, the group on
+        ``axis`` of the distances: the norm over the coordinates, then a
+        sequential sum over g, then / order."""
+        return np.linalg.norm(gu - gv, axis=0).sum(axis=axis) / order
+
     def d_g(u, v):
         """avg_g d(g.u, g.v) over matching columns of two stacks (or two
-        single points): [u | v] tiled once per group element, moved by one
-        action call, then the distances and a sum over the group axis."""
-        both = np.column_stack([u, v])
-        d, m = both.shape[0], both.shape[1] // 2
-        moved = act(np.repeat(np.arange(order), 2 * m), np.tile(both, order))
-        moved = moved.reshape(d, order, 2, m)
-        dist = np.linalg.norm(moved[:, :, 0] - moved[:, :, 1], axis=0)
-        return (dist.sum(axis=0) / order).reshape(np.shape(u)[1:])
+        single points): [u | v] moved by every g in one action call."""
+        both = by_every_g(np.column_stack([u, v]))
+        m = both.shape[2] // 2
+        return mean_distance(both[:, :, :m], both[:, :, m:], 0).reshape(np.shape(u)[1:])
 
-    inv = d_g(p, q)
+    moved = by_every_g(pts)  # [:, g, i] = g.x_i
+    inv = mean_distance(moved[:, :, :, None], moved[:, :, None, :], 0)
     best = np.full(n * n, np.inf)
     best_k = np.zeros(n * n)
-    for k in range(order):
-        vals = d_g(p, act(k, q))
-        best_k = np.where(vals < best, k, best_k)
-        best = np.minimum(vals, best)
+    step = max(1, _CHUNK // (d * order * n * n))
+    for start in range(0, order, step):
+        ks = np.arange(start, min(start + step, order))
+        kx = act(np.repeat(ks, n), np.tile(pts, len(ks)))  # [:, k n + j] = k.x_j
+        # twice[:, k, g, j] = g.(k.x_j), k outermost: each k then sums over
+        # g in the layout, and so in the order, of one d_G call
+        cols = np.repeat(kx.reshape(d, len(ks), 1, n), order, axis=2)
+        twice = act(np.tile(np.repeat(every_g, n), len(ks)),
+                    cols.reshape(d, -1)).reshape(cols.shape)
+        vals = mean_distance(moved[:, None, :, :, None], twice[:, :, :, None, :], 1)
+        vals = vals.reshape(len(ks), n * n)
+        # the first k attaining a strict improvement wins the tie
+        low = vals.min(axis=0)
+        best_k = np.where(low < best, start + vals.argmin(axis=0), best_k)
+        best = np.minimum(best, low)
     if isinstance(group, reps.CircleGroupModel):
-        refined = _golden_refine(lambda t: d_g(p, act(t, q)),
-                                 best_k - 1.0, best_k + 1.0)
+        moved_i = moved[:, :, i]  # g.x_i for every pair (i, j)
+        q = pts[:, j]
+        refined = _golden_refine(
+            lambda t: mean_distance(moved_i, by_every_g(act(t, q)), 0),
+            best_k - 1.0, best_k + 1.0)
         best = np.minimum(best, refined)
-    return QuotientMetricResult(d_g, inv.reshape(n, n), best.reshape(n, n))
+    return QuotientMetricResult(d_g, inv, best.reshape(n, n))
 
 
 def circle_rotation_action(circle: reps.CircleGroupModel):
     """Standard rotation action of the sampled circle on R^2 coordinates,
     single points or (2, m) column stacks; the sample index may be
-    fractional, and an array of indices rotates each column by its own."""
+    fractional, and an array of indices rotates each column by its own.
+
+    The cosines and sines of the sample angles are computed once: integer
+    indices all inside range(order) read them, and any other index (or an
+    array holding one) computes its angles, with the same bits, since
+    ``np.cos`` and ``np.sin`` give an angle one value whatever array holds it.
+    """
     n = circle.order
+    angles = circle.angles()
+    cos_table, sin_table = np.cos(angles), np.sin(angles)
 
     def act(k, p):
-        theta = 2.0 * np.pi * np.asarray(k, dtype=float) / n
-        c, s = np.cos(theta), np.sin(theta)
+        k = np.asarray(k)
+        if k.dtype.kind in "iu" and np.all((k >= 0) & (k < n)):
+            c, s = cos_table[k], sin_table[k]
+        else:
+            theta = 2.0 * np.pi * np.asarray(k, dtype=float) / n
+            c, s = np.cos(theta), np.sin(theta)
         p = np.asarray(p, dtype=float)
         return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])
 

@@ -85,8 +85,9 @@ class FiniteGroupModel:
     def order(self) -> int:
         return self.table.shape[0]
 
-    @property
+    @cached_property
     def identity(self) -> int:
+        """Scanned once per group; a table without one raises on every access."""
         g = np.arange(self.order)
         two_sided = (np.all(self.table == g, axis=1)
                      & np.all(self.table == g[:, None], axis=0))
@@ -94,13 +95,18 @@ class FiniteGroupModel:
             raise InvalidInputError("multiplication table has no identity")
         return int(np.argmax(two_sided))
 
-    def inverse(self, g):
+    @cached_property
+    def _inverses(self) -> np.ndarray:
+        """The two-sided inverse of every element, built once per group."""
         t, e = self.table, self.identity
         two_sided = (t == e) & (t.T == e)
         missing = np.flatnonzero(~two_sided.any(axis=1))
         if missing.size:
             raise InvalidInputError(f"element {missing[0]} has no two-sided inverse")
-        return np.argmax(two_sided, axis=1)[g]
+        return np.argmax(two_sided, axis=1)
+
+    def inverse(self, g):
+        return self._inverses[g]
 
     def compose(self, g, h):
         return self.table[g, h]

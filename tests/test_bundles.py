@@ -331,6 +331,53 @@ def test_extend_vanishing_boundary_rejected():
         )
 
 
+def test_boundary_min_norm_is_the_clamped_edge_minimum():
+    # on an edge (a, b) the minimum is at t = -a.(b - a)/|b - a|^2 in [0, 1]
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([-3.0, 0.0, 0.0])
+    assert bundles._boundary_min_norm(np.stack([a, b, [0.0, 1.0, 0.0]])) <= 1e-15
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        a, b, c = rng.normal(size=(3, 2))
+        t = np.clip(-a @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        s = np.clip(-a @ (c - a) / ((c - a) @ (c - a)), 0.0, 1.0)
+        r = np.clip(-b @ (c - b) / ((c - b) @ (c - b)), 0.0, 1.0)
+        edges = [np.linalg.norm(a + t * (b - a)), np.linalg.norm(a + s * (c - a)),
+                 np.linalg.norm(b + r * (c - b))]
+        assert bundles._boundary_min_norm(np.stack([a, b, c])) == pytest.approx(
+            min(edges), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_boundary_min_norm_bounds_the_sampled_minimum(dim):
+    # exact over the proper faces: at most the least norm on a fine grid of
+    # every facet, and within the grid spacing times the values' spread of it
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        vals = rng.normal(size=(dim + 1, dim + 1))
+        exact = bundles._boundary_min_norm(vals)
+        steps = 24
+        sampled = np.inf
+        for facet in itertools.combinations(range(dim + 1), dim):
+            for w in itertools.product(range(steps + 1), repeat=dim - 1):
+                if sum(w) <= steps:
+                    weights = np.array([*w, steps - sum(w)]) / steps
+                    sampled = min(sampled, np.linalg.norm(weights @ vals[list(facet)]))
+        spread = max(np.linalg.norm(u - v) for u, v in itertools.combinations(vals, 2))
+        assert exact <= sampled + 1e-12
+        assert sampled - exact <= spread / steps
+
+
+def test_extend_boundary_vanishing_between_grid_points_rejected():
+    # the boundary vanishes at t = 1/4 on edge (0, 1), off every grid point
+    g = reps.cyclic_group(1)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(3)]))
+    bundle = GBundleModel(SimplicialBase.from_maximal([(0, 1, 2)]), rep)
+    boundary = {0: np.array([1.0, 0.0, 0.0]), 1: np.array([-3.0, 0.0, 0.0]),
+                2: np.array([0.0, 1.0, 0.0])}
+    with pytest.raises(InvalidInputError, match="vanishes on the boundary"):
+        extend_nonvanishing_section(bundle, (0, 1, 2), boundary)
+
+
 def test_extend_boundary_vector_of_wrong_length_rejected():
     g = reps.cyclic_group(1)
     rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2)]))
@@ -362,12 +409,13 @@ def test_min_norm_certificates_match_per_point_loop(dim):
     rng = np.random.default_rng(dim)
     simplex = tuple(range(dim + 1))
     grid = barycentric_grid(dim)
+    whole = SimplicialBase.from_maximal([simplex])
     for d, scale in ((1, 1e-3), (3, 1.0), (8, 1e3)):
         vals = {v: rng.normal(size=d) * scale for v in simplex}
-        assert bundles.sample_min_norm(vals) == reference_min_norm(vals, grid)
+        assert bundles.section_min_norm(whole, vals) == reference_min_norm(vals, grid)
         # antipodal vertex values: the interpolation passes near zero
         vals = {v: (-1.0) ** v * np.ones(d) for v in simplex}
-        assert bundles.sample_min_norm(vals) == reference_min_norm(vals, grid)
+        assert bundles.section_min_norm(whole, vals) == reference_min_norm(vals, grid)
     sub = barycentric_subdivision(simplex)
     values = {v: rng.normal(size=3) for v in sub.vertices}
     expected = min(reference_min_norm({v: values[v] for v in top}, grid)

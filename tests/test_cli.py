@@ -1251,6 +1251,14 @@ def near_tolerance_s3(scale=0.9e-10):
           sections={"s": {"0": [1, 0, 0], "1": [-1, 0, 0], "2": [0, 1, 0]}},
           extend={"simplex": [0, 1, 2], "section": "s"}),
      "boundary section vanishes on the boundary"),
+    # vanishing at t = 1/4 on edge (0, 1): off the sample grid and at no
+    # face barycenter, so only the exact minimum over the edge sees it
+    (["bundle", "extend"],
+     dict(REPS_TRIVIAL, representation={"blocks": ["trivial"] * 3},
+          base={"maximal_simplices": [[0, 1, 2]]},
+          sections={"s": {"0": [1, 0, 0], "1": [-3, 0, 0], "2": [0, 1, 0]}},
+          extend={"simplex": [0, 1, 2], "section": "s"}),
+     "boundary section vanishes on the boundary"),
     # lattices, generators, counts and differentials the floer model rejects
     (["floer", "ranks"], _replaced(FLOER_RANKS, 2, "lattice", "rank"),
      "omega and c1 must have one value per generator"),

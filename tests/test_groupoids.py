@@ -2,6 +2,7 @@
 metrics."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -714,3 +715,108 @@ def test_quotient_metric_rejects_repeated_points():
     pts = [np.array([0.0]), np.array([1.0]), np.array([0.0])]
     with pytest.raises(InvalidInputError, match=r"does not separate points \(0,2\)"):
         quotient_metric(pts, group, lambda g, p: p)
+
+
+def _per_k_orbit_metric(points, group, action):
+    """The orbit minimum one k at a time: d_G tiles [u | v] once per group
+    element for one action call, and every k adds one call moving the
+    second points by k (and every golden-section evaluation two)."""
+    n, order = len(points), group.order
+    i, j = np.divmod(np.arange(n * n), n)
+    pts = np.stack([np.asarray(p, dtype=float) for p in points], axis=1)
+    p, q = pts[:, i], pts[:, j]
+
+    def d_g(u, v):
+        both = np.column_stack([u, v])
+        d, m = both.shape[0], both.shape[1] // 2
+        moved = np.asarray(action(np.repeat(np.arange(order), 2 * m),
+                                  np.tile(both, order)), dtype=float)
+        moved = moved.reshape(d, order, 2, m)
+        dist = np.linalg.norm(moved[:, :, 0] - moved[:, :, 1], axis=0)
+        return dist.sum(axis=0) / order
+
+    inv = d_g(p, q)
+    best = np.full(n * n, np.inf)
+    best_k = np.zeros(n * n)
+    for k in range(order):
+        vals = d_g(p, action(k, q))
+        best_k = np.where(vals < best, k, best_k)
+        best = np.minimum(vals, best)
+    if isinstance(group, reps.CircleGroupModel):
+        refined = gq._golden_refine(lambda t: d_g(p, action(t, q)),
+                                    best_k - 1.0, best_k + 1.0)
+        best = np.minimum(best, refined)
+    return inv.reshape(n, n), best.reshape(n, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_metric_is_bitwise_the_per_k_orbit_minimum(data):
+    kind = data.draw(st.sampled_from(["rotation", "permutation", "negation", "circle"]))
+    if kind == "circle":
+        group = reps.CircleGroupModel(data.draw(st.integers(4, 64)))
+        act, dim = circle_rotation_action(group), 2
+    else:
+        size = data.draw(st.integers(2, 6) if kind == "rotation"
+                         else st.integers(2, 4) if kind == "permutation"
+                         else st.integers(1, 3))
+        group, act, mats = _finite_linear_action(kind, size)
+        dim = mats.shape[1]
+    pts = _separated_points(data, dim)
+    res = quotient_metric(pts, group, act)
+    inv, orbit = _per_k_orbit_metric(pts, group, act)
+    assert np.array_equal(res.invariant_matrix, inv)
+    assert np.array_equal(res.orbit_matrix, orbit)
+
+
+def test_circle_rotation_action_gives_the_bits_of_the_computed_angle():
+    circle = reps.CircleGroupModel(16)
+    act = circle_rotation_action(circle)
+    cols = np.random.default_rng(9).normal(size=(2, 6))
+
+    def computed(k, p):
+        theta = 2.0 * np.pi * np.asarray(k, dtype=float) / 16
+        c, s = np.cos(theta), np.sin(theta)
+        return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])
+
+    indices = [np.arange(16) % 6 * 3, np.array([-1, -16, 0, 3, -7, 2]),
+               np.array([16, 17, 40, 15, 0, 1]), np.array([0.5, 3.25, 15.99, -0.5, 16.5, 2.0])]
+    for k in indices:
+        stack = cols[:, np.arange(len(k)) % cols.shape[1]]
+        assert np.array_equal(act(k, stack), computed(k, stack))
+    for k in (0, 5, 15, -3, 16, 31, 2.5):
+        assert np.array_equal(act(k, cols), computed(k, cols))
+        assert np.array_equal(act(k, cols[:, 0]), computed(k, cols[:, 0]))
+
+
+def test_quotient_metric_memory_is_bounded_for_a_large_permutation_action():
+    # Z_50 cycling the coordinates of R^50, 8 points: the orbit minimum holds
+    # one k's pair differences at a time, and the metric peaked at 8.0 MB
+    # when every k moved all pairs again
+    size = 50
+    table = (np.arange(size)[None, :] + np.arange(size)[:, None]) % size
+    pts = list(np.random.default_rng(0).normal(size=(8, size)))
+    tracemalloc.start()
+    try:
+        res = quotient_metric(pts, reps.cyclic_group(size), lambda g, p: np.take_along_axis(
+            p, table[np.broadcast_to(g, p.shape[1:])].T, axis=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000
+    np.testing.assert_allclose(res.orbit_matrix, res.orbit_matrix.T, rtol=0, atol=1e-12)
+
+
+def test_quotient_metric_orbit_minimum_in_one_chunk_takes_three_action_calls():
+    # S_3 permuting R^3 on 4 points fits one chunk of k: one call moves every
+    # point by every element, two move the k-images by every element
+    group, act, _ = _finite_linear_action("permutation", 3)
+    calls = []
+
+    def counted(g, p):
+        calls.append(np.shape(g))
+        return act(g, p)
+
+    pts = list(np.random.default_rng(2).normal(size=(4, 3)))
+    quotient_metric(pts, group, counted)
+    assert len(calls) == 3 < 2 * group.order + 1

@@ -427,6 +427,20 @@ def test_preset_group_is_built_once_per_name_and_read_only(name):
     assert reps.preset_group("Z_5") is not reps.preset_group("Z_5")
 
 
+def test_identity_and_inverses_are_scanned_once_and_errors_repeat():
+    group = reps.symmetric_group(3)
+    inverse = group.inverse(np.arange(group.order))
+    assert np.all(group.compose(np.arange(group.order), inverse) == group.identity)
+    assert "identity" in vars(group) and "_inverses" in vars(group)
+    no_identity = reps.FiniteGroupModel("bad", np.array([[0, 0], [0, 0]]))
+    no_inverse = reps.FiniteGroupModel("bad", np.array([[0, 1], [1, 1]]))
+    for _ in range(2):
+        with pytest.raises(InvalidInputError, match="has no identity"):
+            no_identity.identity
+        with pytest.raises(InvalidInputError, match="element 1 has no two-sided inverse"):
+            no_inverse.inverse(0)
+
+
 def _expected_blocks(name):
     """(name, dim) of every catalog block, sorted: the 1-dim irreps and the
     blocks each constructor supplies."""
