@@ -253,12 +253,13 @@ class GBundleModel:
         edges, d, exact = self.base.edges(), self.fiber_dim, self.exact
         stack = np.array([self.transitions[e] for e in edges]
                          + [self.transitions[e[::-1]] for e in edges]).reshape(-1, d, d)
-        mats, k = self.rep.matrices, 1
         if exact:
             (mats, _, bound), (stack, k) = self.rep.numerators, linalg.numerators(stack)
             # every factor is at most the larger bound; a product sums d terms
             bound = max(bound, k, max(map(abs, stack.flat), default=0))
             mats, stack = (linalg.narrow(x, bound, d) for x in (mats, stack))
+        else:
+            mats, k = self.rep.matrices, 1
         fwd, back = stack[:len(edges)], stack[len(edges):]
         ident = k * k * np.eye(d, dtype=stack.dtype)
         for (u, v), orthogonal, inverse, equivariant in zip(
@@ -471,7 +472,7 @@ def orbit_stack(rep: reps.RealRepresentation, columns) -> np.ndarray:
     """Every group translate of every column: a (..., d, k) stack of frames
     becomes (..., d, k * |G|), the translates of column j in block j.  Their
     span is the invariant subspace the columns generate."""
-    mats = linalg.as_float(rep.matrices)
+    mats = rep.float_matrices
     cols = linalg.as_float(columns)
     moved = mats.reshape(mats.shape[:1] + (1,) * (cols.ndim - 2) + mats.shape[1:]) @ cols
     return np.moveaxis(moved, 0, -1).reshape(cols.shape[:-1] + (-1,))

@@ -211,7 +211,7 @@ def load_representation(group, spec, settings: Settings):
     if "blocks" in spec:
         rep = reps.block_rep(group, _list(spec["blocks"], "representation 'blocks'"))
         if not settings.exact:
-            rep = reps.RealRepresentation(group, linalg.as_float(rep.matrices))
+            rep = reps.RealRepresentation(group, rep.float_matrices)
         return rep
     if "matrices" in spec:
         mats = [_parse_matrix(m, settings.exact, "representation matrices")
@@ -477,12 +477,20 @@ def cmd_reps(scenario, settings, sub):
                         True, {"type": label, "endo_dim": dim})]
 
 
+def _unless_obstructed(check: str, anchor: str, key: str, run) -> list:
+    """One record: passing with the ``key`` field of ``run()``'s result, or
+    failing with the certificate of the ObstructionError it raises."""
+    try:
+        return [make_record(check, anchor, True, {key: getattr(run(), key)})]
+    except ObstructionError as exc:
+        return [make_record(check, anchor, False, exc.certificate)]
+
+
 def cmd_bundle(scenario, settings, sub):
     group = load_group(scenario.get("group"), settings)
     rep = load_representation(group, scenario.get("representation"), settings)
     base = load_base(scenario.get("base"))
     bundle = load_bundle(base, rep, scenario.get("bundle"), settings)
-    records = []
     if sub == "decompose":
         ranks = bundles.decompose_bundle(bundle, settings.tolerance)
         return [make_record(f"component-{label}", "bundle-isotypic-splitting",
@@ -500,38 +508,19 @@ def cmd_bundle(scenario, settings, sub):
             for k, v in _object(sections[section_name],
                                 f"section {section_name!r}").items()
         }
-        try:
-            res = bundles.extend_nonvanishing_section(
-                bundle, simplex, boundary, seed=settings.seed
-            )
-            records.append(
-                make_record("nonvanishing-extension", "boundary-section-extension",
-                            True, {"min_norm": res.min_norm})
-            )
-        except ObstructionError as exc:
-            records.append(
-                make_record("nonvanishing-extension", "boundary-section-extension",
-                            False, exc.certificate)
-            )
-        return records
+        return _unless_obstructed(
+            "nonvanishing-extension", "boundary-section-extension", "min_norm",
+            lambda: bundles.extend_nonvanishing_section(bundle, simplex, boundary,
+                                                        seed=settings.seed))
     spec = _section(scenario.get("stabilize"), "stabilize")
     lin = {
         _vertex(k): _parse_matrix(m, exact=False, what="stabilize linearizations")
         for k, m in _object(_field(spec, "linearizations", "stabilize section"),
                             "stabilize 'linearizations'").items()
     }
-    try:
-        res = bundles.stabilize_cokernel(bundle, lin, seed=settings.seed)
-        records.append(
-            make_record("cokernel-stabilization", "trivial-cover-subbundle",
-                        True, {"rank": res.rank})
-        )
-    except ObstructionError as exc:
-        records.append(
-            make_record("cokernel-stabilization", "trivial-cover-subbundle",
-                        False, exc.certificate)
-        )
-    return records
+    return _unless_obstructed(
+        "cokernel-stabilization", "trivial-cover-subbundle", "rank",
+        lambda: bundles.stabilize_cokernel(bundle, lin, seed=settings.seed))
 
 
 def cmd_transversality(scenario, settings, sub):
@@ -544,40 +533,25 @@ def cmd_transversality(scenario, settings, sub):
             for label in sorted(verdicts):
                 cert = tv.condition_certificate(split, label)
                 cert["vertex"] = v
-                records.append(
-                    make_record(f"condition-{v}-{label}", "fixed-locus-index-condition",
-                                verdicts[label], cert)
-                )
-        if not records:
-            records.append(
-                make_record("condition-vacuous", "fixed-locus-index-condition",
-                            True, {"note": "empty zero set"})
-            )
-        return records
+                records.append(make_record(
+                    f"condition-{v}-{label}", "fixed-locus-index-condition", verdicts[label],
+                    cert))
+        return records or [make_record("condition-vacuous", "fixed-locus-index-condition",
+                                       True, {"note": "empty zero set"})]
     try:
         gamma, report = tv.construct_equivariant_perturbation(model, seed=settings.seed)
         for v in sorted(report.vertex_results, key=str):
             for label, rec in sorted(report.vertex_results[v].items()):
-                records.append(
-                    make_record(
-                        f"surjective-{v}-{label}", "equivariant-perturbation",
-                        rec["surjective"],
-                        {"min_singular_value": rec["min_singular_value"]},
-                    )
-                )
-        records.append(
-            make_record("gamma-equivariance", "equivariant-perturbation",
-                        report.equivariance_residual <= settings.tolerance,
-                        {"residual": report.equivariance_residual})
-        )
+                records.append(make_record(
+                    f"surjective-{v}-{label}", "equivariant-perturbation", rec["surjective"],
+                    {"min_singular_value": rec["min_singular_value"]}))
+        records.append(make_record("gamma-equivariance", "equivariant-perturbation",
+                                   report.equivariance_residual <= settings.tolerance,
+                                   {"residual": report.equivariance_residual}))
     except ObstructionError as exc:
-        for cert in exc.certificate.get("certificates", []):
-            records.append(
-                make_record(
-                    f"obstruction-{cert['vertex']}-{cert['lambda']}",
-                    "fixed-locus-index-condition", False, cert,
-                )
-            )
+        records += [make_record(f"obstruction-{cert['vertex']}-{cert['lambda']}",
+                                "fixed-locus-index-condition", False, cert)
+                    for cert in exc.certificate.get("certificates", [])]
     return records
 
 
@@ -616,28 +590,18 @@ def _load_paths(scenario, settings):
 
 def cmd_flow(scenario, settings, sub):
     paths = _load_paths(scenario, settings)
-    records = []
-    for i, path in enumerate(paths):
-        if sub == "index":
-            idx = spectral.fredholm_index(path)
-            records.append(
-                make_record(f"index-{i}-{path.name}", "eigenvalue-count-index",
-                            True, {"index": idx})
-            )
-        else:
-            idx = spectral.fredholm_index(path)
-            shoot = spectral.index_by_shooting(path)
-            records.append(
-                make_record(
-                    f"oracle-{i}-{path.name}", "shooting-kernel-oracle",
-                    idx == shoot, {"eigencount": idx, "shooting": shoot},
-                )
-            )
-    return records
+    if sub == "index":
+        return [make_record(f"index-{i}-{path.name}", "eigenvalue-count-index",
+                            True, {"index": spectral.fredholm_index(path)})
+                for i, path in enumerate(paths)]
+    shooting = spectral.shooting_indices(paths)
+    eigencount = [spectral.fredholm_index(path) for path in paths]
+    return [make_record(f"oracle-{i}-{path.name}", "shooting-kernel-oracle", idx == shoot,
+                        {"eigencount": idx, "shooting": shoot})
+            for i, (path, idx, shoot) in enumerate(zip(paths, eigencount, shooting))]
 
 
 def cmd_floer(scenario, settings, sub):
-    records = []
     if "lattice" not in scenario or "generators" not in scenario:
         if sub == "d2":
             return [make_record("d-squared-vacuous", "differential-squares-to-zero",
@@ -648,18 +612,13 @@ def cmd_floer(scenario, settings, sub):
     counts = load_counts(lattice, gens, scenario.get("counts"))
     cutoff = settings.cutoff
     if sub == "d2":
-        delta = floer.build_differential(
-            gens, counts.restrict_index(gens, 0), cutoff
-        )
-        rep = floer.check_d_squared(delta)
+        rep = floer.check_d_squared(
+            floer.build_differential(gens, counts.restrict_index(gens, 0), cutoff))
         cert = {} if rep.ok else {
             "pair": list(rep.first_failure),
             "defect": {str(a): Fraction(c) for a, c in rep.defect.terms.items()},
         }
-        records.append(
-            make_record("d-squared", "differential-squares-to-zero", rep.ok, cert)
-        )
-        return records
+        return [make_record("d-squared", "differential-squares-to-zero", rep.ok, cert)]
     if sub == "reduce":
         morse = {
             tuple(_generator(gens, _field(rec, key, "morse count"), f"morse count {key!r}")
@@ -668,32 +627,21 @@ def cmd_floer(scenario, settings, sub):
             for rec in _list(scenario.get("morse_counts", []), "'morse_counts' section")
         }
         reduced = floer.autonomous_reduce(counts, gens, morse)
-        delta = floer.build_differential(
-            gens, reduced.restrict_index(gens, 0), cutoff
-        )
+        delta = floer.build_differential(gens, reduced.restrict_index(gens, 0), cutoff)
         zero = lattice.zero
-        entrywise = all(
-            delta.entry(x, y)
-            == floer.NovikovElement.monomial(lattice, zero, c, cutoff)
-            for (x, y), c in morse.items()
-        )
+        entrywise = all(delta.entry(x, y)
+                        == floer.NovikovElement.monomial(lattice, zero, c, cutoff)
+                        for (x, y), c in morse.items())
         spurious = [k for k in reduced.counts
                     if reduced.derived_index(gens, *k) == 0 and k[2] != zero]
-        records.append(
-            make_record("autonomous-reduction", "circle-rotation-reduction",
-                        entrywise and not spurious,
-                        {"entries": len(reduced.counts)})
-        )
-        return records
+        return [make_record("autonomous-reduction", "circle-rotation-reduction",
+                            entrywise and not spurious, {"entries": len(reduced.counts)})]
     delta = floer.build_differential(gens, counts.restrict_index(gens, 0), cutoff)
     ranks = floer.cohomology_rank(delta)
-    records.append(
-        make_record("cohomology-ranks", "novikov-field-elimination", True,
-                    {"ranks": {str(d): r for d, r in sorted(ranks.items())},
-                     "betti_sum": floer.betti_sum(ranks),
-                     "generators": len(gens.names)})
-    )
-    return records
+    return [make_record("cohomology-ranks", "novikov-field-elimination", True,
+                        {"ranks": {str(d): r for d, r in sorted(ranks.items())},
+                         "betti_sum": floer.betti_sum(ranks),
+                         "generators": len(gens.names)})]
 
 
 def cmd_groupoid(scenario, settings, sub):
@@ -717,13 +665,9 @@ def cmd_groupoid(scenario, settings, sub):
                                 "'ineffective_kernels' section").items()
         }
         model = groupoids.quotient_groupoid(gpd, action, slices, kernels)
-        for x in sorted(model.stab_law):
-            rec = model.stab_law[x]
-            records.append(
-                make_record(f"isotropy-law-{x}", "isotropy-cardinality-law",
-                            rec["ok"], rec)
-            )
-        return records
+        return [make_record(f"isotropy-law-{x}", "isotropy-cardinality-law",
+                            model.stab_law[x]["ok"], model.stab_law[x])
+                for x in sorted(model.stab_law)]
     uniform = {
         _vertex(k): set(_int(p, "'uniformizers'") for p in _list(v, "'uniformizers'"))
         for k, v in _object(scenario.get("uniformizers", {}),
@@ -731,11 +675,8 @@ def cmd_groupoid(scenario, settings, sub):
     }
     if uniform:
         rep = groupoids.properness_check(gpd, uniform)
-        for x in sorted(rep):
-            records.append(
-                make_record(f"properness-{x}", "orbit-set-cardinality",
-                            rep[x]["ok"], rep[x])
-            )
+        records += [make_record(f"properness-{x}", "orbit-set-cardinality", rep[x]["ok"],
+                                rep[x]) for x in sorted(rep)]
     reg = scenario.get("regularity")
     if reg:
         local = {}
@@ -753,16 +694,9 @@ def cmd_groupoid(scenario, settings, sub):
                            for m, perm in _object(act, f"{what} 'action'").items()},
             }
         rep = groupoids.regularity_check(gpd, local)
-        for key in sorted(rep, key=str):
-            records.append(
-                make_record(f"regularity-{key[0]}-{key[1]}",
-                            "local-action-rigidity", rep[key]["ok"], rep[key])
-            )
-    if not records:
-        records.append(
-            make_record("groupoid-axioms", "groupoid-validation", True, {})
-        )
-    return records
+        records += [make_record(f"regularity-{key[0]}-{key[1]}", "local-action-rigidity",
+                                rep[key]["ok"], rep[key]) for key in sorted(rep, key=str)]
+    return records or [make_record("groupoid-axioms", "groupoid-validation", True, {})]
 
 
 def _check_permutation_action(group, table: np.ndarray, dim: int) -> None:
@@ -832,16 +766,10 @@ def cmd_metric(scenario, settings, sub):
 
 
 def cmd_suite(scenario, settings, name):
-    results = suites.run_suite(name)
-    records = []
-    for r in results:
-        records.append(
-            make_record(f"criterion-{r['criterion']}-{r['name']}", r["anchor"],
-                        r["pass"],
+    return [make_record(f"criterion-{r['criterion']}-{r['name']}", r["anchor"], r["pass"],
                         {"checks": r["checks"], "failures": r["failures"],
                          "elapsed_s": r["elapsed"]})
-        )
-    return records
+            for r in suites.run_suite(name)]
 
 
 # ---------------------------------------------------------------------------

@@ -495,12 +495,13 @@ def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricRes
         best_k = np.where(low < best, start + vals.argmin(axis=0), best_k)
         best = np.minimum(best, low)
     if isinstance(group, reps.CircleGroupModel):
-        moved_i = moved[:, :, i]  # g.x_i for every pair (i, j)
-        q = pts[:, j]
+        # a pair (i, i) is at distance exactly 0 at k = 0: refine the others
+        off = np.flatnonzero(i != j)
+        moved_i, q = moved[:, :, i[off]], pts[:, j[off]]  # g.x_i, x_j per pair
         refined = _golden_refine(
             lambda t: mean_distance(moved_i, by_every_g(act(t, q)), 0),
-            best_k - 1.0, best_k + 1.0)
-        best = np.minimum(best, refined)
+            best_k[off] - 1.0, best_k[off] + 1.0)
+        best[off] = np.minimum(best[off], refined)
     return QuotientMetricResult(d_g, inv, best.reshape(n, n))
 
 

@@ -213,9 +213,12 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def block_diag(blocks: list[np.ndarray], exact: bool) -> np.ndarray:
     """Block-diagonal matrix of square blocks; blocks with a leading axis
-    (stacks of one block per group element) give a stack."""
+    (stacks of one block per group element) give a stack.  Exact blocks
+    keep their dtype: int64 integer blocks give an int64 result, and an
+    object block an object one."""
     n = sum(b.shape[-1] for b in blocks)
-    out = zeros(blocks[0].shape[:-2] + (n, n), exact)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n),
+                   dtype=np.result_type(*blocks) if exact else float)
     pos = 0
     for b in blocks:
         k = b.shape[-1]

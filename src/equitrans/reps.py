@@ -14,15 +14,18 @@ type R, C or H of real dimension 1, 2 or 4, and the character projector
     P = (dim V / endo_dim) * avg_g chi(g) rho(g)
 
 projects onto the corresponding isotypic component.  The projectors have one
-construction, ``_projectors``: float matrices in float mode, and in exact
-mode integer numerators Q = D P over one common denominator D
-(``linalg.numerators``), so no entry is a Fraction.  ``projector_check`` and
-the irreducibility test of ``endo_type`` both read them from there.
+construction, ``_projectors``, one product of the group's character table with
+the stack of rho: float matrices in float mode, and in exact mode integer
+numerators Q = D P over one common denominator D (``linalg.numerators``), so
+no entry is a Fraction.  ``projector_check`` and the irreducibility test of
+``endo_type`` both read them from there.  An exact representation holds its
+integer numerators from construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -203,28 +206,30 @@ GroupModel = FiniteGroupModel | CircleGroupModel
 _fr = linalg.frac_array
 
 
+def _plane_character(k: int, n: int) -> np.ndarray:
+    """2 cos(2 pi k j / n) for j in range(n): exact when every value is
+    rational, else float."""
+    vals = [_cos2pi_exact(k * j, n) for j in range(n)]
+    if all(v is not None for v in vals):
+        return _fr([2 * v for v in vals])
+    return 2.0 * np.cos(2.0 * np.pi * k * np.arange(n) / n)
+
+
 def cyclic_group(n: int) -> FiniteGroupModel:
     if n < 1:
         raise InvalidInputError("cyclic order must be positive")
     table = np.array([[(i + j) % n for j in range(n)] for i in range(n)])
     irreps = [IrrepDescriptor("trivial", 1, _fr([1] * n), "R")]
     if n % 2 == 0:
-        irreps.append(
-            IrrepDescriptor("sign", 1, _fr([(-1) ** j for j in range(n)]), "R")
-        )
+        irreps.append(IrrepDescriptor("sign", 1, _fr([(-1) ** j for j in range(n)]), "R"))
     for k in range(1, (n - 1) // 2 + 1):
-        vals = [_cos2pi_exact(k * j, n) for j in range(n)]
-        if all(v is not None for v in vals):
-            chi = _fr([2 * v for v in vals])
-        else:
-            chi = 2.0 * np.cos(2.0 * np.pi * k * np.arange(n) / n)
-        irreps.append(IrrepDescriptor(f"plane_{k}", 2, chi, "C"))
+        irreps.append(IrrepDescriptor(f"plane_{k}", 2, _plane_character(k, n), "C"))
 
     def blocks(group):
         out = {"shift": regular_rep(group)}
         if n == 4:
-            out["rot90"] = RealRepresentation(group, _fr(
-                [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]]))
+            rot = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]]
+            out["rot90"] = RealRepresentation(group, numerators=(np.array(rot), 1))
         return out
 
     return FiniteGroupModel(f"Z_{n}", table, tuple(irreps), blocks)
@@ -244,43 +249,20 @@ def dihedral_group(n: int) -> FiniteGroupModel:
 
     table = np.array([[mul(x, y) for y in range(order)] for x in range(order)])
 
-    def per_element(rot_val, ref_val):
-        return [rot_val(x % n) if x < n else ref_val(x % n) for x in range(order)]
+    def one_dim(label, rot_val, ref_val):
+        """The 1-dim irrep with value rot_val(a) at r^a and ref_val(a) at r^a s."""
+        return IrrepDescriptor(label, 1, _fr(
+            [rot_val(x % n) if x < n else ref_val(x % n) for x in range(order)]), "R")
 
-    irreps = [
-        IrrepDescriptor("trivial", 1, _fr([1] * order), "R"),
-        IrrepDescriptor(
-            "reflection_sign", 1, _fr(per_element(lambda a: 1, lambda a: -1)), "R"
-        ),
-    ]
+    irreps = [one_dim("trivial", lambda a: 1, lambda a: 1),
+              one_dim("reflection_sign", lambda a: 1, lambda a: -1)]
     if n % 2 == 0:
-        irreps.append(
-            IrrepDescriptor(
-                "rotation_sign",
-                1,
-                _fr(per_element(lambda a: (-1) ** a, lambda a: (-1) ** a)),
-                "R",
-            )
-        )
-        irreps.append(
-            IrrepDescriptor(
-                "rotation_reflection_sign",
-                1,
-                _fr(per_element(lambda a: (-1) ** a, lambda a: -((-1) ** a))),
-                "R",
-            )
-        )
-        plane_max = n // 2 - 1
-    else:
-        plane_max = (n - 1) // 2
-    for k in range(1, plane_max + 1):
-        vals = [_cos2pi_exact(k * a, n) for a in range(n)]
-        if all(v is not None for v in vals):
-            chi = _fr([2 * v for v in vals] + [0] * n)
-        else:
-            chi = np.concatenate(
-                [2.0 * np.cos(2.0 * np.pi * k * np.arange(n) / n), np.zeros(n)]
-            )
+        irreps += [one_dim("rotation_sign", lambda a: (-1) ** a, lambda a: (-1) ** a),
+                   one_dim("rotation_reflection_sign", lambda a: (-1) ** a,
+                           lambda a: -((-1) ** a))]
+    for k in range(1, (n - 1) // 2 + 1):
+        # the reflections r^a s have trace 0 on every plane
+        chi = np.concatenate([_plane_character(k, n), np.zeros(n, dtype=int)])
         irreps.append(IrrepDescriptor(f"plane_{k}", 2, chi, "R"))
 
     def blocks(group):
@@ -323,30 +305,26 @@ def symmetric_group(n: int) -> FiniteGroupModel:
     )
     fix = [sum(1 for i in range(n) if p[i] == i) for p in perms]
     sgn = [_perm_parity(p) for p in perms]
-    irreps = [IrrepDescriptor("trivial", 1, _fr([1] * order), "R")]
-    irreps.append(IrrepDescriptor("sign", 1, _fr(sgn), "R"))
+    irreps = [IrrepDescriptor("trivial", 1, _fr([1] * order), "R"),
+              IrrepDescriptor("sign", 1, _fr(sgn), "R")]
     if n >= 3:
-        irreps.append(
-            IrrepDescriptor("standard", n - 1, _fr([f - 1 for f in fix]), "R")
-        )
+        irreps.append(IrrepDescriptor("standard", n - 1, _fr([f - 1 for f in fix]), "R"))
     if n == 4:
-        irreps.append(
-            IrrepDescriptor(
-                "standard_sign", 3, _fr([(f - 1) * s for f, s in zip(fix, sgn)]), "R"
-            )
-        )
         # the 2-dim irrep factors through S_4 / V_4 ~ S_3
         cycle_type_chi = {(1, 1, 1, 1): 2, (2, 1, 1): 0, (2, 2): 2, (3, 1): -1, (4,): 0}
         chi2 = [cycle_type_chi[_cycle_type(p)] for p in perms]
-        irreps.append(IrrepDescriptor("two_dim", 2, _fr(chi2), "R"))
+        irreps += [IrrepDescriptor("standard_sign", 3,
+                                   _fr([(f - 1) * s for f, s in zip(fix, sgn)]), "R"),
+                   IrrepDescriptor("two_dim", 2, _fr(chi2), "R")]
 
     def blocks(group):
         natural = permutation_rep(group, np.array(perms))
         out = {"natural": natural}
         if n == 4:
             odd = np.array(sgn)[:, None, None] < 0
+            nums = natural.numerators[0]
             out["natural_sign"] = RealRepresentation(
-                group, np.where(odd, -natural.matrices, natural.matrices))
+                group, numerators=(np.where(odd, -nums, nums), 1))
             pairs = list(itertools.combinations(range(n), 2))
             pidx = {p: i for i, p in enumerate(pairs)}
             out["pairs"] = permutation_rep(group, np.array(
@@ -391,8 +369,8 @@ def quaternion_group() -> FiniteGroupModel:
 
     def blocks(group):
         # left multiplication by q: column a holds q times the unit a
-        return {"left": RealRepresentation(group, _fr(
-            [list(zip(*(_quat_mul(q, u) for u in units))) for q in elems]))}
+        return {"left": RealRepresentation(group, numerators=(np.array(
+            [list(zip(*(_quat_mul(q, u) for u in units))) for q in elems]), 1))}
 
     return FiniteGroupModel("Q_8", table, irreps, blocks)
 
@@ -452,31 +430,48 @@ def preset_group(name: str) -> FiniteGroupModel:
 _LAW_CHUNK = 2**20
 
 
-@dataclass(frozen=True)
 class RealRepresentation:
     """An orthogonal real representation: one d x d matrix per group element
-    (per sample angle for the circle).  Exact mode stores rational entries,
-    ints for the integral ones (integer-orthogonal blocks are all ints)."""
+    (per sample angle for the circle), from a float or exact stack
+    ``matrices`` or from integer ``numerators`` (N, m), rho = N / m.
 
-    group: GroupModel
-    matrices: np.ndarray  # shape (order, d, d)
+    Float mode keeps the float stack.  Exact mode keeps ``numerators`` (N,
+    m, bound), taken once from exact matrices: m is the least common
+    denominator, bound the largest of m and every |N|, and N is narrowed
+    for sums of dim products (``linalg.narrow``; a caller with larger sums
+    narrows it again).  Its ``matrices`` is then a read-only object array of
+    ints and Fractions, built on first read.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
+    def __init__(self, group: GroupModel, matrices: np.ndarray | None = None,
+                 numerators: tuple[np.ndarray, int] | None = None):
+        self.group, self.numerators = group, None
+        if matrices is not None:
+            self.matrices = matrices
+            numerators = linalg.numerators(matrices) if linalg.is_exact(matrices) else None
+        if numerators is not None:
+            nums, m = numerators
+            bound = max(m, int(np.max(np.abs(nums), initial=0)))
+            self.numerators = linalg.narrow(nums, bound, nums.shape[-1]), m, bound
+        self.dim = nums.shape[-1] if self.exact else matrices.shape[-1]
 
     @property
     def exact(self) -> bool:
-        return linalg.is_exact(self.matrices)
+        return self.numerators is not None
 
     @cached_property
-    def numerators(self) -> tuple[np.ndarray, int, int]:
-        """(N, m, bound), rho = N / m, scanned once per rep: bound is the
-        largest of m and every |N|, and N is narrowed for sums of dim products
-        (``linalg.narrow``); a caller with larger sums narrows it again."""
-        nums, m = linalg.numerators(self.matrices)
-        bound = max(m, max(map(abs, nums.flat), default=0))
-        return linalg.narrow(nums, bound, self.dim), m, bound
+    def matrices(self) -> np.ndarray:
+        nums, m, _ = self.numerators
+        view = nums.astype(object)
+        view = view if m == 1 else linalg.frac_array(view * Fraction(1, m))
+        view.flags.writeable = False
+        return view
+
+    @property
+    def float_matrices(self) -> np.ndarray:
+        """rho as a float stack (N / m in exact mode)."""
+        return (self.matrices if self.numerators is None
+                else np.asarray(self.numerators[0] / self.numerators[1], dtype=float))
 
     def validate(self) -> None:
         """Identity, orthogonality and the group law as stacked
@@ -523,59 +518,70 @@ def _generating_set(group: GroupModel) -> list[int]:
     return gens
 
 
-def _character(rep: RealRepresentation, irrep: IrrepDescriptor) -> np.ndarray:
-    """The irrep's character, checked to have one value per group element of
-    ``rep`` and, in exact mode, only ``int`` and ``Fraction`` values."""
-    chi = irrep.character
-    if len(chi) != rep.group.order:
-        raise InvalidInputError(
-            "irrep does not belong to the representation's group model"
-        )
-    if rep.exact and not all(isinstance(c, (Fraction, int)) for c in chi):
-        raise InvalidInputError(
-            f"irrep {irrep.label!r} has no exact character; use float mode"
-        )
-    return chi
+def _character_table(group: GroupModel, exact: bool) -> tuple:
+    """(labels, X, f, a) for "fixed" and each nontrivial irrep l, in the
+    group's order, with P_l = f_l sum_g X_lg rho(g).  Float mode: X the
+    characters (ones for "fixed") and f = dim V / (endo_dim |G|) (1 / |G|),
+    as floats, and a None.  Exact mode: X integer numerators, chi_l = X_l /
+    c_l, f_l the same divided by c_l as Fractions, and a_l = sum_g |X_lg|.
+    Kept per group and mode in its ``__dict__``, as ``_block_catalog`` is.
+    A character of the wrong length, or an irrational one in exact mode,
+    raises InvalidInputError."""
+    key = f"_character_table_{exact}"
+    if key not in group.__dict__:
+        order = group.order
+        labels, rows, scales = ["fixed"], [[1] * order], [Fraction(1, order)]
+        for ir in group.nontrivial_irreps():
+            chi = ir.character
+            if len(chi) != order:
+                raise InvalidInputError(
+                    "irrep does not belong to the representation's group model")
+            if exact and not all(isinstance(c, (Fraction, int)) for c in chi):
+                raise InvalidInputError(
+                    f"irrep {ir.label!r} has no exact character; use float mode")
+            x, c = linalg.numerators(chi) if exact else (linalg.as_float(chi), 1)
+            labels.append(ir.label)
+            rows.append(x)
+            scales.append(Fraction(ir.dim_V, ir.endo_dim * order * c))
+        if exact:
+            sums = [sum(map(abs, x)) for x in rows]
+            table = linalg.narrow(np.array(rows, dtype=object), max(sums), 1)
+        else:
+            table, scales, sums = np.array(rows, dtype=float), np.array(scales, dtype=float), None
+        group.__dict__[key] = labels, table, scales, sums
+    return group.__dict__[key]
 
 
 def _projectors(rep: RealRepresentation, commuting: dict):
-    """(M, {label: Q}, D, {name: C}): the character projectors P_l of ``rep``
-    over the fixed part and each nontrivial irrep l, as Q_l = D P_l.
+    """(M, {label: Q}, D, {name: C}): the character projectors P_l of
+    ``rep`` over the fixed part and each nontrivial irrep l
+    (``_character_table``, in its order) as Q_l = D P_l, all formed as one
+    product of the (L, |G|) weight table with the (|G|, d^2) stack of rho.
 
     Float mode returns M = rho, Q = P, D = 1 and the matrices of
     ``commuting`` as given.  Exact mode returns integer numerators: rho =
-    M / m, C a multiple of each named matrix, P = s sum_g X(g) M_g with X = c
-    * chi integral and s = dim V / (endo_dim |G| c m) (s = 1 / (|G| m) for
-    the fixed part), and D the common denominator of the s.  The exact arrays
-    are narrowed (``linalg.narrow``) for every product ``projector_check``
-    computes; the one Fraction per label is its s.  A character that
-    ``_character`` rejects raises InvalidInputError.
+    M / m, C a multiple of each named matrix, Q_l = D s_l sum_g X_lg M_g with
+    s_l = f_l / m, and D the common denominator of the s_l.  The exact
+    arrays are narrowed (``linalg.narrow``) for every product
+    ``projector_check`` computes.
     """
-    order, irreps = rep.group.order, rep.group.nontrivial_irreps()
+    order, d = rep.group.order, rep.dim
+    labels, table, scales, sums = _character_table(rep.group, rep.exact)
     if not rep.exact:
-        projs = {"fixed": rep.matrices.sum(axis=0) / order}
-        for ir in irreps:
-            chi = linalg.as_float(np.asarray(_character(rep, ir)))
-            projs[ir.label] = np.tensordot(chi, rep.matrices, axes=1) * (
-                ir.dim_V / (ir.endo_dim * order))
-        return rep.matrices, projs, 1, commuting
+        q = scales[:, None] * (table @ rep.matrices.reshape(order, -1))
+        return rep.matrices, dict(zip(labels, q.reshape(-1, d, d))), 1, commuting
     mats, m, m_max = rep.numerators
-    weights = {"fixed": (np.ones(order, dtype=object), Fraction(1, order * m))}
-    for ir in irreps:
-        x, c = linalg.numerators(_character(rep, ir))
-        weights[ir.label] = (x, Fraction(ir.dim_V, ir.endo_dim * order * c * m))
-    nums, denom = linalg.numerators([s for _, s in weights.values()])
-    scales = dict(zip(weights, nums))
+    nums, denom = linalg.numerators([f / m for f in scales])
     named = {name: linalg.numerators(c)[0] for name, c in commuting.items()}
     # |Q|, |M|, |C| and D bound every factor; a product sums at most
     # dim terms, a sum of projectors has one term per label
-    q_max = max(scales[label] * sum(map(abs, x)) * m_max
-                for label, (x, _) in weights.items())
+    q_max = max(n * a * m_max for n, a in zip(nums, sums))
     factor = max([q_max, m_max, denom] + [abs(v) for c in named.values() for v in c.flat])
-    mats = linalg.narrow(mats, factor, max(rep.dim, len(weights)))
-    projs = {label: scales[label] * np.tensordot(x.astype(mats.dtype), mats, axes=1)
-             for label, (x, _) in weights.items()}
-    return mats, projs, denom, {name: c.astype(mats.dtype) for name, c in named.items()}
+    mats = linalg.narrow(mats, factor, max(d, len(labels)))
+    weights = nums.astype(mats.dtype)[:, None] * table.astype(mats.dtype)
+    q = (weights @ mats.reshape(order, -1)).reshape(-1, d, d)
+    return (mats, dict(zip(labels, q)), denom,
+            {name: c.astype(mats.dtype) for name, c in named.items()})
 
 
 def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
@@ -595,7 +601,7 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
     mats, projs, denom, named = _projectors(rep, commuting or {})
     same = partial(linalg.same, exact=rep.exact, tol=tol)
     labels = sorted(projs)
-    q = np.stack([projs[label] for label in labels])
+    q = np.stack([projs.pop(label) for label in labels])  # frees the unsorted stack
     ranks = {label: linalg.trace_rank(tr, denom)
              for label, tr in zip(labels, np.trace(q, axis1=1, axis2=2))}
     a, b = np.triu_indices(len(labels), 1)
@@ -630,7 +636,7 @@ def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np
         (wm, _, bw), (vm, _, bv) = rep_w.numerators, rep_v.numerators
         wm, vm = (linalg.narrow(x, max(bw, bv), order) for x in (wm, vm))
     else:
-        wm, vm = linalg.as_float(rep_w.matrices), linalg.as_float(rep_v.matrices)
+        wm, vm = rep_w.float_matrices, rep_v.float_matrices
     vinv = vm[rep_v.group.inverse(np.arange(order))]
     # rho_W(g) E_ab rho_V(g)^-1 is the outer product of column a of
     # rho_W(g) with row b of rho_V(g)^-1; candidate (a, b) is its average
@@ -732,9 +738,9 @@ def permutation_rep(group: FiniteGroupModel, action: np.ndarray) -> RealRepresen
     """Exact permutation representation from an action table (order x points)."""
     action = np.asarray(action)
     npts = action.shape[1]
-    mats = np.zeros((group.order, npts, npts), dtype=int)
+    mats = np.zeros((group.order, npts, npts), dtype=np.int64)
     mats[np.arange(group.order)[:, None], action, np.arange(npts)] = 1
-    return RealRepresentation(group, mats.astype(object))
+    return RealRepresentation(group, numerators=(mats, 1))
 
 
 def regular_rep(group: FiniteGroupModel) -> RealRepresentation:
@@ -774,20 +780,29 @@ def rep_from_generators(group: FiniteGroupModel, generators,
 
 
 def one_dim_rep(group: FiniteGroupModel, values) -> RealRepresentation:
-    return RealRepresentation(
-        group, linalg.frac_array([[[values[g]]] for g in range(group.order)]))
+    """Exact 1-dim representation from one rational value (int or Fraction)
+    per group element."""
+    nums, m = linalg.numerators([values[g] for g in range(group.order)])
+    return RealRepresentation(group, numerators=(nums.reshape(-1, 1, 1), m))
 
 
 def direct_sum(*reps: RealRepresentation) -> RealRepresentation:
+    """Block-diagonal sum; exact summands are summed as numerators over
+    their least common denominator."""
     group = reps[0].group
-    exact = all(r.exact for r in reps)
-    return RealRepresentation(group, linalg.block_diag([r.matrices for r in reps], exact))
+    if not all(r.exact for r in reps):
+        return RealRepresentation(group, linalg.block_diag(
+            [r.float_matrices for r in reps], exact=False))
+    m = math.lcm(*(r.numerators[1] for r in reps))
+    blocks = [n if k == m else n.astype(object) * (m // k) for n, k, _ in
+              (r.numerators for r in reps)]
+    return RealRepresentation(group, numerators=(linalg.block_diag(blocks, exact=True), m))
 
 
 def conjugate_rep(rep: RealRepresentation, q: np.ndarray) -> RealRepresentation:
     """Conjugate by a float orthogonal matrix q: rho'(g) = q rho(g) q^T, a
     float representation."""
-    return RealRepresentation(rep.group, q @ linalg.as_float(rep.matrices) @ q.T)
+    return RealRepresentation(rep.group, q @ rep.float_matrices @ q.T)
 
 
 def circle_weight_rep(circle: CircleGroupModel, weights, fixed_dim: int = 0) -> RealRepresentation:
@@ -811,8 +826,8 @@ def _block_catalog(group: FiniteGroupModel) -> Mapping[str, RealRepresentation]:
 
     Built once per group instance and kept in its ``__dict__`` (as
     ``functools.cached_property`` does, which a frozen dataclass allows);
-    the mapping and its matrices are read-only, so no caller can change
-    the cached blocks.
+    the mapping, the blocks' int64 numerators and their ``matrices`` views
+    are read-only, so no caller can change the cached blocks.
     """
     cache = group.__dict__
     if "_block_catalog" not in cache:
@@ -824,7 +839,7 @@ def _block_catalog(group: FiniteGroupModel) -> Mapping[str, RealRepresentation]:
                   for ir in group.irreps if ir.dim_V == 1}
         blocks.update(build(group))
         for rep in blocks.values():
-            rep.matrices.flags.writeable = False
+            rep.numerators[0].flags.writeable = False
         cache["_block_catalog"] = MappingProxyType(blocks)
     return cache["_block_catalog"]
 
@@ -854,10 +869,10 @@ def random_rep(group: GroupModel, rng: np.random.Generator, max_dim: int = 12,
     if not exact:
         return conjugate_rep(rep, linalg.random_orthogonal(rep.dim, rng))
     perm, signs = rng.permutation(rep.dim), rng.choice([-1, 1], size=rep.dim)
-    mats = np.empty_like(rep.matrices)
-    mats[:, perm[:, None], perm] = np.where(np.outer(signs, signs) < 0,
-                                            -rep.matrices, rep.matrices)
-    return RealRepresentation(group, mats)
+    nums, m, _ = rep.numerators
+    mats = np.empty_like(nums)
+    mats[:, perm[:, None], perm] = np.where(np.outer(signs, signs) < 0, -nums, nums)
+    return RealRepresentation(group, numerators=(mats, m))
 
 
 def block_rep(group: FiniteGroupModel, names) -> RealRepresentation:

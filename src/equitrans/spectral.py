@@ -8,7 +8,8 @@ boundary-decay subspaces; the index equals the kernel of the adjoint path
 minus the kernel of the path itself.  Paths are sampled as stacks (an
 evaluator maps a (k, 1, 1) array of s to a (k, d, d) stack), and RK4 on a
 fixed grid sweeps in from both ends in one loop, moving every frame (path
-and adjoint -B^T, from -T and from +T) as one padded stack, one QR per chunk.
+and adjoint -B^T, from -T and from +T) of every path on that grid as one
+padded stack, one QR per chunk (``shooting_indices``).
 
 The autonomous Floer linearization in a circle weight lambda >= 1 acts on
 pairs (a, b) of C^n-valued functions as
@@ -85,11 +86,13 @@ class MatrixPath:
     def at(self, s: float) -> np.ndarray:
         return self.sample([s])[0]
 
-    def validate(self) -> None:
+    def validate(self) -> list:
+        """Check the horizon, the hyperbolic limits and the stationary tails;
+        return the eigenvalues of B- and of B+."""
         if not self.horizon > 0:
             raise InvalidInputError(f"path horizon {self.horizon} is not positive")
-        for b, side in ((self.b_minus, "-"), (self.b_plus, "+")):
-            _assert_hyperbolic(b, f"limit matrix B{side}")
+        eigs = [_assert_hyperbolic(b, f"limit matrix B{side}")
+                for b, side in ((self.b_minus, "-"), (self.b_plus, "+"))]
         for sign, b in ((-1.0, self.b_minus), (1.0, self.b_plus)):
             drift = np.max(np.abs(self.at(sign * self.horizon) - b))
             if drift > TAIL_TOLERANCE:
@@ -97,6 +100,7 @@ class MatrixPath:
                     f"path is not stationary at s = {sign * self.horizon}: "
                     f"drift {drift:.2e}"
                 )
+        return eigs
 
 
 def constant_path(b, horizon: float = 8.0) -> MatrixPath:
@@ -134,14 +138,14 @@ def _assert_hyperbolic(b: np.ndarray, what: str = "matrix") -> np.ndarray:
 def unstable_dim(b) -> int:
     """Number of eigenvalues with negative real part, with multiplicity."""
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    eig = _assert_hyperbolic(b)
-    return int(np.sum(eig.real < 0))
+    return int(np.sum(_assert_hyperbolic(b).real < 0))
 
 
 def fredholm_index(path: MatrixPath) -> int:
-    """dim E^u(B-) - dim E^u(B+)."""
-    path.validate()
-    return unstable_dim(path.b_minus) - unstable_dim(path.b_plus)
+    """dim E^u(B-) - dim E^u(B+), from the limit eigenvalues that
+    ``validate`` computes once."""
+    eig_minus, eig_plus = path.validate()
+    return int(np.sum(eig_minus.real < 0)) - int(np.sum(eig_plus.real < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,79 +252,124 @@ def _chunk_maps(b: np.ndarray, h: np.ndarray) -> np.ndarray:
     steps on the left, from an (f, 2k + 1, d, d) stack of B sampled every
     half step.  Step j maps u to (I + h/6 (B0 + 2 K2 + 2 K3 + K4)) u with
     K2 = Bm + h/2 Bm B0, K3 = Bm + h/2 Bm K2 and K4 = B1 + h B1 K3; the k
-    maps, padded with identities, are multiplied by a pairwise tree."""
+    maps, padded with identities, are multiplied by a pairwise tree.  The
+    sums are formed in place, in the order written, so three (f, k, d, d)
+    buffers hold every intermediate."""
     b0, bm, b1 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
-    k2 = bm + (h / 2) * (bm @ b0)
-    k3 = bm + (h / 2) * (bm @ k2)
-    k4 = b1 + h * (b1 @ k3)
     f, k, d = b0.shape[:3]
-    maps = np.eye(d) + (h / 6) * (b0 + 2 * k2 + 2 * k3 + k4)
-    pad = np.broadcast_to(np.eye(d), (f, -k % _CHUNK, d, d))
-    p = np.concatenate([maps, pad], axis=1).reshape(f, -1, _CHUNK, d, d)
+    k2 = bm @ b0
+    k2 *= h / 2
+    k2 += bm
+    maps = np.empty((f, k - k % -_CHUNK, d, d))
+    maps[:, k:] = np.eye(d)
+    total = np.multiply(k2, 2, out=maps[:, :k])
+    total += b0
+    k3 = bm @ k2
+    k3 *= h / 2
+    k3 += bm
+    k4 = np.matmul(b1, k3, out=k2)
+    k4 *= h
+    k4 += b1
+    k3 *= 2
+    total += k3
+    total += k4
+    total *= h / 6
+    total += np.eye(d)
+    del k2, k3, k4
+    p = maps.reshape(f, -1, _CHUNK, d, d)
     while p.shape[2] > 1:
         p = p[:, :, 1::2] @ p[:, :, ::2]
     return p[:, :, 0]
 
 
-def _propagated_frames(path: MatrixPath, n_steps: int) -> list:
-    """Frames at s = 0 of the rhp subspace of B- carried forward from -T and
-    the lhp subspace of B+ carried backward from +T under u' = B(s) u, then
-    the same two under u' = -B(s)^T u, in n_steps RK4 steps.
+def _propagated_frames(paths: list, starts: list, n_steps: int) -> list:
+    """For each of ``paths``, all of one dim and one horizon T, its start
+    frames (``_start_frames``) carried to s = 0 in n_steps RK4 steps: the
+    rhp subspace of B- forward from -T and the lhp subspace of B+ backward
+    from +T under u' = B(s) u, then the same two under u' = -B(s)^T u.
 
     The mirrored grids s_{j+1} = s_j +- h have one step count, so each block
     of _BLOCK steps samples both, every half step, in one ``path.sample``
-    call; the adjoint uses -B^T of the same samples.  All frames move as one
-    zero-padded (f, d, r_max) stack: per _CHUNK steps one product, one
-    finiteness check and one QR.  The first r columns of a Householder Q
-    depend only on the first r columns, so each frame keeps its span.
+    call per path, and turns them into the path's chunk maps before the next
+    path is sampled; the adjoint uses -B^T of the same samples.  All frames
+    of all paths move as one zero-padded (4 len(paths), d, r_max) stack: per
+    _CHUNK steps one product, one finiteness check and one QR.  The first r
+    columns of a Householder Q depend only on the first r columns, so each
+    frame keeps its span.
     """
-    t, d = path.horizon, path.dim
-    frames = _start_frames(path)
+    t, d = paths[0].horizon, paths[0].dim
+    frames = [f for four in starts for f in four]
     widths = [f.shape[1] for f in frames]
     u = np.stack([np.pad(f, ((0, 0), (0, max(widths) - f.shape[1]))) for f in frames])
     h = np.array([[t], [-t]]) / n_steps
-    ends = np.cumsum(np.column_stack([[-t, t], np.tile(h, n_steps)]), axis=1)
-    grid = np.stack([ends[:, :-1] + h / 2, ends[:, 1:]], axis=2)
-    b, hs = path.sample([-t, t])[:, None], np.resize(h, (len(frames), 1, 1, 1))
+    end = np.array([[-t], [t]])
+    last = [path.sample(end.ravel())[:, None] for path in paths]
+    hs = np.resize(h, (4, 1, 1, 1))
     for j in range(0, n_steps, _BLOCK):
-        half_steps = grid[:, j:j + _BLOCK].ravel()
-        b = np.concatenate(
-            [b[:, -1:], path.sample(half_steps).reshape(2, -1, d, d)], axis=1)
-        views = np.concatenate([b, -b.swapaxes(2, 3)])
-        for chunk in _chunk_maps(views, hs).swapaxes(0, 1):
+        ends = np.cumsum(np.column_stack([end, np.tile(h, min(_BLOCK, n_steps - j))]),
+                         axis=1)
+        half_steps = np.stack([ends[:, :-1] + h / 2, ends[:, 1:]], axis=2).ravel()
+        end = ends[:, -1:]
+        maps = []
+        for k, path in enumerate(paths):
+            # B forward and backward, then -B^T of the same samples
+            b = np.empty((4, len(half_steps) // 2 + 1, d, d))
+            np.concatenate([last[k], path.sample(half_steps).reshape(2, -1, d, d)],
+                           axis=1, out=b[:2])
+            np.negative(b[:2].swapaxes(2, 3), out=b[2:])
+            last[k] = b[:2, -1:].copy()
+            maps.append(_chunk_maps(b, hs))
+        for chunk in np.concatenate(maps).swapaxes(0, 1):
             u = chunk @ u
             if not np.all(np.isfinite(u)):
                 raise InvalidInputError("frame propagation overflowed despite "
                                         "renormalization")
             u = np.linalg.qr(u)[0]
-    return [x[:, :w] for x, w in zip(u, widths)]
+    return [[x[:, :w] for x, w in zip(u[k:k + 4], widths[k:k + 4])]
+            for k in range(0, len(frames), 4)]
 
 
-def _kernel_dims(path: MatrixPath) -> list:
-    """[kernel, cokernel]: the dimensions of the bounded solutions of
-    u' = B(s) u and of the adjoint u' = -B(s)^T u.
-
-    Solutions bounded at -infinity come from the right-half-plane subspace
-    of B-, propagated forward from -horizon; solutions bounded at +infinity
-    come from the left-half-plane subspace of B+, propagated backward from
-    +horizon.  A kernel is their intersection at s = 0, measured by
-    principal angles, an angle counting as zero when its cosine is within
-    ANGLE_THRESHOLD of 1.  The RK4 step is min(1e-3 T, 0.05 / max|B+-|); a
-    path that needs more than MAX_STEPS of them is invalid input."""
+def _step_count(path: MatrixPath) -> int:
+    """RK4 steps of one sweep of a valid path: min(1e-3 T, 0.05 / max|B+-|)
+    each; a path that needs more than MAX_STEPS of them is invalid input."""
     path.validate()
     scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
     n_steps = np.ceil(path.horizon / min(1e-3 * path.horizon, 0.05 / scale))
     if not n_steps <= MAX_STEPS:
         raise InvalidInputError(f"path needs {n_steps:.3g} RK4 steps at horizon "
                                 f"{path.horizon}, above the limit of {MAX_STEPS}")
-    frames = _propagated_frames(path, int(n_steps))
-    return [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False)
-                       <= ANGLE_THRESHOLD))
-            for x, y in zip(frames[::2], frames[1::2])]
+    return int(n_steps)
 
 
-def index_by_shooting(path: MatrixPath) -> int:
-    """Independent oracle: kernel of the adjoint path minus kernel of the
-    path equals the eigenvalue-count index."""
-    kernel, cokernel = _kernel_dims(path)
-    return cokernel - kernel
+def _kernel_dims(paths: list) -> list:
+    """[kernel, cokernel] per path: the dimensions of the bounded solutions
+    of u' = B(s) u and of the adjoint u' = -B(s)^T u.
+
+    Solutions bounded at -infinity come from the right-half-plane subspace
+    of B-, propagated forward from -horizon; solutions bounded at +infinity
+    come from the left-half-plane subspace of B+, propagated backward from
+    +horizon.  A kernel is their intersection at s = 0, measured by
+    principal angles, an angle counting as zero when its cosine is within
+    ANGLE_THRESHOLD of 1.  Each path in turn is validated and given its step
+    count and start frames; then the paths of one (dim, horizon, step count)
+    are swept together (``_propagated_frames``)."""
+    groups: dict = {}
+    for k, path in enumerate(paths):
+        key = (path.dim, path.horizon, _step_count(path))
+        groups.setdefault(key, []).append((k, _start_frames(path)))
+    dims = [None] * len(paths)
+    for (_, _, n_steps), members in groups.items():
+        ks, starts = zip(*members)
+        swept = _propagated_frames([paths[k] for k in ks], starts, n_steps)
+        for k, frames in zip(ks, swept):
+            dims[k] = [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False)
+                                  <= ANGLE_THRESHOLD))
+                       for x, y in zip(frames[::2], frames[1::2])]
+    return dims
+
+
+def shooting_indices(paths: list) -> list:
+    """Independent oracle, one index per path (a one-path list for one
+    path): kernel of the adjoint path minus kernel of the path equals the
+    eigenvalue-count index."""
+    return [cokernel - kernel for kernel, cokernel in _kernel_dims(paths)]

@@ -179,11 +179,11 @@ def suite_spectral_flow(check):
 @_battery(6, "oracle-equivalence", "shooting-kernel-oracle")
 def suite_oracle(check):
     """Criterion 6: eigencount index equals the shooting-kernel difference,
-    on 20 seeded tanh paths."""
+    on 20 seeded tanh paths of dims 1 and 2 in turn, shot in one call."""
     rng = np.random.default_rng(17)
-    done = 0
-    while done < 20:
-        size = 1 if done % 2 == 0 else 2
+    paths = []
+    while len(paths) < 20:
+        size = 1 if len(paths) % 2 == 0 else 2
         d_minus = np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0], size=size))
         d_plus = np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0], size=size))
         q = np.linalg.qr(rng.normal(size=(size, size)))[0]
@@ -193,11 +193,10 @@ def suite_oracle(check):
             continue
         if np.min(np.abs(np.linalg.eigvals(b0 + b1).real)) < 0.5:
             continue
-        path = spectral.tanh_path(b0, b1)
+        paths.append(spectral.tanh_path(b0, b1))
+    for case, (path, shoot) in enumerate(zip(paths, spectral.shooting_indices(paths))):
         idx = spectral.fredholm_index(path)
-        shoot = spectral.index_by_shooting(path)
-        check(idx == shoot, {"case": done, "eigencount": idx, "shooting": shoot})
-        done += 1
+        check(idx == shoot, {"case": case, "eigencount": idx, "shooting": shoot})
 
 
 def _pipeline_model(base, circle, spec_units, fixed_shape):

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equitrans import spectral
+from equitrans import spectral, suites
 from equitrans.errors import InvalidInputError, NonHyperbolicError
 from equitrans.spectral import (
     LambdaOperatorSpec,
     build_lambda_path,
     constant_path,
     fredholm_index,
-    index_by_shooting,
     scalar_tanh_path,
     tanh_path,
     unstable_dim,
@@ -252,7 +251,11 @@ def test_lambda_path_blocks_from_realified_a():
 
 def kernel_dim_oracle(path):
     """Dimension of the bounded solutions of u' = B(s) u, by shooting."""
-    return spectral._kernel_dims(path)[0]
+    return spectral._kernel_dims([path])[0][0]
+
+
+def index_by_shooting(path):
+    return spectral.shooting_indices([path])[0]
 
 
 
@@ -335,38 +338,55 @@ def _seeded_lambda_path(rng, weight):
         1, weight, lambda s: a_minus + (np.tanh(s) + 1) / 2 * (a_plus - a_minus)))
 
 
-def test_batched_propagation_spans_per_step_subspaces():
+def test_batched_propagation_spans_per_step_subspaces(monkeypatch):
     # frames at s = 0 from the joint sweep against per-step RK4 + QR, for the
-    # path and its adjoint, forward from -T and backward from +T.  The
-    # largest principal-angle sine is bounded, which is far stronger than
-    # every cosine >= 1 - 1e-9: a wrong K3 moves it to about 4e-7.
+    # path and its adjoint, forward from -T and backward from +T, each path
+    # swept on its own and all of them in one multi-path call.  The largest
+    # principal-angle sine is bounded, which is far stronger than every
+    # cosine >= 1 - 1e-9: a wrong K3 moves it to about 4e-7.
     rng = np.random.default_rng(1618)
     paths = [_seeded_tanh_path(rng, size) for size in (1, 2, 3)]
     paths += [_seeded_lambda_path(rng, weight) for weight in (1, 2)]
-    # frames of widths 1, 3, 2 and 0 share one zero-padded stack
+    # frames of widths 1, 3, 2 and 0 share one zero-padded stack, which in
+    # the multi-path call also holds the size-3 tanh path's frames
     uneven = _seeded_tanh_path(rng, 3, ([1.0, -1.0, -2.0], [-1.0, -2.0, -2.0]))
-    for path in paths + [uneven]:
+    paths.append(uneven)
+    together, honest = {}, spectral._propagated_frames
+
+    def recording(group, starts, n_steps):
+        swept = honest(group, starts, n_steps)
+        together.update((id(p), frames) for p, frames in zip(group, swept))
+        return swept
+
+    monkeypatch.setattr(spectral, "_propagated_frames", recording)
+    spectral.shooting_indices(paths)
+    monkeypatch.undo()
+    assert len(together) == len(paths)
+    for path in paths:
         t = path.horizon
         scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
         step = min(1e-3 * t, 0.05 / scale)
-        starts = zip((path, path, adjoint(path), adjoint(path)), (-t, t, -t, t),
-                     spectral._start_frames(path))
-        swept = spectral._propagated_frames(path, int(np.ceil(t / step)))
-        assert len(swept) == 4
-        if path is uneven:
-            assert [u.shape[1] for u in swept] == [1, 3, 2, 0]
-        for (p, s0, frame), u in zip(starts, swept):
-            assert u.shape == frame.shape
-            if frame.shape[1]:
-                ref = _reference_propagation(p, frame, s0, 0.0, step)
-                sine = np.linalg.norm(u - ref @ (ref.T @ u), 2)
-                assert sine <= 1e-9, (p.name, s0, sine)
+        frames = spectral._start_frames(path)
+        alone = spectral._propagated_frames([path], [frames], int(np.ceil(t / step)))[0]
+        for swept in (alone, together[id(path)]):
+            assert len(swept) == 4
+            if path is uneven:
+                assert [u.shape[1] for u in swept] == [1, 3, 2, 0]
+            starts = zip((path, path, adjoint(path), adjoint(path)), (-t, t, -t, t),
+                         frames)
+            for (p, s0, frame), u in zip(starts, swept):
+                assert u.shape == frame.shape
+                if frame.shape[1]:
+                    ref = _reference_propagation(p, frame, s0, 0.0, step)
+                    sine = np.linalg.norm(u - ref @ (ref.T @ u), 2)
+                    assert sine <= 1e-9, (p.name, s0, sine)
 
 
-def test_oracle_matches_index_on_non_normal_near_margin_paths():
+def _near_margin_paths():
     # limits S diag(+-eps) S^-1 with independent, non-orthogonal S at the two
     # ends: slow, non-normal decay close to the hyperbolicity margin
     rng = np.random.default_rng(4242)
+    paths = []
     for k in range(48):
         size = 2 + k % 2
         eps = (0.2, 0.1, 0.05, 0.02)[k % 4]
@@ -378,8 +398,36 @@ def test_oracle_matches_index_on_non_normal_near_margin_paths():
             signs = rng.choice([-eps, eps], size=size)
             limits.append(s @ np.diag(signs) @ np.linalg.inv(s))
         b_minus, b_plus = limits
-        path = tanh_path((b_minus + b_plus) / 2, (b_plus - b_minus) / 2)
-        assert index_by_shooting(path) == fredholm_index(path), (k, eps)
+        paths.append(tanh_path((b_minus + b_plus) / 2, (b_plus - b_minus) / 2))
+    return paths
+
+
+def test_oracle_matches_index_on_non_normal_near_margin_paths():
+    for k, path in enumerate(_near_margin_paths()):
+        assert index_by_shooting(path) == fredholm_index(path), k
+
+
+def _oracle_battery_paths(monkeypatch):
+    """The paths criterion 6 shoots, as its battery passes them."""
+    paths, honest = [], spectral.shooting_indices
+    monkeypatch.setattr(spectral, "shooting_indices",
+                        lambda shot: paths.extend(shot) or honest(shot))
+    assert suites.SUITES["oracle"]()["pass"]
+    monkeypatch.undo()
+    return paths
+
+
+@pytest.mark.parametrize("family", ["oracle-battery", "near-margin"])
+def test_kernel_dims_do_not_depend_on_the_sweep_company(monkeypatch, family):
+    # the battery's 20 paths (dims 1 and 2) and the 48 near-margin paths
+    # (dims 2 and 3), all of 1000 steps: swept together, two sweeps of 10 or
+    # 24 paths, or one at a time
+    paths = (_oracle_battery_paths(monkeypatch) if family == "oracle-battery"
+             else _near_margin_paths())
+    assert len(paths) == (20 if family == "oracle-battery" else 48)
+    assert len({(p.dim, spectral._step_count(p)) for p in paths}) >= 2
+    one_at_a_time = [spectral._kernel_dims([p])[0] for p in paths]
+    assert spectral._kernel_dims(paths) == one_at_a_time
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -1,8 +1,10 @@
 """Meta-tests of the acceptance batteries: the exact draws and projectors
 criterion 1 certifies (int entries where integral) must agree with an
 all-Fraction rebuild, batteries must be deterministic, and each battery
-must report a fault planted in the kernel it checks."""
+must report a fault planted in the kernel it checks.  Two tracemalloc
+bounds cap the largest work of criteria 1 and 6."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -150,9 +152,9 @@ def test_spectral_flow_battery_reports_a_planted_fault(monkeypatch):
 
 def test_oracle_battery_reports_a_planted_fault(monkeypatch):
     # the shooting index one too high on the 2x2 paths, the odd cases
-    honest = spectral.index_by_shooting
-    monkeypatch.setattr(spectral, "index_by_shooting",
-                        lambda path: honest(path) + (path.dim == 2))
+    honest = spectral.shooting_indices
+    monkeypatch.setattr(spectral, "shooting_indices", lambda paths: [
+        shoot + (path.dim == 2) for path, shoot in zip(paths, honest(paths))])
     record = suites.SUITES["oracle"]()
     assert [f["case"] for f in record["failures"]] == list(range(1, 20, 2))
     assert all(f["shooting"] == f["eigencount"] + 1 for f in record["failures"])
@@ -222,3 +224,35 @@ def test_circle_weight_capacity_enforced():
         circle.weight_irrep(16)
     with pytest.raises(InvalidInputError):
         reps.circle_weight_rep(circle, [16])
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc over one call of ``run``, after a
+    call that fills the caches (a group's character table)."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_projector_check_memory_on_criterion_1s_largest_case():
+    # the float circle of order 64 at d = 12; the check's peak is its
+    # pairwise-orthogonal stack of 120 pairs.  It measured 467,636 bytes
+    # when each label's projector was its own tensordot, and 447,444 bytes
+    # once they are one product whose unsorted stack is freed as the check
+    # sorts it
+    rep = reps.random_rep(reps.CircleGroupModel(suites.CIRCLE_ORDER),
+                          np.random.default_rng(2025), max_dim=12, exact=False)
+    assert rep.dim == 12 and len(rep.group.irreps) == 15
+    assert _traced_peak(lambda: reps.projector_check(rep)) < 460_000
+
+
+def test_oracle_battery_sweep_memory():
+    # the 20 paths shot in two sweeps of 10; shot one at a time the battery
+    # measured about 223,000 bytes, and the two sweeps about 204,000: a
+    # sweep's block holds one path's samples at a time, and its RK4 sums
+    # are formed in place
+    assert _traced_peak(suites.SUITES["oracle"]) < 215_000
