@@ -9,10 +9,11 @@ carried there by the transitions along the simplex's own edges.
 The extension operations realize the boundary-extension and stabilization
 constructions at finite scale: one barycentric subdivision provides the
 "neighborhood of the boundary", generic choices come from a seeded sampler
-with a retry budget of 64, and all nonvanishing/independence postconditions
-are certified on a deterministic barycentric sample grid with at least
-10^d points per d-simplex.  The frame certificate also covers the points
-between the grid points (see ``_certified``).
+with a retry budget of 64.  A section is certified nonvanishing by its
+exact minimum norm over every face (``_min_norm``); a frame is certified
+independent on a deterministic barycentric sample grid with at least 10^d
+points per d-simplex, with a bound that also covers the points between the
+grid points (see ``_certified``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -178,21 +179,6 @@ def _interpolate(weights: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _min_norm_on_grid(vertex_values: np.ndarray, weights: np.ndarray) -> float:
-    """Minimum Euclidean norm of the interpolation over every grid point of
-    every simplex.
-
-    Norms are ``sqrt(p @ p)`` as one stacked matmul, the dot product
-    ``np.linalg.norm`` takes of one vector (einsum or ``norm(axis=-1)`` may
-    differ in the last ulp), and like ``min`` over floats the minimum skips
-    NaN.
-    """
-    points = _interpolate(weights, vertex_values)
-    points = points.reshape(points.shape[:2] + (prod(points.shape[2:]),))
-    squares = (points[..., None, :] @ points[..., :, None])[..., 0, 0]
-    return float(np.fmin.reduce(np.sqrt(squares), axis=None, initial=np.inf))
-
-
 # ---------------------------------------------------------------------------
 # bundles and sections
 # ---------------------------------------------------------------------------
@@ -308,20 +294,23 @@ def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_min_norm(vertex_values: np.ndarray) -> float:
-    """Exact minimum Euclidean norm of the affine interpolation over the
-    proper faces of a simplex whose vertex values are the rows given.
+def _min_norm(simplices: np.ndarray) -> float:
+    """Exact minimum Euclidean norm of the affine interpolation over a
+    stack of closed simplices, given as (simplices, k, d) vertex values.
 
-    Each proper face projects the origin onto the affine hull of its
-    values; a projection with nonnegative barycentric weights is a point
-    of the face.  The least such norm is the minimum, since the nearest
-    boundary point lies inside the hull of a face with affinely independent
-    values, and there it is that face's projection.  On an edge (a, b) this
-    is |a + t (b - a)| at t = -a.(b - a) / |b - a|^2 clamped to [0, 1].
+    Each face of each simplex, the full face included, projects the origin
+    onto the affine hull of its values; a projection with nonnegative
+    barycentric weights is a point of the face.  The least such norm is the
+    minimum, since the nearest point lies inside the hull of a face with
+    affinely independent values, and there it is that face's projection
+    (Wolfe, Math. Programming 1976).  On an edge (a, b) this is
+    |a + t (b - a)| at t = -a.(b - a) / |b - a|^2 clamped to [0, 1].
     """
-    best = np.linalg.norm(vertex_values, axis=1).min()  # the faces of one vertex
-    for size in range(2, len(vertex_values)):
-        faces = vertex_values[list(itertools.combinations(range(len(vertex_values)), size))]
+    k, d = simplices.shape[1:]
+    best = np.linalg.norm(simplices, axis=2).min()  # the faces of one vertex
+    for size in range(2, k + 1):
+        faces = simplices[:, list(itertools.combinations(range(k), size))]
+        faces = faces.reshape(-1, size, d)
         a, steps = faces[:, 0], faces[:, 1:] - faces[:, :1]
         t = -(np.linalg.pinv(np.swapaxes(steps, 1, 2)) @ a[:, :, None])[..., 0]
         nearest = a + np.einsum("fk,fkd->fd", t, steps)
@@ -331,16 +320,10 @@ def _boundary_min_norm(vertex_values: np.ndarray) -> float:
 
 
 def section_min_norm(base: SimplicialBase, values: dict) -> float:
-    """Minimum interpolated norm over every top simplex of a base whose
-    simplices all live in one gauge (e.g. a subdivided simplex).
-
-    The vertex values of all top simplices are stacked and evaluated on the
-    grid in one pass, with norms equal to ``np.linalg.norm`` of each point.
-    """
-    tops = base.top_simplices()
-    vals = np.array([[linalg.as_float(values[v]) for v in sorted(s, key=str)]
-                     for s in tops], dtype=float)
-    return _min_norm_on_grid(vals, _grid_weights(base.top_dim))
+    """Exact minimum interpolated norm over every top simplex of a base
+    whose simplices all live in one gauge (e.g. a subdivided simplex)."""
+    return _min_norm(np.array([[linalg.as_float(values[v]) for v in sorted(s, key=str)]
+                               for s in base.top_simplices()], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +377,12 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     boundary values (the first barycentric ring), only the full barycenter
     is chosen, preferring a direction orthogonal to all boundary values and
     falling back to a seeded sampler with a retry budget of 64.  Sampling
-    and the grid certificate run in float arithmetic: the boundary faces,
-    and then each candidate's subdivision, are certified by stacked passes
-    over all grid points of their simplices, with norms equal to
-    ``np.linalg.norm`` of each point.  A boundary section whose exact
-    minimum norm over the proper faces, or whose norm at a face barycenter
-    (a first-ring vertex, which no candidate changes), is at most the
-    acceptance threshold ``MIN_NORM`` is invalid input: no candidate could
-    beat the threshold there.
+    and the certificate run in float arithmetic: each candidate is kept
+    once the exact minimum norm of its interpolation over the subdivision
+    (``section_min_norm``) is above the acceptance threshold ``MIN_NORM``.
+    A boundary section whose exact minimum norm over the proper faces is at
+    most ``MIN_NORM`` is invalid input: every face barycenter lies on a
+    proper face, so no candidate could beat the threshold there.
     """
     simplex = tuple(sorted(simplex))
     if simplex not in bundle.base.simplices:
@@ -433,22 +414,18 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     for subset in sub.vertices:
         values[subset] = sum(bdry[v] for v in subset) / len(subset)
     full = tuple(sorted(simplex))
-    # the boundary must be nonvanishing before extension: exactly on every
-    # proper face, and at the face barycenters, whose values no candidate
-    # can change
-    if n >= 1:
-        face_min = _boundary_min_norm(np.stack([bdry[v] for v in simplex]))
-        ring_min = min(np.linalg.norm(values[s]) for s in sub.vertices if s != full)
-        if min(face_min, ring_min) <= MIN_NORM:
-            raise InvalidInputError("boundary section vanishes on the boundary")
+    # the boundary must be nonvanishing before extension, exactly on every
+    # proper face: the faces of the facets
+    corners = np.stack([bdry[v] for v in simplex])
+    if n >= 1 and _min_norm(corners[list(itertools.combinations(range(n + 1), n))]) <= MIN_NORM:
+        raise InvalidInputError("boundary section vanishes on the boundary")
     rng = np.random.default_rng(seed)
     scale = float(np.mean([np.linalg.norm(bdry[v]) for v in simplex])) or 1.0
     # candidate order: straight affine continuation first (so nonvanishing
     # boundary data that already extends is kept), then a direction
     # orthogonal to all boundary values, then seeded random draws
     candidates = [values[full]]
-    span = np.stack([bdry[v] for v in simplex], axis=1)
-    kernel = linalg.nullspace(span.T, linalg.TOL)
+    kernel = linalg.nullspace(corners, linalg.TOL)
     if kernel.shape[1] > 0:
         candidates.append(kernel[:, 0] / np.linalg.norm(kernel[:, 0]) * scale)
     for _ in range(RETRY_BUDGET):

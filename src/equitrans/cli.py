@@ -592,10 +592,10 @@ def cmd_flow(scenario, settings, sub):
     paths = _load_paths(scenario, settings)
     if sub == "index":
         return [make_record(f"index-{i}-{path.name}", "eigenvalue-count-index",
-                            True, {"index": spectral.fredholm_index(path)})
-                for i, path in enumerate(paths)]
+                            True, {"index": idx})
+                for i, (path, idx) in enumerate(zip(paths, spectral.fredholm_indices(paths)))]
     shooting = spectral.shooting_indices(paths)
-    eigencount = [spectral.fredholm_index(path) for path in paths]
+    eigencount = spectral.fredholm_indices(paths)
     return [make_record(f"oracle-{i}-{path.name}", "shooting-kernel-oracle", idx == shoot,
                         {"eigencount": idx, "shooting": shoot})
             for i, (path, idx, shoot) in enumerate(zip(paths, eigencount, shooting))]

@@ -2,14 +2,15 @@
 
 The index is the eigenvalue count dim E^u(B-) - dim E^u(B+), where E^u(B)
 is the invariant subspace for eigenvalues with negative real part (counted
-with algebraic multiplicity; the matrices need not be symmetric).  An
-independent shooting oracle computes kernels as intersections of propagated
-boundary-decay subspaces; the index equals the kernel of the adjoint path
-minus the kernel of the path itself.  Paths are sampled as stacks (an
-evaluator maps a (k, 1, 1) array of s to a (k, d, d) stack), and RK4 on a
-fixed grid sweeps in from both ends in one loop, moving every frame (path
-and adjoint -B^T, from -T and from +T) of every path on that grid as one
-padded stack, one QR per chunk (``shooting_indices``).
+with algebraic multiplicity; the matrices need not be symmetric), from one
+``eigvals`` per dimension (``fredholm_indices``).  An independent shooting
+oracle (``shooting_indices``) computes kernels as intersections of
+propagated boundary-decay subspaces; the index equals the kernel of the
+adjoint path minus the kernel of the path itself.  Both take a list of paths
+and check each in list order (``_validated``).  Paths are sampled as stacks
+(an evaluator maps a (k, 1, 1) array of s to a (k, d, d) stack), and RK4
+sweeps in from both ends in one loop, every frame of every path on one
+grid as one padded stack, one QR per chunk.
 
 The autonomous Floer linearization in a circle weight lambda >= 1 acts on
 pairs (a, b) of C^n-valued functions as
@@ -45,11 +46,13 @@ _CHUNK = 16  # RK4 steps per QR renormalization (a power of two)
 
 
 def _square(*mats) -> list:
-    """Float copies of non-empty square matrices of one size."""
+    """Float copies of non-empty, finite square matrices of one size."""
     out = [np.atleast_2d(np.asarray(m, dtype=float)) for m in mats]
     if out[0].size == 0 or any(m.shape != (len(out[0]),) * 2 for m in out):
         raise InvalidInputError("path matrices must be non-empty, square and of "
                                 f"one size, got shapes {[m.shape for m in out]}")
+    if not all(np.isfinite(m).all() for m in out):
+        raise InvalidInputError("path matrices must be finite")
     return out
 
 
@@ -77,30 +80,14 @@ class MatrixPath:
     def dim(self) -> int:
         return self.b_minus.shape[0]
 
-    def sample(self, s) -> np.ndarray:
-        """B at each point of the 1-D array s, as a (len(s), d, d) stack."""
-        s = np.asarray(s, dtype=float).reshape(-1, 1, 1)
-        b = np.asarray(self.evaluator(s), dtype=float)
-        return np.broadcast_to(b, (len(s), self.dim, self.dim))
-
-    def at(self, s: float) -> np.ndarray:
-        return self.sample([s])[0]
-
-    def validate(self) -> list:
-        """Check the horizon, the hyperbolic limits and the stationary tails;
-        return the eigenvalues of B- and of B+."""
-        if not self.horizon > 0:
-            raise InvalidInputError(f"path horizon {self.horizon} is not positive")
-        eigs = [_assert_hyperbolic(b, f"limit matrix B{side}")
-                for b, side in ((self.b_minus, "-"), (self.b_plus, "+"))]
-        for sign, b in ((-1.0, self.b_minus), (1.0, self.b_plus)):
-            drift = np.max(np.abs(self.at(sign * self.horizon) - b))
-            if drift > TAIL_TOLERANCE:
-                raise InvalidInputError(
-                    f"path is not stationary at s = {sign * self.horizon}: "
-                    f"drift {drift:.2e}"
-                )
-        return eigs
+    def at(self, s) -> np.ndarray:
+        """B at s: a (d, d) matrix for a number s, a (len(s), d, d) stack for
+        a 1-D array of s."""
+        x = np.asarray(s, dtype=float)
+        b = np.asarray(self.evaluator(x.reshape(-1, 1, 1)), dtype=float)
+        if b.shape != (x.size, self.dim, self.dim):
+            b = np.broadcast_to(b, (x.size, self.dim, self.dim))
+        return b if x.ndim else b[0]
 
 
 def constant_path(b, horizon: float = 8.0) -> MatrixPath:
@@ -124,28 +111,58 @@ def scalar_tanh_path(horizon: float = 9.0) -> MatrixPath:
 # ---------------------------------------------------------------------------
 
 
-def _assert_hyperbolic(b: np.ndarray, what: str = "matrix") -> np.ndarray:
-    eig = np.linalg.eigvals(b)
-    worst = float(np.min(np.abs(eig.real))) if eig.size else 0.0
+def _check_hyperbolic(worst: float, what: str) -> None:
+    """Raise unless ``worst``, the least |Re| of an eigenvalue, clears the margin."""
     if worst <= HYPERBOLICITY_MARGIN:
         raise NonHyperbolicError(
             f"{what} has an eigenvalue within {HYPERBOLICITY_MARGIN:g} of the "
             f"imaginary axis (closest real part {worst:.2e})"
         )
-    return eig
 
 
 def unstable_dim(b) -> int:
     """Number of eigenvalues with negative real part, with multiplicity."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return int(np.sum(_assert_hyperbolic(b).real < 0))
+    re = np.linalg.eigvals(np.atleast_2d(np.asarray(b, dtype=float))).real
+    _check_hyperbolic(float(np.abs(re).min()), "matrix")
+    return int(np.sum(re < 0))
 
 
-def fredholm_index(path: MatrixPath) -> int:
-    """dim E^u(B-) - dim E^u(B+), from the limit eigenvalues that
-    ``validate`` computes once."""
-    eig_minus, eig_plus = path.validate()
-    return int(np.sum(eig_minus.real < 0)) - int(np.sum(eig_plus.real < 0))
+def _validated(paths: list):
+    """Check each path in list order and yield the unstable dimensions of
+    its B- and B+.  The first failure raises: a horizon T that is not
+    positive, B- and then B+ not hyperbolic, B off its limit by more than
+    TAIL_TOLERANCE at -T and then at +T.  The limit eigenvalues come up
+    front from one ``eigvals`` per dimension d over a (k, 2, d, d) stack;
+    both tails of a path come from one two-point sample, taken only once
+    every earlier path has passed."""
+    by_dim: dict = {}
+    for k, path in enumerate(paths):
+        by_dim.setdefault(path.dim, []).append(k)
+    limits = [None] * len(paths)
+    for ks in by_dim.values():
+        stack = np.stack([(paths[k].b_minus, paths[k].b_plus) for k in ks])
+        re = np.linalg.eigvals(stack).real
+        for k, *limit in zip(ks, stack, (re < 0).sum(axis=2).tolist(),
+                             np.abs(re).min(axis=2).tolist()):
+            limits[k] = limit
+    for path, (b, unstable, worst) in zip(paths, limits):
+        t = path.horizon
+        if not t > 0:
+            raise InvalidInputError(f"path horizon {t} is not positive")
+        for side, x in zip("-+", worst):
+            _check_hyperbolic(x, f"limit matrix B{side}")
+        drift = np.abs(path.at([-t, t]) - b).max(axis=(1, 2))
+        for sign, x in zip((-1.0, 1.0), drift):
+            if x > TAIL_TOLERANCE:
+                raise InvalidInputError(
+                    f"path is not stationary at s = {sign * t}: drift {x:.2e}")
+        yield unstable
+
+
+def fredholm_indices(paths: list) -> list:
+    """dim E^u(B-) - dim E^u(B+) per path (a one-path list for one path),
+    each path checked in list order (``_validated``)."""
+    return [minus - plus for minus, plus in _validated(paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +209,21 @@ def build_lambda_path(spec: LambdaOperatorSpec) -> MatrixPath:
     n, t = spec.n, spec.horizon
     omega = 2.0 * np.pi * spec.weight
     j = omega * (np.eye(2 * n, k=-n) - np.eye(2 * n, k=n))
-    c = np.block([[np.zeros_like(j), j], [-j, np.zeros_like(j)]])
+    c = np.zeros((4 * n, 4 * n))
+    c[:2 * n, 2 * n:] = j
+    c[2 * n:, :2 * n] = -j
 
     def b_at(s: np.ndarray) -> np.ndarray:
         a = spec.a_at(s)
-        b = np.broadcast_to(c, a.shape[:-2] + c.shape).copy()
+        b = np.empty(a.shape[:-2] + c.shape)
+        b[...] = c
         b[..., :2 * n, :2 * n] -= a
         b[..., 2 * n:, 2 * n:] -= a
         return b
 
     limits = np.broadcast_to(b_at(np.array([[[-t]], [[t]]])), (2, 4 * n, 4 * n))
-    for side, b in zip("-+", limits):
-        norm = float(np.linalg.norm(b[:2 * n, :2 * n], 2))
+    norms = np.linalg.svd(limits[:, :2 * n, :2 * n], compute_uv=False).max(axis=1)
+    for side, norm in zip("-+", norms.tolist()):
         if norm >= omega:
             raise NonHyperbolicError(
                 f"||A({side}inf)|| = {norm:.4f} >= "
@@ -289,7 +309,7 @@ def _propagated_frames(paths: list, starts: list, n_steps: int) -> list:
     from +T under u' = B(s) u, then the same two under u' = -B(s)^T u.
 
     The mirrored grids s_{j+1} = s_j +- h have one step count, so each block
-    of _BLOCK steps samples both, every half step, in one ``path.sample``
+    of _BLOCK steps samples both, every half step, in one ``path.at``
     call per path, and turns them into the path's chunk maps before the next
     path is sampled; the adjoint uses -B^T of the same samples.  All frames
     of all paths move as one zero-padded (4 len(paths), d, r_max) stack: per
@@ -303,7 +323,7 @@ def _propagated_frames(paths: list, starts: list, n_steps: int) -> list:
     u = np.stack([np.pad(f, ((0, 0), (0, max(widths) - f.shape[1]))) for f in frames])
     h = np.array([[t], [-t]]) / n_steps
     end = np.array([[-t], [t]])
-    last = [path.sample(end.ravel())[:, None] for path in paths]
+    last = [path.at(end.ravel())[:, None] for path in paths]
     hs = np.resize(h, (4, 1, 1, 1))
     for j in range(0, n_steps, _BLOCK):
         ends = np.cumsum(np.column_stack([end, np.tile(h, min(_BLOCK, n_steps - j))]),
@@ -314,7 +334,7 @@ def _propagated_frames(paths: list, starts: list, n_steps: int) -> list:
         for k, path in enumerate(paths):
             # B forward and backward, then -B^T of the same samples
             b = np.empty((4, len(half_steps) // 2 + 1, d, d))
-            np.concatenate([last[k], path.sample(half_steps).reshape(2, -1, d, d)],
+            np.concatenate([last[k], path.at(half_steps).reshape(2, -1, d, d)],
                            axis=1, out=b[:2])
             np.negative(b[:2].swapaxes(2, 3), out=b[2:])
             last[k] = b[:2, -1:].copy()
@@ -330,9 +350,8 @@ def _propagated_frames(paths: list, starts: list, n_steps: int) -> list:
 
 
 def _step_count(path: MatrixPath) -> int:
-    """RK4 steps of one sweep of a valid path: min(1e-3 T, 0.05 / max|B+-|)
+    """RK4 steps of one sweep of a validated path: min(1e-3 T, 0.05 / max|B+-|)
     each; a path that needs more than MAX_STEPS of them is invalid input."""
-    path.validate()
     scale = max(np.max(np.abs(path.b_minus)), np.max(np.abs(path.b_plus)), 1.0)
     n_steps = np.ceil(path.horizon / min(1e-3 * path.horizon, 0.05 / scale))
     if not n_steps <= MAX_STEPS:
@@ -350,11 +369,12 @@ def _kernel_dims(paths: list) -> list:
     come from the left-half-plane subspace of B+, propagated backward from
     +horizon.  A kernel is their intersection at s = 0, measured by
     principal angles, an angle counting as zero when its cosine is within
-    ANGLE_THRESHOLD of 1.  Each path in turn is validated and given its step
-    count and start frames; then the paths of one (dim, horizon, step count)
-    are swept together (``_propagated_frames``)."""
+    ANGLE_THRESHOLD of 1.  Each path in turn is validated (``_validated``)
+    and given its step count and start frames, so the first invalid path in
+    list order raises; then the paths of one (dim, horizon, step count) are
+    swept together (``_propagated_frames``)."""
     groups: dict = {}
-    for k, path in enumerate(paths):
+    for k, (path, _) in enumerate(zip(paths, _validated(paths))):
         key = (path.dim, path.horizon, _step_count(path))
         groups.setdefault(key, []).append((k, _start_frames(path)))
     dims = [None] * len(paths)

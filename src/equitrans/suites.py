@@ -140,46 +140,49 @@ def suite_condition(check):
 
 @_battery(5, "spectral-flow-battery", "eigenvalue-count-index")
 def suite_spectral_flow(check):
-    """Criterion 5: eigenvalue-count index battery."""
-    check(spectral.fredholm_index(spectral.scalar_tanh_path()) == 1, {"case": "tanh-scalar"})
+    """Criterion 5: eigenvalue-count index battery.  Its 76 paths are drawn
+    in turn and indexed in one ``fredholm_indices`` call."""
     rng = np.random.default_rng(13)
+    cases = [("tanh-scalar", spectral.scalar_tanh_path(), 1)]
     for k in range(10):
         d = int(rng.integers(1, 4))
         diag = rng.choice([-2.0, -1.0, 1.0, 2.0], size=d)
-        check(spectral.fredholm_index(spectral.constant_path(np.diag(diag))) == 0,
-              {"case": f"constant-{k}"})
+        cases.append((f"constant-{k}", spectral.constant_path(np.diag(diag)), 0))
     for weight in range(1, 6):
         for n in (1, 2, 3):
-            spec = spectral.LambdaOperatorSpec(
-                n, weight, lambda s, n=n: np.zeros((2 * n, 2 * n))
-            )
-            path = spectral.build_lambda_path(spec)
-            check(spectral.unstable_dim(path.b_minus) == 2 * n
-                  == spectral.unstable_dim(path.b_plus),
-                  {"case": f"unstable-dim-l{weight}-n{n}"})
-            check(spectral.fredholm_index(path) == 0, {"case": f"index-l{weight}-n{n}"})
-    for k in range(50):
+            spec = spectral.LambdaOperatorSpec(n, weight, lambda s, n=n: np.zeros((2 * n,) * 2))
+            cases.append((f"index-l{weight}-n{n}", spectral.build_lambda_path(spec), 0))
+    seeded = []
+    for _ in range(50):
         n = int(rng.integers(1, 4))
         weight = int(rng.integers(1, 6))
-        a_minus = rng.normal(size=(2 * n, 2 * n))
-        a_plus = rng.normal(size=(2 * n, 2 * n))
-        for a in (a_minus, a_plus):
-            a *= (np.pi / 2) / max(1.0, float(np.linalg.norm(a, 2)))
+        seeded.append((n, weight, rng.normal(size=(2, 2 * n, 2 * n))))  # A- then A+
+    for n in (1, 2, 3):  # scale to ||A+-|| <= pi / 2, one stacked SVD per size
+        pairs = [a for m, _, a in seeded if m == n]
+        norms = np.linalg.svd(np.stack(pairs), compute_uv=False).max(axis=2)
+        for a, scale in zip(pairs, (np.pi / 2) / np.maximum(1.0, norms)):
+            a *= scale[:, None, None]
+    for k, (n, weight, a) in enumerate(seeded):
 
-        def a_path(s, am=a_minus, ap=a_plus):
+        def a_path(s, am=a[0], ap=a[1]):
             t = (np.tanh(s) + 1.0) / 2.0
             return (1.0 - t) * am + t * ap
 
-        path = spectral.build_lambda_path(
-            spectral.LambdaOperatorSpec(n, weight, a_path)
-        )
-        check(spectral.fredholm_index(path) == 0, {"case": f"seeded-A-{k}"})
+        spec = spectral.LambdaOperatorSpec(n, weight, a_path)
+        cases.append((f"seeded-A-{k}", spectral.build_lambda_path(spec), 0))
+    indices = spectral.fredholm_indices([path for _, path, _ in cases])
+    for (case, path, expected), index in zip(cases, indices):
+        if case.startswith("index-l"):  # zero A: unstable dimension 2n at both ends
+            check(spectral.unstable_dim(path.b_minus) == path.dim // 2
+                  == spectral.unstable_dim(path.b_plus),
+                  {"case": case.replace("index", "unstable-dim")})
+        check(index == expected, {"case": case})
 
 
 @_battery(6, "oracle-equivalence", "shooting-kernel-oracle")
 def suite_oracle(check):
     """Criterion 6: eigencount index equals the shooting-kernel difference,
-    on 20 seeded tanh paths of dims 1 and 2 in turn, shot in one call."""
+    on 20 seeded tanh paths of dims 1 and 2 in turn, each side in one call."""
     rng = np.random.default_rng(17)
     paths = []
     while len(paths) < 20:
@@ -194,8 +197,8 @@ def suite_oracle(check):
         if np.min(np.abs(np.linalg.eigvals(b0 + b1).real)) < 0.5:
             continue
         paths.append(spectral.tanh_path(b0, b1))
-    for case, (path, shoot) in enumerate(zip(paths, spectral.shooting_indices(paths))):
-        idx = spectral.fredholm_index(path)
+    shooting = spectral.shooting_indices(paths)
+    for case, (idx, shoot) in enumerate(zip(spectral.fredholm_indices(paths), shooting)):
         check(idx == shoot, {"case": case, "eigencount": idx, "shooting": shoot})
 
 

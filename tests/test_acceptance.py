@@ -15,7 +15,7 @@ BUDGETS = {
     2: 1.0,  # endomorphism-type table
     3: 0.01,  # determinantal codimension
     4: 0.1,  # condition consistency
-    5: 1.0,  # spectral-flow battery
+    5: 0.25,  # spectral-flow battery
     6: 1.0,  # shooting oracle
     7: 0.25,  # perturbation pipeline
     8: 1.0,  # floer algebra

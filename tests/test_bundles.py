@@ -288,11 +288,9 @@ def test_extend_antipodal_boundary_rotates_through_orthogonal_direction():
     )
     mid = res.section[(0, 1)]
     assert abs(mid[0]) <= 1e-9 and abs(abs(mid[1]) - 1.0) <= 1e-9
-    # independent re-check on a 101-point grid over the whole interval
-    grid = [(Fraction(k, 100), Fraction(100 - k, 100)) for k in range(101)]
-    vals_left = {v: res.section[v] for v in [(0,), (0, 1)]}
-    vals_right = {v: res.section[v] for v in [(0, 1), (1,)]}
-    m = min(reference_min_norm(vals_left, grid), reference_min_norm(vals_right, grid))
+    # independent re-check on a 201-point grid over the whole interval
+    m = min(_grid_min_norm(np.array([res.section[u], res.section[v]]), 100)
+            for u, v in [((0,), (0, 1)), ((0, 1), (1,))])
     assert m >= 0.5
     assert res.min_norm >= 0.5
 
@@ -331,20 +329,36 @@ def test_extend_vanishing_boundary_rejected():
         )
 
 
+def _facets(vals):
+    """The proper faces of one simplex of these vertex values, as the stack
+    of its facets."""
+    return vals[list(itertools.combinations(range(len(vals)), len(vals) - 1))]
+
+
+def _clamped_edge_min(a, b):
+    t = np.clip(-a @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+    return np.linalg.norm(a + t * (b - a))
+
+
 def test_boundary_min_norm_is_the_clamped_edge_minimum():
     # on an edge (a, b) the minimum is at t = -a.(b - a)/|b - a|^2 in [0, 1]
     a, b = np.array([1.0, 0.0, 0.0]), np.array([-3.0, 0.0, 0.0])
-    assert bundles._boundary_min_norm(np.stack([a, b, [0.0, 1.0, 0.0]])) <= 1e-15
+    assert bundles._min_norm(_facets(np.stack([a, b, [0.0, 1.0, 0.0]]))) <= 1e-15
     rng = np.random.default_rng(7)
     for _ in range(50):
         a, b, c = rng.normal(size=(3, 2))
-        t = np.clip(-a @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
-        s = np.clip(-a @ (c - a) / ((c - a) @ (c - a)), 0.0, 1.0)
-        r = np.clip(-b @ (c - b) / ((c - b) @ (c - b)), 0.0, 1.0)
-        edges = [np.linalg.norm(a + t * (b - a)), np.linalg.norm(a + s * (c - a)),
-                 np.linalg.norm(b + r * (c - b))]
-        assert bundles._boundary_min_norm(np.stack([a, b, c])) == pytest.approx(
+        edges = [_clamped_edge_min(a, b), _clamped_edge_min(a, c), _clamped_edge_min(b, c)]
+        assert bundles._min_norm(_facets(np.stack([a, b, c]))) == pytest.approx(
             min(edges), rel=1e-12, abs=1e-15)
+
+
+def _grid_min_norm(vals, steps):
+    """Least norm over the points of a simplex whose barycentric weights
+    are multiples of 1 / steps."""
+    dim = len(vals) - 1
+    return min(np.linalg.norm(np.array([*w, steps - sum(w)]) / steps @ vals)
+               for w in itertools.product(range(steps + 1), repeat=dim)
+               if sum(w) <= steps)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -354,17 +368,55 @@ def test_boundary_min_norm_bounds_the_sampled_minimum(dim):
     rng = np.random.default_rng(dim)
     for _ in range(20):
         vals = rng.normal(size=(dim + 1, dim + 1))
-        exact = bundles._boundary_min_norm(vals)
-        steps = 24
-        sampled = np.inf
-        for facet in itertools.combinations(range(dim + 1), dim):
-            for w in itertools.product(range(steps + 1), repeat=dim - 1):
-                if sum(w) <= steps:
-                    weights = np.array([*w, steps - sum(w)]) / steps
-                    sampled = min(sampled, np.linalg.norm(weights @ vals[list(facet)]))
+        exact = bundles._min_norm(_facets(vals))
+        sampled = min(_grid_min_norm(facet, 24) for facet in _facets(vals))
         spread = max(np.linalg.norm(u - v) for u, v in itertools.combinations(vals, 2))
         assert exact <= sampled + 1e-12
-        assert sampled - exact <= spread / steps
+        assert sampled - exact <= spread / 24
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_section_min_norm_is_the_exact_minimum(dim):
+    # over whole simplices and over a subdivision: at most the least norm on
+    # a fine grid, within the grid spacing times the values' spread of it,
+    # and on edges the clamped edge formula
+    rng = np.random.default_rng(dim)
+    simplex = tuple(range(dim + 1))
+    whole = SimplicialBase.from_maximal([simplex])
+    steps = (240, 48, 16)[dim - 1]
+    for d, scale in ((1, 1e-3), (3, 1.0), (5, 1.0), (8, 1e3)):
+        for vals in (rng.normal(size=(dim + 1, d)) * scale,
+                     np.array([(-1.0) ** v * np.ones(d) for v in simplex])):  # antipodal
+            exact = bundles.section_min_norm(whole, dict(zip(simplex, vals)))
+            sampled = _grid_min_norm(vals, steps)
+            spread = max(np.linalg.norm(u - v) for u, v in itertools.combinations(vals, 2))
+            assert exact <= sampled * (1 + 1e-12) + 1e-15
+            assert sampled - exact <= spread / steps
+            if dim == 1:
+                assert exact == pytest.approx(_clamped_edge_min(*vals), rel=1e-12, abs=1e-15)
+    sub = barycentric_subdivision(simplex)
+    values = {v: rng.normal(size=3) for v in sub.vertices}
+    tops = [np.array([values[v] for v in sorted(top, key=str)]) for top in sub.top_simplices()]
+    assert bundles.section_min_norm(sub, values) == min(
+        bundles.section_min_norm(SimplicialBase.from_maximal([tuple(range(dim + 1))]),
+                                 dict(enumerate(top))) for top in tops)
+
+
+def test_extend_rejects_a_continuation_vanishing_between_grid_points():
+    # the straight continuation [-1, 0] at the edge barycenter vanishes at
+    # the middle of the half-edge from vertex 0; the orthogonal candidate is
+    # kept instead, with the exact minimum 2/sqrt(5) on the half-edge [1, 0]
+    # to [0, 2]
+    g = reps.cyclic_group(2)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2), np.eye(2)]))
+    bundle = GBundleModel(SimplicialBase.interval(1), rep)
+    res = extend_nonvanishing_section(
+        bundle, (0, 1), {0: np.array([1.0, 0.0]), 1: np.array([-3.0, 0.0])})
+    np.testing.assert_allclose(res.section[(0, 1)], [0.0, 2.0], atol=1e-12)
+    assert res.min_norm == pytest.approx(2 / np.sqrt(5), rel=1e-12)
+    halves = [np.array([res.section[(0,)], res.section[(0, 1)]]),
+              np.array([res.section[(0, 1)], res.section[(1,)]])]
+    assert min(_grid_min_norm(h, 1000) for h in halves) >= res.min_norm > bundles.MIN_NORM
 
 
 def test_extend_boundary_vanishing_between_grid_points_rejected():
@@ -386,41 +438,6 @@ def test_extend_boundary_vector_of_wrong_length_rejected():
         extend_nonvanishing_section(
             bundle, (0, 1), {0: np.array([1.0, 0.0]), 1: np.array([1.0])}
         )
-
-
-# ---------------------------------------------------------------------------
-# grid certificates against per-point loops
-# ---------------------------------------------------------------------------
-
-
-def reference_min_norm(simplex_values, grid):
-    """One grid point at a time: interpolate with sum(), take the norm."""
-    verts = sorted(simplex_values, key=str)
-    vals = [linalg.as_float(simplex_values[v]) for v in verts]
-    best = np.inf
-    for weights in grid:
-        point = sum(float(w) * val for w, val in zip(weights, vals))
-        best = min(best, float(np.linalg.norm(point)))
-    return best
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_min_norm_certificates_match_per_point_loop(dim):
-    rng = np.random.default_rng(dim)
-    simplex = tuple(range(dim + 1))
-    grid = barycentric_grid(dim)
-    whole = SimplicialBase.from_maximal([simplex])
-    for d, scale in ((1, 1e-3), (3, 1.0), (8, 1e3)):
-        vals = {v: rng.normal(size=d) * scale for v in simplex}
-        assert bundles.section_min_norm(whole, vals) == reference_min_norm(vals, grid)
-        # antipodal vertex values: the interpolation passes near zero
-        vals = {v: (-1.0) ** v * np.ones(d) for v in simplex}
-        assert bundles.section_min_norm(whole, vals) == reference_min_norm(vals, grid)
-    sub = barycentric_subdivision(simplex)
-    values = {v: rng.normal(size=3) for v in sub.vertices}
-    expected = min(reference_min_norm({v: values[v] for v in top}, grid)
-                   for top in sub.top_simplices())
-    assert bundles.section_min_norm(sub, values) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,25 @@ def test_bundle_extend_command(tmp_path, capsys):
     assert json.loads(out)["records"][0]["certificate"]["min_norm"] >= 0.5
 
 
+def test_bundle_extend_keeps_no_continuation_that_vanishes_inside(tmp_path, capsys):
+    # the straight continuation [-1, 0] at the edge barycenter vanishes at
+    # the middle of the half-edge from vertex 0, between grid points; the
+    # exact certificate rejects it and keeps [0, 2], whose exact minimum is
+    # 2/sqrt(5)
+    payload = {
+        "settings": {"mode": "float"},
+        "group": {"preset": "Z_2"},
+        "representation": {"blocks": ["trivial", "trivial"]},
+        "base": {"maximal_simplices": [[0, 1]]},
+        "sections": {"s": {"0": [1, 0], "1": [-3, 0]}},
+        "extend": {"simplex": [0, 1], "section": "s"},
+    }
+    code, out, _ = run(capsys, ["bundle", "extend", write(tmp_path, "extend.json", payload)])
+    assert code == 0
+    assert json.loads(out)["records"][0]["certificate"]["min_norm"] == pytest.approx(
+        2 / np.sqrt(5), rel=1e-12)
+
+
 def test_flow_nonhyperbolic_exit_1(tmp_path, capsys):
     # ||A|| >= 2*lambda*pi destroys hyperbolicity: a mathematical failure
     path = write(

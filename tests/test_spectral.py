@@ -1,6 +1,8 @@
 """Tests for spectral-flow indices, the weight-lambda linearization, and the
 shooting oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,14 @@ from equitrans.spectral import (
     LambdaOperatorSpec,
     build_lambda_path,
     constant_path,
-    fredholm_index,
     scalar_tanh_path,
     tanh_path,
     unstable_dim,
 )
+
+
+def fredholm_index(path):
+    return spectral.fredholm_indices([path])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +64,7 @@ def test_path_validation_rejects_drifting_tail():
     # the declared limit disagrees with the evaluator at +horizon
     path = spectral.MatrixPath(lambda s: np.tanh(s), 4.0, [[-1.0]], [[2.0]])
     with pytest.raises(InvalidInputError):
-        path.validate()
+        fredholm_index(path)
 
 
 def concatenate(p1, p2):
@@ -68,14 +73,14 @@ def concatenate(p1, p2):
     assert np.max(np.abs(p1.b_plus - p2.b_minus)) <= 1e-5
     t1, t2 = p1.horizon, p2.horizon
     return spectral.MatrixPath(
-        lambda s: np.where(s <= 0, p1.sample(s + 2 * t1), p2.sample(s - 2 * t2)),
+        lambda s: np.where(s <= 0, p1.at(s + 2 * t1), p2.at(s - 2 * t2)),
         2 * (t1 + t2), p1.b_minus, p2.b_plus, name="concat")
 
 
 def adjoint(path):
     """The path s -> -B(s)^T, whose bounded solutions realize the cokernel
     of d/ds - B(s)."""
-    return spectral.MatrixPath(lambda s: -path.sample(s).swapaxes(1, 2),
+    return spectral.MatrixPath(lambda s: -path.at(s).swapaxes(1, 2),
                                path.horizon, -path.b_minus.T, -path.b_plus.T,
                                name=f"adjoint({path.name})")
 
@@ -115,8 +120,8 @@ def test_homotopy_invariance_under_small_perturbation():
         assert fredholm_index(pert) == idx
 
 
-def test_sample_stack_matches_pointwise_at():
-    # path.sample(s)[i] == path.at(s[i]) for every path builder, on both
+def test_stack_at_matches_pointwise_at():
+    # path.at(s)[i] == path.at(s[i]) for every path builder, on both
     # sides of the concatenation seam at s = 0 and beyond the horizons
     s = np.array([-40.0, -9.0, -1.5, -1e-3, 0.0, 1e-3, 0.7, 9.0, 40.0])
     p1 = tanh_path([[0.5, 1.0], [0.0, -0.5]], [[1.0, 0.0], [0.3, -1.0]])
@@ -131,12 +136,12 @@ def test_sample_stack_matches_pointwise_at():
         build_lambda_path(LambdaOperatorSpec(1, 2, lambda s: np.tanh(s) * a_real)),
     ]
     for path in paths:
-        stack = path.sample(s)
+        stack = path.at(s)
         assert stack.shape == (len(s), path.dim, path.dim), path.name
         for x, b in zip(s, stack):
             np.testing.assert_array_equal(b, path.at(x), err_msg=f"{path.name} {x}")
     # the glued path is p1 shifted left of the seam and p2 shifted right of it
-    for x, b in zip(s, paths[3].sample(s)):
+    for x, b in zip(s, paths[3].at(s)):
         piece = p1.at(x + 2 * p1.horizon) if x <= 0 else p2.at(x - 2 * p2.horizon)
         np.testing.assert_array_equal(b, piece, err_msg=f"seam {x}")
 
@@ -237,7 +242,7 @@ def test_lambda_path_blocks_from_realified_a():
     omega, z, i2 = 6 * np.pi, np.zeros((2, 2)), np.eye(2)
     j = np.block([[z, -i2], [i2, z]])
     s = np.array([-2.0, 0.0, 0.5])
-    for x, b in zip(s, path.sample(s)):
+    for x, b in zip(s, path.at(s)):
         ax = np.tanh(x) * real
         expected = np.block([[-ax, omega * j], [-omega * j, -ax]])
         np.testing.assert_allclose(b, expected, rtol=0, atol=1e-14)
@@ -439,10 +444,127 @@ def test_oracle_reports_interior_blow_up():
         lambda s: np.tanh(s) + np.where(np.abs(s - 2.0) < 0.5, 1e200, 0.0),
         9.0, [[-1.0]], [[1.0]],
     )
-    path.validate()
+    assert spectral.fredholm_indices([path]) == [1]
     for shoot in (lambda p: kernel_dim_oracle(adjoint(p)), index_by_shooting):
         with pytest.raises(InvalidInputError, match="frame propagation overflowed"):
             shoot(path)
+
+
+# ---------------------------------------------------------------------------
+# many paths at once: one validation for both entry points
+# ---------------------------------------------------------------------------
+
+
+def _mixed_paths():
+    """Constant, tanh, glued, adjoint and weight-lambda paths of dims 1 to
+    12 and horizons 5 to 36, dims and horizons interleaved."""
+    rng = np.random.default_rng(2024)
+    a3 = 0.4 * rng.normal(size=(2, 6, 6))
+    a2 = 0.3 * rng.normal(size=(4, 4))
+    return [
+        constant_path(np.diag([-2.0, 3.0]), horizon=5.0),
+        scalar_tanh_path(),
+        build_lambda_path(LambdaOperatorSpec(3, 2, lambda s: a3[0] + np.tanh(s) * a3[1],
+                                             horizon=10.0)),
+        tanh_path([[0.0]], [[-1.0]], horizon=8.0),
+        _seeded_tanh_path(rng, 3),
+        concatenate(scalar_tanh_path(), tanh_path([[2.0]], [[1.0]])),
+        build_lambda_path(LambdaOperatorSpec(1, 1, lambda s: np.zeros((2, 2)))),
+        constant_path(-np.eye(12), horizon=5.0),
+        adjoint(_seeded_tanh_path(rng, 2, ([1.0, -1.0], [-2.0, -1.0]))),
+        build_lambda_path(LambdaOperatorSpec(2, 1, lambda s: np.tanh(s) * a2,
+                                             horizon=11.0)),
+        _seeded_tanh_path(rng, 2),
+    ]
+
+
+def test_indices_of_a_mixed_list_equal_the_one_path_indices():
+    paths = _mixed_paths()
+    assert len({p.dim for p in paths}) == 6 and len({p.horizon for p in paths}) == 6
+    alone = [fredholm_index(p) for p in paths]
+    assert alone[:4] == [0, 1, 0, -1] and alone[8] == 1
+    assert spectral.fredholm_indices(paths) == alone
+    assert spectral.shooting_indices(paths) == [index_by_shooting(p) for p in paths]
+    assert spectral.shooting_indices(paths) == alone
+
+
+def test_limit_eigenvalues_are_solved_once_per_dimension(monkeypatch):
+    calls, honest = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda b: calls.append(b.shape) or honest(b))
+    paths = _mixed_paths()
+    calls.clear()
+    spectral.fredholm_indices(paths)
+    assert sorted(calls) == sorted((sum(p.dim == d for p in paths), 2, d, d)
+                                   for d in {p.dim for p in paths})
+
+
+def _boom(s):
+    raise RuntimeError("evaluator called")
+
+
+# each invalid path, the check it fails and the message; the RK4 step bound
+# is checked by the shooting oracle alone
+INVALID = {
+    "horizon": (lambda: constant_path([[1.0]], horizon=0.0),
+                InvalidInputError, "path horizon 0.0 is not positive"),
+    "b-minus": (lambda: spectral.MatrixPath(_boom, 5.0, [[1e-9]], [[1.0]]),
+                NonHyperbolicError, "limit matrix B- has an eigenvalue within 1e-06 of "
+                "the imaginary axis (closest real part 1.00e-09)"),
+    "b-plus": (lambda: spectral.MatrixPath(_boom, 5.0, -np.eye(2), [[0.0, -1.0], [1.0, 0.0]]),
+               NonHyperbolicError, "limit matrix B+ has an eigenvalue within 1e-06 of "
+               "the imaginary axis (closest real part 0.00e+00)"),
+    "drift-minus": (lambda: spectral.MatrixPath(np.tanh, 4.0, [[-2.0]], [[1.0]]),
+                    InvalidInputError, "path is not stationary at s = -4.0: drift 1.00e+00"),
+    "drift-plus": (lambda: spectral.MatrixPath(np.tanh, 9.0, [[-1.0]], [[2.0]]),
+                   InvalidInputError, "path is not stationary at s = 9.0: drift 1.00e+00"),
+    "steps": (lambda: constant_path([[1e6]]), InvalidInputError,
+              "path needs 1.6e+08 RK4 steps at horizon 8.0, above the limit of 100000"),
+}
+
+
+def _raised(entry, paths):
+    with pytest.raises(Exception) as caught:
+        entry(paths)
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("kind", list(INVALID))
+def test_an_invalid_path_after_a_valid_one_raises_its_own_error(kind):
+    make, error, message = INVALID[kind]
+    entries = [spectral.shooting_indices]
+    if kind == "steps":
+        assert spectral.fredholm_indices([make()]) == [0]
+    else:
+        entries.append(spectral.fredholm_indices)
+    for entry in entries:
+        assert _raised(entry, [make()]) == (error, message)
+        assert _raised(entry, [scalar_tanh_path(), make()]) == (error, message)
+        assert _raised(entry, [make(), scalar_tanh_path()]) == (error, message)
+
+
+def test_the_first_invalid_path_in_list_order_wins():
+    # every ordered pair of failures behind a valid path, and a path whose
+    # evaluator raises: its tails are sampled only once the paths before it
+    # have passed
+    for a, b in itertools.permutations(INVALID, 2):
+        paths = [scalar_tanh_path(), INVALID[a][0](), INVALID[b][0]()]
+        assert _raised(spectral.shooting_indices, paths) == INVALID[a][1:]
+        if "steps" not in (a, b):
+            assert _raised(spectral.fredholm_indices, paths) == INVALID[a][1:]
+    boom = spectral.MatrixPath(_boom, 5.0, [[1.0]], [[1.0]])
+    for entry in (spectral.fredholm_indices, spectral.shooting_indices):
+        for kind in ("horizon", "drift-plus"):
+            make, error, message = INVALID[kind]
+            assert _raised(entry, [make(), boom]) == (error, message)
+            assert _raised(entry, [boom, make()]) == (RuntimeError, "evaluator called")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_limits_are_invalid_input():
+    with pytest.raises(InvalidInputError, match="path matrices must be finite"):
+        spectral.MatrixPath(np.tanh, 9.0, [[np.inf]], [[1.0]])
+    with pytest.raises(InvalidInputError, match="path matrices must be finite"):
+        tanh_path([[1e308]], [[1e308]])  # B+ = B0 + B1 overflows
 
 
 # ---------------------------------------------------------------------------
