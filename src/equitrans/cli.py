@@ -525,19 +525,13 @@ def cmd_bundle(scenario, settings, sub):
 
 def cmd_transversality(scenario, settings, sub):
     model = load_fixed_locus(scenario, settings)
-    records = []
     if sub == "check":
-        for v in model.zero_set():
-            split = model.split_at(v)
-            verdicts = tv.check_pointwise_condition(split)
-            for label in sorted(verdicts):
-                cert = tv.condition_certificate(split, label)
-                cert["vertex"] = v
-                records.append(make_record(
-                    f"condition-{v}-{label}", "fixed-locus-index-condition", verdicts[label],
-                    cert))
+        records = [make_record(f"condition-{cert['vertex']}-{cert['lambda']}",
+                               "fixed-locus-index-condition", ok, cert)
+                   for cert, ok in tv.condition_certificates(model, model.zero_set())]
         return records or [make_record("condition-vacuous", "fixed-locus-index-condition",
                                        True, {"note": "empty zero set"})]
+    records = []
     try:
         gamma, report = tv.construct_equivariant_perturbation(model, seed=settings.seed)
         for v in sorted(report.vertex_results, key=str):
@@ -577,12 +571,9 @@ def _load_paths(scenario, settings):
             n = _int(_field(rec, "n", what), f"{what} 'n'")
             weight = _int(_field(rec, "weight", what), f"{what} 'weight'")
             scale = _parse_scalar(rec.get("a_scale", 0.0), False, f"{what} 'a_scale'")
-            spec_l = spectral.LambdaOperatorSpec(
-                n, weight,
-                lambda s, n=n, c=scale: c * np.tanh(s) * np.eye(2 * n),
-                horizon,
-            )
-            out.append(spectral.build_lambda_path(spec_l))
+            out.append(spectral.build_lambda_path(
+                n, weight, lambda s, n=n, c=scale: c * np.tanh(s) * np.eye(2 * n),
+                horizon))
         else:
             raise InvalidInputError(f"unknown flow preset {preset!r}")
     return out
@@ -594,11 +585,10 @@ def cmd_flow(scenario, settings, sub):
         return [make_record(f"index-{i}-{path.name}", "eigenvalue-count-index",
                             True, {"index": idx})
                 for i, (path, idx) in enumerate(zip(paths, spectral.fredholm_indices(paths)))]
-    shooting = spectral.shooting_indices(paths)
-    eigencount = spectral.fredholm_indices(paths)
     return [make_record(f"oracle-{i}-{path.name}", "shooting-kernel-oracle", idx == shoot,
                         {"eigencount": idx, "shooting": shoot})
-            for i, (path, idx, shoot) in enumerate(zip(paths, eigencount, shooting))]
+            for i, (path, (idx, shoot))
+            in enumerate(zip(paths, spectral.shooting_indices(paths)))]
 
 
 def cmd_floer(scenario, settings, sub):
@@ -611,14 +601,6 @@ def cmd_floer(scenario, settings, sub):
     gens = load_generators(scenario.get("generators"))
     counts = load_counts(lattice, gens, scenario.get("counts"))
     cutoff = settings.cutoff
-    if sub == "d2":
-        rep = floer.check_d_squared(
-            floer.build_differential(gens, counts.restrict_index(gens, 0), cutoff))
-        cert = {} if rep.ok else {
-            "pair": list(rep.first_failure),
-            "defect": {str(a): Fraction(c) for a, c in rep.defect.terms.items()},
-        }
-        return [make_record("d-squared", "differential-squares-to-zero", rep.ok, cert)]
     if sub == "reduce":
         morse = {
             tuple(_generator(gens, _field(rec, key, "morse count"), f"morse count {key!r}")
@@ -627,7 +609,7 @@ def cmd_floer(scenario, settings, sub):
             for rec in _list(scenario.get("morse_counts", []), "'morse_counts' section")
         }
         reduced = floer.autonomous_reduce(counts, gens, morse)
-        delta = floer.build_differential(gens, reduced.restrict_index(gens, 0), cutoff)
+        delta = floer.build_differential(gens, reduced, cutoff)
         zero = lattice.zero
         entrywise = all(delta.entry(x, y)
                         == floer.NovikovElement.monomial(lattice, zero, c, cutoff)
@@ -636,7 +618,14 @@ def cmd_floer(scenario, settings, sub):
                     if reduced.derived_index(gens, *k) == 0 and k[2] != zero]
         return [make_record("autonomous-reduction", "circle-rotation-reduction",
                             entrywise and not spurious, {"entries": len(reduced.counts)})]
-    delta = floer.build_differential(gens, counts.restrict_index(gens, 0), cutoff)
+    delta = floer.build_differential(gens, counts, cutoff)
+    if sub == "d2":
+        rep = floer.check_d_squared(delta)
+        cert = {} if rep.ok else {
+            "pair": list(rep.first_failure),
+            "defect": {str(a): Fraction(c) for a, c in rep.defect.terms.items()},
+        }
+        return [make_record("d-squared", "differential-squares-to-zero", rep.ok, cert)]
     ranks = floer.cohomology_rank(delta)
     return [make_record("cohomology-ranks", "novikov-field-elimination", True,
                         {"ranks": {str(d): r for d, r in sorted(ranks.items())},
@@ -700,31 +689,21 @@ def cmd_groupoid(scenario, settings, sub):
 
 
 def _check_permutation_action(group, table: np.ndarray, dim: int) -> None:
-    """The map p -> p[table[g]] must be an action of the group on R^dim:
-    every row a permutation of range(dim), and the rows composing as the
-    group does, either table[gk] = table[k][table[g]] (a left action) or
-    table[gk] = table[g][table[k]] (a right action, the convention of the
-    symmetric-group presets; the same orbits and the same group averages).
-    An error names the first bad row, or the first (g, k) where the second
-    law fails."""
-    if table.shape != (group.order, dim):
-        raise InvalidInputError(
-            f"permutation table needs one row of {dim} coordinate indices per "
-            "group element"
-        )
-    bad = np.flatnonzero(np.any(np.sort(table, axis=1) != np.arange(dim), axis=1))
-    if bad.size:
-        raise InvalidInputError(f"permutation table row {bad[0]} is not a permutation")
-    g = np.arange(group.order)
-    gk = table[group.compose(g[:, None], g)]
-    # [g, k, i]: table[k, table[g, i]] and table[g, table[k, i]]
-    left = np.all(gk == table[g[None, :, None], table[:, None, :]], axis=2)
-    right = np.all(gk == table[g[:, None, None], table[None, :, :]], axis=2)
-    if not (left.all() or right.all()):
-        raise InvalidInputError(
-            "permutation table is not an action of the group at ({},{})".format(
-                *np.argwhere(~right)[0])
-        )
+    """The table, or its rows of the inverses, must be an action on the
+    coordinate indices (``groupoids.check_action_table``), as the presets'
+    sorted permutations are; p -> p[table[g]] then moves points by a right or
+    a left action, with the same orbits and averages.  When both fail, the
+    first error stands."""
+    try:
+        groupoids.check_action_table(group, table, dim, "permutation table")
+    except InvalidInputError as first:
+        if table.shape != (group.order, dim):
+            raise
+        inverse_rows = table[group.inverse(np.arange(group.order))]
+        try:
+            groupoids.check_action_table(group, inverse_rows, dim, "permutation table")
+        except InvalidInputError:
+            raise first from None
 
 
 def cmd_metric(scenario, settings, sub):

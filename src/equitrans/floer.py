@@ -13,15 +13,15 @@ Count tables are indexed by (x, y, A) with the derived Fredholm index
 
     ind(x, y, A) = ind y - ind x + 2 c1(A) - 1,
 
-and entries may only sit where H(y) - H(x) + omega(A) > 0.  The differential
-collects the index-0 counts, delta y = sum count(x, y, A) q^A x.  Index 0
-alone makes each entry homogeneous, 2 c1(A) = 1 + ind x - ind y on every
-term, and makes it raise the Floer grading n - ind by exactly one, so
-neither is checked and generators carry no half-dimension n (it cancels in
-every grading difference).  For autonomous circle-symmetric data, rotating
-the circle coordinate forces index-0 moduli with A != 0 to be empty and the
-A = 0 counts to agree with the Morse counts; the reduction below implements
-exactly that replacement.
+and the differential collects the index-0 counts, delta y = sum of
+count(x, y, A) q^A x, and skips the others; a kept count may only sit where
+H(y) - H(x) + omega(A) > 0.  Index 0 alone makes each entry homogeneous,
+2 c1(A) = 1 + ind x - ind y on every term, and makes it raise the Floer
+grading n - ind by exactly one, so neither is checked and generators carry
+no half-dimension n (it cancels in every grading difference).  For
+autonomous circle-symmetric data, rotating the circle coordinate forces
+index-0 moduli with A != 0 to be empty and the A = 0 counts to agree with
+the Morse counts; the reduction below implements exactly that replacement.
 """
 
 from __future__ import annotations
@@ -262,24 +262,6 @@ class ModuliCountTable:
     def derived_index(self, gens: GeneratorSet, x, y, a) -> int:
         return gens.ind(y) - gens.ind(x) + 2 * self.lattice.c1_of(a) - 1
 
-    def validate(self, gens: GeneratorSet) -> None:
-        """Entries may only sit where the energy H(y) - H(x) + omega(A) is
-        positive."""
-        for (x, y, a) in self.counts:
-            energy = gens.crit_values[y] - gens.crit_values[x] + self.lattice.omega_of(a)
-            if energy <= 0:
-                raise InvalidInputError(
-                    f"count at ({x!r}, {y!r}, {a}) has non-positive energy {energy}"
-                )
-
-    def restrict_index(self, gens: GeneratorSet, index: int) -> "ModuliCountTable":
-        kept = {
-            key: c
-            for key, c in self.counts.items()
-            if self.derived_index(gens, *key) == index
-        }
-        return ModuliCountTable(self.lattice, kept)
-
 
 def autonomous_reduce(counts: ModuliCountTable, gens: GeneratorSet,
                       morse_counts: dict) -> ModuliCountTable:
@@ -333,28 +315,27 @@ class Differential:
 
 def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
                        cutoff) -> Differential:
-    """delta y = sum over (x, A) of count(x, y, A) q^A x.
-
-    The table must already be restricted to the index-0 slot; a nonzero
-    count of a different derived index is invalid input.  Index 0 gives
-    2 c1(A) = 1 + ind x - ind y on every term of entry (x, y), so each
-    entry is homogeneous and raises the grading n - ind by exactly one.
+    """delta y = sum over (x, A) of count(x, y, A) q^A x, over the counts of
+    derived index 0; counts of any other index are not part of the
+    differential and are skipped.  A kept count must sit where the energy
+    H(y) - H(x) + omega(A) is positive.  Index 0 gives 2 c1(A) = 1 + ind x
+    - ind y on every term of entry (x, y), so each entry is homogeneous and
+    raises the grading n - ind by exactly one.
     """
-    counts.validate(gens)
     cutoff = Fraction(cutoff)
+    lattice = counts.lattice
     entries: dict = {}
     for (x, y, a), c in counts.counts.items():
-        idx = counts.derived_index(gens, x, y, a)
-        if idx != 0:
+        if counts.derived_index(gens, x, y, a) != 0:
+            continue
+        energy = gens.crit_values[y] - gens.crit_values[x] + lattice.omega_of(a)
+        if energy <= 0:
             raise InvalidInputError(
-                f"count at ({x!r}, {y!r}, {a}) has derived index {idx} "
-                "in the index-0 slot"
+                f"count at ({x!r}, {y!r}, {a}) has non-positive energy {energy}"
             )
-        term = NovikovElement.monomial(counts.lattice, a, c, cutoff)
-        entries[(x, y)] = entries.get(
-            (x, y), NovikovElement.zero(counts.lattice, cutoff)
-        ) + term
-    return Differential(gens, counts.lattice, entries, cutoff)
+        term = NovikovElement.monomial(lattice, a, c, cutoff)
+        entries[(x, y)] = entries.get((x, y), NovikovElement.zero(lattice, cutoff)) + term
+    return Differential(gens, lattice, entries, cutoff)
 
 
 @dataclass

@@ -9,6 +9,10 @@ array comparison per law (associativity over the composable triples only,
 a bounded chunk of first factors at a time, so memory stays O(m^2)); an
 error names the first offending index in C order.
 
+An index table ``table[g, x]`` = g.x is an action of a finite group on
+range(n) when it passes ``check_action_table``: shape, range, the identity
+row and the action law, each error naming the first failure in C order.
+
 The quotient of a groupoid by a finite group acting by functors has objects
 the chosen slice representatives and morphisms the tuples (x, y, g, [psi]),
 where psi is an internal morphism g.x -> y witnessing the identification
@@ -142,6 +146,24 @@ def discrete_groupoid(n_objects: int) -> FiniteGroupoid:
     return FiniteGroupoid(n_objects, ids, ids, table, ids, ids)
 
 
+def check_action_table(group, table: np.ndarray, n: int, what: str) -> None:
+    """Raise unless ``table[g, x]`` = g.x is an action of the group on the
+    points range(n): shape (order, n), every entry a point, the identity's
+    row the identity and table[h, table[g, x]] == table[hg, x], each error
+    naming the first failure in C order.  These make every row a bijection
+    (row g^-1 inverts row g), so rows need no permutation check.  ``what``
+    names the table in the errors."""
+    if np.shape(table) != (group.order, n):
+        raise InvalidInputError(f"{what} needs shape ({group.order}, {n}), one row of "
+                                f"{n} points per group element, got {np.shape(table)}")
+    _require((table >= 0) & (table < n), f"{what} entry ({{}},{{}}) is not in range({n})")
+    _require(table[group.identity] == np.arange(n),
+             f"identity does not fix point {{}} in the {what}")
+    h = np.arange(group.order)[:, None]
+    _require(table[h[..., None], table] == table[group.compose(h, h.T)],
+             f"{what} is not an action at ({{}},{{}},{{}})")
+
+
 def make_translation_groupoid(group: reps.FiniteGroupModel,
                               action: np.ndarray) -> FiniteGroupoid:
     """Translation groupoid of a group action on a finite set.
@@ -150,16 +172,10 @@ def make_translation_groupoid(group: reps.FiniteGroupModel,
     with source x and target g.x, and (h, g.x) o (g, x) = (hg, x).
     """
     action = np.asarray(action)
-    order, npts = action.shape
-    if order != group.order:
-        raise InvalidInputError("action table must have one row per group element")
-    _require((action >= 0) & (action < npts), "action entry ({},{}) is not a point")
-    e = group.identity
-    if np.any(action[e] != np.arange(npts)):
-        raise InvalidInputError("identity does not act as the identity")
+    npts = action.shape[-1]
+    check_action_table(group, action, npts, "action table")
+    order, e = group.order, group.identity
     h = np.arange(order)[:, None]
-    _require(action[h[..., None], action] == action[group.compose(h, h.T)],
-             "action is not a homomorphism at ({},{},{})")
     g, x = np.divmod(np.arange(order * npts), npts)
     tgt = action[g, x]
     table = np.full((order * npts, order * npts), -1)
@@ -209,21 +225,10 @@ class GlobalActionData:
     mor_action: np.ndarray  # (order, n_morphisms)
 
     def validate(self, gpd: FiniteGroupoid) -> None:
-        n, m = gpd.n_objects, gpd.n_morphisms
         oa = np.asarray(self.obj_action)
         ma = np.asarray(self.mor_action)
-        if oa.shape != (self.group.order, n) or ma.shape != (self.group.order, m):
-            raise InvalidInputError("action tables have wrong shapes")
-        _require((oa >= 0) & (oa < n), "object action entry ({},{}) is out of range")
-        _require((ma >= 0) & (ma < m), "morphism action entry ({},{}) is out of range")
-        e = self.group.identity
-        if np.any(oa[e] != np.arange(n)) or np.any(ma[e] != np.arange(m)):
-            raise InvalidInputError("identity must act as the identity functor")
-        g = np.arange(self.group.order)[:, None]
-        gh = self.group.compose(g, g.T)
-        _require(np.all(oa[g[..., None], oa] == oa[gh], axis=2)
-                 & np.all(ma[g[..., None], ma] == ma[gh], axis=2),
-                 "action is not a homomorphism at ({},{})")
+        check_action_table(self.group, oa, gpd.n_objects, "object action table")
+        check_action_table(self.group, ma, gpd.n_morphisms, "morphism action table")
         _require((gpd.src[ma] == oa[:, gpd.src]) & (gpd.tgt[ma] == oa[:, gpd.tgt]),
                  "functoriality fails on source/target at ({},{})")
         t = gpd.compose_table

@@ -6,11 +6,12 @@ with algebraic multiplicity; the matrices need not be symmetric), from one
 ``eigvals`` per dimension (``fredholm_indices``).  An independent shooting
 oracle (``shooting_indices``) computes kernels as intersections of
 propagated boundary-decay subspaces; the index equals the kernel of the
-adjoint path minus the kernel of the path itself.  Both take a list of paths
-and check each in list order (``_validated``).  Paths are sampled as stacks
-(an evaluator maps a (k, 1, 1) array of s to a (k, d, d) stack), and RK4
-sweeps in from both ends in one loop, every frame of every path on one
-grid as one padded stack, one QR per chunk.
+adjoint path minus the kernel of the path itself, and the oracle returns it
+beside the eigenvalue count of its own validation pass.  Both take a list of
+paths and check each once, in list order (``_validated``).  Paths are
+sampled as stacks (an evaluator maps a (k, 1, 1) array of s to a (k, d, d)
+stack), and RK4 sweeps in from both ends in one loop, every frame of every
+path on one grid as one padded stack, one QR per chunk.
 
 The autonomous Floer linearization in a circle weight lambda >= 1 acts on
 pairs (a, b) of C^n-valued functions as
@@ -153,7 +154,7 @@ def _validated(paths: list):
             _check_hyperbolic(x, f"limit matrix B{side}")
         drift = np.abs(path.at([-t, t]) - b).max(axis=(1, 2))
         for sign, x in zip((-1.0, 1.0), drift):
-            if x > TAIL_TOLERANCE:
+            if not x <= TAIL_TOLERANCE:  # a NaN drift fails too
                 raise InvalidInputError(
                     f"path is not stationary at s = {sign * t}: drift {x:.2e}")
         yield unstable
@@ -170,58 +171,42 @@ def fredholm_indices(paths: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LambdaOperatorSpec:
-    """Weight-lambda linearization data: a path of real-linear maps A(s) on
-    C^n, n >= 1.  ``a_path`` follows the ``MatrixPath`` evaluator contract,
-    with 2n x 2n real matrices in the coordinates (Re, Im)."""
-
-    n: int
-    weight: int
-    a_path: object
-    horizon: float = 8.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError("n must be a positive integer")
-        if self.weight < 1:
-            raise InvalidInputError("weights are positive integers")
-
-    def a_at(self, s) -> np.ndarray:
-        """A at the points s, 2n x 2n over the last two axes."""
-        a = np.atleast_2d(np.asarray(self.a_path(s), dtype=float))
-        if a.shape[-2:] != (2 * self.n, 2 * self.n):
-            raise InvalidInputError(
-                f"A(s) must be a real-linear map on C^{self.n} "
-                f"(2n x 2n real matrix), got shape {a.shape}"
-            )
-        return a
-
-
-def build_lambda_path(spec: LambdaOperatorSpec) -> MatrixPath:
-    """Realified path for the weight-lambda block: a stack of 4n x 4n real
-    matrices [[-A, omega J], [-omega J, -A]] in the coordinates (Re a, Im a,
-    Re b, Im b).
+def build_lambda_path(n: int, weight: int, a_path, horizon: float = 8.0) -> MatrixPath:
+    """Realified path of the weight-lambda linearization for a path of
+    real-linear maps A(s) on C^n, n >= 1: a stack of 4n x 4n real matrices
+    [[-A, omega J], [-omega J, -A]] in the coordinates (Re a, Im a, Re b,
+    Im b).  ``a_path`` follows the ``MatrixPath`` evaluator contract, with
+    2n x 2n real matrices in the coordinates (Re, Im), and its shape is
+    checked at every evaluation.
 
     Raises when ||A(+-infinity)|| >= 2 lambda pi, which would destroy the
     hyperbolicity of the limits.
     """
-    n, t = spec.n, spec.horizon
-    omega = 2.0 * np.pi * spec.weight
+    if n < 1:
+        raise InvalidInputError("n must be a positive integer")
+    if weight < 1:
+        raise InvalidInputError("weights are positive integers")
+    omega = 2.0 * np.pi * weight
     j = omega * (np.eye(2 * n, k=-n) - np.eye(2 * n, k=n))
     c = np.zeros((4 * n, 4 * n))
     c[:2 * n, 2 * n:] = j
     c[2 * n:, :2 * n] = -j
 
     def b_at(s: np.ndarray) -> np.ndarray:
-        a = spec.a_at(s)
+        a = np.atleast_2d(np.asarray(a_path(s), dtype=float))
+        if a.shape[-2:] != (2 * n, 2 * n):
+            raise InvalidInputError(
+                f"A(s) must be a real-linear map on C^{n} "
+                f"(2n x 2n real matrix), got shape {a.shape}"
+            )
         b = np.empty(a.shape[:-2] + c.shape)
         b[...] = c
         b[..., :2 * n, :2 * n] -= a
         b[..., 2 * n:, 2 * n:] -= a
         return b
 
-    limits = np.broadcast_to(b_at(np.array([[[-t]], [[t]]])), (2, 4 * n, 4 * n))
+    limits = np.broadcast_to(b_at(np.array([[[-horizon]], [[horizon]]])),
+                             (2, 4 * n, 4 * n))
     norms = np.linalg.svd(limits[:, :2 * n, :2 * n], compute_uv=False).max(axis=1)
     for side, norm in zip("-+", norms.tolist()):
         if norm >= omega:
@@ -229,7 +214,7 @@ def build_lambda_path(spec: LambdaOperatorSpec) -> MatrixPath:
                 f"||A({side}inf)|| = {norm:.4f} >= "
                 f"2*lambda*pi = {omega:.4f}: limits are not hyperbolic"
             )
-    return MatrixPath(b_at, t, *limits, name=f"lambda_{spec.weight}")
+    return MatrixPath(b_at, horizon, *limits, name=f"lambda_{weight}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +346,9 @@ def _step_count(path: MatrixPath) -> int:
 
 
 def _kernel_dims(paths: list) -> list:
-    """[kernel, cokernel] per path: the dimensions of the bounded solutions
-    of u' = B(s) u and of the adjoint u' = -B(s)^T u.
+    """(eigencount index, kernel, cokernel) per path: the index that
+    ``_validated`` yields beside the dimensions of the bounded solutions of
+    u' = B(s) u and of the adjoint u' = -B(s)^T u.
 
     Solutions bounded at -infinity come from the right-half-plane subspace
     of B-, propagated forward from -horizon; solutions bounded at +infinity
@@ -374,22 +360,25 @@ def _kernel_dims(paths: list) -> list:
     list order raises; then the paths of one (dim, horizon, step count) are
     swept together (``_propagated_frames``)."""
     groups: dict = {}
-    for k, (path, _) in enumerate(zip(paths, _validated(paths))):
+    for k, (path, (minus, plus)) in enumerate(zip(paths, _validated(paths))):
         key = (path.dim, path.horizon, _step_count(path))
-        groups.setdefault(key, []).append((k, _start_frames(path)))
+        groups.setdefault(key, []).append((k, minus - plus, _start_frames(path)))
     dims = [None] * len(paths)
     for (_, _, n_steps), members in groups.items():
-        ks, starts = zip(*members)
+        ks, indices, starts = zip(*members)
         swept = _propagated_frames([paths[k] for k in ks], starts, n_steps)
-        for k, frames in zip(ks, swept):
-            dims[k] = [int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False)
-                                  <= ANGLE_THRESHOLD))
-                       for x, y in zip(frames[::2], frames[1::2])]
+        for k, index, frames in zip(ks, indices, swept):
+            kernel, cokernel = (int(np.sum(1.0 - np.linalg.svd(x.T @ y, compute_uv=False)
+                                           <= ANGLE_THRESHOLD))
+                                for x, y in zip(frames[::2], frames[1::2]))
+            dims[k] = (index, kernel, cokernel)
     return dims
 
 
 def shooting_indices(paths: list) -> list:
-    """Independent oracle, one index per path (a one-path list for one
-    path): kernel of the adjoint path minus kernel of the path equals the
-    eigenvalue-count index."""
-    return [cokernel - kernel for kernel, cokernel in _kernel_dims(paths)]
+    """Independent oracle, one (eigencount, shooting) pair per path (a
+    one-path list for one path): the eigenvalue-count index from the one
+    validation pass, and the kernel of the adjoint path minus the kernel of
+    the path, which equals it.  The shooting index computes no eigenvalues,
+    so the two stay independent."""
+    return [(index, cokernel - kernel) for index, kernel, cokernel in _kernel_dims(paths)]

@@ -150,8 +150,8 @@ def suite_spectral_flow(check):
         cases.append((f"constant-{k}", spectral.constant_path(np.diag(diag)), 0))
     for weight in range(1, 6):
         for n in (1, 2, 3):
-            spec = spectral.LambdaOperatorSpec(n, weight, lambda s, n=n: np.zeros((2 * n,) * 2))
-            cases.append((f"index-l{weight}-n{n}", spectral.build_lambda_path(spec), 0))
+            path = spectral.build_lambda_path(n, weight, lambda s, n=n: np.zeros((2 * n,) * 2))
+            cases.append((f"index-l{weight}-n{n}", path, 0))
     seeded = []
     for _ in range(50):
         n = int(rng.integers(1, 4))
@@ -168,8 +168,7 @@ def suite_spectral_flow(check):
             t = (np.tanh(s) + 1.0) / 2.0
             return (1.0 - t) * am + t * ap
 
-        spec = spectral.LambdaOperatorSpec(n, weight, a_path)
-        cases.append((f"seeded-A-{k}", spectral.build_lambda_path(spec), 0))
+        cases.append((f"seeded-A-{k}", spectral.build_lambda_path(n, weight, a_path), 0))
     indices = spectral.fredholm_indices([path for _, path, _ in cases])
     for (case, path, expected), index in zip(cases, indices):
         if case.startswith("index-l"):  # zero A: unstable dimension 2n at both ends
@@ -182,7 +181,8 @@ def suite_spectral_flow(check):
 @_battery(6, "oracle-equivalence", "shooting-kernel-oracle")
 def suite_oracle(check):
     """Criterion 6: eigencount index equals the shooting-kernel difference,
-    on 20 seeded tanh paths of dims 1 and 2 in turn, each side in one call."""
+    on 20 seeded tanh paths of dims 1 and 2 in turn, both sides from one
+    ``shooting_indices`` call."""
     rng = np.random.default_rng(17)
     paths = []
     while len(paths) < 20:
@@ -197,8 +197,7 @@ def suite_oracle(check):
         if np.min(np.abs(np.linalg.eigvals(b0 + b1).real)) < 0.5:
             continue
         paths.append(spectral.tanh_path(b0, b1))
-    shooting = spectral.shooting_indices(paths)
-    for case, (idx, shoot) in enumerate(zip(spectral.fredholm_indices(paths), shooting)):
+    for case, (idx, shoot) in enumerate(spectral.shooting_indices(paths)):
         check(idx == shoot, {"case": case, "eigencount": idx, "shooting": shoot})
 
 

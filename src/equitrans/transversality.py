@@ -13,8 +13,10 @@ The pointwise index condition
     ind s^G < (ind D^lambda / dim V^lambda + 1) * d        for all lambda
 
 guarantees that generic equivariant perturbations built from the equivariant
-hom space reach surjectivity; the constructor below samples them with a
-seeded budget and certifies surjectivity by smallest singular value.
+hom space reach surjectivity.  One routine certifies it per vertex and label
+for the check and for the pipeline's obstruction error; the constructor
+below samples the perturbations with a seeded budget and certifies
+surjectivity by smallest singular value.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ class LinearizationSplit:
 
     def labels(self):
         return sorted(self.lambda_blocks)
+
+    def condition_rhs(self, label: str) -> int:
+        """(ind D^lambda / dim V + 1) * d, the bound on ind s^G."""
+        return (self.lambda_unit_index(label) + 1) * self.endo_dim[label]
 
 
 # ---------------------------------------------------------------------------
@@ -120,27 +126,8 @@ def determinantal_dimension_oracle_columns(n: int, m: int, rank: int) -> int:
 
 def check_pointwise_condition(split: LinearizationSplit) -> dict:
     """ind s^G < (ind D^lambda / dim V + 1) * d, per lambda with rank > 0."""
-    out = {}
-    for label in split.labels():
-        blk = split.lambda_blocks[label]
-        if blk.shape[0] == 0:
-            continue  # rank E^lambda = 0: no condition
-        rhs = (split.lambda_unit_index(label) + 1) * split.endo_dim[label]
-        out[label] = split.fixed_index < rhs
-    return out
-
-
-def condition_certificate(split: LinearizationSplit, label: str) -> dict:
-    blk = split.lambda_blocks[label]
-    dv = split.dim_v[label]
-    return {
-        "lambda": label,
-        "n": blk.shape[1] // dv,
-        "m": blk.shape[0] // dv,
-        "d": split.endo_dim[label],
-        "ind_sG": split.fixed_index,
-        "rhs": (split.lambda_unit_index(label) + 1) * split.endo_dim[label],
-    }
+    return {label: split.fixed_index < split.condition_rhs(label)
+            for label in split.labels() if split.lambda_blocks[label].shape[0]}
 
 
 def s1_condition(fixed_index: int, lambda_indices) -> bool:
@@ -199,6 +186,24 @@ class FixedLocusModel:
             {k: dims[k] for k in lam},
             {k: endos[k] for k in lam},
         )
+
+
+def condition_certificates(model: FixedLocusModel, vertices) -> list:
+    """(certificate, verdict) of the pointwise index condition per vertex
+    and label, in the given vertex order and then sorted label order, the
+    verdicts from ``check_pointwise_condition``.  A certificate holds the
+    vertex, the label, the unit ranks n and m, d, ind s^G and the right-hand
+    side (ind D^lambda / dim V + 1) * d."""
+    out = []
+    for v in vertices:
+        split = model.split_at(v)
+        for label, ok in check_pointwise_condition(split).items():
+            m, n = np.shape(split.lambda_blocks[label])
+            dv = split.dim_v[label]
+            out.append(({"lambda": label, "n": n // dv, "m": m // dv,
+                         "d": split.endo_dim[label], "ind_sG": split.fixed_index,
+                         "rhs": split.condition_rhs(label), "vertex": v}, ok))
+    return out
 
 
 @dataclass
@@ -263,15 +268,7 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
             report.record(v, "section-shift", np.inf, True)
         else:
             zero.append(v)
-    obstructions = []
-    for v in zero:
-        split = model.split_at(v)
-        verdicts = check_pointwise_condition(split)
-        for label, ok in verdicts.items():
-            if not ok:
-                cert = condition_certificate(split, label)
-                cert["vertex"] = v
-                obstructions.append(cert)
+    obstructions = [cert for cert, ok in condition_certificates(model, zero) if not ok]
     if obstructions:
         raise ObstructionError(
             "pointwise index condition fails at "

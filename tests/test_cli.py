@@ -360,6 +360,35 @@ def test_transversality_obstruction_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_transversality_check_and_pipeline_certify_the_same_obstructions(tmp_path,
+                                                                          capsys):
+    # ind s^G = 2 at both zeros: weight_1 (one unit each way) has the bound
+    # (0 + 1) * 2 = 2 and fails; weight_2 (two units to one) has (1 + 1) * 2 = 4
+    blocks = {"weight_1": [[0] * 2] * 2, "weight_2": [[0] * 4] * 2}
+    model = {"fixed_locus": {
+        "base": {"interval": 1},
+        "components": {"weight_1": {"n_units": 1, "m_units": 1},
+                       "weight_2": {"n_units": 2, "m_units": 1}},
+        "section": {"0": [0], "1": [0]},
+        "fixed_blocks": {"0": [[0, 0, 0]], "1": [[0, 0, 0]]},
+        "lambda_blocks": {"0": blocks, "1": blocks},
+    }}
+    path = write(tmp_path, "obstructed.json", model)
+    code, out, _ = run(capsys, ["transversality", "check", path])
+    assert code == 1
+    checked = json.loads(out)["records"]
+    assert [(r["check"], r["pass"]) for r in checked] == [
+        ("condition-0-weight_1", False), ("condition-0-weight_2", True),
+        ("condition-1-weight_1", False), ("condition-1-weight_2", True)]
+    code, out, _ = run(capsys, ["transversality", "perturb", path])
+    assert code == 1
+    obstructed = json.loads(out)["records"]
+    assert [r["check"] for r in obstructed] == ["obstruction-0-weight_1",
+                                                "obstruction-1-weight_1"]
+    assert ([r["certificate"] for r in obstructed]
+            == [r["certificate"] for r in checked if not r["pass"]])
+
+
 def test_groupoid_quotient_command(tmp_path, capsys):
     payload = {
         "groupoid": {"discrete": 2},
@@ -494,9 +523,15 @@ S3_PERMUTATIONS = np.array(sorted(itertools.permutations(range(3))))
 
 
 @pytest.mark.parametrize("group, table, named", [
-    ("Z_2", [[0, 1], [0, 0]], "row 1"),  # a row that is not a permutation
-    ("Z_2", [[1, 0], [0, 1]], "(0,0)"),  # the identity swaps coordinates
-    ("S_3", S3_PERMUTATIONS[[0, 3, 2, 1, 4, 5]].tolist(), "(1,1)"),
+    # a row that is not a permutation breaks the law; the inverse rows of
+    # Z_2 are its rows, so both conventions fail at (1,1,1)
+    ("Z_2", [[0, 1], [0, 0]], "permutation table is not an action at (1,1,1)"),
+    ("Z_2", [[1, 0], [0, 1]], "identity does not fix point 0 in the permutation table"),
+    ("S_3", S3_PERMUTATIONS[[0, 3, 2, 1, 4, 5]].tolist(),
+     "permutation table is not an action at (1,1,0)"),
+    # too few rows: no rows of the inverses are read either
+    ("S_3", S3_PERMUTATIONS[:2].tolist(), "permutation table needs shape (6, 3), one "
+     "row of 3 points per group element, got (2, 3)"),
 ])
 def test_metric_quotient_table_that_is_not_an_action_exit_2(tmp_path, capsys, group,
                                                             table, named):
@@ -508,9 +543,7 @@ def test_metric_quotient_table_that_is_not_an_action_exit_2(tmp_path, capsys, gr
                                   write(tmp_path, "perm.json", payload)])
     assert code == 2
     assert out == ""
-    msg = json.loads(err)
-    assert msg["kind"] == "invalid-input"
-    assert named in msg["error"]
+    assert json.loads(err) == {"error": named, "kind": "invalid-input"}
 
 
 @pytest.mark.parametrize("table", [S3_PERMUTATIONS, np.argsort(S3_PERMUTATIONS, axis=1)])
@@ -1308,16 +1341,18 @@ def near_tolerance_s3(scale=0.9e-10):
      "zero-set vertex 1 lies outside the declared support"),
     # groupoids, group actions and local data the groupoid model rejects
     (["groupoid", "check"], _replaced(GROUPOID_CHECK, [[0, 1, 2]], *ACTION),
-     "action table must have one row per group element"),
+     "action table needs shape (2, 3), one row of 3 points per group element, "
+     "got (1, 3)"),
     (["groupoid", "check"], _replaced(GROUPOID_CHECK, [[1, 0, 2], [0, 1, 2]], *ACTION),
-     "identity does not act as the identity"),
+     "identity does not fix point 0 in the action table"),
     (["groupoid", "check"], _replaced(GROUPOID_CHECK, {"0": [2]}, "uniformizers"),
      "uniformizer of object 0 does not contain it"),
     (["groupoid", "quotient"], _replaced(GROUPOID_QUOTIENT, [[0, 1]], *OBJECTS),
-     "action tables have wrong shapes"),
+     "object action table needs shape (2, 2), one row of 2 points per group "
+     "element, got (1, 2)"),
     (["groupoid", "quotient"],
      _replaced(_replaced(GROUPOID_QUOTIENT, SWAP[::-1], *OBJECTS), SWAP[::-1],
-               *MORPHISMS), "identity must act as the identity functor"),
+               *MORPHISMS), "identity does not fix point 0 in the object action table"),
     (["groupoid", "quotient"], dict(GROUPOID_QUOTIENT, ineffective_kernels={"0": [1]}),
      "declared kernel element 1 is not in stab_0"),
     # Z_2 acting trivially on Z_4 at one point, with the kernel {0, 1},

@@ -209,10 +209,14 @@ def test_self_indexing_sort_matches_pair_scan(spec, monotone):
 
 
 def test_count_table_energy_constraint():
-    gens = sphere_gens()
-    bad = ModuliCountTable(LAT1, {("z", "x", (0,)): 1})  # H(x) - H(z) < 0
-    with pytest.raises(InvalidInputError):
-        bad.validate(gens)
+    # x (index 1, H = 1) to y (index 0, H = 0) on LATC: A = (1,) sits in the
+    # index-0 slot at energy H(y) - H(x) + omega(A) = 0; A = (0,) has index
+    # -2 and negative energy, and is skipped before it
+    gens = GeneratorSet(("x", "y"), {"x": 1, "y": 0}, {"x": 1, "y": 0})
+    counts = ModuliCountTable(LATC, {("x", "y", (0,)): 1, ("x", "y", (1,)): 1})
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "count at ('x', 'y', (1,)) has non-positive energy 0")):
+        build_differential(gens, counts, cutoff=10)
 
 
 def test_derived_index_formula():
@@ -260,11 +264,15 @@ def test_wiggly_circle_hand_enumeration():
     assert ranks == {0: 1, 1: 1}
 
 
-def test_differential_rejects_wrong_index_slot():
-    gens = sphere_gens()
-    counts = ModuliCountTable(LAT1, {("x", "z", (0,)): 1})  # derived index 1
-    with pytest.raises(InvalidInputError):
-        build_differential(gens, counts, cutoff=10)
+def test_differential_skips_counts_off_the_index_0_slot():
+    # on LATC, (x, y, (0,)) has derived index 0; (x, y, (1,)) has index 2,
+    # and (y, x, (0,)) index -2 at negative energy: neither is a term
+    gens = GeneratorSet(("x", "y"), {"x": 0, "y": 1}, {"x": 0, "y": 1})
+    counts = ModuliCountTable(LATC, {("x", "y", (1,)): 3, ("y", "x", (0,)): 1,
+                                     ("x", "y", (0,)): 2})
+    delta = build_differential(gens, counts, cutoff=10)
+    assert list(delta.entries) == [("x", "y")]
+    assert delta.entry("x", "y") == NovikovElement.monomial(LATC, (0,), 2, Fraction(10))
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,7 +295,7 @@ def test_index_zero_entries_are_homogeneous_of_grading_shift_one(data):
               for ((x, y), k), c in drawn.items()}
     table = ModuliCountTable(lattice, {
         (x, y, a): c for (x, y, a), c in counts.items()
-        if index[y] - index[x] + lattice.omega_of(a) > 0}).restrict_index(gens, 0)
+        if index[y] - index[x] + lattice.omega_of(a) > 0})
     delta = build_differential(gens, table, cutoff=data.draw(st.sampled_from([3, CUT])))
     for (x, y), entry in delta.entries.items():
         for a in entry.terms:

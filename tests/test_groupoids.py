@@ -2,6 +2,7 @@
 metrics."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from equitrans import cli, reps, suites
 from equitrans import groupoids as gq
-from equitrans import reps
 from equitrans.errors import InvalidInputError
 from equitrans.groupoids import (
     GlobalActionData,
@@ -156,7 +157,7 @@ def _non_associative_group():
      r"unit of object 1 is not an endomorphism"),
     (lambda: make_translation_groupoid(reps.cyclic_group(2),
                                        np.array([[0, 1, 2], [1, 2, 0]])),
-     r"action is not a homomorphism at \(1,1,0\)"),
+     r"action table is not an action at \(1,1,0\)"),
     (_non_functorial_action, r"functoriality fails on composition at element 1"),
     (_action_not_on_endpoints, r"functoriality fails on source/target at \(1,0\)"),
     (_non_associative_group, r"multiplication not associative at \(1,1,2\)"),
@@ -164,6 +165,90 @@ def _non_associative_group():
 def test_broken_table_rejected(corrupt, match):
     with pytest.raises(InvalidInputError, match=match):
         corrupt()
+
+
+@pytest.mark.parametrize("name", sorted(reps._PRESETS))
+def test_every_preset_acts_on_itself(name):
+    # table[h, table[g, x]] = h(gx) = (hg)x: associativity is the action law
+    group = reps.preset_group(name)
+    gq.check_action_table(group, group.table, group.order, "multiplication table")
+
+
+def test_the_groupoid_battery_tables_pass_the_action_check(monkeypatch):
+    checked, honest = [], gq.check_action_table
+
+    def recording(group, table, n, what):
+        checked.append(what)
+        honest(group, table, n, what)
+
+    monkeypatch.setattr(gq, "check_action_table", recording)
+    assert suites.SUITES["groupoid"]()["pass"]
+    # 7 translation groupoids, and 10 global actions with two tables each
+    assert sorted(set(checked)) == ["action table", "morphism action table",
+                                    "object action table"]
+    assert [checked.count(w) for w in ("action table", "object action table")] == [7, 10]
+
+
+# a Z_2 table on three points with one planted fault per check; each error
+# names the first failure in C order: two bad entries, a moved point 1, and a
+# row (0, 0, 2) that is no bijection, caught by the law at x = 1
+ACTION_FAULTS = {
+    "shape": (lambda t: t[:1], "{} needs shape (2, 3), one row of 3 points per group "
+              "element, got (1, 3)"),
+    "range": (lambda t: np.where([[0, 0, 0], [1, 0, 1]], [[0, 0, 0], [-1, 0, 3]], t),
+              "{} entry (1,0) is not in range(3)"),
+    "identity": (lambda t: np.array([[0, 2, 1], t[1]]),
+                 "identity does not fix point 1 in the {}"),
+    "law": (lambda t: np.array([t[0], [0, 0, 2]]), "{} is not an action at (1,1,1)"),
+}
+
+
+def _through_translation(table, tmp_path, capsys):
+    make_translation_groupoid(reps.cyclic_group(2), table)
+    return "action table"
+
+
+def _through_object_action(table, tmp_path, capsys):
+    GlobalActionData(reps.cyclic_group(2), table,
+                     np.array([[0, 1, 2], [1, 0, 2]])).validate(discrete_groupoid(3))
+    return "object action table"
+
+
+def _through_morphism_action(table, tmp_path, capsys):
+    GlobalActionData(reps.cyclic_group(2), np.array([[0, 1, 2], [1, 0, 2]]),
+                     table).validate(discrete_groupoid(3))
+    return "morphism action table"
+
+
+def _through_cli(table, tmp_path, capsys):
+    scenario = tmp_path / "metric.json"
+    scenario.write_text(json.dumps({
+        "metric_points": np.eye(3).tolist(),
+        "metric_action": {"type": "permutation", "group": {"preset": "Z_2"},
+                          "table": table.tolist()}}))
+    code = cli.main(["metric", "quotient", str(scenario)])
+    out, err = capsys.readouterr()
+    if code != 0:  # invalid input: exit 2, no report and no traceback
+        assert (code, out, json.loads(err)["kind"]) == (2, "", "invalid-input")
+        raise InvalidInputError(json.loads(err)["error"])
+    return "permutation table"
+
+
+@pytest.mark.parametrize("caller, what", [
+    (_through_translation, "action table"),
+    (_through_object_action, "object action table"),
+    (_through_morphism_action, "morphism action table"),
+    (_through_cli, "permutation table"),
+])
+@pytest.mark.parametrize("fault", list(ACTION_FAULTS))
+def test_each_action_table_fault_raises_through_every_caller(tmp_path, capsys, caller,
+                                                             what, fault):
+    plant, message = ACTION_FAULTS[fault]
+    table = np.array([[0, 1, 2], [1, 0, 2]])
+    assert caller(table, tmp_path, capsys) == what
+    with pytest.raises(InvalidInputError) as caught:
+        caller(plant(table), tmp_path, capsys)
+    assert str(caught.value) == message.format(what)
 
 
 def _first_failing_triple(t):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from equitrans import spectral, suites
 from equitrans.errors import InvalidInputError, NonHyperbolicError
 from equitrans.spectral import (
-    LambdaOperatorSpec,
     build_lambda_path,
     constant_path,
     scalar_tanh_path,
@@ -133,7 +132,7 @@ def test_stack_at_matches_pointwise_at():
         scalar_tanh_path(),
         concatenate(p1, p2),
         adjoint(p1),
-        build_lambda_path(LambdaOperatorSpec(1, 2, lambda s: np.tanh(s) * a_real)),
+        build_lambda_path(1, 2, lambda s: np.tanh(s) * a_real),
     ]
     for path in paths:
         stack = path.at(s)
@@ -173,8 +172,7 @@ def test_index_additive_under_concatenation_by_shooting(size, data):
 
 def test_lambda_path_zero_a_explicit_spectrum():
     # oracle: B^2 = (2 lambda pi)^2 I, eigenvalues +-2pi each twice for n=1
-    spec = LambdaOperatorSpec(1, 1, lambda s: np.zeros((2, 2)))
-    path = build_lambda_path(spec)
+    path = build_lambda_path(1, 1, lambda s: np.zeros((2, 2)))
     b = path.at(0.0)
     assert np.allclose(b @ b, (2 * np.pi) ** 2 * np.eye(4), atol=1e-12)
     assert np.allclose(b, b.T)
@@ -185,18 +183,14 @@ def test_lambda_path_zero_a_explicit_spectrum():
 @pytest.mark.parametrize("weight", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lambda_path_zero_a_index_zero(weight, n):
-    spec = LambdaOperatorSpec(n, weight, lambda s: np.zeros((2 * n, 2 * n)))
-    path = build_lambda_path(spec)
+    path = build_lambda_path(n, weight, lambda s: np.zeros((2 * n, 2 * n)))
     assert unstable_dim(path.b_minus) == 2 * n
     assert unstable_dim(path.b_plus) == 2 * n
     assert fredholm_index(path) == 0
 
 
 def test_lambda_path_small_tanh_a_index_zero():
-    spec = LambdaOperatorSpec(
-        1, 1, lambda s: 0.1 * np.tanh(s) * np.eye(2)
-    )
-    path = build_lambda_path(spec)
+    path = build_lambda_path(1, 1, lambda s: 0.1 * np.tanh(s) * np.eye(2))
     assert fredholm_index(path) == 0
 
 
@@ -214,23 +208,21 @@ def test_lambda_path_seeded_small_a_index_zero():
             t = (np.tanh(s) + 1) / 2
             return (1 - t) * am + t * ap
 
-        path = build_lambda_path(LambdaOperatorSpec(n, lam, a_path))
+        path = build_lambda_path(n, lam, a_path)
         assert unstable_dim(path.b_minus) == 2 * n
         assert unstable_dim(path.b_plus) == 2 * n
         assert fredholm_index(path) == 0
 
 
-def test_lambda_spec_rejects_a_of_wrong_shape():
+def test_lambda_path_rejects_a_of_wrong_shape():
     # a C-linear map on C^1 is 2 x 2 real, not 3 x 3
-    spec = LambdaOperatorSpec(1, 1, lambda s: np.zeros((3, 3)))
     with pytest.raises(InvalidInputError, match=r"2n x 2n real matrix\), got shape \(3, 3\)"):
-        build_lambda_path(spec)
+        build_lambda_path(1, 1, lambda s: np.zeros((3, 3)))
 
 
 def test_lambda_path_rejects_large_a():
-    spec = LambdaOperatorSpec(1, 1, lambda s: 7.0 * np.eye(2))
     with pytest.raises(NonHyperbolicError):
-        build_lambda_path(spec)
+        build_lambda_path(1, 1, lambda s: 7.0 * np.eye(2))
 
 
 def test_lambda_path_blocks_from_realified_a():
@@ -238,7 +230,7 @@ def test_lambda_path_blocks_from_realified_a():
     # given realified in (Re, Im) coordinates, for a stack of s at once
     a = np.array([[0.3 + 0.2j, 0.1j], [-0.2, 0.1 - 0.3j]])
     real = np.block([[a.real, -a.imag], [a.imag, a.real]])
-    path = build_lambda_path(LambdaOperatorSpec(2, 3, lambda s: np.tanh(s) * real))
+    path = build_lambda_path(2, 3, lambda s: np.tanh(s) * real)
     omega, z, i2 = 6 * np.pi, np.zeros((2, 2)), np.eye(2)
     j = np.block([[z, -i2], [i2, z]])
     s = np.array([-2.0, 0.0, 0.5])
@@ -256,11 +248,11 @@ def test_lambda_path_blocks_from_realified_a():
 
 def kernel_dim_oracle(path):
     """Dimension of the bounded solutions of u' = B(s) u, by shooting."""
-    return spectral._kernel_dims([path])[0][0]
+    return spectral._kernel_dims([path])[0][1]
 
 
 def index_by_shooting(path):
-    return spectral.shooting_indices([path])[0]
+    return spectral.shooting_indices([path])[0][1]
 
 
 
@@ -278,8 +270,7 @@ def test_oracle_tanh_kernels_frozen():
 
 
 def test_oracle_lambda_path_transverse():
-    spec = LambdaOperatorSpec(1, 1, lambda s: np.zeros((2, 2)))
-    path = build_lambda_path(spec)
+    path = build_lambda_path(1, 1, lambda s: np.zeros((2, 2)))
     assert kernel_dim_oracle(path) == 0
     assert kernel_dim_oracle(adjoint(path)) == 0
     assert index_by_shooting(path) == 0
@@ -339,8 +330,8 @@ def _seeded_tanh_path(rng, size, signs=None):
 
 def _seeded_lambda_path(rng, weight):
     a_minus, a_plus = 0.5 * rng.normal(size=(2, 2, 2))
-    return build_lambda_path(LambdaOperatorSpec(
-        1, weight, lambda s: a_minus + (np.tanh(s) + 1) / 2 * (a_plus - a_minus)))
+    return build_lambda_path(
+        1, weight, lambda s: a_minus + (np.tanh(s) + 1) / 2 * (a_plus - a_minus))
 
 
 def test_batched_propagation_spans_per_step_subspaces(monkeypatch):
@@ -464,16 +455,14 @@ def _mixed_paths():
     return [
         constant_path(np.diag([-2.0, 3.0]), horizon=5.0),
         scalar_tanh_path(),
-        build_lambda_path(LambdaOperatorSpec(3, 2, lambda s: a3[0] + np.tanh(s) * a3[1],
-                                             horizon=10.0)),
+        build_lambda_path(3, 2, lambda s: a3[0] + np.tanh(s) * a3[1], horizon=10.0),
         tanh_path([[0.0]], [[-1.0]], horizon=8.0),
         _seeded_tanh_path(rng, 3),
         concatenate(scalar_tanh_path(), tanh_path([[2.0]], [[1.0]])),
-        build_lambda_path(LambdaOperatorSpec(1, 1, lambda s: np.zeros((2, 2)))),
+        build_lambda_path(1, 1, lambda s: np.zeros((2, 2))),
         constant_path(-np.eye(12), horizon=5.0),
         adjoint(_seeded_tanh_path(rng, 2, ([1.0, -1.0], [-2.0, -1.0]))),
-        build_lambda_path(LambdaOperatorSpec(2, 1, lambda s: np.tanh(s) * a2,
-                                             horizon=11.0)),
+        build_lambda_path(2, 1, lambda s: np.tanh(s) * a2, horizon=11.0),
         _seeded_tanh_path(rng, 2),
     ]
 
@@ -484,8 +473,9 @@ def test_indices_of_a_mixed_list_equal_the_one_path_indices():
     alone = [fredholm_index(p) for p in paths]
     assert alone[:4] == [0, 1, 0, -1] and alone[8] == 1
     assert spectral.fredholm_indices(paths) == alone
-    assert spectral.shooting_indices(paths) == [index_by_shooting(p) for p in paths]
-    assert spectral.shooting_indices(paths) == alone
+    shot = spectral.shooting_indices(paths)
+    assert [shoot for _, shoot in shot] == [index_by_shooting(p) for p in paths]
+    assert shot == [(index, index) for index in alone]
 
 
 def test_limit_eigenvalues_are_solved_once_per_dimension(monkeypatch):
@@ -517,6 +507,10 @@ INVALID = {
                     InvalidInputError, "path is not stationary at s = -4.0: drift 1.00e+00"),
     "drift-plus": (lambda: spectral.MatrixPath(np.tanh, 9.0, [[-1.0]], [[2.0]]),
                    InvalidInputError, "path is not stationary at s = 9.0: drift 1.00e+00"),
+    # NaN beyond the horizon: no drift bound holds, so the path is not stationary
+    "drift-nan": (lambda: spectral.MatrixPath(
+        lambda s: np.where(np.abs(s) >= 9.0, np.nan, np.tanh(s)), 9.0, [[-1.0]], [[1.0]]),
+                  InvalidInputError, "path is not stationary at s = -9.0: drift nan"),
     "steps": (lambda: constant_path([[1e6]]), InvalidInputError,
               "path needs 1.6e+08 RK4 steps at horizon 8.0, above the limit of 100000"),
 }

@@ -154,7 +154,7 @@ def test_oracle_battery_reports_a_planted_fault(monkeypatch):
     # the shooting index one too high on the 2x2 paths, the odd cases
     honest = spectral.shooting_indices
     monkeypatch.setattr(spectral, "shooting_indices", lambda paths: [
-        shoot + (path.dim == 2) for path, shoot in zip(paths, honest(paths))])
+        (idx, shoot + (path.dim == 2)) for path, (idx, shoot) in zip(paths, honest(paths))])
     record = suites.SUITES["oracle"]()
     assert [f["case"] for f in record["failures"]] == list(range(1, 20, 2))
     assert all(f["shooting"] == f["eigencount"] + 1 for f in record["failures"])
