@@ -21,7 +21,6 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from math import comb
 
@@ -132,50 +131,37 @@ def barycentric_subdivision(simplex) -> SimplicialBase:
     return SimplicialBase.from_maximal(maximal)
 
 
-def barycentric_grid(dim: int):
-    """Deterministic barycentric sample grid on a dim-simplex.
+@cache
+def _grid_weights(dim: int) -> np.ndarray:
+    """Deterministic barycentric sample grid on a dim-simplex, as a cached,
+    read-only (points, dim+1) float array of weights summing to 1.
 
-    Denominator m is the smallest with C(m+dim, dim) >= 10^dim.  Returns
-    Fraction tuples summing to 1.  The certificates below read it as a
-    cached, read-only (points, dim+1) float array of the same weights
-    (``_grid_weights``).
+    Denominator m is the smallest with C(m+dim, dim) >= 10^dim; the points
+    are every (parts) / m with dim+1 parts >= 0 summing to m, one per choice
+    of dim cuts in range(m+dim), in the order of the cuts.
     """
     m = 1
     while comb(m + dim, dim) < 10**dim:
         m += 1
-    pts = []
-    for cut in itertools.combinations(range(m + dim), dim):
-        parts = []
-        prev = -1
-        for c in cut:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(m + dim - 1 - prev)
-        pts.append(tuple(Fraction(p, m) for p in parts))
-    return pts
-
-
-@cache
-def _grid_weights(dim: int) -> np.ndarray:
-    """``barycentric_grid(dim)`` as (points, dim+1) float weights, converted
-    once per dim."""
-    weights = np.array(barycentric_grid(dim), dtype=float)
+    bounds = np.array([(-1, *cut, m + dim)
+                       for cut in itertools.combinations(range(m + dim), dim)])
+    weights = (np.diff(bounds, axis=1) - 1) / m
     weights.flags.writeable = False
     return weights
 
 
 def _interpolate(weights: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
-    """Affine interpolation at every grid point of every simplex.
+    """Affine interpolation at every grid point of one simplex.
 
-    ``vertex_values`` is (simplices, dim+1, ...) and ``weights`` is
-    (points, dim+1); returns (simplices, points, ...).  Terms are added
-    vertex by vertex, the order of ``sum(w * v for ...)``, so each point
-    equals its one-at-a-time interpolation bit for bit.
+    ``vertex_values`` is (dim+1, ...) and ``weights`` is (points, dim+1);
+    returns (points, ...).  Terms are added vertex by vertex, the order of
+    ``sum(w * v for ...)``, so each point equals its one-at-a-time
+    interpolation bit for bit.
     """
-    w = weights.reshape(weights.shape + (1,) * (vertex_values.ndim - 2))
-    acc = w[:, 0] * vertex_values[:, None, 0]
+    w = weights.reshape(weights.shape + (1,) * (vertex_values.ndim - 1))
+    acc = w[:, 0] * vertex_values[0]
     for j in range(1, weights.shape[1]):
-        acc += w[:, j] * vertex_values[:, None, j]
+        acc += w[:, j] * vertex_values[j]
     return acc
 
 
@@ -483,7 +469,7 @@ def _certified(bundle: GBundleModel, frames: dict, simplex, rank: int) -> bool:
     weights = _grid_weights(len(simplex) - 1)
     rho = len(simplex) / 2 * weights[weights > 0].min()
     lip = np.linalg.norm(orbits - orbits[0], ord=2, axis=(1, 2)).max()
-    sigma = np.linalg.svd(_interpolate(weights, orbits[None])[0], compute_uv=False)
+    sigma = np.linalg.svd(_interpolate(weights, orbits), compute_uv=False)
     return sigma.shape[1] >= rank and bool(
         np.all(sigma[:, rank - 1] > max(RANK_TOL, rho * lip)))
 
@@ -576,7 +562,7 @@ def stabilize_cokernel(bundle: GBundleModel, linearizations: dict,
         if lins[v].ndim != 2 or lins[v].shape[0] != d:
             raise InvalidInputError(
                 f"linearization at vertex {v} must be a matrix with {d} rows")
-    max_deficit = max(d - linalg.rank(lin, RANK_TOL) for lin in lins.values())
+    max_deficit = max((d - linalg.rank(lin, RANK_TOL) for lin in lins.values()), default=0)
     frames = {v: np.zeros((d, 0)) for v in base.vertices}
     if max_deficit == 0:
         return StabilizationResult(frames, 0)

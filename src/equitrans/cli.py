@@ -711,14 +711,17 @@ def cmd_metric(scenario, settings, sub):
     if not isinstance(pts, list) or not pts:
         raise InvalidInputError("scenario needs a non-empty 'metric_points' list")
     points = [_parse_vector(p, exact=False, what="metric_points") for p in pts]
-    if len({len(p) for p in points}) > 1:
-        raise InvalidInputError("metric_points must all have one dimension")
+    dims = {len(p) for p in points}
+    if len(dims) > 1 or 0 in dims:
+        raise InvalidInputError("metric_points must all have one dimension d >= 1")
+    dim = dims.pop()
     action_spec = _object(scenario.get("metric_action", {"type": "negation"}),
                           "'metric_action' section")
     kind = action_spec.get("type")
     if kind == "negation":
         group = reps.cyclic_group(2)
-        action = lambda g, p: np.where(g == 0, p, -p)  # noqa: E731
+        signs = np.array([np.eye(dim), -np.eye(dim)])
+        action = lambda g: signs[g]  # noqa: E731
     elif kind == "circle-rotation":
         group = reps.CircleGroupModel(settings.quadrature_order)
         action = groupoids.circle_rotation_action(group)
@@ -726,9 +729,10 @@ def cmd_metric(scenario, settings, sub):
         group = load_group(action_spec.get("group"), settings)
         table = _int_table(_field(action_spec, "table", "permutation action"),
                            "permutation table")
-        _check_permutation_action(group, table, len(points[0]))
-        action = lambda g, p: np.take_along_axis(  # noqa: E731
-            p, table[np.broadcast_to(g, p.shape[1:])].T, axis=0)
+        _check_permutation_action(group, table, dim)
+        # row i of element g picks coordinate table[g, i]
+        perms = np.eye(dim)[table]
+        action = lambda g: perms[g]  # noqa: E731
     else:
         raise InvalidInputError(f"unknown metric action type {kind!r}")
     res = groupoids.quotient_metric(points, group, action)

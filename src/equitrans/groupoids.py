@@ -22,14 +22,13 @@ sizes multiply: |stab^Q_x| = |stab^eff_x| * |G_x|.
 Quotient metrics: averaging the Euclidean metric over the group makes it
 invariant, and the orbit distance min_k d_G(x, k.y) is a metric on the
 orbit space; for the circle the minimum is a quadrature minimum plus one
-golden-section refinement pass on the best bracket.  Points travel as
-columns of a (d, m) stack: ``action(g, P)`` takes a single element index g
-or one index per column of P and returns the moved (d, m) stack.  One
-action call moves every point by every group element, and a chunk of k
-costs two more (k.y, then g.(k.y)), so the orbit minimum reads every
-distance from tables of moved points; each golden-section evaluation moves
-only the rotated side.  A chunk holds a bounded number of entries, or one
-k's O(|G| d n^2) if more.
+golden-section refinement pass on the best bracket.  An action is linear:
+``action(g)`` returns the (d, d) matrices of the elements at an index array
+g.  One call gives every element's matrix, so the orbit minimum reads every
+distance from products of those matrices with the (d, n) stack of points;
+each golden-section evaluation makes one more call, at fractional indices.
+A chunk of k holds a bounded number of entries, or one k's O(|G| d n^2) if
+more.
 """
 
 from __future__ import annotations
@@ -428,24 +427,20 @@ def _golden_refine(f, lo, hi):
 def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricResult:
     """Group-averaged invariant metric and the induced orbit-space metric.
 
-    ``action(g, P)`` moves the columns of a (d, m) stack of coordinates and
-    returns a (d, m) stack; g is either one element index for every column
-    or an array of m indices, one per column (for the circle, sample angle
-    indices, which may be fractional).  Distances are Euclidean, and the
-    sample points must be distinct.
+    ``action(g)`` returns the (d, d) matrices of a linear action at an
+    index array g, with shape g.shape + (d, d) (for the circle, sample
+    angle indices, which may be fractional); any other shape is invalid
+    input.  Distances are Euclidean, and the sample points must be
+    distinct.
 
-    Every distance is read from tables of moved points: one action call
-    moves each point by every group element, and a chunk of k costs two
-    more, k.x_j and then g.(k.x_j), so d_G(x_i, k.x_j) = avg_g |g.x_i -
-    g.(k.x_j)| needs no group law.  A chunk holds at most ``_CHUNK``
-    entries of d |G| n^2 pair differences per k (or one k's, if more), so
-    the orbit minimum of a finite group takes 1 + 2 ceil(|G| / chunk)
-    action calls; each of the circle's 50 golden-section evaluations adds
-    two (115 in all at order 64 on 5 planar points).  Finite groups use
-    exact sums and exact minima; the circle uses quadrature averages and a
+    One action call gives rho, every element's matrix, and every distance
+    is read from products of rho, stacked as one (|G| d, d) matrix, with
+    stacks of points: d_G(x_i, k.x_j) = avg_g |g.x_i - g.(k.x_j)| needs no
+    group law.  A chunk of k holds at most ``_CHUNK`` entries of d |G| n^2
+    pair differences per k (or one k's, if more).  Finite groups use exact
+    sums and exact minima; the circle uses quadrature averages and a
     quadrature minimum refined by one golden-section pass on each pair's
-    best bracket.  An action that returns a stack of another shape is
-    invalid input.
+    best bracket, one action call per evaluation (51 calls in all).
     """
     n = len(points)
     i, j = np.divmod(np.arange(n * n), n)
@@ -453,67 +448,64 @@ def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricRes
     close = np.linalg.norm(pts[:, i] - pts[:, j], axis=0).reshape(n, n) <= 1e-12
     _require(~close | np.eye(n, dtype=bool), "metric does not separate points ({},{})")
     order, d = group.order, pts.shape[0]
-    every_g = np.arange(order)
 
-    def act(g, stack):
-        moved = np.asarray(action(g, stack), dtype=float)
-        if moved.shape != stack.shape:
-            raise InvalidInputError(f"action returned a stack of shape {moved.shape} "
-                                    f"for one of shape {stack.shape}")
-        return moved
+    def matrices(g):
+        rho = np.asarray(action(g), dtype=float)
+        if rho.shape != g.shape + (d, d):
+            raise InvalidInputError(f"action returned matrices of shape {rho.shape} at "
+                                    f"indices of shape {g.shape}, not {g.shape + (d, d)}")
+        return rho
 
-    def by_every_g(stack):
-        """[:, g, c] = g.(column c) of a (d, m) stack, one action call."""
-        m = stack.shape[1]
-        return act(np.repeat(every_g, m), np.tile(stack, order)).reshape(d, order, m)
+    rho = matrices(np.arange(order))
+    rows = rho.reshape(order * d, d)
 
-    def mean_distance(gu, gv, axis):
-        """avg_g |g.u - g.v| of points moved by every g, the group on
-        ``axis`` of the distances: the norm over the coordinates, then a
-        sequential sum over g, then / order."""
-        return np.linalg.norm(gu - gv, axis=0).sum(axis=axis) / order
+    def images(stack):
+        """[g, :, ...] = g.(stack) for every g: one product of the stacked
+        matrices with a (d, ...) stack of points."""
+        return (rows @ stack.reshape(d, -1)).reshape((order,) + stack.shape)
+
+    def mean_distance(gu, gv):
+        """avg_g |g.u - g.v| of points moved by every g, the group on axis 0
+        and the coordinates on axis 1: the norm over the coordinates, then
+        a sequential sum over g, then / order."""
+        return np.linalg.norm(gu - gv, axis=1).sum(axis=0) / order
 
     def d_g(u, v):
         """avg_g d(g.u, g.v) over matching columns of two stacks (or two
-        single points): [u | v] moved by every g in one action call."""
-        both = by_every_g(np.column_stack([u, v]))
-        m = both.shape[2] // 2
-        return mean_distance(both[:, :, :m], both[:, :, m:], 0).reshape(np.shape(u)[1:])
+        single points)."""
+        return mean_distance(images(u), images(v))
 
-    moved = by_every_g(pts)  # [:, g, i] = g.x_i
-    inv = mean_distance(moved[:, :, :, None], moved[:, :, None, :], 0)
+    moved = images(pts)  # [g, :, i] = g.x_i
+    inv = mean_distance(moved[:, :, :, None], moved[:, :, None, :])
     best = np.full(n * n, np.inf)
     best_k = np.zeros(n * n)
     step = max(1, _CHUNK // (d * order * n * n))
     for start in range(0, order, step):
         ks = np.arange(start, min(start + step, order))
-        kx = act(np.repeat(ks, n), np.tile(pts, len(ks)))  # [:, k n + j] = k.x_j
-        # twice[:, k, g, j] = g.(k.x_j), k outermost: each k then sums over
-        # g in the layout, and so in the order, of one d_G call
-        cols = np.repeat(kx.reshape(d, len(ks), 1, n), order, axis=2)
-        twice = act(np.tile(np.repeat(every_g, n), len(ks)),
-                    cols.reshape(d, -1)).reshape(cols.shape)
-        vals = mean_distance(moved[:, None, :, :, None], twice[:, :, :, None, :], 1)
+        kx = (rho[ks].reshape(-1, d) @ pts).reshape(len(ks), d, n)  # [k, :, j] = k.x_j
+        twice = images(kx.transpose(1, 0, 2))  # [g, :, k, j] = g.(k.x_j)
+        vals = mean_distance(moved[:, :, None, :, None], twice[:, :, :, None, :])
         vals = vals.reshape(len(ks), n * n)
         # the first k attaining a strict improvement wins the tie
         low = vals.min(axis=0)
         best_k = np.where(low < best, start + vals.argmin(axis=0), best_k)
         best = np.minimum(best, low)
     if isinstance(group, reps.CircleGroupModel):
-        # a pair (i, i) is at distance exactly 0 at k = 0: refine the others
+        # a pair (i, i) is at distance exactly 0 at k = 0: refine the others;
+        # t.x_j rotates each pair's x_j by its own matrix, entry by entry
         off = np.flatnonzero(i != j)
-        moved_i, q = moved[:, :, i[off]], pts[:, j[off]]  # g.x_i, x_j per pair
+        moved_i, q = moved[:, :, i[off]], pts[:, j[off]].T  # g.x_i, x_j per pair
         refined = _golden_refine(
-            lambda t: mean_distance(moved_i, by_every_g(act(t, q)), 0),
+            lambda t: mean_distance(moved_i, images((matrices(t) * q[:, None]).sum(-1).T)),
             best_k[off] - 1.0, best_k[off] + 1.0)
         best[off] = np.minimum(best[off], refined)
     return QuotientMetricResult(d_g, inv, best.reshape(n, n))
 
 
 def circle_rotation_action(circle: reps.CircleGroupModel):
-    """Standard rotation action of the sampled circle on R^2 coordinates,
-    single points or (2, m) column stacks; the sample index may be
-    fractional, and an array of indices rotates each column by its own.
+    """Rotation matrices of the sampled circle acting on R^2, of shape
+    k.shape + (2, 2) at an array k of sample indices, which may be
+    fractional.
 
     The cosines and sines of the sample angles are computed once: integer
     indices all inside range(order) read them, and any other index (or an
@@ -524,14 +516,13 @@ def circle_rotation_action(circle: reps.CircleGroupModel):
     angles = circle.angles()
     cos_table, sin_table = np.cos(angles), np.sin(angles)
 
-    def act(k, p):
+    def act(k):
         k = np.asarray(k)
         if k.dtype.kind in "iu" and np.all((k >= 0) & (k < n)):
             c, s = cos_table[k], sin_table[k]
         else:
             theta = 2.0 * np.pi * np.asarray(k, dtype=float) / n
             c, s = np.cos(theta), np.sin(theta)
-        p = np.asarray(p, dtype=float)
-        return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])
+        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
     return act

@@ -807,9 +807,13 @@ def conjugate_rep(rep: RealRepresentation, q: np.ndarray) -> RealRepresentation:
 
 def circle_weight_rep(circle: CircleGroupModel, weights, fixed_dim: int = 0) -> RealRepresentation:
     """Block-diagonal circle representation: one rotation plane per weight,
-    plus an optional fixed block."""
+    plus an optional fixed block; the dimension must be at least 1."""
     for w in weights:
         circle.check_weight(w)
+    if fixed_dim < 0 or 2 * len(weights) + fixed_dim < 1:
+        raise InvalidInputError(f"a circle representation needs fixed_dim >= 0 and "
+                                f"dimension >= 1, got {len(weights)} weights and "
+                                f"fixed_dim {fixed_dim}")
     th = circle.angles()
     blocks = [np.stack([np.cos(w * th), -np.sin(w * th),
                         np.sin(w * th), np.cos(w * th)], axis=-1).reshape(-1, 2, 2)

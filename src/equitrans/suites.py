@@ -383,9 +383,8 @@ def suite_groupoid(check):
     # quotient metric: negation formula on 100 sample pairs
     rng = np.random.default_rng(29)
     pts = [np.array([x]) for x in rng.normal(size=10) * 2.5]
-    res = groupoids.quotient_metric(
-        pts, z2, lambda g, p: np.where(g == 0, p, -p)
-    )
+    signs = np.array([[[1.0]], [[-1.0]]])
+    res = groupoids.quotient_metric(pts, z2, lambda g: signs[g])
     for i in range(10):
         for j in range(10):
             expected = min(abs(pts[i][0] - pts[j][0]), abs(pts[i][0] + pts[j][0]))
@@ -401,7 +400,7 @@ def suite_groupoid(check):
     pi, pj = np.divmod(np.arange(n * n), n)
     stack = np.stack(cpts, axis=1)
     base = cres.invariant_matrix.reshape(-1)
-    defects = {g: cres.invariant(act(g, stack[:, pi]), act(g, stack[:, pj])) - base
+    defects = {g: cres.invariant(act(g) @ stack[:, pi], act(g) @ stack[:, pj]) - base
                for g in range(0, circle.order, 9)}
     for i in range(n):
         for j in range(n):

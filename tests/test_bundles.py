@@ -12,7 +12,6 @@ from equitrans import bundles, linalg, reps
 from equitrans.bundles import (
     GBundleModel,
     SimplicialBase,
-    barycentric_grid,
     barycentric_subdivision,
     decompose_bundle,
     extend_nonvanishing_section,
@@ -77,10 +76,17 @@ def test_barycentric_subdivision_counts():
 
 
 def test_barycentric_grid_density():
-    assert len(barycentric_grid(1)) >= 10
-    assert len(barycentric_grid(2)) >= 100
-    for pt in barycentric_grid(2):
-        assert sum(pt) == 1
+    # the frame certificate's grid: at least 10^dim weight rows of dim+1
+    # multiples of 1/m, each summing to 1
+    for dim in range(4):
+        grid = bundles._grid_weights(dim)
+        assert grid.shape[0] >= 10**dim and grid.shape[1] == dim + 1
+        m = round(1 / grid[grid > 0].min())
+        parts = np.round(grid * m)
+        assert np.allclose(grid * m, parts, rtol=0, atol=1e-9)
+        assert np.all(parts.sum(axis=1) == m)
+        assert np.allclose(grid.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert len(np.unique(grid, axis=0)) == len(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,54 @@ def test_metric_quotient_of_repeated_points_exit_2(tmp_path, capsys):
                                "kind": "invalid-input"}
 
 
+@pytest.mark.parametrize("payload, message", [
+    # the circle rotates the plane: its matrices do not fit points of R^1
+    ({"metric_points": [[1.0], [2.0]], "metric_action": {"type": "circle-rotation"}},
+     "action returned matrices of shape (64, 2, 2) at indices of shape (64,), "
+     "not (64, 1, 1)"),
+    ({"metric_points": [[]]}, "metric_points must all have one dimension d >= 1"),
+])
+def test_metric_quotient_of_points_the_action_cannot_move_exit_2(tmp_path, capsys,
+                                                                  payload, message):
+    path = write(tmp_path, "metric.json", payload)
+    code, out, err = run(capsys, ["metric", "quotient", path])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": message, "kind": "invalid-input"}
+
+
+@pytest.mark.parametrize("sub", ["decompose", "endotype"])
+@pytest.mark.parametrize("representation", [{"weights": []},
+                                            {"weights": [1], "fixed_dim": -1}])
+def test_circle_representation_of_no_dimension_exit_2(tmp_path, capsys, sub,
+                                                      representation):
+    path = write(tmp_path, "circle.json", {
+        "group": {"circle": {"quadrature_order": 8}}, "representation": representation})
+    code, out, err = run(capsys, ["reps", sub, path])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert "fixed_dim >= 0 and dimension >= 1" in msg["error"]
+
+
+def test_bundle_stabilize_on_an_empty_base_has_rank_0(tmp_path, capsys):
+    # no vertex, so no cokernel to cover
+    path = write(tmp_path, "stab.json", {
+        "settings": {"mode": "float"},
+        "group": {"circle": {"quadrature_order": 32}},
+        "representation": {"weights": [1]},
+        "base": {"maximal_simplices": []},
+        "stabilize": {"linearizations": {}},
+    })
+    code, out, err = run(capsys, ["bundle", "stabilize", path])
+    assert (code, err) == (0, "")
+    record = json.loads(out)["records"][0]
+    assert record["pass"] and record["certificate"] == {"rank": 0}
+
+
 def test_bundle_decompose_command(tmp_path, capsys):
     payload = {
         "settings": {"mode": "float"},

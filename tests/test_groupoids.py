@@ -595,10 +595,16 @@ def test_regularity_trivial_stab_passes():
 # ---------------------------------------------------------------------------
 
 
+def _matrix_action(mats):
+    """The linear action whose element g has the matrix mats[g]."""
+    mats = np.asarray(mats, dtype=float)
+    return lambda g: mats[g]
+
+
 def test_quotient_metric_trivial_group_is_original():
     group = reps.cyclic_group(1)
     pts = [np.array([0.0]), np.array([1.0]), np.array([2.5])]
-    res = quotient_metric(pts, group, lambda g, p: p)
+    res = quotient_metric(pts, group, _matrix_action([np.eye(1)]))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
             assert res.orbit_matrix[i, j] == pytest.approx(abs(p[0] - q[0]))
@@ -606,13 +612,9 @@ def test_quotient_metric_trivial_group_is_original():
 
 def test_quotient_metric_z2_negation_formula():
     group = reps.cyclic_group(2)
-
-    def act(g, p):
-        return np.where(g == 0, p, -p)
-
     rng = np.random.default_rng(8)
     pts = [np.array([x]) for x in rng.normal(size=12) * 3]
-    res = quotient_metric(pts, group, act)
+    res = quotient_metric(pts, group, _matrix_action([[[1.0]], [[-1.0]]]))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
             expected = min(abs(p[0] - q[0]), abs(p[0] + q[0]))
@@ -637,19 +639,15 @@ def test_quotient_metric_circle_radial_formula():
 
 def test_quotient_metric_invariance_and_axioms():
     group = reps.cyclic_group(4)
-
-    def act(g, p):
-        theta = np.pi / 2 * g
-        c, s = np.cos(theta), np.sin(theta)
-        return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])
-
+    theta = np.pi / 2 * np.arange(4)
+    mats = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in theta])
     rng = np.random.default_rng(3)
     pts = [rng.normal(size=2) for _ in range(6)]
-    res = quotient_metric(pts, group, act)
+    res = quotient_metric(pts, group, _matrix_action(mats))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
             for g in range(4):
-                assert res.invariant(act(g, p), act(g, q)) == pytest.approx(
+                assert res.invariant(mats[g] @ p, mats[g] @ q) == pytest.approx(
                     res.invariant(p, q), abs=1e-12
                 )
             assert res.orbit_matrix[i, j] == pytest.approx(
@@ -671,8 +669,7 @@ def test_quotient_metric_s3_permutations_match_brute_force():
     table = np.array(sorted(itertools.permutations(range(3))))
     rng = np.random.default_rng(17)
     pts = [rng.normal(size=3) for _ in range(6)]
-    res = quotient_metric(pts, group, lambda g, p: np.take_along_axis(
-        p, table[np.broadcast_to(g, p.shape[1:])].T, axis=0))
+    res = quotient_metric(pts, group, _matrix_action(np.eye(3)[table]))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
             assert res.invariant_matrix[i, j] == pytest.approx(
@@ -683,33 +680,21 @@ def test_quotient_metric_s3_permutations_match_brute_force():
 
 
 def _finite_linear_action(kind, size):
-    """A finite group acting on R^d under the per-column contract, and the
-    matrix of each element for a per-element reference."""
+    """A finite group acting linearly on R^d: the group, its action and
+    the matrix of each element."""
     if kind == "rotation":  # Z_size rotating R^2
         group = reps.cyclic_group(size)
         theta = 2.0 * np.pi * np.arange(size) / size
         mats = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
                          for t in theta])
-
-        def act(g, p):
-            t = 2.0 * np.pi * np.asarray(g) / size
-            return np.array([np.cos(t) * p[0] - np.sin(t) * p[1],
-                             np.sin(t) * p[0] + np.cos(t) * p[1]])
     elif kind == "permutation":  # S_size permuting the coordinates of R^size
         group = reps.symmetric_group(size)
         table = np.array(sorted(itertools.permutations(range(size))))
         mats = np.eye(size)[table]  # row i of element g picks coordinate table[g, i]
-
-        def act(g, p):
-            return np.take_along_axis(p, table[np.broadcast_to(g, p.shape[1:])].T,
-                                      axis=0)
     else:  # Z_2 negating R^size
         group = reps.cyclic_group(2)
         mats = np.array([np.eye(size), -np.eye(size)])
-
-        def act(g, p):
-            return np.where(g == 0, p, -p)
-    return group, act, mats
+    return group, _matrix_action(mats), mats
 
 
 def _brute_force(points, mats):
@@ -771,8 +756,9 @@ def test_circle_quotient_metric_matches_quadrature_reference(order, data):
 
 
 @pytest.mark.parametrize("action", [
-    lambda g, p: p[np.array([[1, 0], [0, 1]])[g]],  # indexes rows by every column's g
-    lambda g, p: p[:1],
+    lambda g: np.eye(2),  # one matrix for every index array
+    lambda g: np.zeros(g.shape + (1, 1)),  # matrices of another dimension
+    lambda g: np.zeros(g.shape + (2, 3)),  # not square
 ])
 def test_quotient_metric_rejects_action_of_wrong_shape(action):
     pts = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
@@ -780,55 +766,40 @@ def test_quotient_metric_rejects_action_of_wrong_shape(action):
         quotient_metric(pts, reps.cyclic_group(2), action)
 
 
-def test_circle_rotation_action_rotates_each_column_by_its_index():
-    circle = reps.CircleGroupModel(16)
-    act = circle_rotation_action(circle)
-    rng = np.random.default_rng(4)
-    cols = rng.normal(size=(2, 5))
-    index = np.array([0.0, 0.5, 3.25, 7.9, 15.99])
-    moved = act(index, cols)
-    assert moved.shape == (2, 5)
-    for k, t in enumerate(index):
-        theta = 2.0 * np.pi * t / 16
-        rot = np.array([[np.cos(theta), -np.sin(theta)],
-                        [np.sin(theta), np.cos(theta)]])
-        np.testing.assert_allclose(moved[:, k], rot @ cols[:, k], atol=1e-12)
-
-
 def test_quotient_metric_rejects_repeated_points():
     group = reps.cyclic_group(1)
     pts = [np.array([0.0]), np.array([1.0]), np.array([0.0])]
     with pytest.raises(InvalidInputError, match=r"does not separate points \(0,2\)"):
-        quotient_metric(pts, group, lambda g, p: p)
+        quotient_metric(pts, group, _matrix_action([np.eye(1)]))
 
 
 def _per_k_orbit_metric(points, group, action):
-    """The orbit minimum one k at a time: d_G tiles [u | v] once per group
-    element for one action call, and every k adds one call moving the
-    second points by k (and every golden-section evaluation two)."""
+    """The orbit minimum one k at a time: d_G moves the pair columns by
+    every element's matrix, each k moves the second points by its own, and
+    each golden-section evaluation rotates each second point by the matrix
+    at its own index, one point at a time and entry by entry."""
     n, order = len(points), group.order
     i, j = np.divmod(np.arange(n * n), n)
     pts = np.stack([np.asarray(p, dtype=float) for p in points], axis=1)
     p, q = pts[:, i], pts[:, j]
+    rho = action(np.arange(order))
 
     def d_g(u, v):
-        both = np.column_stack([u, v])
-        d, m = both.shape[0], both.shape[1] // 2
-        moved = np.asarray(action(np.repeat(np.arange(order), 2 * m),
-                                  np.tile(both, order)), dtype=float)
-        moved = moved.reshape(d, order, 2, m)
-        dist = np.linalg.norm(moved[:, :, 0] - moved[:, :, 1], axis=0)
-        return dist.sum(axis=0) / order
+        return np.linalg.norm(rho @ u - rho @ v, axis=1).sum(axis=0) / order
 
     inv = d_g(p, q)
     best = np.full(n * n, np.inf)
     best_k = np.zeros(n * n)
     for k in range(order):
-        vals = d_g(p, action(k, q))
+        vals = d_g(p, rho[k] @ q)
         best_k = np.where(vals < best, k, best_k)
         best = np.minimum(vals, best)
     if isinstance(group, reps.CircleGroupModel):
-        refined = gq._golden_refine(lambda t: d_g(p, action(t, q)),
+        def moved(t):
+            return np.stack([(action(s) * q[:, c]).sum(axis=1) for c, s in enumerate(t)],
+                            axis=1)
+
+        refined = gq._golden_refine(lambda t: d_g(p, moved(t)),
                                     best_k - 1.0, best_k + 1.0)
         best = np.minimum(best, refined)
     return inv.reshape(n, n), best.reshape(n, n)
@@ -857,34 +828,31 @@ def test_quotient_metric_is_bitwise_the_per_k_orbit_minimum(data):
 def test_circle_rotation_action_gives_the_bits_of_the_computed_angle():
     circle = reps.CircleGroupModel(16)
     act = circle_rotation_action(circle)
-    cols = np.random.default_rng(9).normal(size=(2, 6))
-
-    def computed(k, p):
+    indices = [np.arange(16) % 6 * 3, np.array([-1, -16, 0, 3, -7, 2]),
+               np.array([16, 17, 40, 15, 0, 1]), np.array([0.5, 3.25, 15.99, -0.5, 16.5, 2.0]),
+               np.array([[0, 3, 15], [7, 0, 9]]), np.array([[0.0, 0.5, 3.25], [7.9, 15.99, -2.0]]),
+               0, 5, 15, -3, 16, 31, 2.5]
+    for k in indices:
         theta = 2.0 * np.pi * np.asarray(k, dtype=float) / 16
         c, s = np.cos(theta), np.sin(theta)
-        return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])
-
-    indices = [np.arange(16) % 6 * 3, np.array([-1, -16, 0, 3, -7, 2]),
-               np.array([16, 17, 40, 15, 0, 1]), np.array([0.5, 3.25, 15.99, -0.5, 16.5, 2.0])]
-    for k in indices:
-        stack = cols[:, np.arange(len(k)) % cols.shape[1]]
-        assert np.array_equal(act(k, stack), computed(k, stack))
-    for k in (0, 5, 15, -3, 16, 31, 2.5):
-        assert np.array_equal(act(k, cols), computed(k, cols))
-        assert np.array_equal(act(k, cols[:, 0]), computed(k, cols[:, 0]))
+        rot = act(k)
+        assert rot.shape == np.shape(k) + (2, 2)
+        for got, want in ((rot[..., 0, 0], c), (rot[..., 0, 1], -s),
+                          (rot[..., 1, 0], s), (rot[..., 1, 1], c)):
+            assert np.array_equal(got, want)
 
 
 def test_quotient_metric_memory_is_bounded_for_a_large_permutation_action():
     # Z_50 cycling the coordinates of R^50, 8 points: the orbit minimum holds
-    # one k's pair differences at a time, and the metric peaked at 8.0 MB
-    # when every k moved all pairs again
+    # one k's pair differences at a time besides the 50 matrices, and the
+    # metric peaked at 8.0 MB when every k moved all pairs again
     size = 50
     table = (np.arange(size)[None, :] + np.arange(size)[:, None]) % size
+    act = _matrix_action(np.eye(size)[table])
     pts = list(np.random.default_rng(0).normal(size=(8, size)))
     tracemalloc.start()
     try:
-        res = quotient_metric(pts, reps.cyclic_group(size), lambda g, p: np.take_along_axis(
-            p, table[np.broadcast_to(g, p.shape[1:])].T, axis=0))
+        res = quotient_metric(pts, reps.cyclic_group(size), act)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -892,16 +860,28 @@ def test_quotient_metric_memory_is_bounded_for_a_large_permutation_action():
     np.testing.assert_allclose(res.orbit_matrix, res.orbit_matrix.T, rtol=0, atol=1e-12)
 
 
-def test_quotient_metric_orbit_minimum_in_one_chunk_takes_three_action_calls():
-    # S_3 permuting R^3 on 4 points fits one chunk of k: one call moves every
-    # point by every element, two move the k-images by every element
+def _counted(action, calls):
+    def counted(g):
+        calls.append(np.shape(g))
+        return action(g)
+    return counted
+
+
+def test_quotient_metric_of_a_finite_group_takes_one_action_call():
+    # S_3 permuting R^3 on 4 points: one call gives every element's matrix
     group, act, _ = _finite_linear_action("permutation", 3)
     calls = []
-
-    def counted(g, p):
-        calls.append(np.shape(g))
-        return act(g, p)
-
     pts = list(np.random.default_rng(2).normal(size=(4, 3)))
-    quotient_metric(pts, group, counted)
-    assert len(calls) == 3 < 2 * group.order + 1
+    res = quotient_metric(pts, group, _counted(act, calls))
+    res.invariant(pts[0], pts[1])
+    assert calls == [(6,)]
+
+
+def test_circle_quotient_metric_takes_one_call_per_golden_section_evaluation():
+    # order 64 on 5 points: one call at every sample index, then one at the
+    # 20 off-diagonal pairs' fractional indices per golden-section evaluation
+    circle = reps.CircleGroupModel(64)
+    calls = []
+    pts = list(np.random.default_rng(5).normal(size=(5, 2)))
+    quotient_metric(pts, circle, _counted(circle_rotation_action(circle), calls))
+    assert calls == [(64,)] + [(20,)] * 50
