@@ -55,6 +55,8 @@ class Settings:
                 self.quadrature_order = args.quadrature_order
             if args.mode is not None:
                 self.mode = args.mode
+        if self.seed < 0:
+            raise InvalidInputError(f"seed {self.seed} is negative")
         if self.tolerance < 0:
             raise InvalidInputError(f"tolerance {self.tolerance} is negative")
         if self.cutoff < 0:
@@ -82,13 +84,14 @@ def _parse_scalar(x, exact: bool, what: str):
 
 
 def _parse_matrix(rows, exact: bool, what: str) -> np.ndarray:
-    """A JSON list of equal-length lists of numbers; ``what`` names the
-    scenario section in the error."""
+    """A JSON list of equal-length lists of numbers as a 2-D array (``[]``
+    is 0 x 0); ``what`` names the scenario section in the error."""
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
         raise InvalidInputError(f"{what} must be a rectangular matrix")
+    shape = (len(rows), len(rows[0]) if rows else 0)
     return np.array([[_parse_scalar(v, exact, what) for v in row] for row in rows],
-                    dtype=object if exact else float)
+                    dtype=object if exact else float).reshape(shape)
 
 
 def _parse_vector(vals, exact: bool, what: str) -> np.ndarray:
@@ -738,8 +741,10 @@ def cmd_metric(scenario, settings, sub):
     res = groupoids.quotient_metric(points, group, action)
     orb = res.orbit_matrix
     sym = float(np.max(np.abs(orb - orb.T)))
-    # orb[i, k] - orb[i, j] - orb[j, k] over every (i, j, k)
-    tri = max(0.0, float(np.max(orb[:, None, :] - orb[:, :, None] - orb[None, :, :])))
+    # (orb[i, k] - orb[i, j]) - orb[j, k] over every (i, k), one middle point
+    # j at a time, so no n^3 array is formed
+    tri = max(0.0, float(np.max([np.max(orb - orb[:, j, None] - orb[j])
+                                 for j in range(len(orb))])))
     ok = sym <= groupoids.TOL and tri <= groupoids.TOL
     return [
         make_record("quotient-metric", "orbit-space-metric", ok,

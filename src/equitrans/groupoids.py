@@ -55,6 +55,14 @@ def _require(ok: np.ndarray, message: str) -> None:
         raise InvalidInputError(message.format(*np.argwhere(~ok)[0]))
 
 
+def _require_ids(ids, count: int, message: str) -> None:
+    """Raise ``message``, formatted with the list of ids that are not indices
+    in range(count), unless there are none."""
+    bad = [i for i in ids if not (isinstance(i, (int, np.integer)) and 0 <= i < count)]
+    if bad:
+        raise InvalidInputError(message.format(bad))
+
+
 # ---------------------------------------------------------------------------
 # finite groupoids
 # ---------------------------------------------------------------------------
@@ -198,6 +206,8 @@ def properness_check(gpd: FiniteGroupoid, uniformizers: dict) -> dict:
         subset = set(subset)
         if x not in subset:
             raise InvalidInputError(f"uniformizer of object {x} does not contain it")
+        _require_ids(sorted(subset), gpd.n_objects,
+                     f"uniformizer of {x} holds {{}}, which are not objects")
         want = len(gpd.stab(x))
         offending = None
         for y in sorted(subset):
@@ -270,9 +280,9 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
     oa = np.asarray(action.obj_action)
     ma = np.asarray(action.mor_action)
     slices = [int(s) for s in slices]
-    outside = [s for s in slices if not 0 <= s < n]
-    if outside:
-        raise InvalidInputError(f"slices {outside} are not objects")
+    _require_ids(slices, n, "slices {} are not objects")
+    _require_ids(ineffective_kernels, n,
+                 "ineffective kernels are declared at {}, which are not objects")
     sl = np.array(slices, dtype=int)
     missing = np.setdiff1d(np.arange(n), tgt[np.isin(src, oa[:, sl])])
     if missing.size:
@@ -369,7 +379,11 @@ def regularity_check(gpd: FiniteGroupoid, local_data: dict) -> dict:
     {morphism -> permutation of range(len(points))}}.
     """
     report = {}
+    _require_ids(local_data, gpd.n_objects,
+                 "regularity data is declared at {}, which are not objects")
     for x, data in local_data.items():
+        _require_ids(data["action"], gpd.n_morphisms,
+                     f"regularity action at {x} moves {{}}, which are not morphisms")
         points = list(data["points"])
         sub = set(data["sub"])
         if not sub <= set(points):
@@ -505,24 +519,14 @@ def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricRes
 def circle_rotation_action(circle: reps.CircleGroupModel):
     """Rotation matrices of the sampled circle acting on R^2, of shape
     k.shape + (2, 2) at an array k of sample indices, which may be
-    fractional.
-
-    The cosines and sines of the sample angles are computed once: integer
-    indices all inside range(order) read them, and any other index (or an
-    array holding one) computes its angles, with the same bits, since
-    ``np.cos`` and ``np.sin`` give an angle one value whatever array holds it.
+    fractional.  The angle of index k is 2 pi k / order, computed at each
+    call: the same bits as ``circle.angles()`` at integer k.
     """
     n = circle.order
-    angles = circle.angles()
-    cos_table, sin_table = np.cos(angles), np.sin(angles)
 
     def act(k):
-        k = np.asarray(k)
-        if k.dtype.kind in "iu" and np.all((k >= 0) & (k < n)):
-            c, s = cos_table[k], sin_table[k]
-        else:
-            theta = 2.0 * np.pi * np.asarray(k, dtype=float) / n
-            c, s = np.cos(theta), np.sin(theta)
+        theta = 2.0 * np.pi * np.asarray(k, dtype=float) / n
+        c, s = np.cos(theta), np.sin(theta)
         return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
     return act

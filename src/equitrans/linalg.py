@@ -190,21 +190,6 @@ def projector_range(p: np.ndarray) -> np.ndarray:
     return np.linalg.svd(p)[0][:, :r] if r else np.zeros((len(p), 0))
 
 
-def independent_columns(a: np.ndarray) -> list[int]:
-    """Indices of a maximal independent subset of columns, left to right."""
-    if is_exact(a):
-        return rref(a)[1]
-    af = as_float(a)
-    idx: list[int] = []
-    basis = np.zeros((a.shape[0], 0))
-    for j in range(af.shape[1]):
-        cand = np.concatenate([basis, af[:, j : j + 1]], axis=1)
-        if np.linalg.matrix_rank(cand, tol=TOL) > basis.shape[1]:
-            basis = cand
-            idx.append(j)
-    return idx
-
-
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish float orthogonal matrix (QR of a Gaussian sample)."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))

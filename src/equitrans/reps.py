@@ -621,31 +621,22 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
     return ranks, len(results), [(check, label) for check, label, ok in results if not ok]
 
 
-def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> list[np.ndarray]:
-    """Basis of the space of equivariant linear maps V -> W.
+def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> np.ndarray:
+    """Frobenius-orthonormal basis of the equivariant linear maps V -> W, as
+    a float (k, dim W, dim V) stack.
 
-    Obtained by averaging the full basis of raw matrix units; the returned
-    maps are linearly independent and span the averaged space.  Exact maps
-    hold integers: each is a positive multiple of its average.
+    The group average of rho_W(g) (x) rho_V(g) acts on dim W x dim V
+    matrices as M -> avg_g rho_W(g) M rho_V(g)^T, the orthogonal projector
+    onto Hom_G(V, W) for orthogonal representations; the basis is its range
+    (``linalg.projector_range``), so k is its trace.
     """
     dv, dw, order = rep_v.dim, rep_w.dim, rep_v.group.order
-    exact = rep_v.exact and rep_w.exact
-    # exact sums of numerators rho_W = W / a, rho_V = V / b are a b |G| times
-    # the averages; each entry sums |G| products of two numerators
-    if exact:
-        (wm, _, bw), (vm, _, bv) = rep_w.numerators, rep_v.numerators
-        wm, vm = (linalg.narrow(x, max(bw, bv), order) for x in (wm, vm))
-    else:
-        wm, vm = rep_w.float_matrices, rep_v.float_matrices
-    vinv = vm[rep_v.group.inverse(np.arange(order))]
-    # rho_W(g) E_ab rho_V(g)^-1 is the outer product of column a of
-    # rho_W(g) with row b of rho_V(g)^-1; candidate (a, b) is its average
-    total = np.einsum("gia,gbj->abij", wm, vinv)
-    candidates = (total.astype(object) if exact else total / order).reshape(dw * dv, dw, dv)
-    keep = linalg.independent_columns(candidates.reshape(dw * dv, -1).T)
-    basis = [candidates[k] for k in keep]
-    if any(equivariance_residual(rep_v, rep_w, m) > (0 if exact else linalg.TOL)
-           for m in basis):
+    wm, vm = rep_w.float_matrices, rep_v.float_matrices
+    # one product: [(i, a), (j, b)] = sum_g rho_W(g)[i, a] rho_V(g)[j, b]
+    total = wm.reshape(order, -1).T @ vm.reshape(order, -1)
+    avg = total.reshape(dw, dw, dv, dv).transpose(0, 2, 1, 3).reshape(dw * dv, -1) / order
+    basis = linalg.projector_range(avg).T.reshape(-1, dw, dv)
+    if not linalg.same(wm[:, None] @ basis, basis @ vm[:, None], exact=False, axes=None):
         raise InvalidInputError("averaged map failed the equivariance check")
     return basis
 
@@ -668,14 +659,23 @@ def equivariance_residual(rep_v: RealRepresentation, rep_w: RealRepresentation,
 
 def endo_type(rep: RealRepresentation) -> tuple[str, int]:
     """(type, dim) of End_G for an irreducible real representation: R, C or
-    H by the real dimension 1, 2 or 4 of the commutant, which is computed by
-    averaging a spanning set of matrix units.  Input that is not
-    irreducible raises InvalidInputError: a proper isotypic component, an
-    isotypic one with multiplicity > 1, no character projector equal to the
-    identity (an incomplete irrep table), or a commutant of another dimension.
+    H by the real dimension 1, 2 or 4 of the commutant, which is <chi, chi>,
+    the trace of the group average of rho(g) (x) rho(g).  Exact mode reads
+    it on python ints from the numerators rho = N / m, as sum_g tr(N_g)^2
+    over m^2 |G|.  Input that is not irreducible raises InvalidInputError: a
+    proper isotypic component, an isotypic one with multiplicity > 1, no
+    character projector equal to the identity (an incomplete irrep table),
+    or a commutant of another dimension.
     """
     _assert_irreducible(rep)
-    dim = len(hom_G_basis(rep, rep))
+    order = rep.group.order
+    if rep.exact:
+        nums, m, _ = rep.numerators
+        dim = linalg.trace_rank(sum(int(t) ** 2 for t in np.trace(nums, axis1=1, axis2=2)),
+                                m * m * order)
+    else:
+        chi = np.trace(rep.matrices, axis1=1, axis2=2)
+        dim = linalg.trace_rank(chi @ chi / order)
     label = {1: "R", 2: "C", 4: "H"}.get(dim)
     if label is None:
         raise InvalidInputError(

@@ -309,8 +309,7 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
             if blk.shape[0] == 0:
                 lambda_corr[v][label] = np.zeros_like(blk)
                 continue
-            basis = linalg.as_float(np.array(hom_bases[label]))
-            corr, sv = _surject_equivariant_block(blk, basis, child)
+            corr, sv = _surject_equivariant_block(blk, hom_bases[label], child)
             lambda_corr[v][label] = corr
             report.record(v, label, sv, sv > SV_THRESHOLD)
     if not report.passed:

@@ -226,11 +226,11 @@ def average(rep, raw):
 
 
 def in_hom_span(rep, m):
-    """m lies in the span of ``reps.hom_G_basis(rep, rep)``, whose members
-    are the averages of the matrix units."""
+    """m lies in the span of ``reps.hom_G_basis(rep, rep)``: the Frobenius
+    projection onto that orthonormal float basis gives m back."""
     basis = reps.hom_G_basis(rep, rep)
-    flat = np.stack([b.reshape(-1) for b in basis + [m]], axis=1)
-    return linalg.rank(flat) == len(basis)
+    m = linalg.as_float(m)
+    return linalg.max_abs(np.tensordot(np.tensordot(basis, m), basis, axes=1) - m) <= 1e-12
 
 
 def test_average_fixes_equivariant_map():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from fractions import Fraction
@@ -589,6 +590,24 @@ def test_metric_quotient_of_distant_collinear_points_passes(tmp_path, capsys):
     assert 0 < report["records"][0]["certificate"]["triangle_defect"] <= 1e-8
 
 
+def test_metric_quotient_triangle_check_memory_is_bounded():
+    # 200 points on R^1: the triangle check forms one (n, n) slice per middle
+    # point; the n^3 array of every (i, j, k) peaked at 129 MB
+    pts = np.random.default_rng(3).normal(size=(200, 1))
+    scenario = {"metric_points": pts.tolist(), "metric_action": {"type": "negation"}}
+    tracemalloc.start()
+    try:
+        (record,) = cli.cmd_metric(scenario, cli.Settings(), "quotient")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_000_000
+    # (orb[i, k] - orb[i, j]) - orb[j, k], one first point i at a time
+    orb = np.array(record["certificate"]["orbit_matrix"])
+    worst = max(np.max(orb[i] - orb[i, :, None] - orb) for i in range(len(orb)))
+    assert record["certificate"]["triangle_defect"] == max(0.0, float(worst))
+
+
 def test_metric_quotient_of_repeated_points_exit_2(tmp_path, capsys):
     path = write(tmp_path, "metric.json", {"metric_points": [[1.0, 2.0], [1.0, 2.0]]})
     code, out, err = run(capsys, ["metric", "quotient", path])
@@ -880,6 +899,27 @@ FLOER_RANKS = {"lattice": {"rank": 1, "omega": ["1"], "c1": [0]},
                               "values": {"x": 0, "z": 2}}}
 BUNDLE_EXTEND = VECTOR_SITES[0][1]
 COMPONENT = ("fixed_locus", "components", "weight_1")
+
+
+@pytest.mark.parametrize("sub", ["check", "perturb"])
+def test_transversality_of_empty_fixed_blocks(tmp_path, capsys, sub):
+    # [] is a 0 x 0 fixed block: no fixed directions at either vertex
+    payload = _replaced(FIXED_LOCUS, {"0": [], "1": []}, "fixed_locus", "fixed_blocks")
+    code, out, err = run(capsys, ["transversality", sub, write(tmp_path, "t.json", payload)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["reps", "decompose"], {"group": {"preset": "S_3"}, "representation": {"random": {}}}),
+    (["bundle", "extend"], BUNDLE_EXTEND),
+    (["transversality", "perturb"], FIXED_LOCUS),
+])
+def test_negative_seed_flag_exit_2(tmp_path, capsys, command, payload):
+    code, out, err = run(capsys, command + [write(tmp_path, "s.json", payload),
+                                            "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "seed -1 is negative", "kind": "invalid-input"}
 
 
 @pytest.mark.parametrize("command, payload, keys", [
@@ -1292,29 +1332,6 @@ def drifting_dihedral(n=32, amplitude=1.2e-10):
             "representation": {"matrices": [m.tolist() for m in mats]}}
 
 
-# a vertex of the linear program that maximizes the miss of the averaged map
-# E_00 subject to every check that comes before it, rounded to 2 decimals
-S3_NEAR_TOLERANCE_DRIFT = [
-    [[0.0, -0.27], [1.0, -0.27]], [[-0.02, 0.28], [0.59, 0.35]],
-    [[0.0, -1.0], [-0.02, 0.0]], [[-0.91, 0.26], [-0.42, -0.09]],
-    [[1.0, -0.1], [-0.58, 0.24]], [[-0.07, 0.64], [0.43, -0.77]]]
-
-
-def near_tolerance_s3(scale=0.9e-10):
-    """A float S_3 scenario on the 2-dim standard irrep, drifted by ``scale``
-    times S3_NEAR_TOLERANCE_DRIFT: identity, orthogonality, the group law on
-    every pair (to 9.1e-11) and the irreducibility test of ``endo_type`` pass,
-    but the averaged map of E_00 misses equivariance by 1.1e-10.  Its defect
-    at h is an average of two law defects, so it can reach twice the
-    tolerance."""
-    basis = np.array([[1, 1], [-1, 1], [0, -2]]) / np.sqrt([2, 6])
-    natural = reps._block_catalog(reps.symmetric_group(3))["natural"].matrices
-    mats = (basis.T @ linalg.as_float(natural) @ basis
-            + scale * np.array(S3_NEAR_TOLERANCE_DRIFT))
-    return {"settings": {"mode": "float"}, "group": {"preset": "S_3"},
-            "representation": {"matrices": mats.tolist()}}
-
-
 @pytest.mark.parametrize("command, payload, named", [
     # bases, transitions and extension data the bundle model rejects
     (["bundle", "decompose"], dict(BUNDLE_EXTEND, base={"maximal_simplices": [[0, 1, 0]]}),
@@ -1415,6 +1432,23 @@ def near_tolerance_s3(scale=0.9e-10):
      dict(GROUPOID_CHECK, uniformizers={},
           regularity={"0": {"points": [0, 1], "sub": [2], "action": {}}}),
      "sub-neighborhood of 0 is not inside its uniformizer"),
+    # ids that are no object or morphism of the groupoid
+    (["groupoid", "check"], {"groupoid": {"discrete": 2}, "uniformizers": {"0": [0, 5]}},
+     "uniformizer of 0 holds [5], which are not objects"),
+    (["groupoid", "check"], {"groupoid": {"discrete": 2}, "uniformizers": {"7": [7]}},
+     "uniformizer of 7 holds [7], which are not objects"),
+    (["groupoid", "check"],
+     {"groupoid": {"discrete": 2},
+      "regularity": {"0": {"points": [0, 1], "sub": [0], "action": {"7": [0, 1]}}}},
+     "regularity action at 0 moves [7], which are not morphisms"),
+    (["groupoid", "check"],
+     {"groupoid": {"discrete": 2},
+      "regularity": {"3": {"points": [0, 1], "sub": [0], "action": {"0": [0, 1]}}}},
+     "regularity data is declared at [3], which are not objects"),
+    (["groupoid", "quotient"], dict(GROUPOID_QUOTIENT, ineffective_kernels={"2": [0]}),
+     "ineffective kernels are declared at [2], which are not objects"),
+    # a negative seed in the settings: numpy's generators take none
+    (["bundle", "extend"], dict(BUNDLE_EXTEND, settings={"seed": -5}), "seed -5 is negative"),
     # groups, irreps and representations the reps model rejects
     (["reps", "decompose"], dict(REPS_TRIVIAL, group={"preset": "Z_0"}),
      "cyclic order must be positive"),
@@ -1489,7 +1523,6 @@ def near_tolerance_s3(scale=0.9e-10):
        f"a circle representation needs max_dim >= 2, got {max_dim}")
       for max_dim in (0, 1)],
     (["reps", "endotype"], drifting_dihedral(), "group law fails at pair (2, 11)"),
-    (["reps", "endotype"], near_tolerance_s3(), "averaged map failed the equivariance check"),
     # a transition given in one direction that is singular, or invertible
     # but not orthogonal: its transpose is not its inverse
     *[(["bundle", "decompose"],

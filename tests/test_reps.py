@@ -171,23 +171,16 @@ def test_endo_type_q8_four_dim_is_quaternionic():
     q8 = reps.quaternion_group()
     left = reps._block_catalog(q8)["left"]
     assert reps.endo_type(left) == ("H", 4)
-    # oracle: orthonormalize the traceless part of the commutant and verify
-    # the defining anticommutation i*j = -j*i of a quaternion algebra
-    ident = linalg.eye(4, True)
-    traceless = []
-    for b in reps.hom_G_basis(left, left):
-        t = b - ident * Fraction(np.trace(b), 4)
-        if not is_zero(t):
-            traceless.append(t)
-    flat = np.stack([t.reshape(-1) for t in traceless], axis=1)
-    keep = linalg.independent_columns(flat)
-    x, y = traceless[keep[0]], traceless[keep[1]]
-    # remove the x-component of y so that x, y anticommute
-    xx = -Fraction(np.trace(x @ x), 4)  # x^2 = -xx * I
-    coeff = Fraction(np.trace(x @ y), 4)
-    y = y + x * (coeff / xx)
-    anti = x @ y + y @ x
-    assert is_zero(anti)
+    # oracle: the traceless part of the commutant is 3-dimensional, and two
+    # Frobenius-orthonormal members of it are imaginary units of a quaternion
+    # algebra up to scale: each squares to -I/4, and they anticommute
+    traceless = [b - np.eye(4) * np.trace(b) / 4 for b in reps.hom_G_basis(left, left)]
+    u, s, _ = np.linalg.svd(np.stack([t.reshape(-1) for t in traceless], axis=1))
+    assert np.sum(s > 1e-8) == 3
+    x, y = u[:, 0].reshape(4, 4), u[:, 1].reshape(4, 4)
+    for m in (x, y):
+        np.testing.assert_allclose(m @ m, -np.eye(4) / 4, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x @ y + y @ x, 0, rtol=0, atol=1e-12)
 
 
 def test_endo_type_reducible_names_a_proper_component():
@@ -214,7 +207,7 @@ def test_hom_basis_schur_zero():
     z2 = reps.cyclic_group(2)
     sign = reps.one_dim_rep(z2, [1, -1])
     triv = reps.one_dim_rep(z2, [1, 1])
-    assert reps.hom_G_basis(sign, triv) == []
+    assert reps.hom_G_basis(sign, triv).shape == (0, 1, 1)
 
 
 def test_hom_basis_circle_weight_dimension_two():
@@ -245,22 +238,47 @@ def test_exact_equivariance_residual_is_the_fraction_product(entries):
     assert got == direct
 
 
-@pytest.mark.parametrize("group_name, block", [
-    ("Q_8", "left"), ("S_3", "natural"), ("S_4", "pairs"),
-])
-def test_hom_basis_exact_and_float_agree(group_name, block):
-    # one contraction serves both modes: the float basis is the exact one
-    # converted, element by element, and divided by |G| (the exact sums of
-    # integer blocks are |G| times the float averages)
-    rep = reps._block_catalog(reps.preset_group(group_name))[block]
-    as_float = reps.RealRepresentation(rep.group, linalg.as_float(rep.matrices))
-    exact_basis = reps.hom_G_basis(rep, rep)
-    float_basis = reps.hom_G_basis(as_float, as_float)
-    assert len(exact_basis) == len(float_basis)
-    for e, f in zip(exact_basis, float_basis):
-        assert all(type(x) is int for x in e.flat)
-        np.testing.assert_allclose(linalg.as_float(e) / rep.group.order, f,
-                                   rtol=0, atol=1e-12)
+def _catalog_and_circle_reps():
+    """Every catalog block of every preset, exact, and circle weight
+    representations with repeated and distinct weights."""
+    out = [(f"{name}-{label}", rep) for name in ALL_PRESETS
+           for label, rep in reps._block_catalog(reps.preset_group(name)).items()]
+    circle = reps.CircleGroupModel(64)
+    return out + [(f"circle-{weights}", reps.circle_weight_rep(circle, weights, fixed))
+                  for weights, fixed in (([1], 0), ([3, 3], 0), ([1, 2, 2], 1), ([15], 2))]
+
+
+def test_hom_basis_count_is_the_character_inner_product():
+    # dim Hom_G(V, V) = <chi, chi> = avg_g chi(g)^2 for a real representation
+    for name, rep in _catalog_and_circle_reps():
+        chi = np.trace(rep.float_matrices, axis1=1, axis2=2)
+        assert len(reps.hom_G_basis(rep, rep)) == round(chi @ chi / rep.group.order), name
+
+
+def test_hom_basis_is_orthonormal_and_equivariant():
+    circle = reps.CircleGroupModel(32)
+    pairs = [(rep, rep) for _, rep in _catalog_and_circle_reps()] + [
+        (reps.circle_weight_rep(circle, [1, 1, 1]), reps.circle_weight_rep(circle, [1, 1], 1)),
+        (reps.circle_weight_rep(circle, [2], 1), reps.circle_weight_rep(circle, [1, 2]))]
+    for v, w in pairs:
+        basis = reps.hom_G_basis(v, w)
+        assert basis.shape[1:] == (w.dim, v.dim)
+        flat = basis.reshape(len(basis), -1)
+        np.testing.assert_allclose(flat @ flat.T, np.eye(len(basis)), rtol=0, atol=1e-12)
+        for m in basis:
+            assert reps.equivariance_residual(v, w, m) <= 1e-12
+
+
+def test_hom_basis_of_a_non_orthogonal_representation_raises():
+    # rot90 conjugated by a shear is a representation, but not an orthogonal
+    # one: the average of rho(g) (x) rho(g) is then no orthogonal projector,
+    # and its range holds maps that are not equivariant
+    rot90 = reps._block_catalog(reps.preset_group("Z_4"))["rot90"]
+    shear = np.array([[1.0, 2.0], [0.0, 1.0]])
+    sheared = reps.RealRepresentation(
+        rot90.group, shear @ rot90.float_matrices @ np.linalg.inv(shear))
+    with pytest.raises(InvalidInputError, match="averaged map failed the equivariance check"):
+        reps.hom_G_basis(sheared, sheared)
 
 
 def test_hom_basis_s3_standard_dimension_one():
@@ -271,7 +289,7 @@ def test_hom_basis_s3_standard_dimension_one():
     # natural = trivial + standard: End_G has dimension 1 + 1 = 2,
     # so Hom_G(standard, standard) itself is 1-dimensional; isolate it by
     # compressing to the standard isotypic component
-    p = library_projectors(nat)["standard"]
+    p = linalg.as_float(library_projectors(nat)["standard"])
     compressed = [p @ b @ p for b in basis]
     flat = np.stack([c.reshape(-1) for c in compressed], axis=1)
     assert linalg.rank(flat) == 1
