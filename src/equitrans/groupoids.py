@@ -19,16 +19,16 @@ where psi is an internal morphism g.x -> y witnessing the identification
 and [psi] is its class modulo declared ineffective isotropy.  Isotropy
 sizes multiply: |stab^Q_x| = |stab^eff_x| * |G_x|.
 
-Quotient metrics: averaging the Euclidean metric over the group makes it
-invariant, and the orbit distance min_k d_G(x, k.y) is a metric on the
-orbit space; for the circle the minimum is a quadrature minimum plus one
-golden-section refinement pass on the best bracket.  An action is linear:
-``action(g)`` returns the (d, d) matrices of the elements at an index array
-g.  One call gives every element's matrix, so the orbit minimum reads every
-distance from products of those matrices with the (d, n) stack of points;
-each golden-section evaluation makes one more call, at fractional indices.
-A chunk of k holds a bounded number of entries, or one k's O(|G| d n^2) if
-more.
+Quotient metrics: a group acting by isometries has the orbit distance
+min_k |x - k.y| as a metric on its orbit space; for the circle the minimum
+is a quadrature minimum plus one golden-section refinement pass on the best
+bracket.  An action is linear: ``action(g)`` returns the (d, d) matrices of
+the elements at an index array g, and each must be orthogonal within TOL
+(one stacked check, naming the first element that fails).  One call gives
+every element's matrix, so the orbit minimum reads every distance from
+products of those matrices with the (d, n) stack of points, a bounded chunk
+of k at a time (or one k's O(d n^2) if more); each golden-section
+evaluation makes one more call, at fractional indices.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from . import reps
+from . import linalg, reps
 from .errors import InvalidInputError
 
 TOL = 1e-8
@@ -412,13 +412,6 @@ def regularity_check(gpd: FiniteGroupoid, local_data: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuotientMetricResult:
-    invariant: object  # d_G between matching columns (or two single points)
-    invariant_matrix: np.ndarray
-    orbit_matrix: np.ndarray
-
-
 def _golden_refine(f, lo, hi):
     """Golden-section minimum of f on [lo, hi], elementwise over arrays: 48
     iterations, each evaluating f once on the new point of every bracket."""
@@ -438,23 +431,25 @@ def _golden_refine(f, lo, hi):
     return np.minimum(fc, fd)
 
 
-def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricResult:
-    """Group-averaged invariant metric and the induced orbit-space metric.
+@np.errstate(over="ignore")  # a distance too large to square is reported below
+def quotient_metric(points, group: reps.GroupModel, action) -> np.ndarray:
+    """The (n, n) orbit-space metric min_k |x_i - k.x_j| of an isometric
+    linear action on distinct sample points.
 
     ``action(g)`` returns the (d, d) matrices of a linear action at an
     index array g, with shape g.shape + (d, d) (for the circle, sample
     angle indices, which may be fractional); any other shape is invalid
-    input.  Distances are Euclidean, and the sample points must be
-    distinct.
+    input, and so is an element whose matrix is not orthogonal within TOL.
+    An orthogonal action keeps every Euclidean distance, so the metric
+    needs no group average.
 
-    One action call gives rho, every element's matrix, and every distance
-    is read from products of rho, stacked as one (|G| d, d) matrix, with
-    stacks of points: d_G(x_i, k.x_j) = avg_g |g.x_i - g.(k.x_j)| needs no
-    group law.  A chunk of k holds at most ``_CHUNK`` entries of d |G| n^2
-    pair differences per k (or one k's, if more).  Finite groups use exact
-    sums and exact minima; the circle uses quadrature averages and a
-    quadrature minimum refined by one golden-section pass on each pair's
-    best bracket, one action call per evaluation (51 calls in all).
+    One action call gives every element's matrix.  A chunk of k holds at
+    most ``_CHUNK`` entries of the (k, d, n, n) differences x_i - k.x_j (or
+    one k's, if more), and the first k attaining a strict improvement wins
+    a tie.  The circle refines its quadrature minimum by one golden-section
+    pass on each pair's best bracket, one action call per evaluation (51
+    calls in all).  A pair whose distance is not finite in floats is
+    invalid input.
     """
     n = len(points)
     i, j = np.divmod(np.arange(n * n), n)
@@ -471,36 +466,15 @@ def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricRes
         return rho
 
     rho = matrices(np.arange(order))
-    rows = rho.reshape(order * d, d)
-
-    def images(stack):
-        """[g, :, ...] = g.(stack) for every g: one product of the stacked
-        matrices with a (d, ...) stack of points."""
-        return (rows @ stack.reshape(d, -1)).reshape((order,) + stack.shape)
-
-    def mean_distance(gu, gv):
-        """avg_g |g.u - g.v| of points moved by every g, the group on axis 0
-        and the coordinates on axis 1: the norm over the coordinates, then
-        a sequential sum over g, then / order."""
-        return np.linalg.norm(gu - gv, axis=1).sum(axis=0) / order
-
-    def d_g(u, v):
-        """avg_g d(g.u, g.v) over matching columns of two stacks (or two
-        single points)."""
-        return mean_distance(images(u), images(v))
-
-    moved = images(pts)  # [g, :, i] = g.x_i
-    inv = mean_distance(moved[:, :, :, None], moved[:, :, None, :])
+    _require(linalg.same(rho @ rho.swapaxes(1, 2), np.eye(d), exact=False, tol=TOL),
+             "the action matrix of element {} is not orthogonal")
     best = np.full(n * n, np.inf)
     best_k = np.zeros(n * n)
-    step = max(1, _CHUNK // (d * order * n * n))
+    step = max(1, _CHUNK // (d * n * n))
     for start in range(0, order, step):
         ks = np.arange(start, min(start + step, order))
-        kx = (rho[ks].reshape(-1, d) @ pts).reshape(len(ks), d, n)  # [k, :, j] = k.x_j
-        twice = images(kx.transpose(1, 0, 2))  # [g, :, k, j] = g.(k.x_j)
-        vals = mean_distance(moved[:, :, None, :, None], twice[:, :, :, None, :])
-        vals = vals.reshape(len(ks), n * n)
-        # the first k attaining a strict improvement wins the tie
+        kx = (rho[ks].reshape(-1, d) @ pts).reshape(len(ks), d, 1, n)  # [k, :, 0, j] = k.x_j
+        vals = np.linalg.norm(pts[:, :, None] - kx, axis=1).reshape(len(ks), n * n)
         low = vals.min(axis=0)
         best_k = np.where(low < best, start + vals.argmin(axis=0), best_k)
         best = np.minimum(best, low)
@@ -508,12 +482,14 @@ def quotient_metric(points, group: reps.GroupModel, action) -> QuotientMetricRes
         # a pair (i, i) is at distance exactly 0 at k = 0: refine the others;
         # t.x_j rotates each pair's x_j by its own matrix, entry by entry
         off = np.flatnonzero(i != j)
-        moved_i, q = moved[:, :, i[off]], pts[:, j[off]].T  # g.x_i, x_j per pair
+        p, q = pts[:, i[off]], pts[:, j[off]].T
         refined = _golden_refine(
-            lambda t: mean_distance(moved_i, images((matrices(t) * q[:, None]).sum(-1).T)),
+            lambda t: np.linalg.norm(p - (matrices(t) * q[:, None]).sum(-1).T, axis=0),
             best_k[off] - 1.0, best_k[off] + 1.0)
         best[off] = np.minimum(best[off], refined)
-    return QuotientMetricResult(d_g, inv, best.reshape(n, n))
+    best = best.reshape(n, n)
+    _require(np.isfinite(best), "the distance of points ({},{}) is not finite")
+    return best
 
 
 def circle_rotation_action(circle: reps.CircleGroupModel):

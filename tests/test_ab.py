@@ -35,6 +35,15 @@ def test_same_names_the_first_differing_request_per_family(tmp_path):
     diffs = ab.same(ROOT / "src", src, ["scenarios-exact"], [2], first=8)
     assert diffs == {family: f"scenarios-exact seed 2 request {i}: stdout differ"
                      for family, i in first.items()}
+    # a tree that adds 1e-9 to every float it reports, once per record and
+    # once per report, differs in float values only; bundle.extend at
+    # request 33 is the first request that reports a float
+    cli.write_text(cli.read_text().replace("indent=1", "indent=2"))
+    assert cli.read_text().count("        return v\n") == 1
+    cli.write_text(cli.read_text().replace("        return v\n", "        return v + 1e-9\n"))
+    assert ab.same(ROOT / "src", src, ["scenarios-exact"], [2], first=34) == {
+        "bundle.extend": "scenarios-exact seed 2 request 33: stdout differs in float "
+                         "values only, by at most 2e-09"}
 
 
 def _pair(old, new):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -618,10 +619,6 @@ def test_metric_quotient_of_repeated_points_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("payload, message", [
-    # the circle rotates the plane: its matrices do not fit points of R^1
-    ({"metric_points": [[1.0], [2.0]], "metric_action": {"type": "circle-rotation"}},
-     "action returned matrices of shape (64, 2, 2) at indices of shape (64,), "
-     "not (64, 1, 1)"),
     ({"metric_points": [[]]}, "metric_points must all have one dimension d >= 1"),
 ])
 def test_metric_quotient_of_points_the_action_cannot_move_exit_2(tmp_path, capsys,
@@ -734,6 +731,33 @@ def test_suite_all_runs_the_nine_batteries_in_order(capsys):
     records = json.loads(out)["records"]
     assert [r["check"].split("-")[1] for r in records] == [str(k) for k in range(1, 10)]
     assert all(r["pass"] and r["certificate"]["checks"] > 0 for r in records)
+
+
+def test_timing_stamps_each_suite_record_with_its_own_battery_time(capsys):
+    # nine stamps of the time since main started would sum to more than the
+    # whole run; each battery's own elapsed time sums to less
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["suite", "all", "--timing"])
+    wall_ms = 1000 * (time.perf_counter() - start)
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 9
+    for r in records:
+        assert r["timing_ms"] == round(1000 * r["certificate"]["elapsed_s"], 3)
+    assert sum(r["timing_ms"] for r in records) <= wall_ms
+
+
+def test_timing_stamps_a_subcommand_record_with_the_time_of_its_run(tmp_path, capsys):
+    path = write(tmp_path, "metric.json", {"metric_points": [[0.5], [1.5], [-2.0]]})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["metric", "quotient", path, "--timing"])
+    wall_ms = 1000 * (time.perf_counter() - start)
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert 0 < record["timing_ms"] <= wall_ms
+    code, plain, _ = run(capsys, ["metric", "quotient", path])
+    del record["timing_ms"]
+    assert json.loads(plain)["records"] == [record]
 
 
 def test_suite_command_text_output(capsys):
@@ -1531,7 +1555,16 @@ def drifting_dihedral(n=32, amplitude=1.2e-10):
             bundle={"transitions": {"0,1": transition}}),
        "transition on edge (0,1) not orthogonal")
       for mode in ("exact", "float") for transition in ([[1, 0], [0, 0]], [[2, 0], [0, 1]])],
+    # points whose distance overflows in floats, and points the circle cannot
+    # rotate: the circle acts on the plane
+    (["metric", "quotient"], {"metric_points": [[1e200, 0], [0, 1e200]]},
+     "the distance of points (0,1) is not finite"),
+    *[(["metric", "quotient"], {"metric_points": [[1.0] * dim, [2.0] * dim],
+                                "metric_action": {"type": "circle-rotation"}},
+       f"the circle-rotation action needs planar points (d = 2), got d = {dim}")
+      for dim in (1, 3)],
 ])
+@pytest.mark.filterwarnings("error")  # invalid input prints only its error
 def test_model_rejects_inconsistent_data_exit_2(tmp_path, capsys, command, payload,
                                                 named):
     code, out, err = run(capsys, command + [write(tmp_path, "bad.json", payload)])

@@ -604,21 +604,21 @@ def _matrix_action(mats):
 def test_quotient_metric_trivial_group_is_original():
     group = reps.cyclic_group(1)
     pts = [np.array([0.0]), np.array([1.0]), np.array([2.5])]
-    res = quotient_metric(pts, group, _matrix_action([np.eye(1)]))
+    orbit = quotient_metric(pts, group, _matrix_action([np.eye(1)]))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
-            assert res.orbit_matrix[i, j] == pytest.approx(abs(p[0] - q[0]))
+            assert orbit[i, j] == pytest.approx(abs(p[0] - q[0]))
 
 
 def test_quotient_metric_z2_negation_formula():
     group = reps.cyclic_group(2)
     rng = np.random.default_rng(8)
     pts = [np.array([x]) for x in rng.normal(size=12) * 3]
-    res = quotient_metric(pts, group, _matrix_action([[[1.0]], [[-1.0]]]))
+    orbit = quotient_metric(pts, group, _matrix_action([[[1.0]], [[-1.0]]]))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
             expected = min(abs(p[0] - q[0]), abs(p[0] + q[0]))
-            assert res.orbit_matrix[i, j] == pytest.approx(expected, abs=1e-12)
+            assert orbit[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_quotient_metric_circle_radial_formula():
@@ -626,15 +626,11 @@ def test_quotient_metric_circle_radial_formula():
     act = circle_rotation_action(circle)
     rng = np.random.default_rng(21)
     pts = [rng.normal(size=2) * 2 for _ in range(6)]
-    res = quotient_metric(pts, circle, act)
+    orbit = quotient_metric(pts, circle, act)
     for i, p in enumerate(pts):
-        # rotations are isometries: the averaged metric equals the original
         for j, q in enumerate(pts):
-            assert res.invariant_matrix[i, j] == pytest.approx(
-                np.linalg.norm(p - q), abs=1e-10
-            )
             radial = abs(np.linalg.norm(p) - np.linalg.norm(q))
-            assert res.orbit_matrix[i, j] == pytest.approx(radial, abs=1e-6)
+            assert orbit[i, j] == pytest.approx(radial, abs=1e-6)
 
 
 def test_quotient_metric_invariance_and_axioms():
@@ -643,40 +639,31 @@ def test_quotient_metric_invariance_and_axioms():
     mats = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in theta])
     rng = np.random.default_rng(3)
     pts = [rng.normal(size=2) for _ in range(6)]
-    res = quotient_metric(pts, group, _matrix_action(mats))
-    for i, p in enumerate(pts):
-        for j, q in enumerate(pts):
-            for g in range(4):
-                assert res.invariant(mats[g] @ p, mats[g] @ q) == pytest.approx(
-                    res.invariant(p, q), abs=1e-12
-                )
-            assert res.orbit_matrix[i, j] == pytest.approx(
-                res.orbit_matrix[j, i], abs=1e-12
-            )
+    orbit = quotient_metric(pts, group, _matrix_action(mats))
+    # a metric on the orbits: moving each point by any element keeps it
+    for g in itertools.product(range(4), repeat=2):
+        moved = [mats[g[i % 2]] @ p for i, p in enumerate(pts)]
+        np.testing.assert_allclose(quotient_metric(moved, group, _matrix_action(mats)),
+                                   orbit, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(orbit, orbit.T, rtol=0, atol=1e-12)
     n = len(pts)
     for i, j, k in itertools.product(range(n), repeat=3):
-        assert (
-            res.orbit_matrix[i, k]
-            <= res.orbit_matrix[i, j] + res.orbit_matrix[j, k] + 1e-10
-        )
+        assert orbit[i, k] <= orbit[i, j] + orbit[j, k] + 1e-10
 
 
 def test_quotient_metric_s3_permutations_match_brute_force():
     # S_3 permuting the coordinates of R^3 is non-abelian and isometric, so
-    # d_G is the Euclidean distance and the orbit distance is the least
-    # distance from p to a coordinate permutation of q
+    # the orbit distance is the least distance from p to a coordinate
+    # permutation of q
     group = reps.symmetric_group(3)
     table = np.array(sorted(itertools.permutations(range(3))))
     rng = np.random.default_rng(17)
     pts = [rng.normal(size=3) for _ in range(6)]
-    res = quotient_metric(pts, group, _matrix_action(np.eye(3)[table]))
+    orbit = quotient_metric(pts, group, _matrix_action(np.eye(3)[table]))
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
-            assert res.invariant_matrix[i, j] == pytest.approx(
-                np.linalg.norm(p - q), abs=1e-12
-            )
             brute = min(np.linalg.norm(p - q[list(perm)]) for perm in table)
-            assert res.orbit_matrix[i, j] == pytest.approx(brute, abs=1e-12)
+            assert orbit[i, j] == pytest.approx(brute, abs=1e-12)
 
 
 def _finite_linear_action(kind, size):
@@ -698,18 +685,10 @@ def _finite_linear_action(kind, size):
 
 
 def _brute_force(points, mats):
-    """Per-element reference: d_G(p, q) = avg_g |g.p - g.q| and the orbit
-    distance min_k d_G(p, k.q), one pair and one k at a time."""
-    def d_g(p, q):
-        return sum(np.linalg.norm(m @ p - m @ q) for m in mats) / len(mats)
-
-    n = len(points)
-    inv, orbit = np.zeros((n, n)), np.zeros((n, n))
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            inv[i, j] = d_g(p, q)
-            orbit[i, j] = min(d_g(p, m @ q) for m in mats)
-    return inv, orbit
+    """Per-element reference: the orbit distance min_k |p - k.q|, one pair
+    and one k at a time."""
+    return np.array([[min(np.linalg.norm(p - m @ q) for m in mats) for q in points]
+                     for p in points])
 
 
 def _separated_points(data, dim):
@@ -731,38 +710,36 @@ def test_quotient_metric_matches_per_element_reference(data):
                      else st.integers(1, 3))
     group, act, mats = _finite_linear_action(kind, size)
     pts = _separated_points(data, mats.shape[1])
-    res = quotient_metric(pts, group, act)
-    inv, orbit = _brute_force(pts, mats)
-    np.testing.assert_allclose(res.invariant_matrix, inv, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(res.orbit_matrix, orbit, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(quotient_metric(pts, group, act), _brute_force(pts, mats),
+                               rtol=0, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
 @given(order=st.integers(4, 12), data=st.data())
 def test_circle_quotient_metric_matches_quadrature_reference(order, data):
-    # the invariant metric is the quadrature average; the refined orbit
-    # distance lies between the exact one, ||p| - |q||, and the quadrature
-    # minimum over the sample rotations
+    # the refined orbit distance lies between the exact one, ||p| - |q||,
+    # and the quadrature minimum over the sample rotations
     circle = reps.CircleGroupModel(order)
     pts = _separated_points(data, 2)
-    res = quotient_metric(pts, circle, circle_rotation_action(circle))
+    orbit = quotient_metric(pts, circle, circle_rotation_action(circle))
     theta = circle.angles()
     mats = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in theta])
-    inv, quadrature_min = _brute_force(pts, mats)
     radii = np.linalg.norm(pts, axis=1)
-    np.testing.assert_allclose(res.invariant_matrix, inv, rtol=0, atol=1e-12)
-    assert np.all(res.orbit_matrix <= quadrature_min + 1e-12)
-    assert np.all(res.orbit_matrix >= np.abs(radii[:, None] - radii) - 1e-12)
+    assert np.all(orbit <= _brute_force(pts, mats) + 1e-12)
+    assert np.all(orbit >= np.abs(radii[:, None] - radii) - 1e-12)
 
 
-@pytest.mark.parametrize("action", [
-    lambda g: np.eye(2),  # one matrix for every index array
-    lambda g: np.zeros(g.shape + (1, 1)),  # matrices of another dimension
-    lambda g: np.zeros(g.shape + (2, 3)),  # not square
+@pytest.mark.parametrize("action, message", [
+    (lambda g: np.eye(2), "shape"),  # one matrix for every index array
+    (lambda g: np.zeros(g.shape + (1, 1)), "shape"),  # matrices of another dimension
+    (lambda g: np.zeros(g.shape + (2, 3)), "shape"),  # not square
+    # an involution of R^2 that is not an isometry: Z_2 acting by a shear
+    (_matrix_action([np.eye(2), [[1.0, 1.0], [0.0, -1.0]]]),
+     "the action matrix of element 1 is not orthogonal"),
 ])
-def test_quotient_metric_rejects_action_of_wrong_shape(action):
+def test_quotient_metric_rejects_action_of_wrong_shape(action, message):
     pts = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-    with pytest.raises(InvalidInputError, match="shape"):
+    with pytest.raises(InvalidInputError, match=message):
         quotient_metric(pts, reps.cyclic_group(2), action)
 
 
@@ -774,24 +751,19 @@ def test_quotient_metric_rejects_repeated_points():
 
 
 def _per_k_orbit_metric(points, group, action):
-    """The orbit minimum one k at a time: d_G moves the pair columns by
-    every element's matrix, each k moves the second points by its own, and
-    each golden-section evaluation rotates each second point by the matrix
-    at its own index, one point at a time and entry by entry."""
+    """The orbit minimum one k at a time: each k moves the second points by
+    its own matrix, and each golden-section evaluation rotates each second
+    point by the matrix at its own index, one point at a time and entry by
+    entry."""
     n, order = len(points), group.order
     i, j = np.divmod(np.arange(n * n), n)
     pts = np.stack([np.asarray(p, dtype=float) for p in points], axis=1)
     p, q = pts[:, i], pts[:, j]
     rho = action(np.arange(order))
-
-    def d_g(u, v):
-        return np.linalg.norm(rho @ u - rho @ v, axis=1).sum(axis=0) / order
-
-    inv = d_g(p, q)
     best = np.full(n * n, np.inf)
     best_k = np.zeros(n * n)
     for k in range(order):
-        vals = d_g(p, rho[k] @ q)
+        vals = np.linalg.norm(p - rho[k] @ q, axis=0)
         best_k = np.where(vals < best, k, best_k)
         best = np.minimum(vals, best)
     if isinstance(group, reps.CircleGroupModel):
@@ -799,10 +771,10 @@ def _per_k_orbit_metric(points, group, action):
             return np.stack([(action(s) * q[:, c]).sum(axis=1) for c, s in enumerate(t)],
                             axis=1)
 
-        refined = gq._golden_refine(lambda t: d_g(p, moved(t)),
+        refined = gq._golden_refine(lambda t: np.linalg.norm(p - moved(t), axis=0),
                                     best_k - 1.0, best_k + 1.0)
         best = np.minimum(best, refined)
-    return inv.reshape(n, n), best.reshape(n, n)
+    return best.reshape(n, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -819,10 +791,8 @@ def test_quotient_metric_is_bitwise_the_per_k_orbit_minimum(data):
         group, act, mats = _finite_linear_action(kind, size)
         dim = mats.shape[1]
     pts = _separated_points(data, dim)
-    res = quotient_metric(pts, group, act)
-    inv, orbit = _per_k_orbit_metric(pts, group, act)
-    assert np.array_equal(res.invariant_matrix, inv)
-    assert np.array_equal(res.orbit_matrix, orbit)
+    assert np.array_equal(quotient_metric(pts, group, act),
+                          _per_k_orbit_metric(pts, group, act))
 
 
 def test_circle_rotation_action_gives_the_bits_of_the_computed_angle():
@@ -844,20 +814,20 @@ def test_circle_rotation_action_gives_the_bits_of_the_computed_angle():
 
 def test_quotient_metric_memory_is_bounded_for_a_large_permutation_action():
     # Z_50 cycling the coordinates of R^50, 8 points: the orbit minimum holds
-    # one k's pair differences at a time besides the 50 matrices, and the
-    # metric peaked at 8.0 MB when every k moved all pairs again
+    # one chunk of k's pair differences at a time besides the 50 matrices,
+    # and the metric peaked at 8.0 MB when it averaged over the group
     size = 50
     table = (np.arange(size)[None, :] + np.arange(size)[:, None]) % size
     act = _matrix_action(np.eye(size)[table])
     pts = list(np.random.default_rng(0).normal(size=(8, size)))
     tracemalloc.start()
     try:
-        res = quotient_metric(pts, reps.cyclic_group(size), act)
+        orbit = quotient_metric(pts, reps.cyclic_group(size), act)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 5_000_000
-    np.testing.assert_allclose(res.orbit_matrix, res.orbit_matrix.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(orbit, orbit.T, rtol=0, atol=1e-12)
 
 
 def _counted(action, calls):
@@ -872,8 +842,7 @@ def test_quotient_metric_of_a_finite_group_takes_one_action_call():
     group, act, _ = _finite_linear_action("permutation", 3)
     calls = []
     pts = list(np.random.default_rng(2).normal(size=(4, 3)))
-    res = quotient_metric(pts, group, _counted(act, calls))
-    res.invariant(pts[0], pts[1])
+    quotient_metric(pts, group, _counted(act, calls))
     assert calls == [(6,)]
 
 

@@ -5,10 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from equitrans import spectral, suites
+from equitrans import linalg, reps, spectral, suites
 from equitrans.errors import InvalidInputError, NonHyperbolicError
 from equitrans.spectral import (
     build_lambda_path,
@@ -294,6 +294,65 @@ def test_oracle_matches_index_on_seeded_paths():
         assert index_by_shooting(path) == fredholm_index(path)
         checked += 1
     assert checked >= 10
+
+
+# equivariant paths: the index splits over the isotypic types
+
+
+def _isotypic_index_faults(rep, b0, b1):
+    """What fails of the isotypic split of the index of B(s) = b0 +
+    tanh(s) b1 on ``rep``: the index against the sum of the indices of its
+    restrictions u^T B u to the isotypic ranges u (``projector_range`` of
+    each character projector), each restricted index against the dimension
+    of its irrep, which divides it when B is equivariant, and the shooting
+    oracle against the index."""
+    dims = {"fixed": 1, **{ir.label: ir.dim_V for ir in rep.group.nontrivial_irreps()}}
+    _, projectors, denom, _ = reps._projectors(rep, {})  # P = Q / denom
+    ranges = {label: linalg.projector_range(q.astype(float) / denom)
+              for label, q in projectors.items()}
+    ranges = {label: u for label, u in ranges.items() if u.shape[1]}
+    parts = spectral.fredholm_indices([tanh_path(u.T @ b0 @ u, u.T @ b1 @ u)
+                                       for u in ranges.values()])
+    ((index, shooting),) = spectral.shooting_indices([tanh_path(b0, b1)])
+    faults = [("divisibility", label, part)
+              for label, part in zip(ranges, parts) if part % dims[label]]
+    if sum(parts) != index:
+        faults.append(("sum", sum(parts), index))
+    if shooting != index:
+        faults.append(("shooting", shooting, index))
+    return faults
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(group=st.sampled_from(["S_3", "S_4", "Q_8", "D_6"]), data=st.data())
+def test_equivariant_index_is_the_sum_over_isotypic_types(group, data):
+    # b0 and b1 are random combinations of a Hom_G(V, V) basis on 2 to 4
+    # catalog blocks of at most 6 dimensions each, with limits B(+-inf) =
+    # b0 +- b1 at least 0.2 from the imaginary axis
+    group = reps.preset_group(group)
+    catalog = reps._block_catalog(group)
+    names = data.draw(st.lists(st.sampled_from(
+        sorted(name for name, block in catalog.items() if block.dim <= 6)),
+        min_size=2, max_size=4))
+    rep = reps.block_rep(group, names)
+    basis = reps.hom_G_basis(rep, rep)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b0, b1 = (np.tensordot(rng.normal(size=len(basis)), basis, 1) for _ in range(2))
+    assume(min(np.abs(np.linalg.eigvals(b).real).min() for b in (b0 - b1, b0 + b1)) >= 0.2)
+    assert _isotypic_index_faults(rep, b0, b1) == []
+
+
+@pytest.mark.parametrize("group, names, b0, b1, fault", [
+    # B = I + 2 tanh(s) u u^T with u in S_3's 2-dim irrep: index 1 there
+    ("S_3", ["natural"], np.eye(3), 2 * np.outer([1, -1, 0], [1, -1, 0]) / 2,
+     ("divisibility", "standard", 1)),
+    # b1 couples the fixed and the sign type: index 0, but 1 + 1 restricted
+    ("S_3", ["trivial", "sign"], np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]),
+     ("sum", 2, 0)),
+])
+def test_a_non_equivariant_path_breaks_the_isotypic_split(group, names, b0, b1, fault):
+    rep = reps.block_rep(reps.preset_group(group), names)
+    assert _isotypic_index_faults(rep, b0, b1) == [fault]
 
 
 def _reference_propagation(path, frame, s0, s1, step):

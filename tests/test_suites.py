@@ -202,10 +202,10 @@ def test_groupoid_battery_reports_a_planted_fault(monkeypatch):
     honest = groupoids.quotient_metric
 
     def skewed(points, group, action, *args):
-        res = honest(points, group, action, *args)
+        orbit = honest(points, group, action, *args)
         if group.order == 2:
-            res.orbit_matrix[2, 5] += 0.5
-        return res
+            orbit[2, 5] += 0.5
+        return orbit
 
     monkeypatch.setattr(groupoids, "quotient_metric", skewed)
     record = suites.SUITES["groupoid"]()

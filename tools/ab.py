@@ -17,7 +17,9 @@ with ``perfbench/run.py``'s ``execute``, all requests of one list in one
 fresh interpreter per side.  A request must keep its command line, its
 scenario, its exit code, its stdout and its stderr; a ``suite`` stdout is
 compared without its ``elapsed_s`` values.  It prints the first differing
-request of each family and exits 1 if there is one.
+request of each family and exits 1 if there is one; a request whose stdout
+differs only in float values, with the same exit code, stderr and JSON
+shape, is labelled so, with the largest absolute difference.
 
 ``pairs`` copies ``src/`` and ``perfbench/`` of each side into its own
 temporary tree and runs ``perfbench/run.py --trace 0`` there once per side
@@ -77,6 +79,35 @@ def _comparable(outcome: dict) -> dict:
     return outcome
 
 
+def _parsed(stdout):
+    """A stdout as JSON (a suite stdout is parsed already); None if it is not."""
+    if not isinstance(stdout, str):
+        return stdout
+    try:
+        return json.loads(stdout)
+    except json.JSONDecodeError:
+        return None
+
+
+def _float_gap(old, new):
+    """The largest |difference| of the float leaves of two JSON values that
+    match in shape and in every other leaf, else None."""
+    if type(old) is not type(new):
+        return None
+    if isinstance(old, float):
+        return abs(old - new)
+    if isinstance(old, dict):
+        if old.keys() != new.keys():
+            return None
+        old, new = list(old.values()), [new[k] for k in old]
+    if isinstance(old, list):
+        if len(old) != len(new):
+            return None
+        gaps = [_float_gap(a, b) for a, b in zip(old, new)]
+        return None if None in gaps else max(gaps, default=0.0)
+    return 0.0 if old == new else None
+
+
 def run_side(src: Path, workload: str, seed: int, first: int = 0) -> list:
     """Every request outcome of one (workload, seed) list on one side."""
     with tempfile.TemporaryDirectory() as work:
@@ -97,9 +128,13 @@ def same(parent_src: Path, change_src: Path, workloads, seeds, first: int = 0) -
                 old, new = _comparable(old), _comparable(new)
                 keys = [k for k in ("argv", "scenario", "exit", "stdout", "stderr")
                         if old[k] != new[k]]
+                what = f"{', '.join(keys)} differ"
+                if keys == ["stdout"]:
+                    gap = _float_gap(*(_parsed(o["stdout"]) for o in (old, new)))
+                    if gap:  # 0 when only the formatting differs
+                        what = f"stdout differs in float values only, by at most {gap:.3g}"
                 if keys and new["family"] not in diffs:
-                    diffs[new["family"]] = (f"{workload} seed {seed} request {i}: "
-                                            f"{', '.join(keys)} differ")
+                    diffs[new["family"]] = f"{workload} seed {seed} request {i}: {what}"
     return diffs
 
 
