@@ -399,7 +399,6 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     values = {}
     for subset in sub.vertices:
         values[subset] = sum(bdry[v] for v in subset) / len(subset)
-    full = tuple(sorted(simplex))
     # the boundary must be nonvanishing before extension, exactly on every
     # proper face: the faces of the facets
     corners = np.stack([bdry[v] for v in simplex])
@@ -409,16 +408,14 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
     scale = float(np.mean([np.linalg.norm(bdry[v]) for v in simplex])) or 1.0
     # candidate order: straight affine continuation first (so nonvanishing
     # boundary data that already extends is kept), then a direction
-    # orthogonal to all boundary values, then seeded random draws
-    candidates = [values[full]]
+    # orthogonal to all boundary values, then seeded random draws, each one
+    # drawn only once every candidate before it has failed
     kernel = linalg.nullspace(corners, linalg.TOL)
-    if kernel.shape[1] > 0:
-        candidates.append(kernel[:, 0] / np.linalg.norm(kernel[:, 0]) * scale)
-    for _ in range(RETRY_BUDGET):
-        cand = rng.normal(size=d)
-        candidates.append(cand / np.linalg.norm(cand) * scale)
-    for cand in candidates[: RETRY_BUDGET + 1]:
-        values[full] = cand
+    fallbacks = itertools.chain(kernel.T[:1], (rng.normal(size=d) for _ in range(RETRY_BUDGET)))
+    candidates = itertools.chain([values[simplex]],
+                                 (c / np.linalg.norm(c) * scale for c in fallbacks))
+    for cand in itertools.islice(candidates, RETRY_BUDGET + 1):
+        values[simplex] = cand
         m = section_min_norm(sub, values)
         if m > MIN_NORM:
             return ExtensionResult(sub, dict(values), m)

@@ -531,7 +531,8 @@ def cmd_transversality(scenario, settings, sub):
     if sub == "check":
         records = [make_record(f"condition-{cert['vertex']}-{cert['lambda']}",
                                "fixed-locus-index-condition", ok, cert)
-                   for cert, ok in tv.condition_certificates(model, model.zero_set())]
+                   for cert, ok in tv.condition_certificates(
+                       {v: model.split_at(v) for v in model.zero_set()})]
         return records or [make_record("condition-vacuous", "fixed-locus-index-condition",
                                        True, {"note": "empty zero set"})]
     records = []
@@ -755,11 +756,12 @@ def cmd_metric(scenario, settings, sub):
     ]
 
 
-def cmd_suite(scenario, settings, name):
-    return [make_record(f"criterion-{r['criterion']}-{r['name']}", r["anchor"], r["pass"],
-                        {"checks": r["checks"], "failures": r["failures"],
-                         "elapsed_s": r["elapsed"]})
-            for r in suites.run_suite(name)]
+def cmd_suite(name):  # one record per battery, and each battery's own time in ms
+    runs = suites.run_suite(name)
+    return ([make_record(f"criterion-{r['criterion']}-{r['name']}", r["anchor"], r["pass"],
+                         {"checks": r["checks"], "failures": r["failures"],
+                          "elapsed_s": round(r["elapsed"], 4)})
+             for r in runs], [1000 * r["elapsed"] for r in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +807,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario) if args.scenario else {}
         settings = Settings(scenario.get("settings"), args)
         if args.command == "suite":
-            records = cmd_suite(scenario, settings, args.subcommand)
+            records, battery_ms = cmd_suite(args.subcommand)
         elif args.command in COMMANDS:
             fn, subs = COMMANDS[args.command]
             if args.subcommand not in subs:
@@ -813,7 +815,7 @@ def main(argv=None) -> int:
                     f"unknown subcommand {args.subcommand!r} for "
                     f"{args.command!r}; expected one of {subs}"
                 )
-            records = fn(scenario, settings, args.subcommand)
+            records, battery_ms = fn(scenario, settings, args.subcommand), None
         else:
             raise InvalidInputError(
                 f"unknown command {args.command!r}; expected one of "
@@ -831,8 +833,7 @@ def main(argv=None) -> int:
         return 1
     if args.timing:  # a suite record's own battery time, else the time since t0
         since = 1000 * (time.perf_counter() - t0)
-        for rec in records:
-            ms = 1000 * rec["certificate"]["elapsed_s"] if args.command == "suite" else since
+        for rec, ms in zip(records, battery_ms or [since] * len(records)):
             rec["timing_ms"] = round(ms, 3)
     return emit(records, settings, args)
 

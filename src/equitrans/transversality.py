@@ -15,8 +15,8 @@ The pointwise index condition
 guarantees that generic equivariant perturbations built from the equivariant
 hom space reach surjectivity.  One routine certifies it per vertex and label
 for the check and for the pipeline's obstruction error; the constructor
-below samples the perturbations with a seeded budget and certifies
-surjectivity by smallest singular value.
+below samples each block's seeded budget as one normal and then one uniform
+draw, and certifies surjectivity by the smallest singular value.
 """
 
 from __future__ import annotations
@@ -159,6 +159,9 @@ class FixedLocusModel:
     support: set | None = None
 
     def __post_init__(self):
+        unknown = sorted(set(self.support or ()) - set(self.base.vertices), key=str)
+        if unknown:
+            raise InvalidInputError(f"support vertices {unknown} are not base vertices")
         for v, per in self.lambda_blocks.items():
             for label, blk in per.items():
                 expected = (self.fiber_reps[label].dim, self.normal_reps[label].dim)
@@ -188,15 +191,14 @@ class FixedLocusModel:
         )
 
 
-def condition_certificates(model: FixedLocusModel, vertices) -> list:
+def condition_certificates(splits: dict) -> list:
     """(certificate, verdict) of the pointwise index condition per vertex
-    and label, in the given vertex order and then sorted label order, the
-    verdicts from ``check_pointwise_condition``.  A certificate holds the
-    vertex, the label, the unit ranks n and m, d, ind s^G and the right-hand
-    side (ind D^lambda / dim V + 1) * d."""
+    and label of ``{vertex: LinearizationSplit}``, in its vertex order and
+    then sorted label order, the verdicts from ``check_pointwise_condition``.
+    A certificate holds the vertex, the label, the unit ranks n and m, d,
+    ind s^G and the right-hand side (ind D^lambda / dim V + 1) * d."""
     out = []
-    for v in vertices:
-        split = model.split_at(v)
+    for v, split in splits.items():
         for label, ok in check_pointwise_condition(split).items():
             m, n = np.shape(split.lambda_blocks[label])
             dv = split.dim_v[label]
@@ -252,10 +254,11 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
     support = model.support if model.support is not None else set(model.base.vertices)
     report = TransversalityReport()
     shift_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC7]))
+    splits = {v: model.split_at(v) for v in model.base.vertices}
     section_shifts = {}
-    zero = []
+    zero = {}  # vertex -> split, the zeros left after the shifts
     for v in model.zero_set():
-        blk = model.split_at(v).fixed_block
+        blk = splits[v].fixed_block
         if blk.shape[0] > blk.shape[1]:
             # negative fixed index: transversality means the zero set avoids
             # this vertex, so shift the section value off zero
@@ -267,8 +270,8 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
             section_shifts[v] = shift / np.linalg.norm(shift)
             report.record(v, "section-shift", np.inf, True)
         else:
-            zero.append(v)
-    obstructions = [cert for cert, ok in condition_certificates(model, zero) if not ok]
+            zero[v] = splits[v]
+    obstructions = [cert for cert, ok in condition_certificates(zero) if not ok]
     if obstructions:
         raise ObstructionError(
             "pointwise index condition fails at "
@@ -283,11 +286,10 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
         for label in model.fiber_reps
     }
     for v in sorted(model.base.vertices, key=str):
-        split = model.split_at(v)
-        d_fix = split.fixed_block
+        d_fix = splits[v].fixed_block
         if v not in zero:
             fixed_corr[v] = np.zeros_like(d_fix)
-            for label, blk in split.lambda_blocks.items():
+            for label, blk in splits[v].lambda_blocks.items():
                 lambda_corr[v][label] = np.zeros_like(blk)
             continue
         if v not in support:
@@ -305,7 +307,7 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
             units = np.eye(rows * cols).reshape(-1, rows, cols)
             fixed_corr[v], sv_fix = _surject_equivariant_block(d_fix, units, child)
         report.record(v, "fixed", sv_fix, sv_fix > SV_THRESHOLD)
-        for label, blk in split.lambda_blocks.items():
+        for label, blk in splits[v].lambda_blocks.items():
             if blk.shape[0] == 0:
                 lambda_corr[v][label] = np.zeros_like(blk)
                 continue
@@ -338,20 +340,20 @@ def _surject_equivariant_block(block: np.ndarray, hom_basis: np.ndarray,
                                rng: np.random.Generator):
     """Correct a block that is not surjective by a combination of the
     equivariant hom basis, a (k, rows, cols) float stack.  Draws the whole
-    RETRY_BUDGET of seeded coefficient vectors, probes all candidates with
-    one stacked SVD, and returns the first smallest-norm success with its
-    smallest singular value; if none succeeds, a zero correction and the
-    block's own value.  A tall block (rows > cols) cannot be surjective: it
-    gets a zero correction and the value 0.0, with no draw."""
+    RETRY_BUDGET in two calls, normal(size=(RETRY_BUDGET, k)) then
+    random(RETRY_BUDGET), probes all candidates with one stacked SVD and
+    returns the first smallest-norm success with its smallest singular value,
+    else a zero correction and the block's own value.  A surjective block,
+    empty basis or zero budget draws nothing; a tall block (rows > cols) gets
+    a zero correction and the value 0.0, with no draw."""
     if block.shape[0] > block.shape[1]:
         return np.zeros_like(block), 0.0
     sv = linalg.min_singular_value(block)
     if sv > SV_THRESHOLD or len(hom_basis) == 0 or bundles.RETRY_BUDGET == 0:
         return np.zeros_like(block), sv
     scale = max(1.0, linalg.max_abs(block))
-    normals, uniforms = zip(*[(rng.normal(size=len(hom_basis)), rng.random())
-                              for _ in range(bundles.RETRY_BUDGET)])
-    coeffs = np.array(normals) * scale * (0.25 + 0.75 * np.array(uniforms))[:, None]
+    normals = rng.normal(size=(bundles.RETRY_BUDGET, len(hom_basis)))
+    coeffs = normals * scale * (0.25 + 0.75 * rng.random(bundles.RETRY_BUDGET))[:, None]
     # every candidate adds its terms one by one in basis order (np.sum adds
     # long axes pairwise, so its rounding would depend on the basis size),
     # and the stack never holds all budget x k terms at once; + 0.0 clears -0.0

@@ -425,6 +425,49 @@ def test_extend_rejects_a_continuation_vanishing_between_grid_points():
     assert min(_grid_min_norm(h, 1000) for h in halves) >= res.min_norm > bundles.MIN_NORM
 
 
+def _eager_extension(simplex, boundary, seed):
+    """Reference for an untwisted bundle: every random candidate is drawn
+    and normalized before the affine continuation is tried.  Returns the
+    kept section values and their minimum norm."""
+    sub = barycentric_subdivision(simplex)
+    values = {face: sum(boundary[v] for v in face) / len(face) for face in sub.vertices}
+    corners = np.stack([boundary[v] for v in simplex])
+    rng = np.random.default_rng(seed)
+    scale = float(np.mean([np.linalg.norm(boundary[v]) for v in simplex])) or 1.0
+    candidates = [values[simplex]]
+    kernel = linalg.nullspace(corners, linalg.TOL)
+    if kernel.shape[1] > 0:
+        candidates.append(kernel[:, 0] / np.linalg.norm(kernel[:, 0]) * scale)
+    for _ in range(bundles.RETRY_BUDGET):
+        cand = rng.normal(size=corners.shape[1])
+        candidates.append(cand / np.linalg.norm(cand) * scale)
+    for cand in candidates[: bundles.RETRY_BUDGET + 1]:
+        values[simplex] = cand
+        m = bundles.section_min_norm(sub, values)
+        if m > bundles.MIN_NORM:
+            return values, m
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_extend_draws_the_same_random_candidates_as_an_eager_reference(seed):
+    # the corners [1, 0] and [-1, 1e-9] span R^2 at nullspace's relative
+    # tolerance, so there is no orthogonal direction, and the straight
+    # continuation has norm 5e-10 <= MIN_NORM at the edge barycenter: only a
+    # random draw can extend.  (Over a triangle the rank hypothesis needs a
+    # fiber of rank 3, where three spanning corners never vanish affinely.)
+    g = reps.cyclic_group(1)
+    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2)]))
+    bundle = GBundleModel(SimplicialBase.interval(1), rep)
+    boundary = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 1e-9])}
+    res = extend_nonvanishing_section(bundle, (0, 1), boundary, seed=seed)
+    values, m = _eager_extension((0, 1), boundary, seed)
+    assert linalg.nullspace(np.stack(list(boundary.values()))).shape[1] == 0
+    assert not np.array_equal(values[(0, 1)], (boundary[0] + boundary[1]) / 2)
+    assert res.section.keys() == values.keys()
+    assert all(res.section[v].tobytes() == values[v].tobytes() for v in values)
+    assert res.min_norm == m
+
+
 def test_extend_boundary_vanishing_between_grid_points_rejected():
     # the boundary vanishes at t = 1/4 on edge (0, 1), off every grid point
     g = reps.cyclic_group(1)

@@ -407,9 +407,10 @@ def test_perturbation_reproducible():
 
 
 def _sequential_surject(block, hom_basis, rng):
-    """The sampler probing one candidate per SVD, as it was before all
-    candidates went into one stack: the reference for bitwise equality.  A
-    tall block is refused before any draw."""
+    """The sampler probing one candidate per SVD: the reference for bitwise
+    equality.  Candidate k reads its coefficients from row k of one
+    (budget, len(hom_basis)) normal draw and entry k of one budget-long
+    uniform draw.  A tall block is refused before any draw."""
     if block.shape[0] > block.shape[1]:
         return np.zeros_like(block), 0.0
     sv = linalg.min_singular_value(block)
@@ -419,8 +420,10 @@ def _sequential_surject(block, hom_basis, rng):
         return np.zeros_like(block), sv
     best = None
     scale = max(1.0, linalg.max_abs(block))
+    normals = rng.normal(size=(bundles.RETRY_BUDGET, len(hom_basis)))
+    uniforms = rng.random(bundles.RETRY_BUDGET)
     for k in range(bundles.RETRY_BUDGET):
-        coeffs = rng.normal(size=len(hom_basis)) * scale * (0.25 + 0.75 * rng.random())
+        coeffs = normals[k] * scale * (0.25 + 0.75 * uniforms[k])
         cand = np.add.accumulate(coeffs[:, None, None] * hom_basis)[-1] + 0.0
         sv = linalg.min_singular_value(block + cand)
         if sv > tv.SV_THRESHOLD:
@@ -492,6 +495,28 @@ def test_stacked_sampler_with_no_budget(monkeypatch):
     monkeypatch.setattr(bundles, "RETRY_BUDGET", 0)
     corr, sv = _assert_same_sampling(np.zeros((2, 2)), _basis(4, (2, 2)), 7)
     assert linalg.max_abs(corr) == 0 and sv == 0.0
+
+
+@pytest.mark.parametrize("block, basis, budget, draws", [
+    (np.zeros((2, 2)), _basis(4, (2, 2)), 64, True),  # sampled
+    (np.zeros((2, 2)), _basis(4, (2, 2), dead_row=True), 64, True),  # sampled, no success
+    (np.zeros((3, 2)), _basis(5, (3, 2)), 64, False),  # tall
+    (np.eye(2, 3), _basis(4, (2, 3)), 64, False),  # already surjective
+    (np.zeros((2, 2)), _basis(0, (2, 2)), 64, False),  # empty hom basis
+    (np.zeros((2, 2)), _basis(4, (2, 2)), 0, False),  # zero budget
+])
+def test_sampled_block_draws_its_budget_in_two_calls(monkeypatch, block, basis, budget,
+                                                     draws):
+    # one sampled block leaves the generator where normal(size=(64, k)) and
+    # then random(64) leave a fresh one; every other path draws nothing
+    monkeypatch.setattr(bundles, "RETRY_BUDGET", budget)
+    rng, expected = np.random.default_rng(7), np.random.default_rng(7)
+    tv._surject_equivariant_block(block, basis, rng)
+    if draws:
+        expected.normal(size=(64, len(basis)))
+        expected.random(64)
+        assert expected.bit_generator.state != np.random.default_rng(7).bit_generator.state
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
