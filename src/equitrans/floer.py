@@ -223,6 +223,9 @@ class GeneratorSet:
 
     def __post_init__(self):
         self.names = tuple(self.names)
+        if len(set(self.names)) < len(self.names):
+            x = next(x for i, x in enumerate(self.names) if x in self.names[:i])
+            raise InvalidInputError(f"generator {x!r} is listed twice")
         for x in self.names:
             if x not in self.morse_index or x not in self.crit_values:
                 raise InvalidInputError(f"generator {x!r} missing index or value")
@@ -324,7 +327,7 @@ def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
     """
     cutoff = Fraction(cutoff)
     lattice = counts.lattice
-    entries: dict = {}
+    terms: dict = {}  # (x, y) -> {A: count}
     for (x, y, a), c in counts.counts.items():
         if counts.derived_index(gens, x, y, a) != 0:
             continue
@@ -333,8 +336,9 @@ def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
             raise InvalidInputError(
                 f"count at ({x!r}, {y!r}, {a}) has non-positive energy {energy}"
             )
-        term = NovikovElement.monomial(lattice, a, c, cutoff)
-        entries[(x, y)] = entries.get((x, y), NovikovElement.zero(lattice, cutoff)) + term
+        terms.setdefault((x, y), {})[a] = c
+    bound = lattice.energy_bound(cutoff)
+    entries = {key: NovikovElement._checked(lattice, t, bound) for key, t in terms.items()}
     return Differential(gens, lattice, entries, cutoff)
 
 

@@ -6,14 +6,14 @@ Two arithmetic modes coexist:
   value is integral, a ``fractions.Fraction`` only where a division makes
   one (never a float; divide by a ``Fraction``, since int / int is a
   float).  Values are normalized once, where they enter (``rational``,
-  ``frac_array``); the routines here take them as they are.  Rank and
-  kernels are exact; elimination (``rref``) is fraction-free on the integer
-  numerators (``numerators``), held in int64 where the one bound rule
-  (``narrow``) allows, and compared exactly (``same``).
-* float mode: ordinary float64 arrays, SVD-based ranks, tolerance 1e-10
-  unless stated otherwise; ``same`` compares within it.
+  ``frac_array``); the routines here take them as they are.  Exact work
+  runs on integer numerators (``numerators``), held in int64 where the one
+  bound rule (``narrow``) allows, and compared exactly (``same``); an exact
+  projector's rank is read from its trace (``trace_rank``).
+* float mode: ordinary float64 arrays, SVD-based ranks and kernels,
+  tolerance 1e-10 unless stated otherwise; ``same`` compares within it.
 
-Dispatch is by dtype: ``dtype == object`` selects the exact path.
+``is_exact`` tells the modes apart by dtype: ``dtype == object`` is exact.
 """
 
 from __future__ import annotations
@@ -62,12 +62,6 @@ def eye(n: int, exact: bool) -> np.ndarray:
     return np.eye(n)
 
 
-def zeros(shape, exact: bool) -> np.ndarray:
-    if exact:
-        return np.zeros(shape, dtype=int).astype(object)
-    return np.zeros(shape)
-
-
 def max_abs(a: np.ndarray) -> float:
     """Largest |entry| of a float array, 0.0 for an empty one."""
     return float(np.max(np.abs(a), initial=0.0))
@@ -100,62 +94,15 @@ def numerators(a) -> tuple[np.ndarray, int]:
     return np.array(nums, dtype=object).reshape(a.shape), m
 
 
-def _primitive(row: np.ndarray) -> np.ndarray:
-    """An integer row divided by its content (the gcd of its entries)."""
-    g = math.gcd(*row)
-    return row // g if g > 1 else row
-
-
-def rref(a: np.ndarray):
-    """Reduced row echelon form of an exact array by fraction-free
-    Gauss-Jordan elimination on its integer numerators.
-
-    Returns (R, pivot_columns).  R holds python ints, and each nonzero row
-    is primitive with a positive pivot: divided by its pivot, it is the row
-    of the reduced echelon form over the rationals.  The pivot of a column
-    is its first nonzero entry at or below the current row, and every
-    update p * row - x * pivot_row is divided by its content.
-    """
-    m = numerators(a)[0]
-    pivots = []
-    for c in range(m.shape[1]):
-        r = len(pivots)
-        below = np.flatnonzero(m[r:, c])
-        if not below.size:
-            continue
-        m[[r, r + below[0]]] = m[[r + below[0], r]]
-        m[r] = _primitive(m[r] if m[r, c] > 0 else -m[r])
-        for i in np.flatnonzero(m[:, c]):
-            if i != r:
-                m[i] = _primitive(m[r, c] * m[i] - m[i, c] * m[r])
-        pivots.append(c)
-    return m, pivots
-
-
 def rank(a: np.ndarray, tol: float = TOL) -> int:
     if a.size == 0:
         return 0
-    if is_exact(a):
-        return len(rref(a)[1])
     return int(np.linalg.matrix_rank(as_float(a), tol=tol))
 
 
 def nullspace(a: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Columns form a basis of ker(a).  Exact mode gives one primitive
-    integer column per non-pivot column, positive there.  Float mode keeps
-    the right singular vectors past the singular values above tol * s_max
-    (orthonormal)."""
-    if is_exact(a):
-        red, pivots = rref(a)
-        free = [c for c in range(a.shape[1]) if c not in pivots]
-        scale = math.lcm(*(red[r, pc] for r, pc in enumerate(pivots)))
-        basis = zeros((a.shape[1], len(free)), exact=True)
-        for k, fc in enumerate(free):
-            basis[fc, k] = scale
-            for r, pc in enumerate(pivots):
-                basis[pc, k] = -red[r, fc] * (scale // red[r, pc])
-            basis[:, k] = _primitive(basis[:, k])
-        return basis
+    """Columns form an orthonormal basis of ker(a): the right singular
+    vectors past the singular values above tol * s_max."""
     _, s, vh = np.linalg.svd(as_float(a))
     return vh[np.sum(s > tol * s.max(initial=0.0)):].T
 

@@ -115,7 +115,9 @@ class FiniteGroupModel:
         return self.table[g, h]
 
     def validate(self) -> None:
-        """Check associativity on all triples and two-sided identity/inverse."""
+        """Check associativity on all triples and two-sided identity/inverse,
+        and the irrep labels: each is used once, none is ``fixed`` (the label
+        of the fixed part), and ``trivial`` has character 1."""
         n = self.order
         t = self.table
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
@@ -129,6 +131,14 @@ class FiniteGroupModel:
                     f"multiplication not associative at ({a},{b},{c})"
                 )
         self.inverse(np.arange(n))
+        labels = [ir.label for ir in self.irreps]
+        for i, ir in enumerate(self.irreps):
+            if ir.label in labels[:i]:
+                raise InvalidInputError(f"irrep label {ir.label!r} is used twice")
+            if ir.label == "fixed":
+                raise InvalidInputError("irrep label 'fixed' is reserved for the fixed part")
+            if ir.label == "trivial" and any(c != 1 for c in ir.character):
+                raise InvalidInputError("irrep 'trivial' has a character value other than 1")
 
     def nontrivial_irreps(self) -> tuple[IrrepDescriptor, ...]:
         return tuple(ir for ir in self.irreps if ir.label != "trivial")

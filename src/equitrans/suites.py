@@ -272,14 +272,50 @@ def suite_perturbation(check):
             ), {"violating_model": j, "error": "bad certificate"})
 
 
+def coherent_three_level_table(rng: np.random.Generator,
+                               lattice: floer.HomologyLattice,
+                               n0: int = 3, n1: int = 3, n2: int = 2):
+    """Random moduli counts whose differential squares to zero by
+    construction (broken-gluing cancellation), for n1 >= 2.
+
+    The level-1 -> level-0 block b and the level-2 -> level-1 block a are
+    drawn with disjoint supports on the level-1 generators (b on the first
+    ``split``, a on the rest), every entry nonzero there, so b @ a = 0.
+    Elementary integer operations E on level 1 (b <- b E^-1, a <- E a) keep
+    b @ a = 0.  The first adds +-row t of a (t in a's support) to its zero
+    row s (s in b's support), so generator s has nonzero counts to both
+    levels; the later ones leave s alone."""
+    names = [[f"{p}{i}" for i in range(n)] for p, n in (("a", n0), ("b", n1), ("c", n2))]
+    level = {x: d for d, level_names in enumerate(names) for x in level_names}
+    gens = floer.GeneratorSet(tuple(level), level, level)
+    split = int(rng.integers(1, n1))
+    nonzero = np.array([-2, -1, 1, 2])
+    b = np.zeros((n0, n1), dtype=int)
+    b[:, :split] = nonzero[rng.integers(4, size=(n0, split))]
+    a = np.zeros((n1, n2), dtype=int)
+    a[split:] = nonzero[rng.integers(4, size=(n1 - split, n2))]
+    s = int(rng.integers(split))
+    rest = [y for y in range(n1) if y != s]
+    ops = [(s, int(rng.integers(split, n1)))]
+    if len(rest) > 1:
+        ops += [rng.permutation(rest)[:2] for _ in range(2)]
+    for (i, j), c in zip(ops, rng.choice([-1, 1], size=len(ops))):
+        # E = I + c e_ij, E^-1 = I - c e_ij
+        a[i] += c * a[j]
+        b[:, j] -= c * b[:, i]
+    counts = {}
+    for block, (lo, hi) in ((b, names[:2]), (a, names[1:])):
+        for (i, j), c in np.ndenumerate(block):
+            counts[(lo[i], hi[j], lattice.zero)] = int(c)
+    return gens, floer.ModuliCountTable(lattice, counts)
+
+
 @_battery(8, "floer-algebra", "novikov-chain-complex")
 def suite_floer(check):
     """Criterion 8: d-squared, autonomous reduction, toy-model ranks, and the
     generator lower bound."""
     lat = floer.HomologyLattice(1, (Fraction(1),), (0,))
     rng = np.random.default_rng(23)
-    from .testutil import coherent_three_level_table
-
     for k in range(20):
         gens, counts = coherent_three_level_table(rng, lat)
         delta = floer.build_differential(gens, counts, cutoff=10)

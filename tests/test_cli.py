@@ -1412,6 +1412,8 @@ def drifting_dihedral(n=32, amplitude=1.2e-10):
      "lattice point (0, 0) has wrong rank"),
     (["floer", "ranks"], _without(FLOER_RANKS, "generators", "index", "z"),
      "generator 'z' missing index or value"),
+    (["floer", "ranks"], _replaced(FLOER_RANKS, ["x", "x", "z"], "generators", "names"),
+     "generator 'x' is listed twice"),
     (["floer", "reduce"], dict(FLOER_REDUCE, morse_counts=[{"x": "m1", "y": "m2",
                                                            "count": 1}]),
      "Morse count at ('m1', 'm2') does not sit in the index-0 slot"),
@@ -1495,6 +1497,17 @@ def drifting_dihedral(n=32, amplitude=1.2e-10):
     (["reps", "decompose"],
      _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), "X", "group", "irreps", 0,
                "endo_type"), "unknown endomorphism type 'X'"),
+    # irrep labels that would replace or drop a projector: the fixed part's
+    # label, a repeat, and a "trivial" irrep of another character
+    (["reps", "decompose"],
+     _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), "fixed", "group", "irreps", 0, "label"),
+     "irrep label 'fixed' is reserved for the fixed part"),
+    (["reps", "decompose"],
+     dict(REPS_MATRICES, group=dict(CUSTOM_Z2, irreps=CUSTOM_Z2["irreps"] * 2)),
+     "irrep label 'odd' is used twice"),
+    (["reps", "decompose"],
+     _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), "trivial", "group", "irreps", 0,
+               "label"), "irrep 'trivial' has a character value other than 1"),
     # an associative table with no identity, and one whose element 1 absorbs
     (["reps", "decompose"], _replaced(REPS_MATRICES, {"table": [[0, 0], [0, 0]]},
                                       "group"), "multiplication table has no identity"),

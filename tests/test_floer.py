@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equitrans import floer
+from equitrans import floer, suites
 from equitrans.errors import IndeterminateError, InvalidInputError
 from equitrans.floer import (
     Differential,
@@ -307,10 +307,8 @@ def test_index_zero_entries_are_homogeneous_of_grading_shift_one(data):
 # ---------------------------------------------------------------------------
 
 
-def coherent_three_level_table(rng, n0=3, n1=3, n2=2):
-    from equitrans.testutil import coherent_three_level_table as gen
-
-    return gen(rng, LAT1, n0, n1, n2)
+def coherent_three_level_table(rng):
+    return suites.coherent_three_level_table(rng, LAT1)
 
 
 def test_synthetic_coherent_tables_d_squared_zero():
@@ -321,13 +319,23 @@ def test_synthetic_coherent_tables_d_squared_zero():
         assert check_d_squared(delta).ok
 
 
+@pytest.mark.parametrize("n0, n1, n2", [(1, 2, 1), (3, 3, 2), (2, 5, 3), (4, 4, 1)])
+def test_coherent_tables_compose_at_every_size(n0, n1, n2):
+    # d^2 = 0, and some level-1 generator has nonzero counts to both levels
+    rng = np.random.default_rng(n0 + 10 * n1 + 100 * n2)
+    for _ in range(10):
+        gens, counts = suites.coherent_three_level_table(rng, LAT1, n0, n1, n2)
+        assert len(gens.names) == n0 + n1 + n2
+        assert check_d_squared(build_differential(gens, counts, cutoff=10)).ok
+        assert ({y for x, y, _ in counts.counts if gens.ind(x) == 0}
+                & {y for y, z, _ in counts.counts if gens.ind(z) == 2})
+
+
 def test_perturbed_entry_fails_at_the_pair():
-    rng = np.random.default_rng(5)
-    while True:
-        gens, counts = coherent_three_level_table(rng)
-        if any(k[1].startswith("c") for k in counts.counts):
-            break
-    key = next(k for k in counts.counts if k[1].startswith("c"))
+    # one more on a count y -> z whose middle y has nonzero level-1 counts
+    gens, counts = coherent_three_level_table(np.random.default_rng(5))
+    middles = {y for x, y, _ in counts.counts if gens.ind(x) == 0}
+    key = next(k for k in counts.counts if k[0] in middles and gens.ind(k[1]) == 2)
     bad = dict(counts.counts)
     bad[key] = bad[key] + 1
     delta = build_differential(gens, ModuliCountTable(LAT1, bad), cutoff=10)

@@ -24,8 +24,7 @@ from equitrans.errors import InvalidInputError
 def fraction_rref(a):
     """Reduced row echelon form over the rationals, every pivot divided out
     as a Fraction: (R, pivot columns).  The pivot of a column is its first
-    nonzero entry at or below the current row, the rule ``linalg.rref``
-    keeps with fraction-free arithmetic."""
+    nonzero entry at or below the current row."""
     m = np.array(a, dtype=object)
     rows, cols = m.shape
     pivots = []
@@ -48,7 +47,7 @@ def cayley_orthogonal(dim, rng, denom=3):
     (I + A)^-1 (I - A) of a random antisymmetric A with entries in
     {-1, 0, 1} / denom.  I + A is invertible, so eliminating [I + A | I - A]
     leaves [I | (I + A)^-1 (I - A)]."""
-    a = linalg.zeros((dim, dim), exact=True)
+    a = linalg.frac_array(np.zeros((dim, dim), dtype=int))
     for i in range(dim):
         for j in range(i + 1, dim):
             v = Fraction(int(rng.integers(-1, 2)), denom)
@@ -101,7 +100,7 @@ def mat_eq(a, b, tol=linalg.TOL):
 
 def is_zero(a):
     """Every entry is 0: exactly for an exact array, within linalg.TOL else."""
-    return mat_eq(a, linalg.zeros(a.shape, linalg.is_exact(a)))
+    return mat_eq(a, np.zeros_like(a))
 
 
 def fraction_reference(rep, commuting=None):

@@ -197,6 +197,45 @@ def test_floer_battery_reports_a_planted_fault(monkeypatch):
     assert record["failures"][0]["got"] == {0: 1, 1: 3, 2: 1}
 
 
+def composable(counts):
+    """Level-1 generators y with a nonzero count x -> y from level 0 (names
+    a*) and a nonzero count y -> z to level 2 (names c*)."""
+    keys = counts.counts
+    return ({y for x, y, _ in keys if x.startswith("a")}
+            & {y for y, z, _ in keys if z.startswith("c")})
+
+
+def test_floer_battery_tables_compose(monkeypatch):
+    # each of criterion 8's 20 coherent tables has a composable pair, so
+    # its d-squared check multiplies nonzero entries
+    honest, tables = suites.coherent_three_level_table, []
+    monkeypatch.setattr(suites, "coherent_three_level_table",
+                        lambda *args: tables.append(honest(*args)) or tables[-1])
+    assert suites.SUITES["floer"]()["pass"]
+    assert len(tables) == 20
+    assert all(composable(counts) for _, counts in tables)
+
+
+def test_floer_battery_reports_a_planted_d_squared_fault(monkeypatch):
+    # one more on a level-2 count of the first table, at a composable middle
+    # generator y: delta^2 gains the nonzero column of y's level-1 counts
+    honest, calls = suites.coherent_three_level_table, []
+
+    def planted(*args):
+        gens, counts = honest(*args)
+        calls.append(None)
+        if len(calls) == 1:
+            y = min(composable(counts))
+            key = next(k for k in counts.counts if k[0] == y and k[1].startswith("c"))
+            counts = floer.ModuliCountTable(counts.lattice,
+                                            {**counts.counts, key: counts.counts[key] + 1})
+        return gens, counts
+
+    monkeypatch.setattr(suites, "coherent_three_level_table", planted)
+    record = suites.SUITES["floer"]()
+    assert (record["checks"], record["failures"]) == (31, [{"case": "coherent-table-0"}])
+
+
 def test_groupoid_battery_reports_a_planted_fault(monkeypatch):
     # one wrong entry of the Z_2 negation orbit metric
     honest = groupoids.quotient_metric
