@@ -254,22 +254,17 @@ def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
     """Split a bundle into its fixed part and isotypic components: the rank
     of each component, by label.
 
-    Transitions commute with the action, hence with each character
-    projector, so the fiber-level character projectors of ``rep``
-    describe the whole family, and each rank holds on every connected
-    component.  ``reps.projector_check`` verifies the projector identities
-    and that every transition commutes with every projector.  A transition
-    that does not is named by its edge; a failed identity means an invalid
-    character table.  The first failure raises InvalidInputError, as does a
-    non-integral rank.
+    The bundle must pass ``validate()``: its transitions then commute with
+    the action, hence with each character projector, so the fiber-level
+    character projectors of ``rep`` describe the whole family, and each
+    rank holds on every connected component.  ``reps.projector_check``
+    verifies the projector identities; a failed one means an invalid
+    character table and raises InvalidInputError, as does a non-integral
+    rank.
     """
-    edges = {f"({u},{v})": bundle.transitions[(u, v)] for (u, v) in bundle.base.edges()}
-    ranks, _, failed = reps.projector_check(bundle.rep, tol, commuting=edges)
+    ranks, _, failed = reps.projector_check(bundle.rep, tol)
     if failed:
         identity, label = failed[0]
-        if identity in edges:
-            raise InvalidInputError(f"transition on edge {identity} does not "
-                                    f"preserve the {label!r} component")
         raise InvalidInputError(f"character projectors fail the {identity} identity "
                                 f"at {label!r}; invalid character table")
     return ranks

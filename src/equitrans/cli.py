@@ -301,14 +301,14 @@ def _generator(gens: floer.GeneratorSet, name, what: str):
 
 
 def load_counts(lattice, gens, spec) -> floer.ModuliCountTable:
-    counts = {}
+    counts = {}  # a repeated (x, y, A) sums its counts
     for rec in [] if spec is None else _list(spec, "'counts' section"):
         x, y, a, c = (_field(rec, key, "count record")
                       for key in ("x", "y", "A", "count"))
         a = tuple(_int(k, "count record 'A'") for k in _list(a, "count record 'A'"))
-        counts[(_generator(gens, x, "count record 'x'"),
-                _generator(gens, y, "count record 'y'"), a)] = _int(
-            c, "count record 'count'")
+        key = (_generator(gens, x, "count record 'x'"),
+               _generator(gens, y, "count record 'y'"), a)
+        counts[key] = counts.get(key, 0) + _int(c, "count record 'count'")
     return floer.ModuliCountTable(lattice, counts)
 
 
@@ -460,7 +460,7 @@ def cmd_reps(scenario, settings, sub):
         ranks, _, failed = reps.projector_check(rep, settings.tolerance)
         anchor = "isotypic-character-projectors"
         # a component passes when no failed identity names it: idempotent,
-        # commutes-with-action, or a pairwise-orthogonal pair 'a|b'
+        # or a pairwise-orthogonal pair 'a|b'
         failed_labels = {label for check, label in failed
                          if check != "resolution-of-identity"}
 

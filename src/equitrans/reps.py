@@ -20,6 +20,10 @@ numerators Q = D P over one common denominator D (``linalg.numerators``), so
 no entry is a Fraction.  ``projector_check`` and the irreducibility test of
 ``endo_type`` both read them from there.  An exact representation holds its
 integer numerators from construction.
+
+A finite group's characters are checked once, by ``FiniteGroupModel.validate``,
+so ``projector_check`` skips what they prove: each P_l commutes with the
+action and with every equivariant map.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ def _cos2pi_exact(num: int, den: int) -> Fraction | None:
 
 @dataclass(frozen=True)
 class IrrepDescriptor:
-    """A real irreducible representation: label, dimension, character values
-    per group element, and endomorphism type."""
+    """A real irreducible representation: a string label, an integer dim >= 1,
+    character values per group element, and endomorphism type."""
 
     label: str
     dim_V: int
@@ -58,6 +62,11 @@ class IrrepDescriptor:
     endo_type: str  # 'R', 'C' or 'H'
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise InvalidInputError(f"irrep label {self.label!r} is not a string")
+        if not isinstance(self.dim_V, int) or self.dim_V < 1:
+            raise InvalidInputError(
+                f"irrep {self.label!r} has dim {self.dim_V!r}, not an integer >= 1")
         if self.endo_type not in ("R", "C", "H"):
             raise InvalidInputError(f"unknown endomorphism type {self.endo_type!r}")
 
@@ -115,9 +124,9 @@ class FiniteGroupModel:
         return self.table[g, h]
 
     def validate(self) -> None:
-        """Check associativity on all triples and two-sided identity/inverse,
-        and the irrep labels: each is used once, none is ``fixed`` (the label
-        of the fixed part), and ``trivial`` has character 1."""
+        """Check associativity on all triples, two-sided identity/inverse, the
+        irrep labels (each used once, none ``fixed``, the fixed part's label,
+        ``trivial`` of character 1) and the characters (``_check_characters``)."""
         n = self.order
         t = self.table
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
@@ -139,6 +148,58 @@ class FiniteGroupModel:
                 raise InvalidInputError("irrep label 'fixed' is reserved for the fixed part")
             if ir.label == "trivial" and any(c != 1 for c in ir.character):
                 raise InvalidInputError("irrep 'trivial' has a character value other than 1")
+        self._check_characters()
+
+    def _check_characters(self) -> None:
+        """The relations of real irreducible characters (Serre, *Linear
+        Representations of Finite Groups*, 2.3 and 13.2) over the trivial
+        character, which the fixed part's projector uses, and each
+        nontrivial irrep: chi is a class function, chi(e) = dim V, <chi, chi>
+        = endo_dim, and distinct characters are orthogonal, with <chi_a,
+        chi_b> = avg_g chi_a(g) chi_b(g).  Exact characters are compared
+        exactly on integer numerators over one denominator c
+        (``linalg.numerators``); if any is float, all are compared within
+        ``linalg.TOL``.  The first failure, in irrep order, names its irrep.
+        """
+        n, e, t = self.order, self.identity, self.table
+        irreps = (IrrepDescriptor("trivial", 1, linalg.frac_array([1] * n), "R"),
+                  *self.nontrivial_irreps())
+        for ir in irreps:
+            if len(ir.character) != n:
+                raise InvalidInputError(f"irrep {ir.label!r} has {len(ir.character)} "
+                                        f"character values for a group of order {n}")
+        chars = np.array([ir.character for ir in irreps], dtype=object)
+        exact = all(isinstance(v, (Fraction, int)) for v in chars.flat)
+        x, c = linalg.numerators(chars) if exact else (linalg.as_float(chars), 1)
+        unit = c * c * n  # <chi_a, chi_b> = gram[a, b] / unit
+        gram = x @ x.T
+        same = partial(linalg.same, exact=exact, axes=-1)
+        conj = t[t, self.inverse(np.arange(n))[:, None]]  # [h, g]: h g h^-1
+        is_class = [same(row[conj], row, axes=None) for row in x]
+        # python ints, so a large c cannot overflow
+        at_e = same(x[:, e, None], np.array([[c * ir.dim_V] for ir in irreps]))
+        inner = same(gram[..., None], np.diag([unit * ir.endo_dim for ir in irreps])[..., None],
+                     tol=unit * linalg.TOL)
+
+        def value(v, scale):
+            return str(Fraction(int(v), scale)) if exact else f"{v / scale:.12g}"
+
+        for a, ir in enumerate(irreps):
+            if not is_class[a]:
+                raise InvalidInputError(
+                    f"the character of irrep {ir.label!r} is not a class function")
+            if not at_e[a]:
+                raise InvalidInputError(f"irrep {ir.label!r} has chi(e) = "
+                                        f"{value(x[a, e], c)}, not its dim {ir.dim_V}")
+            if not inner[a, a]:
+                raise InvalidInputError(
+                    f"irrep {ir.label!r} has <chi, chi> = {value(gram[a, a], unit)}, "
+                    f"not its endo_dim {ir.endo_dim}")
+            if not inner[a, :a].all():
+                b = np.argmin(inner[a, :a])
+                raise InvalidInputError(
+                    f"irreps {irreps[b].label!r} and {ir.label!r} are not orthogonal: "
+                    f"<chi, chi'> = {value(gram[a, b], unit)}")
 
     def nontrivial_irreps(self) -> tuple[IrrepDescriptor, ...]:
         return tuple(ir for ir in self.irreps if ir.label != "trivial")
@@ -535,17 +596,14 @@ def _character_table(group: GroupModel, exact: bool) -> tuple:
     as floats, and a None.  Exact mode: X integer numerators, chi_l = X_l /
     c_l, f_l the same divided by c_l as Fractions, and a_l = sum_g |X_lg|.
     Kept per group and mode in its ``__dict__``, as ``_block_catalog`` is.
-    A character of the wrong length, or an irrational one in exact mode,
-    raises InvalidInputError."""
+    An irrational character in exact mode raises InvalidInputError; the
+    lengths are checked by ``FiniteGroupModel.validate``."""
     key = f"_character_table_{exact}"
     if key not in group.__dict__:
         order = group.order
         labels, rows, scales = ["fixed"], [[1] * order], [Fraction(1, order)]
         for ir in group.nontrivial_irreps():
             chi = ir.character
-            if len(chi) != order:
-                raise InvalidInputError(
-                    "irrep does not belong to the representation's group model")
             if exact and not all(isinstance(c, (Fraction, int)) for c in chi):
                 raise InvalidInputError(
                     f"irrep {ir.label!r} has no exact character; use float mode")
@@ -562,70 +620,62 @@ def _character_table(group: GroupModel, exact: bool) -> tuple:
     return group.__dict__[key]
 
 
-def _projectors(rep: RealRepresentation, commuting: dict):
-    """(M, {label: Q}, D, {name: C}): the character projectors P_l of
-    ``rep`` over the fixed part and each nontrivial irrep l
-    (``_character_table``, in its order) as Q_l = D P_l, all formed as one
-    product of the (L, |G|) weight table with the (|G|, d^2) stack of rho.
+def _projectors(rep: RealRepresentation):
+    """({label: Q}, D): the character projectors P_l of ``rep`` over the
+    fixed part and each nontrivial irrep l (``_character_table``, in its
+    order) as Q_l = D P_l, all formed as one product of the (L, |G|) weight
+    table with the (|G|, d^2) stack of rho.
 
-    Float mode returns M = rho, Q = P, D = 1 and the matrices of
-    ``commuting`` as given.  Exact mode returns integer numerators: rho =
-    M / m, C a multiple of each named matrix, Q_l = D s_l sum_g X_lg M_g with
-    s_l = f_l / m, and D the common denominator of the s_l.  The exact
-    arrays are narrowed (``linalg.narrow``) for every product
-    ``projector_check`` computes.
+    Float mode returns Q = P and D = 1.  Exact mode returns integer
+    numerators Q_l = D s_l sum_g X_lg M_g, for rho = M / m and s_l = f_l / m
+    over their common denominator D, narrowed (``linalg.narrow``) for every
+    product ``projector_check`` computes.
     """
     order, d = rep.group.order, rep.dim
     labels, table, scales, sums = _character_table(rep.group, rep.exact)
     if not rep.exact:
         q = scales[:, None] * (table @ rep.matrices.reshape(order, -1))
-        return rep.matrices, dict(zip(labels, q.reshape(-1, d, d))), 1, commuting
+        return dict(zip(labels, q.reshape(-1, d, d))), 1
     mats, m, m_max = rep.numerators
     nums, denom = linalg.numerators([f / m for f in scales])
-    named = {name: linalg.numerators(c)[0] for name, c in commuting.items()}
-    # |Q|, |M|, |C| and D bound every factor; a product sums at most
-    # dim terms, a sum of projectors has one term per label
+    # |Q| and D bound every factor; a product sums at most dim terms, a sum
+    # of projectors has one term per label
     q_max = max(n * a * m_max for n, a in zip(nums, sums))
-    factor = max([q_max, m_max, denom] + [abs(v) for c in named.values() for v in c.flat])
-    mats = linalg.narrow(mats, factor, max(d, len(labels)))
+    mats = linalg.narrow(mats, max(q_max, denom), max(d, len(labels)))
     weights = nums.astype(mats.dtype)[:, None] * table.astype(mats.dtype)
-    q = (weights @ mats.reshape(order, -1)).reshape(-1, d, d)
-    return (mats, dict(zip(labels, q)), denom,
-            {name: c.astype(mats.dtype) for name, c in named.items()})
+    return dict(zip(labels, (weights @ mats.reshape(order, -1)).reshape(-1, d, d))), denom
 
 
-def projector_check(rep: RealRepresentation, tol: float = linalg.TOL,
-                    commuting: dict | None = None) -> tuple[dict, int, list]:
+def projector_check(rep: RealRepresentation, tol: float = linalg.TOL) -> tuple[dict, int, list]:
     """Check the character projectors of ``rep``: (ranks, number of checks,
     failed (identity, label) pairs).
 
     For Q_l = D P_l (``_projectors``), over the fixed part and each
     nontrivial irrep l in sorted order, the identities are, in this order:
-    Q^2 = D Q ("idempotent"), rho(g) Q = Q rho(g) ("commutes-with-action"),
-    Q_a Q_b = 0 ("pairwise-orthogonal", label "a|b"), sum_l Q_l = D I
-    ("resolution-of-identity", label "") and C Q = Q C for each matrix C in
-    ``commuting``, under its name.  Exact mode compares integer numerators
-    exactly, float mode within ``tol``.  A non-integral rank (trace of P)
-    raises InvalidInputError.
+    Q^2 = D Q ("idempotent"), Q_a Q_b = 0 ("pairwise-orthogonal", label
+    "a|b", formed one label a at a time) and sum_l Q_l = D I
+    ("resolution-of-identity", label "").  Exact mode compares integer
+    numerators exactly, float mode within ``tol``.  A non-integral rank
+    (trace of P) raises InvalidInputError.
+
+    P_l commuting with each rho(h), and so with every equivariant map, is a
+    theorem for a class function chi_l (``FiniteGroupModel.validate``):
+    reindex the sum by g -> h g h^-1.  It is not checked.
     """
-    mats, projs, denom, named = _projectors(rep, commuting or {})
+    projs, denom = _projectors(rep)
     same = partial(linalg.same, exact=rep.exact, tol=tol)
     labels = sorted(projs)
     q = np.stack([projs.pop(label) for label in labels])  # frees the unsorted stack
     ranks = {label: linalg.trace_rank(tr, denom)
              for label, tr in zip(labels, np.trace(q, axis1=1, axis2=2))}
-    a, b = np.triu_indices(len(labels), 1)
     verdicts = [
         ("idempotent", labels, same(q @ q, denom * q)),
-        # one label at a time: an (L, |G|, d, d) stack costs more in fresh
-        # memory than in arithmetic
-        ("commutes-with-action", labels, [same(mats @ p, p @ mats, axes=(0, 1, 2))
-                                          for p in q]),
-        ("pairwise-orthogonal", [f"{labels[i]}|{labels[j]}" for i, j in zip(a, b)],
-         same(q[a] @ q[b], 0)),
+        ("pairwise-orthogonal", [f"{a}|{b}" for i, a in enumerate(labels)
+                                 for b in labels[i + 1:]],
+         [ok for i in range(len(q)) for ok in same(q[i] @ q[i + 1:], 0)]),
         ("resolution-of-identity", [""],
          [same(q.sum(axis=0), denom * np.eye(rep.dim, dtype=q.dtype))]),
-    ] + [(name, labels, same(c @ q, q @ c)) for name, c in named.items()]
+    ]
     results = [(check, label, ok) for check, names, oks in verdicts
                for label, ok in zip(names, oks)]
     return ranks, len(results), [(check, label) for check, label, ok in results if not ok]
@@ -697,7 +747,7 @@ def endo_type(rep: RealRepresentation) -> tuple[str, int]:
 def _assert_irreducible(rep: RealRepresentation) -> None:
     """Exactly one character projector is the identity, the rest vanish, and
     ``rep`` has the dimension of that irrep."""
-    _, projs, denom, _ = _projectors(rep, {})
+    projs, denom = _projectors(rep)
     hits = []
     for label, q in projs.items():
         if linalg.same(q, 0, rep.exact):

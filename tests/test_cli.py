@@ -1071,21 +1071,30 @@ def test_byte_identical_reports_for_every_subcommand(tmp_path, capsys, argv, pay
     assert first[0] in (0, 1) and json.loads(first[1])["records"]
 
 
-def _bad_character_table(dim, mode):
-    """Z_2 acting on R^dim by diag(1, ..., 1, +-1) with the 'odd' character
-    given as (1, 1/2): P_odd = (I + rho(g)/2)/2 is not a projector."""
-    mats = [np.eye(dim, dtype=int).tolist(), np.diag([1] * (dim - 1) + [-1]).tolist()]
-    return {"settings": {"mode": mode},
-            "group": dict(CUSTOM_Z2, irreps=[dict(CUSTOM_Z2["irreps"][0],
-                                                  character=["1", "1/2"])]),
+# the Klein four-group, g h = g xor h, and its real characters
+# psi_s(g) = (-1)^popcount(s & g)
+KLEIN = [[g ^ h for h in range(4)] for g in range(4)]
+KLEIN_CHARACTERS = [[(-1) ** bin(s & g).count("1") for g in range(4)] for s in range(4)]
+
+
+def _fake_klein_table(summands, mode):
+    """The Klein four-group acting by diag(psi_s(g) for s in summands), with
+    one listed irrep 'fake' of character (1, 1/3, 1/3, -5/3) = (2 psi_1 + 2
+    psi_2 - psi_3) / 3.  It is a class function with chi(e) = 1, <chi, chi>
+    = 1 and <chi, 1> = 0, so the table passes its check, but it is not a
+    character: P_fake acts on psi_1, psi_2 and psi_3 as 2/3, 2/3 and -1/3."""
+    mats = [np.diag([KLEIN_CHARACTERS[s][g] for s in summands]).tolist() for g in range(4)]
+    fake = {"label": "fake", "dim": 1, "character": [1, "1/3", "1/3", "-5/3"],
+            "endo_type": "R"}
+    return {"settings": {"mode": mode}, "group": {"table": KLEIN, "irreps": [fake]},
             "representation": {"matrices": mats}, "base": {"interval": 1}}
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("command", [["reps", "decompose"], ["bundle", "decompose"]])
 def test_non_integral_projector_trace_exit_2(tmp_path, capsys, mode, command):
-    # P_odd = diag(3/4, 3/4, 1/4) has trace 7/4
-    path = write(tmp_path, "bad.json", _bad_character_table(3, mode))
+    # P_fake = diag(0, 2/3, 2/3) has trace 4/3
+    path = write(tmp_path, "bad.json", _fake_klein_table([0, 1, 2], mode))
     code, out, err = run(capsys, command + [path])
     assert code == 2
     assert out == ""
@@ -1094,51 +1103,24 @@ def test_non_integral_projector_trace_exit_2(tmp_path, capsys, mode, command):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_non_idempotent_integral_trace_projector(tmp_path, capsys, mode):
-    # P_odd = diag(3/4, 1/4): integral trace, not idempotent, and not
-    # orthogonal to P_fixed = diag(1, 0), so the pair fails both records
-    path = write(tmp_path, "bad.json", _bad_character_table(2, mode))
+    # P_fake = diag(0, 2/3, 2/3, -1/3): integral trace, not idempotent, and
+    # orthogonal to P_fixed = diag(1, 0, 0, 0), since <chi, 1> = 0
+    path = write(tmp_path, "bad.json", _fake_klein_table([0, 1, 2, 3], mode))
     code, out, _ = run(capsys, ["reps", "decompose", path])
     assert code == 1
     anchor = "isotypic-character-projectors"
     assert json.loads(out)["records"] == [
-        {"check": "component-fixed", "anchor": anchor, "pass": False,
+        {"check": "component-fake", "anchor": anchor, "pass": False,
          "certificate": {"rank": 1}},
-        {"check": "component-odd", "anchor": anchor, "pass": False,
+        {"check": "component-fixed", "anchor": anchor, "pass": True,
          "certificate": {"rank": 1}},
         {"check": "resolution-of-identity", "anchor": anchor, "pass": False,
-         "certificate": {"dim": 2}},
+         "certificate": {"dim": 4}},
     ]
     code, out, err = run(capsys, ["bundle", "decompose", path])
     assert code == 2
     assert out == ""
     assert "invalid character table" in json.loads(err)["error"]
-
-
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_projectors_failing_only_commutation_fail_their_records(tmp_path, capsys, mode):
-    # S_3 on R^3 by permutations, H = {e, t} for the transposition t = 1:
-    # chi_a = 3 * 1_H - 1 gives P_a = P_H - P_fixed and chi_b = 6 delta_e -
-    # 3 * 1_H gives P_b = I - P_H, orthogonal projectors of rank one that
-    # resolve the identity; they are not class functions, so P_a and P_b do
-    # not commute with the action
-    s3 = reps.symmetric_group(3)
-    chi_a = [2, 2, -1, -1, -1, -1]
-    chi_b = [3, -3, 0, 0, 0, 0]
-    irreps = [{"label": label, "dim": 1, "character": chi, "endo_type": "R"}
-              for label, chi in (("a", chi_a), ("b", chi_b))]
-    payload = {"settings": {"mode": mode},
-               "group": {"table": s3.table.tolist(), "irreps": irreps},
-               "representation": {
-                   "matrices": reps._block_catalog(s3)["natural"].matrices.tolist()}}
-    code, out, _ = run(capsys, ["reps", "decompose", write(tmp_path, "s3.json", payload)])
-    assert code == 1
-    anchor = "isotypic-character-projectors"
-    assert json.loads(out)["records"] == [
-        {"check": f"component-{label}", "anchor": anchor, "pass": ok,
-         "certificate": {"rank": 1}}
-        for label, ok in (("a", False), ("b", False), ("fixed", True))
-    ] + [{"check": "resolution-of-identity", "anchor": anchor, "pass": True,
-          "certificate": {"dim": 3}}]
 
 
 @pytest.mark.parametrize("command, payload, keys, named", [
@@ -1331,20 +1313,39 @@ Q8_FOUR_CYCLE = [(s * m).tolist() for m in (EYE4, FOUR_CYCLE, EYE4, EYE4)
                  for s in (1, -1)]
 
 
-KLEIN_NAMED_Z4 = {"name": "Z_4", "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
-                                           [3, 2, 1, 0]],
-                  "irreps": [{"label": "two", "dim": 2, "character": [1, 0, -1, 0],
-                              "endo_type": "R"}]}
+KLEIN_NAMED_Z4 = {"name": "Z_4", "table": KLEIN,
+                  "irreps": [{"label": f"psi_{s}", "dim": 1, "character": chi,
+                              "endo_type": "R"}
+                             for s, chi in enumerate(KLEIN_CHARACTERS[1:], 1)]}
+# a Klein table whose 'fake' of dim 2 has chi(e) = 1, on a valid diagonal
+# representation that its projector would call one copy of 'fake'
+KLEIN_FAKE = {"group": {"table": KLEIN,
+                        "irreps": [{"label": "fake", "dim": 2, "character": [1, 0, -1, 0],
+                                    "endo_type": "R"}]},
+              "representation": {"matrices": [np.diag([KLEIN_CHARACTERS[1][g],
+                                                       KLEIN_CHARACTERS[2][g]]).tolist()
+                                              for g in range(4)]},
+              "base": {"interval": 1}}
+# Z_2^4, g h = g xor h, with one listed irrep 'fake' of dim 3 whose character
+# is a third of the sum of the nine characters psi_1, ..., psi_9, where
+# psi_s(g) = (-1)^popcount(s & g): chi(e) = 3, <chi, chi> = 1 and <chi, 1> =
+# 0, so the table passes its check.  On 3 psi_1 its projector is 3 <chi,
+# psi_1> I = I, so 3 psi_1 passes as that irrep, and its commutant has dim 9
+Z2_4_CHARACTERS = [[(-1) ** bin(s & g).count("1") for g in range(16)] for s in range(16)]
+Z2_4_FAKE = {"group": {"table": [[g ^ h for h in range(16)] for g in range(16)],
+                       "irreps": [{"label": "fake", "dim": 3, "endo_type": "R",
+                                   "character": [f"{sum(col[1:10])}/3" for col in
+                                                 zip(*Z2_4_CHARACTERS)]}]},
+             "representation": {"matrices": [(x * np.eye(3, dtype=int)).tolist()
+                                             for x in Z2_4_CHARACTERS[1]]}}
 
 
 def drifting_dihedral(n=32, amplitude=1.2e-10):
     """A float D_n scenario whose matrices pass the group law on the
     generators r and s (to 5e-11) but drift along longer words: r^a turns by
     2 pi a / n + amplitude (cos(4 pi a / n) - 1), r^a s by the opposite
-    drift.  With the plane irrep as the only one listed, its character
-    projectors pass (to 6e-11).  Float ``validate`` checks the law on every
-    pair, so the drift fails it.  Characters are decimal strings, which a
-    group table takes as exact values."""
+    drift.  Float ``validate`` checks the law on every pair, so the drift
+    fails it."""
     theta = 2 * np.pi * np.arange(n) / n
     drift = amplitude * (np.cos(2 * theta) - 1)
 
@@ -1353,10 +1354,7 @@ def drifting_dihedral(n=32, amplitude=1.2e-10):
 
     mats = ([rotation(t + e) for t, e in zip(theta, drift)]
             + [rotation(t - e) @ np.diag([1.0, -1.0]) for t, e in zip(theta, drift)])
-    plane = {"label": "plane_1", "dim": 2, "endo_type": "R",
-             "character": [repr(float(c)) for c in 2 * np.cos(theta)] + ["0"] * n}
-    return {"settings": {"mode": "float"},
-            "group": {"table": reps.dihedral_group(n).table.tolist(), "irreps": [plane]},
+    return {"settings": {"mode": "float"}, "group": {"preset": f"D_{n}"},
             "representation": {"matrices": [m.tolist() for m in mats]}}
 
 
@@ -1536,25 +1534,67 @@ def drifting_dihedral(n=32, amplitude=1.2e-10):
     (["reps", "decompose"], dict(REPS_TRIVIAL, group={"preset": "Q_8"},
                                  representation={"matrices": Q8_FOUR_CYCLE}),
      "group law fails at pair (2, 2)"),
-    # a valid representation whose irrep table is wrong: Z_2 acting by +-I
-    # on R^3 passes as a 3-dim irrep, and its commutant is all of M_3(R)
+    # Z_2 acting by +-I on R^3 passed as a 3-dim irrep of character
+    # (2/3, -2/3); the table check now rejects it at load
     (["reps", "endotype"],
      {"group": {"table": [[0, 1], [1, 0]],
                 "irreps": [{"label": "s3", "dim": 3, "character": ["2/3", "-2/3"],
                             "endo_type": "C"}]},
       "representation": {"matrices": [np.eye(3, dtype=int).tolist(),
                                       (-np.eye(3, dtype=int)).tolist()]}},
+     "irrep 's3' has chi(e) = 2/3, not its dim 3"),
+    # a table that passes its check but lists no true character: 3 psi_1
+    # of Z_2^4 passes as an irrep, and its commutant is all of M_3(R)
+    (["reps", "endotype"], Z2_4_FAKE,
      "commutant dimension 9 is not 1, 2 or 4; input is not irreducible"),
+    # one table per character relation, each named by its first failure;
+    # the Klein 'fake' of dim 2 fails for reps and bundles alike
+    *[(command, KLEIN_FAKE, "irrep 'fake' has chi(e) = 1, not its dim 2")
+      for command in (["reps", "decompose"], ["bundle", "decompose"])],
+    (["reps", "decompose"],
+     _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), ["1", "1/2"], "group", "irreps", 0,
+               "character"), "irrep 'odd' has <chi, chi> = 5/8, not its endo_dim 1"),
+    (["reps", "decompose"],
+     _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), "C", "group", "irreps", 0,
+               "endo_type"), "irrep 'odd' has <chi, chi> = 1, not its endo_dim 2"),
+    (["reps", "decompose"],
+     _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), [1, 1], "group", "irreps", 0,
+               "character"), "irreps 'trivial' and 'odd' are not orthogonal: <chi, chi'> = 1"),
+    (["reps", "decompose"],
+     dict(REPS_MATRICES, group=dict(CUSTOM_Z2, irreps=[
+         dict(CUSTOM_Z2["irreps"][0], label=label) for label in ("odd", "sign")])),
+     "irreps 'odd' and 'sign' are not orthogonal: <chi, chi'> = 1"),
+    (["reps", "decompose"],
+     _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), [1, -1, 1], "group", "irreps", 0,
+               "character"), "irrep 'odd' has 3 character values for a group of order 2"),
+    # S_3 with chi_a = 3 * 1_H - 1 for H = {e, t}, t the transposition 1:
+    # it takes 2 at t and -1 at the transposition 2, which is conjugate to t
+    (["reps", "decompose"],
+     {"group": {"table": reps.symmetric_group(3).table.tolist(),
+                "irreps": [{"label": "a", "dim": 1, "character": [2, 2, -1, -1, -1, -1],
+                            "endo_type": "R"}]},
+      "representation": {"blocks": ["trivial"]}},
+     "the character of irrep 'a' is not a class function"),
+    # irrep labels that are not strings, and a dim below 1 whose character
+    # passes every relation
+    *[(["reps", "decompose"],
+       _replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), label, "group", "irreps", 0, "label"),
+       f"irrep label {label!r} is not a string") for label in (5, ["a"])],
+    (["reps", "decompose"],
+     _replaced(_replaced(dict(REPS_MATRICES, group=CUSTOM_Z2), -1, "group", "irreps", 0,
+                         "dim"), [-1, 1], "group", "irreps", 0, "character"),
+     "irrep 'odd' has dim -1, not an integer >= 1"),
     # only a preset's constructor supplies integer blocks: a Klein four-group
     # table named "Z_4" gets no rot90 block (which squares to -I), a 2-element
-    # table named "S_3" draws no S_3 block, and the circle has none
+    # table named "S_3" draws no S_3 block, and the circle has none; the
+    # tables list valid characters, so they pass their check
     *[(["reps", sub], {"group": group, "representation": representation},
        "the group has no integer block catalog (only preset groups have one)")
       for sub, group, representation in [
           ("decompose", KLEIN_NAMED_Z4, {"blocks": ["rot90"]}),
           ("endotype", KLEIN_NAMED_Z4, {"random": {}}),
-          ("decompose", {"name": "S_3", "table": SWAP}, {"random": {"max_dim": 4}}),
-          ("decompose", {"name": "S_3", "table": SWAP}, {"blocks": ["natural"]}),
+          ("decompose", dict(CUSTOM_Z2, name="S_3"), {"random": {"max_dim": 4}}),
+          ("decompose", dict(CUSTOM_Z2, name="S_3"), {"blocks": ["natural"]}),
           ("decompose", {"circle": {}}, {"blocks": ["trivial"]}),
       ]],
     # an empty choice of blocks, listed or drawn, is no representation
@@ -1648,6 +1688,23 @@ def test_negative_cutoff_exit_2(tmp_path, capsys, settings, flags):
     code, out, _ = run(capsys, ["floer", "ranks", path, "--cutoff=10"])
     assert code == 0
     assert json.loads(out)["records"][0]["certificate"]["betti_sum"] == 0
+
+
+def test_repeated_count_records_are_summed(tmp_path, capsys):
+    # a -> b at A = 0 given twice reports as one record of the summed count:
+    # 1 and -1 leave no differential (betti_sum 2), 1 and 1 give a -> b of
+    # count 2 (betti_sum 0)
+    record = FLOER_ARROW["counts"][0]
+    for counts, betti_sum in (([1, -1], 2), ([1, 1], 0)):
+        reports = []
+        for records in ([dict(record, count=c) for c in counts],
+                        [dict(record, count=sum(counts))]):
+            path = write(tmp_path, "f.json", dict(FLOER_ARROW, counts=records))
+            code, out, _ = run(capsys, ["floer", "ranks", path, "--cutoff=10"])
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["records"][0]["certificate"]["betti_sum"] == betti_sum
 
 
 NAN, INF = float("nan"), float("inf")

@@ -27,10 +27,32 @@ def irrep_by_label(group, label):
     return {ir.label: ir for ir in group.irreps}[label]
 
 
-@pytest.mark.parametrize("name", ALL_PRESETS)
+@pytest.mark.parametrize("name", ALL_PRESETS + [f"Z_{n}" for n in range(1, 13)]
+                         + [f"D_{n}" for n in range(2, 13)])
 def test_preset_group_axioms(name):
+    # the group law, the irrep labels and the character relations; Z_n and
+    # D_n with irrational characters are compared within linalg.TOL
     g = reps.preset_group(name)
     g.validate()
+
+
+@pytest.mark.parametrize("name", ["Z_5", "D_7"])
+def test_float_characters_are_checked_within_tolerance(name):
+    # a float character scaled by 1 + 1e-9 fails chi(e) = dim; by 1 + 1e-13,
+    # inside linalg.TOL, it passes
+    g = reps.preset_group(name)
+    plane = irrep_by_label(g, "plane_1")
+    assert not linalg.is_exact(plane.character)
+    for scale, ok in ((1 + 1e-13, True), (1 + 1e-9, False)):
+        bent = dataclasses.replace(plane, character=plane.character * scale)
+        group = dataclasses.replace(g, irreps=tuple(
+            bent if ir is plane else ir for ir in g.irreps))
+        if ok:
+            group.validate()
+        else:
+            with pytest.raises(InvalidInputError, match=r"irrep 'plane_1' has "
+                               r"chi\(e\) = 2\.000000002, not its dim 2"):
+                group.validate()
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
@@ -136,13 +158,13 @@ def test_fixed_projector_examples():
     assert mat_eq(library_projectors(triv)["fixed"], linalg.eye(1, True))
 
 
-def test_isotypic_projector_wrong_group_errors():
+def test_irrep_of_another_group_fails_validate():
     z3 = reps.cyclic_group(3)
     z2 = dataclasses.replace(reps.cyclic_group(2),
                              irreps=(irrep_by_label(z3, "plane_1"),))
-    rep = reps.one_dim_rep(z2, [1, -1])
-    with pytest.raises(InvalidInputError, match="does not belong"):
-        reps.projector_check(rep)
+    with pytest.raises(InvalidInputError,
+                       match="irrep 'plane_1' has 3 character values for a group of order 2"):
+        z2.validate()
 
 
 def test_endo_type_trivial_is_real():

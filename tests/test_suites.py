@@ -38,7 +38,7 @@ def test_integer_battery_matches_fraction_projectors(name):
     assert mat_eq(rep.matrices, mats)
     # the integer numerators criterion 1 certifies, Q = D P, equal the
     # all-Fraction character sums on the rebuilt rep
-    _, projs, denom, _ = reps._projectors(rep, {})
+    projs, denom = reps._projectors(rep)
     reference = fraction_projectors(reps.RealRepresentation(group, mats))
     assert sorted(projs) == sorted(reference)
     for label, ref in reference.items():
@@ -54,7 +54,7 @@ def test_battery_records_are_deterministic():
 
 # the check count of each battery, pinned exactly: a battery that drops or
 # repeats a check changes its count
-CHECKS = {"projectors": 6860, "endotype": 17, "codimension": 108, "condition": 500,
+CHECKS = {"projectors": 5540, "endotype": 17, "codimension": 108, "condition": 500,
           "spectral-flow": 91, "oracle": 20, "perturbation": 80, "floer": 31,
           "groupoid": 489}
 
@@ -106,12 +106,12 @@ def test_projector_battery_reports_a_planted_fault(monkeypatch):
     # one flipped off-diagonal entry in the float S_3 standard projector
     honest = reps._projectors
 
-    def flipped(rep, commuting):
-        mats, projs, denom, named = honest(rep, commuting)
+    def flipped(rep):
+        projs, denom = honest(rep)
         if getattr(rep.group, "name", "") == "S_3" and not rep.exact and rep.dim > 1:
             projs = dict(projs, standard=projs["standard"].copy())
             projs["standard"][0, 1] += 1.0
-        return mats, projs, denom, named
+        return projs, denom
 
     monkeypatch.setattr(reps, "_projectors", flipped)
     record = suites.SUITES["projectors"]()
@@ -278,15 +278,16 @@ def _traced_peak(run) -> int:
 
 
 def test_projector_check_memory_on_criterion_1s_largest_case():
-    # the float circle of order 64 at d = 12; the check's peak is its
-    # pairwise-orthogonal stack of 120 pairs.  It measured 467,636 bytes
-    # when each label's projector was its own tensordot, and 447,444 bytes
-    # once they are one product whose unsorted stack is freed as the check
-    # sorts it
+    # the float circle of order 64 at d = 12, 16 labels and 120 pairs.  It
+    # measured 467,636 bytes when each label's projector was its own
+    # tensordot, 447,444 bytes once they were one product whose unsorted
+    # stack is freed as the check sorts it (the peak then was the three
+    # gathered stacks of all pairs), and under 80,000 bytes since the pairs
+    # are formed one label at a time
     rep = reps.random_rep(reps.CircleGroupModel(suites.CIRCLE_ORDER),
                           np.random.default_rng(2025), max_dim=12, exact=False)
     assert rep.dim == 12 and len(rep.group.irreps) == 15
-    assert _traced_peak(lambda: reps.projector_check(rep)) < 460_000
+    assert _traced_peak(lambda: reps.projector_check(rep)) < 150_000
 
 
 def test_oracle_battery_sweep_memory():
