@@ -27,7 +27,3 @@ class ResampleFailureError(EquitransError):
 
 class NonHyperbolicError(EquitransError):
     """A matrix has an eigenvalue too close to the imaginary axis."""
-
-
-class IndeterminateError(EquitransError):
-    """Truncated arithmetic cannot certify the result at this cutoff."""

@@ -5,9 +5,10 @@ homology lattice carrying linear functionals omega (rational) and c1
 (integer), with q^A graded by 2 c1(A).  All arithmetic is exact rational
 below an omega-cutoff, held as one precision: an element keeps only its
 integer energy bound floor(cutoff * denom) and drops every term above it,
-and a sum or product keeps the smaller bound of its operands.  Inverting a
-scalar requires a unique omega-minimal term, and elimination pivots must be
-certifiable units at the working cutoff.
+and a sum or product keeps the smaller bound of its operands.  Cohomology
+ranks need no series: rank does not change under field extension, so the
+rank of a block over the Novikov field is its rank over Q(q), which one
+exact integer evaluation gives (``matrix_rank``).
 
 Count tables are indexed by (x, y, A) with the derived Fredholm index
 
@@ -32,7 +33,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import IndeterminateError, InvalidInputError
+from .errors import InvalidInputError
 
 # ---------------------------------------------------------------------------
 # the homology lattice and Novikov scalars
@@ -126,24 +127,6 @@ class NovikovElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_energy(self):
-        """The least integer energy of a term (None for zero)."""
-        return min(map(self.lattice.energy, self.terms), default=None)
-
-    def leading(self):
-        """(point, coefficient) of the unique omega-minimal term.
-
-        Raises IndeterminateError when the minimum is attained more than
-        once: such an element cannot be certified invertible by truncated
-        arithmetic.
-        """
-        energy, low = self.lattice.energy, self.min_energy()
-        hits = [a for a in self.terms if energy(a) == low]
-        if len(hits) != 1:
-            val = self.lattice.omega_of(hits[0]) if hits else None
-            raise IndeterminateError(f"no unique omega-minimal term (tied at omega = {val})")
-        return hits[0], self.terms[hits[0]]
-
     def __add__(self, other, sign=1):
         merged = dict(self.terms)
         for a, c in other.terms.items():
@@ -171,37 +154,6 @@ class NovikovElement:
         if not isinstance(other, NovikovElement):
             return NotImplemented
         return self.terms == other.terms
-
-    def invert_truncated(self, cutoff) -> "NovikovElement":
-        """Geometric-series inverse: self * result = 1 modulo omega > cutoff.
-
-        A leading term of negative energy v pulls tail errors down by v, so
-        the series is computed to the extended bound bound(cutoff) - min(0, v)
-        and the result carries that extended bound.
-        """
-        if self.is_zero():
-            raise InvalidInputError("cannot invert the zero Novikov element")
-        lat = self.lattice
-        lead_a, lead_c = self.leading()
-        lead_e = lat.energy(lead_a)
-        ext_bound = lat.energy_bound(cutoff) + max(0, -lead_e)
-        lead_inv = linalg.rational(Fraction(1) / lead_c)
-
-        def over_lead(terms):  # lead^{-1} * terms, without truncation
-            return {tuple(k - l for k, l in zip(a, lead_a)): lead_inv * c
-                    for a, c in terms.items()}
-
-        # x := 1 - lead^{-1} * self, at self's precision: the leading term
-        # is unique, so the constant terms cancel and every other term has
-        # relative energy > 0
-        x = (self._checked(lat, {lat.zero: 1}, self._bound)
-             - self._checked(lat, over_lead(self.terms), self._bound))
-        acc_bound = ext_bound + lead_e
-        acc = power = self._checked(lat, {lat.zero: 1}, acc_bound)
-        while not (power := self._checked(lat, (power * x).terms, acc_bound)).is_zero():
-            acc = acc + power
-        # shift by the leading energy, then cut at the extended bound
-        return self._checked(lat, over_lead(acc.terms), ext_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -380,62 +332,67 @@ def check_d_squared(delta: Differential) -> DSquaredReport:
 # ---------------------------------------------------------------------------
 
 
-def _novikov_matrix_rank(rows: list, cutoff) -> int:
-    """Rank over the Novikov field by Gaussian elimination with
-    minimal-valuation pivoting and truncated inversion.
-
-    ``rows`` is a list of lists of NovikovElement.  An elimination step
-    whose only available pivots lack a certifiable unit (no unique minimal
-    term at this cutoff) raises IndeterminateError naming the entry.
-    """
-    if not rows or not rows[0]:
-        return 0
+def _bareiss_rank(rows: list) -> int:
+    """Rank of an integer matrix (lists of python ints) by fraction-free
+    Bareiss elimination: every division is exact, since each updated entry
+    is a minor of the matrix divided by the previous pivot."""
     work = [list(r) for r in rows]
-    n_rows, n_cols = len(work), len(work[0])
-    rank = 0
-    used_rows: set = set()
-    for _ in range(min(n_rows, n_cols)):
-        pivot = None
-        pivot_val = None
-        for i in range(n_rows):
-            if i in used_rows:
-                continue
-            for j in range(n_cols):
-                e = work[i][j]
-                if e.is_zero():
-                    continue
-                v = e.min_energy()
-                if pivot is None or v < pivot_val:
-                    pivot, pivot_val = (i, j), v
-        if pivot is None:
-            break
-        pi, pj = pivot
-        try:
-            inv = work[pi][pj].invert_truncated(cutoff)
-        except IndeterminateError as exc:
-            raise IndeterminateError(
-                f"cannot certify pivot at row {pi}, column {pj}: {exc}"
-            ) from None
-        prow = work[pi]
-        for i in range(n_rows):
-            if i == pi or i in used_rows:
-                continue
-            factor = work[i][pj] * inv
-            if factor.is_zero():
-                continue
-            row = work[i]
-            for j, p in enumerate(prow):
-                if not p.is_zero():
-                    row[j] = row[j] - factor * p
-                    continue
-                # row[j] - factor * 0 only lowers row[j]'s bound to the
-                # least of the three and drops its terms above it
-                e, bound = row[j], min(factor._bound, p._bound)
-                if bound < e._bound:
-                    row[j] = e._checked(e.lattice, e.terms, bound)
-        used_rows.add(pi)
-        rank += 1
+    rank, prev = 0, 1
+    for j in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][j]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        p, prow = work[rank][j], work[rank]
+        for i in range(rank + 1, len(work)):
+            row, f = work[i], work[i][j]
+            work[i] = [0] * (j + 1) + [(p * row[k] - f * prow[k]) // prev
+                                       for k in range(j + 1, len(row))]
+        prev, rank = p, rank + 1
     return rank
+
+
+def matrix_rank(rows: list) -> int:
+    """Rank of a matrix of NovikovElements (a list of rows) over Q(q), which
+    is its rank over the Novikov field, since rank does not change under
+    field extension (Hofer-Salamon, *Floer homology and Novikov rings*,
+    1995).  Entries are ranked as they are held, after the cutoff dropped
+    their terms above it.
+
+    Each row is scaled by its coefficients' common denominator and shifted
+    by a power of q, so its entries are polynomials with integer
+    coefficients and exponents at least 0.  The Kronecker substitution
+    q_j -> t^(w_j), w_j the product of (D_i + 1) over i < j with D_i the
+    row-summed exponent span in q_i, keeps every nonzero minor nonzero,
+    and evaluating at t0 = H + 2 keeps it nonzero too: H, the product over
+    rows (or columns, if smaller) of max(1, summed coefficient l1 norms),
+    bounds every coefficient of every minor, so by Cauchy's bound no root
+    of a minor reaches t0.  The rank of the integer matrix at t0 comes from
+    ``_bareiss_rank`` (Bareiss, Math. Comp. 1968).
+    """
+    polys, spans = [], []  # per nonzero row: {point shifted to >= 0: int} per entry, spans
+    for row in rows:
+        terms = [t for e in row for t in e.terms.items()]
+        if not terms:
+            continue
+        den = math.lcm(*(c.denominator for _, c in terms))
+        coords = list(zip(*(a for a, _ in terms)))  # the row's values of each q_j
+        low = [min(k) for k in coords]
+        spans.append([max(k) - m for k, m in zip(coords, low)])
+        polys.append([{tuple(map(operator.sub, a, low)): int(c * den)
+                       for a, c in e.terms.items()} for e in row])
+    if not polys:
+        return 0
+    weights, w = [], 1
+    for d in map(sum, zip(*spans)):
+        weights.append(w)
+        w *= d + 1
+    norms = [[sum(map(abs, p.values())) for p in row] for row in polys]
+    height = min(math.prod(max(1, sum(r)) for r in norms),
+                 math.prod(max(1, sum(c)) for c in zip(*norms)))
+    t0 = height + 2
+    return _bareiss_rank([[sum(c * t0 ** sum(map(operator.mul, a, weights))
+                               for a, c in p.items()) for p in row] for row in polys])
 
 
 def cohomology_rank(delta: Differential) -> dict:
@@ -444,8 +401,8 @@ def cohomology_rank(delta: Differential) -> dict:
     Requires delta^2 = 0.  A nonzero entry (x, y) connects ind x = ind y - 1
     (entries of nonzero q-degree would make the generator grading periodic;
     they are rejected).  delta sends index-d generators to index-(d-1)
-    sources, so rank H_d = #generators(d) - rank(delta_d) - rank(delta_{d+1}).
-    Elimination works at the differential's cutoff.
+    sources, so rank H_d = #generators(d) - rank(delta_d) - rank(delta_{d+1}),
+    each block ranked exactly by ``matrix_rank``.
     """
     sq = check_d_squared(delta)
     if not sq.ok:
@@ -466,8 +423,7 @@ def cohomology_rank(delta: Differential) -> dict:
         sources = by_degree.get(d, [])
         targets = by_degree.get(d - 1, [])
         rows = [[delta.entry(x, y) for y in sources] for x in targets]
-        rank_from[d] = (_novikov_matrix_rank(rows, delta.cutoff)
-                        if sources and targets else 0)
+        rank_from[d] = matrix_rank(rows)
     out = {}
     for d in degrees:
         out[d] = len(by_degree[d]) - rank_from.get(d, 0) - rank_from.get(d + 1, 0)

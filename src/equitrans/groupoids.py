@@ -147,7 +147,9 @@ class FiniteGroupoid:
 
 
 def discrete_groupoid(n_objects: int) -> FiniteGroupoid:
-    """Units only."""
+    """Units only, on n_objects >= 0 objects."""
+    if n_objects < 0:
+        raise InvalidInputError(f"a discrete groupoid needs n_objects >= 0, got {n_objects}")
     ids = np.arange(n_objects)
     table = np.where(ids[:, None] == ids, ids, -1)
     return FiniteGroupoid(n_objects, ids, ids, table, ids, ids)
@@ -177,6 +179,19 @@ def make_translation_groupoid(group: reps.FiniteGroupModel,
 
     Objects are the set's points; morphism g * npts + x is the pair (g, x)
     with source x and target g.x, and (h, g.x) o (g, x) = (hg, x).
+
+    The result passes ``FiniteGroupoid.validate`` by construction, once the
+    group is a group (a table group that passed ``FiniteGroupModel.validate``,
+    or a preset) and the table passed ``check_action_table``, which is
+    checked here.  Endpoints lie in range(npts) by the range check.  The
+    table is defined exactly on composable pairs: it sets entry (h, y), (g,
+    x) for y = g.x only, each such pair once.  The composite runs x -> (hg).x
+    = h.(g.x) by the action law.  The unit (e, x) has e.x = x by the
+    identity row, and (g, x) o (e, x) = (ge, x), (e, g.x) o (g, x) = (eg, x).
+    The inverse (g^-1, g.x) runs g.x -> g^-1.(g.x) = x, and both composites
+    are (g^-1 g, x) = (e, x) and (g g^-1, g.x) = (e, g.x).  Associativity is
+    the group's: both bracketings of (k, hg.x) o (h, g.x) o (g, x) are
+    ((kh)g, x) = (k(hg), x).  So loaders need not call ``validate`` on it.
     """
     action = np.asarray(action)
     npts = action.shape[-1]
@@ -272,7 +287,10 @@ def quotient_groupoid(gpd: FiniteGroupoid, action: GlobalActionData,
     morphisms of stab_obj; an object without an entry has only its unit).
     Structure maps compose the group parts and transport the witnesses; the
     construction validates the groupoid axioms exhaustively and the isotropy
-    cardinality law.  ``gpd`` must pass ``validate()``.
+    cardinality law.  ``gpd`` must pass ``validate()``: a discrete or
+    translation groupoid does so by construction (``discrete_groupoid``,
+    ``make_translation_groupoid``), and a hand-built one is checked by its
+    caller.
     """
     action.validate(gpd)
     n, m, order = gpd.n_objects, gpd.n_morphisms, action.group.order

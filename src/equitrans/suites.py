@@ -248,8 +248,7 @@ def suite_perturbation(check):
         check(report.passed, {"model": k, "error": "report failed"})
         check(report.equivariance_residual <= 1e-10,
               {"model": k, "error": "gamma not equivariant"})
-        for v in model.base.vertices:
-            split = model.split_at(v)
+        for v, split in report.splits.items():
             fixed = split.fixed_block + gamma.fixed[v]
             check(linalg.min_singular_value(fixed) > 1e-8,
                   {"model": k, "vertex": v, "block": "fixed"})

@@ -210,11 +210,13 @@ def condition_certificates(splits: dict) -> list:
 
 @dataclass
 class TransversalityReport:
-    """Deterministic record of the perturbation run."""
+    """Deterministic record of the perturbation run, with the split of
+    every base vertex that the run built (``splits``)."""
 
     vertex_results: dict = field(default_factory=dict)
     passed: bool = True
     equivariance_residual: float = 0.0
+    splits: dict = field(default_factory=dict)
 
     def record(self, vertex, label, min_sv, ok):
         self.vertex_results.setdefault(vertex, {})[label] = {
@@ -252,9 +254,9 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
     reproducible from the seed.
     """
     support = model.support if model.support is not None else set(model.base.vertices)
-    report = TransversalityReport()
-    shift_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC7]))
     splits = {v: model.split_at(v) for v in model.base.vertices}
+    report = TransversalityReport(splits=splits)
+    shift_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC7]))
     section_shifts = {}
     zero = {}  # vertex -> split, the zeros left after the shifts
     for v in model.zero_set():

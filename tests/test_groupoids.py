@@ -174,6 +174,35 @@ def test_every_preset_acts_on_itself(name):
     gq.check_action_table(group, group.table, group.order, "multiplication table")
 
 
+def coset_action(group, a):
+    """Left action of the group on the left cosets g<a> of the cyclic
+    subgroup generated by a, as an index table [g, coset]."""
+    sub = [group.identity]
+    while (x := int(group.compose(sub[-1], a))) != group.identity:
+        sub.append(x)
+    coset_of, firsts = {}, []
+    for g in range(group.order):
+        if g not in coset_of:
+            coset_of.update((int(group.compose(g, h)), len(firsts)) for h in sub)
+            firsts.append(g)
+    return np.array([[coset_of[int(group.compose(g, r))] for r in firsts]
+                     for g in range(group.order)])
+
+
+@pytest.mark.parametrize("name", sorted(reps._PRESETS))
+def test_translation_groupoids_of_coset_actions_are_valid_by_construction(name):
+    # the loader does not call validate() on a translation groupoid; pin that
+    # it would pass on seeded coset actions and unions of them, the shapes of
+    # the benchmark's groupoid requests
+    group = reps.preset_group(name)
+    rng = np.random.default_rng(sorted(reps._PRESETS).index(name))
+    for parts in (1, 2, 3):
+        tables = [coset_action(group, int(rng.integers(group.order))) for _ in range(parts)]
+        offsets = np.cumsum([0] + [t.shape[1] for t in tables[:-1]])
+        action = np.concatenate([t + o for t, o in zip(tables, offsets)], axis=1)
+        make_translation_groupoid(group, action).validate()
+
+
 def test_the_groupoid_battery_tables_pass_the_action_check(monkeypatch):
     checked, honest = [], gq.check_action_table
 

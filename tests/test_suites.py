@@ -179,6 +179,21 @@ def test_perturbation_battery_reports_a_planted_fault(monkeypatch):
     assert len(record["failures"]) == 2 + 3  # interval and circle(3) vertices
 
 
+def test_perturbation_battery_builds_each_split_once(monkeypatch):
+    # the pipeline builds one split per base vertex and hands it back on its
+    # report: 5 good models on 2 + 3 vertices, 5 violating ones on 2, 3, 2,
+    # 3, 2, and the battery builds none of its own
+    built, honest = [], tv.FixedLocusModel.split_at
+
+    def counting(model, vertex):
+        built.append(vertex)
+        return honest(model, vertex)
+
+    monkeypatch.setattr(tv.FixedLocusModel, "split_at", counting)
+    assert suites.SUITES["perturbation"]()["pass"]
+    assert len(built) == 5 * (2 + 3) + (2 + 3 + 2 + 3 + 2)
+
+
 def test_floer_battery_reports_a_planted_fault(monkeypatch):
     # a degree-1 Novikov cohomology rank one too high on the four-generator
     # torus model
