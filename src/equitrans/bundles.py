@@ -8,9 +8,11 @@ carried there by the transitions along the simplex's own edges.
 
 The extension operations realize the boundary-extension and stabilization
 constructions at finite scale: one barycentric subdivision provides the
-"neighborhood of the boundary", generic choices come from a seeded sampler
-with a retry budget of 64.  A section is certified nonvanishing by its
-exact minimum norm over every face (``_min_norm``); a frame is certified
+"neighborhood of the boundary".  A section extends by one of two
+deterministic candidates, with no seed, or fails in a narrow band
+(``extend_nonvanishing_section``); frame columns come from a seeded sampler
+with a retry budget of 64.  A section is certified nonvanishing by its exact
+minimum norm over every face (``_min_norm``); a frame is certified
 independent on a deterministic barycentric sample grid with at least 10^d
 points per d-simplex, with a bound that also covers the points between the
 grid points (see ``_certified``).
@@ -349,21 +351,29 @@ def _single_component_dim(bundle: GBundleModel) -> int:
 
 
 def extend_nonvanishing_section(bundle: GBundleModel, simplex,
-                                boundary_section: dict,
-                                seed: int = 0) -> ExtensionResult:
+                                boundary_section: dict) -> ExtensionResult:
     """Extend a nowhere-vanishing boundary section across a simplex.
 
     The extension lives on the once-subdivided simplex in the gauge of its
-    smallest vertex: barycenters of proper faces carry the interpolated
-    boundary values (the first barycentric ring), only the full barycenter
-    is chosen, preferring a direction orthogonal to all boundary values and
-    falling back to a seeded sampler with a retry budget of 64.  Sampling
-    and the certificate run in float arithmetic: each candidate is kept
-    once the exact minimum norm of its interpolation over the subdivision
-    (``section_min_norm``) is above the acceptance threshold ``MIN_NORM``.
-    A boundary section whose exact minimum norm over the proper faces is at
-    most ``MIN_NORM`` is invalid input: every face barycenter lies on a
-    proper face, so no candidate could beat the threshold there.
+    smallest vertex: proper-face barycenters keep the interpolated boundary
+    values, and the full barycenter takes the first candidate whose
+    interpolation has exact minimum norm (``section_min_norm``) above
+    ``MIN_NORM``, in float arithmetic.  A boundary of exact minimum norm m
+    <= ``MIN_NORM`` over the proper faces is invalid input.
+
+    With C the (n+1, d) matrix of corner values c_j, the candidates are
+    (1) their mean, so the section is x -> x^T C, of norm at least
+    sigma_{n+1}(C) / sqrt(n+1); and (2) s v, with s the mean corner norm and
+    v the right singular vector of C just past its rank at ``linalg.TOL``
+    (a kernel vector if C has one), flipped so that v . sum_j c_j >= 0, as
+    unflipped it can point to where the boundary passes nearest the origin.
+    A point (1 - t) q + t s v of a subdivided cell has q on a proper face,
+    so with sigma = |C v| and s >= m its norm is at least
+    max((1 - t)(m - sigma), t s - (1 - t) sigma) >= (m - sigma) / 2.  So
+    both fail only in a band, sigma_{n+1}(C) <= sqrt(n+1) MIN_NORM and
+    m <= sigma + 2 MIN_NORM, where ObstructionError carries the certificate
+    {"boundary_min_norm": m, "sigma": sigma}.  On a 0-simplex m = s = |c|
+    for its one value c (s = 1 if c = 0), so 0 < |c| <= MIN_NORM is in it.
     """
     simplex = tuple(sorted(simplex))
     if simplex not in bundle.base.simplices:
@@ -378,7 +388,6 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
             f">= {required} over a {n}-simplex, rank is {d}",
             {"required": required, "rank": d},
         )
-    root = simplex[0]
     bdry = {}
     for v in simplex:
         if v not in boundary_section:
@@ -386,36 +395,27 @@ def extend_nonvanishing_section(bundle: GBundleModel, simplex,
         if np.shape(boundary_section[v]) != (d,):
             raise InvalidInputError(
                 f"boundary section at vertex {v} is not a vector of length {d}")
-        bdry[v] = linalg.as_float(bundle.transport(v, root)
+        bdry[v] = linalg.as_float(bundle.transport(v, simplex[0])
                                   @ np.asarray(boundary_section[v]))
-    # one barycentric subdivision: proper-face barycenters (the first ring)
-    # carry interpolated boundary values, only the full barycenter is free
     sub = barycentric_subdivision(simplex)
-    values = {}
-    for subset in sub.vertices:
-        values[subset] = sum(bdry[v] for v in subset) / len(subset)
-    # the boundary must be nonvanishing before extension, exactly on every
-    # proper face: the faces of the facets
+    values = {face: sum(bdry[v] for v in face) / len(face) for face in sub.vertices}
     corners = np.stack([bdry[v] for v in simplex])
-    if n >= 1 and _min_norm(corners[list(itertools.combinations(range(n + 1), n))]) <= MIN_NORM:
+    boundary_min = _min_norm(corners[list(itertools.combinations(range(n + 1), max(n, 1)))])
+    if n >= 1 and boundary_min <= MIN_NORM:
         raise InvalidInputError("boundary section vanishes on the boundary")
-    rng = np.random.default_rng(seed)
-    scale = float(np.mean([np.linalg.norm(bdry[v]) for v in simplex])) or 1.0
-    # candidate order: straight affine continuation first (so nonvanishing
-    # boundary data that already extends is kept), then a direction
-    # orthogonal to all boundary values, then seeded random draws, each one
-    # drawn only once every candidate before it has failed
-    kernel = linalg.nullspace(corners, linalg.TOL)
-    fallbacks = itertools.chain(kernel.T[:1], (rng.normal(size=d) for _ in range(RETRY_BUDGET)))
-    candidates = itertools.chain([values[simplex]],
-                                 (c / np.linalg.norm(c) * scale for c in fallbacks))
-    for cand in itertools.islice(candidates, RETRY_BUDGET + 1):
+    _, sv, vh = np.linalg.svd(corners)
+    direction = vh[min(int(np.sum(sv > linalg.TOL * sv[0])), d - 1)]
+    if direction @ corners.sum(axis=0) < 0:
+        direction = -direction
+    scale = float(np.mean(np.linalg.norm(corners, axis=1))) or 1.0
+    for cand in (values[simplex], scale * direction):  # the straight continuation first
         values[simplex] = cand
-        m = section_min_norm(sub, values)
-        if m > MIN_NORM:
-            return ExtensionResult(sub, dict(values), m)
-    raise ResampleFailureError(
-        "could not find a nonvanishing extension within the retry budget")
+        min_norm = section_min_norm(sub, values)
+        if min_norm > MIN_NORM:
+            return ExtensionResult(sub, values, min_norm)
+    raise ObstructionError("both extension candidates come within MIN_NORM of zero",
+                           {"boundary_min_norm": boundary_min,
+                            "sigma": float(np.linalg.norm(corners @ direction))})
 
 
 # ---------------------------------------------------------------------------

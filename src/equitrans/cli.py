@@ -513,8 +513,7 @@ def cmd_bundle(scenario, settings, sub):
         }
         return _unless_obstructed(
             "nonvanishing-extension", "boundary-section-extension", "min_norm",
-            lambda: bundles.extend_nonvanishing_section(bundle, simplex, boundary,
-                                                        seed=settings.seed))
+            lambda: bundles.extend_nonvanishing_section(bundle, simplex, boundary))
     spec = _section(scenario.get("stabilize"), "stabilize")
     lin = {
         _vertex(k): _parse_matrix(m, exact=False, what="stabilize linearizations")

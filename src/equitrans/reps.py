@@ -14,12 +14,12 @@ type R, C or H of real dimension 1, 2 or 4, and the character projector
     P = (dim V / endo_dim) * avg_g chi(g) rho(g)
 
 projects onto the corresponding isotypic component.  The projectors have one
-construction, ``_projectors``, one product of the group's character table with
-the stack of rho: float matrices in float mode, and in exact mode integer
-numerators Q = D P over one common denominator D (``linalg.numerators``), so
-no entry is a Fraction.  ``projector_check`` and the irreducibility test of
-``endo_type`` both read them from there.  An exact representation holds its
-integer numerators from construction.
+construction, ``character_projectors``, one product of the group's character
+table with the stack of rho: float matrices in float mode, and in exact mode
+integer numerators Q = D P over one common denominator D
+(``linalg.numerators``), so no entry is a Fraction.  ``projector_check`` and
+the irreducibility test of ``endo_type`` both read them from there.  An exact
+representation holds its integer numerators from construction.
 
 A finite group's characters are checked once, by ``FiniteGroupModel.validate``,
 so ``projector_check`` skips what they prove: each P_l commutes with the
@@ -620,7 +620,7 @@ def _character_table(group: GroupModel, exact: bool) -> tuple:
     return group.__dict__[key]
 
 
-def _projectors(rep: RealRepresentation):
+def character_projectors(rep: RealRepresentation):
     """({label: Q}, D): the character projectors P_l of ``rep`` over the
     fixed part and each nontrivial irrep l (``_character_table``, in its
     order) as Q_l = D P_l, all formed as one product of the (L, |G|) weight
@@ -650,7 +650,7 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL) -> tuple[d
     """Check the character projectors of ``rep``: (ranks, number of checks,
     failed (identity, label) pairs).
 
-    For Q_l = D P_l (``_projectors``), over the fixed part and each
+    For Q_l = D P_l (``character_projectors``), over the fixed part and each
     nontrivial irrep l in sorted order, the identities are, in this order:
     Q^2 = D Q ("idempotent"), Q_a Q_b = 0 ("pairwise-orthogonal", label
     "a|b", formed one label a at a time) and sum_l Q_l = D I
@@ -662,7 +662,7 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL) -> tuple[d
     theorem for a class function chi_l (``FiniteGroupModel.validate``):
     reindex the sum by g -> h g h^-1.  It is not checked.
     """
-    projs, denom = _projectors(rep)
+    projs, denom = character_projectors(rep)
     same = partial(linalg.same, exact=rep.exact, tol=tol)
     labels = sorted(projs)
     q = np.stack([projs.pop(label) for label in labels])  # frees the unsorted stack
@@ -747,7 +747,7 @@ def endo_type(rep: RealRepresentation) -> tuple[str, int]:
 def _assert_irreducible(rep: RealRepresentation) -> None:
     """Exactly one character projector is the identity, the rest vanish, and
     ``rep`` has the dimension of that irrep."""
-    projs, denom = _projectors(rep)
+    projs, denom = character_projectors(rep)
     hits = []
     for label, q in projs.items():
         if linalg.same(q, 0, rep.exact):

@@ -12,14 +12,14 @@ from equitrans import suites
 
 BUDGETS = {
     1: 0.5,  # projector algebra
-    2: 1.0,  # endomorphism-type table
+    2: 0.1,  # endomorphism-type table
     3: 0.01,  # determinantal codimension
     4: 0.1,  # condition consistency
     5: 0.25,  # spectral-flow battery
-    6: 1.0,  # shooting oracle
+    6: 0.3,  # shooting oracle
     7: 0.25,  # perturbation pipeline
-    8: 1.0,  # floer algebra
-    9: 1.5,  # groupoid quotient
+    8: 0.1,  # floer algebra
+    9: 0.25,  # groupoid quotient
 }
 
 

@@ -307,7 +307,7 @@ def test_extend_weight1_rank4_two_simplex():
     bundle, _ = circle_weight_bundle([1, 1], base=SimplicialBase.from_maximal([(0, 1, 2)]))
     rng = np.random.default_rng(11)
     boundary = {v: rng.normal(size=4) for v in (0, 1, 2)}
-    res = extend_nonvanishing_section(bundle, (0, 1, 2), boundary, seed=1)
+    res = extend_nonvanishing_section(bundle, (0, 1, 2), boundary)
     assert res.min_norm > 0
     # agreement near the boundary: original vertices and the first ring
     for v in (0, 1, 2):
@@ -427,47 +427,88 @@ def test_extend_rejects_a_continuation_vanishing_between_grid_points():
     assert min(_grid_min_norm(h, 1000) for h in halves) >= res.min_norm > bundles.MIN_NORM
 
 
-def _eager_extension(simplex, boundary, seed):
-    """Reference for an untwisted bundle: every random candidate is drawn
-    and normalized before the affine continuation is tried.  Returns the
-    kept section values and their minimum norm."""
-    sub = barycentric_subdivision(simplex)
-    values = {face: sum(boundary[v] for v in face) / len(face) for face in sub.vertices}
-    corners = np.stack([boundary[v] for v in simplex])
-    rng = np.random.default_rng(seed)
-    scale = float(np.mean([np.linalg.norm(boundary[v]) for v in simplex])) or 1.0
-    candidates = [values[simplex]]
-    kernel = linalg.nullspace(corners, linalg.TOL)
-    if kernel.shape[1] > 0:
-        candidates.append(kernel[:, 0] / np.linalg.norm(kernel[:, 0]) * scale)
-    for _ in range(bundles.RETRY_BUDGET):
-        cand = rng.normal(size=corners.shape[1])
-        candidates.append(cand / np.linalg.norm(cand) * scale)
-    for cand in candidates[: bundles.RETRY_BUDGET + 1]:
-        values[simplex] = cand
-        m = bundles.section_min_norm(sub, values)
-        if m > bundles.MIN_NORM:
-            return values, m
+def trivial_bundle(d, simplex):
+    """A rank-d fiber of the trivial group over one simplex."""
+    rep = reps.rep_from_matrices(reps.cyclic_group(1), linalg.frac_array([np.eye(d)]))
+    return GBundleModel(SimplicialBase.from_maximal([simplex]), rep)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_extend_draws_the_same_random_candidates_as_an_eager_reference(seed):
+def test_extend_near_dependent_edge_by_its_least_singular_direction():
     # the corners [1, 0] and [-1, 1e-9] span R^2 at nullspace's relative
-    # tolerance, so there is no orthogonal direction, and the straight
-    # continuation has norm 5e-10 <= MIN_NORM at the edge barycenter: only a
-    # random draw can extend.  (Over a triangle the rank hypothesis needs a
-    # fiber of rank 3, where three spanning corners never vanish affinely.)
-    g = reps.cyclic_group(1)
-    rep = reps.rep_from_matrices(g, linalg.frac_array([np.eye(2)]))
-    bundle = GBundleModel(SimplicialBase.interval(1), rep)
+    # tolerance, so there is no kernel vector, and the straight continuation
+    # has norm 5e-10 <= MIN_NORM at the edge barycenter: the least singular
+    # direction, s v = [~0, 1], extends with the minimum 1/sqrt(2) of the
+    # half-edges [1, 0]-[0, 1] and [0, 1]-[-1, 0]
     boundary = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 1e-9])}
-    res = extend_nonvanishing_section(bundle, (0, 1), boundary, seed=seed)
-    values, m = _eager_extension((0, 1), boundary, seed)
     assert linalg.nullspace(np.stack(list(boundary.values()))).shape[1] == 0
-    assert not np.array_equal(values[(0, 1)], (boundary[0] + boundary[1]) / 2)
-    assert res.section.keys() == values.keys()
-    assert all(res.section[v].tobytes() == values[v].tobytes() for v in values)
-    assert res.min_norm == m
+    res = extend_nonvanishing_section(trivial_bundle(2, (0, 1)), (0, 1), boundary)
+    np.testing.assert_allclose(res.section[(0, 1)], [0.0, 1.0], atol=1e-9)
+    assert res.min_norm == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+
+
+def test_extend_orients_the_least_singular_direction_towards_the_corners():
+    # a triangle whose plane passes 1.3e-9 from the origin: the boundary
+    # minimum is 1.30e-9 and the straight continuation reaches 8.4e-10, so
+    # the second candidate is kept; v is flipped towards the corners' sum,
+    # and the opposite sign would reach only 9.9e-10 <= MIN_NORM
+    corners = np.array([
+        [-0.1209915004655405, -0.7094830122062676, 0.6942585341253058],
+        [0.12099150049496613, 0.7094830140229622, -0.6942585322636448],
+        [-0.6513802689457698, -0.47100887869030184, -0.5948566057656595]])
+    simplex = (0, 1, 2)
+    res = extend_nonvanishing_section(trivial_bundle(3, simplex), simplex,
+                                      dict(enumerate(corners)))
+    assert res.min_norm == pytest.approx(1.3006754873e-9, rel=1e-9)
+    assert res.section[simplex] @ corners.sum(axis=0) >= 0
+    straight = {**res.section, simplex: corners.mean(axis=0)}
+    flipped = {**res.section, simplex: -res.section[simplex]}
+    assert bundles.section_min_norm(res.base, straight) == pytest.approx(8.4e-10, rel=0.01)
+    assert bundles.section_min_norm(res.base, flipped) == pytest.approx(9.9e-10, rel=0.01)
+
+
+def _near_plane_simplices(rng, count):
+    """Corners of n-simplices in R^(n+1), n = 1, 2 or 3, on an affine plane
+    0.3-1.0e-9 from the origin, rotated at random, whose point nearest the
+    origin has every barycentric weight >= 0.1."""
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        q, _ = np.linalg.qr(rng.normal(size=(n + 1, n + 1)))
+        while True:
+            y = rng.normal(size=(n + 1, n))
+            weights = np.linalg.solve(np.vstack([y.T, np.ones(n + 1)]), np.eye(n + 1)[n])
+            if np.all(weights >= 0.1):
+                break
+        yield rng.uniform(0.3e-9, 1.0e-9) * q[:, n] + y @ q[:, :n].T
+
+
+def test_extend_every_near_plane_simplex_with_no_kernel():
+    # each input has no kernel vector and a straight continuation that comes
+    # within MIN_NORM, so only the second candidate can extend it; every one
+    # extends, with v oriented towards the corners' sum
+    for corners in _near_plane_simplices(np.random.default_rng(37), 300):
+        simplex = tuple(range(len(corners)))
+        whole = SimplicialBase.from_maximal([simplex])
+        assert linalg.nullspace(corners).shape[1] == 0
+        assert bundles.section_min_norm(whole, dict(enumerate(corners))) <= bundles.MIN_NORM
+        res = extend_nonvanishing_section(
+            trivial_bundle(len(corners), simplex), simplex, dict(enumerate(corners)))
+        assert res.min_norm > bundles.MIN_NORM
+        assert res.section[simplex] @ corners.sum(axis=0) >= 0
+
+
+@pytest.mark.parametrize("simplex, boundary, m", [
+    # antipodal corners of norm 1.2e-9: the kernel direction s v reaches
+    # s / sqrt(2) = 8.5e-10 at the middle of each half-edge
+    ((0, 1), {0: [1.2e-9, 0.0], 1: [-1.2e-9, 0.0]}, 1.2e-9),
+    # a 0-simplex's one value, of norm in (0, MIN_NORM], scales both candidates
+    ((0,), {0: [1e-10, 0.0]}, 1e-10),
+])
+def test_extend_raises_in_the_band_with_its_certificate(simplex, boundary, m):
+    boundary = {v: np.array(x) for v, x in boundary.items()}
+    with pytest.raises(ObstructionError, match="MIN_NORM") as exc:
+        extend_nonvanishing_section(trivial_bundle(2, simplex), simplex, boundary)
+    assert exc.value.certificate == {"boundary_min_norm": pytest.approx(m, rel=1e-12),
+                                     "sigma": pytest.approx(0.0, abs=1e-24)}
 
 
 def test_extend_boundary_vanishing_between_grid_points_rejected():

@@ -750,6 +750,43 @@ def test_bundle_extend_keeps_no_continuation_that_vanishes_inside(tmp_path, caps
         2 / np.sqrt(5), rel=1e-12)
 
 
+def test_bundle_extend_prints_the_same_records_at_every_seed(tmp_path, capsys):
+    # the corners [1, 0] and [-1, 1e-9] have no kernel vector and a straight
+    # continuation of norm 5e-10, so the least singular direction extends
+    # them, and no seed moves it
+    payload = {
+        "group": {"preset": "Z_2"},
+        "representation": {"blocks": ["trivial", "trivial"]},
+        "base": {"maximal_simplices": [[0, 1]]},
+        "sections": {"s": {"0": [1, 0], "1": [-1, 1e-9]}},
+        "extend": {"simplex": [0, 1], "section": "s"},
+    }
+    path = write(tmp_path, "extend.json", payload)
+    (code0, out0, _), (code7, out7, _) = (
+        run(capsys, ["bundle", "extend", path, "--seed", seed]) for seed in ("0", "7"))
+    assert code0 == code7 == 0
+    assert json.loads(out0)["records"] == json.loads(out7)["records"]
+    assert json.loads(out0)["records"][0]["certificate"]["min_norm"] == pytest.approx(
+        1 / np.sqrt(2), abs=1e-9)
+
+
+def test_bundle_extend_in_the_band_prints_a_failing_record(tmp_path, capsys):
+    # antipodal corners of norm 1.2e-9: the straight continuation passes the
+    # origin and the kernel direction of norm 1.2e-9 reaches 8.5e-10
+    payload = {
+        "group": {"preset": "Z_2"},
+        "representation": {"blocks": ["trivial", "trivial"]},
+        "base": {"maximal_simplices": [[0, 1]]},
+        "sections": {"s": {"0": [1.2e-9, 0], "1": [-1.2e-9, 0]}},
+        "extend": {"simplex": [0, 1], "section": "s"},
+    }
+    code, out, _ = run(capsys, ["bundle", "extend", write(tmp_path, "extend.json", payload)])
+    assert code == 1
+    assert json.loads(out)["records"] == [{
+        "anchor": "boundary-section-extension", "check": "nonvanishing-extension",
+        "pass": False, "certificate": {"boundary_min_norm": 1.2e-9, "sigma": 0.0}}]
+
+
 def test_flow_nonhyperbolic_exit_1(tmp_path, capsys):
     # ||A|| >= 2*lambda*pi destroys hyperbolicity: a mathematical failure
     path = write(

@@ -83,7 +83,7 @@ def test_random_rep_and_projectors_are_rational():
         rep = reps.random_rep(group, np.random.default_rng(5), 12, exact=True)
         assert all(type(x) is int for x in rep.matrices.reshape(-1))
         rep.validate()
-        projs, denom = reps._projectors(rep)
+        projs, denom = reps.character_projectors(rep)
         assert type(denom) is int
         reference = fraction_projectors(rep)
         total = linalg.frac_array(np.zeros((rep.dim, rep.dim), dtype=int))
@@ -104,7 +104,7 @@ def test_exact_projectors_hold_integral_entries_as_ints(group):
     # one python-int denominator D, and Q / D is the character formula (the
     # S_3 natural block's sign projector is all zeros)
     for name, block in reps._block_catalog(group).items():
-        projs, denom = reps._projectors(block)
+        projs, denom = reps.character_projectors(block)
         assert type(denom) is int
         for label, p in fraction_projectors(block).items():
             assert integers(projs[label]), (name, label)

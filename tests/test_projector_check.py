@@ -78,9 +78,9 @@ def fraction_projectors(rep):
 
 
 def library_projectors(rep):
-    """The library's projectors P = Q / D (``reps._projectors``): exact
+    """The library's projectors P = Q / D (``reps.character_projectors``): exact
     arrays in exact mode, float ones in float mode."""
-    projs, denom = reps._projectors(rep)
+    projs, denom = reps.character_projectors(rep)
     if not rep.exact:
         return projs
     return {label: linalg.frac_array(q.astype(object) * Fraction(1, denom))
@@ -153,7 +153,7 @@ def test_exact_check_matches_fraction_reference(name, block, denom, python_ints)
     wrong = with_irreps(group, **{irrep.label: [1] * group.order})
     reps_under_test.append(reps.RealRepresentation(wrong, reps_under_test[0].matrices))
     for rep in reps_under_test:
-        projs, denom_q = reps._projectors(rep)
+        projs, denom_q = reps.character_projectors(rep)
         assert (projs["fixed"].dtype == object) == python_ints
         if python_ints:
             assert denom_q >= 2**63

@@ -307,7 +307,7 @@ def _isotypic_index_faults(rep, b0, b1):
     of its irrep, which divides it when B is equivariant, and the shooting
     oracle against the index."""
     dims = {"fixed": 1, **{ir.label: ir.dim_V for ir in rep.group.nontrivial_irreps()}}
-    projectors, denom = reps._projectors(rep)  # P = Q / denom
+    projectors, denom = reps.character_projectors(rep)  # P = Q / denom
     ranges = {label: linalg.projector_range(q.astype(float) / denom)
               for label, q in projectors.items()}
     ranges = {label: u for label, u in ranges.items() if u.shape[1]}

@@ -38,7 +38,7 @@ def test_integer_battery_matches_fraction_projectors(name):
     assert mat_eq(rep.matrices, mats)
     # the integer numerators criterion 1 certifies, Q = D P, equal the
     # all-Fraction character sums on the rebuilt rep
-    projs, denom = reps._projectors(rep)
+    projs, denom = reps.character_projectors(rep)
     reference = fraction_projectors(reps.RealRepresentation(group, mats))
     assert sorted(projs) == sorted(reference)
     for label, ref in reference.items():
@@ -104,7 +104,7 @@ def test_condition_battery_reports_a_planted_fault(monkeypatch):
 
 def test_projector_battery_reports_a_planted_fault(monkeypatch):
     # one flipped off-diagonal entry in the float S_3 standard projector
-    honest = reps._projectors
+    honest = reps.character_projectors
 
     def flipped(rep):
         projs, denom = honest(rep)
@@ -113,7 +113,7 @@ def test_projector_battery_reports_a_planted_fault(monkeypatch):
             projs["standard"][0, 1] += 1.0
         return projs, denom
 
-    monkeypatch.setattr(reps, "_projectors", flipped)
+    monkeypatch.setattr(reps, "character_projectors", flipped)
     record = suites.SUITES["projectors"]()
     assert not record["pass"]
     assert {(f["mode"], f["group"]) for f in record["failures"]} == {("float", "S_3")}
