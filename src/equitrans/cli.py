@@ -21,6 +21,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -70,10 +71,13 @@ class Settings:
 
 
 def _parse_scalar(x, exact: bool, what: str):
-    """A finite number: a ``linalg.rational`` in exact mode, else a float."""
+    """A finite number: a ``linalg.rational`` in exact mode, else a float.
+    A JSON boolean is not a number."""
     if exact and isinstance(x, float) and not x.is_integer():
         raise InvalidInputError(f"exact mode requires integers or 'p/q' strings, got {x}")
     try:
+        if isinstance(x, bool):
+            raise TypeError
         value = (linalg.rational(x) if exact
                  else float(Fraction(x) if isinstance(x, str) else x))
         if not exact and not math.isfinite(value):
@@ -83,22 +87,40 @@ def _parse_scalar(x, exact: bool, what: str):
     return value
 
 
+def _parse_numbers(flat: list, shape: tuple, exact: bool, what: str) -> np.ndarray:
+    """The entries ``flat`` of a JSON matrix or vector as an array of
+    ``shape``.  When every entry is a JSON integer (in float mode, an integer
+    or a float), one conversion makes the array; the entry types decide,
+    since numpy's own inference takes ``true`` for 1.  Anything else, and a
+    float result that is not finite, goes entry by entry through
+    ``_parse_scalar``, the one source of the error messages."""
+    dtype = object if exact else float
+    if set(map(type, flat)) <= ({int} if exact else {int, float}):
+        try:
+            arr = np.array(flat, dtype=dtype)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if exact or np.isfinite(arr).all():
+                return arr.reshape(shape)
+    return np.array([_parse_scalar(v, exact, what) for v in flat],
+                    dtype=dtype).reshape(shape)
+
+
 def _parse_matrix(rows, exact: bool, what: str) -> np.ndarray:
     """A JSON list of equal-length lists of numbers as a 2-D array (``[]``
     is 0 x 0); ``what`` names the scenario section in the error."""
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
         raise InvalidInputError(f"{what} must be a rectangular matrix")
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    return np.array([[_parse_scalar(v, exact, what) for v in row] for row in rows],
-                    dtype=object if exact else float).reshape(shape)
+    return _parse_numbers(list(chain.from_iterable(rows)),
+                          (len(rows), len(rows[0]) if rows else 0), exact, what)
 
 
 def _parse_vector(vals, exact: bool, what: str) -> np.ndarray:
     if not isinstance(vals, list):
         raise InvalidInputError(f"{what} must be a list of numbers")
-    return np.array([_parse_scalar(v, exact, what) for v in vals],
-                    dtype=object if exact else float)
+    return _parse_numbers(vals, (len(vals),), exact, what)
 
 
 def _object(value, what: str) -> dict:
@@ -130,10 +152,10 @@ def _field(rec, key: str, what: str):
 
 
 def _int(x, what: str) -> int:
-    """int(x) for a scenario field; a value int() rejects and a number with
-    a fractional part are invalid input."""
+    """int(x) for a scenario field; a value int() rejects, a number with a
+    fractional part and a JSON boolean are invalid input."""
     try:
-        if isinstance(x, float) and not x.is_integer():
+        if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
             raise ValueError
         return int(x)
     except (TypeError, ValueError, OverflowError):
@@ -166,10 +188,17 @@ def _int_table(rows, what: str) -> np.ndarray:
 
 def load_scenario(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             scenario = json.load(fh)
     except FileNotFoundError:
         raise InvalidInputError(f"scenario file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise InvalidInputError(
+            f"scenario file cannot be read: {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"scenario file is not UTF-8 text: {path}") from None
+    except RecursionError:
+        raise InvalidInputError(f"scenario nests too deeply to parse: {path}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(
             f"scenario parse error at line {exc.lineno}, column {exc.colno}: "
@@ -396,23 +425,22 @@ def canonical(obj):
     Fractions become 'p/q' strings, tuples become lists, numpy values
     become python scalars/lists, non-finite floats become strings.
     """
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(
-            obj.numerator
-        )
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if not np.isfinite(v):
-            return repr(v)
-        return v
-    if isinstance(obj, np.ndarray):
-        return canonical(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
         return {str(canonical(k)): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(
+            obj.numerator
+        )
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()  # python ints, bools and finite floats only
+        return canonical(obj.tolist())
     if isinstance(obj, (set, frozenset)):
         return sorted(canonical(v) for v in obj)
     return obj
@@ -435,7 +463,8 @@ def emit(records, settings, args) -> int:
         "mode": settings.mode,
     }
     if args.output == "json":
-        print(json.dumps(canonical(report), sort_keys=True, indent=2))
+        # records come from make_record, whose certificates are canonical
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for r in records:
             status = "pass" if r["pass"] else "FAIL"

@@ -86,9 +86,12 @@ def narrow(nums: np.ndarray, bound: int, terms: int) -> np.ndarray:
 
 def numerators(a) -> tuple[np.ndarray, int]:
     """(N, m) with a == N / m for an exact array: m is the least common
-    denominator of the entries and N holds python ints.  Builds no Fraction."""
+    denominator of the entries and N holds python ints.  Builds no Fraction;
+    an array of ints alone is its own N (a copy), with m = 1."""
     a = np.asarray(a, dtype=object)
     flat = a.reshape(-1)
+    if set(map(type, flat)) <= {int}:
+        return a.copy(), 1
     m = math.lcm(*(x.denominator for x in flat))
     nums = [x.numerator * (m // x.denominator) for x in flat]
     return np.array(nums, dtype=object).reshape(a.shape), m

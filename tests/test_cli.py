@@ -954,12 +954,12 @@ def _entry(payload, keys):
 
 
 def _corrupted(entry, kind, matrix):
-    """The entry with its last value made non-numeric, or its last row cut
-    short (matrices) / nested (vectors)."""
+    """The entry with its last value made non-numeric or a JSON boolean, or
+    its last row cut short (matrices) / nested (vectors)."""
     entry = json.loads(json.dumps(entry))
     row = entry[-1] if matrix else entry
-    if kind == "non-numeric":
-        row[-1] = "y"
+    if kind != "ragged":
+        row[-1] = "y" if kind == "non-numeric" else True
     elif matrix:
         row.pop()
     else:
@@ -968,7 +968,7 @@ def _corrupted(entry, kind, matrix):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-@pytest.mark.parametrize("kind", ["ragged", "non-numeric"])
+@pytest.mark.parametrize("kind", ["ragged", "non-numeric", "boolean"])
 @pytest.mark.parametrize("command, payload, keys, what, matrix",
                          [site + (True,) for site in MATRIX_SITES]
                          + [site + (False,) for site in VECTOR_SITES])
@@ -1111,7 +1111,8 @@ CIRCLE_WEIGHTS = {"settings": {"mode": "float"},
 BUNDLE_STABILIZE = MATRIX_SITES[3][1]
 
 
-@pytest.mark.parametrize("argv, payload", [
+# one pinned scenario per subcommand (and per action, mode and path preset)
+SUBCOMMAND_REQUESTS = [
     (["reps", "decompose"], RANDOM_S3),
     (["reps", "decompose"], dict(RANDOM_S3, settings={"mode": "float"})),
     (["reps", "endotype"], {"group": {"preset": "Q_8"},
@@ -1138,12 +1139,27 @@ BUNDLE_STABILIZE = MATRIX_SITES[3][1]
     (["flow", "index"], {"flow": {"paths": [
         {"preset": "tanh-scalar"},
         {"preset": "lambda", "n": 2, "weight": 1, "a_scale": 0.3}]}}),
-])
+]
+
+
+@pytest.mark.parametrize("argv, payload", SUBCOMMAND_REQUESTS)
 def test_byte_identical_reports_for_every_subcommand(tmp_path, capsys, argv, payload):
     path = write(tmp_path, "scenario.json", payload)
     first, second = (run(capsys, argv + [path, "--seed", "3"]) for _ in range(2))
     assert first == second
     assert first[0] in (0, 1) and json.loads(first[1])["records"]
+
+
+@pytest.mark.parametrize("argv, payload", SUBCOMMAND_REQUESTS)
+def test_records_are_canonical_as_built(tmp_path, capsys, monkeypatch, argv, payload):
+    # emit serializes the report as it is: make_record's walk is the only one
+    emitted, emit = [], cli.emit
+    monkeypatch.setattr(cli, "emit",
+                        lambda records, *rest: emitted.extend(records) or emit(records, *rest))
+    code, out, _ = run(capsys, argv + [write(tmp_path, "scenario.json", payload),
+                                       "--seed", "3"])
+    assert code in (0, 1) and json.loads(out)["records"] == emitted
+    assert emitted and all(cli.canonical(rec) == rec for rec in emitted)
 
 
 # the Klein four-group, g h = g xor h, and its real characters
@@ -1369,6 +1385,47 @@ def test_unoffered_choice_or_missing_section_exit_2(tmp_path, capsys, command, p
     msg = json.loads(err)
     assert msg["kind"] == "invalid-input"
     assert named in msg["error"]
+
+
+@pytest.mark.parametrize("command, payload, keys, name", [
+    (["reps", "decompose"], {"group": {"preset": "Z_2"},
+                             "representation": {"matrices": [[[1]], [[-1]]]}},
+     ("representation", "matrices", 0, 0, 0), "representation matrices"),
+    (["groupoid", "quotient"], dict(GROUPOID_QUOTIENT, settings={"seed": 1}),
+     ("settings", "seed"), "'seed'"),
+    (["reps", "decompose"], {"group": {"preset": "S_3"},
+                             "representation": {"random": {"max_dim": 4}}},
+     ("representation", "random", "max_dim"), "'max_dim'"),
+    (["flow", "index"], {"flow": {"paths": [{"preset": "tanh-scalar", "horizon": 9}]}},
+     ("flow", "paths", 0, "horizon"), "'horizon'"),
+])
+def test_json_boolean_where_a_number_belongs_exit_2(tmp_path, capsys, command, payload,
+                                                    keys, name):
+    assert run(capsys, command + [write(tmp_path, "ok.json", payload)])[0] in (0, 1)
+    code, out, err = run(capsys, command + [write(tmp_path, "bad.json",
+                                                  _replaced(payload, True, *keys))])
+    assert (code, out) == (2, "")
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert name in msg["error"] and "True is not" in msg["error"]
+
+
+@pytest.mark.parametrize("content, named", [
+    (None, "cannot be read"),  # a directory
+    ('{"group": "\xe9"}'.encode("latin-1"), "is not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+])
+def test_unreadable_scenario_exit_2(tmp_path, capsys, content, named):
+    path = tmp_path / "scenario.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run(capsys, ["reps", "decompose", str(path)])
+    assert (code, out) == (2, "")
+    msg = json.loads(err)
+    assert msg["kind"] == "invalid-input"
+    assert named in msg["error"] and str(path) in msg["error"]
 
 
 def test_missing_scenario_file_exit_2(tmp_path, capsys):
@@ -2048,3 +2105,69 @@ def test_exact_parse_scalar_is_normalized(x):
     value = cli._parse_scalar(x, True, "x")
     assert value == Fraction(x)
     assert type(value) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+def _parse_entrywise(value, exact, what, matrix):
+    """The reference: _parse_matrix / _parse_vector converting entry by entry
+    through _parse_scalar."""
+    dtype = object if exact else float
+    if not matrix:
+        if not isinstance(value, list):
+            raise cli.InvalidInputError(f"{what} must be a list of numbers")
+        return np.array([cli._parse_scalar(v, exact, what) for v in value], dtype=dtype)
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == len(value[0]) for row in value):
+        raise cli.InvalidInputError(f"{what} must be a rectangular matrix")
+    shape = (len(value), len(value[0]) if value else 0)
+    return np.array([[cli._parse_scalar(v, exact, what) for v in row] for row in value],
+                    dtype=dtype).reshape(shape)
+
+
+# entries a scenario can hold: ints past int64 and past the float range,
+# integral and signed-zero floats, non-finite floats, rational strings,
+# booleans, null and nested lists
+ODD_ENTRIES = [2**63, -2**64 - 1, 2**70 + 1, 10**400, 2.0, -0.0, 0.5, 1e300,
+               float("inf"), float("-inf"), float("nan"), "4/2", "1/3", "x",
+               True, False, None, [1], [], {"a": 1}]
+
+
+def _outcome(parse, *args):
+    try:
+        out = parse(*args)
+    except cli.InvalidInputError as exc:
+        return "error", str(exc)
+    return out.dtype, out.shape, out.tobytes() if out.dtype != object else [
+        (type(v), v) for v in out.flat]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_parse_matches_the_entrywise_reference(exact):
+    rng = np.random.default_rng(38)
+    for trial in range(1500):
+        rows, cols = rng.integers(0, 5, size=2)
+        value = [[int(v) for v in rng.integers(-10**6, 10**6, size=cols)]
+                 for _ in range(rows)]
+        flat = [(r, c) for r in range(rows) for c in range(cols)]
+        for _ in range(rng.integers(0, 3) if flat else 0):  # a few odd entries
+            r, c = flat[rng.integers(len(flat))]
+            value[r][c] = ODD_ENTRIES[rng.integers(len(ODD_ENTRIES))]
+        if not exact and flat and rng.random() < 0.3:  # float-mode floats
+            r, c = flat[rng.integers(len(flat))]
+            value[r][c] = float(rng.normal())
+        if rows > 1 and rng.random() < 0.1:
+            value[-1].append(0)  # ragged
+        for matrix, arg in ((True, value), (False, value[0] if value else value)):
+            expected = _outcome(_parse_entrywise, arg, exact, "m", matrix)
+            parse = cli._parse_matrix if matrix else cli._parse_vector
+            assert _outcome(parse, arg, exact, "m") == expected, (trial, arg)
+
+
+def test_canonical_maps_numpy_values_to_python_values():
+    cert = {np.int64(1): np.True_, "x": np.float32(0.5), "y": np.float64("nan"),
+            "z": (np.int8(-3), np.str_("s")), "bools": np.array([True, False]),
+            "floats": np.array([1.5, -np.inf]), "ints": np.arange(3, dtype=np.uint8)}
+    out = cli.canonical(cert)
+    assert out == {"1": True, "x": 0.5, "y": "nan", "z": [-3, "s"], "bools": [True, False],
+                   "floats": [1.5, "-inf"], "ints": [0, 1, 2]}
+    assert type(out["1"]) is bool and type(out["z"][0]) is int
+    assert json.loads(json.dumps(out)) == out
