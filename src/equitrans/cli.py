@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 import time
 from fractions import Fraction
@@ -70,6 +71,12 @@ class Settings:
         return self.mode == "exact"
 
 
+# error messages echo an offending entry through one capped repr: three
+# levels of nesting, six items a level and 80 characters a string or number
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlong, _ECHO.maxother = 3, 80, 80, 80
+
+
 def _parse_scalar(x, exact: bool, what: str):
     """A finite number: a ``linalg.rational`` in exact mode, else a float.
     A JSON boolean is not a number."""
@@ -83,7 +90,7 @@ def _parse_scalar(x, exact: bool, what: str):
         if not exact and not math.isfinite(value):
             raise ValueError
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InvalidInputError(f"{what}: {x!r} is not a number") from None
+        raise InvalidInputError(f"{what}: {_ECHO.repr(x)} is not a number") from None
     return value
 
 
@@ -159,7 +166,7 @@ def _int(x, what: str) -> int:
             raise ValueError
         return int(x)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(f"{what}: {x!r} is not an integer") from None
+        raise InvalidInputError(f"{what}: {_ECHO.repr(x)} is not an integer") from None
 
 
 def _vertices(values, what: str) -> tuple:
@@ -643,8 +650,7 @@ def cmd_floer(scenario, settings, sub):
         reduced = floer.autonomous_reduce(counts, gens, morse)
         delta = floer.build_differential(gens, reduced, cutoff)
         zero = lattice.zero
-        entrywise = all(delta.entry(x, y)
-                        == floer.NovikovElement.monomial(lattice, zero, c, cutoff)
+        entrywise = all(delta.entry(x, y) == ({zero: c} if c else {})
                         for (x, y), c in morse.items())
         spurious = [k for k in reduced.counts
                     if reduced.derived_index(gens, *k) == 0 and k[2] != zero]
@@ -655,7 +661,7 @@ def cmd_floer(scenario, settings, sub):
         rep = floer.check_d_squared(delta)
         cert = {} if rep.ok else {
             "pair": list(rep.first_failure),
-            "defect": {str(a): Fraction(c) for a, c in rep.defect.terms.items()},
+            "defect": {str(a): str(c) for a, c in rep.defect.items()},
         }
         return [make_record("d-squared", "differential-squares-to-zero", rep.ok, cert)]
     ranks = floer.cohomology_rank(delta)

@@ -1,14 +1,18 @@
 """Novikov-coefficient chain complexes from signed moduli-count tables.
 
-Scalars are truncated Novikov sums: finitely many terms f_A q^A over a
-homology lattice carrying linear functionals omega (rational) and c1
-(integer), with q^A graded by 2 c1(A).  All arithmetic is exact rational
-below an omega-cutoff, held as one precision: an element keeps only its
-integer energy bound floor(cutoff * denom) and drops every term above it,
-and a sum or product keeps the smaller bound of its operands.  Cohomology
-ranks need no series: rank does not change under field extension, so the
-rank of a block over the Novikov field is its rank over Q(q), which one
-exact integer evaluation gives (``matrix_rank``).
+Scalars are truncated Novikov sums over a homology lattice with linear
+omega (rational, kept as integer weights over one denominator, so truncation
+compares integer energies) and c1 (integer), q^A graded by 2 c1(A).  A
+differential entry is a polynomial ``{A: int}`` of its nonzero terms at or
+below the energy bound floor(cutoff * denom); a count, lattice coordinate or
+c1 value that is not an integer is invalid input, never rounded.  The one
+truncation rule (``_truncated``) applies where ``build_differential`` builds
+the entries and once on each summed entry of delta o delta in
+``check_d_squared``: it is a linear coordinate projection, so truncating the
+finished sum equals truncating every product and partial sum.  Ranks need no
+series: rank does not change under field extension, so a block's rank over
+the Novikov field is its rank over Q(q), which one exact integer evaluation
+gives (``matrix_rank``).
 
 Count tables are indexed by (x, y, A) with the derived Fredholm index
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -40,10 +44,21 @@ from .errors import InvalidInputError
 # ---------------------------------------------------------------------------
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int; a value that is not an integer (``2.7``,
+    ``Fraction(1, 2)``, ``"3"``) is invalid input, not rounded."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{what}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class HomologyLattice:
     """Finite-rank lattice with linear omega (rational) and c1 (integer).
-    omega is kept as integer ``weights`` over one ``denom``, and arithmetic
+    omega is kept as integer ``weights`` over one ``denom``, and truncation
     compares the integer energy denom * omega(A)."""
 
     rank: int
@@ -56,12 +71,12 @@ class HomologyLattice:
         omega = tuple(Fraction(w) for w in self.omega)
         weights, denom = linalg.numerators(omega)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "c1", tuple(int(c) for c in self.c1))
+        object.__setattr__(self, "c1", tuple(_integral(c, "c1") for c in self.c1))
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "weights", tuple(weights))
 
     def check_point(self, a) -> tuple:
-        a = tuple(int(k) for k in a)
+        a = tuple(_integral(k, "lattice point coordinate") for k in a)
         if len(a) != self.rank:
             raise InvalidInputError(f"lattice point {a} has wrong rank")
         return a
@@ -84,76 +99,9 @@ class HomologyLattice:
         return (0,) * self.rank
 
 
-@dataclass
-class NovikovElement:
-    """Finite sum of terms f_A q^A, exact below the energy cutoff.
-
-    ``cutoff`` is the guaranteed-precision level: terms with omega above it
-    are dropped and results are only claimed modulo such terms.  The element
-    keeps it only as ``_bound``, the largest integer energy at or below it.
-    Coefficients are ``linalg.rational`` (an int when integral); arithmetic
-    results skip the constructor's checks.
-    """
-
-    lattice: HomologyLattice
-    terms: dict
-    cutoff: InitVar[Fraction]
-
-    def __post_init__(self, cutoff):
-        clean = {}
-        for a, coeff in self.terms.items():
-            a = self.lattice.check_point(a)
-            clean[a] = clean.get(a, 0) + linalg.rational(coeff)
-        self._bound = self.lattice.energy_bound(cutoff)
-        self.terms = self._checked(self.lattice, clean, self._bound).terms
-
-    @classmethod
-    def _checked(cls, lattice, terms, bound) -> "NovikovElement":
-        """Element of the nonzero checked terms at or below the energy bound."""
-        out = cls.__new__(cls)
-        out.lattice, out._bound = lattice, bound
-        out.terms = {a: linalg.rational(c) for a, c in terms.items()
-                     if c != 0 and lattice.energy(a) <= bound}
-        return out
-
-    @staticmethod
-    def zero(lattice, cutoff) -> "NovikovElement":
-        return NovikovElement(lattice, {}, cutoff)
-
-    @staticmethod
-    def monomial(lattice, a, coeff, cutoff) -> "NovikovElement":
-        return NovikovElement(lattice, {tuple(a): coeff}, cutoff)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other, sign=1):
-        merged = dict(self.terms)
-        for a, c in other.terms.items():
-            merged[a] = merged.get(a, 0) + sign * c
-        return self._checked(self.lattice, merged, min(self._bound, other._bound))
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._checked(self.lattice,
-                                 {a: c * other for a, c in self.terms.items()},
-                                 self._bound)
-        out: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, 0) + ca * cb
-        return self._checked(self.lattice, out, min(self._bound, other._bound))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, NovikovElement):
-            return NotImplemented
-        return self.terms == other.terms
+def _truncated(lattice: HomologyLattice, terms: dict, bound: int) -> dict:
+    """The nonzero terms {A: c} of ``terms`` at or below the energy bound."""
+    return {a: c for a, c in terms.items() if c and lattice.energy(a) <= bound}
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +149,7 @@ class GeneratorSet:
 
 @dataclass
 class ModuliCountTable:
-    """Signed moduli counts indexed by (x, y, A)."""
+    """Signed integer moduli counts indexed by (x, y, A)."""
 
     lattice: HomologyLattice
     counts: dict
@@ -209,7 +157,7 @@ class ModuliCountTable:
     def __post_init__(self):
         clean = {}
         for (x, y, a), c in self.counts.items():
-            c = int(c)
+            c = _integral(c, "moduli count")
             if c != 0:
                 clean[(x, y, self.lattice.check_point(a))] = c
         self.counts = clean
@@ -235,14 +183,15 @@ def autonomous_reduce(counts: ModuliCountTable, gens: GeneratorSet,
             continue  # rebuilt below from the Morse table
         out[key] = c
     for (x, y), c in morse_counts.items():
-        if int(c) == 0:
+        c = _integral(c, "Morse count")
+        if c == 0:
             continue
         key = (x, y, zero)
         if counts.derived_index(gens, x, y, zero) != 0:
             raise InvalidInputError(
                 f"Morse count at ({x!r}, {y!r}) does not sit in the index-0 slot"
             )
-        out[key] = int(c)
+        out[key] = c
     return ModuliCountTable(lattice, out)
 
 
@@ -254,18 +203,15 @@ def autonomous_reduce(counts: ModuliCountTable, gens: GeneratorSet,
 @dataclass
 class Differential:
     """Lambda-matrix of the differential: entries[(x, y)] is the coefficient
-    of x in delta y."""
+    of x in delta y, a nonzero polynomial {A: int}; absent pairs are zero."""
 
     gens: GeneratorSet
     lattice: HomologyLattice
     entries: dict
     cutoff: Fraction
 
-    def __post_init__(self):
-        self._zero = NovikovElement.zero(self.lattice, self.cutoff)
-
-    def entry(self, x, y) -> NovikovElement:
-        return self.entries.get((x, y), self._zero)
+    def entry(self, x, y) -> dict:
+        return self.entries.get((x, y), {})
 
 
 def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
@@ -290,7 +236,7 @@ def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
             )
         terms.setdefault((x, y), {})[a] = c
     bound = lattice.energy_bound(cutoff)
-    entries = {key: NovikovElement._checked(lattice, t, bound) for key, t in terms.items()}
+    entries = {key: e for key, t in terms.items() if (e := _truncated(lattice, t, bound))}
     return Differential(gens, lattice, entries, cutoff)
 
 
@@ -298,32 +244,35 @@ def build_differential(gens: GeneratorSet, counts: ModuliCountTable,
 class DSquaredReport:
     ok: bool
     first_failure: tuple | None = None
-    defect: NovikovElement | None = None
+    defect: dict | None = None
 
 
 def check_d_squared(delta: Differential) -> DSquaredReport:
     """delta o delta = 0 as Lambda-matrices, exact below the cutoff.
 
-    Sums only the stored nonzero entries: entry (x, z) of delta o delta is
-    the sum over middle generators y of entry(x, y) * entry(y, z).  The
-    first failure is reported in (z, x) generator order.
+    Sums only the stored entries: entry (x, z) of delta o delta is the sum
+    over middle generators y of entry(x, y) * entry(y, z), truncated once
+    when summed.  The first failure is reported in (z, x) generator order.
     """
     gens = delta.gens.names
-    zero = NovikovElement.zero(delta.lattice, delta.cutoff)
-    into = {}  # y -> [(x, entry(x, y))], nonzero entries only, x in gens order
+    lattice, bound = delta.lattice, delta.lattice.energy_bound(delta.cutoff)
+    into = {}  # y -> [(x, entry(x, y))], x in gens order
     for x in gens:
         for y in gens:
-            a = delta.entries.get((x, y))
-            if a is not None and not a.is_zero():
-                into.setdefault(y, []).append((x, a))
+            if (x, y) in delta.entries:
+                into.setdefault(y, []).append((x, delta.entries[(x, y)]))
     for z in gens:
-        acc = {}
+        acc = {}  # x -> {A: coefficient} of entry (x, z), untruncated
         for y, b in into.get(z, []):
             for x, a in into.get(y, []):
-                acc[x] = acc.get(x, zero) + a * b
+                poly = acc.setdefault(x, {})
+                for p, ca in a.items():
+                    for r, cb in b.items():
+                        key = tuple(map(operator.add, p, r))
+                        poly[key] = poly.get(key, 0) + ca * cb
         for x in gens:
-            if x in acc and not acc[x].is_zero():
-                return DSquaredReport(False, (x, z), acc[x])
+            if x in acc and (defect := _truncated(lattice, acc[x], bound)):
+                return DSquaredReport(False, (x, z), defect)
     return DSquaredReport(True)
 
 
@@ -353,15 +302,14 @@ def _bareiss_rank(rows: list) -> int:
 
 
 def matrix_rank(rows: list) -> int:
-    """Rank of a matrix of NovikovElements (a list of rows) over Q(q), which
-    is its rank over the Novikov field, since rank does not change under
-    field extension (Hofer-Salamon, *Floer homology and Novikov rings*,
-    1995).  Entries are ranked as they are held, after the cutoff dropped
-    their terms above it.
+    """Rank of a matrix of integer polynomials {A: int} (a list of rows)
+    over Q(q), which is its rank over the Novikov field, since rank does not
+    change under field extension (Hofer-Salamon, *Floer homology and
+    Novikov rings*, 1995).  Entries are ranked as they are held, after the
+    cutoff dropped their terms above it.
 
-    Each row is scaled by its coefficients' common denominator and shifted
-    by a power of q, so its entries are polynomials with integer
-    coefficients and exponents at least 0.  The Kronecker substitution
+    Each row is shifted by a power of q, so its entries are polynomials
+    with exponents at least 0.  The Kronecker substitution
     q_j -> t^(w_j), w_j the product of (D_i + 1) over i < j with D_i the
     row-summed exponent span in q_i, keeps every nonzero minor nonzero,
     and evaluating at t0 = H + 2 keeps it nonzero too: H, the product over
@@ -372,15 +320,14 @@ def matrix_rank(rows: list) -> int:
     """
     polys, spans = [], []  # per nonzero row: {point shifted to >= 0: int} per entry, spans
     for row in rows:
-        terms = [t for e in row for t in e.terms.items()]
-        if not terms:
+        points = [a for e in row for a in e]
+        if not points:
             continue
-        den = math.lcm(*(c.denominator for _, c in terms))
-        coords = list(zip(*(a for a, _ in terms)))  # the row's values of each q_j
+        coords = list(zip(*points))  # the row's values of each q_j
         low = [min(k) for k in coords]
         spans.append([max(k) - m for k, m in zip(coords, low)])
-        polys.append([{tuple(map(operator.sub, a, low)): int(c * den)
-                       for a, c in e.terms.items()} for e in row])
+        polys.append([{tuple(map(operator.sub, a, low)): c for a, c in e.items()}
+                      for e in row])
     if not polys:
         return 0
     weights, w = [], 1
@@ -410,8 +357,8 @@ def cohomology_rank(delta: Differential) -> dict:
             f"differential does not square to zero at pair {sq.first_failure}"
         )
     gens = delta.gens
-    for (x, y), val in delta.entries.items():
-        if not val.is_zero() and gens.ind(x) != gens.ind(y) - 1:
+    for x, y in delta.entries:
+        if gens.ind(x) != gens.ind(y) - 1:
             raise InvalidInputError(
                 f"entry ({x!r}, {y!r}) connects non-adjacent Morse indices; "
                 "graded ranks are defined for q-degree-zero differentials"

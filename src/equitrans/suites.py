@@ -340,8 +340,7 @@ def suite_floer(check):
     reduced = floer.autonomous_reduce(table, gens, morse)
     delta_r = floer.build_differential(gens, reduced, cutoff=10)
     for (x, y), c in morse.items():
-        want = floer.NovikovElement.monomial(lat_c, lat_c.zero, c, Fraction(10))
-        check(delta_r.entry(x, y) == want, {"case": f"reduction-entry-{x}-{y}"})
+        check(delta_r.entry(x, y) == {lat_c.zero: c}, {"case": f"reduction-entry-{x}-{y}"})
     check(all(a == lat_c.zero for (_, _, a) in reduced.counts),
           {"case": "reduction-left-nonzero-classes"})
     # toy models

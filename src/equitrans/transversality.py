@@ -249,25 +249,26 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
     zero set), then verify the pointwise index condition at the remaining
     zeros (obstruction certificates otherwise), make the fixed blocks
     surjective by least-norm seeded sampling, and finally sample equivariant
-    corrections from the equivariant hom basis per isotypic label.  The
-    perturbation vanishes outside the support set and the whole run is
-    reproducible from the seed.
+    corrections from the equivariant hom basis per isotypic label.  A zero
+    outside the support set is invalid input, checked before any shift or
+    draw; the perturbation vanishes outside the support set and the whole
+    run is reproducible from the seed.
     """
-    support = model.support if model.support is not None else set(model.base.vertices)
+    zeros = model.zero_set()  # in base.vertices order, which is str order
+    support = set(model.base.vertices) if model.support is None else model.support
+    for v in zeros:
+        if v not in support:
+            raise InvalidInputError(f"zero-set vertex {v} lies outside the declared support")
     splits = {v: model.split_at(v) for v in model.base.vertices}
     report = TransversalityReport(splits=splits)
     shift_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC7]))
     section_shifts = {}
     zero = {}  # vertex -> split, the zeros left after the shifts
-    for v in model.zero_set():
+    for v in zeros:
         blk = splits[v].fixed_block
         if blk.shape[0] > blk.shape[1]:
             # negative fixed index: transversality means the zero set avoids
             # this vertex, so shift the section value off zero
-            if v not in support:
-                raise InvalidInputError(
-                    f"zero-set vertex {v} lies outside the declared support"
-                )
             shift = shift_rng.normal(size=blk.shape[0])
             section_shifts[v] = shift / np.linalg.norm(shift)
             report.record(v, "section-shift", np.inf, True)
@@ -294,10 +295,6 @@ def construct_equivariant_perturbation(model: FixedLocusModel, seed: int = 0):
             for label, blk in splits[v].lambda_blocks.items():
                 lambda_corr[v][label] = np.zeros_like(blk)
             continue
-        if v not in support:
-            raise InvalidInputError(
-                f"zero-set vertex {v} lies outside the declared support"
-            )
         child = np.random.default_rng(rng_root.spawn(1)[0])
         # zeros of negative fixed index were shifted off above: rows <= cols
         rows, cols = d_fix.shape

@@ -1567,6 +1567,16 @@ def drifting_dihedral(n=32, amplitude=1.2e-10):
                          [[0, 0]] * 3, "fixed_locus", "fixed_blocks", "1"),
                [0, 0, 0], "fixed_locus", "section", "1"),
      "zero-set vertex 1 lies outside the declared support"),
+    # the support is checked before the index condition: both zeros are
+    # obstructed (exit 1 without a support, as in
+    # test_transversality_obstruction_exit_1), and the support leaves vertex 1 out
+    (["transversality", "perturb"],
+     {"fixed_locus": {"base": {"interval": 1}, "support": [0],
+                      "components": {"weight_1": {"n_units": 1, "m_units": 1}},
+                      "section": {"0": [0], "1": [0]},
+                      "fixed_blocks": {"0": [[0, 0, 0]], "1": [[0, 0, 0]]},
+                      "lambda_blocks": {v: {"weight_1": [[0, 0], [0, 0]]} for v in "01"}}},
+     "zero-set vertex 1 lies outside the declared support"),
     # a support may name only vertices of the base
     *[(["transversality", sub], _replaced(FIXED_LOCUS, [0, 1, 7], "fixed_locus", "support"),
        "support vertices [7] are not base vertices") for sub in ("check", "perturb")],
@@ -2044,6 +2054,32 @@ def test_perturb_zero_outside_declared_support_exit_2(tmp_path, capsys):
     msg = json.loads(err)
     assert msg["kind"] == "invalid-input"
     assert "zero-set vertex 1 lies outside the declared support" in msg["error"]
+
+
+def test_deeply_nested_entry_gives_a_short_error(tmp_path):
+    # the offending entry is echoed through a capped repr, not in full; a
+    # fresh interpreter parses the 980 levels that pytest's stack would not
+    text = json.dumps(_replaced(REPS_MATRICES, "X", "representation", "matrices", 1))
+    path = tmp_path / "nested.json"
+    path.write_text(text.replace('"X"', "[[" + "[" * 980 + "1" + "]" * 980 + ", 0], [0, -1]]"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "equitrans.cli", "reps", "decompose",
+                           str(path)], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    message = json.loads(done.stderr)["error"]
+    assert len(message) < 200
+    assert message == "representation matrices: [[[[...]]]] is not a number"
+    # integer fields go through the same capped repr; short entries keep
+    # their full text
+    for parse in (cli._int, lambda x, what: cli._parse_scalar(x, True, what)):
+        with pytest.raises(cli.InvalidInputError) as caught:
+            parse([[[[[1]]]]], "x")
+        assert str(caught.value).startswith("x: [[[[...]]]] is not a")
+        with pytest.raises(cli.InvalidInputError) as caught:
+            parse([[[1]], "abc"], "x")
+        assert str(caught.value).startswith("x: [[[1]], 'abc'] is not a")
 
 
 def test_perturb_exhausted_budget_exit_1(tmp_path, capsys, monkeypatch):

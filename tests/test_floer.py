@@ -1,4 +1,4 @@
-"""Tests for Novikov arithmetic, count tables, differentials, the
+"""Tests for count tables, differentials and their truncation, the
 autonomous reduction, and cohomology ranks.
 
 Independent oracles: hand enumeration of gradient lines on circle models,
@@ -8,6 +8,7 @@ over the fraction field Q(q) for the exact block rank.
 """
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -21,11 +22,9 @@ from sympy.polys.matrices import DomainMatrix
 from equitrans import floer, suites
 from equitrans.errors import InvalidInputError
 from equitrans.floer import (
-    Differential,
     GeneratorSet,
     HomologyLattice,
     ModuliCountTable,
-    NovikovElement,
     autonomous_reduce,
     betti_sum,
     build_differential,
@@ -36,93 +35,7 @@ from equitrans.floer import (
 LAT1 = HomologyLattice(1, (Fraction(1),), (0,))
 LATC = HomologyLattice(1, (Fraction(1),), (1,))
 LAT0 = HomologyLattice(0, (), ())
-CUT = Fraction(100)  # a cutoff above every energy the arithmetic tests reach
-
-
-def unit(lattice, cutoff):
-    """The Novikov element 1 = q^0."""
-    return NovikovElement(lattice, {lattice.zero: 1}, cutoff)
-
-
-# ---------------------------------------------------------------------------
-# Novikov arithmetic
-# ---------------------------------------------------------------------------
-
-
-def test_unit_is_multiplicative_identity():
-    one = unit(LAT1, CUT)
-    x = NovikovElement(LAT1, {(2,): Fraction(3, 7), (0,): 1}, CUT)
-    assert one * x == x
-    assert x * one == x
-
-
-coeffs = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
-points = st.integers(min_value=-3, max_value=3)
-elements = st.dictionaries(
-    st.tuples(points), coeffs, max_size=4
-).map(lambda t: NovikovElement(LAT1, t, CUT))
-
-
-@settings(max_examples=60, deadline=None)
-@given(elements, elements, elements)
-def test_novikov_ring_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-
-
-def held_as_fractions(a):
-    """``a`` with every coefficient held as a ``Fraction``: the reference
-    that int coefficients must agree with."""
-    held = NovikovElement._checked(a.lattice, {}, a._bound)
-    held.terms = {p: Fraction(c) for p, c in a.terms.items()}
-    return held
-
-
-int_terms = st.dictionaries(st.tuples(points), st.integers(-4, 4), max_size=4)
-
-
-@settings(max_examples=80, deadline=None)
-@given(int_terms, int_terms, st.sampled_from([CUT, 2, Fraction(7, 2)]))
-def test_int_and_fraction_coefficients_agree(s, t, cutoff):
-    a, b = NovikovElement(LAT1, s, cutoff), NovikovElement(LAT1, t, CUT)
-    # Fractions that come in are normalized where they enter
-    a_in = NovikovElement(LAT1, {p: Fraction(c) for p, c in s.items()}, cutoff)
-    assert a_in == a and all(type(c) is int for c in a_in.terms.values())
-    fa, fb = held_as_fractions(a), held_as_fractions(b)
-    for got, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)):
-        assert got == want
-        # integral results are ints, also from Fraction operands
-        assert all(type(c) is int for c in got.terms.values())
-        assert all(type(c) is int for c in want.terms.values())
-
-
-def two_level_complex(data, lattice=LAT1):
-    """Random delta from index-1 sources b_j to index-0 targets a_i with
-    q-polynomial entries (d^2 = 0 holds trivially on two levels)."""
-    n0, n1 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    names = [f"a{i}" for i in range(n0)] + [f"b{j}" for j in range(n1)]
-    index = {x: int(x[0] == "b") for x in names}
-    gens = GeneratorSet(tuple(names), index, dict(index))
-    counts = data.draw(st.dictionaries(
-        st.tuples(st.sampled_from(names[:n0]), st.sampled_from(names[n0:]),
-                  st.tuples(st.integers(0, 4))),
-        st.integers(-3, 3), max_size=3 * n0 * n1))
-    return gens, ModuliCountTable(lattice, counts)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_cohomology_rank_int_and_fraction_entries_agree(data):
-    gens, counts = two_level_complex(data)
-    delta = build_differential(gens, counts, cutoff=data.draw(st.sampled_from([CUT, 3])))
-    held = Differential(gens, LAT1, {k: held_as_fractions(e)
-                                     for k, e in delta.entries.items()}, delta.cutoff)
-    assert cohomology_rank(held) == cohomology_rank(delta)
+CUT = Fraction(100)  # a cutoff above every energy the rank tests reach
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +89,37 @@ def test_count_table_energy_constraint():
         build_differential(gens, counts, cutoff=10)
 
 
+@pytest.mark.parametrize("build, what, value", [
+    (lambda v: ModuliCountTable(LAT1, {("x", "y", (0,)): v}), "moduli count", Fraction(1, 2)),
+    (lambda v: ModuliCountTable(LAT1, {("x", "y", (0,)): v}), "moduli count", 2.7),
+    (lambda v: ModuliCountTable(LAT1, {("x", "y", (v,)): 1}), "lattice point coordinate",
+     Fraction(3, 2)),
+    (lambda v: LAT1.check_point((v,)), "lattice point coordinate", 0.5),
+    (lambda v: HomologyLattice(1, (1,), (v,)), "c1", 1.5),
+    (lambda v: autonomous_reduce(ModuliCountTable(LAT1, {}), circle4_gens(),
+                                 {("m1", "M1"): v}), "Morse count", Fraction(-1, 3)),
+    (lambda v: ModuliCountTable(LAT1, {("x", "y", (0,)): v}), "moduli count", "3"),
+])
+def test_non_integral_values_are_invalid_input(build, what, value):
+    # rejected, not rounded: int() would turn 2.7 into 2 and 1/2 into 0
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{what}: {value!r} is not an integer")):
+        build(value)
+
+
+def test_integral_values_are_kept_as_ints():
+    for value in (2, 2.0, Fraction(4, 2), np.int64(2)):
+        table = ModuliCountTable(LAT1, {("x", "y", (value,)): value})
+        assert table.counts == {("x", "y", (2,)): 2}
+        [(_, _, (k,))] = table.counts
+        assert type(k) is int and all(type(c) is int for c in table.counts.values())
+        assert HomologyLattice(1, (1,), (value,)).c1 == (2,)
+        reduced = autonomous_reduce(ModuliCountTable(LAT1, {}), circle4_gens(),
+                                    {("m1", "M1"): value})
+        assert reduced.counts == {("m1", "M1", (0,)): 2}
+        assert type(reduced.counts[("m1", "M1", (0,))]) is int
+
+
 def test_derived_index_formula():
     gens = sphere_gens()
     t = ModuliCountTable(LATC, {})
@@ -198,7 +142,7 @@ def test_two_generator_differential():
     gens = GeneratorSet(("x", "y"), {"x": 0, "y": 1}, {"x": 0, "y": 1})
     counts = ModuliCountTable(LAT0, {("x", "y", ()): 1})
     delta = build_differential(gens, counts, cutoff=10)
-    assert delta.entry("x", "y") == unit(LAT0, 10)
+    assert delta.entry("x", "y") == {(): 1}
 
 
 def test_wiggly_circle_hand_enumeration():
@@ -229,7 +173,7 @@ def test_differential_skips_counts_off_the_index_0_slot():
                                      ("x", "y", (0,)): 2})
     delta = build_differential(gens, counts, cutoff=10)
     assert list(delta.entries) == [("x", "y")]
-    assert delta.entry("x", "y") == NovikovElement.monomial(LATC, (0,), 2, Fraction(10))
+    assert delta.entry("x", "y") == {(0,): 2}
 
 
 @settings(max_examples=100, deadline=None)
@@ -255,7 +199,7 @@ def test_index_zero_entries_are_homogeneous_of_grading_shift_one(data):
         if index[y] - index[x] + lattice.omega_of(a) > 0})
     delta = build_differential(gens, table, cutoff=data.draw(st.sampled_from([3, CUT])))
     for (x, y), entry in delta.entries.items():
-        for a in entry.terms:
+        for a in entry:
             assert 2 * lattice.c1_of(a) == 1 + gens.ind(x) - gens.ind(y)
 
 
@@ -302,6 +246,34 @@ def test_perturbed_entry_fails_at_the_pair():
     assert gens.ind(x) == 0 and gens.ind(z) == 2
 
 
+def stepwise_d_squared_failures(delta):
+    """Reference: every nonzero entry ((x, z), polynomial) of delta o delta
+    in (z, x) order, summed over all middle generators densely and
+    truncated at the cutoff after every product and every partial sum."""
+    lattice, names = delta.lattice, delta.gens.names
+    bound = lattice.energy_bound(delta.cutoff)
+
+    def truncate(terms):
+        return {a: c for a, c in terms.items() if c and lattice.energy(a) <= bound}
+
+    failures = []
+    for z in names:
+        for x in names:
+            acc = {}
+            for y in names:
+                product = {}
+                for (a, ca), (b, cb) in itertools.product(delta.entry(x, y).items(),
+                                                          delta.entry(y, z).items()):
+                    point = tuple(i + j for i, j in zip(a, b))
+                    product[point] = product.get(point, 0) + ca * cb
+                for point, c in truncate(product).items():
+                    acc[point] = acc.get(point, 0) + c
+                acc = truncate(acc)
+            if acc:
+                failures.append(((x, z), acc))
+    return failures
+
+
 def test_d_squared_first_failure_matches_dense_loop():
     # c1 fails for both a1 and a2, c2 only for a2 (a1 cancels through
     # b1 - b2), so the first failure in (z, x) order is (a1, c1)
@@ -315,19 +287,47 @@ def test_d_squared_first_failure_matches_dense_loop():
         ("b1", "c2", (0,)): 1, ("b2", "c2", (0,)): -1,
     })
     delta = build_differential(gens, counts, cutoff=10)
-    failures = []
-    for z in names:
-        for x in names:
-            acc = NovikovElement.zero(LAT1, delta.cutoff)
-            for y in names:
-                acc = acc + delta.entry(x, y) * delta.entry(y, z)
-            if not acc.is_zero():
-                failures.append(((x, z), acc))
+    failures = stepwise_d_squared_failures(delta)
     assert [p for p, _ in failures] == [("a1", "c1"), ("a2", "c1"), ("a2", "c2")]
     report = check_d_squared(delta)
     assert not report.ok
     assert report.first_failure == failures[0][0]
     assert report.defect == failures[0][1]
+
+
+def gauged(rng, counts, gens):
+    """``counts`` with count (x, y) moved to q^(w(y) - w(x)) for a weight w
+    of 0 on level 0, 0-2 on level 1 and 2-4 on level 2: a change of basis
+    x -> q^w(x) x, so delta o delta is zero exactly when it was before."""
+    offset = {0: 0, 1: 0, 2: 2}
+    w = {x: offset[gens.ind(x)] + int(rng.integers(3)) * (gens.ind(x) > 0)
+         for x in gens.names}
+    return {(x, y, (w[y] - w[x],)): c for (x, y, _), c in counts.items()}
+
+
+def test_single_truncation_matches_truncating_every_step():
+    # exponents 0-4 at cutoff 3: entries lose their q^4 terms where they
+    # are built, and d^2 sums lose every term above q^3 when compared
+    rng = np.random.default_rng(39)
+    verdicts, hidden = set(), 0
+    for trial in range(60):
+        sizes = (int(k) for k in rng.integers(1, 5, size=3) + [0, 1, 0])
+        gens, table = suites.coherent_three_level_table(rng, LAT1, *sizes)
+        counts = gauged(rng, table.counts, gens)
+        if trial % 2:  # one perturbed entry, at a random exponent 0-4
+            x, y, _ = list(counts)[int(rng.integers(len(counts)))]
+            key = (x, y, (int(rng.integers(5)),))
+            counts[key] = counts.get(key, 0) + int(rng.choice([-1, 1]))
+        delta = build_differential(gens, ModuliCountTable(LAT1, counts), cutoff=3)
+        report = check_d_squared(delta)
+        failures = stepwise_d_squared_failures(delta)
+        assert report.ok == (not failures), trial
+        if failures:
+            assert (report.first_failure, report.defect) == failures[0], trial
+        untruncated = build_differential(gens, ModuliCountTable(LAT1, counts), cutoff=CUT)
+        verdicts.add(report.ok)
+        hidden += report.ok and not check_d_squared(untruncated).ok
+    assert verdicts == {True, False} and hidden
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def test_unit_entry_kills_cohomology_with_specialization_oracle():
     ranks = cohomology_rank(delta)
     assert ranks == {0: 0, 1: 0}
     specialized = sum(
-        c * Fraction(1, 2) ** a[0] for a, c in delta.entry("y", "x").terms.items()
+        c * Fraction(1, 2) ** a[0] for a, c in delta.entry("y", "x").items()
     )
     assert specialized != 0  # rank 1 over Q after specialization
 
@@ -531,6 +531,16 @@ def planted_rank_block(rng, lattice, n_rows, n_cols, rank):
     return block
 
 
+def integer_rows(block):
+    """``block`` with each row scaled by its coefficients' common
+    denominator, which keeps its rank: integer polynomials, zeros dropped."""
+    out = []
+    for row in block:
+        den = math.lcm(*(Fraction(c).denominator for e in row for c in e.values()))
+        out.append([{a: int(c * den) for a, c in e.items() if c} for e in row])
+    return out
+
+
 LAT2 = HomologyLattice(2, (Fraction(1), Fraction(1, 2)), (0, 0))  # ties: q^(1,0), q^(0,2)
 
 
@@ -546,18 +556,24 @@ def test_matrix_rank_matches_sympy_fraction_field(lattice, count, size):
         block = planted_rank_block(rng, lattice, n_rows, n_cols, rank)
         want = sympy_rank(lattice, block)
         seen.add(want)
-        assert floer.matrix_rank([[NovikovElement(lattice, e, CUT) for e in row]
-                                  for row in block]) == want
+        assert floer.matrix_rank(integer_rows(block)) == want
     assert seen == set(range(size + 1))
 
 
 def test_matrix_rank_truncates_where_elements_are_built():
-    # q^20 lies above cutoff 10, so it is dropped where it is built and
-    # [[1, 0], [1, q^20]] has rank 1; q^2 stays and [[1, 0], [1, q^2]] has rank 2
-    def matrix(k):
-        return [[NovikovElement(LAT1, {(0,): 1}, 10), NovikovElement(LAT1, {}, 10)],
-                [NovikovElement(LAT1, {(0,): 1}, 10), NovikovElement(LAT1, {(k,): 1}, 10)]]
+    # q^20 lies above cutoff 10, so it is dropped where the entry is built
+    # and [[1, 0], [1, q^20]] has rank 1; q^2 stays and [[1, 0], [1, q^2]]
+    # has rank 2
+    index = {"a1": 0, "a2": 0, "b1": 1, "b2": 1}
+    gens = GeneratorSet(tuple(index), index, dict(index))
 
-    assert NovikovElement(LAT1, {(20,): 1}, 10).is_zero()
-    assert floer.matrix_rank(matrix(2)) == 2
-    assert floer.matrix_rank(matrix(20)) == 1
+    def block(k):
+        counts = ModuliCountTable(LAT1, {("a1", "b1", (0,)): 1, ("a2", "b1", (0,)): 1,
+                                         ("a2", "b2", (k,)): 1})
+        delta = build_differential(gens, counts, cutoff=10)
+        return delta, [[delta.entry(x, y) for y in ("b1", "b2")] for x in ("a1", "a2")]
+
+    delta, rows = block(20)
+    assert ("a2", "b2") not in delta.entries and delta.entry("a2", "b2") == {}
+    assert floer.matrix_rank(rows) == 1
+    assert floer.matrix_rank(block(2)[1]) == 2
