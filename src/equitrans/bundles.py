@@ -264,7 +264,7 @@ def decompose_bundle(bundle: GBundleModel, tol: float = linalg.TOL) -> dict:
     character table and raises InvalidInputError, as does a non-integral
     rank.
     """
-    ranks, _, failed = reps.projector_check(bundle.rep, tol)
+    ranks, _, failed = reps.projector_check([bundle.rep], tol)[0]
     if failed:
         identity, label = failed[0]
         raise InvalidInputError(f"character projectors fail the {identity} identity "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import reprlib
 import sys
 import time
@@ -193,10 +194,39 @@ def _int_table(rows, what: str) -> np.ndarray:
     raise InvalidInputError(f"{what} must be a rectangular table of integers")
 
 
+# arrays and objects a scenario may nest: ``json.loads`` recurses once per
+# level, so without a bound the verdict on deep input would depend on the
+# caller's stack
+MAX_NESTING = 64
+_ESCAPE = re.compile(rb"\\.", re.S)
+_NOT_SYNTAX = bytes(c for c in range(256) if c not in b'[]{}"')
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+
+
+def _nests_deeper(text: str, bound: int) -> bool:
+    """Whether JSON ``text`` nests arrays and objects more than ``bound``
+    deep: whether the running count of [ and { less ] and } outside strings
+    exceeds it.  A text with at most ``bound`` opening brackets cannot, so
+    only a longer one is scanned.  With escapes dropped, a string runs from
+    one quote to the next, so the brackets outside strings are the even
+    pieces between quotes; dropping a pair of adjacent quotes (a string
+    with no bracket) first keeps every other quote's parity."""
+    raw = text.encode()
+    if b"\\" in raw:
+        raw = _ESCAPE.sub(b"", raw)
+    syntax = raw.translate(None, _NOT_SYNTAX)
+    if syntax.count(b"[") + syntax.count(b"{") <= bound:
+        return False
+    steps = b"".join(syntax.replace(b'""', b"").split(b'"')[::2]).translate(_BRACKET_STEPS)
+    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0)) > bound
+
+
 def load_scenario(path: str) -> dict:
+    """The scenario object of a UTF-8 JSON file that nests at most
+    ``MAX_NESTING`` levels; anything else is invalid input."""
     try:
         with open(path, encoding="utf-8") as fh:
-            scenario = json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise InvalidInputError(f"scenario file not found: {path}") from None
     except OSError as exc:  # a directory, or a file this process may not read
@@ -204,8 +234,10 @@ def load_scenario(path: str) -> dict:
             f"scenario file cannot be read: {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise InvalidInputError(f"scenario file is not UTF-8 text: {path}") from None
-    except RecursionError:
-        raise InvalidInputError(f"scenario nests too deeply to parse: {path}") from None
+    if _nests_deeper(text, MAX_NESTING):
+        raise InvalidInputError(f"scenario nests too deeply to parse: {path}")
+    try:
+        scenario = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(
             f"scenario parse error at line {exc.lineno}, column {exc.colno}: "
@@ -493,7 +525,7 @@ def cmd_reps(scenario, settings, sub):
     group = load_group(scenario.get("group"), settings)
     rep = load_representation(group, scenario.get("representation"), settings)
     if sub == "decompose":
-        ranks, _, failed = reps.projector_check(rep, settings.tolerance)
+        ranks, _, failed = reps.projector_check([rep], settings.tolerance)[0]
         anchor = "isotypic-character-projectors"
         # a component passes when no failed identity names it: idempotent,
         # or a pairwise-orthogonal pair 'a|b'

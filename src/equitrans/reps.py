@@ -21,6 +21,11 @@ integer numerators Q = D P over one common denominator D
 the irreducibility test of ``endo_type`` both read them from there.  An exact
 representation holds its integer numerators from construction.
 
+``projector_check`` takes a list of representations of one group and mode
+and forms each identity once per zero-padded stack of consecutive members
+(about ``_STACK`` entries), not once per member: on small matrices the cost
+of a numpy call, not its arithmetic, is what a per-member check pays.
+
 A finite group's characters are checked once, by ``FiniteGroupModel.validate``,
 so ``projector_check`` skips what they prove: each P_l commutes with the
 action and with every equivariant map.
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -594,7 +599,8 @@ def _character_table(group: GroupModel, exact: bool) -> tuple:
     group's order, with P_l = f_l sum_g X_lg rho(g).  Float mode: X the
     characters (ones for "fixed") and f = dim V / (endo_dim |G|) (1 / |G|),
     as floats, and a None.  Exact mode: X integer numerators, chi_l = X_l /
-    c_l, f_l the same divided by c_l as Fractions, and a_l = sum_g |X_lg|.
+    c_l, f the same divided by c_l as integer numerators over one
+    denominator (``linalg.numerators``), and a_l = sum_g |X_lg|.
     Kept per group and mode in its ``__dict__``, as ``_block_catalog`` is.
     An irrational character in exact mode raises InvalidInputError; the
     lengths are checked by ``FiniteGroupModel.validate``."""
@@ -614,6 +620,7 @@ def _character_table(group: GroupModel, exact: bool) -> tuple:
         if exact:
             sums = [sum(map(abs, x)) for x in rows]
             table = linalg.narrow(np.array(rows, dtype=object), max(sums), 1)
+            scales = linalg.numerators(scales)
         else:
             table, scales, sums = np.array(rows, dtype=float), np.array(scales, dtype=float), None
         group.__dict__[key] = labels, table, scales, sums
@@ -637,7 +644,10 @@ def character_projectors(rep: RealRepresentation):
         q = scales[:, None] * (table @ rep.matrices.reshape(order, -1))
         return dict(zip(labels, q.reshape(-1, d, d))), 1
     mats, m, m_max = rep.numerators
-    nums, denom = linalg.numerators([f / m for f in scales])
+    # s_l = f_l / m = F_l / (E m), for f = F / E; their least common
+    # denominator is E m over the gcd of E m and every F_l
+    (nums, e), g = scales, math.gcd(scales[1] * m, *scales[0])
+    nums, denom = nums // g, e * m // g
     # |Q| and D bound every factor; a product sums at most dim terms, a sum
     # of projectors has one term per label
     q_max = max(n * a * m_max for n, a in zip(nums, sums))
@@ -646,9 +656,20 @@ def character_projectors(rep: RealRepresentation):
     return dict(zip(labels, (weights @ mats.reshape(order, -1)).reshape(-1, d, d))), denom
 
 
-def projector_check(rep: RealRepresentation, tol: float = linalg.TOL) -> tuple[dict, int, list]:
-    """Check the character projectors of ``rep``: (ranks, number of checks,
-    failed (identity, label) pairs).
+# padded projector entries (labels x members x D x D) per stacked check.
+# Criterion 1's 20 float circle draws (16 labels, D = 12) as one stack peaked
+# at 1.5 MB under tracemalloc and raised the suite's peak RSS by about
+# 1.2 MB; in stacks of this size they peak at 0.63 MB
+_STACK = 2**14
+
+
+def projector_check(members: Iterable[RealRepresentation],
+                    tol: float = linalg.TOL) -> list[tuple[dict, int, list]]:
+    """Check the character projectors of each of ``members``, representations
+    of one group in one mode: one (ranks, number of checks, failed
+    (identity, label) pairs) per member, in order.  ``members`` is read
+    once, so a generator lets a caller drop each representation once its
+    projectors are built.
 
     For Q_l = D P_l (``character_projectors``), over the fixed part and each
     nontrivial irrep l in sorted order, the identities are, in this order:
@@ -658,27 +679,64 @@ def projector_check(rep: RealRepresentation, tol: float = linalg.TOL) -> tuple[d
     numerators exactly, float mode within ``tol``.  A non-integral rank
     (trace of P) raises InvalidInputError.
 
+    Consecutive members share one stack (``_check_stack``) until it holds
+    about ``_STACK`` entries.
+
     P_l commuting with each rho(h), and so with every equivariant map, is a
     theorem for a class function chi_l (``FiniteGroupModel.validate``):
     reindex the sum by g -> h g h^-1.  It is not checked.
     """
-    projs, denom = character_projectors(rep)
-    same = partial(linalg.same, exact=rep.exact, tol=tol)
-    labels = sorted(projs)
-    q = np.stack([projs.pop(label) for label in labels])  # frees the unsorted stack
-    ranks = {label: linalg.trace_rank(tr, denom)
-             for label, tr in zip(labels, np.trace(q, axis1=1, axis2=2))}
-    verdicts = [
-        ("idempotent", labels, same(q @ q, denom * q)),
-        ("pairwise-orthogonal", [f"{a}|{b}" for i, a in enumerate(labels)
-                                 for b in labels[i + 1:]],
-         [ok for i in range(len(q)) for ok in same(q[i] @ q[i + 1:], 0)]),
-        ("resolution-of-identity", [""],
-         [same(q.sum(axis=0), denom * np.eye(rep.dim, dtype=q.dtype))]),
-    ]
-    results = [(check, label, ok) for check, names, oks in verdicts
-               for label, ok in zip(names, oks)]
-    return ranks, len(results), [(check, label) for check, label, ok in results if not ok]
+    results, chunk = [], []
+    for rep in members:
+        chunk.append((*character_projectors(rep), rep.dim))
+        if len(chunk) * len(chunk[0][0]) * max(c[2] for c in chunk) ** 2 >= _STACK:
+            results += _check_stack(chunk, tol)
+    if chunk:
+        results += _check_stack(chunk, tol)
+    return results
+
+
+def _check_stack(chunk: list, tol: float) -> list:
+    """``projector_check`` of the members in ``chunk``, (projectors,
+    denominator, dim) each, emptied once they are stacked.
+
+    The projectors go into one (labels, n, D, D) stack, D the largest dim,
+    zero-padded when the dims differ, and each identity is formed once for
+    the stack; the resolution compares each member with its own diag(I_d,
+    0).  Padding is exact: a padded entry adds only exact zeros to every
+    product and sum, so each member's result is that of checking it alone.
+    """
+    projs, denoms, dims = zip(*chunk)
+    chunk.clear()
+    big, labels = max(dims), sorted(projs[0])
+    if min(dims) == big:
+        q = np.stack([p[label] for label in labels for p in projs])
+    else:
+        q = np.zeros((len(labels) * len(dims), big, big),
+                     dtype=np.result_type(*(p[labels[0]] for p in projs)))
+        for k, (p, d) in enumerate(zip(projs, dims)):
+            q[k::len(dims), :d, :d] = np.stack([p[label] for label in labels])
+    del projs  # frees each member's unsorted stack
+    q = q.reshape(len(labels), len(dims), big, big)
+    ranks = [{label: linalg.trace_rank(t, denom) for label, t in zip(labels, traces)}
+             for traces, denom in zip(np.trace(q, axis1=2, axis2=3).T.tolist(), denoms)]
+    # one shared denominator (always so in float mode) scales as a python int
+    scale = denoms[0] if len(set(denoms)) == 1 else np.reshape(denoms, (-1, 1, 1))
+    identity = np.eye(big, dtype=q.dtype)
+    if min(dims) < big:
+        identity = identity * (np.arange(big) < np.array(dims)[:, None])[:, None, :]
+    same = partial(linalg.same, exact=q.dtype.kind != "f", tol=tol)
+    ok = np.concatenate([same(q @ q, scale * q)]
+                        + [same(q[i] @ q[i + 1:], 0) for i in range(len(q) - 1)]
+                        + [same(q.sum(axis=0), scale * identity)[None]])
+    names = [("idempotent", a) for a in labels] + [
+        ("pairwise-orthogonal", f"{a}|{b}") for i, a in enumerate(labels) for b in labels[i + 1:]]
+    names.append(("resolution-of-identity", ""))
+    failed = [[] for _ in dims]
+    if not ok.all():
+        for k, j in np.argwhere(~ok.T):
+            failed[k].append(names[j])
+    return [(r, len(names), f) for r, f in zip(ranks, failed)]
 
 
 def hom_G_basis(rep_v: RealRepresentation, rep_w: RealRepresentation) -> np.ndarray:

@@ -10,9 +10,9 @@ whole body and returns the record {"criterion", "name", "anchor", "checks",
 draws from fixed seeds, so its checks are deterministic.
 
 Criterion 1 draws random representations through ``reps`` in both modes
-and checks each with ``reps.projector_check``: the projector identities on
-integer numerators with exact equality in exact mode, on the float
-projectors within a tolerance in float mode.
+and checks each group's 20 draws in one ``reps.projector_check`` call: the
+projector identities on integer numerators with exact equality in exact
+mode, on the float projectors within a tolerance in float mode.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ def suite_projectors(check):
                                     ("float", finite + [circle], 2025)):
         for group in groups:
             rng = np.random.default_rng(mode_seed)
-            for trial in range(20):
-                rep = reps.random_rep(group, rng, max_dim=12, exact=mode == "exact")
-                _, n, failed = reps.projector_check(rep, linalg.TOL)
+            # a generator: each draw is dropped once its projectors are built
+            draws = (reps.random_rep(group, rng, max_dim=12, exact=mode == "exact")
+                     for _ in range(20))
+            for trial, (_, n, failed) in enumerate(reps.projector_check(draws, linalg.TOL)):
                 check(True, None, n - len(failed))
                 for identity, label in failed:
                     check(False, {"mode": mode, "group": getattr(group, "name", "S1"),

@@ -11,7 +11,7 @@ metric residuals).
 from equitrans import suites
 
 BUDGETS = {
-    1: 0.5,  # projector algebra
+    1: 0.3,  # projector algebra
     2: 0.1,  # endomorphism-type table
     3: 0.01,  # determinantal codimension
     4: 0.1,  # condition consistency

@@ -210,7 +210,7 @@ def test_isotypic_rank_helper():
     nat = reps._block_catalog(g)["natural"]
     std = fraction_projectors(nat)["standard"]
     assert linalg.trace_rank(np.trace(std)) == 2
-    assert reps.projector_check(nat)[0]["standard"] == 2
+    assert reps.projector_check([nat])[0][0]["standard"] == 2
 
 
 # ---------------------------------------------------------------------------

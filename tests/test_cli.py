@@ -2056,20 +2056,20 @@ def test_perturb_zero_outside_declared_support_exit_2(tmp_path, capsys):
     assert "zero-set vertex 1 lies outside the declared support" in msg["error"]
 
 
-def test_deeply_nested_entry_gives_a_short_error(tmp_path):
-    # the offending entry is echoed through a capped repr, not in full; a
-    # fresh interpreter parses the 980 levels that pytest's stack would not
+def _nested_entry_file(tmp_path, levels):
+    """REPS_MATRICES with the first entry of its second matrix wrapped in
+    ``levels`` more lists: the file nests levels + 5 deep."""
     text = json.dumps(_replaced(REPS_MATRICES, "X", "representation", "matrices", 1))
-    path = tmp_path / "nested.json"
-    path.write_text(text.replace('"X"', "[[" + "[" * 980 + "1" + "]" * 980 + ", 0], [0, -1]]"))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "equitrans.cli", "reps", "decompose",
-                           str(path)], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout) == (2, "")
-    message = json.loads(done.stderr)["error"]
-    assert len(message) < 200
+    path = tmp_path / f"nested-{levels}.json"
+    path.write_text(text.replace('"X"', "[[" + "[" * levels + "1" + "]" * levels + ", 0], [0, -1]]"))
+    return str(path)
+
+
+def test_deeply_nested_entry_gives_a_short_error(tmp_path, capsys):
+    # the offending entry is echoed through a capped repr, not in full
+    code, out, err = run(capsys, ["reps", "decompose", _nested_entry_file(tmp_path, 50)])
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]
     assert message == "representation matrices: [[[[...]]]] is not a number"
     # integer fields go through the same capped repr; short entries keep
     # their full text
@@ -2080,6 +2080,47 @@ def test_deeply_nested_entry_gives_a_short_error(tmp_path):
         with pytest.raises(cli.InvalidInputError) as caught:
             parse([[[1]], "abc"], "x")
         assert str(caught.value).startswith("x: [[[1]], 'abc'] is not a")
+
+
+def test_nesting_bound_gives_one_verdict_in_process_and_in_a_fresh_interpreter(
+        tmp_path, capsys):
+    # 980 levels: pytest's stack alone could not parse them, a fresh
+    # interpreter could; the explicit bound rejects them in both, with the
+    # same bytes
+    path = _nested_entry_file(tmp_path, 980)
+    in_process = run(capsys, ["reps", "decompose", path])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "equitrans.cli", "reps", "decompose", path],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == in_process
+    assert json.loads(in_process[2]) == {
+        "error": f"scenario nests too deeply to parse: {path}", "kind": "invalid-input"}
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("", 0),
+    ("1", 0),
+    ('{"a": [1, {"b": [[2]]}], "c": {}}', 5),
+    ('{"a": "[[[{", "b": "]]]]]]", "c": [[1]]}', 3),  # brackets in strings
+    ('{"a": "\\"[[[", "b": "\\\\", "c": [1]}', 2),  # escaped quote, backslash
+    ("[" * 65 + "]" * 65, 65),
+])
+def test_nesting_depth_counts_brackets_outside_strings(text, depth):
+    assert not cli._nests_deeper(text, depth)
+    assert depth == 0 or cli._nests_deeper(text, depth - 1)
+
+
+@pytest.mark.parametrize("levels, message", [
+    (cli.MAX_NESTING - 5, "representation matrices: [[[[...]]]] is not a number"),
+    (cli.MAX_NESTING - 4, "scenario nests too deeply to parse"),
+])
+def test_nesting_bound_is_exact(tmp_path, capsys, levels, message):
+    # the file nests levels + 5 deep: MAX_NESTING parses, one more does not
+    code, out, err = run(capsys, ["reps", "decompose", _nested_entry_file(tmp_path, levels)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(message)
 
 
 def test_perturb_exhausted_budget_exit_1(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,8 @@ Its exact ranks and verdicts are compared with an all-Fraction computation
 written here from the character formula, on representations whose
 numerators fit int64 and on ones that need python ints.  Corrupting one
 character must make exactly the identity it breaks fail, in both modes; on
-random representations every identity holds.
+random representations every identity holds.  A list is checked in padded
+stacks, and each member's result must be that of checking it alone.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equitrans import linalg, reps
+from equitrans import linalg, reps, suites
 from equitrans.errors import InvalidInputError
 
 
@@ -160,8 +161,8 @@ def test_exact_check_matches_fraction_reference(name, block, denom, python_ints)
         ranks, failed = fraction_reference(rep)
         labels = len(ranks)
         checks = labels + labels * (labels - 1) // 2 + 1
-        assert reps.projector_check(rep) == (ranks, checks, failed)
-    assert reps.projector_check(reps_under_test[0])[2] == []
+        assert reps.projector_check([rep])[0] == (ranks, checks, failed)
+    assert reps.projector_check(reps_under_test[:1])[0][2] == []
     assert ("pairwise-orthogonal", f"fixed|{irrep.label}") in failed
 
 
@@ -175,7 +176,7 @@ def trivial_plus_sign(group_name, signs):
 def test_corrupted_character_fails_resolution_only(exact):
     rep = trivial_plus_sign("Z_2", [1, -1])
     bad = reps.RealRepresentation(with_irreps(rep.group, sign=[0, 0]), rep.matrices)
-    ranks, _, failed = reps.projector_check(as_mode(bad, exact))
+    ranks, _, failed = reps.projector_check([as_mode(bad, exact)])[0]
     assert failed == [("resolution-of-identity", "")]
     assert ranks == {"fixed": 1, "sign": 0}
 
@@ -187,7 +188,89 @@ def test_non_integral_trace_is_invalid(exact):
     mats = linalg.frac_array([np.eye(3, dtype=int), np.diag([1, 1, -1])])
     group = with_irreps(rep.group, sign=[1, "1/2"])
     with pytest.raises(InvalidInputError, match="trace"):
-        reps.projector_check(as_mode(reps.RealRepresentation(group, mats), exact))
+        reps.projector_check([as_mode(reps.RealRepresentation(group, mats), exact)])
+
+
+def test_int64_and_python_int_members_share_a_stack():
+    # S_3's natural block conjugated by a Cayley matrix over 10**6 needs
+    # python ints; its sign block fits int64; padded together, in either
+    # order, each keeps the result of its own check
+    group = reps.preset_group("S_3")
+    natural = reps._block_catalog(group)["natural"]
+    big = conjugated(natural, cayley_orthogonal(3, np.random.default_rng(5), denom=10**6))
+    small = reps._block_catalog(group)["sign"]
+    assert reps.character_projectors(big)[0]["fixed"].dtype == object
+    assert reps.character_projectors(small)[0]["fixed"].dtype == np.int64
+    for members in ([big, small], [small, big, small]):
+        assert reps.projector_check(members) == [reps.projector_check([m])[0] for m in members]
+        assert all(failed == [] for _, _, failed in reps.projector_check(members))
+
+
+def z2_diagonal(group, signs):
+    """The representation of (a copy of) Z_2 whose generator acts as
+    diag(signs): one trivial or sign line per entry."""
+    return reps.RealRepresentation(
+        group, linalg.frac_array([np.eye(len(signs), dtype=int), np.diag(signs)]))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_planted_fault_stays_with_its_member(exact):
+    # with the sign character zeroed, P_sign = 0: a member with a sign line
+    # fails the resolution of the identity alone, and a trivial one passes;
+    # padding to the largest dim neither hides a failure nor spreads one
+    group = with_irreps(reps.preset_group("Z_2"), sign=[0, 0])
+    signs = [[1, 1, 1, 1], [1, -1], [1], [-1, 1, -1], [1, 1]]
+    members = [as_mode(z2_diagonal(group, s), exact) for s in signs]
+    results = reps.projector_check(members)
+    resolution = [("resolution-of-identity", "")]
+    assert [failed for _, _, failed in results] == [[], resolution, [], resolution, []]
+    assert [ranks for ranks, _, _ in results] == [{"fixed": s.count(1), "sign": 0}
+                                                  for s in signs]
+    assert results == [reps.projector_check([m])[0] for m in members]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_integral_trace_in_a_list_is_invalid(exact, monkeypatch):
+    # under sign = [1, 1/2], diag(1, 1, -1) has trace(P_sign) = 7/4, while
+    # the trivial 4-dim member has the integral traces 4 and 3 (and fails
+    # identities, which raises nothing); with two members per stack, the
+    # bad member raises the one-member message wherever it stands, in the
+    # first stack or after a stack that raised nothing
+    monkeypatch.setattr(reps, "_STACK", 2 * 2 * 4**2)
+    group = with_irreps(reps.preset_group("Z_2"), sign=[1, "1/2"])
+    good, bad = (as_mode(z2_diagonal(group, s), exact) for s in ([1] * 4, [1, 1, -1]))
+    ranks = [ranks for ranks, _, _ in reps.projector_check([good] * 3)]
+    assert ranks == [{"fixed": 4, "sign": 3}] * 3
+    message = ("projector trace is not an integer; invalid data" if exact
+               else "projector trace is not close to an integer")
+    for members in ([bad], [bad, good], [good, bad, good], [good, good, good, bad]):
+        with pytest.raises(InvalidInputError) as caught:
+            reps.projector_check(members)
+        assert str(caught.value) == message
+
+
+def criterion_1_draws():
+    """Criterion 1's 300 draws, grouped as ``suites.suite_projectors`` checks
+    them: 20 per (mode, group), each group from a fresh generator."""
+    finite = [reps.preset_group(name) for name in suites.PROJECTOR_GROUPS]
+    circle = reps.CircleGroupModel(suites.CIRCLE_ORDER)
+    return [[reps.random_rep(group, rng, max_dim=12, exact=exact) for _ in range(20)]
+            for exact, groups, seed in ((True, finite, 2024), (False, finite + [circle], 2025))
+            for group in groups for rng in [np.random.default_rng(seed)]]
+
+
+def test_list_check_equals_checking_each_member_alone():
+    # one call per group, over stacks of mixed dims, gives each draw the
+    # result of a one-element list, from a list or from a generator; the
+    # circle's 20 draws (16 labels, dims up to 12) take several stacks
+    groups = criterion_1_draws()
+    assert sum(map(len, groups)) == 300
+    assert any(len({rep.dim for rep in draws}) > 1 for draws in groups)
+    assert 20 * 16 * 12**2 > 2 * reps._STACK
+    for draws in groups:
+        alone = [reps.projector_check([rep])[0] for rep in draws]
+        assert reps.projector_check(draws) == alone
+        assert reps.projector_check(iter(draws)) == alone
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,7 +284,7 @@ def test_projector_identities_hold_on_random_reps(name, seed, exact):
     else:
         group = reps.preset_group(name)
     rep = reps.random_rep(group, np.random.default_rng(seed), max_dim=8, exact=exact)
-    ranks, _, failed = reps.projector_check(rep)
+    ranks, _, failed = reps.projector_check([rep])[0]
     assert failed == []
     assert sum(ranks.values()) == rep.dim
     for label, p in fraction_projectors(rep).items():

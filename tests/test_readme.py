@@ -64,3 +64,15 @@ def test_module_table_names_exist():
         for name in re.findall(r"`([a-z_][a-z0-9_]*)`", text):
             assert (hasattr(builtins, name) or name in modules
                     or any(hasattr(owner, name) for owner in owners)), (module, name)
+
+
+# module rows rewritten as contracts (inputs, outputs, exactness, error kinds
+# and determinism), with their mechanism in the module docstrings: the
+# largest word count each may grow to
+ROW_WORD_BUDGETS = {"reps": 330, "floer": 110}
+
+
+def test_contract_rows_stay_within_their_word_budgets():
+    rows = dict(re.findall(r"^\| `equitrans\.(\w+)` \|(.*)\|$", README.read_text(), re.M))
+    for module, budget in ROW_WORD_BUDGETS.items():
+        assert len(rows[module].split()) <= budget, module

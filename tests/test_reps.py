@@ -109,7 +109,7 @@ def test_rep_from_matrices_takes_exactness_from_the_dtype():
         assert not rep.exact and rep.matrices.dtype == float
         assert mat_eq(rep.matrices, linalg.as_float(exact.matrices), 0.0)
     for r in (exact, rep):
-        assert reps.projector_check(r, linalg.TOL)[0]["sign"] == 1
+        assert reps.projector_check([r], linalg.TOL)[0][0]["sign"] == 1
 
 
 def test_exact_projector_rejects_a_float_anywhere_in_the_character():
@@ -118,7 +118,7 @@ def test_exact_projector_rejects_a_float_anywhere_in_the_character():
     z2 = dataclasses.replace(reps.cyclic_group(2), irreps=(odd,))
     rep = reps.rep_from_matrices(z2, linalg.frac_array([[[1]], [[-1]]]))
     with pytest.raises(InvalidInputError, match="no exact character"):
-        reps.projector_check(rep)
+        reps.projector_check([rep])
 
 
 def test_isotypic_projector_circle_weight_mismatch_is_zero():
